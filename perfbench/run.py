@@ -2,7 +2,7 @@
 """Builds pager-serve, pager-cluster and the perfbench binary from this
 checkout, then runs one workload of the benchmark.
 
-    python3 perfbench/run.py --workload hot-plan --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload node-mixed --seed 1 --seconds 30 --trace 0
 
 Run it from the root of the checkout. Build outputs go to
 $CARGO_TARGET_DIR (default .bench_build); scratch files go under it
@@ -18,7 +18,7 @@ import signal
 import subprocess
 import sys
 
-WORKLOADS = ("hot-plan", "cold-plan", "node-mixed", "cluster-mixed")
+WORKLOADS = ("node-mixed", "cluster-mixed")
 # Generous cap on one run; the binary itself stops after its window.
 RUN_TIMEOUT_S = 170
 

@@ -1,13 +1,12 @@
-//! Client side of the two wire protocols: v2 plan frames out, v2 plan
-//! responses in, and v1 JSON lines both ways.
+//! Client side of the wire protocols: v1 JSON lines both ways, and the
+//! v2 plan frames the traced run replays in process.
 
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
 use jsonio::Value;
 use pager_core::Delay;
-use pager_wire::frame::{self, op, Split};
 use pager_wire::{binary, PlanSpec};
 
 use crate::gen::PlanInput;
@@ -38,148 +37,6 @@ pub fn encode_plan(out: &mut Vec<u8>, id: i64, input: &PlanInput) -> Result<(), 
         Err("plan request id cannot ride a binary frame".into())
     }
 }
-
-/// A decoded v2 plan response, borrowing the frame payload.
-#[derive(Debug, Clone, Copy)]
-pub struct PlanReply<'a> {
-    pub id: i64,
-    pub downgraded: bool,
-    pub cached: bool,
-    pub tier: u8,
-    pub ep: f64,
-    /// The `groups` section of the payload, byte for byte: count, then
-    /// per group its length and cell indices.
-    pub groups_bytes: &'a [u8],
-}
-
-/// Tier tags of the v2 plan response.
-pub const TIER_EXACT: u8 = 0;
-pub const TIER_GREEDY: u8 = 1;
-
-fn take<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> Option<&'a [u8]> {
-    let end = pos.checked_add(n).filter(|&e| e <= buf.len())?;
-    let slice = &buf[*pos..end];
-    *pos = end;
-    Some(slice)
-}
-
-fn u32_at(buf: &[u8], pos: &mut usize) -> Option<u32> {
-    Some(u32::from_le_bytes(take(buf, pos, 4)?.try_into().ok()?))
-}
-
-fn u64_at(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    Some(u64::from_le_bytes(take(buf, pos, 8)?.try_into().ok()?))
-}
-
-/// Decodes a PLAN_RESP payload (layout in `pager_wire::binary`).
-/// `None` for anything else, a non-integer id included.
-pub fn parse_plan_reply(payload: &[u8]) -> Option<PlanReply<'_>> {
-    let mut pos = 0;
-    let tag = take(payload, &mut pos, 1)?[0];
-    let id = match tag {
-        1 => i64::try_from(u64_at(payload, &mut pos)?).ok()?,
-        2 => u64_at(payload, &mut pos)? as i64,
-        _ => return None,
-    };
-    let flags = take(payload, &mut pos, 1)?[0];
-    let tier = take(payload, &mut pos, 1)?[0];
-    let ep = f64::from_bits(u64_at(payload, &mut pos)?);
-    let _planning_micros = u64_at(payload, &mut pos)?;
-    let node_len = u32_at(payload, &mut pos)? as usize;
-    take(payload, &mut pos, node_len)?;
-    Some(PlanReply {
-        id,
-        downgraded: flags & 1 != 0,
-        cached: flags & 2 != 0,
-        tier,
-        ep,
-        groups_bytes: &payload[pos..],
-    })
-}
-
-/// Decodes the `groups` section of a plan response.
-pub fn decode_groups(bytes: &[u8]) -> Option<Vec<Vec<usize>>> {
-    let mut pos = 0;
-    let count = u32_at(bytes, &mut pos)? as usize;
-    let mut groups = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        let len = u32_at(bytes, &mut pos)? as usize;
-        let mut cells = Vec::with_capacity(len.min(4096));
-        for _ in 0..len {
-            cells.push(u32_at(bytes, &mut pos)? as usize);
-        }
-        groups.push(cells);
-    }
-    (pos == bytes.len()).then_some(groups)
-}
-
-/// A buffered reader of whole v2 frames (and v1 lines, which the plan
-/// clients treat as protocol errors).
-pub struct FrameReader {
-    buf: Vec<u8>,
-    start: usize,
-    chunk: Box<[u8]>,
-}
-
-/// One message off the wire, copied out of the reader's buffer.
-pub enum Message<'a> {
-    Frame { op: u8, payload: &'a [u8] },
-    Line,
-}
-
-impl FrameReader {
-    pub fn new() -> FrameReader {
-        FrameReader {
-            buf: Vec::with_capacity(1 << 16),
-            start: 0,
-            chunk: vec![0u8; 1 << 16].into_boxed_slice(),
-        }
-    }
-
-    /// Reads more bytes from `stream`; errors on EOF.
-    pub fn fill(&mut self, stream: &mut TcpStream) -> Result<(), String> {
-        if self.start > 0 && self.start == self.buf.len() {
-            self.buf.clear();
-            self.start = 0;
-        } else if self.start > (1 << 15) {
-            self.buf.drain(..self.start);
-            self.start = 0;
-        }
-        let n = stream
-            .read(&mut self.chunk)
-            .map_err(|e| format!("read: {e}"))?;
-        if n == 0 {
-            return Err("server closed the connection".into());
-        }
-        self.buf.extend_from_slice(&self.chunk[..n]);
-        Ok(())
-    }
-
-    /// The next complete message already buffered, consuming it.
-    pub fn next_message(&mut self) -> Result<Option<Message<'_>>, String> {
-        match frame::split(&self.buf[self.start..]) {
-            Split::NeedMore => Ok(None),
-            Split::Malformed(m) => Err(format!("malformed response: {m}")),
-            Split::V1Line { consumed, .. } => {
-                self.start += consumed;
-                Ok(Some(Message::Line))
-            }
-            Split::V2Frame {
-                op,
-                payload,
-                consumed,
-            } => {
-                let from = self.start + (consumed - payload.len());
-                self.start += consumed;
-                let payload = &self.buf[from..from + payload.len()];
-                Ok(Some(Message::Frame { op, payload }))
-            }
-        }
-    }
-}
-
-/// The op of a v2 plan response.
-pub const PLAN_RESP: u8 = op::PLAN_RESP;
 
 /// A v1 JSON-lines connection.
 pub struct LineConn {
@@ -227,37 +84,4 @@ pub fn control(addr: &str, cmd: &str) -> Result<Value, String> {
 /// A numeric field of a JSON object, 0 when absent.
 pub fn num(value: &Value, key: &str) -> f64 {
     value.get(key).and_then(Value::as_f64).unwrap_or(0.0)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn plan_reply_round_trips_through_the_service_encoder() {
-        let groups = vec![vec![2usize, 0], vec![1]];
-        let mut out = Vec::new();
-        binary::encode_plan_response(
-            &mut out,
-            pager_wire::IdView::I64(42),
-            Some("n"),
-            "greedy",
-            1.75,
-            9,
-            false,
-            true,
-            false,
-            &groups,
-        );
-        let Split::V2Frame { op, payload, .. } = frame::split(&out) else {
-            panic!("not a frame");
-        };
-        assert_eq!(op, PLAN_RESP);
-        let reply = parse_plan_reply(payload).expect("decodes");
-        assert_eq!(reply.id, 42);
-        assert!(reply.cached && !reply.downgraded);
-        assert_eq!(reply.tier, TIER_GREEDY);
-        assert_eq!(reply.ep, 1.75);
-        assert_eq!(decode_groups(reply.groups_bytes), Some(groups));
-    }
 }

@@ -11,7 +11,7 @@ use workloads::{DistributionFamily, InstanceGenerator};
 
 /// Cache grid the servers run with (the `pager-serve` default).
 pub const GRID: u32 = 1000;
-/// Distinct hot-plan instances: they fit the 4,096-entry cache.
+/// Distinct hot instances: they fit the 4,096-entry cache.
 pub const HOT_INSTANCES: usize = 1024;
 /// Cells per device in cluster-mixed.
 pub const CLUSTER_CELLS: usize = 16;
@@ -35,9 +35,7 @@ pub fn segment_seed(seed: u64, k: usize) -> u64 {
 /// Stream ids, one per input set.
 pub mod stream {
     pub const HOT: u64 = 1;
-    pub const HOT_ORDER: u64 = 2;
     pub const COLD: u64 = 10;
-    pub const COLD_WARM: u64 = 20;
     pub const CLUSTER: u64 = 30;
     pub const CLUSTER_OPS: u64 = 40;
     pub const TRACE: u64 = 50;
@@ -99,9 +97,10 @@ impl PlanInput {
     }
 }
 
-/// The hot-plan instance set: `HOT_INSTANCES` distinct instances with
-/// a fixed size schedule (c = 8–32, m = 2–4, d = 2–4) so only the
-/// probabilities depend on the seed.
+/// The hot instance set the traced run serves from a warm cache:
+/// `HOT_INSTANCES` distinct instances with a fixed size schedule
+/// (c = 8–32, m = 2–4, d = 2–4) so only the probabilities depend on
+/// the seed.
 pub fn hot_set(seed: u64) -> Vec<PlanInput> {
     let mut rng = rng(seed, stream::HOT);
     let mut seen = HashSet::new();
@@ -121,25 +120,13 @@ pub fn hot_set(seed: u64) -> Vec<PlanInput> {
     set
 }
 
-/// One connection's request order over the hot set: a seeded
-/// permutation, cycled, so every window of `HOT_INSTANCES` requests
-/// touches every instance once.
-pub fn hot_order(seed: u64, conn: u64) -> Vec<u32> {
-    let mut rng = rng(seed, stream::HOT_ORDER + 100 * conn);
-    let mut order: Vec<u32> = (0..HOT_INSTANCES as u32).collect();
-    for i in (1..order.len()).rev() {
-        order.swap(i, rng.gen_range(0..=i));
-    }
-    order
-}
-
 /// Cold-plan sizes: every fourth request is exact-tier (c = 8–10,
 /// m = 2–4, d = 2–3), the rest greedy-tier (c = 64–256, m = 2–8,
 /// d = 2–8). Cell counts cycle so each run has the same size mix.
 pub const EXACT_CELLS: [usize; 3] = [8, 9, 10];
 pub const GREEDY_CELLS: [usize; 3] = [64, 128, 256];
 
-/// An endless, seeded stream of fresh cold-plan requests.
+/// An endless, seeded stream of fresh (cold) plan requests.
 pub struct ColdStream {
     rng: StdRng,
     k: usize,

@@ -10,16 +10,13 @@
 //! segment and reporting medians over segments keeps one unlucky draw
 //! from deciding the run.
 
-use std::collections::VecDeque;
-use std::io::Write;
-use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use crate::check;
-use crate::client::{self, FrameReader, Message, PlanReply, PLAN_RESP};
-use crate::gen::{self, ColdStream, PlanInput, Tier};
-use crate::procs::{self, Server};
+use crate::client;
+use crate::gen;
+use crate::probe;
+use crate::procs;
 use crate::stats::Latencies;
 
 /// Where binaries live and scratch files go, plus the run's seed.
@@ -39,16 +36,6 @@ impl Env {
 pub const CONNS: usize = 2;
 /// Segments per end-to-end run.
 pub const SEGMENTS: usize = 15;
-/// Frames each hot-plan connection keeps in flight.
-const HOT_WINDOW: usize = 16;
-/// Served plans per connection and segment that `mean_ep` averages: a
-/// fixed prefix of each seeded request sequence, so `mean_ep` depends
-/// on the seed alone.
-const HOT_EP_PREFIX: usize = gen::HOT_INSTANCES;
-const COLD_EP_PREFIX: usize = 600;
-/// Exact-tier answers per connection re-solved by the benchmark's own
-/// subset DP.
-const EXACT_CHECKS: usize = 16;
 pub const STOP_GRACE: Duration = Duration::from_secs(10);
 
 /// Health and cache counters read from the servers after a segment
@@ -57,7 +44,6 @@ pub const STOP_GRACE: Duration = Duration::from_secs(10);
 pub struct Counters {
     pub cache_hits: f64,
     pub cache_probes: f64,
-    pub cache_evictions: f64,
     pub shed: f64,
     pub downgrades: f64,
     pub coalesced: f64,
@@ -77,7 +63,6 @@ impl Counters {
     fn add(&mut self, o: &Counters) {
         self.cache_hits += o.cache_hits;
         self.cache_probes += o.cache_probes;
-        self.cache_evictions += o.cache_evictions;
         self.shed += o.shed;
         self.downgrades += o.downgrades;
         self.coalesced += o.coalesced;
@@ -97,12 +82,15 @@ pub struct Segment {
     pub secs: f64,
     /// CPU seconds the server processes spent in `secs`.
     pub server_cpu_s: f64,
-    /// Spawn to ready, preload or warm-up included.
+    /// Spawn to ready, preload included.
     pub setup_s: f64,
     /// Summed peak RSS of the server processes.
     pub rss_kib: u64,
     /// Share of the machine's CPU time the hypervisor stole meanwhile.
     pub steal_share: f64,
+    /// The host-speed probe around the segment (mean of the probes
+    /// just before and just after it), in ns per round trip.
+    pub probe_ns: f64,
     pub plan: Latencies,
     pub observe: Latencies,
 }
@@ -262,7 +250,9 @@ pub fn measure<C: Client>(
 }
 
 /// Runs `segments` segments of `window / segments` each, every one with
-/// its own seed derived from `seed`, and folds them into one run.
+/// its own seed derived from `seed`, and folds them into one run. The
+/// host-speed probe runs before the first segment and after every one,
+/// while no server is up.
 pub fn run_segments(
     seed: u64,
     window: Duration,
@@ -271,8 +261,15 @@ pub fn run_segments(
 ) -> Result<Live, String> {
     let length = window / segments.max(1) as u32;
     let mut run = Live::default();
+    let mut before = probe::probe_ns()?;
     for k in 0..segments {
-        run.absorb(segment(gen::segment_seed(seed, k), length)?, true);
+        let mut part = segment(gen::segment_seed(seed, k), length)?;
+        let after = probe::probe_ns()?;
+        for seg in &mut part.segments {
+            seg.probe_ns = (before + after) / 2.0;
+        }
+        before = after;
+        run.absorb(part, true);
     }
     Ok(run)
 }
@@ -282,18 +279,6 @@ pub fn self_cpu_s() -> f64 {
     procs::cpu_seconds("self")
 }
 
-fn spawn_serve(env: &Env) -> Result<Server, String> {
-    Server::spawn(
-        &env.bin("pager-serve"),
-        &[
-            "--addr".into(),
-            "127.0.0.1:0".into(),
-            "--transport".into(),
-            "reactor".into(),
-        ],
-    )
-}
-
 /// Reads the node's cumulative metrics.
 pub fn node_metrics(addr: &str) -> Result<jsonio::Value, String> {
     let reply = client::control(addr, "metrics")?;
@@ -301,430 +286,4 @@ pub fn node_metrics(addr: &str) -> Result<jsonio::Value, String> {
         .get("metrics")
         .cloned()
         .ok_or_else(|| "metrics reply without metrics".to_string())
-}
-
-/// Keeps `window` plan frames in flight on one connection. `next`
-/// yields the next instance index to send (or `None` to stop);
-/// `on_reply` sees each answer in order with its latency.
-fn pipeline(
-    stream: &mut TcpStream,
-    frames: &[Vec<u8>],
-    window: usize,
-    mut next: impl FnMut() -> Option<u32>,
-    mut on_reply: impl FnMut(u32, Option<PlanReply<'_>>, u128),
-) -> Result<(), String> {
-    let mut reader = FrameReader::new();
-    let mut inflight: VecDeque<(u32, Instant)> = VecDeque::with_capacity(window);
-    let mut out: Vec<u8> = Vec::with_capacity(window * 1024);
-    let mut refill = |count: usize, inflight: &mut VecDeque<(u32, Instant)>, out: &mut Vec<u8>| {
-        out.clear();
-        let sent = Instant::now();
-        for _ in 0..count {
-            let Some(i) = next() else { break };
-            out.extend_from_slice(&frames[i as usize]);
-            inflight.push_back((i, sent));
-        }
-    };
-    refill(window, &mut inflight, &mut out);
-    stream.write_all(&out).map_err(|e| format!("write: {e}"))?;
-    while !inflight.is_empty() {
-        reader.fill(stream)?;
-        let arrived = Instant::now();
-        let mut answered = 0;
-        while let Some(message) = reader.next_message()? {
-            let (i, sent) = inflight.pop_front().ok_or("reply without a request")?;
-            let reply = match message {
-                Message::Frame { op, payload } if op == PLAN_RESP => {
-                    client::parse_plan_reply(payload)
-                }
-                _ => None,
-            };
-            on_reply(i, reply, arrived.duration_since(sent).as_nanos());
-            answered += 1;
-        }
-        if answered > 0 {
-            refill(answered, &mut inflight, &mut out);
-            if !out.is_empty() {
-                stream.write_all(&out).map_err(|e| format!("write: {e}"))?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The verified answer for one hot-plan instance.
-#[derive(Debug, Clone)]
-struct Reference {
-    tier: u8,
-    ep: f64,
-    groups: Vec<u8>,
-}
-
-/// One connection's preload answers: instance index and reference.
-type Preloaded = Vec<(u32, Option<Reference>)>;
-
-/// Plans every hot instance once, split over the connections, and
-/// keeps each first answer as the instance's reference.
-fn preload_hot(
-    streams: &mut [TcpStream],
-    frames: &[Vec<u8>],
-) -> Result<Vec<Option<Reference>>, String> {
-    let n = frames.len();
-    let results: Vec<Result<Preloaded, String>> = std::thread::scope(|s| {
-        let handles: Vec<_> = streams
-            .iter_mut()
-            .enumerate()
-            .map(|(t, stream)| {
-                s.spawn(move || {
-                    let mut ids = (t..n).step_by(CONNS).map(|i| i as u32);
-                    let mut got = Vec::new();
-                    pipeline(
-                        stream,
-                        frames,
-                        HOT_WINDOW,
-                        || ids.next(),
-                        |i, reply, _| {
-                            let reference =
-                                reply.filter(|r| r.id == i64::from(i)).map(|r| Reference {
-                                    tier: r.tier,
-                                    ep: r.ep,
-                                    groups: r.groups_bytes.to_vec(),
-                                });
-                            got.push((i, reference));
-                        },
-                    )?;
-                    Ok(got)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|_| Err("preload thread panicked".into()))
-            })
-            .collect()
-    });
-    let mut refs = vec![None; n];
-    for result in results {
-        for (i, reference) in result? {
-            refs[i as usize] = reference;
-        }
-    }
-    Ok(refs)
-}
-
-fn expected_tag(tier: Tier) -> u8 {
-    match tier {
-        Tier::Exact => client::TIER_EXACT,
-        Tier::Greedy => client::TIER_GREEDY,
-    }
-}
-
-/// Checks every hot reference once: partition, EP, expected tier, and
-/// the subset-DP optimum on the first exact-tier instances.
-fn verify_hot_refs(set: &[PlanInput], refs: &[Option<Reference>], live: &mut Live) {
-    let mut exact_checked = 0;
-    for (j, (input, reference)) in set.iter().zip(refs).enumerate() {
-        let good = reference.as_ref().is_some_and(|r| {
-            let groups = client::decode_groups(&r.groups);
-            let valid = r.tier == expected_tag(input.tier)
-                && groups.is_some_and(|g| {
-                    check::plan_ok(&input.instance, input.delay, &g, r.ep, check::EP_TOLERANCE)
-                });
-            let optimal = input.tier != Tier::Exact || exact_checked >= 2 * EXACT_CHECKS || {
-                exact_checked += 1;
-                check::exact_is_optimal(&input.instance, input.delay, r.ep)
-            };
-            valid && optimal
-        });
-        if !good {
-            live.setup_failures += 1;
-            live.note(format!("hot-plan preload answer {j} failed its checks"));
-        }
-    }
-}
-
-/// One hot-plan connection: a seeded order over the hot set, cycled.
-struct HotClient<'a> {
-    stream: TcpStream,
-    frames: &'a [Vec<u8>],
-    refs: &'a [Option<Reference>],
-    order: Vec<u32>,
-    sent: usize,
-    served: usize,
-    part: Live,
-}
-
-impl Client for HotClient<'_> {
-    fn drive(&mut self, until: Instant) -> Result<(), String> {
-        let (order, sent) = (&self.order, &mut self.sent);
-        let next = || {
-            if Instant::now() >= until {
-                return None;
-            }
-            let i = order[*sent % order.len()];
-            *sent += 1;
-            Some(i)
-        };
-        let (refs, part, served) = (self.refs, &mut self.part, &mut self.served);
-        pipeline(
-            &mut self.stream,
-            self.frames,
-            HOT_WINDOW,
-            next,
-            |i, reply, ns| {
-                part.attempted += 1;
-                let Some(reply) = reply else {
-                    part.record(ns, false, false);
-                    part.fail(|| format!("hot-plan instance {i}: not a plan answer"));
-                    return;
-                };
-                let same = refs[i as usize].as_ref().is_some_and(|r| {
-                    reply.id == i64::from(i)
-                        && r.tier == reply.tier
-                        && r.ep.to_bits() == reply.ep.to_bits()
-                        && r.groups == reply.groups_bytes
-                });
-                let good = same && !reply.downgraded;
-                part.record(ns, false, good);
-                if !good {
-                    part.fail(|| {
-                        format!("hot-plan instance {i}: answer differs from its first plan")
-                    });
-                }
-                if *served < HOT_EP_PREFIX {
-                    part.ep_sum += reply.ep;
-                    part.ep_n += 1;
-                }
-                *served += 1;
-            },
-        )
-    }
-
-    fn part(&mut self) -> &mut Live {
-        &mut self.part
-    }
-}
-
-/// One hot-plan segment: ~1k distinct instances planned during set-up,
-/// then two connections pipelining cache-hit PLAN frames.
-pub fn hot_plan(env: &Env, seed: u64, window: Duration) -> Result<Live, String> {
-    let set = gen::hot_set(seed);
-    let mut frames = Vec::with_capacity(set.len());
-    for (j, input) in set.iter().enumerate() {
-        let mut frame = Vec::new();
-        client::encode_plan(&mut frame, j as i64, input)?;
-        frames.push(frame);
-    }
-    let started = Instant::now();
-    let server = spawn_serve(env)?;
-    let mut streams = vec![
-        client::connect(&server.addr)?,
-        client::connect(&server.addr)?,
-    ];
-    let refs = preload_hot(&mut streams, &frames)?;
-    let setup_s = started.elapsed().as_secs_f64();
-    let mut clients: Vec<HotClient<'_>> = streams
-        .into_iter()
-        .enumerate()
-        .map(|(t, stream)| HotClient {
-            stream,
-            frames: &frames,
-            refs: &refs,
-            order: gen::hot_order(seed, t as u64),
-            sent: 0,
-            served: 0,
-            part: Live::default(),
-        })
-        .collect();
-    let before = node_metrics(&server.addr)?;
-    let pids = server.pids();
-    let mut live = measure(&pids, window, &mut clients)?;
-    verify_hot_refs(&set, &refs, &mut live);
-    if live.ep_n < (CONNS * HOT_EP_PREFIX) as u64 {
-        live.note(format!(
-            "hot-plan served only {} of the plans mean_ep averages",
-            live.ep_n
-        ));
-        live.setup_failures += 1;
-    }
-    finish_node_run(&mut live, &server, setup_s, &before)?;
-    drop(clients);
-    server.stop(STOP_GRACE);
-    Ok(live)
-}
-
-/// Post-window accounting shared by the single-node workloads.
-fn finish_node_run(
-    live: &mut Live,
-    server: &Server,
-    setup_s: f64,
-    before: &jsonio::Value,
-) -> Result<(), String> {
-    live.segments[0].setup_s = setup_s;
-    let after = node_metrics(&server.addr)?;
-    let delta = |key: &str| client::num(&after, key) - client::num(before, key);
-    let c = &mut live.counters;
-    c.cache_hits = delta("cache_hits");
-    c.cache_probes = delta("cache_hits") + delta("cache_misses");
-    c.shed = delta("requests_shed");
-    c.downgrades = delta("deadline_downgrades");
-    c.coalesced = delta("coalesced");
-    // The node's `evictions` gauge is not wired to the cache, so count
-    // the evictions every insert past capacity must have caused.
-    let capacity = pager_service::ServiceConfig::default().capacity as f64;
-    c.cache_evictions = (client::num(&after, "cache_misses") - capacity).max(0.0);
-    Ok(())
-}
-
-/// One closed-loop cold-plan connection.
-struct ColdClient {
-    stream: TcpStream,
-    reader: FrameReader,
-    out: Vec<u8>,
-    inputs: ColdStream,
-    sent: usize,
-    exact_checks: usize,
-    part: Live,
-}
-
-impl ColdClient {
-    fn new(stream: TcpStream, inputs: ColdStream, exact_checks: usize) -> ColdClient {
-        ColdClient {
-            stream,
-            reader: FrameReader::new(),
-            out: Vec::with_capacity(1 << 15),
-            inputs,
-            sent: 0,
-            exact_checks,
-            part: Live::default(),
-        }
-    }
-
-    /// Sends the next request and checks its answer: the verdict (the
-    /// served EP), its latency, and whether it was a cache hit.
-    fn request(&mut self) -> Result<(Result<f64, String>, u128, bool), String> {
-        let id = self.sent as i64;
-        self.sent += 1;
-        let input = self.inputs.next().ok_or("the cold stream ended")?;
-        self.out.clear();
-        client::encode_plan(&mut self.out, id, &input)?;
-        let sent = Instant::now();
-        self.stream
-            .write_all(&self.out)
-            .map_err(|e| format!("write: {e}"))?;
-        loop {
-            if let Some(message) = self.reader.next_message()? {
-                let ns = sent.elapsed().as_nanos();
-                let reply = match message {
-                    Message::Frame { op, payload } if op == PLAN_RESP => {
-                        client::parse_plan_reply(payload)
-                    }
-                    _ => None,
-                };
-                let Some(reply) = reply else {
-                    return Ok((
-                        Err(format!("cold request {id}: not a plan answer")),
-                        ns,
-                        false,
-                    ));
-                };
-                let groups = client::decode_groups(reply.groups_bytes).unwrap_or_default();
-                let mut good = reply.id == id
-                    && reply.tier == expected_tag(input.tier)
-                    && !reply.downgraded
-                    && check::plan_ok(
-                        &input.instance,
-                        input.delay,
-                        &groups,
-                        reply.ep,
-                        check::EP_TOLERANCE,
-                    );
-                if good && input.tier == Tier::Exact && self.exact_checks < EXACT_CHECKS {
-                    self.exact_checks += 1;
-                    good = check::exact_is_optimal(&input.instance, input.delay, reply.ep);
-                }
-                let verdict = if good {
-                    Ok(reply.ep)
-                } else {
-                    Err(format!(
-                        "cold request {id} ({} tier): answer failed its checks",
-                        input.tier.name()
-                    ))
-                };
-                return Ok((verdict, ns, reply.cached));
-            }
-            self.reader.fill(&mut self.stream)?;
-        }
-    }
-}
-
-impl Client for ColdClient {
-    fn drive(&mut self, until: Instant) -> Result<(), String> {
-        while Instant::now() < until {
-            let served = self.sent;
-            let (verdict, ns, cached) = self.request()?;
-            let part = &mut self.part;
-            part.attempted += 1;
-            part.record(ns, false, verdict.is_ok());
-            part.counters.cache_probes += 1.0;
-            part.counters.cache_hits += f64::from(u8::from(cached));
-            match verdict {
-                Ok(ep) if served < COLD_EP_PREFIX => {
-                    part.ep_sum += ep;
-                    part.ep_n += 1;
-                }
-                Ok(_) => {}
-                Err(note) => part.fail(|| note),
-            }
-        }
-        Ok(())
-    }
-
-    fn part(&mut self) -> &mut Live {
-        &mut self.part
-    }
-}
-
-/// One cold-plan segment: two closed-loop connections, every request a
-/// fresh seeded instance (¼ exact tier, ¾ greedy tier).
-pub fn cold_plan(env: &Env, seed: u64, window: Duration) -> Result<Live, String> {
-    let warm_per_conn = 32;
-    let started = Instant::now();
-    let server = spawn_serve(env)?;
-    let mut streams = Vec::with_capacity(CONNS);
-    // Warm-up: page in the solvers and open the worker paths.
-    for t in 0..CONNS {
-        let warm = ColdStream::new(seed, gen::stream::COLD_WARM + t as u64);
-        let mut c = ColdClient::new(client::connect(&server.addr)?, warm, EXACT_CHECKS);
-        for _ in 0..warm_per_conn {
-            c.request()?.0?;
-        }
-        streams.push(c.stream);
-    }
-    let setup_s = started.elapsed().as_secs_f64();
-    let mut clients: Vec<ColdClient> = streams
-        .into_iter()
-        .enumerate()
-        .map(|(t, stream)| {
-            let inputs = ColdStream::new(seed, gen::stream::COLD + t as u64);
-            ColdClient::new(stream, inputs, 0)
-        })
-        .collect();
-    let before = node_metrics(&server.addr)?;
-    let pids = server.pids();
-    let mut live = measure(&pids, window, &mut clients)?;
-    if live.ep_n < (CONNS * COLD_EP_PREFIX) as u64 {
-        live.note(format!(
-            "cold-plan served only {} of the {} plans mean_ep averages; run longer",
-            live.ep_n,
-            CONNS * COLD_EP_PREFIX
-        ));
-        live.setup_failures += 1;
-    }
-    finish_node_run(&mut live, &server, setup_s, &before)?;
-    drop(clients);
-    server.stop(STOP_GRACE);
-    Ok(live)
 }

@@ -2,25 +2,26 @@
 //! by layer.
 //!
 //! ```text
-//! perfbench --workload hot-plan|cold-plan|node-mixed|cluster-mixed --seed N
-//!           --seconds S --trace 0|1 --bin-dir DIR --work-dir DIR
-//!           [--spans-out FILE]
+//! perfbench --workload node-mixed|cluster-mixed --seed N --seconds S
+//!           --trace 0|1 --bin-dir DIR --work-dir DIR [--spans-out FILE]
 //! ```
 //!
 //! With `--trace 0` it runs the workload against real `pager-serve` /
 //! `pager-cluster launch` processes over loopback TCP for `S` seconds
-//! and prints the end-to-end metrics. With `--trace 1` it runs a short
-//! live pass for the servers' own counters, then replays the same
-//! seeded inputs through each layer's public functions with spans
-//! around every call, and prints the per-layer metrics. The last line
-//! of stdout is one JSON object: `correct`, `attempted`, `failed`,
-//! `metrics`. See `perfbench/README.md`.
+//! and prints the end-to-end metrics. With `--trace 1` it replays the
+//! same seeded inputs through each layer's public functions with spans
+//! around every call, then runs a short live pass for the servers' own
+//! counters, and prints the per-layer metrics. The last line of stdout
+//! is one JSON object: `correct`, `attempted`, `failed`, `metrics`; the
+//! exit code is non-zero when `correct` is false. See
+//! `perfbench/README.md`.
 
 mod check;
 mod client;
 mod cluster;
 mod gen;
 mod live;
+mod probe;
 mod procs;
 mod stats;
 mod trace;
@@ -38,8 +39,6 @@ static ALLOC: pager_wire::count_alloc::CountingAlloc = pager_wire::count_alloc::
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
-    HotPlan,
-    ColdPlan,
     NodeMixed,
     ClusterMixed,
 }
@@ -47,20 +46,16 @@ pub enum Workload {
 impl Workload {
     fn parse(name: &str) -> Result<Workload, String> {
         match name {
-            "hot-plan" => Ok(Workload::HotPlan),
-            "cold-plan" => Ok(Workload::ColdPlan),
             "node-mixed" => Ok(Workload::NodeMixed),
             "cluster-mixed" => Ok(Workload::ClusterMixed),
             other => Err(format!(
-                "unknown workload {other:?} (hot-plan | cold-plan | node-mixed | cluster-mixed)"
+                "unknown workload {other:?} (node-mixed | cluster-mixed)"
             )),
         }
     }
 
     pub fn name(self) -> &'static str {
         match self {
-            Workload::HotPlan => "hot-plan",
-            Workload::ColdPlan => "cold-plan",
             Workload::NodeMixed => "node-mixed",
             Workload::ClusterMixed => "cluster-mixed",
         }
@@ -68,11 +63,12 @@ impl Workload {
 
     /// Runs the workload live for `window`, cut into `segments`.
     pub fn run(self, env: &Env, window: Duration, segments: usize) -> Result<Live, String> {
-        live::run_segments(env.seed, window, segments, |seed, length| match self {
-            Workload::HotPlan => live::hot_plan(env, seed, length),
-            Workload::ColdPlan => live::cold_plan(env, seed, length),
-            Workload::NodeMixed => cluster::mixed(env, seed, length, cluster::Target::Node),
-            Workload::ClusterMixed => cluster::mixed(env, seed, length, cluster::Target::Cluster),
+        let target = match self {
+            Workload::NodeMixed => cluster::Target::Node,
+            Workload::ClusterMixed => cluster::Target::Cluster,
+        };
+        live::run_segments(env.seed, window, segments, |seed, length| {
+            cluster::mixed(env, seed, length, target)
         })
     }
 }
@@ -163,22 +159,30 @@ fn clean_segments(live: &Live) -> Vec<&live::Segment> {
 }
 
 /// The end-to-end metrics of one live run. Rates, latencies, CPU per
-/// request, set-up time and memory are medians over its segments.
-fn end_to_end(live: &Live) -> Vec<Metric> {
+/// request, set-up time and memory are medians over its segments. With
+/// `scaled`, each segment's times and rate are first scaled to the
+/// reference host by the host-speed probe around it (see `probe`).
+fn end_to_end(live: &Live, scaled: bool) -> Vec<Metric> {
     let ok = live.ok() as f64;
     let mut columns: [Vec<f64>; 8] = Default::default();
     for seg in clean_segments(live) {
+        // How much slower this host ran than the reference host.
+        let slow = if scaled {
+            seg.probe_ns / probe::REFERENCE_NS
+        } else {
+            1.0
+        };
         let mut all = seg.plan.clone();
         all.extend(seg.observe.clone());
         let mut plan = seg.plan.clone();
         let row = [
-            seg.ok as f64 / seg.secs.max(1e-9),
-            all.quantile_us(0.50),
-            all.quantile_us(0.90),
-            plan.quantile_us(0.50),
-            plan.quantile_us(0.90),
-            seg.setup_s,
-            seg.server_cpu_s * 1e6 / (seg.ok.max(1) as f64),
+            seg.ok as f64 / seg.secs.max(1e-9) * slow,
+            all.quantile_us(0.50) / slow,
+            all.quantile_us(0.90) / slow,
+            plan.quantile_us(0.50) / slow,
+            plan.quantile_us(0.90) / slow,
+            seg.setup_s / slow,
+            seg.server_cpu_s * 1e6 / (seg.ok.max(1) as f64) / slow,
             seg.rss_kib as f64 / 1024.0,
         ];
         for (column, value) in columns.iter_mut().zip(row) {
@@ -223,7 +227,8 @@ fn print_result(correct: bool, attempted: u64, failed: u64, metrics: &[Metric]) 
     println!("{result}");
 }
 
-fn run(args: &Args) -> Result<(), String> {
+/// Runs the benchmark and prints its result; returns `correct`.
+fn run(args: &Args) -> Result<bool, String> {
     std::fs::create_dir_all(&args.work_dir)
         .map_err(|e| format!("cannot create {}: {e}", args.work_dir.display()))?;
     for bin in ["pager-serve", "pager-cluster"] {
@@ -253,7 +258,7 @@ fn run(args: &Args) -> Result<(), String> {
             report.failed,
             &report.metrics,
         );
-        return Ok(());
+        return Ok(report.correct);
     }
     let live = args.workload.run(&env, window, live::SEGMENTS)?;
     for note in &live.notes {
@@ -270,20 +275,30 @@ fn run(args: &Args) -> Result<(), String> {
         .iter()
         .map(|s| {
             format!(
-                "{:.0}@{:.1}%",
+                "{:.0}@{:.1}%/{:.1}us",
                 s.ok as f64 / s.secs.max(1e-9),
-                s.steal_share * 100.0
+                s.steal_share * 100.0,
+                s.probe_ns / 1000.0
             )
         })
         .collect();
     eprintln!(
-        "perfbench: ok answers per second by segment (@ CPU stolen): {}",
+        "perfbench: ok answers per second by segment (@ CPU stolen / probe round trip): {}",
         per_segment.join(" ")
     );
+    let unscaled: Vec<String> = end_to_end(&live, false)
+        .iter()
+        .map(|m| format!("{}={:.4}", m.name, m.value))
+        .collect();
+    eprintln!("perfbench: unscaled: {}", unscaled.join(" "));
     let correct = live.failed == 0 && live.setup_failures == 0;
-    let metrics = end_to_end(&live);
-    print_result(correct, live.attempted, live.failed, &metrics);
-    Ok(())
+    print_result(
+        correct,
+        live.attempted,
+        live.failed,
+        &end_to_end(&live, true),
+    );
+    Ok(correct)
 }
 
 fn main() -> ExitCode {
@@ -295,7 +310,11 @@ fn main() -> ExitCode {
         }
     };
     match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => {
+            eprintln!("perfbench: output checks failed");
+            ExitCode::FAILURE
+        }
         Err(message) => {
             eprintln!("perfbench: {message}");
             ExitCode::FAILURE

@@ -1,6 +1,6 @@
-//! The traced run: a short live pass for the servers' own counters,
-//! then the workload's seeded inputs replayed through each layer's
-//! public functions, with a span around every call.
+//! The traced run: the workload's seeded inputs replayed through each
+//! layer's public functions, with a span around every call, then a
+//! short live pass for the servers' own counters.
 //!
 //! Spans (name, start, end, parent, request id) are kept in memory and
 //! written out as JSON lines when the run ends. The in-process replay
@@ -24,11 +24,14 @@ use pager_profiles::{
     DurabilityConfig, DurableStore, Estimator, FsyncPolicy, ProfileStore, Sighting, StoreConfig,
 };
 use pager_service::planner::{self, TierPolicy, Variant};
-use pager_service::{handle_frame, handle_line, PagerService, PlanSpec, ServiceConfig};
+use pager_service::{
+    handle_frame, handle_line, DurabilityOptions, PagerService, PlanSpec, ServiceConfig,
+};
 use pager_wire::frame::{self, op};
 use pager_wire::{binary, count_alloc, json, PlanFrameView};
 use rand::RngCore;
 
+use crate::check;
 use crate::client::{self, DEADLINE_MS};
 use crate::gen::{self, Op, OpStream, PlanInput, Population, Tier, CLUSTER_CELLS, GRID};
 use crate::live::{Env, Live};
@@ -37,6 +40,12 @@ use crate::{metric, Metric, Workload};
 
 /// Cold-plan requests replayed (¼ exact tier).
 const COLD_REPLAY: usize = 192;
+/// Cache capacity of the cold replay's service: a third of the fresh
+/// instances it plans, so the replay runs, as a long cold stream does,
+/// with a full cache that evicts on insert.
+const COLD_CACHE: usize = 64;
+/// Exact-tier cold answers re-solved by the benchmark's own subset DP.
+const EXACT_CHECKS: usize = 16;
 /// Cluster-mixed operations replayed in process.
 const CLUSTER_REPLAY: usize = 800;
 /// Operations replayed against the launched cluster, per path.
@@ -259,11 +268,11 @@ struct Samples {
     allocs_per_hit: f64,
     plan_miss_us: Vec<f64>,
     dispatch_us: Vec<f64>,
+    /// Evictions of the cold replay's cache (`PagerService::cache_evictions`).
+    cache_evictions: f64,
     solve_us: [Vec<f64>; 2],
     /// (cells, ns per cost-model op) per tier.
     ns_per_op: [Vec<(usize, f64)>; 2],
-    cold_solve_ns: f64,
-    cold_request_ns: f64,
     json_ns: f64,
     crc_ns_per_kib: f64,
     wal_encode_ns: f64,
@@ -273,6 +282,8 @@ struct Samples {
     instance_for_us: Vec<f64>,
     fsync_us: Vec<f64>,
     nofsync_us: Vec<f64>,
+    /// The node's line handler over a durable store, per line.
+    durable_line_us: Vec<f64>,
     requests: u64,
     failures: Vec<String>,
 }
@@ -306,7 +317,7 @@ fn spec(delay: usize) -> Result<PlanSpec, String> {
     Ok(PlanSpec::new(Delay::new(delay).map_err(|e| e.to_string())?).with_deadline_ms(DEADLINE_MS))
 }
 
-/// hot-plan layers: frame parse + fingerprint, the warm service's
+/// Hot-plan layers: frame parse + fingerprint, the warm service's
 /// frame handler (allocations counted), and the response encoder.
 fn replay_hot(
     t: &mut Tracer,
@@ -331,6 +342,16 @@ fn replay_hot(
         return Ok(());
     }
     let mut out = Vec::with_capacity(1 << 12);
+    // Each warm instance's answer, byte for byte, for the repeated hits
+    // to be compared against.
+    let reference: Vec<Vec<u8>> = payloads
+        .iter()
+        .map(|p| {
+            out.clear();
+            let _ = handle_frame(svc, op::PLAN, p, &mut out);
+            out.clone()
+        })
+        .collect();
     for pass in 0..HOT_PASSES as u64 {
         let root = t.open("hot.pass", 0, pass);
         let (_, ns) = t.span("wire.plan_frame_parse", root, pass, || {
@@ -375,14 +396,26 @@ fn replay_hot(
         t.close(root);
         s.requests += inputs.hot_frames.len() as u64;
     }
+    for (j, (p, first)) in payloads.iter().zip(&reference).enumerate() {
+        out.clear();
+        let _ = handle_frame(svc, op::PLAN, p, &mut out);
+        if out != *first {
+            s.fail(format!("hot replay: answer {j} differs from its first hit"));
+        }
+    }
     Ok(())
 }
 
-/// cold-plan layers: `PagerService::plan` on a fresh service (every
-/// request misses) and `planner::plan` on the same instance.
+/// Cold-plan layers: `PagerService::plan` on a fresh service with a
+/// small cache (every request misses, most inserts evict) and
+/// `planner::plan` on the same instance.
 fn replay_cold(t: &mut Tracer, inputs: &Inputs, s: &mut Samples) -> Result<(), String> {
-    let svc = PagerService::new(ServiceConfig::default());
+    let svc = PagerService::new(ServiceConfig {
+        capacity: COLD_CACHE,
+        ..ServiceConfig::default()
+    });
     let policy = TierPolicy::default();
+    let mut exact_checked = 0;
     for (i, input) in inputs.cold.iter().enumerate() {
         let req = i as u64;
         let spec = spec(input.delay)?;
@@ -424,6 +457,21 @@ fn replay_cold(t: &mut Tracer, inputs: &Inputs, s: &mut Samples) -> Result<(), S
                         "cold replay {i}: service and planner disagree on EP"
                     ));
                 }
+                let ep = r.plan.expected_paging;
+                let valid = check::plan_ok(
+                    &input.instance,
+                    input.delay,
+                    r.plan.strategy.groups(),
+                    ep,
+                    check::EP_TOLERANCE,
+                );
+                let optimal = input.tier != Tier::Exact || exact_checked >= EXACT_CHECKS || {
+                    exact_checked += 1;
+                    check::exact_is_optimal(&input.instance, input.delay, ep)
+                };
+                if !(valid && optimal) {
+                    s.fail(format!("cold replay {i}: plan failed its checks"));
+                }
             }
             _ => {
                 s.fail(format!("cold replay {i}: request failed or hit the cache"));
@@ -436,10 +484,9 @@ fn replay_cold(t: &mut Tracer, inputs: &Inputs, s: &mut Samples) -> Result<(), S
             let k = tier_index(input.tier);
             s.solve_us[k].push(solve_ns / 1000.0);
             s.ns_per_op[k].push((input.instance.num_cells(), solve_ns / cost_ops(input)));
-            s.cold_solve_ns += solve_ns;
-            s.cold_request_ns += service_ns;
         }
     }
+    s.cache_evictions = svc.cache_evictions() as f64;
     svc.shutdown();
     Ok(())
 }
@@ -571,7 +618,10 @@ fn replay_cluster(t: &mut Tracer, inputs: &Inputs, s: &mut Samples) -> Result<()
     Ok(())
 }
 
-/// Durable single-sighting observes under each fsync policy.
+/// Durable single-sighting observes under each fsync policy, and the
+/// node-mixed server's request path in process: the line handler on a
+/// service whose store fsyncs every ack, as `pager-serve --data-dir …
+/// --fsync always --checkpoint-every 0` runs it.
 fn replay_durable(
     t: &mut Tracer,
     inputs: &Inputs,
@@ -620,6 +670,33 @@ fn replay_durable(
         drop(store);
         let _ = std::fs::remove_dir_all(&dir);
     }
+    let dir = scratch.join("service.line_durable");
+    let _ = std::fs::remove_dir_all(&dir);
+    let svc = PagerService::try_new(ServiceConfig {
+        durability: Some(DurabilityOptions {
+            checkpoint_every: 0,
+            ..DurabilityOptions::new(&dir)
+        }),
+        ..ServiceConfig::default()
+    })
+    .map_err(|e| e.to_string())?;
+    for line in &inputs.preload_lines {
+        if !ok_line(&handle_line(&svc, line).response) {
+            s.fail("durable line replay: preload refused".into());
+        }
+    }
+    for (k, (_, line, _)) in inputs.ops.iter().enumerate() {
+        let (outcome, ns) = t.span("service.line_durable", 0, k as u64, || {
+            handle_line(&svc, line)
+        });
+        if !ok_line(&outcome.response) {
+            s.fail(format!("durable line replay op {k} refused"));
+        }
+        s.durable_line_us.push(ns / 1000.0);
+    }
+    svc.shutdown();
+    drop(svc);
+    let _ = std::fs::remove_dir_all(&dir);
     Ok(())
 }
 
@@ -798,12 +875,10 @@ pub fn run(
     m.push(metric("wire.allocs_per_hit", s.allocs_per_hit, "count"));
     m.push(metric("wire.json_parse_ns", s.json_ns, "ns"));
     m.push(metric("wire.crc32_ns_per_kib", s.crc_ns_per_kib, "ns/KiB"));
-    let hit_ns = p50(&s.hit_ns);
-    m.push(metric("service.frame_hit_ns", hit_ns, "ns"));
+    m.push(metric("service.frame_hit_ns", p50(&s.hit_ns), "ns"));
     let line_total: f64 = s.line_ns.iter().sum();
     m.push(metric("service.line_ns", p50(&s.line_ns), "ns"));
-    let plan_miss = p50(&s.plan_miss_us);
-    m.push(metric("service.plan_miss_us", plan_miss, "us"));
+    m.push(metric("service.plan_miss_us", p50(&s.plan_miss_us), "us"));
     m.push(metric("service.dispatch_us", p50(&s.dispatch_us), "us"));
     let c = &live.counters;
     m.push(metric(
@@ -813,7 +888,7 @@ pub fn run(
     ));
     m.push(metric(
         "service.cache_evictions",
-        c.cache_evictions,
+        s.cache_evictions,
         "count",
     ));
     m.push(metric("service.shed", c.shed, "count"));
@@ -854,17 +929,17 @@ pub fn run(
             ));
         }
     }
-    let router_all: Vec<f64> = launched.router_us.concat();
-    let (solve_share, in_process_us) = match workload {
-        Workload::HotPlan => (0.0, hit_ns / 1000.0),
-        Workload::ColdPlan => (s.cold_solve_ns / s.cold_request_ns.max(1.0), plan_miss),
-        Workload::NodeMixed => (
-            s.cluster_solve_ns / line_total.max(1.0),
-            p50(&launched.node_us.concat()),
-        ),
-        Workload::ClusterMixed => (s.cluster_solve_ns / line_total.max(1.0), p50(&router_all)),
+    m.push(metric(
+        "core.solve_share",
+        s.cluster_solve_ns / line_total.max(1.0),
+        "ratio",
+    ));
+    // The same kind of request served in this process: the node's line
+    // handler on a durable store, or the router over a launched cluster.
+    let in_process_us = match workload {
+        Workload::NodeMixed => p50(&s.durable_line_us),
+        Workload::ClusterMixed => p50(&launched.router_us.concat()),
     };
-    m.push(metric("core.solve_share", solve_share, "ratio"));
     let mut client = live.latencies(false);
     client.extend(live.latencies(true));
     m.push(metric(
