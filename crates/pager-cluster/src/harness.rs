@@ -78,8 +78,6 @@ impl NodeProc {
             .arg(t.workers.to_string())
             .arg("--queue-depth")
             .arg(t.queue_depth.to_string())
-            .arg("--transport")
-            .arg(&t.transport)
             .stdout(Stdio::null())
             .stderr(Stdio::piped())
             .spawn()
@@ -232,6 +230,19 @@ impl Cluster {
             .ok_or_else(|| format!("no node at index {node}"))?;
         let mut conn = Conn::connect(&target.addr, Duration::from_millis(2000))?;
         conn.round_trip("{\"cmd\": \"node_info\"}")
+    }
+
+    /// Serves this cluster's router over TCP on the transport engine
+    /// (`pager_service::engine`). The handle's `join` returns once a
+    /// client's `shutdown` has stopped the backends; `drain` then
+    /// finishes in-flight requests and closes idle connections.
+    ///
+    /// # Errors
+    ///
+    /// Binding, epoll setup, or thread spawning failures.
+    #[cfg(target_os = "linux")]
+    pub fn serve(&self, addr: &str) -> std::io::Result<pager_service::ReactorHandle> {
+        pager_service::serve_reactor_with(self.router.clone(), addr, Default::default())
     }
 
     /// Routes one request line through the cluster.

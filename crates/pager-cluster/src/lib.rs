@@ -35,11 +35,18 @@
 //!   profile-version regression on served plans, epoch convergence
 //!   after heal, deadline honesty under blackhole).
 //!
-//! The `pager-cluster` binary wraps the router in a TCP front end
-//! (`launch`) and the harness in a throughput baseline (`bench`).
+//! - `front` (Linux): the router as a `pager_service::engine::Handler`,
+//!   so [`Cluster::serve`] puts it on the same transport engine as
+//!   `pager-serve` — drain, deadline watchdog and an elastic I/O pool
+//!   that keeps one blocked backend from stalling other clients.
+//!
+//! The `pager-cluster` binary serves the router over TCP (`launch`)
+//! and wraps the harness in a throughput baseline (`bench`).
 
 #![warn(missing_docs)]
 
+#[cfg(target_os = "linux")]
+mod front;
 pub mod harness;
 pub mod invariants;
 pub mod ring;

@@ -15,8 +15,12 @@
 //! `127.0.0.1:7979`) — v1 JSON lines and v2 binary frames, detected
 //! per message (see `docs/wire.md`) — routing every request to its
 //! owning shard; a client cannot tell it from a single node (v1
-//! responses gain `"shard"` and `"router_epoch"`). `{"cmd":
-//! "shutdown"}` stops the whole cluster.
+//! responses gain `"shard"` and `"router_epoch"`). Client connections
+//! are served by the same transport engine as `pager-serve` (Linux
+//! only). `{"cmd": "shutdown"}` stops every backend, then the router
+//! drains like `pager-serve` does: idle client connections close at
+//! once, and requests already in flight get up to 5 s to be answered
+//! before the process exits.
 //!
 //! `bench` launches a 1-node baseline and an N-shard cluster on
 //! scratch directories, drives the same mixed observe/plan workload
@@ -26,17 +30,17 @@
 //! `--pager-serve` defaults to a `pager-serve` binary next to this
 //! one.
 
-use std::io::{Read, Write};
-use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use jsonio::Value;
-use pager_cluster::router::{Router, RouterConfig};
+use pager_cluster::router::RouterConfig;
 use pager_cluster::{Cluster, HarnessConfig, Topology};
-use pager_wire::frame::{self, Split};
-use pager_wire::{binary, ErrorCode, IdView};
+
+/// How long `launch` waits for in-flight client requests after a
+/// `shutdown` (`pager-serve`'s default `--drain-ms`).
+#[cfg(target_os = "linux")]
+const DRAIN_BUDGET: std::time::Duration = std::time::Duration::from_millis(5000);
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -136,129 +140,33 @@ fn main() -> ExitCode {
     }
 }
 
-/// What the connection loop should do after one pump pass.
-enum Flow {
-    Continue,
-    Close,
-    Shutdown,
-}
-
-/// Drains every complete message from the front of `buf` through the
-/// router, appending responses (v1 lines or v2 frames, matching each
-/// request's protocol) to `out`. A malformed v2 header earns one
-/// `bad_request` error frame and closes the connection.
-fn pump_router(router: &Router, buf: &mut Vec<u8>, out: &mut Vec<u8>) -> Flow {
-    let mut cursor = 0;
-    let mut flow = Flow::Continue;
-    loop {
-        match frame::split(&buf[cursor..]) {
-            Split::NeedMore => break,
-            Split::V1Line { line, consumed } => {
-                cursor += consumed;
-                let text = String::from_utf8_lossy(line);
-                let trimmed = text.trim();
-                if trimmed.is_empty() {
-                    continue;
-                }
-                let outcome = router.handle_line(trimmed);
-                out.extend_from_slice(outcome.response.as_bytes());
-                out.push(b'\n');
-                if outcome.shutdown {
-                    flow = Flow::Shutdown;
-                    break;
-                }
-            }
-            Split::V2Frame {
-                op,
-                payload,
-                consumed,
-            } => {
-                let shutdown = router.handle_frame(op, payload, out);
-                cursor += consumed;
-                if shutdown {
-                    flow = Flow::Shutdown;
-                    break;
-                }
-            }
-            Split::Malformed(message) => {
-                binary::encode_error_response(
-                    out,
-                    IdView::Null,
-                    None,
-                    ErrorCode::BadRequest,
-                    message,
-                    None,
-                );
-                cursor = buf.len();
-                flow = Flow::Close;
-                break;
-            }
-        }
-    }
-    buf.drain(..cursor);
-    flow
-}
-
 /// Serves the router over TCP until a client sends `shutdown`.
+#[cfg(target_os = "linux")]
 fn launch(opts: &Options) -> Result<(), String> {
     let cluster = Cluster::launch(&opts.harness)?;
     let t = &opts.harness.topology;
-    let listener = TcpListener::bind(opts.addr.as_str())
+    let handle = cluster
+        .serve(&opts.addr)
         .map_err(|e| format!("cannot bind {}: {e}", opts.addr))?;
-    let local = listener
-        .local_addr()
-        .map_err(|e| format!("no local addr: {e}"))?;
     eprintln!(
-        "pager-cluster: {} shards x {} replicas ({} nodes), listening on {local}",
+        "pager-cluster: {} shards x {} replicas ({} nodes), listening on {}",
         t.shards,
         t.replicas,
         t.nodes(),
+        handle.local_addr(),
     );
-    let router = Arc::clone(&cluster.router);
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    std::thread::scope(|scope| {
-        for stream in listener.incoming() {
-            if stop.load(std::sync::atomic::Ordering::Acquire) {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            let router = Arc::clone(&router);
-            let stop = Arc::clone(&stop);
-            scope.spawn(move || {
-                let Ok(mut read_half) = stream.try_clone() else {
-                    return;
-                };
-                let mut writer = stream;
-                let mut buf: Vec<u8> = Vec::new();
-                let mut out: Vec<u8> = Vec::new();
-                let mut chunk = [0u8; 4096];
-                loop {
-                    out.clear();
-                    let flow = pump_router(&router, &mut buf, &mut out);
-                    if !out.is_empty() && writer.write_all(&out).is_err() {
-                        break;
-                    }
-                    match flow {
-                        Flow::Continue => {}
-                        Flow::Close => break,
-                        Flow::Shutdown => {
-                            stop.store(true, std::sync::atomic::Ordering::Release);
-                            // Unblock the accept loop with a throwaway dial.
-                            let _ = std::net::TcpStream::connect(local);
-                            break;
-                        }
-                    }
-                    match read_half.read(&mut chunk) {
-                        Ok(0) | Err(_) => break,
-                        Ok(n) => buf.extend_from_slice(&chunk[..n]),
-                    }
-                }
-            });
-        }
-    });
-    eprintln!("pager-cluster: shutting down");
+    handle.join();
+    let pending = handle.drain(DRAIN_BUDGET);
+    drop(handle);
+    eprintln!("pager-cluster: shutting down ({pending} requests still in flight)");
     cluster.shutdown();
     Ok(())
+}
+
+/// The transport engine needs epoll.
+#[cfg(not(target_os = "linux"))]
+fn launch(_opts: &Options) -> Result<(), String> {
+    Err("launch serves on the epoll transport engine, which needs Linux".into())
 }
 
 /// 1-node baseline vs the N-shard topology, one JSON line out.

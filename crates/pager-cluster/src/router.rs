@@ -39,7 +39,9 @@ use std::time::{Duration, Instant};
 use jsonio::Value;
 use pager_profiles::Sighting;
 use pager_wire::frame::{self, op};
-use pager_wire::{binary, json, ErrorCode, IdView, PlanFrameView, Request, WireError};
+use pager_wire::{
+    binary, json, ErrorCode, IdView, PlanFrameView, Request, RoutedRequest, WireError,
+};
 
 use crate::ring::ShardMap;
 use crate::ship::ShipCursors;
@@ -102,7 +104,7 @@ pub struct RouterConfig {
     /// How long an idle pooled backend connection may sit unused
     /// before the router drops it instead of reusing it. Reaping is
     /// lazy (at checkout), so an idle router holds sockets at most
-    /// one checkout past the TTL — and a reactor-transport backend
+    /// one checkout past the TTL — and an engine-served backend
     /// holds the matching server side for pennies, not a thread.
     pub pool_idle_ttl: Duration,
 }
@@ -195,6 +197,11 @@ pub(crate) struct RouterMetrics {
     /// transport failures — a garbage-speaking backend must not be
     /// retried forever.
     pub(crate) byzantine_replies: AtomicU64,
+    /// Open client connections on the TCP front end (gauge).
+    pub(crate) connections: AtomicU64,
+    /// Front-end watchdog firings: a request still unanswered when its
+    /// deadline budget elapsed.
+    pub(crate) deadline_watchdog: AtomicU64,
 }
 
 impl RouterMetrics {
@@ -220,6 +227,8 @@ impl RouterMetrics {
             ("shipped_records", read(&self.shipped_records)),
             ("breaker_rejections", read(&self.breaker_rejections)),
             ("byzantine_replies", read(&self.byzantine_replies)),
+            ("connections", read(&self.connections)),
+            ("deadline_watchdog", read(&self.deadline_watchdog)),
         ])
     }
 }
@@ -646,22 +655,62 @@ impl Router {
     #[must_use]
     pub fn handle_line(&self, line: &str) -> RouterOutcome {
         RouterMetrics::bump(&self.metrics.requests);
-        let routed = match json::parse_routed(line) {
-            Ok(routed) => routed,
-            Err(e) => {
-                let (code, message) = match e {
-                    WireError::BadRequest(m) => (ErrorCode::BadRequest, m),
-                    WireError::Unsupported(m) => (ErrorCode::Unsupported, m),
-                };
-                return RouterOutcome {
-                    response: self.error_line(code, &message),
-                    shutdown: false,
-                };
+        match self.parse_line(line) {
+            Ok(routed) => self.route(line, routed),
+            Err(outcome) => outcome,
+        }
+    }
+
+    /// Parses one request line, or answers its parse error.
+    pub(crate) fn parse_line(&self, line: &str) -> Result<RoutedRequest, RouterOutcome> {
+        json::parse_routed(line).map_err(|e| {
+            let (code, message) = match e {
+                WireError::BadRequest(m) => (ErrorCode::BadRequest, m),
+                WireError::Unsupported(m) => (ErrorCode::Unsupported, m),
+            };
+            RouterOutcome {
+                response: self.error_line(code, &message),
+                shutdown: false,
             }
-        };
-        let deadline = routed
-            .deadline_ms
-            .map_or(self.config.default_deadline, Duration::from_millis);
+        })
+    }
+
+    /// The request's deadline budget in ms: its own `deadline_ms`,
+    /// else the router default.
+    pub(crate) fn budget_ms(&self, deadline_ms: Option<u64>) -> u64 {
+        deadline_ms.unwrap_or_else(|| {
+            u64::try_from(self.config.default_deadline.as_millis()).unwrap_or(u64::MAX)
+        })
+    }
+
+    /// Answers the requests that touch no backend — `ping`, `stats` /
+    /// `metrics` and `node_info` — from the router's own state.
+    pub(crate) fn control(&self, request: &Request) -> Option<RouterOutcome> {
+        match request {
+            Request::Ping => Some(RouterOutcome {
+                response: self.ok_line(vec![("pong", Value::Bool(true))]),
+                shutdown: false,
+            }),
+            Request::NodeInfo => Some(self.local_node_info()),
+            Request::Stats | Request::Metrics => Some(RouterOutcome {
+                response: self.ok_line(vec![
+                    ("epoch", Value::from(self.epoch())),
+                    ("router", self.metrics.to_json()),
+                ]),
+                shutdown: false,
+            }),
+            _ => None,
+        }
+    }
+
+    /// Routes one parsed request line to the shards that serve it.
+    /// `line` is forwarded verbatim where the request goes to one
+    /// shard, so ids and unknown fields survive.
+    pub(crate) fn route(&self, line: &str, routed: RoutedRequest) -> RouterOutcome {
+        if let Some(outcome) = self.control(&routed.request) {
+            return outcome;
+        }
+        let deadline = Duration::from_millis(self.budget_ms(routed.deadline_ms));
         match routed.request {
             // Raw `plan`: route by `route_key` when the client names
             // one, otherwise by the quantised instance fingerprint —
@@ -687,18 +736,6 @@ impl Router {
             }
             Request::Observe { cells, sightings } => self.route_observe(cells, sightings, deadline),
             Request::ProfileStats => self.route_profile_stats(deadline),
-            Request::Ping => RouterOutcome {
-                response: self.ok_line(vec![("pong", Value::Bool(true))]),
-                shutdown: false,
-            },
-            Request::NodeInfo => self.local_node_info(),
-            Request::Stats | Request::Metrics => RouterOutcome {
-                response: self.ok_line(vec![
-                    ("epoch", Value::from(self.epoch())),
-                    ("router", self.metrics.to_json()),
-                ]),
-                shutdown: false,
-            },
             Request::Epoch { epoch } => self.adopt_epoch(epoch),
             Request::Shutdown => self.broadcast_shutdown(),
             Request::WalShip { .. } | Request::WalApply { .. } => RouterOutcome {
@@ -708,6 +745,13 @@ impl Router {
                 ),
                 shutdown: false,
             },
+            // Answered by `control` above.
+            Request::Ping | Request::NodeInfo | Request::Stats | Request::Metrics => {
+                RouterOutcome {
+                    response: self.error_line(ErrorCode::Internal, "control op reached routing"),
+                    shutdown: false,
+                }
+            }
         }
     }
 
@@ -724,50 +768,48 @@ impl Router {
     pub fn handle_frame(&self, frame_op: u8, payload: &[u8], out: &mut Vec<u8>) -> bool {
         RouterMetrics::bump(&self.metrics.requests);
         match frame_op {
-            op::PING => {
-                binary::encode_pong(out, None);
-                false
-            }
-            op::PLAN => {
-                self.route_plan_frame(frame_op, payload, out);
-                false
-            }
+            op::PLAN => self.route_plan_frame(frame_op, payload, out),
             op::JSON_REQ => match std::str::from_utf8(payload) {
                 Ok(line) => {
                     let outcome = self.handle_line(line);
                     frame::write_checked_frame(out, op::JSON_RESP, outcome.response.as_bytes());
-                    outcome.shutdown
+                    return outcome.shutdown;
                 }
-                Err(_) => {
-                    binary::encode_error_response(
-                        out,
-                        IdView::Null,
-                        None,
-                        ErrorCode::BadRequest,
-                        "JSON request frame payload is not UTF-8",
-                        None,
-                    );
-                    false
-                }
-            },
-            other => {
-                binary::encode_error_response(
+                Err(_) => binary::encode_error_response(
                     out,
                     IdView::Null,
                     None,
-                    ErrorCode::Unsupported,
-                    &format!("unknown request op 0x{other:02X}"),
+                    ErrorCode::BadRequest,
+                    "JSON request frame payload is not UTF-8",
                     None,
-                );
-                false
-            }
+                ),
+            },
+            other => Self::answer_local_frame(other, out),
+        }
+        false
+    }
+
+    /// Answers the frames that need no backend: `PING`, and an error
+    /// for an op the router does not serve.
+    pub(crate) fn answer_local_frame(frame_op: u8, out: &mut Vec<u8>) {
+        if frame_op == op::PING {
+            binary::encode_pong(out, None);
+        } else {
+            binary::encode_error_response(
+                out,
+                IdView::Null,
+                None,
+                ErrorCode::Unsupported,
+                &format!("unknown request op 0x{frame_op:02X}"),
+                None,
+            );
         }
     }
 
     /// Forwards a binary `plan` frame to the shard owning its instance
     /// fingerprint — the same key the v1 path derives from the parsed
     /// matrix, so both forms share one shard's cache.
-    fn route_plan_frame(&self, frame_op: u8, payload: &[u8], out: &mut Vec<u8>) {
+    pub(crate) fn route_plan_frame(&self, frame_op: u8, payload: &[u8], out: &mut Vec<u8>) {
         let view = match PlanFrameView::parse(payload) {
             Ok(view) => view,
             Err(message) => {

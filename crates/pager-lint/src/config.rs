@@ -224,10 +224,12 @@ impl Policy {
 
     /// Reactor shard-thread entry points for `no-blocking-in-reactor`,
     /// as `(file path, fn name)` pairs. Everything a shard thread runs
-    /// is reachable from these: `Shard::run` drives the per-connection
-    /// state machines, and `Reactor::turn` is the poll loop they share.
+    /// is reachable from these: the transport engine's `Shard::run`
+    /// drives the per-connection state machines — and, through the
+    /// `Handler` trait's fan-out, every handler's inline path — and
+    /// `Reactor::turn` is the poll loop they share.
     pub const REACTOR_ENTRY_POINTS: &'static [(&'static str, &'static str)] = &[
-        ("crates/pager-service/src/reactor_server.rs", "run"),
+        ("crates/pager-service/src/engine.rs", "run"),
         ("crates/pager-reactor/src/reactor.rs", "turn"),
     ];
 

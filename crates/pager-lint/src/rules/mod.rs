@@ -198,7 +198,8 @@ pub const RULES: &[RuleInfo] = &[
                     channel recv, condvar wait, or long-held lock anywhere in the \
                     dispatch tree stalls every connection on that shard. Reachability is \
                     computed over the workspace call graph from Reactor::turn and the \
-                    reactor_server handlers.",
+                    transport engine's shard loop, which reaches every Handler impl's \
+                    inline path through trait fan-out.",
         allow: "// lint:allow(no-blocking-in-reactor): <why this boundary is safe> — on \
                 a call line, this also cuts the call-graph edge, so everything behind a \
                 justified handoff (e.g. an I/O-pool closure) is skipped",

@@ -44,6 +44,16 @@ fn blocking_call_two_levels_below_the_shard_loop_is_reported() {
 }
 
 #[test]
+fn blocking_call_in_a_handler_is_reported_through_trait_fan_out() {
+    let (code, stdout) = run_fixture("reactor_handler");
+    assert_eq!(code, 1, "{stdout}");
+    assert!(
+        stdout.contains("Shard::run → Shard::dispatch → Router::on_line → sleep"),
+        "{stdout}"
+    );
+}
+
+#[test]
 fn unsafe_without_safety_and_stray_extern_are_reported() {
     let (code, stdout) = run_fixture("unsafe_audit");
     assert_eq!(code, 1, "{stdout}");

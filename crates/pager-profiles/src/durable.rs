@@ -217,6 +217,9 @@ pub struct DurableStore {
     dir: PathBuf,
     config: DurabilityConfig,
     wal: Mutex<WalState>,
+    /// `wal.generation`, mirrored outside the WAL lock so status reads
+    /// (`node_info`) never wait behind an append's fsync.
+    live_generation: AtomicU64,
     degraded: AtomicBool,
     checkpoint_pending: AtomicBool,
     wal_appends: AtomicU64,
@@ -363,6 +366,7 @@ impl DurableStore {
                 // WAL whose entry never became durable before a crash.
                 dir_synced: false,
             }),
+            live_generation: AtomicU64::new(generation),
             degraded: AtomicBool::new(false),
             checkpoint_pending: AtomicBool::new(false),
             wal_appends: AtomicU64::new(0),
@@ -559,10 +563,7 @@ impl DurableStore {
     /// The generation currently receiving appends.
     #[must_use]
     pub fn current_generation(&self) -> u64 {
-        self.wal
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .generation
+        self.live_generation.load(Ordering::Acquire)
     }
 
     /// Exports up to `max_bytes` of WAL bytes from `offset` within
@@ -660,6 +661,7 @@ impl DurableStore {
         // next generation's WAL file does not exist yet, so its first
         // append must sync the directory entry again.
         wal.generation = new;
+        self.live_generation.store(new, Ordering::Release);
         wal.records_since_checkpoint = 0;
         wal.unsynced_records = 0;
         wal.dir_synced = false;

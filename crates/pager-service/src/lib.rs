@@ -35,11 +35,15 @@
 //!   devices stream in sightings and plans are requested by device
 //!   *name*; profile versions join the cache key so an update can
 //!   never be answered with a strategy planned from older data.
-//! * **Wire protocol** ([`proto`], [`server`], [`reactor_server`]) —
-//!   the typed [`pager_wire`] request/response surface in both its
-//!   encodings, v1 JSON lines and v2 binary frames (detected per
-//!   message; see `docs/wire.md`), served over TCP or stdio by the
-//!   `pager-serve` binary.
+//! * **Wire protocol** ([`proto`], [`server`]) — the typed
+//!   [`pager_wire`] request/response surface in both its encodings,
+//!   v1 JSON lines and v2 binary frames (detected per message; see
+//!   `docs/wire.md`), served over stdio by [`serve_lines`].
+//! * **Transport engine** ([`engine`], Linux) — the one TCP serving
+//!   loop: epoll shards over connection state machines, handing each
+//!   message to a [`Handler`]. `PagerService` is one handler (behind
+//!   the `pager-serve` binary); the `pager-cluster` router is the
+//!   other.
 //!
 //! ```
 //! use pager_core::{Delay, Instance};
@@ -55,25 +59,30 @@
 
 pub mod cache;
 pub mod deadline;
+#[cfg(target_os = "linux")]
+pub mod engine;
 pub mod error;
+#[cfg(target_os = "linux")]
+mod handler;
 pub mod metrics;
 pub mod planner;
 mod pool;
 pub mod proto;
-#[cfg(target_os = "linux")]
-pub mod reactor_server;
 pub mod server;
 mod service;
 
 pub use cache::ShardedCache;
 pub use deadline::Deadline;
+#[cfg(target_os = "linux")]
+pub use engine::{
+    serve_reactor_with, Answer, Call, Completion, Gauges, Handler, ReactorConfig, ReactorHandle,
+    Reply,
+};
 pub use error::ServiceError;
 pub use metrics::{LatencyHistogram, Metrics};
 pub use planner::{plan, Plan, Tier, TierPolicy, Variant, RETRY_AFTER_MS};
 pub use proto::{handle_frame, handle_line, parse_request, LineOutcome, Request};
-#[cfg(target_os = "linux")]
-pub use reactor_server::{serve_reactor, serve_reactor_with, ReactorConfig, ReactorHandle};
-pub use server::{serve_lines, serve_tcp, ServerHandle};
+pub use server::serve_lines;
 pub use service::{
     DevicePlanResponse, DurabilityOptions, PagerService, PlanKey, PlanResponse, PlanSpec,
     ServiceConfig, WalApplyOutcome,

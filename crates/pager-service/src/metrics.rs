@@ -142,8 +142,8 @@ pub struct Metrics {
     /// Degraded-mode gauge: 1 after a data-disk failure (observes are
     /// refused, planning keeps serving), 0 otherwise.
     pub degraded: AtomicU64,
-    /// Open connections on the reactor transport (gauge; stays 0
-    /// under the threaded transport).
+    /// Open TCP connections on the transport engine (gauge; stays 0
+    /// under `--stdio`).
     pub reactor_connections: AtomicU64,
     /// Reactor timer-wheel watchdog firings: a request whose deadline
     /// elapsed while it was still awaiting its solver. Telemetry only

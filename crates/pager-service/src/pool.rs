@@ -31,45 +31,23 @@ use crate::{cache::ShardedCache, metrics::Metrics};
 /// Result fanned out to every subscriber of one computation.
 pub(crate) type PlanResult = Result<Arc<Plan>, ServiceError>;
 
-/// How one subscriber wants its result delivered.
-///
-/// The threaded transport parks in `Receiver::recv`, so it subscribes
-/// a channel. The reactor transport must never block a shard thread,
-/// so it subscribes a callback which the worker (or the shedding
-/// submitter) invokes exactly once; the callback typically posts a
-/// completion to the shard's queue.
-pub(crate) enum Waiter {
-    Channel(mpsc::Sender<PlanResult>),
-    Callback {
-        complete: Box<dyn FnOnce(PlanResult, bool) + Send>,
-        /// Whether this subscriber joined an already in-flight
-        /// computation. Recorded at registration (under the in-flight
-        /// lock — the only place the answer is race-free) and handed
-        /// back to the callback.
-        coalesced: bool,
-    },
+/// One subscriber to a computation: a callback the worker (or the
+/// shedding submitter) invokes exactly once. Blocking callers wrap a
+/// channel send in it; the transport engine posts a completion to the
+/// shard's queue.
+pub(crate) struct Waiter {
+    pub(crate) complete: Box<dyn FnOnce(PlanResult, bool) + Send>,
+    /// Whether this subscriber joined an already in-flight
+    /// computation. Recorded at registration (under the in-flight
+    /// lock — the only place the answer is race-free) and handed back
+    /// to the callback.
+    pub(crate) coalesced: bool,
 }
 
 impl Waiter {
-    /// Delivers the result, consuming the waiter. A channel whose
-    /// receiver hung up is its own problem.
+    /// Delivers the result, consuming the waiter.
     fn deliver(self, result: &PlanResult) {
-        match self {
-            Waiter::Channel(tx) => {
-                let _ = tx.send(result.clone());
-            }
-            Waiter::Callback {
-                complete,
-                coalesced,
-            } => complete(result.clone(), coalesced),
-        }
-    }
-
-    /// Marks a waiter as having coalesced onto in-flight work.
-    fn coalesce(&mut self) {
-        if let Waiter::Callback { coalesced, .. } = self {
-            *coalesced = true;
-        }
+        (self.complete)(result.clone(), self.coalesced);
     }
 }
 
@@ -149,49 +127,19 @@ impl Dispatcher {
         })
     }
 
-    /// Submits a planning job, coalescing onto an identical in-flight
-    /// one when possible. Returns the channel the result will arrive
-    /// on and whether the request was coalesced.
+    /// Submits a planning job for `waiter`, coalescing onto an
+    /// identical in-flight one when possible. Returns whether the
+    /// waiter coalesced onto in-flight work.
     ///
     /// # Errors
     ///
     /// [`ServiceError::Overloaded`] when the bounded queue is full
     /// (the request is shed, never queued); [`ServiceError::Internal`]
-    /// during shutdown.
-    pub(crate) fn submit(
-        &self,
-        key: PlanKey,
-        fingerprint: u64,
-        instance: Instance,
-        delay: Delay,
-        variant: Variant,
-        deadline: Deadline,
-    ) -> Result<(mpsc::Receiver<PlanResult>, bool), ServiceError> {
-        let (result_tx, result_rx) = mpsc::channel();
-        let coalesced = self.submit_waiter(
-            key,
-            fingerprint,
-            instance,
-            delay,
-            variant,
-            deadline,
-            Waiter::Channel(result_tx),
-        )?;
-        Ok((result_rx, coalesced))
-    }
-
-    /// [`Dispatcher::submit`] with an explicit [`Waiter`]: the reactor
-    /// transport subscribes callbacks here so no thread ever blocks on
-    /// the result. Returns whether the waiter coalesced onto in-flight
-    /// work.
-    ///
-    /// # Errors
-    ///
-    /// As [`Dispatcher::submit`]; on `Err` the waiter *has already
-    /// been delivered* the same error (exactly once, via
-    /// `fail_waiters`), so callers must not complete it again.
+    /// during shutdown. On `Err` the waiter *has already been
+    /// delivered* the same error (exactly once, via `fail_waiters`),
+    /// so callers must not complete it again.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn submit_waiter(
+    pub(crate) fn submit(
         &self,
         key: PlanKey,
         fingerprint: u64,
@@ -207,7 +155,7 @@ impl Dispatcher {
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             if let Some(waiters) = inflight.get_mut(&key) {
-                waiter.coalesce();
+                waiter.coalesced = true;
                 waiters.push(waiter);
                 true
             } else {

@@ -18,9 +18,10 @@
 //!   ([`PagerService::plan_cache_probe`]); a steady-state cache hit is
 //!   answered without a single heap allocation.
 //!
-//! Both transports ([`crate::server`], [`crate::reactor_server`])
-//! funnel through these functions, so the two transports answer
-//! byte-identically by construction.
+//! The TCP engine's [`PagerService`] handler and the stdio front
+//! ([`crate::server::serve_lines`]) both funnel through these
+//! functions, so the two fronts answer byte-identically by
+//! construction.
 
 use jsonio::Value;
 use pager_wire::frame::op;
@@ -82,60 +83,54 @@ pub fn handle_request(
     request: Result<Request, ServiceError>,
     id: &Value,
 ) -> LineOutcome {
-    let request = match request {
-        Err(error) => {
-            return LineOutcome {
-                response: error_line(service, id, &error),
-                shutdown: false,
-            }
-        }
-        Ok(request) => request,
-    };
-    let shutdown = matches!(request, Request::Shutdown);
-    let response = match respond(service, request, id) {
-        Reply::Typed(response) => json::encode_response(service.node_id(), &response),
-        Reply::Line(line) => line,
-    };
-    LineOutcome { response, shutdown }
+    match request {
+        Err(error) => LineOutcome {
+            response: error_line(service, id, &error),
+            shutdown: false,
+        },
+        Ok(request) => LineOutcome {
+            shutdown: matches!(request, Request::Shutdown),
+            response: respond(service, request, id),
+        },
+    }
 }
 
-/// A service answer: either a typed response (borrowing service
-/// state, encodable by any codec) or an already-formatted v1 line
-/// (the plan paths, whose borrows don't outlive the formatting).
-enum Reply {
-    Typed(Response<'static>),
-    Line(String),
+/// [`handle_request`] for a control op — anything but `observe`, WAL
+/// ship/apply and the plans — answered without touching storage or a
+/// solver, so the engine runs it inline on a shard thread.
+pub(crate) fn handle_control(service: &PagerService, request: Request, id: &Value) -> LineOutcome {
+    LineOutcome {
+        shutdown: matches!(request, Request::Shutdown),
+        response: respond_control(service, request, id),
+    }
 }
 
 /// A control answer echoing the request's `id`. With no id this is
 /// the typed [`Response::Control`] (frozen v1 bytes); with one, the
-/// line is rendered directly so the id rides right after `"v"` —
-/// the echo the cluster's reply correlation keys on.
+/// id rides right after `"v"` — the echo the cluster's reply
+/// correlation keys on.
 fn control_with_id(
     service: &PagerService,
     id: &Value,
     fields: Vec<(&'static str, Value)>,
-) -> Reply {
+) -> String {
     if *id == Value::Null {
-        Reply::Typed(Response::Control(fields))
+        json::encode_response(service.node_id(), &Response::Control(fields))
     } else {
-        Reply::Line(json::ok_line_with_id(service.node_id(), id, fields))
+        json::ok_line_with_id(service.node_id(), id, fields)
     }
 }
 
 /// Runs one typed request against the service and produces its
-/// answer. Every op's response fields are assembled here — in the
-/// frozen v1 order — regardless of which codec carries them. `id`
-/// is echoed on every answer, control responses included.
-fn respond(service: &PagerService, request: Request, id: &Value) -> Reply {
+/// answer. Every op's response fields are assembled here and in
+/// [`respond_control`] — in the frozen v1 order — regardless of which
+/// codec carries them. `id` is echoed on every answer, control
+/// responses included.
+fn respond(service: &PagerService, request: Request, id: &Value) -> String {
     let control = |fields| control_with_id(service, id, fields);
     match request {
-        Request::Ping if *id == Value::Null => Reply::Typed(Response::Pong),
-        Request::Ping => control(vec![("pong", Value::Bool(true))]),
-        Request::Metrics => control(vec![("metrics", service.metrics().to_json())]),
-        Request::Shutdown => control(vec![("stopping", Value::Bool(true))]),
         Request::Observe { cells, sightings } => match service.observe(cells, &sightings) {
-            Err(error) => Reply::Line(error_line(service, id, &error)),
+            Err(error) => error_line(service, id, &error),
             Ok(versions) => {
                 // Last version per device (a device may appear several
                 // times in one batch).
@@ -152,6 +147,62 @@ fn respond(service: &PagerService, request: Request, id: &Value) -> Reply {
                 ])
             }
         },
+        Request::WalShip {
+            generation,
+            offset,
+            max_bytes,
+        } => match service.export_wal(generation, offset, max_bytes) {
+            Err(error) => error_line(service, id, &error),
+            Ok(segment) => control(vec![
+                ("generation", Value::from(segment.generation)),
+                ("offset", Value::from(segment.offset)),
+                ("len", Value::from(segment.bytes.len())),
+                ("bytes", Value::from(encode_hex(&segment.bytes))),
+                ("latest_generation", Value::from(segment.latest_generation)),
+                ("end_of_generation", Value::Bool(segment.end_of_generation)),
+            ]),
+        },
+        Request::WalApply { bytes } => match service.apply_wal(&bytes) {
+            Err(error) => error_line(service, id, &error),
+            Ok(outcome) => control(vec![
+                ("applied", Value::from(outcome.records)),
+                ("consumed", Value::from(outcome.consumed)),
+                (
+                    "profile_version",
+                    Value::from(service.profiles().stats().version),
+                ),
+            ]),
+        },
+        Request::PlanDevices {
+            id,
+            devices,
+            estimator,
+            now,
+            spec,
+        } => {
+            let refs: Vec<&str> = devices.iter().map(String::as_str).collect();
+            let result = service.plan_devices(&refs, estimator, now, spec);
+            device_plan_response_line(service, &id, estimator, &result)
+        }
+        Request::Plan { id, instance, spec } => {
+            let result = service.plan(&instance, spec);
+            plan_response_line(service, &id, &result)
+        }
+        control => respond_control(service, control, id),
+    }
+}
+
+/// The control ops' answers: in-memory reads and the epoch/shutdown
+/// flags, nothing that waits on disk or a solver.
+fn respond_control(service: &PagerService, request: Request, id: &Value) -> String {
+    let control = |fields| control_with_id(service, id, fields);
+    match request {
+        Request::Ping if *id == Value::Null => {
+            json::encode_response(service.node_id(), &Response::Pong)
+        }
+        Request::Ping => control(vec![("pong", Value::Bool(true))]),
+        Request::Metrics => control(vec![("metrics", service.metrics().to_json())]),
+        Request::Shutdown => control(vec![("stopping", Value::Bool(true))]),
         Request::ProfileStats => {
             let stats = service.profiles().stats();
             control(vec![(
@@ -196,47 +247,16 @@ fn respond(service: &PagerService, request: Request, id: &Value) -> Reply {
         Request::Epoch { epoch } => {
             control(vec![("epoch", Value::from(service.adopt_epoch(epoch)))])
         }
-        Request::WalShip {
-            generation,
-            offset,
-            max_bytes,
-        } => match service.export_wal(generation, offset, max_bytes) {
-            Err(error) => Reply::Line(error_line(service, id, &error)),
-            Ok(segment) => control(vec![
-                ("generation", Value::from(segment.generation)),
-                ("offset", Value::from(segment.offset)),
-                ("len", Value::from(segment.bytes.len())),
-                ("bytes", Value::from(encode_hex(&segment.bytes))),
-                ("latest_generation", Value::from(segment.latest_generation)),
-                ("end_of_generation", Value::Bool(segment.end_of_generation)),
-            ]),
-        },
-        Request::WalApply { bytes } => match service.apply_wal(&bytes) {
-            Err(error) => Reply::Line(error_line(service, id, &error)),
-            Ok(outcome) => control(vec![
-                ("applied", Value::from(outcome.records)),
-                ("consumed", Value::from(outcome.consumed)),
-                (
-                    "profile_version",
-                    Value::from(service.profiles().stats().version),
-                ),
-            ]),
-        },
-        Request::PlanDevices {
+        // `respond` answers these before delegating here.
+        Request::Observe { .. }
+        | Request::WalShip { .. }
+        | Request::WalApply { .. }
+        | Request::PlanDevices { .. }
+        | Request::Plan { .. } => error_line(
+            service,
             id,
-            devices,
-            estimator,
-            now,
-            spec,
-        } => {
-            let refs: Vec<&str> = devices.iter().map(String::as_str).collect();
-            let result = service.plan_devices(&refs, estimator, now, spec);
-            Reply::Line(device_plan_response_line(service, &id, estimator, &result))
-        }
-        Request::Plan { id, instance, spec } => {
-            let result = service.plan(&instance, spec);
-            Reply::Line(plan_response_line(service, &id, &result))
-        }
+            &ServiceError::Internal("a blocking request reached the control path".into()),
+        ),
     }
 }
 
@@ -270,7 +290,7 @@ fn error_body<'a>(id: &'a Value, error: &ServiceError, message: &'a str) -> Erro
 }
 
 /// Formats a `plan` answer (success or error) exactly as
-/// [`handle_request`] would. The reactor transport calls this from
+/// [`handle_request`] would. The engine's handler calls this from
 /// solver-completion callbacks.
 pub(crate) fn plan_response_line(
     service: &PagerService,
@@ -312,13 +332,13 @@ pub(crate) fn error_line(service: &PagerService, id: &Value, error: &ServiceErro
     json::error_line(service.node_id(), &error_body(id, error, &message))
 }
 
-/// What a v2 frame needs from the transport after the fast paths ran.
+/// What a native v2 frame needs from the caller after the fast paths
+/// ran.
 ///
 /// [`dispatch_frame`] answers everything it can without blocking —
 /// cache-hit plans, pings, malformed payloads, unknown ops — directly
-/// into the output buffer. The two variants that remain carry the
-/// work an event-loop transport must run elsewhere (and a blocking
-/// transport can just run in place, as [`handle_frame`] does).
+/// into the output buffer. A cache miss is handed back: the engine
+/// solves it off its shard thread, [`handle_frame`] in place.
 pub(crate) enum FrameDispatch {
     /// `out` now holds the complete response frame; nothing else to do.
     Answered,
@@ -330,18 +350,15 @@ pub(crate) enum FrameDispatch {
         instance: pager_core::Instance,
         spec: pager_wire::PlanSpec,
     },
-    /// A JSON-wrapped line (op `0x7E`): run it through the v1 request
-    /// path and answer with the response line wrapped in op `0x7F`.
-    JsonLine(String),
 }
 
-/// Runs the non-blocking part of v2 frame handling.
+/// Runs the non-blocking part of native v2 frame handling (every op
+/// but `JSON_REQ`, which carries a v1 line).
 ///
 /// `plan` frames probe the strategy cache straight from the borrowed
 /// payload ([`PagerService::plan_cache_probe`]); a steady-state hit is
-/// encoded into `out` without touching the heap. Everything that
-/// would block (solver runs, JSON-wrapped cold ops) is returned to
-/// the caller instead of executed.
+/// encoded into `out` without touching the heap. A miss is returned
+/// to the caller instead of solved.
 pub(crate) fn dispatch_frame(
     service: &PagerService,
     frame_op: u8,
@@ -390,20 +407,6 @@ pub(crate) fn dispatch_frame(
             binary::encode_pong(out, service.node_id());
             FrameDispatch::Answered
         }
-        op::JSON_REQ => match std::str::from_utf8(payload) {
-            Err(_) => {
-                binary::encode_error_response(
-                    out,
-                    IdView::Null,
-                    service.node_id(),
-                    pager_wire::ErrorCode::BadRequest,
-                    "JSON request frame payload is not UTF-8",
-                    None,
-                );
-                FrameDispatch::Answered
-            }
-            Ok(line) => FrameDispatch::JsonLine(line.to_string()),
-        },
         other => {
             let message = format!("unknown request op 0x{other:02X}");
             binary::encode_error_response(
@@ -435,28 +438,38 @@ pub fn handle_frame(
     payload: &[u8],
     out: &mut Vec<u8>,
 ) -> bool {
-    match dispatch_frame(service, frame_op, payload, out) {
-        FrameDispatch::Answered => false,
-        FrameDispatch::Solve { id, instance, spec } => {
-            match service.plan(&instance, spec) {
-                Ok(response) => plan_response_frame(service, &id, &response, out),
-                Err(error) => error_frame(service, &id, &error, out),
-            }
-            false
-        }
-        FrameDispatch::JsonLine(line) => {
-            let outcome = handle_line(service, &line);
-            // JSON_RESP is always sealed: the cluster hop relies on
-            // the CRC trailer to reject in-flight corruption.
-            frame::write_checked_frame(out, op::JSON_RESP, outcome.response.as_bytes());
-            outcome.shutdown
+    if frame_op == op::JSON_REQ {
+        let Ok(line) = std::str::from_utf8(payload) else {
+            binary::encode_error_response(
+                out,
+                IdView::Null,
+                service.node_id(),
+                pager_wire::ErrorCode::BadRequest,
+                "JSON request frame payload is not UTF-8",
+                None,
+            );
+            return false;
+        };
+        let outcome = handle_line(service, line);
+        // JSON_RESP is always sealed: the cluster hop relies on the
+        // CRC trailer to reject in-flight corruption.
+        frame::write_checked_frame(out, op::JSON_RESP, outcome.response.as_bytes());
+        return outcome.shutdown;
+    }
+    if let FrameDispatch::Solve { id, instance, spec } =
+        dispatch_frame(service, frame_op, payload, out)
+    {
+        match service.plan(&instance, spec) {
+            Ok(response) => plan_response_frame(service, &id, &response, out),
+            Err(error) => error_frame(service, &id, &error, out),
         }
     }
+    false
 }
 
 /// Encodes a cache-hit plan answer for a borrowed frame view. The id
 /// is echoed from the payload bytes; nothing is allocated beyond
-/// `out` growth (amortised by the caller's buffer pool).
+/// `out` growth (amortised by the caller reusing its buffer).
 fn encode_cached_plan_frame(
     service: &PagerService,
     view: &PlanFrameView<'_>,
@@ -478,7 +491,7 @@ fn encode_cached_plan_frame(
 }
 
 /// Encodes a `plan` answer (success) as a native v2 frame with an
-/// owned id — the slow path and the reactor's async completions.
+/// owned id — the slow path and the engine's async completions.
 pub(crate) fn plan_response_frame(
     service: &PagerService,
     id: &Value,

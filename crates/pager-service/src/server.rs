@@ -1,346 +1,25 @@
-//! Thread-per-connection servers over TCP and stdio.
+//! The stdio front: the wire protocols over any reader/writer pair.
 //!
-//! Both fronts speak the [`crate::proto`] wire protocols — v1 JSON
-//! lines and v2 binary frames, selected *per message* by the first
-//! byte ([`pager_wire::frame::split`]) — against one shared
-//! [`PagerService`]. The TCP server accepts on a non-blocking
-//! listener and handles each connection on its own thread; a
-//! `{"cmd": "shutdown"}` line (or [`ServerHandle::stop`]) makes the
-//! accept loop exit.
-//!
-//! Shutdown *drains*: connection threads read with a short timeout so
-//! they notice the stop flag between requests, and every request that
-//! was already being handled is answered before its connection
-//! closes. [`ServerHandle::drain`] blocks until the in-flight count
-//! reaches zero (or a budget expires), so an orderly shutdown drops
-//! nothing that was admitted.
+//! `pager-serve --stdio` (and in-process tests) speak the
+//! [`crate::proto`] wire protocols — v1 JSON lines and v2 binary
+//! frames, selected *per message* by the first byte
+//! ([`pager_wire::frame::split`]) — against one [`PagerService`], one
+//! message at a time. TCP connections are served by the transport
+//! engine ([`crate::engine`]) instead.
 
-use std::io::{BufRead, BufWriter, Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::io::{BufRead, Write};
 
 use jsonio::Value;
 use pager_wire::frame::{self, Split};
-use pager_wire::{binary, pool, ErrorCode, IdView};
+use pager_wire::{binary, ErrorCode, IdView};
 
 use crate::error::ServiceError;
 use crate::proto::{error_line, handle_frame, handle_line};
 use crate::service::PagerService;
 
-/// How often the accept loop re-checks the stop flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
-
-/// Read timeout on connection sockets: the gap between a peer going
-/// quiet and its thread noticing a stop request.
-const READ_POLL: Duration = Duration::from_millis(50);
-
-/// How often [`ServerHandle::drain`] re-checks the in-flight count.
-const DRAIN_POLL: Duration = Duration::from_millis(5);
-
-/// A running TCP server.
-pub struct ServerHandle {
-    addr: std::net::SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-    inflight: Arc<AtomicU64>,
-}
-
-impl ServerHandle {
-    /// The address the listener is bound to (useful with port 0).
-    #[must_use]
-    pub fn local_addr(&self) -> std::net::SocketAddr {
-        self.addr
-    }
-
-    /// Whether the accept loop has been asked to stop.
-    #[must_use]
-    pub fn stopping(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
-    }
-
-    /// Requests currently being handled (between reading a line and
-    /// writing its response) across all connections.
-    #[must_use]
-    pub fn inflight(&self) -> u64 {
-        self.inflight.load(Ordering::SeqCst)
-    }
-
-    /// Stops accepting connections and joins the accept thread.
-    /// Threads serving open connections answer every request already
-    /// received (including pipelined ones still in the socket buffer)
-    /// and close once a full read-timeout grace tick passes with no
-    /// further data — closing earlier would RST buffered requests
-    /// *and* discard responses the peer has not read yet.
-    pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-    }
-
-    /// Orderly shutdown: stops accepting, then waits up to `budget`
-    /// for requests already being handled to finish. Returns the
-    /// number still in flight when it returned — `0` means a clean
-    /// drain with nothing dropped.
-    pub fn drain(&mut self, budget: Duration) -> u64 {
-        self.stop();
-        let deadline = Instant::now() + budget;
-        loop {
-            let pending = self.inflight.load(Ordering::SeqCst);
-            if pending == 0 || Instant::now() >= deadline {
-                return pending;
-            }
-            std::thread::sleep(DRAIN_POLL);
-        }
-    }
-
-    /// Blocks until the accept loop exits (e.g. a client sent
-    /// `{"cmd": "shutdown"}`).
-    pub fn join(&mut self) {
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-/// Binds `addr` and serves the wire protocol until stopped.
-///
-/// # Errors
-///
-/// An [`std::io::Error`] when the address cannot be bound.
-pub fn serve_tcp<A: ToSocketAddrs>(
-    service: Arc<PagerService>,
-    addr: A,
-) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(addr)?;
-    let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let inflight = Arc::new(AtomicU64::new(0));
-    let accept_stop = Arc::clone(&stop);
-    let accept_inflight = Arc::clone(&inflight);
-    let accept_thread = std::thread::Builder::new()
-        .name("pager-accept".into())
-        .spawn(move || accept_loop(&listener, &service, &accept_stop, &accept_inflight))?;
-    Ok(ServerHandle {
-        addr,
-        stop,
-        accept_thread: Some(accept_thread),
-        inflight,
-    })
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    service: &Arc<PagerService>,
-    stop: &Arc<AtomicBool>,
-    inflight: &Arc<AtomicU64>,
-) {
-    let mut connection_id = 0u64;
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                connection_id += 1;
-                let service = Arc::clone(service);
-                let stop = Arc::clone(stop);
-                let inflight = Arc::clone(inflight);
-                let spawned = std::thread::Builder::new()
-                    .name(format!("pager-conn-{connection_id}"))
-                    .spawn(move || serve_connection(&stream, &service, &stop, &inflight));
-                if spawned.is_err() {
-                    // Out of threads: drop the connection rather than
-                    // the whole server.
-                    continue;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => {
-                // Transient accept errors (e.g. ECONNABORTED): retry.
-                std::thread::sleep(ACCEPT_POLL);
-            }
-        }
-    }
-}
-
-/// What the buffered messages decided about the connection.
-enum Flow {
-    /// Keep reading.
-    Continue,
-    /// A shutdown request was answered; stop the server.
-    Shutdown,
-    /// The byte stream is unrecoverable (malformed frame); the error
-    /// answer has been written and the connection must close.
-    Close,
-}
-
-/// Answers every complete message at the front of `buf` — v1 lines
-/// and v2 frames interleave freely — and drains the consumed bytes.
-/// Incomplete trailing bytes stay buffered for the next read.
-fn pump<W: Write>(
-    service: &PagerService,
-    buf: &mut Vec<u8>,
-    writer: &mut W,
-    inflight: Option<&AtomicU64>,
-) -> std::io::Result<Flow> {
-    let mut cursor = 0;
-    let mut flow = Flow::Continue;
-    loop {
-        match frame::split(&buf[cursor..]) {
-            Split::NeedMore => break,
-            Split::Malformed(message) => {
-                // A hostile or corrupt header: the stream can never
-                // re-synchronise, so answer once and close.
-                let mut out = pool::take();
-                binary::encode_error_response(
-                    &mut out,
-                    IdView::Null,
-                    service.node_id(),
-                    ErrorCode::BadRequest,
-                    message,
-                    None,
-                );
-                writer.write_all(&out)?;
-                writer.flush()?;
-                cursor = buf.len();
-                flow = Flow::Close;
-                break;
-            }
-            Split::V1Line { line, consumed } => {
-                cursor += consumed;
-                let Ok(text) = std::str::from_utf8(line) else {
-                    let error = ServiceError::BadRequest("request line is not UTF-8".into());
-                    writeln!(writer, "{}", error_line(service, &Value::Null, &error))?;
-                    writer.flush()?;
-                    continue;
-                };
-                if text.trim().is_empty() {
-                    continue;
-                }
-                // In-flight from here until the response is written: a
-                // drain must wait this request out.
-                if let Some(counter) = inflight {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                }
-                let outcome = handle_line(service, text);
-                let written =
-                    writeln!(writer, "{}", outcome.response).and_then(|()| writer.flush());
-                if let Some(counter) = inflight {
-                    counter.fetch_sub(1, Ordering::SeqCst);
-                }
-                written?;
-                if outcome.shutdown {
-                    flow = Flow::Shutdown;
-                    break;
-                }
-            }
-            Split::V2Frame {
-                op,
-                payload,
-                consumed,
-            } => {
-                if let Some(counter) = inflight {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                }
-                let mut out = pool::take();
-                let shutdown = handle_frame(service, op, payload, &mut out);
-                let written = writer.write_all(&out).and_then(|()| writer.flush());
-                if let Some(counter) = inflight {
-                    counter.fetch_sub(1, Ordering::SeqCst);
-                }
-                cursor += consumed;
-                written?;
-                if shutdown {
-                    flow = Flow::Shutdown;
-                    break;
-                }
-            }
-        }
-    }
-    buf.drain(..cursor);
-    Ok(flow)
-}
-
-fn serve_connection(
-    stream: &TcpStream,
-    service: &PagerService,
-    stop: &AtomicBool,
-    inflight: &AtomicU64,
-) {
-    // Each message is handled synchronously on this dedicated thread.
-    // Reads time out at READ_POLL so the thread can notice a stop
-    // request between messages instead of blocking in `read` forever.
-    if stream.set_read_timeout(Some(READ_POLL)).is_err() {
-        return;
-    }
-    let mut reader = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let mut writer = BufWriter::new(stream);
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    // Whether one post-stop grace read has already come up empty.
-    let mut grace_done = false;
-    loop {
-        // NOTE: a partially received message survives the poll tick in
-        // `buf`; `pump` only drains bytes belonging to *answered*
-        // messages.
-        match reader.read(&mut chunk) {
-            // EOF. Anything left in `buf` is a mid-message disconnect;
-            // there is no one left to answer, so it is dropped.
-            Ok(0) => return,
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                match pump(service, &mut buf, &mut writer, Some(inflight)) {
-                    Ok(Flow::Continue) => {}
-                    Ok(Flow::Shutdown) => {
-                        stop.store(true, Ordering::SeqCst);
-                        return;
-                    }
-                    Ok(Flow::Close) | Err(_) => return,
-                }
-                // Even when draining, keep reading: the client may
-                // have pipelined another request that is already in
-                // our receive buffer (or crossing the wire), and
-                // closing over unread data sends RST — which discards
-                // the response we just flushed before the client can
-                // read it. The idle grace read below decides when the
-                // connection is truly quiet and safe to close.
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if stop.load(Ordering::SeqCst) {
-                    // Draining and idle — but a request the client
-                    // already sent may still be crossing the wire;
-                    // closing now would RST it unanswered. Give the
-                    // socket one more READ_POLL tick, and close only
-                    // when that grace read also comes up empty.
-                    if grace_done {
-                        return;
-                    }
-                    grace_done = true;
-                }
-            }
-            Err(_) => return,
-        }
-    }
-}
-
 /// Serves the wire protocols over arbitrary reader/writer pairs (used
-/// for `pager-serve --stdio` and in-process tests). Returns when the
+/// for `pager-serve --stdio` and in-process tests), one message at a
+/// time — v1 lines and v2 frames interleave freely. Returns when the
 /// reader reaches EOF, a shutdown request is handled, or a malformed
 /// v2 frame forces a close.
 ///
@@ -353,6 +32,7 @@ pub fn serve_lines<R: BufRead, W: Write>(
     mut writer: W,
 ) -> std::io::Result<()> {
     let mut buf: Vec<u8> = Vec::new();
+    let mut out: Vec<u8> = Vec::new();
     loop {
         let chunk = reader.fill_buf()?;
         if chunk.is_empty() {
@@ -363,10 +43,58 @@ pub fn serve_lines<R: BufRead, W: Write>(
         let n = chunk.len();
         buf.extend_from_slice(chunk);
         reader.consume(n);
-        match pump(service, &mut buf, &mut writer, None)? {
-            Flow::Continue => {}
-            Flow::Shutdown | Flow::Close => return Ok(()),
+        let mut cursor = 0;
+        loop {
+            out.clear();
+            let (consumed, open) = match frame::split(&buf[cursor..]) {
+                Split::NeedMore => break,
+                Split::Malformed(message) => {
+                    // A hostile or corrupt header: the stream can never
+                    // re-synchronise, so answer once and close.
+                    binary::encode_error_response(
+                        &mut out,
+                        IdView::Null,
+                        service.node_id(),
+                        ErrorCode::BadRequest,
+                        message,
+                        None,
+                    );
+                    (0, false)
+                }
+                Split::V1Line { line, consumed } => {
+                    let (response, open) = match std::str::from_utf8(line) {
+                        Ok(text) if text.trim().is_empty() => {
+                            cursor += consumed;
+                            continue;
+                        }
+                        Ok(text) => {
+                            let outcome = handle_line(service, text);
+                            (outcome.response, !outcome.shutdown)
+                        }
+                        Err(_) => {
+                            let error =
+                                ServiceError::BadRequest("request line is not UTF-8".into());
+                            (error_line(service, &Value::Null, &error), true)
+                        }
+                    };
+                    out.extend_from_slice(response.as_bytes());
+                    out.push(b'\n');
+                    (consumed, open)
+                }
+                Split::V2Frame {
+                    op,
+                    payload,
+                    consumed,
+                } => (consumed, !handle_frame(service, op, payload, &mut out)),
+            };
+            writer.write_all(&out)?;
+            writer.flush()?;
+            if !open {
+                return Ok(());
+            }
+            cursor += consumed;
         }
+        buf.drain(..cursor);
     }
 }
 
@@ -375,14 +103,14 @@ mod tests {
     use super::*;
     use crate::service::ServiceConfig;
     use jsonio::Value;
-    use std::io::{BufReader, Cursor};
+    use std::io::Cursor;
 
-    fn service() -> Arc<PagerService> {
-        Arc::new(PagerService::new(ServiceConfig {
+    fn service() -> PagerService {
+        PagerService::new(ServiceConfig {
             workers: 2,
             capacity: 64,
             ..ServiceConfig::default()
-        }))
+        })
     }
 
     #[test]
@@ -409,59 +137,6 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert_eq!(text.lines().count(), 1, "no output after shutdown");
         assert!(text.contains("stopping"));
-    }
-
-    #[test]
-    fn tcp_round_trip_and_stop() {
-        let svc = service();
-        let mut handle = serve_tcp(Arc::clone(&svc), ("127.0.0.1", 0)).unwrap();
-        let addr = handle.local_addr();
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = BufWriter::new(stream);
-        let request = r#"{"id": 9, "instance": [[0.7, 0.3]], "delay": 1}"#;
-        writeln!(writer, "{request}").unwrap();
-        writer.flush().unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        let v = jsonio::parse(&line).unwrap();
-        assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
-        assert_eq!(v.get("id").and_then(Value::as_i64), Some(9));
-        handle.stop();
-        assert!(handle.stopping());
-    }
-
-    #[test]
-    fn drain_answers_inflight_requests_before_closing() {
-        let svc = service();
-        let mut handle = serve_tcp(Arc::clone(&svc), ("127.0.0.1", 0)).unwrap();
-        let addr = handle.local_addr();
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = BufWriter::new(stream);
-        // Ping round-trip first so the connection is accepted and its
-        // thread is serving before the drain starts (otherwise the
-        // drain could stop the accept loop before the connection
-        // exists at all).
-        writeln!(writer, r#"{{"cmd": "ping"}}"#).unwrap();
-        writer.flush().unwrap();
-        let mut pong = String::new();
-        reader.read_line(&mut pong).unwrap();
-        assert!(pong.contains("pong"));
-        let request = r#"{"id": 3, "instance": [[0.6, 0.4]], "delay": 2}"#;
-        writeln!(writer, "{request}").unwrap();
-        writer.flush().unwrap();
-        // Drain while the request may still be in flight: it must be
-        // answered (not dropped) and the drain must report zero
-        // pending.
-        let pending = handle.drain(Duration::from_secs(5));
-        assert_eq!(pending, 0, "drain left requests unanswered");
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        let v = jsonio::parse(&line).unwrap();
-        assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
-        assert_eq!(v.get("id").and_then(Value::as_i64), Some(3));
-        assert_eq!(handle.inflight(), 0);
     }
 
     #[test]
@@ -517,85 +192,5 @@ mod tests {
         let v = binary::response_to_value(op, payload).unwrap();
         assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false));
         assert_eq!(v.get("code").and_then(Value::as_str), Some("bad_request"));
-    }
-
-    #[test]
-    fn tcp_serves_v2_frames() {
-        use pager_core::{Delay, Instance};
-        use pager_wire::{Codec, PlanSpec, Request};
-        let svc = service();
-        let mut handle = serve_tcp(Arc::clone(&svc), ("127.0.0.1", 0)).unwrap();
-        let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
-        let request = Request::Plan {
-            id: Value::Int(11),
-            instance: Instance::from_rows(vec![vec![0.6, 0.4]]).unwrap(),
-            spec: PlanSpec::new(Delay::new(1).unwrap()),
-        };
-        let mut wire = Vec::new();
-        pager_wire::BinaryCodec.encode_request(&request, &mut wire);
-        stream.write_all(&wire).unwrap();
-        stream.flush().unwrap();
-        let mut buf = Vec::new();
-        let mut chunk = [0u8; 1024];
-        loop {
-            match frame::split(&buf) {
-                Split::NeedMore => {
-                    let n = stream.read(&mut chunk).unwrap();
-                    assert!(n > 0, "connection closed before a full frame");
-                    buf.extend_from_slice(&chunk[..n]);
-                }
-                Split::V2Frame { op, payload, .. } => {
-                    let v = binary::response_to_value(op, payload).unwrap();
-                    assert_eq!(v.get("id").and_then(Value::as_i64), Some(11));
-                    assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
-                    break;
-                }
-                other => panic!("{other:?}"),
-            }
-        }
-        handle.stop();
-    }
-
-    #[test]
-    fn tcp_mid_frame_disconnect_does_not_hang_the_server() {
-        let svc = service();
-        let mut handle = serve_tcp(Arc::clone(&svc), ("127.0.0.1", 0)).unwrap();
-        let addr = handle.local_addr();
-        {
-            // A frame header promising 64 payload bytes, then silence
-            // and a disconnect.
-            let mut stream = TcpStream::connect(addr).unwrap();
-            let header = [frame::MAGIC, frame::VERSION, 0x01, 0, 64, 0, 0, 0];
-            stream.write_all(&header).unwrap();
-            stream.flush().unwrap();
-        } // dropped: mid-frame disconnect
-          // The server keeps serving other connections.
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = BufWriter::new(stream);
-        writeln!(writer, r#"{{"cmd": "ping"}}"#).unwrap();
-        writer.flush().unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert!(line.contains("pong"));
-        handle.stop();
-    }
-
-    #[test]
-    fn tcp_shutdown_command_stops_accept_loop() {
-        let svc = service();
-        let mut handle = serve_tcp(Arc::clone(&svc), ("127.0.0.1", 0)).unwrap();
-        let addr = handle.local_addr();
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = BufWriter::new(stream);
-        let request = r#"{"cmd": "shutdown"}"#;
-        writeln!(writer, "{request}").unwrap();
-        writer.flush().unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert!(line.contains("stopping"));
-        handle.join();
-        assert!(handle.stopping());
     }
 }

@@ -516,47 +516,6 @@ impl PagerService {
         })
     }
 
-    /// Cacheable path shared by matrix and profile-driven requests:
-    /// cache lookup, then dispatch with in-flight coalescing and
-    /// bounded-queue admission.
-    fn plan_via_cache(
-        &self,
-        key: PlanKey,
-        fingerprint: u64,
-        instance: &Instance,
-        spec: &PlanSpec,
-        deadline: Deadline,
-    ) -> Result<PlanResponse, ServiceError> {
-        if let Some(hit) = self.cache.get(fingerprint, &key) {
-            Metrics::inc(&self.metrics.cache_hits);
-            return Ok(PlanResponse {
-                plan: hit,
-                cached: true,
-                coalesced: false,
-            });
-        }
-        Metrics::inc(&self.metrics.cache_misses);
-        let (rx, coalesced) = self.dispatcher.submit(
-            key,
-            fingerprint,
-            instance.clone(),
-            spec.delay(),
-            spec.variant(),
-            deadline,
-        )?;
-        if coalesced {
-            Metrics::inc(&self.metrics.coalesced);
-        }
-        let result = rx
-            .recv()
-            .map_err(|_| ServiceError::Internal("worker pool dropped the request".into()))?;
-        result.map(|plan| PlanResponse {
-            plan,
-            cached: false,
-            coalesced,
-        })
-    }
-
     /// Plans a strategy, serving from the cache or an identical
     /// in-flight computation when possible.
     ///
@@ -568,13 +527,7 @@ impl PagerService {
     /// the deadline expired on a non-degradable tier;
     /// [`ServiceError::Internal`] when called during shutdown.
     pub fn plan(&self, instance: &Instance, spec: PlanSpec) -> Result<PlanResponse, ServiceError> {
-        Metrics::inc(&self.metrics.requests);
-        let deadline = self.admit(&spec);
-        if !spec.cache_enabled() {
-            return self.plan_inline(instance, &spec, deadline);
-        }
-        let (key, fingerprint) = self.derive_key(instance, &spec, 0, &[]);
-        self.plan_via_cache(key, fingerprint, instance, &spec, deadline)
+        wait_for(|done| self.plan_async(instance, spec, done))
     }
 
     /// Probes the strategy cache straight from a borrowed v2 plan
@@ -622,7 +575,7 @@ impl PagerService {
     /// `complete` is invoked exactly once — synchronously on this
     /// thread for cache hits, shed requests and inline (uncacheable)
     /// work, or later on a worker thread when the job was enqueued or
-    /// coalesced. The reactor transport's shards live on this.
+    /// coalesced. The transport engine's shards live on this.
     pub fn plan_async(
         &self,
         instance: &Instance,
@@ -636,15 +589,15 @@ impl PagerService {
             return;
         }
         let (key, fingerprint) = self.derive_key(instance, &spec, 0, &[]);
-        self.plan_via_cache_async(key, fingerprint, instance, &spec, deadline, complete);
+        self.plan_via_cache(key, fingerprint, instance, &spec, deadline, complete);
     }
 
     /// Cacheable async path shared by [`PagerService::plan_async`] and
     /// [`PagerService::plan_devices_async`]. Exactly-once delivery
-    /// relies on the dispatcher contract: `submit_waiter` either keeps
+    /// relies on the dispatcher contract: `Dispatcher::submit` either keeps
     /// the waiter (worker delivers) or fails it before returning
     /// `Err`.
-    fn plan_via_cache_async(
+    fn plan_via_cache(
         &self,
         key: PlanKey,
         fingerprint: u64,
@@ -663,7 +616,7 @@ impl PagerService {
             return;
         }
         Metrics::inc(&self.metrics.cache_misses);
-        let waiter = Waiter::Callback {
+        let waiter = Waiter {
             complete: Box::new(move |result, coalesced| {
                 complete(result.map(|plan| PlanResponse {
                     plan,
@@ -673,7 +626,7 @@ impl PagerService {
             }),
             coalesced: false,
         };
-        match self.dispatcher.submit_waiter(
+        match self.dispatcher.submit(
             key,
             fingerprint,
             instance.clone(),
@@ -775,40 +728,7 @@ impl PagerService {
         now: Option<Time>,
         spec: PlanSpec,
     ) -> Result<DevicePlanResponse, ServiceError> {
-        Metrics::inc(&self.metrics.requests);
-        let deadline = self.admit(&spec);
-        let now = now.or_else(|| self.profiles.latest_time()).ok_or_else(|| {
-            Metrics::inc(&self.metrics.errors);
-            ServiceError::BadRequest("store has no sightings and no \"now\" was given".into())
-        })?;
-        let (instance, versions, staleness) = self
-            .profiles
-            .instance_for(devices, estimator, Some(now))
-            .map_err(|e| {
-                Metrics::inc(&self.metrics.errors);
-                ServiceError::BadRequest(e)
-            })?;
-        let stale_profiles = staleness.iter().filter(|&&lambda| lambda < 0.5).count();
-        if stale_profiles > 0 {
-            self.metrics
-                .stale_profiles_served
-                // lint:allow(atomics-ordering-audit): monotone metrics counter, no handoff
-                .fetch_add(stale_profiles as u64, Ordering::Relaxed);
-        }
-        let response = if spec.cache_enabled() {
-            // Estimator tag 0 is reserved for matrix requests.
-            let (key, fingerprint) =
-                self.derive_key(&instance, &spec, estimator.tag() + 1, &versions);
-            self.plan_via_cache(key, fingerprint, &instance, &spec, deadline)?
-        } else {
-            self.plan_inline(&instance, &spec, deadline)?
-        };
-        Ok(DevicePlanResponse {
-            response,
-            versions,
-            stale_profiles,
-            now,
-        })
+        wait_for(|done| self.plan_devices_async(devices, estimator, now, spec, done))
     }
 
     /// [`PagerService::plan_devices`] without blocking the calling
@@ -864,7 +784,7 @@ impl PagerService {
         if spec.cache_enabled() {
             let (key, fingerprint) =
                 self.derive_key(&instance, &spec, estimator.tag() + 1, &key_versions);
-            self.plan_via_cache_async(key, fingerprint, &instance, &spec, deadline, Box::new(wrap));
+            self.plan_via_cache(key, fingerprint, &instance, &spec, deadline, Box::new(wrap));
         } else {
             wrap(self.plan_inline(&instance, &spec, deadline));
         }
@@ -894,6 +814,19 @@ impl PagerService {
             mirror_durability(&self.metrics, durable);
         }
     }
+}
+
+/// Runs an async planning entry point to completion on the calling
+/// thread: the blocking API is the callback API plus a channel.
+fn wait_for<T: Send + 'static>(
+    start: impl FnOnce(Box<dyn FnOnce(Result<T, ServiceError>) + Send>),
+) -> Result<T, ServiceError> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    start(Box::new(move |result| {
+        let _ = tx.send(result);
+    }));
+    rx.recv()
+        .map_err(|_| ServiceError::Internal("worker pool dropped the request".into()))?
 }
 
 /// Copies the durable store's counters onto the service metrics (the

@@ -34,7 +34,6 @@ pub mod count_alloc;
 mod error;
 pub mod frame;
 pub mod json;
-pub mod pool;
 mod request;
 mod response;
 

@@ -4,16 +4,16 @@
 //! `wire-bench`):
 //!
 //! 1. **Per-message serving cost** — the transport-independent
-//!    `proto::handle_line` (v1) vs `proto::handle_frame` (v2) path
-//!    that both the threaded and reactor transports execute for every
+//!    `proto::handle_line` (v1) vs `proto::handle_frame` (v2) path,
+//!    the same `proto` code the transport engine runs for every
 //!    message, driven with a steady-state cache-hit `plan` request.
 //!    Reports ns/req and allocations/req for each, and **asserts the
 //!    v2 invariant: zero heap allocations per cache-hit plan frame**
 //!    (exit code 1 on violation), plus the ≥5x encode/decode speedup
 //!    the v2 framing exists for.
 //! 2. **End-to-end round trips** — the same request driven over TCP
-//!    against in-process `threads` and `reactor` transports, v1 and
-//!    v2, reporting client-observed ns/req.
+//!    against an in-process transport engine, v1 and v2, reporting
+//!    client-observed ns/req.
 //!
 //! ```text
 //! cargo run --release --features wire-bench --example wire_bench \
@@ -30,8 +30,7 @@ use std::time::{Duration, Instant};
 use jsonio::Value;
 use pager_core::{Delay, Instance};
 use pager_service::{
-    handle_frame, handle_line, serve_reactor_with, serve_tcp, PagerService, ReactorConfig,
-    ServiceConfig,
+    handle_frame, handle_line, serve_reactor_with, PagerService, ReactorConfig, ServiceConfig,
 };
 use pager_wire::count_alloc;
 use pager_wire::frame::{self, Split};
@@ -114,7 +113,7 @@ fn measure(iters: usize, mut step: impl FnMut()) -> Measure {
     }
 }
 
-/// The per-message serving path both transports run: v1 line in, v1
+/// The per-message serving path the engine runs: v1 line in, v1
 /// line out.
 fn serve_v1(svc: &PagerService) -> Measure {
     let line = plan_line();
@@ -125,8 +124,8 @@ fn serve_v1(svc: &PagerService) -> Measure {
 }
 
 /// The per-message serving path for a v2 cache-hit plan frame. The
-/// output buffer is reused, exactly as the transports reuse pooled /
-/// per-connection buffers.
+/// output buffer is reused, exactly as the engine reuses its
+/// per-connection write buffers.
 fn serve_v2(svc: &PagerService) -> (Measure, u64) {
     let wire = plan_frame();
     let Split::V2Frame {
@@ -206,7 +205,7 @@ fn main() {
         }
     }
 
-    // Per-message serving path (shared by both transports).
+    // Per-message serving path (the engine's, and --stdio's).
     let svc = service();
     // Populate the cache once so the measured loops are steady-state.
     let warm = handle_line(&svc, &plan_line());
@@ -215,9 +214,7 @@ fn main() {
     let (v2, v2_total_allocs) = serve_v2(&svc);
     let speedup = v1.ns_per_req / v2.ns_per_req;
 
-    // End-to-end transports.
-    let threaded_svc = service();
-    let mut threaded = serve_tcp(Arc::clone(&threaded_svc), ("127.0.0.1", 0)).expect("serve_tcp");
+    // End to end over the transport engine.
     let reactor = serve_reactor_with(
         service(),
         "127.0.0.1:0",
@@ -227,9 +224,7 @@ fn main() {
         },
     )
     .expect("serve_reactor");
-    let threads_report = bench_transport(threaded.local_addr());
     let reactor_report = bench_transport(reactor.local_addr());
-    threaded.stop();
     reactor.stop();
 
     let zero_alloc_ok = v2_total_allocs == 0;
@@ -249,10 +244,7 @@ fn main() {
         ),
         (
             "transports",
-            Value::object(vec![
-                ("threads", threads_report),
-                ("reactor", reactor_report),
-            ]),
+            Value::object(vec![("reactor", reactor_report)]),
         ),
         ("zero_alloc_invariant", Value::Bool(zero_alloc_ok)),
         ("speedup_at_least_5x", Value::Bool(speedup_ok)),

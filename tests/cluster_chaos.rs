@@ -67,7 +67,6 @@ fn launch(family: &str, seed: u64, schedule: &Schedule) -> (Cluster, PathBuf) {
         queue_depth: 256,
         wal_retain: 8,
         checkpoint_every: 0,
-        transport: "reactor".to_string(),
         chaos: Some(ChaosSpec {
             seed,
             schedule: schedule.clone(),
@@ -248,6 +247,96 @@ fn blackhole_owner_smoke() {
         "blackhole-owner smoke violated invariants:\n  {}",
         report.violations.join("\n  ")
     );
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&data_root);
+}
+
+/// With one shard's owner blackholed and `io_threads + 1` clients
+/// parked on it, a `plan_devices` for a device on the healthy shard is
+/// answered well inside its deadline: the engine's I/O pool grows a
+/// worker for it instead of queueing it behind the blocked round trips
+/// (a fixed pool of `io_threads` would hold it for the blocked
+/// requests' full 4 s budget).
+#[test]
+fn blackholed_shard_does_not_delay_the_healthy_one() {
+    use conference_call::cluster::ShardMap;
+    use conference_call::service::{serve_reactor_with, ReactorConfig};
+    use std::io::{BufRead, BufReader, Write};
+    use std::time::Instant;
+
+    const IO_THREADS: usize = 1;
+    let data_root =
+        std::env::temp_dir().join(format!("pager-chaos-isolation-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&data_root);
+    let topology = Topology {
+        shards: 2,
+        replicas: 0,
+        chaos: Some(ChaosSpec {
+            seed: 1,
+            schedule: Schedule::new(Vec::new()),
+        }),
+        ..Topology::default()
+    };
+    let map = ShardMap::new(&topology.shard_names(), topology.vnodes, 0);
+    let device_on = |shard| {
+        (0..)
+            .map(|i| format!("iso-{i}"))
+            .find(|d| map.owner_index(d) == Some(shard))
+            .unwrap()
+    };
+    let (blocked, healthy) = (device_on(0), device_on(1));
+    let config = HarnessConfig {
+        pager_serve: PathBuf::from(env!("CARGO_BIN_EXE_pager-serve")),
+        data_root: data_root.clone(),
+        topology,
+        router: RouterConfig::default(),
+    };
+    let cluster = Cluster::launch(&config).expect("launch chaos-wired cluster");
+    let observed = cluster.request(&format!(
+        r#"{{"cmd": "observe", "cells": 4, "sightings": [{{"device": "{healthy}", "cell": 1, "time": 1.0}}]}}"#
+    ));
+    assert_eq!(observed.get("ingested").and_then(|v| v.as_u64()), Some(1));
+    let config = ReactorConfig {
+        shards: 2,
+        io_threads: IO_THREADS,
+    };
+    let handle = serve_reactor_with(cluster.router.clone(), "127.0.0.1:0", config).unwrap();
+    let addr = handle.local_addr();
+    let plan = move |device: &str, deadline_ms: u64| {
+        let line = format!(
+            r#"{{"cmd": "plan_devices", "devices": ["{device}"], "delay": 2, "now": 2.0, "deadline_ms": {deadline_ms}}}"#
+        );
+        let stream = std::net::TcpStream::connect(addr).unwrap();
+        (&stream).write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut answer = String::new();
+        BufReader::new(&stream).read_line(&mut answer).unwrap();
+        answer
+    };
+
+    let chaos = cluster.chaos().expect("chaos net");
+    assert_eq!(chaos.apply("router->shard-0.r0", &Fault::Blackhole), 1);
+    let parked: Vec<_> = (0..=IO_THREADS)
+        .map(|_| {
+            let device = blocked.clone();
+            std::thread::spawn(move || plan(&device, 4000))
+        })
+        .collect();
+    // Let every parked request reach the pool first.
+    std::thread::sleep(Duration::from_millis(300));
+    let started = Instant::now();
+    let answer = plan(&healthy, 2000);
+    let waited = started.elapsed();
+    assert!(answer.contains("\"ok\":true"), "{answer}");
+    assert!(
+        waited < Duration::from_millis(1000),
+        "healthy-shard plan waited {waited:?} behind blackholed requests"
+    );
+    for client in parked {
+        let answer = client.join().expect("parked client");
+        assert!(answer.contains("\"ok\":false"), "{answer}");
+    }
+    chaos.heal_all();
+    drop(handle);
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&data_root);
 }

@@ -70,7 +70,6 @@ fn sigkill_owner_fails_over_without_losing_acked_observations() {
         queue_depth: 256,
         wal_retain: 8,
         checkpoint_every: 0,
-        transport: "reactor".to_string(),
         chaos: None,
     };
     let config = HarnessConfig {
@@ -233,6 +232,67 @@ fn sigkill_owner_fails_over_without_losing_acked_observations() {
         "replication must have shipped WAL records: {stats}"
     );
 
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&data_root);
+}
+
+/// `pager-cluster launch`'s serving sequence with a second client
+/// holding an idle connection: `shutdown` on one connection stops the
+/// backends, `join` returns, and the drain closes the idle peer and
+/// finishes well inside its 5 s budget instead of waiting on it.
+#[test]
+fn shutdown_with_an_idle_peer_drains_within_budget() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::net::TcpStream;
+    use std::time::Instant;
+
+    let data_root =
+        std::env::temp_dir().join(format!("pager-cluster-idle-peer-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&data_root);
+    let config = HarnessConfig {
+        pager_serve: PathBuf::from(env!("CARGO_BIN_EXE_pager-serve")),
+        data_root: data_root.clone(),
+        topology: Topology {
+            shards: 1,
+            replicas: 0,
+            ..Topology::default()
+        },
+        router: RouterConfig::default(),
+    };
+    let cluster = Cluster::launch(&config).expect("launch cluster");
+    let handle = cluster.serve("127.0.0.1:0").expect("serve the router");
+    let round_trip = |line: &str| {
+        let stream = TcpStream::connect(handle.local_addr()).unwrap();
+        (&stream).write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut answer = String::new();
+        BufReader::new(&stream).read_line(&mut answer).unwrap();
+        (stream, answer)
+    };
+    let (idle, pong) = round_trip(r#"{"cmd": "ping"}"#);
+    assert!(pong.contains("pong"), "{pong}");
+    let (_active, stopping) = round_trip(r#"{"cmd": "shutdown"}"#);
+    assert!(stopping.contains("\"stopping\":true"), "{stopping}");
+
+    let started = Instant::now();
+    handle.join();
+    assert_eq!(
+        handle.drain(Duration::from_secs(5)),
+        0,
+        "drain left requests"
+    );
+    drop(handle);
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "{:?}",
+        started.elapsed()
+    );
+    // The drain closed the idle peer rather than waiting on it.
+    idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    assert_eq!(
+        (&idle).read(&mut [0u8; 16]).unwrap(),
+        0,
+        "idle peer not closed"
+    );
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&data_root);
 }

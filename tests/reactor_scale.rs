@@ -1,4 +1,4 @@
-//! Scale and parity soak for the reactor transport.
+//! Scale and parity soak for the transport engine.
 //!
 //! The headline test opens **10,000 mostly-idle connections** against
 //! a real `pager-serve --transport reactor` process and proves the
@@ -6,11 +6,11 @@
 //! between 1k and 10k connections (no thread per connection) and its
 //! resident memory grows by at most a few kilobytes per connection,
 //! while a small set of active connections keeps planning through the
-//! same process. The companions prove the transports are *the same
-//! server* behaviorally: a deterministic request script answers
-//! byte-identically (modulo timing fields) over `threads` and
-//! `reactor`, both shed identically under a burst, and both answer
-//! every in-flight request on drain.
+//! same process. The companions pin the engine's serving contracts: a
+//! deterministic request script answers byte-identically (modulo
+//! timing fields) over TCP and over `--stdio`; a burst sheds with
+//! `overloaded` and a retry hint; and a drain answers every in-flight
+//! request.
 //!
 //! Run in release (`cargo test --release --test reactor_scale`); the
 //! 10k soak is ignored in debug builds where solve times and fd churn
@@ -232,7 +232,7 @@ fn ten_thousand_idle_connections_no_thread_per_connection() {
     }
 }
 
-/// Deterministic request script used for transport parity. Covers
+/// Deterministic request script used for front-end parity. Covers
 /// plans (cached, repeated for a cache hit, uncached, bad), observes,
 /// device plans, stats, and errors.
 fn parity_script() -> Vec<String> {
@@ -275,23 +275,40 @@ fn normalize(response: &str) -> String {
     }
 }
 
+/// One script over TCP and over `--stdio`, fresh server each: the
+/// engine and the stdio front answer byte-identically.
 #[test]
 fn transports_answer_byte_identically() {
     let script = parity_script();
-    let mut answers = Vec::new();
-    for transport in ["threads", "reactor"] {
-        let server = Server::spawn(&["--transport", transport, "--workers", "2"]);
-        let mut conn = server.connect();
-        let transcript: Vec<String> = script
-            .iter()
-            .map(|line| normalize(&conn.round_trip(line)))
-            .collect();
-        answers.push(transcript);
+    let server = Server::spawn(&["--workers", "2"]);
+    let mut conn = server.connect();
+    let tcp: Vec<String> = script
+        .iter()
+        .map(|line| normalize(&conn.round_trip(line)))
+        .collect();
+    let mut stdio = Command::new(env!("CARGO_BIN_EXE_pager-serve"))
+        .args(["--stdio", "--workers", "2"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn pager-serve --stdio");
+    let mut stdin = stdio.stdin.take().expect("child stdin");
+    for line in &script {
+        writeln!(stdin, "{line}").expect("write stdio request");
     }
-    for (i, (threaded, reactor)) in answers[0].iter().zip(&answers[1]).enumerate() {
+    drop(stdin);
+    let output = stdio.wait_with_output().expect("stdio session");
+    let stdio: Vec<String> = String::from_utf8(output.stdout)
+        .expect("UTF-8 stdout")
+        .lines()
+        .map(normalize)
+        .collect();
+    assert_eq!(stdio.len(), script.len(), "--stdio dropped answers");
+    for (i, (tcp, stdio)) in tcp.iter().zip(&stdio).enumerate() {
         assert_eq!(
-            threaded, reactor,
-            "request #{i} ({:?}) diverged between transports",
+            tcp, stdio,
+            "request #{i} ({:?}) diverged between TCP and --stdio",
             script[i]
         );
     }
@@ -312,102 +329,106 @@ fn slow_instance_json(seed: usize) -> String {
     format!("[[{}]]", cells.join(", "))
 }
 
-/// Both transports shed the same way: a burst beyond workers+queue of
-/// slow distinct instances answers every line immediately — plans for
-/// admitted work, `overloaded` + `retry_after_ms` for the excess.
+/// The engine sheds like the blocking `plan` path: a burst beyond
+/// workers+queue of slow distinct instances answers every line
+/// immediately — plans for admitted work, `overloaded` +
+/// `retry_after_ms` for the excess.
 #[test]
 fn shed_semantics_match_across_transports() {
-    for transport in ["threads", "reactor"] {
-        let server = Server::spawn(&[
-            "--transport",
-            transport,
-            "--workers",
-            "1",
-            "--queue-depth",
-            "1",
-        ]);
-        let burst = 12;
-        // Connect everyone first, then release the burst together so
-        // it genuinely lands at once.
-        let barrier = std::sync::Arc::new(std::sync::Barrier::new(burst));
-        let handles: Vec<_> = (0..burst)
-            .map(|i| {
-                let mut conn = server.connect();
-                let barrier = std::sync::Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    // Cacheable on purpose: only the dispatcher's
-                    // bounded admission queue sheds; uncacheable
-                    // plans solve on the caller (threads) or the I/O
-                    // pool (reactor) and never shed, per PR 4. The
-                    // instances are distinct, so no cache hits or
-                    // coalescing blunt the burst.
-                    let line = format!(
-                        r#"{{"id": {i}, "instance": {}, "delay": 3, "variant": "exact"}}"#,
-                        slow_instance_json(i)
-                    );
-                    barrier.wait();
-                    conn.round_trip(&line)
-                })
+    let server = Server::spawn(&["--workers", "1", "--queue-depth", "1"]);
+    let burst = 12;
+    // Connect everyone first, then release the burst together so it
+    // genuinely lands at once.
+    let barrier = std::sync::Arc::new(std::sync::Barrier::new(burst));
+    let handles: Vec<_> = (0..burst)
+        .map(|i| {
+            let mut conn = server.connect();
+            let barrier = std::sync::Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                // Cacheable on purpose: only the dispatcher's bounded
+                // admission queue sheds; uncacheable plans solve on
+                // the I/O pool and never shed. The instances are
+                // distinct, so no cache hits or coalescing blunt the
+                // burst.
+                let line = format!(
+                    r#"{{"id": {i}, "instance": {}, "delay": 3, "variant": "exact"}}"#,
+                    slow_instance_json(i)
+                );
+                barrier.wait();
+                conn.round_trip(&line)
             })
-            .collect();
-        let mut plans = 0;
-        let mut sheds = 0;
-        for handle in handles {
-            let response = handle.join().expect("client thread");
-            let v = jsonio::parse(&response).expect("burst response");
-            if v.get("ok").and_then(Value::as_bool) == Some(true) {
-                plans += 1;
-            } else {
-                assert_eq!(
-                    v.get("code").and_then(Value::as_str),
-                    Some("overloaded"),
-                    "[{transport}] unexpected error: {response}"
-                );
-                let hint = v.get("retry_after_ms").and_then(Value::as_u64);
-                assert!(
-                    hint.is_some_and(|ms| ms > 0),
-                    "[{transport}] shed without a retry hint: {response}"
-                );
-                sheds += 1;
-            }
+        })
+        .collect();
+    let mut plans = 0;
+    let mut sheds = 0;
+    for handle in handles {
+        let response = handle.join().expect("client thread");
+        let v = jsonio::parse(&response).expect("burst response");
+        if v.get("ok").and_then(Value::as_bool) == Some(true) {
+            plans += 1;
+        } else {
+            assert_eq!(
+                v.get("code").and_then(Value::as_str),
+                Some("overloaded"),
+                "unexpected error: {response}"
+            );
+            let hint = v.get("retry_after_ms").and_then(Value::as_u64);
+            assert!(
+                hint.is_some_and(|ms| ms > 0),
+                "shed without a retry hint: {response}"
+            );
+            sheds += 1;
         }
-        assert!(plans >= 1, "[{transport}] burst produced no plans");
-        assert!(
-            sheds >= 1,
-            "[{transport}] burst of {burst} was never shed (workers=1, queue=1)"
-        );
     }
+    assert!(plans >= 1, "burst produced no plans");
+    assert!(
+        sheds >= 1,
+        "burst of {burst} was never shed (workers=1, queue=1)"
+    );
 }
 
-/// A shutdown racing an in-flight solve still answers it, on both
-/// transports: the drain phase finishes admitted work.
+/// A shutdown racing an in-flight solve still answers it: the drain
+/// phase finishes admitted work.
 #[test]
 fn drain_answers_inflight_on_both_transports() {
-    for transport in ["threads", "reactor"] {
-        let server = Server::spawn(&[
-            "--transport",
-            transport,
-            "--workers",
-            "1",
-            "--drain-ms",
-            "30000",
-        ]);
-        let slow = format!(
-            r#"{{"id": 77, "instance": {}, "delay": 3, "variant": "exact", "cache": false}}"#,
-            slow_instance_json(77)
-        );
-        let mut worker_conn = server.connect();
-        let solver = std::thread::spawn(move || worker_conn.round_trip(&slow));
-        std::thread::sleep(Duration::from_millis(100));
-        let mut shutdown_conn = server.connect();
-        let stopping = shutdown_conn.round_trip(r#"{"cmd": "shutdown"}"#);
-        assert!(stopping.contains("stopping"), "[{transport}] {stopping}");
-        let answer = solver.join().expect("solver client");
-        let v = jsonio::parse(&answer).expect("in-flight answer");
-        assert_eq!(
-            v.get("ok").and_then(Value::as_bool),
-            Some(true),
-            "[{transport}] in-flight request dropped on drain: {answer}"
-        );
+    let server = Server::spawn(&["--workers", "1", "--drain-ms", "30000"]);
+    let slow = format!(
+        r#"{{"id": 77, "instance": {}, "delay": 3, "variant": "exact", "cache": false}}"#,
+        slow_instance_json(77)
+    );
+    let mut worker_conn = server.connect();
+    let solver = std::thread::spawn(move || worker_conn.round_trip(&slow));
+    std::thread::sleep(Duration::from_millis(100));
+    let mut shutdown_conn = server.connect();
+    let stopping = shutdown_conn.round_trip(r#"{"cmd": "shutdown"}"#);
+    assert!(stopping.contains("stopping"), "{stopping}");
+    let answer = solver.join().expect("solver client");
+    let v = jsonio::parse(&answer).expect("in-flight answer");
+    assert_eq!(
+        v.get("ok").and_then(Value::as_bool),
+        Some(true),
+        "in-flight request dropped on drain: {answer}"
+    );
+}
+
+/// `--transport` survives as a compatibility spelling with one value:
+/// `reactor` (or no flag) serves, `threads` is a usage error naming
+/// the removal.
+#[test]
+fn transport_flag_accepts_only_reactor() {
+    for args in [&["--transport", "reactor"][..], &[]] {
+        let server = Server::spawn(args);
+        let pong = server.connect().round_trip(r#"{"cmd": "ping"}"#);
+        assert!(pong.contains("pong"), "{args:?}: {pong}");
     }
+    let out = Command::new(env!("CARGO_BIN_EXE_pager-serve"))
+        .args(["--addr", "127.0.0.1:0", "--transport", "threads"])
+        .output()
+        .expect("run pager-serve");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("threaded transport was removed"),
+        "{stderr}"
+    );
 }

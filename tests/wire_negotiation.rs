@@ -1,12 +1,11 @@
 //! Wire negotiation matrix and hostile-input coverage.
 //!
-//! Drives the same plan request through every protocol/transport
-//! pairing — v1 JSON lines and v2 binary frames, over the threaded
-//! and reactor transports, directly and through the cluster router —
-//! and asserts the answers carry byte-identical strategies. The
-//! hostile-input tests feed each transport truncated, oversize and
-//! wrong-version frames and assert a `bad_request` answer or a clean
-//! close, never a hang.
+//! Drives the same plan request through every protocol pairing — v1
+//! JSON lines and v2 binary frames, over the transport engine,
+//! directly and through the cluster router — and asserts the answers
+//! carry byte-identical strategies. The hostile-input tests feed the
+//! engine truncated, oversize and wrong-version frames and assert a
+//! `bad_request` answer or a clean close, never a hang.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -14,7 +13,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use conference_call::service::{
-    serve_reactor_with, serve_tcp, PagerService, ReactorConfig, ServiceConfig,
+    serve_reactor_with, PagerService, ReactorConfig, ReactorHandle, ServiceConfig,
 };
 use jsonio::Value;
 use pager_core::{Delay, Instance};
@@ -122,11 +121,8 @@ fn assert_same_strategy(a: &Value, b: &Value) {
     assert_eq!(a.get("tier"), b.get("tier"));
 }
 
-#[test]
-fn both_codecs_agree_on_both_transports() {
-    let threaded_svc = service();
-    let mut threaded = serve_tcp(Arc::clone(&threaded_svc), ("127.0.0.1", 0)).unwrap();
-    let reactor = serve_reactor_with(
+fn engine() -> ReactorHandle {
+    serve_reactor_with(
         service(),
         "127.0.0.1:0",
         ReactorConfig {
@@ -134,30 +130,27 @@ fn both_codecs_agree_on_both_transports() {
             io_threads: 1,
         },
     )
-    .unwrap();
-
-    let mut answers = Vec::new();
-    for addr in [threaded.local_addr(), reactor.local_addr()] {
-        let mut stream = connect(addr);
-        // v1 first (a cache miss), then the same instance as a v2
-        // frame (served from the cache the v1 request populated).
-        let v1 = v1_round_trip(&mut stream, &plan_line(1));
-        assert_eq!(v1.get("ok").and_then(Value::as_bool), Some(true));
-        assert_eq!(v1.get("v").and_then(Value::as_u64), Some(1));
-        let v2 = v2_round_trip(&mut stream, &plan_frame(2));
-        assert_eq!(v2.get("ok").and_then(Value::as_bool), Some(true));
-        assert_eq!(v2.get("id").and_then(Value::as_i64), Some(2));
-        assert_eq!(v2.get("cached").and_then(Value::as_bool), Some(true));
-        assert_same_strategy(&v1, &v2);
-        answers.push(v1);
-    }
-    // The two transports agree with each other, not just internally.
-    assert_same_strategy(&answers[0], &answers[1]);
-    threaded.stop();
-    reactor.stop();
+    .unwrap()
 }
 
-/// Runs the hostile-input battery against one listening transport.
+#[test]
+fn both_codecs_agree_on_both_transports() {
+    let handle = engine();
+    let mut stream = connect(handle.local_addr());
+    // v1 first (a cache miss), then the same instance as a v2 frame
+    // (served from the cache the v1 request populated).
+    let v1 = v1_round_trip(&mut stream, &plan_line(1));
+    assert_eq!(v1.get("ok").and_then(Value::as_bool), Some(true));
+    assert_eq!(v1.get("v").and_then(Value::as_u64), Some(1));
+    let v2 = v2_round_trip(&mut stream, &plan_frame(2));
+    assert_eq!(v2.get("ok").and_then(Value::as_bool), Some(true));
+    assert_eq!(v2.get("id").and_then(Value::as_i64), Some(2));
+    assert_eq!(v2.get("cached").and_then(Value::as_bool), Some(true));
+    assert_same_strategy(&v1, &v2);
+    handle.stop();
+}
+
+/// Runs the hostile-input battery against one listening server.
 fn hostile_battery(addr: SocketAddr) {
     // Oversize declared length: one bad_request error frame, close.
     {
@@ -279,45 +272,15 @@ fn corruption_battery(addr: SocketAddr) {
 }
 
 #[test]
-fn corrupted_headers_never_hang_the_threaded_transport() {
-    let mut handle = serve_tcp(service(), ("127.0.0.1", 0)).unwrap();
-    corruption_battery(handle.local_addr());
-    handle.stop();
-}
-
-#[test]
 fn corrupted_headers_never_hang_the_reactor_transport() {
-    let handle = serve_reactor_with(
-        service(),
-        "127.0.0.1:0",
-        ReactorConfig {
-            shards: 2,
-            io_threads: 1,
-        },
-    )
-    .unwrap();
+    let handle = engine();
     corruption_battery(handle.local_addr());
-    handle.stop();
-}
-
-#[test]
-fn hostile_frames_never_hang_the_threaded_transport() {
-    let mut handle = serve_tcp(service(), ("127.0.0.1", 0)).unwrap();
-    hostile_battery(handle.local_addr());
     handle.stop();
 }
 
 #[test]
 fn hostile_frames_never_hang_the_reactor_transport() {
-    let handle = serve_reactor_with(
-        service(),
-        "127.0.0.1:0",
-        ReactorConfig {
-            shards: 2,
-            io_threads: 1,
-        },
-    )
-    .unwrap();
+    let handle = engine();
     hostile_battery(handle.local_addr());
     handle.stop();
 }
@@ -339,8 +302,6 @@ fn router_matrix_v1_and_v2_agree_through_a_real_cluster() {
         queue_depth: 256,
         wal_retain: 8,
         checkpoint_every: 0,
-        // Backends speak v2 natively over the reactor transport.
-        transport: "reactor".to_string(),
         chaos: None,
     };
     let config = HarnessConfig {
@@ -412,6 +373,123 @@ fn router_matrix_v1_and_v2_agree_through_a_real_cluster() {
     assert!(v3.get("shard").is_some(), "wrapped lines get router stamps");
     assert_same_strategy(&v1, &v3);
 
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&data_root);
+}
+
+/// A 2-shard cluster without replicas, for the router front-end tests.
+fn launch_two_shards(tag: &str) -> (conference_call::cluster::Cluster, std::path::PathBuf) {
+    use conference_call::cluster::router::RouterConfig;
+    use conference_call::cluster::{Cluster, HarnessConfig, Topology};
+
+    let data_root = std::env::temp_dir().join(format!("pager-wire-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&data_root);
+    let config = HarnessConfig {
+        pager_serve: std::path::PathBuf::from(env!("CARGO_BIN_EXE_pager-serve")),
+        data_root: data_root.clone(),
+        topology: Topology {
+            shards: 2,
+            replicas: 0,
+            ..Topology::default()
+        },
+        router: RouterConfig::default(),
+    };
+    (
+        Cluster::launch(&config).expect("launch 2-shard cluster"),
+        data_root,
+    )
+}
+
+/// Decodes one answer (line or frame) to JSON without the one field
+/// that differs between two solves of the same request.
+fn without_timing(msg: Msg) -> String {
+    let value = match msg {
+        Msg::Line(line) => jsonio::parse(&line).unwrap(),
+        Msg::Frame(op::JSON_RESP, payload) => {
+            jsonio::parse(std::str::from_utf8(&payload).unwrap()).unwrap()
+        }
+        Msg::Frame(resp_op, payload) => binary::response_to_value(resp_op, &payload).unwrap(),
+    };
+    match value {
+        Value::Object(fields) => Value::Object(
+            fields
+                .into_iter()
+                .filter(|(k, _)| k != "planning_micros")
+                .collect(),
+        )
+        .to_string(),
+        other => other.to_string(),
+    }
+}
+
+/// The router served by the engine: v1 lines, JSON-wrapped lines and
+/// native v2 frames interleaved on one connection answer exactly as
+/// `Router::handle_line` / `handle_frame` answer them in-process.
+#[test]
+fn router_front_end_answers_like_the_in_process_router() {
+    let (cluster, data_root) = launch_two_shards("router-front");
+    let handle = cluster.serve("127.0.0.1:0").expect("serve the router");
+    let mut stream = connect(handle.local_addr());
+    let mut uncached_plan = Vec::new();
+    pager_wire::BinaryCodec.encode_request(
+        &Request::Plan {
+            id: Value::Int(2),
+            instance: instance(),
+            spec: PlanSpec::new(Delay::new(2).unwrap()).with_cache(false),
+        },
+        &mut uncached_plan,
+    );
+    let mut ping = Vec::new();
+    frame::write_frame(&mut ping, op::PING, &[]);
+    let mut messages = Vec::new();
+    for line in [
+        r#"{"id": 1, "instance": [[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]], "delay": 2, "cache": false}"#,
+        r#"{"cmd": "ping"}"#,
+        r#"{"cmd": "node_info"}"#,
+        r#"{"cmd": "profile_stats"}"#,
+        r#"{"cmd": "plan_devices", "id": 4, "devices": ["nobody"], "delay": 2}"#,
+        r#"{"cmd": "wal_ship", "generation": 0, "offset": 0}"#,
+        "not json at all",
+    ] {
+        messages.push(format!("{line}\n").into_bytes());
+        let mut wrapped = Vec::new();
+        frame::write_frame(&mut wrapped, op::JSON_REQ, line.as_bytes());
+        messages.push(wrapped);
+    }
+    messages.insert(2, uncached_plan);
+    messages.insert(5, ping);
+    let mut buf = Vec::new();
+    for message in &messages {
+        stream.write_all(message).unwrap();
+        let served = without_timing(read_message(&mut stream, &mut buf));
+        let local = match frame::split(message) {
+            Split::V1Line { line, .. } => {
+                let line = std::str::from_utf8(line).unwrap();
+                Msg::Line(cluster.router.handle_line(line).response)
+            }
+            Split::V2Frame { op, payload, .. } => {
+                let mut out = Vec::new();
+                assert!(!cluster.router.handle_frame(op, payload, &mut out));
+                let Split::V2Frame { op, payload, .. } = frame::split(&out) else {
+                    panic!("router answered a frame with a non-frame");
+                };
+                Msg::Frame(op, payload.to_vec())
+            }
+            other => panic!("test message did not split: {other:?}"),
+        };
+        assert_eq!(served, without_timing(local), "{message:?}");
+    }
+    drop(handle);
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&data_root);
+}
+
+#[test]
+fn hostile_frames_never_hang_the_router() {
+    let (cluster, data_root) = launch_two_shards("router-hostile");
+    let handle = cluster.serve("127.0.0.1:0").expect("serve the router");
+    hostile_battery(handle.local_addr());
+    drop(handle);
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&data_root);
 }
