@@ -11,6 +11,8 @@
 //! steals only from the survivors and a leave spills only from the
 //! departed.
 
+use pager_core::fingerprint;
+
 /// FNV-1a (64-bit) with a murmur-style avalanche finalizer. Stable
 /// across platforms and versions: the ring layout is part of the
 /// deployment contract (two routers with the same membership must
@@ -22,11 +24,7 @@
 /// bits the ring actually compares.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let mut hash = fingerprint::fnv1a64(fingerprint::FNV1A64_OFFSET, bytes);
     hash ^= hash >> 33;
     hash = hash.wrapping_mul(0xff51_afd7_ed55_8ccd);
     hash ^= hash >> 33;
@@ -259,6 +257,21 @@ mod tests {
 
     fn names(n: usize) -> Vec<String> {
         (0..n).map(|i| format!("shard-{i}")).collect()
+    }
+
+    #[test]
+    fn placements_are_pinned() {
+        // Routers of different builds must agree on every owner.
+        let map = ShardMap::new(&names(3), 64, 1);
+        let owners: Vec<usize> = (0..32)
+            .map(|k| map.owner_index(&format!("device-{k}")).unwrap())
+            .collect();
+        let pinned = [
+            1, 0, 1, 2, 0, 1, 0, 0, 1, 1, 2, 2, 2, 0, 2, 2, 2, 2, 1, 2, 2, 2, 1, 1, 1, 2, 2, 1, 1,
+            2, 2, 1,
+        ];
+        assert_eq!(owners, pinned);
+        assert_eq!(fnv1a64(b"device-0"), 0x96aa_6644_3512_1539);
     }
 
     #[test]

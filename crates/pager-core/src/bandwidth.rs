@@ -8,18 +8,16 @@
 //! and the feasibility analysis.
 
 use crate::cancel::CancelToken;
-use crate::dp::{conference_stop_probs, optimal_split_cancel};
-use crate::error::{Error, Result};
-use crate::greedy::PlannedStrategy;
+use crate::error::Result;
+use crate::greedy::{conference_stops, plan_weight_sorted, PlannedStrategy};
 use crate::instance::{Delay, Instance};
-use crate::strategy::Strategy;
 
 /// Plans a greedy (weight-sorted + DP) strategy that pages at most
 /// `bandwidth` cells per round.
 ///
 /// # Errors
 ///
-/// Returns [`Error::InfeasibleBandwidth`] when even `min(d, c)` rounds
+/// Returns [`crate::Error::InfeasibleBandwidth`] when even `min(d, c)` rounds
 /// of `bandwidth` cells cannot cover all `c` cells.
 ///
 /// # Examples
@@ -45,34 +43,15 @@ pub fn greedy_strategy_bounded(
 ///
 /// # Errors
 ///
-/// [`Error::InfeasibleBandwidth`] as for [`greedy_strategy_bounded`];
-/// [`Error::Cancelled`] when `cancel` fires mid-solve.
+/// [`crate::Error::InfeasibleBandwidth`] as for [`greedy_strategy_bounded`];
+/// [`crate::Error::Cancelled`] when `cancel` fires mid-solve.
 pub fn greedy_strategy_bounded_cancel(
     instance: &Instance,
     delay: Delay,
     bandwidth: usize,
     cancel: &CancelToken,
 ) -> Result<PlannedStrategy> {
-    let c = instance.num_cells();
-    let d = delay.clamp_to_cells(c).get();
-    if bandwidth == 0 || d * bandwidth < c {
-        return Err(Error::InfeasibleBandwidth {
-            bandwidth,
-            delay: d,
-            cells: c,
-        });
-    }
-    let order = instance.cells_by_weight_desc();
-    let rows: Vec<&[f64]> = instance.rows().collect();
-    let g = conference_stop_probs(&rows, &order);
-    let split =
-        // lint:allow(no-unwrap-outside-tests): b*d >= c was checked above, so the split exists
-        optimal_split_cancel(&g, d, Some(bandwidth), cancel)?.expect("feasibility checked above");
-    let strategy = Strategy::from_order_and_sizes(&order, &split.sizes)?;
-    Ok(PlannedStrategy {
-        expected_paging: c as f64 - split.savings,
-        strategy,
-    })
+    plan_weight_sorted(instance, delay, Some(bandwidth), cancel, conference_stops)
 }
 
 /// The minimum number of rounds needed to cover `c` cells at `b` cells
@@ -108,6 +87,7 @@ pub fn bandwidth_sweep(instance: &Instance, delay: Delay) -> Vec<(usize, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Error;
     use crate::greedy::greedy_strategy_planned;
 
     #[test]

@@ -17,6 +17,7 @@
 use crate::error::{Error, Result};
 use crate::greedy::PlannedStrategy;
 use crate::instance::{Delay, Instance};
+use crate::optimal::advance;
 use crate::strategy::Strategy;
 
 /// The type decomposition of an instance: distinct probability columns
@@ -199,25 +200,8 @@ fn optimal_over_types(
             let base_k = decode(s);
             // Enumerate increments: all vectors 0 <= inc_t <= n_t - k_t,
             // not all zero.
-            let caps: Vec<usize> = (0..t).map(|ty| counts[ty] - base_k[ty]).collect();
             let mut inc = vec![0usize; t];
-            loop {
-                // advance odometer
-                let mut pos = 0;
-                loop {
-                    if pos == t {
-                        break;
-                    }
-                    inc[pos] += 1;
-                    if inc[pos] <= caps[pos] {
-                        break;
-                    }
-                    inc[pos] = 0;
-                    pos += 1;
-                }
-                if pos == t {
-                    break; // odometer wrapped: done
-                }
+            while advance(&mut inc, |ty| counts[ty] - base_k[ty] + 1) {
                 let added: usize = inc.iter().sum();
                 let sup = s + inc
                     .iter()
@@ -250,22 +234,19 @@ fn optimal_over_types(
     }
     chain.reverse();
     let mut taken = vec![0usize; t];
-    let mut groups: Vec<Vec<usize>> = Vec::with_capacity(d);
+    let mut order = Vec::with_capacity(c);
+    let mut sizes = Vec::with_capacity(d);
     for &s in &chain {
         let k = decode(s);
-        let mut group = Vec::new();
+        let before = order.len();
         for ty in 0..t {
-            for &cell in &types.members[ty][taken[ty]..k[ty]] {
-                group.push(cell);
-            }
+            order.extend_from_slice(&types.members[ty][taken[ty]..k[ty]]);
             taken[ty] = k[ty];
         }
-        groups.push(group);
+        sizes.push(order.len() - before);
     }
-    let strategy = Strategy::new(groups).expect("type chain partitions the cells");
-    let expected_paging = instance
-        .expected_paging(&strategy)
-        .expect("dimensions match");
+    let strategy = Strategy::cut(&order, &sizes);
+    let expected_paging = instance.lemma_2_1(&strategy);
     Ok(PlannedStrategy {
         strategy,
         expected_paging,

@@ -222,15 +222,26 @@ pub fn optimal_split_exact(g: &[Ratio], d: usize, max_group: Option<usize>) -> O
 /// (unless there are zero devices, which instances rule out).
 #[must_use]
 pub fn conference_stop_probs(rows: &[&[f64]], order: &[usize]) -> Vec<f64> {
-    let c = order.len();
+    stop_probs(rows, order, |prefix| prefix.iter().product())
+}
+
+/// Stop probabilities along a cell order: `g[j] = stop(P(prefix j))`,
+/// where `P_i(prefix j)` is the probability that device `i` is in one
+/// of the first `j` cells of `order`. `g` has length `c + 1`.
+#[must_use]
+pub(crate) fn stop_probs(
+    rows: &[&[f64]],
+    order: &[usize],
+    stop: impl Fn(&[f64]) -> f64,
+) -> Vec<f64> {
     let mut prefix: Vec<f64> = vec![0.0; rows.len()];
-    let mut g = Vec::with_capacity(c + 1);
-    g.push(if rows.is_empty() { 1.0 } else { 0.0 });
+    let mut g = Vec::with_capacity(order.len() + 1);
+    g.push(stop(&prefix));
     for &cell in order {
         for (i, acc) in prefix.iter_mut().enumerate() {
             *acc += rows[i][cell];
         }
-        g.push(prefix.iter().product());
+        g.push(stop(&prefix));
     }
     g
 }

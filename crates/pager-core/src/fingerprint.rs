@@ -18,6 +18,22 @@
 
 use crate::instance::Instance;
 
+/// The FNV-1a 64-bit offset basis: the hash of no bytes.
+pub const FNV1A64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a 64-bit hash state `hash` (start from
+/// [`FNV1A64_OFFSET`]). Instance fingerprints, plan-cache keys,
+/// profile-store shard routing and the cluster ring all hash with
+/// this one function, so its output is part of the wire and routing
+/// contract. Inlined: the v2 cache-hit path calls it once per word.
+#[inline]
+#[must_use]
+pub fn fnv1a64(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
 /// Quantises one probability row to bucket indices on a `grid`-step
 /// lattice (`bucket = round(p * grid)`, so `grid = 1000` keys
 /// probabilities by three decimal places).
@@ -57,25 +73,33 @@ impl Instance {
     #[must_use]
     pub fn fingerprint64(&self, grid: u32) -> u64 {
         let g = f64::from(grid.max(1));
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |word: u64| {
-            for byte in word.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        mix(self.num_devices() as u64);
-        mix(self.num_cells() as u64);
-        mix(u64::from(grid));
-        for row in self.rows() {
-            for &p in row {
-                #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                let bucket = (p * g).round() as u64;
-                mix(bucket);
-            }
-        }
-        hash
+        let buckets = self.rows().flatten().map(|&p| {
+            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+            let bucket = (p * g).round() as u64;
+            bucket
+        });
+        fingerprint_words(self.num_devices(), self.num_cells(), grid, buckets)
     }
+}
+
+/// FNV-1a over an instance's shape `(m, c, grid)` and then its
+/// quantised buckets in row-major order: the layout of
+/// [`Instance::fingerprint64`], shared with the v2 frame view so that
+/// both reach the same value.
+#[inline]
+#[must_use]
+pub fn fingerprint_words(
+    devices: usize,
+    cells: usize,
+    grid: u32,
+    buckets: impl IntoIterator<Item = u64>,
+) -> u64 {
+    [devices as u64, cells as u64, u64::from(grid)]
+        .into_iter()
+        .chain(buckets)
+        .fold(FNV1A64_OFFSET, |hash, word| {
+            fnv1a64(hash, &word.to_le_bytes())
+        })
 }
 
 #[cfg(test)]
@@ -84,6 +108,19 @@ mod tests {
 
     fn inst(rows: Vec<Vec<f64>>) -> Instance {
         Instance::from_rows(rows).unwrap()
+    }
+
+    #[test]
+    fn fingerprints_are_pinned() {
+        // Cache keys and v2 request fingerprints derive from these.
+        let a = inst(vec![
+            vec![0.5, 0.25, 0.125, 0.125],
+            vec![0.1, 0.2, 0.3, 0.4],
+        ]);
+        assert_eq!(a.fingerprint64(1000), 0x661f_21c9_0c2a_0ac7);
+        assert_eq!(a.fingerprint64(1), 0x2f25_ce4c_b997_2fa3);
+        let uniform = Instance::uniform(3, 5).unwrap();
+        assert_eq!(uniform.fingerprint64(100_000), 0x2df6_d7ae_683c_136e);
     }
 
     #[test]

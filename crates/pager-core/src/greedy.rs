@@ -78,19 +78,46 @@ pub fn greedy_strategy_planned_cancel(
     delay: Delay,
     cancel: &CancelToken,
 ) -> Result<PlannedStrategy> {
+    plan_weight_sorted(instance, delay, None, cancel, conference_stops)
+}
+
+/// The best strategy of the weight-sorted family (Lemmas 4.6–4.7):
+/// sorts the cells by weight, computes `stop_probs` along that order,
+/// and cuts the order where the DP says, at most `max_group` cells per
+/// round.
+///
+/// # Errors
+///
+/// [`Error::InfeasibleBandwidth`] when `min(d, c)` rounds of
+/// `max_group` cells cannot cover the cells; [`Error::Cancelled`]
+/// when `cancel` fires; any error of `stop_probs`.
+pub(crate) fn plan_weight_sorted(
+    instance: &Instance,
+    delay: Delay,
+    max_group: Option<usize>,
+    cancel: &CancelToken,
+    stop_probs: impl FnOnce(&Instance, &[usize]) -> Result<Vec<f64>>,
+) -> Result<PlannedStrategy> {
     let c = instance.num_cells();
     let d = delay.clamp_to_cells(c).get();
     let order = instance.cells_by_weight_desc();
-    let rows: Vec<&[f64]> = instance.rows().collect();
-    let g = conference_stop_probs(&rows, &order);
+    let g = stop_probs(instance, &order)?;
     let split =
-        // lint:allow(no-unwrap-outside-tests): d <= c after clamping, so the split exists
-        optimal_split_cancel(&g, d, None, cancel)?.expect("clamped delay always feasible");
-    let strategy = Strategy::from_order_and_sizes(&order, &split.sizes)?;
+        optimal_split_cancel(&g, d, max_group, cancel)?.ok_or(Error::InfeasibleBandwidth {
+            bandwidth: max_group.unwrap_or(c),
+            delay: d,
+            cells: c,
+        })?;
     Ok(PlannedStrategy {
         expected_paging: c as f64 - split.savings,
-        strategy,
+        strategy: Strategy::cut(&order, &split.sizes),
     })
+}
+
+/// [`conference_stop_probs`] of an instance along `order`; never fails.
+pub(crate) fn conference_stops(instance: &Instance, order: &[usize]) -> Result<Vec<f64>> {
+    let rows: Vec<&[f64]> = instance.rows().collect();
+    Ok(conference_stop_probs(&rows, order))
 }
 
 /// Exact-rational counterpart of [`greedy_strategy_planned`]: identical
@@ -105,13 +132,9 @@ pub fn greedy_strategy_exact(instance: &ExactInstance, delay: Delay) -> ExactPla
     let g = conference_stop_probs_exact(&rows, &order);
     // lint:allow(no-unwrap-outside-tests): this fn is the infallible
     // exact-rational twin of the planned path — 1 <= d <= c after
-    // clamping, so the unconstrained DP split always exists and its
-    // sizes partition the order by construction.
+    // clamping, so the unconstrained DP split always exists.
     let split = optimal_split_exact(&g, d, None).expect("clamped delay always feasible");
-    let strategy = Strategy::from_order_and_sizes(&order, &split.sizes)
-        // lint:allow(no-unwrap-outside-tests): sizes come from the DP
-        // over this same order; they sum to c by the DP invariant.
-        .expect("DP split sizes partition the order");
+    let strategy = Strategy::cut(&order, &split.sizes);
     ExactPlannedStrategy {
         expected_paging: &Ratio::from(c) - &split.savings,
         strategy,
@@ -126,16 +149,8 @@ pub fn greedy_strategy_exact(instance: &ExactInstance, delay: Delay) -> ExactPla
 ///
 /// # Errors
 ///
-/// Returns [`Error::InvalidSignatureThreshold`]-style validation:
-/// specifically [`Error::NoDevices`] never (instances are valid), but
-/// the call requires exactly two devices and at least two cells, else
-/// an [`Error::StrategyInstanceMismatch`]-free, descriptive error:
-/// * a two-device instance is required (`Error::RaggedRows` is *not*
-///   used; see below);
-///
-/// Concretely: returns `Err(Error::InvalidSignatureThreshold { k: m,
-/// devices: 2 })` when `m != 2`, and `Err(Error::DelayExceedsCells)`
-/// when `c < 2`.
+/// [`Error::InvalidSignatureThreshold`] (with `k: m, devices: 2`) when
+/// `m != 2`; [`Error::DelayExceedsCells`] when `c < 2`.
 pub fn two_device_two_round(instance: &Instance) -> Result<PlannedStrategy> {
     let m = instance.num_devices();
     if m != 2 {
@@ -160,7 +175,7 @@ pub fn two_device_two_round(instance: &Instance) -> Result<PlannedStrategy> {
             best_s1 = s1;
         }
     }
-    let strategy = Strategy::from_order_and_sizes(&order, &[best_s1, c - best_s1])?;
+    let strategy = Strategy::cut(&order, &[best_s1, c - best_s1]);
     Ok(PlannedStrategy {
         strategy,
         expected_paging: best_ep,

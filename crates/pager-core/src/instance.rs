@@ -221,7 +221,9 @@ impl Instance {
             .map(|row| {
                 let exact: Vec<Ratio> = row
                     .iter()
-                    .map(|&p| Ratio::from_f64(p).expect("validated probability is finite"))
+                    // Validated probabilities are finite, so `from_f64`
+                    // is always `Some`.
+                    .map(|&p| Ratio::from_f64(p).unwrap_or_default())
                     .collect();
                 let sum: Ratio = exact.iter().sum();
                 exact.into_iter().map(|p| &p / &sum).collect()
@@ -332,11 +334,6 @@ impl ExactInstance {
 
     /// Converts to a floating-point instance (renormalising rounding
     /// error away).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rounded rows fail `f64` validation, which cannot
-    /// happen for a valid exact instance.
     #[must_use]
     pub fn to_f64(&self) -> Instance {
         let rows: Vec<Vec<f64>> = self
@@ -351,7 +348,10 @@ impl ExactInstance {
                 v
             })
             .collect();
-        Instance::from_rows(rows).expect("exact instance converts to a valid f64 instance")
+        // Each row holds finite, non-negative values that sum to one up
+        // to rounding, which is all `Instance::from_rows` checks.
+        debug_assert!(Instance::from_rows(rows.clone()).is_ok());
+        Instance { rows }
     }
 }
 

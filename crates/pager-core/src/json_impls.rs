@@ -169,6 +169,11 @@ mod tests {
         assert!(Strategy::from_json(&jsonio::parse("[[0,0]]").unwrap()).is_err());
         // Not a partition: gap.
         assert!(Strategy::from_json(&jsonio::parse("[[0],[2]]").unwrap()).is_err());
+        // Out of range: a gap, reported without allocating for it.
+        assert_eq!(
+            Strategy::from_json(&jsonio::parse("[[0],[100000000000]]").unwrap()).unwrap_err(),
+            crate::Error::MissingCell { cell: 1 }.to_string()
+        );
     }
 
     #[test]

@@ -104,12 +104,7 @@ pub fn simulate_lossy(
     trials: usize,
     seed: u64,
 ) -> Result<LossyReport> {
-    if strategy.num_cells() != instance.num_cells() {
-        return Err(Error::StrategyInstanceMismatch {
-            strategy_cells: strategy.num_cells(),
-            instance_cells: instance.num_cells(),
-        });
-    }
+    strategy.check_cells(instance.num_cells())?;
     if trials == 0 {
         return Err(Error::NoDevices);
     }

@@ -69,16 +69,9 @@ pub fn ratio() -> Ratio {
 }
 
 /// The optimal strategy: page cells `2..6` (0-based `1..=5`) first.
-///
-/// # Panics
-///
-/// Never panics: the strategy is statically valid.
 #[must_use]
 pub fn optimal_strategy() -> crate::strategy::Strategy {
-    crate::strategy::Strategy::new(vec![vec![1, 2, 3, 4, 5], vec![0, 6, 7]])
-        // lint:allow(no-unwrap-outside-tests): a literal partition of
-        // 0..8 into two non-empty groups — valid by inspection.
-        .expect("the optimal strategy is valid")
+    crate::strategy::Strategy::cut(&[1, 2, 3, 4, 5, 0, 6, 7], &[5, 3])
 }
 
 /// An `ε`-perturbed, strictly-positive variant that forces the heuristic

@@ -41,37 +41,11 @@ pub const SUBSET_DP_MAX_CELLS: usize = 18;
 /// Panics if `c >` [`EXHAUSTIVE_MAX_CELLS`] — use
 /// [`optimal_subset_dp`] or the heuristic instead.
 pub fn optimal_exhaustive(instance: &Instance, delay: Delay) -> Result<PlannedStrategy> {
-    let c = instance.num_cells();
-    let d = delay.get();
-    if d > c {
-        return Err(Error::DelayExceedsCells { delay: d, cells: c });
-    }
-    assert!(
-        c <= EXHAUSTIVE_MAX_CELLS,
-        "optimal_exhaustive supports at most {EXHAUSTIVE_MAX_CELLS} cells, got {c}"
-    );
-    let mut best: Option<(f64, Vec<usize>)> = None;
-    let mut assignment = vec![0usize; c];
-    loop {
-        if let Some(groups) = groups_of(&assignment, d) {
-            let strategy = Strategy::new(groups).expect("assignment yields a valid partition");
-            let ep = instance
-                .expected_paging(&strategy)
-                .expect("dimensions match");
-            if best.as_ref().is_none_or(|(b, _)| ep < *b) {
-                best = Some((ep, assignment.clone()));
-            }
-        }
-        if !advance(&mut assignment, d) {
-            break;
-        }
-    }
-    let (ep, assignment) = best.expect("d <= c guarantees at least one onto assignment");
-    let strategy = Strategy::new(groups_of(&assignment, d).expect("stored assignment is onto"))
-        .expect("valid partition");
+    let (strategy, expected_paging) =
+        best_onto_assignment(instance.num_cells(), delay, |s| instance.lemma_2_1(s))?;
     Ok(PlannedStrategy {
         strategy,
-        expected_paging: ep,
+        expected_paging,
     })
 }
 
@@ -89,59 +63,56 @@ pub fn optimal_exhaustive_exact(
     instance: &ExactInstance,
     delay: Delay,
 ) -> Result<ExactPlannedStrategy> {
-    let c = instance.num_cells();
-    let d = delay.get();
-    if d > c {
-        return Err(Error::DelayExceedsCells { delay: d, cells: c });
-    }
-    assert!(
-        c <= EXHAUSTIVE_MAX_CELLS,
-        "optimal_exhaustive_exact supports at most {EXHAUSTIVE_MAX_CELLS} cells, got {c}"
-    );
-    let mut best: Option<(Ratio, Vec<usize>)> = None;
-    let mut assignment = vec![0usize; c];
-    loop {
-        if let Some(groups) = groups_of(&assignment, d) {
-            let strategy = Strategy::new(groups).expect("valid partition");
-            let ep = instance
-                .expected_paging(&strategy)
-                .expect("dimensions match");
-            if best.as_ref().is_none_or(|(b, _)| ep < *b) {
-                best = Some((ep, assignment.clone()));
-            }
-        }
-        if !advance(&mut assignment, d) {
-            break;
-        }
-    }
-    let (ep, assignment) = best.expect("d <= c guarantees a strategy");
-    let strategy =
-        Strategy::new(groups_of(&assignment, d).expect("onto")).expect("valid partition");
+    let (strategy, expected_paging) =
+        best_onto_assignment(instance.num_cells(), delay, |s| instance.lemma_2_1(s))?;
     Ok(ExactPlannedStrategy {
         strategy,
-        expected_paging: ep,
+        expected_paging,
     })
 }
 
-/// Converts an assignment vector into groups, returning `None` if some
-/// round is empty.
-fn groups_of(assignment: &[usize], d: usize) -> Option<Vec<Vec<usize>>> {
-    let mut groups = vec![Vec::new(); d];
-    for (cell, &round) in assignment.iter().enumerate() {
-        groups[round].push(cell);
+/// The exhaustive search shared by the exact solvers: the first
+/// strategy of least `cost` among the onto assignments of `cells` cells
+/// to `d` rounds, in odometer order (cell 0 is the fastest digit).
+/// [`Error::DelayExceedsCells`] when `d > cells`; panics past
+/// [`EXHAUSTIVE_MAX_CELLS`] cells.
+pub(crate) fn best_onto_assignment<T: PartialOrd>(
+    cells: usize,
+    delay: Delay,
+    mut cost: impl FnMut(&Strategy) -> T,
+) -> Result<(Strategy, T)> {
+    let d = delay.get();
+    let too_many_rounds = Error::DelayExceedsCells { delay: d, cells };
+    if d > cells {
+        return Err(too_many_rounds);
     }
-    if groups.iter().any(Vec::is_empty) {
-        None
-    } else {
-        Some(groups)
+    assert!(
+        cells <= EXHAUSTIVE_MAX_CELLS,
+        "exhaustive search supports at most {EXHAUSTIVE_MAX_CELLS} cells, got {cells}"
+    );
+    let mut best: Option<(Strategy, T)> = None;
+    let mut assignment = vec![0usize; cells];
+    loop {
+        if let Some(strategy) = Strategy::from_assignment(&assignment).filter(|s| s.rounds() == d) {
+            let value = cost(&strategy);
+            if best.as_ref().is_none_or(|(_, b)| value < *b) {
+                best = Some((strategy, value));
+            }
+        }
+        if !advance(&mut assignment, |_| d) {
+            break;
+        }
     }
+    best.ok_or(too_many_rounds)
 }
 
-/// Odometer increment over base-`d` assignment vectors.
-fn advance(assignment: &mut [usize], d: usize) -> bool {
-    for digit in assignment.iter_mut() {
+/// Odometer increment over mixed-radix digits, digit `i` counting
+/// modulo `base(i)` and digit 0 fastest. Returns `false` once the
+/// digits wrap back to all zeros.
+pub(crate) fn advance(digits: &mut [usize], base: impl Fn(usize) -> usize) -> bool {
+    for (i, digit) in digits.iter_mut().enumerate() {
         *digit += 1;
-        if *digit < d {
+        if *digit < base(i) {
             return true;
         }
         *digit = 0;
@@ -263,15 +234,16 @@ pub fn optimal_subset_dp_cancel(
         chain.push(cur);
     }
     chain.reverse(); // L_1, …, L_d = full
-    let mut groups = Vec::with_capacity(d);
+    let mut order = Vec::with_capacity(c);
+    let mut sizes = Vec::with_capacity(d);
     let mut prev: u32 = 0;
     for &l in &chain {
         let newly = l & !prev;
-        let cells: Vec<usize> = (0..c).filter(|&j| newly & (1 << j) != 0).collect();
-        groups.push(cells);
+        order.extend((0..c).filter(|&j| newly & (1 << j) != 0));
+        sizes.push(newly.count_ones() as usize);
         prev = l;
     }
-    let strategy = Strategy::new(groups).expect("chain yields a partition");
+    let strategy = Strategy::cut(&order, &sizes);
     Ok(PlannedStrategy {
         expected_paging: c as f64 - savings,
         strategy,
@@ -291,12 +263,10 @@ pub fn optimal_subset_dp_cancel(
 /// reasonable time).
 pub fn optimal_two_round_exact(instance: &ExactInstance) -> Result<ExactPlannedStrategy> {
     let c = instance.num_cells();
-    if c < 2 {
-        return Err(Error::DelayExceedsCells { delay: 2, cells: c });
-    }
     assert!(c <= 24, "optimal_two_round_exact supports at most 24 cells");
     let m = instance.num_devices();
     let mut best: Option<(Ratio, u32)> = None;
+    // Every proper, non-empty first round; none exist when c < 2.
     for mask in 1u32..((1u32 << c) - 1) {
         // EP = c − |S_2| · Π_i P_i(S_1)
         let mut prod = Ratio::one();
@@ -318,10 +288,14 @@ pub fn optimal_two_round_exact(instance: &ExactInstance) -> Result<ExactPlannedS
             best = Some((ep, mask));
         }
     }
-    let (ep, mask) = best.expect("c >= 2 yields candidates");
-    let first: Vec<usize> = (0..c).filter(|&j| mask & (1 << j) != 0).collect();
-    let second: Vec<usize> = (0..c).filter(|&j| mask & (1 << j) == 0).collect();
-    let strategy = Strategy::new(vec![first, second]).expect("mask split is a partition");
+    let (ep, mask) = best.ok_or(Error::DelayExceedsCells { delay: 2, cells: c })?;
+    let in_first = |j: &usize| mask & (1 << j) != 0;
+    let order: Vec<usize> = (0..c)
+        .filter(in_first)
+        .chain((0..c).filter(|j| !in_first(j)))
+        .collect();
+    let first = mask.count_ones() as usize;
+    let strategy = Strategy::cut(&order, &[first, c - first]);
     Ok(ExactPlannedStrategy {
         strategy,
         expected_paging: ep,

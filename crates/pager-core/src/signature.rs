@@ -19,10 +19,11 @@
 //! of the paper's heuristic.
 
 use crate::cancel::CancelToken;
-use crate::dp::optimal_split_cancel;
+use crate::dp::stop_probs;
 use crate::error::{Error, Result};
-use crate::greedy::PlannedStrategy;
+use crate::greedy::{plan_weight_sorted, PlannedStrategy};
 use crate::instance::{Delay, Instance};
+use crate::optimal::best_onto_assignment;
 use crate::simulation::SearchOutcome;
 use crate::strategy::Strategy;
 
@@ -69,17 +70,8 @@ fn check_k(instance: &Instance, k: usize) -> Result<()> {
 /// probability at least `k` devices are in the first `j` cells.
 #[must_use]
 pub fn signature_stop_probs(instance: &Instance, order: &[usize], k: usize) -> Vec<f64> {
-    let m = instance.num_devices();
-    let mut prefix = vec![0.0f64; m];
-    let mut g = Vec::with_capacity(order.len() + 1);
-    g.push(at_least_k_prob(&prefix, k));
-    for &cell in order {
-        for (i, acc) in prefix.iter_mut().enumerate() {
-            *acc += instance.prob(i, cell);
-        }
-        g.push(at_least_k_prob(&prefix, k));
-    }
-    g
+    let rows: Vec<&[f64]> = instance.rows().collect();
+    stop_probs(&rows, order, |prefix| at_least_k_prob(prefix, k))
 }
 
 /// Expected cells paged until at least `k` devices are found.
@@ -94,25 +86,8 @@ pub fn expected_paging_signature(
     k: usize,
 ) -> Result<f64> {
     check_k(instance, k)?;
-    if strategy.num_cells() != instance.num_cells() {
-        return Err(Error::StrategyInstanceMismatch {
-            strategy_cells: strategy.num_cells(),
-            instance_cells: instance.num_cells(),
-        });
-    }
-    let c = instance.num_cells();
-    let m = instance.num_devices();
-    let mut prefix = vec![0.0f64; m];
-    let mut ep = c as f64;
-    for r in 0..strategy.rounds().saturating_sub(1) {
-        for &cell in strategy.group(r) {
-            for (i, acc) in prefix.iter_mut().enumerate() {
-                *acc += instance.prob(i, cell);
-            }
-        }
-        ep -= strategy.group(r + 1).len() as f64 * at_least_k_prob(&prefix, k);
-    }
-    Ok(ep)
+    strategy.check_cells(instance.num_cells())?;
+    Ok(instance.telescoped_ep(strategy, |prefix| at_least_k_prob(prefix, k)))
 }
 
 /// Greedy (weight-sorted + DP) strategy for the Signature problem.
@@ -138,18 +113,10 @@ pub fn greedy_signature_cancel(
     cancel: &CancelToken,
 ) -> Result<PlannedStrategy> {
     check_k(instance, k)?;
-    let c = instance.num_cells();
-    let d = delay.clamp_to_cells(c).get();
-    let order = instance.cells_by_weight_desc();
-    let g = signature_stop_probs(instance, &order, k);
-    cancel.check()?;
-    // lint:allow(no-unwrap-outside-tests): d <= c after clamping, so the split exists
-    let split = optimal_split_cancel(&g, d, None, cancel)?.expect("clamped delay is feasible");
-    let strategy =
-        Strategy::from_order_and_sizes(&order, &split.sizes).expect("split partitions the order");
-    Ok(PlannedStrategy {
-        expected_paging: c as f64 - split.savings,
-        strategy,
+    plan_weight_sorted(instance, delay, None, cancel, |instance, order| {
+        let g = signature_stop_probs(instance, order, k);
+        cancel.check()?;
+        Ok(g)
     })
 }
 
@@ -169,57 +136,13 @@ pub fn optimal_signature_exhaustive(
     k: usize,
 ) -> Result<PlannedStrategy> {
     check_k(instance, k)?;
-    let c = instance.num_cells();
-    let d = delay.get();
-    if d > c {
-        return Err(Error::DelayExceedsCells { delay: d, cells: c });
-    }
-    assert!(
-        c <= crate::optimal::EXHAUSTIVE_MAX_CELLS,
-        "optimal_signature_exhaustive supports at most {} cells",
-        crate::optimal::EXHAUSTIVE_MAX_CELLS
-    );
-    let mut best: Option<PlannedStrategy> = None;
-    let mut assignment = vec![0usize; c];
-    loop {
-        if let Some(groups) = assignment_groups(&assignment, d) {
-            let strategy = Strategy::new(groups).expect("valid partition");
-            let ep = expected_paging_signature(instance, &strategy, k)?;
-            if best.as_ref().is_none_or(|b| ep < b.expected_paging) {
-                best = Some(PlannedStrategy {
-                    strategy,
-                    expected_paging: ep,
-                });
-            }
-        }
-        if !advance_assignment(&mut assignment, d) {
-            break;
-        }
-    }
-    Ok(best.expect("d <= c guarantees a strategy"))
-}
-
-fn assignment_groups(assignment: &[usize], d: usize) -> Option<Vec<Vec<usize>>> {
-    let mut groups = vec![Vec::new(); d];
-    for (cell, &round) in assignment.iter().enumerate() {
-        groups[round].push(cell);
-    }
-    if groups.iter().any(Vec::is_empty) {
-        None
-    } else {
-        Some(groups)
-    }
-}
-
-fn advance_assignment(assignment: &mut [usize], d: usize) -> bool {
-    for digit in assignment.iter_mut() {
-        *digit += 1;
-        if *digit < d {
-            return true;
-        }
-        *digit = 0;
-    }
-    false
+    let (strategy, expected_paging) = best_onto_assignment(instance.num_cells(), delay, |s| {
+        instance.telescoped_ep(s, |prefix| at_least_k_prob(prefix, k))
+    })?;
+    Ok(PlannedStrategy {
+        strategy,
+        expected_paging,
+    })
 }
 
 /// Runs one Signature search with fixed placements: stops at the first

@@ -8,11 +8,10 @@
 //! pair never increases the expected paging), so the order-restricted
 //! dynamic program of Lemma 4.7 finds a global optimum.
 
-use crate::dp::{conference_stop_probs, optimal_split};
+use crate::cancel::CancelToken;
 use crate::error::{Error, Result};
-use crate::greedy::PlannedStrategy;
+use crate::greedy::{conference_stops, plan_weight_sorted, PlannedStrategy};
 use crate::instance::{Delay, Instance};
-use crate::strategy::Strategy;
 
 /// Computes an optimal strategy for a single-device instance.
 ///
@@ -41,24 +40,13 @@ pub fn single_user_optimal(instance: &Instance, delay: Delay) -> Result<PlannedS
             devices: 1,
         });
     }
-    let c = instance.num_cells();
-    let d = delay.clamp_to_cells(c).get();
-    let order = instance.cells_by_weight_desc();
-    let rows: Vec<&[f64]> = instance.rows().collect();
-    let g = conference_stop_probs(&rows, &order);
-    // Unconstrained (`max_group = None`) and 1 <= d <= c after
-    // clamping, so the DP cannot decline; surface an error rather
-    // than panicking if that invariant ever breaks.
-    let split = optimal_split(&g, d, None).ok_or(Error::InfeasibleBandwidth {
-        bandwidth: c,
-        delay: d,
-        cells: c,
-    })?;
-    let strategy = Strategy::from_order_and_sizes(&order, &split.sizes)?;
-    Ok(PlannedStrategy {
-        expected_paging: c as f64 - split.savings,
-        strategy,
-    })
+    plan_weight_sorted(
+        instance,
+        delay,
+        None,
+        &CancelToken::never(),
+        conference_stops,
+    )
 }
 
 /// The closed-form optimal expected paging for a **uniform** single

@@ -37,7 +37,8 @@ pub struct Strategy {
 impl Strategy {
     /// Creates a strategy from paging groups, validating that the groups
     /// are non-empty and form a partition of `0..c` where `c` is the
-    /// total number of cells mentioned.
+    /// total number of cells listed. Uses memory proportional to the
+    /// cells listed, whatever their indices.
     ///
     /// # Errors
     ///
@@ -50,35 +51,68 @@ impl Strategy {
         if groups.is_empty() {
             return Err(Error::NoCells);
         }
-        let mut max_cell = 0usize;
-        let mut count = 0usize;
-        for (r, g) in groups.iter().enumerate() {
-            if g.is_empty() {
-                return Err(Error::EmptyGroup { round: r });
-            }
-            for &cell in g {
-                max_cell = max_cell.max(cell);
-                count += 1;
-            }
+        if let Some(round) = groups.iter().position(Vec::is_empty) {
+            return Err(Error::EmptyGroup { round });
         }
-        let num_cells = max_cell + 1;
+        let num_cells: usize = groups.iter().map(Vec::len).sum();
+        // A cell at or past `num_cells` leaves a gap below it; such
+        // cells are tracked apart, only to report duplicates among them.
         let mut seen = vec![false; num_cells];
-        for g in &groups {
-            for &cell in g {
-                if seen[cell] {
-                    return Err(Error::DuplicateCell { cell });
-                }
-                seen[cell] = true;
+        let mut beyond = std::collections::HashSet::new();
+        for &cell in groups.iter().flatten() {
+            let fresh = match seen.get_mut(cell) {
+                Some(slot) => !std::mem::replace(slot, true),
+                None => beyond.insert(cell),
+            };
+            if !fresh {
+                return Err(Error::DuplicateCell { cell });
             }
         }
-        if count != num_cells {
-            // count < num_cells with no duplicates means some cell in
-            // 0..num_cells is uncovered, so the search always finds one.
-            if let Some(cell) = seen.iter().position(|&s| !s) {
-                return Err(Error::MissingCell { cell });
-            }
+        if let Some(cell) = seen.iter().position(|&s| !s) {
+            return Err(Error::MissingCell { cell });
         }
         Ok(Strategy { groups, num_cells })
+    }
+
+    /// Builds the strategy that pages cell `j` in round
+    /// `round_of_cell[j]`, each round listing its cells in increasing
+    /// order: the inverse of [`Strategy::round_of_cell`]. `None` when a
+    /// round in `0..=max` has no cell; a round index `>= len` always
+    /// leaves one empty.
+    #[must_use]
+    pub fn from_assignment(round_of_cell: &[usize]) -> Option<Strategy> {
+        let num_cells = round_of_cell.len();
+        let last = *round_of_cell.iter().max()?;
+        if last >= num_cells {
+            return None;
+        }
+        let mut groups = vec![Vec::new(); last + 1];
+        for (cell, &round) in round_of_cell.iter().enumerate() {
+            groups[round].push(cell);
+        }
+        let onto = groups.iter().all(|g| !g.is_empty());
+        onto.then_some(Strategy { groups, num_cells })
+    }
+
+    /// Cuts the paging order `order` into consecutive rounds of
+    /// `sizes[0]`, `sizes[1]`, … cells, without validating: the caller
+    /// guarantees that `order` is a permutation of `0..order.len()` and
+    /// that the sizes are positive and sum to `order.len()`, as every
+    /// split a solver's dynamic program returns does. Debug builds check
+    /// it. Input from outside the program goes through
+    /// [`Strategy::from_order_and_sizes`].
+    #[must_use]
+    pub fn cut(order: &[usize], sizes: &[usize]) -> Strategy {
+        let strategy = Strategy {
+            groups: cut_groups(order, sizes),
+            num_cells: order.len(),
+        };
+        debug_assert_eq!(
+            Strategy::new(strategy.groups.clone()).as_ref(),
+            Ok(&strategy),
+            "order {order:?} cut at {sizes:?} is not a partition"
+        );
+        strategy
     }
 
     /// Builds a strategy by cutting a cell `order` at `sizes` boundaries:
@@ -90,18 +124,12 @@ impl Strategy {
     /// must sum to `order.len()` (otherwise a [`Error::MissingCell`] or
     /// [`Error::EmptyGroup`] surfaces).
     pub fn from_order_and_sizes(order: &[usize], sizes: &[usize]) -> Result<Strategy> {
-        let mut groups = Vec::with_capacity(sizes.len());
-        let mut pos = 0usize;
-        for &s in sizes {
-            let end = (pos + s).min(order.len());
-            groups.push(order[pos..end].to_vec());
-            pos = end;
-        }
-        if pos != order.len() {
+        let covered = sizes.iter().fold(0usize, |sum, &s| sum.saturating_add(s));
+        if let Some(&cell) = order.get(covered) {
             // Leftover cells: the sizes under-cover the order.
-            return Err(Error::MissingCell { cell: order[pos] });
+            return Err(Error::MissingCell { cell });
         }
-        Strategy::new(groups)
+        Strategy::new(cut_groups(order, sizes))
     }
 
     /// The single-round strategy paging all `c` cells at once (the
@@ -159,6 +187,18 @@ impl Strategy {
         self.groups.iter().flatten().copied().collect()
     }
 
+    /// [`Error::StrategyInstanceMismatch`] unless the strategy covers
+    /// exactly `cells` cells.
+    pub(crate) fn check_cells(&self, cells: usize) -> Result<()> {
+        if self.num_cells == cells {
+            return Ok(());
+        }
+        Err(Error::StrategyInstanceMismatch {
+            strategy_cells: self.num_cells,
+            instance_cells: cells,
+        })
+    }
+
     /// The round in which each cell is paged (indexed by cell).
     #[must_use]
     pub fn round_of_cell(&self) -> Vec<usize> {
@@ -170,6 +210,20 @@ impl Strategy {
         }
         round
     }
+}
+
+/// Consecutive slices of `order` of the given sizes, the last ones
+/// clamped to the cells left.
+fn cut_groups(order: &[usize], sizes: &[usize]) -> Vec<Vec<usize>> {
+    let mut rest = order;
+    sizes
+        .iter()
+        .map(|&size| {
+            let (group, tail) = rest.split_at(size.min(rest.len()));
+            rest = tail;
+            group.to_vec()
+        })
+        .collect()
 }
 
 impl core::fmt::Display for Strategy {
@@ -195,9 +249,8 @@ impl core::str::FromStr for Strategy {
     /// # Errors
     ///
     /// [`Error::NoCells`] when the text has no cells; the usual
-    /// strategy-validation errors otherwise. Unparsable cell indices
-    /// surface as [`Error::MissingCell`]-free [`Error::NoCells`]-free
-    /// errors: concretely [`Error::CellOutOfRange`] with `cells: 0`.
+    /// strategy-validation errors otherwise. A token that is not a cell
+    /// index surfaces as [`Error::CellOutOfRange`] with `cells: 0`.
     fn from_str(s: &str) -> Result<Strategy> {
         let mut groups = Vec::new();
         for chunk in s.split('|') {
@@ -222,16 +275,6 @@ impl core::str::FromStr for Strategy {
 }
 
 impl Instance {
-    fn check_strategy(&self, strategy: &Strategy) -> Result<()> {
-        if strategy.num_cells() != self.num_cells() {
-            return Err(Error::StrategyInstanceMismatch {
-                strategy_cells: strategy.num_cells(),
-                instance_cells: self.num_cells(),
-            });
-        }
-        Ok(())
-    }
-
     /// Expected number of cells paged until **all** devices are found
     /// (Lemma 2.1 closed form).
     ///
@@ -240,23 +283,35 @@ impl Instance {
     /// Returns [`Error::StrategyInstanceMismatch`] when the strategy
     /// covers a different number of cells.
     pub fn expected_paging(&self, strategy: &Strategy) -> Result<f64> {
-        self.check_strategy(strategy)?;
-        let m = self.num_devices();
-        let c = self.num_cells();
+        strategy.check_cells(self.num_cells())?;
+        Ok(self.lemma_2_1(strategy))
+    }
+
+    /// [`Instance::expected_paging`] for a strategy the caller built
+    /// over exactly this instance's cells, as every solver does.
+    pub(crate) fn lemma_2_1(&self, strategy: &Strategy) -> f64 {
+        self.telescoped_ep(strategy, |prefix| prefix.iter().product())
+    }
+
+    /// `c − Σ_r |S_{r+1}| · stop(P(L_r))`, where `stop` maps the
+    /// per-device probabilities `P_i(L_r)` to the probability that the
+    /// search is over after round `r`: their product for the
+    /// Conference Call (Lemma 2.1), a tail probability for the
+    /// Signature problem. The strategy must cover this instance's cells.
+    pub(crate) fn telescoped_ep(&self, strategy: &Strategy, stop: impl Fn(&[f64]) -> f64) -> f64 {
+        debug_assert_eq!(strategy.num_cells(), self.num_cells());
         // prefix[i] = P_i(L_r) accumulated as we sweep rounds.
-        let mut prefix = vec![0.0f64; m];
-        let mut ep = c as f64;
-        let t = strategy.rounds();
-        for r in 0..t.saturating_sub(1) {
+        let mut prefix = vec![0.0f64; self.num_devices()];
+        let mut ep = self.num_cells() as f64;
+        for r in 0..strategy.rounds().saturating_sub(1) {
             for &cell in strategy.group(r) {
                 for (i, acc) in prefix.iter_mut().enumerate() {
                     *acc += self.prob(i, cell);
                 }
             }
-            let all_found: f64 = prefix.iter().product();
-            ep -= strategy.group(r + 1).len() as f64 * all_found;
+            ep -= strategy.group(r + 1).len() as f64 * stop(&prefix);
         }
-        Ok(ep)
+        ep
     }
 
     /// Expected paging computed **directly** from the definition — the
@@ -269,7 +324,7 @@ impl Instance {
     /// Returns [`Error::StrategyInstanceMismatch`] when the strategy
     /// covers a different number of cells.
     pub fn expected_paging_direct(&self, strategy: &Strategy) -> Result<f64> {
-        self.check_strategy(strategy)?;
+        strategy.check_cells(self.num_cells())?;
         let m = self.num_devices();
         let mut prefix = vec![0.0f64; m];
         let mut prev_all_found = 0.0f64; // Pr[F_0] = 0
@@ -302,7 +357,7 @@ impl Instance {
     /// Returns [`Error::StrategyInstanceMismatch`] when the strategy
     /// covers a different number of cells.
     pub fn found_by_round(&self, strategy: &Strategy, round: usize) -> Result<f64> {
-        self.check_strategy(strategy)?;
+        strategy.check_cells(self.num_cells())?;
         let m = self.num_devices();
         let mut prefix = vec![0.0f64; m];
         for r in 0..=round.min(strategy.rounds() - 1) {
@@ -324,12 +379,14 @@ impl ExactInstance {
     /// Returns [`Error::StrategyInstanceMismatch`] when the strategy
     /// covers a different number of cells.
     pub fn expected_paging(&self, strategy: &Strategy) -> Result<Ratio> {
-        if strategy.num_cells() != self.num_cells() {
-            return Err(Error::StrategyInstanceMismatch {
-                strategy_cells: strategy.num_cells(),
-                instance_cells: self.num_cells(),
-            });
-        }
+        strategy.check_cells(self.num_cells())?;
+        Ok(self.lemma_2_1(strategy))
+    }
+
+    /// [`ExactInstance::expected_paging`] for a strategy the caller
+    /// built over exactly this instance's cells.
+    pub(crate) fn lemma_2_1(&self, strategy: &Strategy) -> Ratio {
+        debug_assert_eq!(strategy.num_cells(), self.num_cells());
         let m = self.num_devices();
         let c = self.num_cells();
         let mut prefix = vec![Ratio::zero(); m];
@@ -345,7 +402,7 @@ impl ExactInstance {
             let weight = Ratio::from(strategy.group(r + 1).len());
             ep = &ep - &(&weight * &all_found);
         }
-        Ok(ep)
+        ep
     }
 }
 
@@ -369,6 +426,15 @@ mod tests {
             Strategy::new(vec![vec![0], vec![2]]).unwrap_err(),
             Error::MissingCell { cell: 1 }
         );
+        // Far-out indices are gaps, found without a bitmap that large.
+        assert_eq!(
+            Strategy::new(vec![vec![1 << 40], vec![1 << 40]]).unwrap_err(),
+            Error::DuplicateCell { cell: 1 << 40 }
+        );
+        assert_eq!(Strategy::from_assignment(&[0, usize::MAX]), None);
+        // An oversized last round is clamped to the cells left.
+        let s = Strategy::from_order_and_sizes(&[0, 1], &[1, usize::MAX]).unwrap();
+        assert_eq!(s.group_sizes(), vec![1, 1]);
     }
 
     #[test]

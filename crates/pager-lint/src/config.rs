@@ -175,8 +175,9 @@ pub struct Policy;
 
 impl Policy {
     /// `no-unwrap-outside-tests` applies to library/binary code of the
-    /// crates on the serving path; solver crates and tools keep their
-    /// (baselined) panics until they are migrated.
+    /// crates on the serving path. Other crates (experiment binaries,
+    /// hardness reductions, tools) are out of its scope: a panic there
+    /// stops an offline run, not a server.
     #[must_use]
     pub fn unwrap_denied(&self, path: &str) -> bool {
         (path.starts_with("crates/pager-core/src/")
@@ -190,8 +191,8 @@ impl Policy {
     /// The durability modules are panic-free from day one: recovery
     /// code runs against arbitrarily corrupt on-disk state, so every
     /// unwrap there is a latent crash on someone's bad disk. The rest
-    /// of `pager-profiles` keeps its (pre-existing, baselined)
-    /// `expect`s until migrated.
+    /// of `pager-profiles` is out of this rule's scope; its remaining
+    /// `expect`s guard in-memory invariants such as lock poisoning.
     const DURABILITY_PATHS: &'static [&'static str] = &[
         "crates/pager-profiles/src/wal.rs",
         "crates/pager-profiles/src/io.rs",

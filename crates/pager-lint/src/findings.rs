@@ -13,21 +13,12 @@ pub struct Finding {
     pub line: u32,
     /// What is wrong and what to do instead.
     pub message: String,
-    /// The trimmed source line (also the baseline matching key, so
-    /// findings survive unrelated line-number drift).
+    /// The trimmed source line.
     pub excerpt: String,
 }
 
 impl Finding {
-    /// The baseline identity of this finding: rule + file + excerpt.
-    /// Line numbers are deliberately excluded so that editing *other*
-    /// parts of a file does not resurrect grandfathered findings.
-    #[must_use]
-    pub fn key(&self) -> String {
-        format!("{}|{}|{}", self.rule, self.file, self.excerpt)
-    }
-
-    /// JSON form for `--json` output and the baseline file.
+    /// JSON form for `--json` output.
     #[must_use]
     pub fn to_json(&self) -> Value {
         Value::object(vec![
@@ -50,76 +41,4 @@ pub struct Report {
     pub allowed: Vec<Finding>,
     /// Files scanned.
     pub files_scanned: usize,
-}
-
-impl Report {
-    /// Findings not covered by the baseline: for each `(rule, file,
-    /// excerpt)` key, only occurrences beyond the baselined count are
-    /// new. A baseline entry whose code was since fixed simply goes
-    /// unused.
-    #[must_use]
-    pub fn new_findings(&self, baseline_keys: &[String]) -> Vec<&Finding> {
-        let mut budget: std::collections::HashMap<&str, usize> = std::collections::HashMap::new();
-        for key in baseline_keys {
-            *budget.entry(key.as_str()).or_insert(0) += 1;
-        }
-        let mut fresh = Vec::new();
-        for finding in &self.findings {
-            let key = finding.key();
-            match budget.get_mut(key.as_str()) {
-                Some(n) if *n > 0 => *n -= 1,
-                _ => fresh.push(finding),
-            }
-        }
-        fresh
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn finding(rule: &'static str, file: &str, line: u32, excerpt: &str) -> Finding {
-        Finding {
-            rule,
-            file: file.to_string(),
-            line,
-            message: "msg".to_string(),
-            excerpt: excerpt.to_string(),
-        }
-    }
-
-    #[test]
-    fn baseline_matching_ignores_line_numbers() {
-        let report = Report {
-            findings: vec![finding("no-float-eq", "a.rs", 99, "x == 1.0")],
-            allowed: Vec::new(),
-            files_scanned: 1,
-        };
-        let baseline = vec![finding("no-float-eq", "a.rs", 12, "x == 1.0").key()];
-        assert!(report.new_findings(&baseline).is_empty());
-    }
-
-    #[test]
-    fn extra_occurrences_beyond_baseline_are_new() {
-        let report = Report {
-            findings: vec![
-                finding("no-float-eq", "a.rs", 1, "x == 1.0"),
-                finding("no-float-eq", "a.rs", 2, "x == 1.0"),
-            ],
-            allowed: Vec::new(),
-            files_scanned: 1,
-        };
-        let baseline = vec![finding("no-float-eq", "a.rs", 1, "x == 1.0").key()];
-        let fresh = report.new_findings(&baseline);
-        assert_eq!(fresh.len(), 1);
-        assert_eq!(fresh[0].line, 2);
-    }
-
-    #[test]
-    fn stale_baseline_entries_are_harmless() {
-        let report = Report::default();
-        let baseline = vec![finding("no-float-eq", "gone.rs", 1, "y == 2.0").key()];
-        assert!(report.new_findings(&baseline).is_empty());
-    }
 }

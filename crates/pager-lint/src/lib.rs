@@ -19,10 +19,8 @@
 //!    interprocedural rules run ([`rules::run_workspace`]).
 //!
 //! Findings from both passes flow through the inline suppression
-//! filter ([`suppress::Allows`]) and then diff against the committed
-//! [`baseline`] so CI fails only on *new* violations.
+//! filter ([`suppress::Allows`]); any finding left fails the run.
 
-pub mod baseline;
 pub mod callgraph;
 pub mod config;
 pub mod findings;

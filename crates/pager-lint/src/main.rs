@@ -1,39 +1,29 @@
 //! The `pager-lint` binary.
 //!
 //! ```text
-//! pager-lint [--root DIR] [--baseline PATH] [--json] [--write-baseline]
+//! pager-lint [--root DIR] [--json]
 //! pager-lint --explain <rule>
 //! ```
 //!
-//! Exit status: 0 when no findings are new relative to the baseline,
-//! 1 when new findings exist, 2 on usage or I/O errors. After fixing
-//! or deliberately baselining findings, regenerate the committed
-//! baseline with `cargo run -p pager-lint -- --write-baseline`.
-//! `--explain` prints a rule's rationale and allow-syntax (see
-//! docs/lint.md for the `--json` schema).
+//! Exit status: 0 when there are no findings, 1 when there are, 2 on
+//! usage or I/O errors. `--explain` prints a rule's rationale and
+//! allow-syntax (see docs/lint.md for the `--json` schema).
 
-use pager_lint::baseline::Baseline;
-use pager_lint::findings::Finding;
+use pager_lint::findings::Report;
 use pager_lint::{lint_workspace, rules, walk};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const DEFAULT_BASELINE: &str = "lint-baseline.json";
-
 struct Options {
     root: Option<PathBuf>,
-    baseline: Option<PathBuf>,
     json: bool,
-    write_baseline: bool,
     explain: Option<String>,
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         root: None,
-        baseline: None,
         json: false,
-        write_baseline: false,
         explain: None,
     };
     let mut it = args.iter();
@@ -43,20 +33,13 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 let v = it.next().ok_or("--root needs a directory")?;
                 opts.root = Some(PathBuf::from(v));
             }
-            "--baseline" => {
-                let v = it.next().ok_or("--baseline needs a path")?;
-                opts.baseline = Some(PathBuf::from(v));
-            }
             "--json" => opts.json = true,
-            "--write-baseline" => opts.write_baseline = true,
             "--explain" => {
                 let v = it.next().ok_or("--explain needs a rule name")?;
                 opts.explain = Some(v.clone());
             }
             "--help" | "-h" => {
-                return Err("usage: pager-lint [--root DIR] [--baseline PATH] [--json] \
-                     [--write-baseline] | --explain <rule>"
-                    .to_string())
+                return Err("usage: pager-lint [--root DIR] [--json] | --explain <rule>".to_string())
             }
             other => return Err(format!("unknown argument {other:?}")),
         }
@@ -87,19 +70,15 @@ fn explain(name: &str) -> Result<ExitCode, String> {
     }
 }
 
-fn render_json(new: &[&Finding], report: &pager_lint::findings::Report) -> String {
+fn render_json(report: &Report) -> String {
     use jsonio::Value;
     let doc = Value::object(vec![
         ("format", Value::from("pager-lint/v1")),
         ("files_scanned", Value::from(report.files_scanned as u64)),
         ("suppressed", Value::from(report.allowed.len() as u64)),
         (
-            "baselined",
-            Value::from((report.findings.len() - new.len()) as u64),
-        ),
-        (
             "new_findings",
-            Value::Array(new.iter().map(|f| f.to_json()).collect()),
+            Value::Array(report.findings.iter().map(|f| f.to_json()).collect()),
         ),
     ]);
     doc.to_string()
@@ -121,47 +100,27 @@ fn run() -> Result<ExitCode, String> {
                 .ok_or("no [workspace] Cargo.toml above the current directory; pass --root")?
         }
     };
-    let baseline_path = opts.baseline.unwrap_or_else(|| root.join(DEFAULT_BASELINE));
-
     let report = lint_workspace(&root)?;
 
-    if opts.write_baseline {
-        Baseline::write(&report, &baseline_path)
-            .map_err(|e| format!("writing {}: {e}", baseline_path.display()))?;
-        eprintln!(
-            "pager-lint: wrote {} findings to {}",
-            report.findings.len(),
-            baseline_path.display()
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let baseline = Baseline::load(&baseline_path)?;
-    let new = report.new_findings(&baseline.keys);
-
     if opts.json {
-        println!("{}", render_json(&new, &report));
+        println!("{}", render_json(&report));
     } else {
-        for f in &new {
+        for f in &report.findings {
             println!("{}:{}: [{}] {}", f.file, f.line, f.rule, f.message);
             println!("    {}", f.excerpt);
         }
         eprintln!(
-            "pager-lint: {} files, {} new finding(s), {} baselined, {} suppressed inline",
+            "pager-lint: {} files, {} finding(s), {} suppressed inline",
             report.files_scanned,
-            new.len(),
-            report.findings.len() - new.len(),
+            report.findings.len(),
             report.allowed.len()
         );
-        if !new.is_empty() {
-            eprintln!(
-                "pager-lint: fix the findings, add a justified lint:allow, or rerun \
-                 with --write-baseline to grandfather them"
-            );
+        if !report.findings.is_empty() {
+            eprintln!("pager-lint: fix the findings or add a justified lint:allow");
         }
     }
 
-    Ok(if new.is_empty() {
+    Ok(if report.findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)

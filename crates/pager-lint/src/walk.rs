@@ -4,7 +4,7 @@ use std::path::{Path, PathBuf};
 
 /// Directories never scanned. `fixtures` holds pager-lint's own
 /// seeded-violation workspaces (crates/pager-lint/tests/fixtures/),
-/// which must not count against the real workspace's baseline.
+/// which must not count as findings of the real workspace.
 const SKIP_DIRS: &[&str] = &["target", ".git", ".github", "node_modules", "fixtures"];
 
 /// Whether `dir`'s `Cargo.toml` declares `[workspace]`.

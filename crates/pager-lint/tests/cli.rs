@@ -1,5 +1,5 @@
-//! End-to-end tests of the `pager-lint` binary: baseline workflow,
-//! exit codes, JSON output, and detection of seeded violations.
+//! End-to-end tests of the `pager-lint` binary: exit codes, JSON
+//! output, and detection of seeded violations.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -37,7 +37,7 @@ fn run(root: &Path, args: &[&str]) -> (i32, String, String) {
 fn clean_tree_exits_zero_and_seeded_violations_fail() {
     let root = fixture_workspace("seed");
 
-    // Clean tree, no baseline: exit 0.
+    // Clean tree: exit 0.
     let (code, _, stderr) = run(&root, &[]);
     assert_eq!(code, 0, "{stderr}");
 
@@ -48,14 +48,9 @@ fn clean_tree_exits_zero_and_seeded_violations_fail() {
     assert_eq!(code, 1);
     assert!(stdout.contains("no-float-eq"), "{stdout}");
 
-    // Grandfather it, then the same tree passes.
-    let (code, _, _) = run(&root, &["--write-baseline"]);
-    assert_eq!(code, 0);
-    let (code, _, _) = run(&root, &[]);
-    assert_eq!(code, 0);
-
-    // A *new* violation on top of the baseline still fails: nested
+    // With that fixed, a different violation still fails: nested
     // locks acquired against the declared order.
+    std::fs::remove_file(&bad).expect("remove bad");
     std::fs::write(
         root.join("crates/pager-core/src/locks.rs"),
         "pub fn bad(a: &S) {\n    let t = a.latest_time.lock().unwrap();\n    \
@@ -89,6 +84,7 @@ fn json_output_is_machine_readable() {
         .and_then(jsonio::Value::as_array)
         .expect("new_findings array");
     assert_eq!(new.len(), 1);
+    assert!(doc.get("baselined").is_none(), "{stdout}");
     assert_eq!(
         new[0].get("rule").and_then(jsonio::Value::as_str),
         Some("no-unwrap-outside-tests")
@@ -99,8 +95,10 @@ fn json_output_is_machine_readable() {
 #[test]
 fn usage_errors_exit_two() {
     let root = fixture_workspace("usage");
-    let (code, _, stderr) = run(&root, &["--no-such-flag"]);
-    assert_eq!(code, 2);
-    assert!(stderr.contains("unknown argument"), "{stderr}");
+    for flag in ["--no-such-flag", "--write-baseline"] {
+        let (code, _, stderr) = run(&root, &[flag]);
+        assert_eq!(code, 2, "{flag}");
+        assert!(stderr.contains("unknown argument"), "{flag}: {stderr}");
+    }
     std::fs::remove_dir_all(&root).expect("cleanup");
 }

@@ -1,74 +1,32 @@
-//! The workspace must lint clean against its committed baseline.
+//! The workspace must lint clean: zero findings.
 //!
-//! This is the same check CI runs. If it fails after your change:
-//! fix the new finding, add a justified `// lint:allow(rule): reason`,
-//! or — for deliberate grandfathering only — regenerate the baseline
-//! with `cargo run -p pager-lint -- --write-baseline`.
+//! This is the same check CI runs. If it fails after your change, fix
+//! the finding or add a justified `// lint:allow(rule): reason`.
 
-use pager_lint::baseline::Baseline;
 use pager_lint::lint_workspace;
 use std::path::Path;
 
 #[test]
-fn workspace_is_clean_against_committed_baseline() {
+fn workspace_has_no_findings() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
         .expect("workspace root above crates/pager-lint")
         .to_path_buf();
-    assert!(
-        root.join("lint-baseline.json").exists(),
-        "committed baseline missing at {}",
-        root.display()
-    );
     let report = lint_workspace(&root).expect("lint run");
     assert!(
         report.files_scanned > 50,
         "scanned only {} files",
         report.files_scanned
     );
-    let baseline = Baseline::load(&root.join("lint-baseline.json")).expect("baseline parses");
-    let new: Vec<String> = report
-        .new_findings(&baseline.keys)
+    let findings: Vec<String> = report
+        .findings
         .iter()
         .map(|f| format!("{}:{}: [{}] {}", f.file, f.line, f.rule, f.excerpt))
         .collect();
     assert!(
-        new.is_empty(),
-        "new lint findings not in the baseline:\n{}",
-        new.join("\n")
-    );
-}
-
-#[test]
-fn baseline_has_no_stale_overhang() {
-    // Every baselined finding should still exist: a fixed finding
-    // leaves a stale entry that silently widens the budget for
-    // *reintroducing* the same code. Regenerate the baseline after
-    // fixing findings.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root")
-        .to_path_buf();
-    let report = lint_workspace(&root).expect("lint run");
-    let live: Vec<String> = report.findings.iter().map(|f| f.key()).collect();
-    let baseline = Baseline::load(&root.join("lint-baseline.json")).expect("baseline parses");
-    let mut live_budget = std::collections::HashMap::new();
-    for key in &live {
-        *live_budget.entry(key.as_str()).or_insert(0u32) += 1;
-    }
-    let mut stale = Vec::new();
-    for key in &baseline.keys {
-        match live_budget.get_mut(key.as_str()) {
-            Some(n) if *n > 0 => *n -= 1,
-            _ => stale.push(key.clone()),
-        }
-    }
-    assert!(
-        stale.is_empty(),
-        "baseline entries whose finding no longer exists (regenerate with \
-         --write-baseline):\n{}",
-        stale.join("\n")
+        findings.is_empty(),
+        "lint findings:\n{}",
+        findings.join("\n")
     );
 }

@@ -19,6 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use jsonio::Value;
+use pager_core::fingerprint::{fnv1a64, FNV1A64_OFFSET};
 use pager_core::Instance;
 
 use crate::profile::{DeviceProfile, Estimator, ProfileConfig, Time};
@@ -161,8 +162,10 @@ impl ProfileStore {
         t.is_finite().then_some(t)
     }
 
+    /// FNV-1a over the device ID: stable shard routing across runs.
     fn shard_for(&self, device: &str) -> &Mutex<Shard> {
-        &self.shards[fnv1a(device) as usize % self.shards.len()]
+        let hash = fnv1a64(FNV1A64_OFFSET, device.as_bytes());
+        &self.shards[hash as usize % self.shards.len()]
     }
 
     /// Ingests one sighting of `device` (seen in `cell` of a
@@ -470,16 +473,6 @@ impl ProfileStore {
     }
 }
 
-/// FNV-1a over the device ID — stable shard routing across runs.
-fn fnv1a(text: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in text.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -487,6 +480,19 @@ mod tests {
 
     fn store() -> ProfileStore {
         ProfileStore::new(StoreConfig::default()).unwrap()
+    }
+
+    #[test]
+    fn shard_routing_is_pinned() {
+        // Device-to-shard routing decides which lock guards a profile.
+        let s = store();
+        let shard_of = |d| {
+            s.shards
+                .iter()
+                .position(|m| std::ptr::eq(m, s.shard_for(d)))
+        };
+        let devices = ["alice", "bob", "dev-0", "dev-1", "device-42", "", "z"];
+        assert_eq!(devices.map(shard_of), [7, 4, 9, 6, 8, 5, 13].map(Some));
     }
 
     #[test]

@@ -286,9 +286,24 @@ mod tests {
         // Standard IEEE check values.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"a"), 0xE8B7_BE43);
         assert_eq!(
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
+        );
+        let kib: Vec<u8> = (0..1024u32).map(|i| (i * 31 + 7) as u8).collect();
+        assert_eq!(crc32(&kib), 0x7C32_1B5D);
+    }
+
+    #[test]
+    fn record_bytes_are_pinned() {
+        // The on-disk format: recovery of existing logs depends on it.
+        assert_eq!(
+            encode_record(&sighting("dev-7", 12, 42.5, 3)).unwrap(),
+            [
+                26, 0, 0, 0, 6, 62, 169, 15, 1, 12, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 64, 69, 64,
+                5, 0, 0, 0, 100, 101, 118, 45, 55
+            ]
         );
     }
 

@@ -10,6 +10,7 @@ use pager_profiles::{
     DurabilityConfig, DurableError, DurableStore, Estimator, FsyncPolicy, ProfileStore,
     RecoveryReport, Sighting, StoreConfig, Time, WalSegment,
 };
+use pager_wire::fold_cache_key;
 
 use crate::cache::ShardedCache;
 use crate::deadline::Deadline;
@@ -458,21 +459,13 @@ impl PagerService {
             estimator,
             profile_versions: versions.to_vec(),
         };
-        let mut fp = instance.fingerprint64(self.config.grid);
-        // Fold the non-instance key parts in FNV-style.
-        let words = [
+        let fp = fold_cache_key(
+            instance.fingerprint64(self.config.grid),
             spec.delay().get() as u64,
-            spec.variant().cache_tag(),
+            spec.variant(),
             estimator,
-        ]
-        .into_iter()
-        .chain(versions.iter().copied());
-        for word in words {
-            for byte in word.to_le_bytes() {
-                fp ^= u64::from(byte);
-                fp = fp.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
+            versions,
+        );
         (key, fp)
     }
 
@@ -879,6 +872,31 @@ mod tests {
 
     fn inst() -> Instance {
         Instance::from_rows(vec![vec![0.4, 0.3, 0.2, 0.1], vec![0.25, 0.25, 0.25, 0.25]]).unwrap()
+    }
+
+    #[test]
+    fn key_fingerprints_match_the_v2_view_and_are_pinned() {
+        use jsonio::Value;
+        use pager_wire::binary::encode_plan_request;
+        use pager_wire::frame::{self, Split};
+        let svc = service();
+        let grid = svc.config.grid;
+        for variant in [Variant::Auto, Variant::Exact, Variant::Bandwidth(2)] {
+            let spec = PlanSpec::new(Delay::new(2).unwrap()).with_variant(variant);
+            let mut out = Vec::new();
+            assert!(encode_plan_request(&mut out, &Value::Null, &inst(), &spec));
+            let Split::V2Frame { payload, .. } = frame::split(&out) else {
+                panic!("expected a v2 frame");
+            };
+            let view = pager_wire::PlanFrameView::parse(payload).unwrap();
+            let (_, fp) = svc.derive_key(&inst(), &spec, 0, &[]);
+            assert_eq!(view.instance_fingerprint(grid), inst().fingerprint64(grid));
+            assert_eq!(view.request_fingerprint(grid), fp, "{variant:?}");
+        }
+        // The profile-driven path folds the estimator and versions too.
+        let spec = PlanSpec::new(Delay::new(3).unwrap());
+        let (_, fp) = svc.derive_key(&inst(), &spec, 2, &[5, 9]);
+        assert_eq!(fp, 0x71ba_20c1_499e_aec3);
     }
 
     #[test]

@@ -41,12 +41,13 @@
 //! JSON fields).
 
 use jsonio::Value;
+use pager_core::fingerprint::fingerprint_words;
 use pager_core::{Delay, Instance};
 
 use crate::error::{ErrorCode, WireError};
 use crate::frame::{self, op};
 use crate::json;
-use crate::request::{PlanSpec, Request, Variant};
+use crate::request::{fold_cache_key, PlanSpec, Request, Variant};
 use crate::response::Response;
 
 /// Variant tag bytes in plan-request payloads.
@@ -388,16 +389,9 @@ impl<'a> PlanFrameView<'a> {
     /// the equivalent v1 JSON (or `textio`) request. Allocation-free.
     #[must_use]
     pub fn instance_fingerprint(&self, grid: u32) -> u64 {
-        // FNV-1a over the same words as Instance::fingerprint64.
-        let mut fp = FNV_OFFSET;
-        for word in [self.devices as u64, self.cells as u64, u64::from(grid)] {
-            fp = fnv_mix(fp, word);
-        }
         let n = self.devices as usize * self.cells as usize;
-        for i in 0..n {
-            fp = fnv_mix(fp, u64::from(self.bucket(i, grid)));
-        }
-        fp
+        let buckets = (0..n).map(|i| u64::from(self.bucket(i, grid)));
+        fingerprint_words(self.devices as usize, self.cells as usize, grid, buckets)
     }
 
     /// The cache fingerprint of this request: identical to what the
@@ -406,14 +400,14 @@ impl<'a> PlanFrameView<'a> {
     /// profile versions). Allocation-free.
     #[must_use]
     pub fn request_fingerprint(&self, grid: u32) -> u64 {
-        // The instance fingerprint, then the derive_key fold: delay,
-        // variant tag, estimator.
-        let mut fp = self.instance_fingerprint(grid);
         let variant = self.variant().unwrap_or(Variant::Auto);
-        for word in [u64::from(self.delay), variant.cache_tag(), 0] {
-            fp = fnv_mix(fp, word);
-        }
-        fp
+        fold_cache_key(
+            self.instance_fingerprint(grid),
+            u64::from(self.delay),
+            variant,
+            0,
+            &[],
+        )
     }
 
     /// Materialises the view as a typed request (the slow path for
@@ -447,17 +441,6 @@ impl<'a> PlanFrameView<'a> {
             spec,
         })
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fnv_mix(mut fp: u64, word: u64) -> u64 {
-    for byte in word.to_le_bytes() {
-        fp ^= u64::from(byte);
-        fp = fp.wrapping_mul(FNV_PRIME);
-    }
-    fp
 }
 
 /// Encodes a plan request as a complete 0x01 frame. Returns `false`
@@ -770,22 +753,27 @@ mod tests {
     }
 
     #[test]
-    fn view_fingerprint_matches_instance_fingerprint_fold() {
-        // The view must replicate Instance::fingerprint64 plus the
-        // service's derive_key fold (delay, variant tag, estimator 0).
-        let inst = instance();
-        let grid = 1000;
-        let mut expected = inst.fingerprint64(grid);
-        for word in [2u64, Variant::Auto.cache_tag(), 0] {
-            expected = fnv_mix(expected, word);
+    fn view_fingerprints_are_pinned() {
+        let inst = Instance::from_rows(vec![
+            vec![0.5, 0.25, 0.125, 0.125],
+            vec![0.1, 0.2, 0.3, 0.4],
+        ])
+        .expect("valid");
+        for (delay, variant, pinned) in [
+            (2, Variant::Auto, 0x436e_21e4_e593_26a5),
+            (3, Variant::Greedy, 0x074d_7fe9_ddc5_ada6),
+            (2, Variant::Signature(1), 0x1f61_fd9b_6745_2ba0),
+        ] {
+            let spec = PlanSpec::new(Delay::new(delay).unwrap()).with_variant(variant);
+            let mut out = Vec::new();
+            assert!(encode_plan_request(&mut out, &Value::Int(9), &inst, &spec));
+            let Split::V2Frame { payload, .. } = frame::split(&out) else {
+                panic!("expected a v2 frame");
+            };
+            let view = PlanFrameView::parse(payload).expect("parses");
+            assert_eq!(view.instance_fingerprint(1000), 0x661f_21c9_0c2a_0ac7);
+            assert_eq!(view.request_fingerprint(1000), pinned, "{variant:?}");
         }
-        let mut out = Vec::new();
-        assert!(encode_plan_request(&mut out, &Value::Null, &inst, &spec()));
-        let Split::V2Frame { payload, .. } = frame::split(&out) else {
-            panic!("expected a v2 frame");
-        };
-        let view = PlanFrameView::parse(payload).expect("parses");
-        assert_eq!(view.request_fingerprint(grid), expected);
     }
 
     #[test]

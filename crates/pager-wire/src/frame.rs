@@ -47,37 +47,9 @@ pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 /// a mismatch is [`Split::Malformed`], never delivered data.
 pub const FLAG_CHECKED: u8 = 0x01;
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) — the same
-/// checksum the profile WAL uses for its on-disk records.
-#[must_use]
-pub fn crc32(data: &[u8]) -> u32 {
-    // Nibble-driven table: 16 entries is enough to stay fast without
-    // a build-time table generator.
-    const TABLE: [u32; 16] = [
-        0x0000_0000,
-        0x1DB7_1064,
-        0x3B6E_20C8,
-        0x26D9_30AC,
-        0x76DC_4190,
-        0x6B6B_51F4,
-        0x4DB2_6158,
-        0x5005_713C,
-        0xEDB8_8320,
-        0xF00F_9344,
-        0xD6D6_A3E8,
-        0xCB61_B38C,
-        0x9B64_C2B0,
-        0x86D3_D2D4,
-        0xA00A_E278,
-        0xBDBD_F21C,
-    ];
-    let mut crc = !0u32;
-    for &byte in data {
-        crc = (crc >> 4) ^ TABLE[((crc ^ u32::from(byte)) & 0xF) as usize];
-        crc = (crc >> 4) ^ TABLE[((crc ^ (u32::from(byte) >> 4)) & 0xF) as usize];
-    }
-    !crc
-}
+/// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320): the
+/// profile WAL's record checksum, reused for checked frames.
+pub use pager_profiles::wal::crc32;
 
 /// v2 op codes.
 pub mod op {
@@ -303,6 +275,16 @@ mod tests {
                 "flags {flags:#x}"
             );
         }
+    }
+
+    #[test]
+    fn checked_frame_bytes_are_pinned() {
+        let mut out = Vec::new();
+        write_checked_frame(&mut out, op::PING, b"golden");
+        let pinned = [
+            183, 2, 4, 1, 6, 0, 0, 0, 103, 111, 108, 100, 101, 110, 102, 126, 36, 177,
+        ];
+        assert_eq!(out, pinned);
     }
 
     #[test]

@@ -40,5 +40,5 @@ mod response;
 pub use binary::{IdView, PlanFrameView};
 pub use codec::{BinaryCodec, Codec, JsonCodec};
 pub use error::{ErrorCode, WireError};
-pub use request::{PlanSpec, Request, RoutedRequest, Variant};
+pub use request::{fold_cache_key, PlanSpec, Request, RoutedRequest, Variant};
 pub use response::{DeviceExt, ErrorBody, PlanBody, Response};

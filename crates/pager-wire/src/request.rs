@@ -3,6 +3,7 @@
 //! frame).
 
 use jsonio::Value;
+use pager_core::fingerprint::fnv1a64;
 use pager_core::{Delay, Instance};
 use pager_profiles::{Estimator, Sighting};
 
@@ -48,6 +49,26 @@ impl Variant {
             Variant::Signature(k) => (4 << 32) | k as u64,
         }
     }
+}
+
+/// Folds the non-instance parts of a plan-cache key into an instance
+/// fingerprint: the delay, the variant's [`Variant::cache_tag`], the
+/// estimator tag (0 for matrix requests) and any profile versions.
+/// Frozen: the service keys its cache with this, and a v2 plan frame
+/// reaches the same value without materialising a request.
+#[inline]
+#[must_use]
+pub fn fold_cache_key(
+    instance_fp: u64,
+    delay: u64,
+    variant: Variant,
+    estimator: u64,
+    versions: &[u64],
+) -> u64 {
+    [delay, variant.cache_tag(), estimator]
+        .iter()
+        .chain(versions)
+        .fold(instance_fp, |fp, word| fnv1a64(fp, &word.to_le_bytes()))
 }
 
 /// Everything one planning request asks for, in one typed value.

@@ -143,12 +143,16 @@ fn bad_arguments_print_usage() {
 #[test]
 fn bad_strategy_spec_rejected() {
     let file = write_demo();
-    let out = pager()
-        .arg(&file.0)
-        .args(["--evaluate", "0,0 | 1"])
-        .output()
-        .expect("pager runs");
-    assert!(!out.status.success());
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("bad strategy spec"), "{stderr}");
+    // A duplicate, and cell indices far past the instance: each must
+    // be a clean error (exit 1), not a panic or a huge allocation.
+    for spec in ["0,0 | 1", "0 | 18446744073709551615", "0 | 100000000000"] {
+        let out = pager()
+            .arg(&file.0)
+            .args(["--evaluate", spec])
+            .output()
+            .expect("pager runs");
+        assert_eq!(out.status.code(), Some(1), "{spec}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("bad strategy spec"), "{spec}: {stderr}");
+    }
 }

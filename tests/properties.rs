@@ -140,4 +140,57 @@ proptest! {
         prop_assert!((report.mean_cells_paged - analytic).abs() < 0.25,
             "simulated {} vs analytic {analytic}", report.mean_cells_paged);
     }
+
+    /// The assignment constructor agrees with validation: it yields
+    /// `None` exactly when a round in `0..=max` has no cell, and
+    /// otherwise the strategy `Strategy::new` accepts for the same
+    /// groups, which `round_of_cell` maps back to the assignment.
+    #[test]
+    fn assignment_constructor_matches_validation(
+        rounds in proptest::collection::vec(0usize..5, 0..9),
+    ) {
+        let groups: Vec<Vec<usize>> = (0..rounds.iter().max().map_or(0, |&r| r + 1))
+            .map(|r| (0..rounds.len()).filter(|&j| rounds[j] == r).collect())
+            .collect();
+        let built = Strategy::from_assignment(&rounds);
+        let has_empty_round = groups.is_empty() || groups.iter().any(Vec::is_empty);
+        prop_assert_eq!(built.is_none(), has_empty_round);
+        if let Ok(valid) = Strategy::new(groups) {
+            prop_assert_eq!(valid.round_of_cell(), rounds);
+            prop_assert_eq!(built, Some(valid));
+        }
+    }
+
+    /// The order + sizes constructor agrees with validation on random
+    /// splits of random cell orders, some perturbed into non-partitions:
+    /// whenever the validating constructor accepts, `Strategy::cut`
+    /// builds the same strategy.
+    #[test]
+    fn cut_matches_validation(c in 1usize..9, seed in any::<u64>()) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut order: Vec<usize> = (0..c).collect();
+        for i in (1..c).rev() {
+            order.swap(i, rng.gen_range(0..=i));
+        }
+        // Positive sizes summing to c: each later cell opens a new
+        // round with odds 2/5.
+        let mut sizes = vec![1usize];
+        for _ in 1..c {
+            if rng.gen_bool(0.4) { sizes.push(1) } else { *sizes.last_mut().unwrap() += 1 }
+        }
+        let (bad_order, bad_sizes) = (rng.gen_bool(0.3), rng.gen_bool(0.3));
+        if bad_order {
+            order[rng.gen_range(0..c)] = rng.gen_range(0..c + 2);
+        }
+        if bad_sizes {
+            let at = rng.gen_range(0..sizes.len());
+            sizes[at] = rng.gen_range(0..=c);
+        }
+        match Strategy::from_order_and_sizes(&order, &sizes) {
+            Ok(valid) => prop_assert_eq!(Strategy::cut(&order, &sizes), valid),
+            Err(e) => prop_assert!(bad_order || bad_sizes, "valid split rejected: {e}"),
+        }
+    }
 }
