@@ -17,11 +17,11 @@ use pager_service::engine::{Call, Gauges, Handler, Reply};
 use pager_wire::frame::op;
 use pager_wire::PlanFrameView;
 
-use crate::router::{Router, RouterMetrics};
+use crate::router::Router;
 
 impl Handler for Router {
     fn on_line(self: Arc<Self>, line: &str, call: &mut Call<'_>) -> Reply {
-        RouterMetrics::bump(&self.metrics.requests);
+        self.metrics.requests.inc();
         let routed = match self.parse_line(line) {
             Ok(routed) => routed,
             Err(outcome) => {
@@ -45,7 +45,7 @@ impl Handler for Router {
     }
 
     fn on_frame(self: Arc<Self>, frame_op: u8, payload: &[u8], call: &mut Call<'_>) -> Reply {
-        RouterMetrics::bump(&self.metrics.requests);
+        self.metrics.requests.inc();
         if frame_op != op::PLAN {
             Router::answer_local_frame(frame_op, call.out());
             return Reply::Now;

@@ -38,6 +38,7 @@ use std::time::{Duration, Instant};
 
 use jsonio::Value;
 use pager_profiles::Sighting;
+use pager_service::metrics::Counter;
 use pager_wire::frame::{self, op};
 use pager_wire::{
     binary, json, ErrorCode, IdView, PlanFrameView, Request, RoutedRequest, WireError,
@@ -181,55 +182,37 @@ pub(crate) struct ShardNodes {
     pub(crate) replicas: Vec<usize>,
 }
 
-/// Router-side counters, dumped by the `stats` op.
-#[derive(Debug, Default)]
-pub(crate) struct RouterMetrics {
-    pub(crate) requests: AtomicU64,
-    pub(crate) forwarded: AtomicU64,
-    pub(crate) retries: AtomicU64,
-    pub(crate) failovers: AtomicU64,
-    pub(crate) shed_passthrough: AtomicU64,
-    pub(crate) transport_errors: AtomicU64,
-    pub(crate) shipped_records: AtomicU64,
-    pub(crate) breaker_rejections: AtomicU64,
-    /// Replies that arrived intact but are not valid pager responses
-    /// (corrupted or byzantine backend). These trip the breaker like
-    /// transport failures — a garbage-speaking backend must not be
-    /// retried forever.
-    pub(crate) byzantine_replies: AtomicU64,
-    /// Open client connections on the TCP front end (gauge).
-    pub(crate) connections: AtomicU64,
-    /// Front-end watchdog firings: a request still unanswered when its
-    /// deadline budget elapsed.
-    pub(crate) deadline_watchdog: AtomicU64,
-}
-
-impl RouterMetrics {
-    pub(crate) fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed); // lint:allow(atomics-ordering-audit): monotone counter, no handoff
-    }
-
-    pub(crate) fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed); // lint:allow(atomics-ordering-audit): monotone counter, no handoff
-    }
-
-    fn to_json(&self) -> Value {
-        let read = |c: &AtomicU64| {
-            Value::from(c.load(Ordering::Relaxed)) // lint:allow(atomics-ordering-audit): report-only read
-        };
-        Value::object(vec![
-            ("requests", read(&self.requests)),
-            ("forwarded", read(&self.forwarded)),
-            ("retries", read(&self.retries)),
-            ("failovers", read(&self.failovers)),
-            ("shed_passthrough", read(&self.shed_passthrough)),
-            ("transport_errors", read(&self.transport_errors)),
-            ("shipped_records", read(&self.shipped_records)),
-            ("breaker_rejections", read(&self.breaker_rejections)),
-            ("byzantine_replies", read(&self.byzantine_replies)),
-            ("connections", read(&self.connections)),
-            ("deadline_watchdog", read(&self.deadline_watchdog)),
-        ])
+pager_service::registry! {
+    /// Router-side counters, dumped by the `stats` op.
+    pub(crate) struct RouterMetrics {
+        /// Client requests received (lines and frames).
+        requests: Counter,
+        /// Backend calls that returned a reply (a shed reply that is
+        /// retried counts again on the retry).
+        forwarded: Counter,
+        /// Backend calls retried after a failure or a shed reply.
+        retries: Counter,
+        /// Replica promotions after an owner failed.
+        failovers: Counter,
+        /// Shed replies relayed to the client because waiting out their
+        /// retry hint would overrun the deadline.
+        shed_passthrough: Counter,
+        /// Backend calls counted as failures against the breaker.
+        transport_errors: Counter,
+        /// WAL records shipped to replicas.
+        shipped_records: Counter,
+        /// Backend calls refused locally by an open breaker.
+        breaker_rejections: Counter,
+        /// Replies that arrived intact but are not valid pager responses
+        /// (corrupted or byzantine backend). These trip the breaker like
+        /// transport failures — a garbage-speaking backend must not be
+        /// retried forever.
+        byzantine_replies: Counter,
+        /// Open client connections on the TCP front end (gauge).
+        connections: Counter,
+        /// Front-end watchdog firings: a request still unanswered when its
+        /// deadline budget elapsed.
+        deadline_watchdog: Counter,
     }
 }
 
@@ -345,7 +328,7 @@ impl Router {
         let backend = &self.backends[idx];
         let open_until = backend.open_until_micros.load(Ordering::Acquire);
         if open_until > self.now_micros() {
-            RouterMetrics::bump(&self.metrics.breaker_rejections);
+            self.metrics.breaker_rejections.inc();
             return Err(format!("breaker open for {}", backend.node));
         }
         let connect_timeout = self
@@ -410,7 +393,7 @@ impl Router {
         self.with_backend_conn(idx, budget, |conn| {
             let value = conn.round_trip_checked(line)?;
             if value.get("ok").and_then(Value::as_bool).is_none() {
-                RouterMetrics::bump(&self.metrics.byzantine_replies);
+                self.metrics.byzantine_replies.inc();
                 return Err("byzantine reply from backend (no ok field)".to_string());
             }
             Ok(value)
@@ -432,7 +415,7 @@ impl Router {
                 resp_op,
                 op::PLAN_RESP | op::ERROR | op::PONG | op::JSON_RESP
             ) {
-                RouterMetrics::bump(&self.metrics.byzantine_replies);
+                self.metrics.byzantine_replies.inc();
                 return Err(format!(
                     "byzantine reply from backend (response op 0x{resp_op:02X})"
                 ));
@@ -442,7 +425,7 @@ impl Router {
     }
 
     fn record_failure(&self, idx: usize) {
-        RouterMetrics::bump(&self.metrics.transport_errors);
+        self.metrics.transport_errors.inc();
         let backend = &self.backends[idx];
         let failures = backend.failures.fetch_add(1, Ordering::AcqRel) + 1;
         if failures >= self.config.breaker_threshold {
@@ -476,7 +459,7 @@ impl Router {
                     nodes.replicas.remove(0);
                     nodes.owner = next;
                     membership.map.epoch += 1;
-                    RouterMetrics::bump(&self.metrics.failovers);
+                    self.metrics.failovers.inc();
                     if chaos_debug() {
                         eprintln!(
                             "[chaos-debug] promote shard={shard} dead={dead} next={next} epoch={}",
@@ -615,16 +598,16 @@ impl Router {
             let (owner, _, _) = self.shard_snapshot(shard);
             match call(self, owner, remaining) {
                 Ok((value, retry_after)) => {
-                    RouterMetrics::bump(&self.metrics.forwarded);
+                    self.metrics.forwarded.inc();
                     let Some(retry_after) = retry_after else {
                         return Ok((value, owner));
                     };
                     let wait = Duration::from_millis(retry_after);
                     if Instant::now() + wait >= give_up {
-                        RouterMetrics::bump(&self.metrics.shed_passthrough);
+                        self.metrics.shed_passthrough.inc();
                         return Ok((value, owner));
                     }
-                    RouterMetrics::bump(&self.metrics.retries);
+                    self.metrics.retries.inc();
                     std::thread::sleep(wait);
                 }
                 Err(error) => {
@@ -634,7 +617,7 @@ impl Router {
                             "shard {shard} unavailable within deadline: {error}"
                         ));
                     }
-                    RouterMetrics::bump(&self.metrics.retries);
+                    self.metrics.retries.inc();
                     if !has_owner {
                         // Nothing to promote; wait for the breaker to
                         // half-open and probe the old owner again.
@@ -654,7 +637,7 @@ impl Router {
     /// back to the client.
     #[must_use]
     pub fn handle_line(&self, line: &str) -> RouterOutcome {
-        RouterMetrics::bump(&self.metrics.requests);
+        self.metrics.requests.inc();
         match self.parse_line(line) {
             Ok(routed) => self.route(line, routed),
             Err(outcome) => outcome,
@@ -695,7 +678,7 @@ impl Router {
             Request::Stats | Request::Metrics => Some(RouterOutcome {
                 response: self.ok_line(vec![
                     ("epoch", Value::from(self.epoch())),
-                    ("router", self.metrics.to_json()),
+                    ("router", Value::object(self.metrics.entries())),
                 ]),
                 shutdown: false,
             }),
@@ -766,7 +749,7 @@ impl Router {
     /// JSON affordance; v2 clients wanting membership ask `node_info`.
     #[must_use]
     pub fn handle_frame(&self, frame_op: u8, payload: &[u8], out: &mut Vec<u8>) -> bool {
-        RouterMetrics::bump(&self.metrics.requests);
+        self.metrics.requests.inc();
         match frame_op {
             op::PLAN => self.route_plan_frame(frame_op, payload, out),
             op::JSON_REQ => match std::str::from_utf8(payload) {
@@ -1338,10 +1321,10 @@ mod tests {
             .unwrap_err();
         assert!(err.contains("breaker open"), "{err}");
         assert_eq!(
-            router.metrics.byzantine_replies.load(Ordering::Relaxed),
+            router.metrics.byzantine_replies.get(),
             u64::from(router.config.breaker_threshold),
         );
-        assert_eq!(router.metrics.breaker_rejections.load(Ordering::Relaxed), 1);
+        assert_eq!(router.metrics.breaker_rejections.get(), 1);
     }
 
     #[test]
@@ -1351,7 +1334,7 @@ mod tests {
             .call_backend_within(0, "{\"cmd\":\"ping\"}", Duration::from_millis(500))
             .unwrap();
         assert_eq!(value.get("ok").and_then(Value::as_bool), Some(true));
-        assert_eq!(router.metrics.byzantine_replies.load(Ordering::Relaxed), 0);
+        assert_eq!(router.metrics.byzantine_replies.get(), 0);
     }
 
     #[test]

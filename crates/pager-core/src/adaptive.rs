@@ -39,6 +39,15 @@ fn plan_next_group(
     if rounds_left <= 1 || unfound.is_empty() {
         return unpaged.to_vec();
     }
+    let Ok(delay) = Delay::new(rounds_left) else {
+        return unpaged.to_vec();
+    };
+    if unpaged.len() == instance.num_cells() {
+        // Nothing paged yet: conditioning on nothing is the identity.
+        // Renormalising would divide each row by a sum of 1 ± an ulp,
+        // which can reorder tied cells away from the oblivious plan.
+        return greedy_strategy(instance, delay).group(0).to_vec();
+    }
     // Conditional rows over the unpaged cells.
     let mut rows = Vec::with_capacity(unfound.len());
     for &i in unfound {
@@ -59,9 +68,6 @@ fn plan_next_group(
     // so neither constructor can fail for a valid instance; paging
     // everything remaining is the safe fallback either way.
     let Ok(reduced) = Instance::from_rows(rows) else {
-        return unpaged.to_vec();
-    };
-    let Ok(delay) = Delay::new(rounds_left) else {
         return unpaged.to_vec();
     };
     let strategy = greedy_strategy(&reduced, delay);
@@ -378,6 +384,27 @@ mod tests {
                 oblivious.expected_paging
             );
         }
+    }
+
+    #[test]
+    fn first_round_is_the_oblivious_one_on_tied_cells() {
+        // Cells 0–3 tie in total weight, and the last cell takes the
+        // remainder, so each row sums to 1 only up to an ulp. The first
+        // round must still be exactly the oblivious heuristic's, so at
+        // d = 2 (first round, then the rest) the two costs coincide.
+        let rest = 1.0 - 0.1 - 0.3 - 0.1 - 0.3;
+        let inst = Instance::from_rows(vec![
+            vec![0.1, 0.3, 0.1, 0.3, rest],
+            vec![0.3, 0.1, 0.3, 0.1, rest],
+        ])
+        .unwrap();
+        let d = Delay::new(2).unwrap();
+        let adaptive = adaptive_expected_paging(&inst, d).unwrap();
+        let oblivious = greedy_strategy_planned(&inst, d).expected_paging;
+        assert!(
+            (adaptive - oblivious).abs() < 1e-12,
+            "adaptive {adaptive} vs oblivious {oblivious}"
+        );
     }
 
     #[test]

@@ -178,7 +178,7 @@ impl std::fmt::Display for DurableError {
     }
 }
 
-/// Counters mirrored into the serving metrics.
+/// Durability counters, read by the serving metrics dump.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DurabilityStats {
     /// WAL records appended since open.

@@ -23,15 +23,16 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+use crate::metrics::Counter;
 
 /// A sharded LRU map from plan keys to cached plans.
 #[derive(Debug)]
 pub struct ShardedCache<K, V> {
     shards: Vec<Mutex<Shard<K, V>>>,
     per_shard_capacity: usize,
-    evictions: AtomicU64,
+    evictions: Counter,
 }
 
 #[derive(Debug)]
@@ -69,7 +70,7 @@ impl<K: Eq + Hash + Clone, V> ShardedCache<K, V> {
                 })
                 .collect(),
             per_shard_capacity,
-            evictions: AtomicU64::new(0),
+            evictions: Counter::default(),
         }
     }
 
@@ -82,8 +83,7 @@ impl<K: Eq + Hash + Clone, V> ShardedCache<K, V> {
     /// Total entries evicted since creation.
     #[must_use]
     pub fn evictions(&self) -> u64 {
-        // lint:allow(atomics-ordering-audit): monotone stats counter, no ordering consumers
-        self.evictions.load(Ordering::Relaxed)
+        self.evictions.get()
     }
 
     /// Current total entry count (sums shard sizes; racy but accurate
@@ -168,8 +168,7 @@ impl<K: Eq + Hash + Clone, V> ShardedCache<K, V> {
             }
         }
         if shard.len >= self.per_shard_capacity && Self::evict_oldest(&mut shard) {
-            // lint:allow(atomics-ordering-audit): monotone stats counter, no ordering consumers
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+            self.evictions.inc();
         }
         shard.map.entry(fingerprint).or_default().push((key, entry));
         shard.len += 1;

@@ -48,7 +48,7 @@ use pager_reactor::{Event, Interest, Reactor, Remote, TimerId, Turn, Waker};
 use pager_wire::frame::{self, op, Split};
 use pager_wire::{binary, ErrorCode, IdView};
 
-use crate::metrics::Metrics;
+use crate::metrics::Counter;
 
 /// Registration token for the shared listener (the reactor reserves
 /// `u64::MAX` for its waker).
@@ -123,10 +123,10 @@ pub trait Handler: Send + Sync + 'static {
 /// Counters the engine maintains for its [`Handler`].
 pub struct Gauges<'a> {
     /// Open connections (gauge).
-    pub connections: &'a AtomicU64,
+    pub connections: &'a Counter,
     /// Watchdog firings: a deferred answer still outstanding when the
     /// budget named in [`Call::later`] elapsed.
-    pub deadline_watchdog: &'a AtomicU64,
+    pub deadline_watchdog: &'a Counter,
 }
 
 /// How a [`Handler`] answered one message.
@@ -686,7 +686,7 @@ impl Shard {
             return;
         }
         self.conns.insert(token, Conn::new(stream));
-        Metrics::inc(self.shared.handler.gauges().connections);
+        self.shared.handler.gauges().connections.inc();
     }
 
     /// Out of fds: unhook the listener (required — `EPOLLEXCLUSIVE`
@@ -907,7 +907,7 @@ impl Shard {
                     conn.busy
                 });
                 if overdue {
-                    Metrics::inc(self.shared.handler.gauges().deadline_watchdog);
+                    self.shared.handler.gauges().deadline_watchdog.inc();
                 }
             }
         }
@@ -956,7 +956,7 @@ impl Shard {
         for _ in conn.pending_ends.drain(..) {
             self.shared.dec_inflight();
         }
-        Metrics::dec(self.shared.handler.gauges().connections);
+        self.shared.handler.gauges().connections.dec();
     }
 
     // ---- drain -----------------------------------------------------

@@ -171,7 +171,6 @@ impl PagerService {
 mod tests {
     use super::*;
     use crate::engine::{serve_reactor_with, ReactorConfig, ReactorHandle};
-    use crate::metrics::Metrics;
     use crate::service::ServiceConfig;
     use pager_wire::binary;
     use pager_wire::frame::{self, op, Split};
@@ -317,7 +316,7 @@ mod tests {
     #[test]
     fn connection_gauge_tracks_opens_and_closes() {
         let svc = service();
-        let metrics_connections = || Metrics::get(&svc.metrics().reactor_connections);
+        let metrics_connections = || svc.metrics().reactor_connections.get();
         let handle = start(Arc::clone(&svc));
         assert_eq!(metrics_connections(), 0);
         let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
@@ -508,7 +507,7 @@ mod tests {
         }
         // The aborted connection is torn down (nothing leaks)...
         let deadline = Instant::now() + Duration::from_secs(2);
-        while Metrics::get(&svc.metrics().reactor_connections) != 0 {
+        while svc.metrics().reactor_connections.get() != 0 {
             assert!(
                 Instant::now() < deadline,
                 "mid-frame disconnect leaked a connection"

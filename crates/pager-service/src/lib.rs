@@ -28,8 +28,12 @@
 //!   token so an exact plan whose deadline expires mid-solve is
 //!   abandoned and downgraded to the greedy tier instead of hogging a
 //!   worker.
-//! * **Metrics** ([`metrics`]) — atomic counters and log-bucketed
-//!   per-tier latency histograms, dumpable as JSON.
+//! * **Metrics** ([`metrics`]) — the one metrics vocabulary, shared
+//!   with the `pager-cluster` router: [`metrics::Counter`],
+//!   log-bucketed latency histograms, and the [`registry!`] macro
+//!   that declares each metric once and derives its JSON dump.
+//!   [`PagerService::metrics_json`] adds the values other objects own
+//!   (cache evictions, profile-store and WAL stats) at dump time.
 //! * **Profile store** ([`pager_profiles`], wired in via
 //!   [`PagerService::observe`] / [`PagerService::plan_devices`]) —
 //!   devices stream in sightings and plans are requested by device

@@ -1,12 +1,116 @@
-//! Lock-free service metrics.
+//! Lock-free metrics: one vocabulary for the service and the router.
 //!
-//! Counters and latency histograms are plain atomics so the hot path
-//! never takes a lock to record. Snapshots are assembled on demand
-//! and dumped as JSON through [`jsonio`].
+//! A [`Counter`] is a relaxed `AtomicU64` and a [`LatencyHistogram`]
+//! is log₂-bucketed over microseconds, so the hot path never takes a
+//! lock to record. A registry struct is declared once with
+//! [`registry!`](crate::registry): each metric's name and doc appear in
+//! one line, and the macro writes both the field and its entry in the
+//! JSON dump ([`jsonio`]). `Metrics` here and the router's counters in
+//! `pager-cluster` are both declared that way. Values other objects
+//! own — cache evictions, profile-store and WAL stats — are not copied
+//! into a registry; [`crate::PagerService::metrics_json`] reads them
+//! from their owners at dump time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use jsonio::Value;
+
+use crate::planner::Tier;
+
+/// A monotone counter or advisory gauge. Relaxed is enough: no other
+/// memory access is ordered by a metric.
+#[derive(Debug, Default)]
+pub struct Counter(AtomicU64);
+
+impl Counter {
+    /// Adds one.
+    pub fn inc(&self) {
+        self.add(1);
+    }
+
+    /// Adds `n`.
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Subtracts one, saturating at zero: a gauge is advisory, so a
+    /// lost race simply under-reports momentarily.
+    pub fn dec(&self) {
+        let _ = self
+            .0
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+                Some(v.saturating_sub(1))
+            });
+    }
+
+    /// The current value.
+    #[must_use]
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// A metric's entry in a JSON dump.
+pub trait Metric {
+    /// The metric's current value as JSON.
+    fn to_json(&self) -> Value;
+}
+
+/// A registry dump: each metric's name and value, in declaration
+/// order (what [`registry!`](crate::registry) structs' `entries`
+/// return).
+pub type Dump = Vec<(&'static str, Value)>;
+
+impl Metric for Counter {
+    fn to_json(&self) -> Value {
+        Value::from(self.get())
+    }
+}
+
+/// Declares a metrics registry: a `Default` struct whose fields are
+/// [`Metric`]s, each written once with its doc comment, plus an
+/// `entries` method dumping every field under its own name.
+///
+/// ```
+/// use pager_service::metrics::Counter;
+///
+/// pager_service::registry! {
+///     /// Example counters.
+///     pub struct Hits {
+///         /// Requests answered.
+///         served: Counter,
+///     }
+/// }
+///
+/// let hits = Hits::default();
+/// hits.served.inc();
+/// assert_eq!(jsonio::Value::object(hits.entries()).to_string(), r#"{"served":1}"#);
+/// ```
+#[macro_export]
+macro_rules! registry {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$field_meta:meta])* $field:ident: $ty:ty, )*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Default)]
+        $vis struct $name {
+            $( $(#[$field_meta])* $vis $field: $ty, )*
+        }
+
+        impl $name {
+            /// Every metric as `(name, value)`, in declaration order.
+            #[must_use]
+            $vis fn entries(&self) -> $crate::metrics::Dump {
+                ::std::vec![
+                    $( (stringify!($field), $crate::metrics::Metric::to_json(&self.$field)), )*
+                ]
+            }
+        }
+    };
+}
 
 /// Histogram bucket count: bucket `i` holds samples in
 /// `[2^(i-1), 2^i)` microseconds (bucket 0 is `< 1µs`).
@@ -55,9 +159,10 @@ impl LatencyHistogram {
         }
         self.max_micros.load(Ordering::Relaxed)
     }
+}
 
-    /// Snapshot as a JSON object.
-    pub fn to_json(&self) -> Value {
+impl Metric for LatencyHistogram {
+    fn to_json(&self) -> Value {
         let count = self.count();
         let total = self.total_micros.load(Ordering::Relaxed);
         #[allow(clippy::cast_precision_loss)]
@@ -90,101 +195,72 @@ impl LatencyHistogram {
     }
 }
 
-/// All counters the service exposes.
-#[derive(Debug, Default)]
-pub struct Metrics {
-    /// Total plan requests received (cacheable or not).
-    pub requests: AtomicU64,
-    /// Requests answered straight from the strategy cache.
-    pub cache_hits: AtomicU64,
-    /// Requests that had to plan (or join an in-flight plan).
-    pub cache_misses: AtomicU64,
-    /// Requests that joined an identical in-flight computation
-    /// instead of planning again.
-    pub coalesced: AtomicU64,
-    /// Requests rejected with an error (bad instance, infeasible
-    /// bandwidth, ...).
-    pub errors: AtomicU64,
-    /// Requests shed at admission because the bounded queue was full
-    /// (answered `"code": "overloaded"` instead of waiting).
-    pub requests_shed: AtomicU64,
-    /// Exact-tier plans abandoned at a deadline checkpoint and
-    /// re-planned greedily (`"downgraded": true` on the wire).
-    pub deadline_downgrades: AtomicU64,
-    /// Requests whose deadline had already passed by the time their
-    /// response was ready (downgrades included).
-    pub deadline_misses: AtomicU64,
-    /// Jobs currently sitting in the bounded admission queue (gauge:
-    /// incremented on enqueue, decremented on dequeue).
-    pub queue_depth: AtomicU64,
-    /// Cache entries evicted to make room.
-    pub evictions: AtomicU64,
-    /// Sightings ingested into the profile store (mirrors the store's
-    /// own counter; synced on every `observe`).
-    pub sightings_ingested: AtomicU64,
-    /// Device profiles evicted from the store's capacity bound
-    /// (mirrors the store's own counter; synced on every `observe`).
-    pub profile_evictions: AtomicU64,
-    /// Profiles that served a `plan_devices` request while stale
-    /// (staleness weight below ½ — mostly decayed toward uniform).
-    pub stale_profiles_served: AtomicU64,
-    /// WAL records appended (mirrors the durable store; 0 when the
-    /// server runs without `--data-dir`).
-    pub wal_appends: AtomicU64,
-    /// Fsyncs issued for the WAL.
-    pub wal_fsyncs: AtomicU64,
-    /// WAL records replayed at startup recovery.
-    pub wal_recovered_records: AtomicU64,
-    /// Bytes truncated from a torn WAL tail at startup recovery.
-    pub wal_truncated_bytes: AtomicU64,
-    /// Snapshot checkpoints rotated.
-    pub checkpoints: AtomicU64,
-    /// Degraded-mode gauge: 1 after a data-disk failure (observes are
-    /// refused, planning keeps serving), 0 otherwise.
-    pub degraded: AtomicU64,
-    /// Open TCP connections on the transport engine (gauge; stays 0
-    /// under `--stdio`).
-    pub reactor_connections: AtomicU64,
-    /// Reactor timer-wheel watchdog firings: a request whose deadline
-    /// elapsed while it was still awaiting its solver. Telemetry only
-    /// — enforcement (downgrades, `deadline_misses`) stays with the
-    /// solver's own deadline checks, so this never double-counts.
-    pub reactor_deadline_watchdog: AtomicU64,
-    /// Queue wait per admitted planning job (enqueue → dequeue). This
-    /// is the signal behind shed responses' `retry_after_ms`: the
-    /// median wait is roughly how long the backlog ahead of a retry
-    /// takes to drain.
-    pub queue_wait: LatencyHistogram,
-    /// Planning latency per solver tier.
-    pub exact_latency: LatencyHistogram,
-    /// Fig. 1 greedy tier latency.
-    pub greedy_latency: LatencyHistogram,
-    /// Bandwidth-bounded tier latency.
-    pub bandwidth_latency: LatencyHistogram,
-    /// Signature tier latency.
-    pub signature_latency: LatencyHistogram,
+/// One latency histogram per solver [`Tier`], indexed by
+/// `tier as usize`.
+pub type TierLatency = [LatencyHistogram; Tier::ALL.len()];
+
+impl Metric for TierLatency {
+    /// An object keyed by [`Tier::name`].
+    fn to_json(&self) -> Value {
+        Value::object(
+            Tier::ALL
+                .iter()
+                .map(|&tier| (tier.name(), self[tier as usize].to_json()))
+                .collect(),
+        )
+    }
+}
+
+registry! {
+    /// The service's own counters. Values other objects own are read
+    /// from them by [`crate::PagerService::metrics_json`].
+    pub struct Metrics {
+        /// Total plan requests received (cacheable or not).
+        requests: Counter,
+        /// Requests answered straight from the strategy cache.
+        cache_hits: Counter,
+        /// Requests that had to plan (or join an in-flight plan).
+        cache_misses: Counter,
+        /// Requests that joined an identical in-flight computation
+        /// instead of planning again.
+        coalesced: Counter,
+        /// Requests rejected with an error (bad instance, infeasible
+        /// bandwidth, ...).
+        errors: Counter,
+        /// Requests shed at admission because the bounded queue was full
+        /// (answered `"code": "overloaded"` instead of waiting).
+        requests_shed: Counter,
+        /// Exact-tier plans abandoned at a deadline checkpoint and
+        /// re-planned greedily (`"downgraded": true` on the wire).
+        deadline_downgrades: Counter,
+        /// Requests whose deadline had already passed by the time their
+        /// response was ready (downgrades included).
+        deadline_misses: Counter,
+        /// Jobs currently sitting in the bounded admission queue (gauge:
+        /// incremented on enqueue, decremented on dequeue).
+        queue_depth: Counter,
+        /// Profiles that served a `plan_devices` request while stale
+        /// (staleness weight below ½ — mostly decayed toward uniform).
+        stale_profiles_served: Counter,
+        /// Open TCP connections on the transport engine (gauge; stays 0
+        /// under `--stdio`).
+        reactor_connections: Counter,
+        /// Reactor timer-wheel watchdog firings: a request whose deadline
+        /// elapsed while it was still awaiting its solver. Telemetry only
+        /// — enforcement (downgrades, `deadline_misses`) stays with the
+        /// solver's own deadline checks, so this never double-counts.
+        reactor_deadline_watchdog: Counter,
+        /// Queue wait per admitted planning job (enqueue → dequeue). This
+        /// is the signal behind shed responses' `retry_after_ms`: the
+        /// median wait is roughly how long the backlog ahead of a retry
+        /// takes to drain.
+        queue_wait: LatencyHistogram,
+        /// Planning latency per solver tier.
+        tier_latency: TierLatency,
+    }
 }
 
 impl Metrics {
-    /// Bumps a counter.
-    pub fn inc(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Decrements a gauge, saturating at zero.
-    pub fn dec(gauge: &AtomicU64) {
-        // A saturating decrement: the gauge is advisory, so a lost
-        // race simply under-reports momentarily.
-        let _ = gauge.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-            Some(v.saturating_sub(1))
-        });
-    }
-
-    /// Reads a counter.
-    pub fn get(counter: &AtomicU64) -> u64 {
-        counter.load(Ordering::Relaxed)
-    }
-
     /// Suggested client backoff (ms) for shed requests, derived from
     /// the observed queue-wait distribution: retrying sooner than the
     /// median wait only rejoins the same backlog. Falls back to the
@@ -203,78 +279,8 @@ impl Metrics {
     }
 
     /// The latency histogram for one solver tier.
-    pub fn tier_latency(&self, tier: crate::planner::Tier) -> &LatencyHistogram {
-        match tier {
-            crate::planner::Tier::Exact => &self.exact_latency,
-            crate::planner::Tier::Greedy => &self.greedy_latency,
-            crate::planner::Tier::Bandwidth => &self.bandwidth_latency,
-            crate::planner::Tier::Signature => &self.signature_latency,
-        }
-    }
-
-    /// Full snapshot as a JSON object (the `--metrics-json` /
-    /// `{"cmd":"metrics"}` payload).
-    pub fn to_json(&self) -> Value {
-        Value::object(vec![
-            ("requests", Value::from(Self::get(&self.requests))),
-            ("cache_hits", Value::from(Self::get(&self.cache_hits))),
-            ("cache_misses", Value::from(Self::get(&self.cache_misses))),
-            ("coalesced", Value::from(Self::get(&self.coalesced))),
-            ("errors", Value::from(Self::get(&self.errors))),
-            ("requests_shed", Value::from(Self::get(&self.requests_shed))),
-            (
-                "deadline_downgrades",
-                Value::from(Self::get(&self.deadline_downgrades)),
-            ),
-            (
-                "deadline_misses",
-                Value::from(Self::get(&self.deadline_misses)),
-            ),
-            ("queue_depth", Value::from(Self::get(&self.queue_depth))),
-            ("evictions", Value::from(Self::get(&self.evictions))),
-            (
-                "sightings_ingested",
-                Value::from(Self::get(&self.sightings_ingested)),
-            ),
-            (
-                "profile_evictions",
-                Value::from(Self::get(&self.profile_evictions)),
-            ),
-            (
-                "stale_profiles_served",
-                Value::from(Self::get(&self.stale_profiles_served)),
-            ),
-            ("wal_appends", Value::from(Self::get(&self.wal_appends))),
-            ("wal_fsyncs", Value::from(Self::get(&self.wal_fsyncs))),
-            (
-                "wal_recovered_records",
-                Value::from(Self::get(&self.wal_recovered_records)),
-            ),
-            (
-                "wal_truncated_bytes",
-                Value::from(Self::get(&self.wal_truncated_bytes)),
-            ),
-            ("checkpoints", Value::from(Self::get(&self.checkpoints))),
-            ("degraded", Value::from(Self::get(&self.degraded))),
-            (
-                "reactor_connections",
-                Value::from(Self::get(&self.reactor_connections)),
-            ),
-            (
-                "reactor_deadline_watchdog",
-                Value::from(Self::get(&self.reactor_deadline_watchdog)),
-            ),
-            ("queue_wait", self.queue_wait.to_json()),
-            (
-                "tier_latency",
-                Value::object(vec![
-                    ("exact", self.exact_latency.to_json()),
-                    ("greedy", self.greedy_latency.to_json()),
-                    ("bandwidth", self.bandwidth_latency.to_json()),
-                    ("signature", self.signature_latency.to_json()),
-                ]),
-            ),
-        ])
+    pub fn tier_latency(&self, tier: Tier) -> &LatencyHistogram {
+        &self.tier_latency[tier as usize]
     }
 }
 
@@ -297,38 +303,27 @@ mod tests {
     #[test]
     fn metrics_json_has_required_fields() {
         let m = Metrics::default();
-        Metrics::inc(&m.requests);
-        Metrics::inc(&m.cache_hits);
-        m.greedy_latency.record(42);
-        let json = m.to_json();
+        m.requests.inc();
+        m.cache_hits.inc();
+        m.tier_latency(Tier::Greedy).record(42);
+        let json = Value::object(m.entries());
         assert_eq!(json.get("requests").and_then(Value::as_u64), Some(1));
         assert_eq!(json.get("cache_hits").and_then(Value::as_u64), Some(1));
-        assert_eq!(json.get("cache_misses").and_then(Value::as_u64), Some(0));
-        assert_eq!(json.get("coalesced").and_then(Value::as_u64), Some(0));
-        assert_eq!(json.get("requests_shed").and_then(Value::as_u64), Some(0));
-        assert_eq!(
-            json.get("deadline_downgrades").and_then(Value::as_u64),
-            Some(0)
-        );
-        assert_eq!(json.get("queue_depth").and_then(Value::as_u64), Some(0));
         for field in [
-            "wal_appends",
-            "wal_fsyncs",
-            "wal_recovered_records",
-            "wal_truncated_bytes",
-            "checkpoints",
-            "degraded",
+            "cache_misses",
+            "coalesced",
+            "requests_shed",
+            "deadline_downgrades",
+            "queue_depth",
         ] {
             assert_eq!(json.get(field).and_then(Value::as_u64), Some(0), "{field}");
         }
         let tiers = json.get("tier_latency").unwrap();
-        assert_eq!(
-            tiers
-                .get("greedy")
-                .and_then(|t| t.get("count"))
-                .and_then(Value::as_u64),
-            Some(1)
-        );
+        for tier in Tier::ALL {
+            let expected = u64::from(tier == Tier::Greedy);
+            let count = tiers.get(tier.name()).and_then(|t| t.get("count"));
+            assert_eq!(count.and_then(Value::as_u64), Some(expected), "{tier:?}");
+        }
         // The dump must serialise cleanly.
         assert!(jsonio::parse(&json.to_string()).is_ok());
     }
@@ -354,12 +349,11 @@ mod tests {
 
     #[test]
     fn gauge_dec_saturates_at_zero() {
-        let m = Metrics::default();
-        Metrics::dec(&m.queue_depth);
-        assert_eq!(Metrics::get(&m.queue_depth), 0);
-        Metrics::inc(&m.queue_depth);
-        Metrics::inc(&m.queue_depth);
-        Metrics::dec(&m.queue_depth);
-        assert_eq!(Metrics::get(&m.queue_depth), 1);
+        let gauge = Counter::default();
+        gauge.dec();
+        assert_eq!(gauge.get(), 0);
+        gauge.add(2);
+        gauge.dec();
+        assert_eq!(gauge.get(), 1);
     }
 }

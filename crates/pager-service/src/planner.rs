@@ -44,6 +44,9 @@ pub enum Tier {
 }
 
 impl Tier {
+    /// Every tier, in declaration order (`Tier::ALL[t as usize] == t`).
+    pub const ALL: [Tier; 4] = [Tier::Exact, Tier::Greedy, Tier::Bandwidth, Tier::Signature];
+
     /// Stable name for metrics and the wire protocol.
     #[must_use]
     pub fn name(self) -> &'static str {

@@ -170,7 +170,7 @@ impl Dispatcher {
         // channel a worker may dequeue it and run the matching `dec`,
         // so incrementing after `try_send` could order inc after dec
         // and leak a permanent +1 (dec saturates at zero).
-        Metrics::inc(&self.metrics.queue_depth);
+        self.metrics.queue_depth.inc();
         // First request for this key: offer it to the bounded queue.
         // The queue lock is released before touching the in-flight
         // table again (lock order: queue before inflight, never
@@ -203,19 +203,19 @@ impl Dispatcher {
                 // Shed: un-register and fail everyone who coalesced
                 // onto this key between our insert and now, so nobody
                 // waits on a computation that will never run.
-                Metrics::dec(&self.metrics.queue_depth);
+                self.metrics.queue_depth.dec();
                 // The hint tracks the observed queue wait: a shed
                 // client retrying sooner than the median wait would
                 // only rejoin the very backlog that shed it.
                 let error = ServiceError::Overloaded {
                     retry_after_ms: self.metrics.retry_hint_ms(),
                 };
-                Metrics::inc(&self.metrics.requests_shed);
+                self.metrics.requests_shed.inc();
                 self.fail_waiters(&key, &error);
                 Err(error)
             }
             Enqueue::Closed => {
-                Metrics::dec(&self.metrics.queue_depth);
+                self.metrics.queue_depth.dec();
                 let error = ServiceError::Internal("service is shutting down".into());
                 self.fail_waiters(&key, &error);
                 Err(error)
@@ -232,7 +232,7 @@ impl Dispatcher {
     ///
     /// Returns whether the job was accepted.
     pub(crate) fn submit_maintenance(&self, work: Box<dyn FnOnce() + Send>) -> bool {
-        Metrics::inc(&self.metrics.queue_depth);
+        self.metrics.queue_depth.inc();
         let accepted = {
             let queue = self
                 .queue
@@ -244,7 +244,7 @@ impl Dispatcher {
             }
         };
         if !accepted {
-            Metrics::dec(&self.metrics.queue_depth);
+            self.metrics.queue_depth.dec();
         }
         accepted
     }
@@ -305,7 +305,7 @@ fn worker_loop(
             Ok(job) => job,
             Err(_) => return, // queue closed: shut down
         };
-        Metrics::dec(&metrics.queue_depth);
+        metrics.queue_depth.dec();
         let job = match job {
             Job::Plan(job) => job,
             Job::Maintenance(work) => {
@@ -328,10 +328,10 @@ fn worker_loop(
                             .tier_latency(fresh.tier)
                             .record(fresh.planning_micros);
                         if fresh.downgraded {
-                            Metrics::inc(&metrics.deadline_downgrades);
+                            metrics.deadline_downgrades.inc();
                         }
                         if job.deadline.expired() {
-                            Metrics::inc(&metrics.deadline_misses);
+                            metrics.deadline_misses.inc();
                         }
                         if fresh.downgraded {
                             // A downgraded plan is a deadline artefact,
@@ -344,9 +344,9 @@ fn worker_loop(
                         }
                     }
                     Err(error) => {
-                        Metrics::inc(&metrics.errors);
+                        metrics.errors.inc();
                         if matches!(error, ServiceError::Overloaded { .. }) {
-                            Metrics::inc(&metrics.deadline_misses);
+                            metrics.deadline_misses.inc();
                         }
                         Err(error)
                     }

@@ -201,7 +201,7 @@ fn respond_control(service: &PagerService, request: Request, id: &Value) -> Stri
             json::encode_response(service.node_id(), &Response::Pong)
         }
         Request::Ping => control(vec![("pong", Value::Bool(true))]),
-        Request::Metrics => control(vec![("metrics", service.metrics().to_json())]),
+        Request::Metrics => control(vec![("metrics", service.metrics_json())]),
         Request::Shutdown => control(vec![("stopping", Value::Bool(true))]),
         Request::ProfileStats => {
             let stats = service.profiles().stats();
@@ -242,7 +242,7 @@ fn respond_control(service: &PagerService, request: Request, id: &Value) -> Stri
         }
         Request::Stats => control(vec![
             ("epoch", Value::from(service.epoch())),
-            ("stats", service.metrics().to_json()),
+            ("stats", service.metrics_json()),
         ]),
         Request::Epoch { epoch } => {
             control(vec![("epoch", Value::from(service.adopt_epoch(epoch)))])
@@ -891,8 +891,43 @@ mod tests {
                 .and_then(Value::as_u64),
             Some(1)
         );
+        // Without a data directory the durability counters read zero.
+        for field in [
+            "wal_appends",
+            "wal_fsyncs",
+            "wal_recovered_records",
+            "wal_truncated_bytes",
+            "checkpoints",
+            "degraded",
+        ] {
+            let value = v.get("metrics").and_then(|m| m.get(field));
+            assert_eq!(value.and_then(Value::as_u64), Some(0), "{field}");
+        }
         let stop = handle_line(&svc, r#"{"cmd": "shutdown"}"#);
         assert!(stop.shutdown);
+    }
+
+    #[test]
+    fn metrics_dump_reports_cache_evictions() {
+        let svc = PagerService::new(ServiceConfig {
+            workers: 1,
+            shards: 1,
+            capacity: 2,
+            ..ServiceConfig::default()
+        });
+        for i in 1..=6 {
+            let p = f64::from(i) / 8.0;
+            let line = format!(r#"{{"instance": [[{p}, {}]], "delay": 2}}"#, 1.0 - p);
+            let v = jsonio::parse(&handle_line(&svc, &line).response).unwrap();
+            assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true), "{v}");
+        }
+        let v = jsonio::parse(&handle_line(&svc, r#"{"cmd": "metrics"}"#).response).unwrap();
+        let evictions = v
+            .get("metrics")
+            .and_then(|m| m.get("evictions"))
+            .and_then(Value::as_u64);
+        assert!(svc.cache_evictions() > 0);
+        assert_eq!(evictions, Some(svc.cache_evictions()));
     }
 
     #[test]
@@ -967,8 +1002,8 @@ mod tests {
         let v2 = binary::response_to_value(op_out2, &body2).unwrap();
         assert_eq!(v2.get("cached").and_then(Value::as_bool), Some(true));
         assert_eq!(v2.get("strategy"), v.get("strategy"));
-        assert_eq!(crate::Metrics::get(&svc.metrics().requests), 2);
-        assert_eq!(crate::Metrics::get(&svc.metrics().cache_hits), 1);
+        assert_eq!(svc.metrics().requests.get(), 2);
+        assert_eq!(svc.metrics().cache_hits.get(), 1);
     }
 
     #[test]

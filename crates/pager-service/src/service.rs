@@ -4,6 +4,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use jsonio::Value;
 use pager_core::Instance;
 use pager_profiles::io::{DiskIo, StorageIo};
 use pager_profiles::{
@@ -288,9 +289,6 @@ impl PagerService {
         };
         let cache = Arc::new(ShardedCache::new(config.capacity, config.shards));
         let metrics = Arc::new(Metrics::default());
-        if let Some(report) = &recovery {
-            self_mirror_recovery(&metrics, report);
-        }
         let dispatcher = Dispatcher::new(
             config.workers,
             config.queue_depth,
@@ -318,11 +316,45 @@ impl PagerService {
         &self.config
     }
 
-    /// Live metrics (shared; read with `Metrics::get` or dump with
-    /// `Metrics::to_json`).
+    /// The service's own counters (read one with [`Counter::get`]).
+    /// The full dump, which adds the values other objects own, is
+    /// [`PagerService::metrics_json`].
+    ///
+    /// [`Counter::get`]: crate::metrics::Counter::get
     #[must_use]
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
+    }
+
+    /// The metrics dump behind the `metrics` op, the node `stats` op
+    /// and `pager-serve --metrics-json`: the service's registry plus
+    /// the values their owners keep, read now — cache evictions, the
+    /// profile store's ingest and eviction totals, and the durable
+    /// store's WAL stats (all zero without a data directory).
+    #[must_use]
+    pub fn metrics_json(&self) -> Value {
+        let store = self.profiles.stats();
+        let wal = self
+            .durable
+            .as_ref()
+            .map(|durable| durable.stats())
+            .unwrap_or_default();
+        let mut entries = self.metrics.entries();
+        entries.extend([
+            ("evictions", Value::from(self.cache.evictions())),
+            ("sightings_ingested", Value::from(store.sightings)),
+            ("profile_evictions", Value::from(store.evictions)),
+            ("wal_appends", Value::from(wal.wal_appends)),
+            ("wal_fsyncs", Value::from(wal.wal_fsyncs)),
+            (
+                "wal_recovered_records",
+                Value::from(wal.wal_recovered_records),
+            ),
+            ("wal_truncated_bytes", Value::from(wal.wal_truncated_bytes)),
+            ("checkpoints", Value::from(wal.checkpoints)),
+            ("degraded", Value::from(u64::from(wal.degraded))),
+        ]);
+        Value::object(entries)
     }
 
     /// The device-profile store behind `observe` / `plan_devices`.
@@ -492,12 +524,12 @@ impl PagerService {
             &self.config.policy,
             &token,
         )
-        .inspect_err(|_| Metrics::inc(&self.metrics.errors))?;
+        .inspect_err(|_| self.metrics.errors.inc())?;
         if fresh.downgraded {
-            Metrics::inc(&self.metrics.deadline_downgrades);
+            self.metrics.deadline_downgrades.inc();
         }
         if deadline.expired() {
-            Metrics::inc(&self.metrics.deadline_misses);
+            self.metrics.deadline_misses.inc();
         }
         self.metrics
             .tier_latency(fresh.tier)
@@ -555,8 +587,8 @@ impl PagerService {
                 && key.profile_versions.is_empty()
                 && view.buckets_match(&key.buckets, grid)
         })?;
-        Metrics::inc(&self.metrics.requests);
-        Metrics::inc(&self.metrics.cache_hits);
+        self.metrics.requests.inc();
+        self.metrics.cache_hits.inc();
         Some(PlanResponse {
             plan: hit,
             cached: true,
@@ -575,7 +607,7 @@ impl PagerService {
         spec: PlanSpec,
         complete: Box<dyn FnOnce(Result<PlanResponse, ServiceError>) + Send>,
     ) {
-        Metrics::inc(&self.metrics.requests);
+        self.metrics.requests.inc();
         let deadline = self.admit(&spec);
         if !spec.cache_enabled() {
             complete(self.plan_inline(instance, &spec, deadline));
@@ -600,7 +632,7 @@ impl PagerService {
         complete: Box<dyn FnOnce(Result<PlanResponse, ServiceError>) + Send>,
     ) {
         if let Some(hit) = self.cache.get(fingerprint, &key) {
-            Metrics::inc(&self.metrics.cache_hits);
+            self.metrics.cache_hits.inc();
             complete(Ok(PlanResponse {
                 plan: hit,
                 cached: true,
@@ -608,7 +640,7 @@ impl PagerService {
             }));
             return;
         }
-        Metrics::inc(&self.metrics.cache_misses);
+        self.metrics.cache_misses.inc();
         let waiter = Waiter {
             complete: Box::new(move |result, coalesced| {
                 complete(result.map(|plan| PlanResponse {
@@ -628,7 +660,7 @@ impl PagerService {
             deadline,
             waiter,
         ) {
-            Ok(true) => Metrics::inc(&self.metrics.coalesced),
+            Ok(true) => self.metrics.coalesced.inc(),
             Ok(false) => {}
             // The dispatcher already delivered the error to the
             // waiter (shed accounting included) — nothing more here.
@@ -637,8 +669,7 @@ impl PagerService {
     }
 
     /// Ingests a batch of sightings into the profile store, returning
-    /// `(device, new version)` per sighting. Metrics mirror the
-    /// store's ingest/eviction counters after the batch.
+    /// `(device, new version)` per sighting.
     ///
     /// # Errors
     ///
@@ -664,17 +695,7 @@ impl PagerService {
                     DurableError::Degraded(m) => ServiceError::Degraded(m),
                 }),
         };
-        let stats = self.profiles.stats();
-        self.metrics
-            .sightings_ingested
-            // lint:allow(atomics-ordering-audit): metrics mirror of store stats, no handoff
-            .store(stats.sightings, Ordering::Relaxed);
-        self.metrics
-            .profile_evictions
-            // lint:allow(atomics-ordering-audit): metrics mirror of store stats, no handoff
-            .store(stats.evictions, Ordering::Relaxed);
         if let Some(durable) = &self.durable {
-            mirror_durability(&self.metrics, durable);
             self.maybe_schedule_checkpoint(durable);
         }
         result
@@ -690,12 +711,10 @@ impl PagerService {
             return;
         }
         let durable_job = Arc::clone(durable);
-        let metrics = Arc::clone(&self.metrics);
         let accepted = self.dispatcher.submit_maintenance(Box::new(move || {
-            // A failed checkpoint flips the store to degraded; the
-            // mirror below surfaces it on the gauge either way.
+            // A failed checkpoint flips the store to degraded, which
+            // the `degraded` gauge reads from the store.
             let _ = durable_job.checkpoint();
-            mirror_durability(&metrics, &durable_job);
         }));
         if !accepted {
             durable.cancel_checkpoint_schedule();
@@ -737,12 +756,12 @@ impl PagerService {
         spec: PlanSpec,
         complete: Box<dyn FnOnce(Result<DevicePlanResponse, ServiceError>) + Send>,
     ) {
-        Metrics::inc(&self.metrics.requests);
+        self.metrics.requests.inc();
         let deadline = self.admit(&spec);
         let now = match now.or_else(|| self.profiles.latest_time()) {
             Some(now) => now,
             None => {
-                Metrics::inc(&self.metrics.errors);
+                self.metrics.errors.inc();
                 complete(Err(ServiceError::BadRequest(
                     "store has no sightings and no \"now\" was given".into(),
                 )));
@@ -753,7 +772,7 @@ impl PagerService {
             match self.profiles.instance_for(devices, estimator, Some(now)) {
                 Ok(resolved) => resolved,
                 Err(e) => {
-                    Metrics::inc(&self.metrics.errors);
+                    self.metrics.errors.inc();
                     complete(Err(ServiceError::BadRequest(e)));
                     return;
                 }
@@ -762,8 +781,7 @@ impl PagerService {
         if stale_profiles > 0 {
             self.metrics
                 .stale_profiles_served
-                // lint:allow(atomics-ordering-audit): monotone metrics counter, no handoff
-                .fetch_add(stale_profiles as u64, Ordering::Relaxed);
+                .add(stale_profiles as u64);
         }
         let key_versions = versions.clone();
         let wrap = move |result: Result<PlanResponse, ServiceError>| {
@@ -804,7 +822,6 @@ impl PagerService {
         self.dispatcher.shutdown();
         if let Some(durable) = &self.durable {
             let _ = durable.flush();
-            mirror_durability(&self.metrics, durable);
         }
     }
 }
@@ -822,40 +839,6 @@ fn wait_for<T: Send + 'static>(
         .map_err(|_| ServiceError::Internal("worker pool dropped the request".into()))?
 }
 
-/// Copies the durable store's counters onto the service metrics (the
-/// atomics are mirrors, not sources of truth).
-fn mirror_durability(metrics: &Metrics, durable: &DurableStore) {
-    let stats = durable.stats();
-    metrics
-        .wal_appends
-        // lint:allow(atomics-ordering-audit): metrics mirror of durable-store stats, no handoff
-        .store(stats.wal_appends, Ordering::Relaxed);
-    metrics
-        .wal_fsyncs
-        // lint:allow(atomics-ordering-audit): metrics mirror of durable-store stats, no handoff
-        .store(stats.wal_fsyncs, Ordering::Relaxed);
-    metrics
-        .checkpoints
-        // lint:allow(atomics-ordering-audit): metrics mirror of durable-store stats, no handoff
-        .store(stats.checkpoints, Ordering::Relaxed);
-    metrics
-        .degraded
-        // lint:allow(atomics-ordering-audit): advisory gauge, no handoff
-        .store(u64::from(stats.degraded), Ordering::Relaxed);
-}
-
-/// Seeds the recovery counters once at startup.
-fn self_mirror_recovery(metrics: &Metrics, report: &RecoveryReport) {
-    metrics
-        .wal_recovered_records
-        // lint:allow(atomics-ordering-audit): set once before the service is shared
-        .store(report.recovered_records, Ordering::Relaxed);
-    metrics
-        .wal_truncated_bytes
-        // lint:allow(atomics-ordering-audit): set once before the service is shared
-        .store(report.truncated_bytes, Ordering::Relaxed);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -870,13 +853,17 @@ mod tests {
         })
     }
 
+    /// One counter from the full metrics dump.
+    fn dumped(svc: &PagerService, key: &str) -> u64 {
+        svc.metrics_json().get(key).and_then(Value::as_u64).unwrap()
+    }
+
     fn inst() -> Instance {
         Instance::from_rows(vec![vec![0.4, 0.3, 0.2, 0.1], vec![0.25, 0.25, 0.25, 0.25]]).unwrap()
     }
 
     #[test]
     fn key_fingerprints_match_the_v2_view_and_are_pinned() {
-        use jsonio::Value;
         use pager_wire::binary::encode_plan_request;
         use pager_wire::frame::{self, Split};
         let svc = service();
@@ -908,9 +895,9 @@ mod tests {
         let second = svc.plan(&inst(), spec).unwrap();
         assert!(second.cached);
         assert!(Arc::ptr_eq(&first.plan, &second.plan), "same shared plan");
-        assert_eq!(Metrics::get(&svc.metrics().cache_hits), 1);
-        assert_eq!(Metrics::get(&svc.metrics().cache_misses), 1);
-        assert_eq!(Metrics::get(&svc.metrics().requests), 2);
+        assert_eq!(svc.metrics().cache_hits.get(), 1);
+        assert_eq!(svc.metrics().cache_misses.get(), 1);
+        assert_eq!(svc.metrics().requests.get(), 2);
     }
 
     #[test]
@@ -958,7 +945,7 @@ mod tests {
         svc.plan(&inst(), spec).unwrap();
         svc.plan(&inst(), spec).unwrap();
         assert_eq!(svc.cached_strategies(), 0);
-        assert_eq!(Metrics::get(&svc.metrics().cache_hits), 0);
+        assert_eq!(svc.metrics().cache_hits.get(), 0);
     }
 
     #[test]
@@ -967,7 +954,7 @@ mod tests {
         let spec = PlanSpec::new(Delay::new(2).unwrap()).with_variant(Variant::Signature(99));
         assert!(svc.plan(&inst(), spec).is_err());
         assert!(svc.plan(&inst(), spec).is_err());
-        assert_eq!(Metrics::get(&svc.metrics().errors), 2);
+        assert_eq!(svc.metrics().errors.get(), 2);
         assert_eq!(svc.cached_strategies(), 0);
     }
 
@@ -991,13 +978,10 @@ mod tests {
             assert_eq!(r.plan.expected_paging, baseline.expected_paging);
         }
         let m = svc.metrics();
-        assert_eq!(Metrics::get(&m.requests), 16);
+        assert_eq!(m.requests.get(), 16);
         // Every request either hit the cache or missed (and the
         // misses were deduped down to one stored strategy).
-        assert_eq!(
-            Metrics::get(&m.cache_hits) + Metrics::get(&m.cache_misses),
-            16
-        );
+        assert_eq!(m.cache_hits.get() + m.cache_misses.get(), 16);
         assert_eq!(svc.cached_strategies(), 1);
     }
 
@@ -1029,7 +1013,7 @@ mod tests {
             })
             .collect();
         svc.observe(4, &batch).unwrap();
-        assert_eq!(Metrics::get(&svc.metrics().sightings_ingested), 60);
+        assert_eq!(dumped(&svc, "sightings_ingested"), 60);
         let spec = PlanSpec::new(Delay::new(2).unwrap());
         let served = svc
             .plan_devices(&["a", "b"], Estimator::Empirical, None, spec)
@@ -1051,7 +1035,7 @@ mod tests {
             Some("bad_request"),
             "unknown devices are the client's fault"
         );
-        assert!(Metrics::get(&svc.metrics().errors) >= 1);
+        assert!(svc.metrics().errors.get() >= 1);
     }
 
     #[test]
@@ -1112,8 +1096,8 @@ mod tests {
             .unwrap();
             svc.observe(4, &[sighting("a", 1, 1.0), sighting("b", 2, 2.0)])
                 .unwrap();
-            assert!(Metrics::get(&svc.metrics().wal_appends) >= 2);
-            assert!(Metrics::get(&svc.metrics().wal_fsyncs) >= 1);
+            assert!(dumped(&svc, "wal_appends") >= 2);
+            assert!(dumped(&svc, "wal_fsyncs") >= 1);
             svc.shutdown();
         }
         mem.crash(17);
@@ -1124,7 +1108,7 @@ mod tests {
         .unwrap();
         let report = svc.recovery().unwrap();
         assert_eq!(report.recovered_records, 2);
-        assert_eq!(Metrics::get(&svc.metrics().wal_recovered_records), 2);
+        assert_eq!(dumped(&svc, "wal_recovered_records"), 2);
         // The recovered profiles plan.
         let spec = PlanSpec::new(Delay::new(2).unwrap());
         let served = svc
@@ -1153,7 +1137,7 @@ mod tests {
         let error = degraded_error.expect("fault never fired");
         assert_eq!(error.code(), "degraded");
         assert!(svc.degraded());
-        assert_eq!(Metrics::get(&svc.metrics().degraded), 1);
+        assert_eq!(dumped(&svc, "degraded"), 1);
         // Further observes are refused with the same stable code...
         assert_eq!(
             svc.observe(4, &[sighting("a", 0, 99.0)])
@@ -1183,14 +1167,10 @@ mod tests {
         }
         // The maintenance job runs asynchronously on the pool.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while Metrics::get(&svc.metrics().checkpoints) == 0 && std::time::Instant::now() < deadline
-        {
+        while dumped(&svc, "checkpoints") == 0 && std::time::Instant::now() < deadline {
             std::thread::sleep(std::time::Duration::from_millis(10));
         }
-        assert!(
-            Metrics::get(&svc.metrics().checkpoints) >= 1,
-            "checkpoint never ran"
-        );
+        assert!(dumped(&svc, "checkpoints") >= 1, "checkpoint never ran");
         svc.shutdown();
         // The rotated snapshot is the recovery point.
         let names = mem.list(std::path::Path::new("/svc-data")).unwrap();
@@ -1210,6 +1190,6 @@ mod tests {
             .plan_devices(&["a"], Estimator::Empirical, Some(10_000.0), spec)
             .unwrap();
         assert_eq!(served.stale_profiles, 1);
-        assert_eq!(Metrics::get(&svc.metrics().stale_profiles_served), 1);
+        assert_eq!(svc.metrics().stale_profiles_served.get(), 1);
     }
 }

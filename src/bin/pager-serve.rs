@@ -220,7 +220,7 @@ fn main() -> ExitCode {
     }
     service.shutdown();
     if opts.metrics_json {
-        println!("{}", service.metrics().to_json());
+        println!("{}", service.metrics_json());
     }
     ExitCode::SUCCESS
 }

@@ -8,7 +8,7 @@
 use cellnet::mobility::{MobilityModel, RandomWalk};
 use cellnet::Topology;
 use conference_call::profiles::{replay, Estimator, ReplayConfig, Step};
-use conference_call::service::{Metrics, PagerService, PlanSpec, ServiceConfig};
+use conference_call::service::{PagerService, PlanSpec, ServiceConfig};
 use pager_core::Delay;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -125,12 +125,12 @@ fn replay_cache_reuse_follows_profile_versions() {
     assert!(later.versions[0] > early.versions[0], "versions bumped");
     let m = service.metrics();
     assert!(
-        Metrics::get(&m.cache_hits) >= 8,
+        m.cache_hits.get() >= 8,
         "identical-version calls reuse the cached strategy (hits: {})",
-        Metrics::get(&m.cache_hits)
+        m.cache_hits.get()
     );
     assert!(
-        Metrics::get(&m.cache_misses) >= 2,
+        m.cache_misses.get() >= 2,
         "each observation forces at least one fresh plan"
     );
     service.shutdown();

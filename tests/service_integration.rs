@@ -9,6 +9,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 
 use jsonio::Value;
+use pager_cluster::{BackendSpec, Router, RouterConfig, ShardSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -189,6 +190,85 @@ fn observe_then_plan_devices_over_tcp() {
     assert_eq!(
         metrics.get("sightings_ingested").and_then(Value::as_u64),
         Some(81)
+    );
+}
+
+/// Appends one `path kind` line per node of `value` (objects
+/// recurse; arrays are leaves).
+fn shape_lines(path: &str, value: &Value, out: &mut Vec<String>) {
+    let kind = match value {
+        Value::Null => "null",
+        Value::Bool(_) => "bool",
+        Value::Int(_) => "int",
+        Value::Float(_) => "float",
+        Value::Str(_) => "string",
+        Value::Array(_) => "array",
+        Value::Object(fields) => {
+            for (key, field) in fields {
+                shape_lines(&format!("{path}.{key}"), field, out);
+            }
+            "object"
+        }
+    };
+    out.push(format!("{path} {kind}"));
+}
+
+/// The key paths and value kinds of every metrics dump, pinned in
+/// `dump_shapes.txt`: `{"cmd": "metrics"}` and `{"cmd": "stats"}` on a
+/// node, `{"cmd": "stats"}` on a router, and the final
+/// `--metrics-json` line. Clients read these fields by path, so a
+/// renamed, moved or retyped key fails here; key order is free.
+#[test]
+fn dump_shapes_are_pinned() {
+    let mut server = Server::spawn();
+    let mut conn = server.connect();
+    let mut lines = Vec::new();
+    shape_lines(
+        "metrics",
+        &conn.round_trip(r#"{"cmd": "metrics"}"#),
+        &mut lines,
+    );
+    shape_lines(
+        "node_stats",
+        &conn.round_trip(r#"{"cmd": "stats"}"#),
+        &mut lines,
+    );
+    let router = Router::new(
+        vec![ShardSpec {
+            shard: "s0".to_string(),
+            backends: vec![BackendSpec {
+                node: "n0".to_string(),
+                addr: "127.0.0.1:1".to_string(),
+            }],
+        }],
+        RouterConfig::default(),
+    )
+    .expect("router");
+    let router_stats = router.handle_line(r#"{"cmd": "stats"}"#).response;
+    shape_lines(
+        "router_stats",
+        &jsonio::parse(&router_stats).expect("router stats JSON"),
+        &mut lines,
+    );
+    conn.round_trip(r#"{"cmd": "shutdown"}"#);
+    drop(conn);
+    let mut child = server.child.take().expect("child still running");
+    assert!(child.wait().expect("server exit").success());
+    let dump = BufReader::new(child.stdout.take().expect("child stdout"))
+        .lines()
+        .map(|l| l.expect("read metrics dump"))
+        .last()
+        .expect("metrics line");
+    shape_lines(
+        "metrics_json",
+        &jsonio::parse(&dump).expect("metrics JSON"),
+        &mut lines,
+    );
+    lines.sort();
+    let actual = lines.join("\n") + "\n";
+    assert!(
+        actual == include_str!("dump_shapes.txt"),
+        "dump shapes changed; the current shapes are:\n{actual}"
     );
 }
 
