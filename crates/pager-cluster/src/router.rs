@@ -23,9 +23,10 @@
 //! and deadline) and the frame bytes travel to the backend as-is.
 //!
 //! `observe` is special-cased twice: the batch is split per owning
-//! shard, and the router ships each owner's WAL tail to that shard's
-//! replicas (see [`crate::ship`]) *before* acking the client, so an
-//! acked sighting is always replayable from a survivor.
+//! shard, and each sub-batch replicates in two hops — the owner's ack
+//! carries the WAL frames it appended, and the router forwards them to
+//! that shard's replicas (see [`crate::ship`]) *before* acking the
+//! client, so an acked sighting is always replayable from a survivor.
 //!
 //! Lock order within the router (enforced by `pager-lint`):
 //! `membership` (class `cluster`) strictly above the `conns` pools and
@@ -45,7 +46,7 @@ use pager_wire::{
 };
 
 use crate::ring::ShardMap;
-use crate::ship::ShipCursors;
+use crate::ship::{Appended, ShipCursors};
 use crate::wire::Conn;
 
 /// Protocol version stamped on router-origin response lines (matches
@@ -201,6 +202,10 @@ pager_service::registry! {
         transport_errors: Counter,
         /// WAL records shipped to replicas.
         shipped_records: Counter,
+        /// `wal_ship` round trips: replica catch-up reads of the
+        /// owner's WAL. Steady single-writer traffic forwards each
+        /// observe's frames from its ack and leaves this at 0.
+        ship_catchups: Counter,
         /// Backend calls refused locally by an open breaker.
         breaker_rejections: Counter,
         /// Replies that arrived intact but are not valid pager responses
@@ -267,8 +272,9 @@ impl Router {
             });
         }
         let map = ShardMap::new(&names, config.vnodes, config.epoch);
-        let ship = (0..names.len())
-            .map(|_| Mutex::new(ShipCursors::default()))
+        let ship = shard_nodes
+            .iter()
+            .map(|nodes| Mutex::new(ShipCursors::new(nodes.owner)))
             .collect();
         Ok(Router {
             backends,
@@ -717,7 +723,9 @@ impl Router {
                     .unwrap_or_default();
                 self.forward_by_key(line, &key, deadline)
             }
-            Request::Observe { cells, sightings } => self.route_observe(cells, sightings, deadline),
+            Request::Observe {
+                cells, sightings, ..
+            } => self.route_observe(cells, sightings, deadline),
             Request::ProfileStats => self.route_profile_stats(deadline),
             Request::Epoch { epoch } => self.adopt_epoch(epoch),
             Request::Shutdown => self.broadcast_shutdown(),
@@ -858,8 +866,8 @@ impl Router {
     }
 
     /// `observe`: split the batch per owning shard, forward each
-    /// sub-batch, ship each owner's WAL to its replicas, then ack with
-    /// the merged per-device versions. The ack therefore promises that
+    /// sub-batch, forward the WAL frames each owner's ack carries to
+    /// its replicas, then ack with the merged per-device versions. The ack therefore promises that
     /// every sighting in the batch is durable on its owner *and*
     /// replayed on that shard's live replicas.
     fn route_observe(
@@ -897,6 +905,7 @@ impl Router {
             let sub = json::encode_request(&Request::Observe {
                 cells,
                 sightings: group,
+                ship: true,
             });
             let remaining = give_up.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
@@ -935,15 +944,18 @@ impl Router {
                 }
             }
             // Replicate before acking: a SIGKILLed owner must never
-            // take an acked sighting with it. Shipping draws from the
-            // same budget, so a wedged link fails the ack honestly
-            // instead of parking the client. `applied_on` pins the
-            // replication pass to the backend that ingested the batch:
-            // if the shard fails over in between, the ack must fail —
-            // the sighting lives only on the deposed owner.
+            // take an acked sighting with it. The owner's ack carries
+            // the frames it appended, which go straight to the
+            // replicas. Shipping draws from the same budget, so a
+            // wedged link fails the ack honestly instead of parking
+            // the client. `applied_on` pins the replication pass to
+            // the backend that ingested the batch: if the shard fails
+            // over in between, the ack must fail — the sighting lives
+            // only on the deposed owner.
             if let Err(error) = self.ship_shard(
                 shard,
                 applied_on,
+                Appended::from_ack(&response).as_ref(),
                 give_up.saturating_duration_since(Instant::now()),
             ) {
                 return RouterOutcome {
@@ -1365,7 +1377,7 @@ mod tests {
         assert_eq!(replicas.len(), 1);
         assert!(router.promote(0, old_owner, Instant::now() + Duration::from_millis(200)));
         let err = router
-            .ship_shard(0, old_owner, Duration::from_millis(100))
+            .ship_shard(0, old_owner, None, Duration::from_millis(100))
             .unwrap_err();
         assert!(err.contains("failed over mid-observe"), "{err}");
         // Pinned to the *current* owner the pass succeeds — the shard
@@ -1374,9 +1386,106 @@ mod tests {
         assert_ne!(new_owner, old_owner);
         assert!(replicas_after.is_empty());
         assert_eq!(
-            router.ship_shard(0, new_owner, Duration::from_millis(100)),
+            router.ship_shard(0, new_owner, None, Duration::from_millis(100)),
             Ok(0)
         );
+    }
+
+    #[test]
+    fn ship_forwards_appended_frames_once_and_catches_up_gaps() {
+        use crate::ship::{Appended, Cursor};
+        // The owner answers every `wal_ship` with an empty tail; the
+        // replica applies every chunk as 2 records in 8 bytes.
+        let router = Router::new(
+            vec![ShardSpec {
+                shard: "s0".to_string(),
+                backends: vec![
+                    BackendSpec {
+                        node: "n0".to_string(),
+                        addr: scripted_backend("{\"ok\":true}"),
+                    },
+                    BackendSpec {
+                        node: "n1".to_string(),
+                        addr: scripted_backend("{\"ok\":true,\"applied\":2,\"consumed\":8}"),
+                    },
+                ],
+            }],
+            RouterConfig::default(),
+        )
+        .unwrap();
+        let (owner, _, _) = router.shard_snapshot(0);
+        let budget = Duration::from_secs(2);
+        let appended = |generation, offset| Appended {
+            incarnation: 7,
+            at: Cursor { generation, offset },
+            bytes: vec![0; 8],
+        };
+        // At the cursor: forwarded, no read-back.
+        let first = appended(0, 0);
+        assert_eq!(router.ship_shard(0, owner, Some(&first), budget), Ok(2));
+        // Already shipped (a concurrent catch-up passed it): nothing.
+        assert_eq!(router.ship_shard(0, owner, Some(&first), budget), Ok(0));
+        assert_eq!(router.metrics.ship_catchups.get(), 0);
+        // A gap, a later generation, or no frames at all: catch up.
+        for gap in [Some(appended(0, 20)), Some(appended(1, 0)), None] {
+            let before = router.metrics.ship_catchups.get();
+            assert_eq!(router.ship_shard(0, owner, gap.as_ref(), budget), Ok(0));
+            assert_eq!(router.metrics.ship_catchups.get(), before + 1);
+        }
+        assert_eq!(router.metrics.shipped_records.get(), 2);
+    }
+
+    #[test]
+    fn ship_catches_up_when_the_owner_reopened_under_the_cursor() {
+        use crate::ship::{Appended, Cursor};
+        // The owner reopened and recovered a WAL shorter than the
+        // replica's cursor: every `wal_ship` from the cursor fails.
+        let router = Router::new(
+            vec![ShardSpec {
+                shard: "s0".to_string(),
+                backends: vec![
+                    BackendSpec {
+                        node: "n0".to_string(),
+                        addr: scripted_backend(
+                            "{\"ok\":false,\"error\":\"offset 8 beyond WAL length 0 for generation 0\"}",
+                        ),
+                    },
+                    BackendSpec {
+                        node: "n1".to_string(),
+                        addr: scripted_backend("{\"ok\":true,\"applied\":2,\"consumed\":8}"),
+                    },
+                ],
+            }],
+            RouterConfig::default(),
+        )
+        .unwrap();
+        let (owner, _, _) = router.shard_snapshot(0);
+        let budget = Duration::from_secs(2);
+        let appended = |incarnation| Appended {
+            incarnation,
+            at: Cursor::default(),
+            bytes: vec![0; 8],
+        };
+        assert_eq!(
+            router.ship_shard(0, owner, Some(&appended(1)), budget),
+            Ok(2)
+        );
+        // Same incarnation: the cursor past the frames proves them shipped.
+        assert_eq!(
+            router.ship_shard(0, owner, Some(&appended(1)), budget),
+            Ok(0)
+        );
+        assert_eq!(router.metrics.ship_catchups.get(), 0);
+        // A new incarnation's frames also end at the cursor, but the
+        // cursor indexes the old log: catch-up re-checks it against the
+        // owner's WAL and the ack fails instead of skipping the replica.
+        let err = router
+            .ship_shard(0, owner, Some(&appended(2)), budget)
+            .unwrap_err();
+        assert!(err.contains("beyond WAL length"), "{err}");
+        assert_eq!(router.metrics.ship_catchups.get(), 1);
+        // The replica is kept; only the ack failed.
+        assert_eq!(router.shard_snapshot(0).1.len(), 1);
     }
 
     #[test]

@@ -1,29 +1,48 @@
 //! WAL shipping: keeping a shard's replicas warm.
 //!
-//! After every routed `observe` the router tails the owner's
-//! write-ahead log (via the `wal_ship` wire op, which exports the raw
-//! `pager-profiles::wal` frames as hex) and replays the new frames
-//! into each replica (`wal_apply`) **before** acking the client. The
-//! owner stamps profile versions in WAL-apply order under its WAL
-//! lock, so a replica fed only shipped frames, in order, reproduces
-//! the owner's version numbering exactly — which is what lets failover
-//! promise both "no acked sighting lost" and "no version regression".
+//! A routed `observe` replicates in two hops. The router sends the
+//! sub-batch to the owner with the router-internal `ship` flag, and
+//! the owner's ack carries the WAL frames that batch appended
+//! (`wal_incarnation`, `wal_generation`, `wal_offset`, hex
+//! `wal_bytes`; omitted for a batch over one ship window). The router then
+//! forwards those bytes to each replica (`wal_apply`) **before**
+//! acking the client. The owner stamps profile versions in WAL-apply
+//! order under its WAL lock, so a replica fed only shipped frames, in
+//! order, reproduces the owner's version numbering exactly — which is
+//! what lets failover promise both "no acked sighting lost" and "no
+//! version regression".
 //!
 //! The router keeps one cursor per `(shard, replica)` pair: the WAL
-//! generation and byte offset shipped so far. Cursors live behind the
-//! per-shard `ship` mutex (lock class `router`), so shipping for one
-//! shard is serialized while other shards ship concurrently.
+//! generation and byte offset shipped so far. Per replica, the
+//! appended frames are forwarded only when the cursor sits exactly at
+//! their start. A cursor already past their end means a concurrent
+//! observe's catch-up shipped them, but only while the owner's
+//! incarnation (a nonce drawn each time it opens its store) is the one
+//! the cursors last advanced against: a reopened owner may have
+//! recovered a WAL shorter than the cursor. Anything else — a cursor
+//! gap left by an unreplicated write, a generation rollover, a replica
+//! join, a frame the replica did not fully consume, an ack without
+//! frames, a reopened owner, or a new owner after failover — falls
+//! back to the catch-up loop: tail the owner's WAL with `wal_ship`
+//! from the cursor (which fails if the cursor is past the owner's
+//! WAL) and apply each window until the cursor reaches the owner's
+//! tip.
+//!
+//! Cursors live behind the per-shard `ship` mutex (lock class
+//! `router`), so shipping for one shard is serialized while other
+//! shards ship concurrently.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use jsonio::Value;
+use pager_profiles::wal::{decode_hex, SHIP_WINDOW_BYTES};
 use pager_wire::{json, Request};
 
 use crate::router::Router;
 
 /// A replica's position in its owner's WAL.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Cursor {
     /// WAL generation being tailed.
     pub generation: u64,
@@ -32,24 +51,82 @@ pub struct Cursor {
 }
 
 /// Ship cursors for one shard, keyed by replica backend index.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ShipCursors {
+    /// The backend whose WAL the cursors index. Until a catch-up pass
+    /// against a new owner succeeds, appended frames are not trusted
+    /// to line up with the cursors.
+    owner: usize,
+    /// The owner incarnation the cursors last advanced against (`None`
+    /// until a pass that carried frames succeeds). A reopened owner
+    /// may have recovered a WAL shorter than the cursors, so a cursor
+    /// past an ack's frames proves they were shipped only while the
+    /// ack's incarnation matches this one.
+    incarnation: Option<u64>,
     cursors: HashMap<usize, Cursor>,
 }
 
-/// Window per `wal_ship` request. Must exceed the largest possible
-/// frame (`MAX_RECORD_BYTES` + header) or a frame bigger than the
-/// window could never make progress.
-const SHIP_WINDOW_BYTES: usize = 2 * 1024 * 1024;
+impl ShipCursors {
+    /// Cursors at the start of `owner`'s WAL.
+    pub(crate) fn new(owner: usize) -> ShipCursors {
+        ShipCursors {
+            owner,
+            incarnation: None,
+            cursors: HashMap::new(),
+        }
+    }
+}
+
+/// The WAL frames one observe appended on the owner, as its ack
+/// reported them.
+#[derive(Debug)]
+pub(crate) struct Appended {
+    /// The owner's incarnation: which open of its store wrote them.
+    pub(crate) incarnation: u64,
+    /// Where the frames start in the owner's WAL.
+    pub(crate) at: Cursor,
+    /// The raw frames.
+    pub(crate) bytes: Vec<u8>,
+}
+
+impl Appended {
+    /// Reads the frames off an observe ack sent with `ship` set.
+    /// `None` when the ack has none (an in-memory owner) or they do
+    /// not decode; the catch-up loop then covers the batch.
+    pub(crate) fn from_ack(ack: &Value) -> Option<Appended> {
+        let incarnation = ack.get("wal_incarnation")?.as_u64()?;
+        let at = Cursor {
+            generation: ack.get("wal_generation")?.as_u64()?,
+            offset: ack.get("wal_offset")?.as_u64()?,
+        };
+        let bytes = decode_hex(ack.get("wal_bytes")?.as_str()?).ok()?;
+        Some(Appended {
+            incarnation,
+            at,
+            bytes,
+        })
+    }
+
+    /// The cursor just past these frames.
+    fn end(&self) -> Cursor {
+        Cursor {
+            offset: self.at.offset + self.bytes.len() as u64,
+            ..self.at
+        }
+    }
+}
 
 /// Iteration bound per catch-up call: a backstop against a cursor bug
 /// looping forever, far above anything a real tail needs.
 const MAX_ROUNDS: usize = 100_000;
 
 impl Router {
-    /// Catches every live replica of `shard` up to the owner's current
-    /// WAL tip, within `budget`. Returns the number of records applied
-    /// across replicas.
+    /// Brings every live replica of `shard` up to at least the end of
+    /// `appended` — the frames the observe being acked wrote on the
+    /// owner — within `budget`: forwarded as-is when the replica's
+    /// cursor sits at their start, by catch-up to the owner's tip
+    /// otherwise (always, when `appended` is `None`). Returns the
+    /// number of records applied across replicas.
     ///
     /// `applied_on` is the backend whose WAL holds the observe being
     /// acked. If the shard's owner is no longer that backend — a
@@ -68,6 +145,7 @@ impl Router {
         &self,
         shard: usize,
         applied_on: usize,
+        appended: Option<&Appended>,
         budget: Duration,
     ) -> Result<u64, String> {
         let give_up = Instant::now() + budget;
@@ -88,9 +166,11 @@ impl Router {
             // membership snapshot above released the cluster lock, and
             // membership is never re-locked while this guard is held.
             let mut ship = self.ship[shard].lock().unwrap_or_else(|e| e.into_inner());
+            let appended = appended.filter(|_| ship.owner == owner);
+            let same_log = appended.is_some_and(|a| ship.incarnation == Some(a.incarnation));
             for replica in replicas {
                 let cursor = ship.cursors.entry(replica).or_default();
-                match self.ship_to_replica(owner, replica, cursor, give_up) {
+                match self.ship_to_replica(owner, replica, cursor, appended, same_log, give_up) {
                     Ok(records) => shipped += records,
                     Err(ShipError::Replica(())) => {
                         // The replica is gone; stop shipping to it and
@@ -101,6 +181,11 @@ impl Router {
                     Err(ShipError::Owner(e)) => return Err(e),
                 }
             }
+            // Every surviving cursor now reaches past the frames this
+            // owner's incarnation appended (or, without frames, its
+            // tip as a catch-up read it).
+            ship.owner = owner;
+            ship.incarnation = appended.map(|a| a.incarnation);
         }
         for replica in dead {
             self.drop_replica(shard, replica);
@@ -120,9 +205,74 @@ impl Router {
         Ok(shipped)
     }
 
-    /// Tails `owner`'s WAL from `cursor` and applies it to `replica`
-    /// until the cursor reaches the owner's tip or `give_up` passes.
+    /// Advances `replica`'s `cursor` past `appended`: forwards the
+    /// frames when the cursor is at their start, does nothing when a
+    /// concurrent catch-up already passed them in the same owner
+    /// incarnation (`same_log`), and otherwise runs
+    /// [`Router::catch_up`], which re-checks the cursor against the
+    /// owner's WAL.
     fn ship_to_replica(
+        &self,
+        owner: usize,
+        replica: usize,
+        cursor: &mut Cursor,
+        appended: Option<&Appended>,
+        same_log: bool,
+        give_up: Instant,
+    ) -> Result<u64, ShipError> {
+        let mut applied = 0u64;
+        if let Some(appended) = appended {
+            if same_log && *cursor >= appended.end() {
+                return Ok(0);
+            }
+            if *cursor == appended.at {
+                let (records, consumed) =
+                    self.apply_to_replica(replica, &appended.bytes, give_up)?;
+                cursor.offset += consumed;
+                if consumed == appended.bytes.len() as u64 {
+                    return Ok(records);
+                }
+                // The owner appends whole frames, so a shorter valid
+                // prefix should not happen; if it does, catch up the
+                // rest from the owner.
+                applied = records;
+            }
+        }
+        self.catch_up(owner, replica, cursor, give_up)
+            .map(|records| applied + records)
+    }
+
+    /// Sends `bytes` to `replica` as one `wal_apply`, returning the
+    /// records it applied and the bytes it consumed.
+    fn apply_to_replica(
+        &self,
+        replica: usize,
+        bytes: &[u8],
+        give_up: Instant,
+    ) -> Result<(u64, u64), ShipError> {
+        let remaining = give_up.saturating_duration_since(Instant::now());
+        if remaining.is_zero() {
+            return Err(ShipError::Owner(
+                "replication deadline exhausted".to_string(),
+            ));
+        }
+        let apply = json::encode_request(&Request::WalApply {
+            bytes: bytes.to_vec(),
+        });
+        let outcome = self
+            .call_backend_within(replica, &apply, remaining)
+            .map_err(|_| ShipError::Replica(()))?;
+        if outcome.get("ok").and_then(Value::as_bool) != Some(true) {
+            return Err(ShipError::Replica(()));
+        }
+        let field = |name| outcome.get(name).and_then(Value::as_u64).unwrap_or(0);
+        Ok((field("applied"), field("consumed")))
+    }
+
+    /// Tails `owner`'s WAL from `cursor` with `wal_ship` and applies
+    /// it to `replica` until the cursor reaches the owner's tip or
+    /// `give_up` passes.
+    fn catch_up(
         &self,
         owner: usize,
         replica: usize,
@@ -145,6 +295,7 @@ impl Router {
                 offset: cursor.offset,
                 max_bytes: SHIP_WINDOW_BYTES,
             });
+            self.metrics.ship_catchups.inc();
             let export = self
                 .call_backend_within(owner, &request, remaining)
                 .map_err(ShipError::Owner)?;
@@ -162,28 +313,15 @@ impl Router {
                 .and_then(Value::as_bool)
                 .unwrap_or(false);
             if len > 0 {
-                let bytes = pager_profiles::wal::decode_hex(
+                let bytes = decode_hex(
                     export
                         .get("bytes")
                         .and_then(Value::as_str)
                         .unwrap_or_default(),
                 )
                 .map_err(|e| ShipError::Owner(format!("wal_ship exported bad hex: {e}")))?;
-                let apply = json::encode_request(&Request::WalApply { bytes });
-                let remaining = give_up.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    return Err(ShipError::Owner(
-                        "replication deadline exhausted".to_string(),
-                    ));
-                }
-                let outcome = self
-                    .call_backend_within(replica, &apply, remaining)
-                    .map_err(|_| ShipError::Replica(()))?;
-                if outcome.get("ok").and_then(Value::as_bool) != Some(true) {
-                    return Err(ShipError::Replica(()));
-                }
-                applied += outcome.get("applied").and_then(Value::as_u64).unwrap_or(0);
-                let consumed = outcome.get("consumed").and_then(Value::as_u64).unwrap_or(0);
+                let (records, consumed) = self.apply_to_replica(replica, &bytes, give_up)?;
+                applied += records;
                 if consumed == 0 {
                     // A window bigger than any frame yielded no full
                     // frame: the tail is torn mid-write. Retry next
@@ -220,7 +358,7 @@ mod tests {
 
     #[test]
     fn cursors_default_to_generation_zero() {
-        let mut cursors = ShipCursors::default();
+        let mut cursors = ShipCursors::new(0);
         let c = cursors.cursors.entry(3).or_default();
         assert_eq!(
             *c,

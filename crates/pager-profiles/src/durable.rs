@@ -46,6 +46,8 @@
 //! therefore planning — keep serving from memory. The process stays
 //! up; the operator replaces the disk.
 
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hasher};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -143,6 +145,24 @@ pub struct WalSegment {
     pub end_of_generation: bool,
 }
 
+/// The WAL frames one [`DurableStore::observe_batch`] appended, for a
+/// shipper to forward to followers without reading them back.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WalAppend {
+    /// The open of the store that wrote them: a nonce drawn by
+    /// [`DurableStore::open`]. A reopen may recover a shorter log than
+    /// a follower has already been shipped, so a follower's cursor is
+    /// only known to index this WAL while the incarnation it was last
+    /// advanced against is unchanged.
+    pub incarnation: u64,
+    /// Generation the frames were appended to.
+    pub generation: u64,
+    /// Offset of `bytes[0]` within that generation's WAL file.
+    pub offset: u64,
+    /// The frames, exactly as appended (empty when nothing was).
+    pub bytes: Vec<u8>,
+}
+
 /// What recovery found on open.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryReport {
@@ -200,6 +220,10 @@ pub struct DurabilityStats {
 /// WAL is always a faithful replay of the in-memory apply order.
 struct WalState {
     generation: u64,
+    /// Bytes in the live generation's WAL file: the recovered valid
+    /// length at open, grown by each append, 0 after a rotation. It is
+    /// the offset the next appended frame lands at.
+    len: u64,
     unsynced_records: u64,
     records_since_checkpoint: u64,
     /// Whether this generation's WAL file has had its directory entry
@@ -217,6 +241,8 @@ pub struct DurableStore {
     dir: PathBuf,
     config: DurabilityConfig,
     wal: Mutex<WalState>,
+    /// This open's nonce, stamped on every [`WalAppend`].
+    incarnation: u64,
     /// `wal.generation`, mirrored outside the WAL lock so status reads
     /// (`node_info`) never wait behind an append's fsync.
     live_generation: AtomicU64,
@@ -321,6 +347,7 @@ impl DurableStore {
         let wal_path = dir.join(wal_name(generation));
         let mut recovered = 0u64;
         let mut truncated = 0u64;
+        let mut valid_len = 0u64;
         let wal_bytes = match io.read(&wal_path) {
             Ok(bytes) => Some(bytes),
             // No WAL for this generation: nothing was ingested since
@@ -333,7 +360,6 @@ impl DurableStore {
         };
         if let Some(bytes) = wal_bytes {
             let scanned = scan(&bytes);
-            let mut valid_len = 0u64;
             for (record, &frame_end) in scanned.records.iter().zip(&scanned.frame_ends) {
                 if store
                     .observe(&record.device, record.cells, record.time, record.cell)
@@ -359,6 +385,7 @@ impl DurableStore {
             config,
             wal: Mutex::new(WalState {
                 generation,
+                len: valid_len,
                 unsynced_records: 0,
                 records_since_checkpoint: 0,
                 // Conservative: re-sync the directory on the first
@@ -366,6 +393,8 @@ impl DurableStore {
                 // WAL whose entry never became durable before a crash.
                 dir_synced: false,
             }),
+            // 53 random bits: exact as a JSON number in any reader.
+            incarnation: RandomState::new().build_hasher().finish() >> 11,
             live_generation: AtomicU64::new(generation),
             degraded: AtomicBool::new(false),
             checkpoint_pending: AtomicBool::new(false),
@@ -448,6 +477,9 @@ impl DurableStore {
     /// prefix is still applied *and logged* (matching
     /// [`ProfileStore::observe_batch`] semantics).
     ///
+    /// Returns `(device, new version)` per sighting plus the frames
+    /// this call appended.
+    ///
     /// # Errors
     ///
     /// [`DurableError::Rejected`] for invalid sightings,
@@ -458,7 +490,7 @@ impl DurableStore {
         &self,
         cells: usize,
         sightings: &[Sighting],
-    ) -> Result<Vec<(String, u64)>, DurableError> {
+    ) -> Result<(Vec<(String, u64)>, WalAppend), DurableError> {
         if self.degraded() {
             return Err(DurableError::Degraded("data disk previously failed".into()));
         }
@@ -503,6 +535,7 @@ impl DurableStore {
             if let Err(e) = self.io.append(&path, &frames) {
                 return Err(self.enter_degraded(&e));
             }
+            wal.len += frames.len() as u64;
             // lint:allow(atomics-ordering-audit): monotone stats counter, no handoff
             self.wal_appends.fetch_add(applied, Ordering::Relaxed);
             wal.unsynced_records += applied;
@@ -533,7 +566,15 @@ impl DurableStore {
         }
         match rejected {
             Some(message) => Err(DurableError::Rejected(message)),
-            None => Ok(versions),
+            None => Ok((
+                versions,
+                WalAppend {
+                    incarnation: self.incarnation,
+                    generation: wal.generation,
+                    offset: wal.len - frames.len() as u64,
+                    bytes: frames,
+                },
+            )),
         }
     }
 
@@ -661,6 +702,7 @@ impl DurableStore {
         // next generation's WAL file does not exist yet, so its first
         // append must sync the directory entry again.
         wal.generation = new;
+        wal.len = 0;
         self.live_generation.store(new, Ordering::Release);
         wal.records_since_checkpoint = 0;
         wal.unsynced_records = 0;
@@ -727,7 +769,7 @@ mod tests {
         let mem = Arc::new(MemIo::new());
         let (durable, report) = open_mem(&mem, DurabilityConfig::default());
         assert_eq!(report.recovered_records, 0);
-        let acked = durable
+        let (acked, _) = durable
             .observe_batch(4, &[sighting("alice", 1.0, 2), sighting("bob", 1.5, 0)])
             .unwrap();
         assert_eq!(acked.len(), 2);
@@ -739,7 +781,7 @@ mod tests {
         let store = recovered.store();
         assert_eq!(store.len(), 2);
         // Versions resume past the acked ones.
-        let bumped = recovered
+        let (bumped, _) = recovered
             .observe_batch(4, &[sighting("carol", 2.0, 1)])
             .unwrap();
         let max_acked = acked.iter().map(|(_, v)| *v).max().unwrap();
@@ -1017,6 +1059,46 @@ mod tests {
             .export_wal(0, 1 << 30, 64)
             .unwrap_err()
             .contains("beyond"));
+    }
+
+    #[test]
+    fn observe_batch_returns_the_frames_it_appended() {
+        let mem = Arc::new(MemIo::new());
+        let config = DurabilityConfig {
+            retain_wal: 1,
+            ..DurabilityConfig::default()
+        };
+        let appended = |durable: &DurableStore, device: &str, time: f64| {
+            let (_, append) = durable
+                .observe_batch(4, &[sighting(device, time, 1)])
+                .unwrap();
+            let exported = durable
+                .export_wal(append.generation, append.offset, 1 << 20)
+                .unwrap();
+            assert_eq!(exported.bytes, append.bytes, "{device}");
+            append
+        };
+        let (durable, _) = open_mem(&mem, config);
+        let first = appended(&durable, "alice", 1.0);
+        assert_eq!((first.generation, first.offset), (0, 0));
+        let second = appended(&durable, "bob", 2.0);
+        assert_eq!(second.offset, first.bytes.len() as u64);
+        assert_eq!(second.incarnation, first.incarnation);
+        // Reopening resumes at the recovered length, as a new
+        // incarnation...
+        drop(durable);
+        let (durable, _) = open_mem(&mem, config);
+        let third = appended(&durable, "carol", 3.0);
+        assert_eq!(third.offset, second.offset + second.bytes.len() as u64);
+        assert_ne!(third.incarnation, second.incarnation);
+        // ...and a rotation starts the next generation at 0.
+        durable.checkpoint().unwrap();
+        let fourth = appended(&durable, "dave", 4.0);
+        assert_eq!((fourth.generation, fourth.offset), (1, 0));
+        // A batch that applies nothing appends nothing.
+        let (versions, empty) = durable.observe_batch(4, &[]).unwrap();
+        assert!(versions.is_empty() && empty.bytes.is_empty());
+        assert_eq!(empty.offset, fourth.bytes.len() as u64);
     }
 
     #[test]

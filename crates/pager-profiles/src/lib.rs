@@ -40,7 +40,7 @@ pub mod wal;
 
 pub use durable::{
     DurabilityConfig, DurabilityStats, DurableError, DurableStore, FsyncPolicy, RecoveryReport,
-    WalSegment,
+    WalAppend, WalSegment,
 };
 pub use markov::MarkovModel;
 pub use profile::{DeviceProfile, Estimator, ProfileConfig, Time};

@@ -150,8 +150,15 @@ impl ProfileStore {
             sightings: self.sightings.load(Ordering::Relaxed),
             // lint:allow(atomics-ordering-audit): monotone stats counter, no handoff
             evictions: self.evictions.load(Ordering::Relaxed),
-            version: self.version.load(Ordering::Acquire),
+            version: self.latest_version(),
         }
+    }
+
+    /// The global version counter: the largest version ever issued.
+    /// Unlike [`ProfileStore::stats`] it locks no profile shard.
+    #[must_use]
+    pub fn latest_version(&self) -> u64 {
+        self.version.load(Ordering::Acquire)
     }
 
     /// The largest sighting time ingested so far (`None` before the

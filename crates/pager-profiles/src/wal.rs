@@ -50,6 +50,14 @@ pub const RECORD_VERSION: u8 = 1;
 /// plus ~17 bytes).
 pub const MAX_RECORD_BYTES: u32 = 1 << 20;
 
+/// Most WAL bytes one shipping message carries: a `wal_ship` window,
+/// and the frames an observe ack may forward (a larger batch leaves
+/// them to `wal_ship`). Above the largest frame, so every window makes
+/// progress; hex doubles it on the wire, well under the 16 MiB frame
+/// limit.
+pub const SHIP_WINDOW_BYTES: usize = 2 * 1024 * 1024;
+const _: () = assert!(SHIP_WINDOW_BYTES > MAX_RECORD_BYTES as usize + HEADER_BYTES);
+
 /// Upper bound on a device identifier, in bytes. Enforced at encode
 /// time (and again by the scanner) so every encodable record frames
 /// well under [`MAX_RECORD_BYTES`]: a record the ingest path acks is

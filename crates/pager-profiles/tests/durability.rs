@@ -173,7 +173,7 @@ fn run_schedule(seed: u64) {
 
     // Whatever survived, the store must be consistent: it accepts new
     // sightings and versions keep climbing.
-    let fresh = recovered
+    let (fresh, _) = recovered
         .observe_batch(
             8,
             &[pager_profiles::Sighting {

@@ -88,6 +88,6 @@ pub use planner::{plan, Plan, Tier, TierPolicy, Variant, RETRY_AFTER_MS};
 pub use proto::{handle_frame, handle_line, parse_request, LineOutcome, Request};
 pub use server::serve_lines;
 pub use service::{
-    DevicePlanResponse, DurabilityOptions, PagerService, PlanKey, PlanResponse, PlanSpec,
+    DevicePlanResponse, DurabilityOptions, Observed, PagerService, PlanKey, PlanResponse, PlanSpec,
     ServiceConfig, WalApplyOutcome,
 };

@@ -30,11 +30,11 @@ use pager_wire::{binary, frame, json, ErrorBody, IdView, PlanBody, PlanFrameView
 pub use pager_wire::json::PROTOCOL_VERSION;
 pub use pager_wire::Request;
 
-use pager_profiles::wal::encode_hex;
+use pager_profiles::wal::{encode_hex, SHIP_WINDOW_BYTES};
 use pager_profiles::Estimator;
 
 use crate::error::ServiceError;
-use crate::service::{PagerService, PlanResponse};
+use crate::service::{Observed, PagerService, PlanResponse};
 
 /// Parses one v1 wire line into a typed request.
 ///
@@ -129,9 +129,13 @@ fn control_with_id(
 fn respond(service: &PagerService, request: Request, id: &Value) -> String {
     let control = |fields| control_with_id(service, id, fields);
     match request {
-        Request::Observe { cells, sightings } => match service.observe(cells, &sightings) {
+        Request::Observe {
+            cells,
+            sightings,
+            ship,
+        } => match service.observe(cells, &sightings) {
             Err(error) => error_line(service, id, &error),
-            Ok(versions) => {
+            Ok(Observed { versions, appended }) => {
                 // Last version per device (a device may appear several
                 // times in one batch).
                 let mut latest: Vec<(String, Value)> = Vec::new();
@@ -141,10 +145,26 @@ fn respond(service: &PagerService, request: Request, id: &Value) -> String {
                         None => latest.push((device.clone(), Value::from(*version))),
                     }
                 }
-                control(vec![
+                let mut fields = vec![
                     ("ingested", Value::from(versions.len())),
                     ("versions", Value::Object(latest)),
-                ])
+                ];
+                // The router's two-hop replication: the appended
+                // frames ride the ack, so no `wal_ship` read-back. A
+                // batch over one ship window leaves them off, which
+                // bounds the ack; the router then catches the
+                // replicas up through `wal_ship`, window by window.
+                if let (true, Some(append)) = (ship, appended) {
+                    if append.bytes.len() <= SHIP_WINDOW_BYTES {
+                        fields.extend([
+                            ("wal_incarnation", Value::from(append.incarnation)),
+                            ("wal_generation", Value::from(append.generation)),
+                            ("wal_offset", Value::from(append.offset)),
+                            ("wal_bytes", Value::from(encode_hex(&append.bytes))),
+                        ]);
+                    }
+                }
+                control(fields)
             }
         },
         Request::WalShip {
@@ -169,7 +189,7 @@ fn respond(service: &PagerService, request: Request, id: &Value) -> String {
                 ("consumed", Value::from(outcome.consumed)),
                 (
                     "profile_version",
-                    Value::from(service.profiles().stats().version),
+                    Value::from(service.profiles().latest_version()),
                 ),
             ]),
         },
@@ -793,28 +813,177 @@ mod tests {
         assert_eq!(v.get("code").and_then(Value::as_str), Some("unsupported"));
     }
 
-    #[test]
-    fn wal_ship_and_apply_replicate_versions() {
+    /// A node on an in-memory disk, fsyncing every ack.
+    fn durable_node(name: &str) -> PagerService {
         use crate::service::DurabilityOptions;
         use pager_profiles::io::MemIo;
         use pager_profiles::FsyncPolicy;
         use std::sync::Arc;
-        let durable_node = |name: &str| {
-            PagerService::try_new(ServiceConfig {
-                workers: 2,
-                capacity: 64,
-                node_id: Some(name.to_string()),
-                durability: Some(DurabilityOptions {
-                    data_dir: "/node".into(),
-                    fsync: FsyncPolicy::Always,
-                    checkpoint_every: 0,
-                    retain_wal: 4,
-                    io: Some(Arc::new(MemIo::new())),
-                }),
-                ..ServiceConfig::default()
-            })
+        PagerService::try_new(ServiceConfig {
+            workers: 2,
+            capacity: 64,
+            node_id: Some(name.to_string()),
+            durability: Some(DurabilityOptions {
+                data_dir: "/node".into(),
+                fsync: FsyncPolicy::Always,
+                checkpoint_every: 0,
+                retain_wal: 4,
+                io: Some(Arc::new(MemIo::new())),
+            }),
+            ..ServiceConfig::default()
+        })
+        .unwrap()
+    }
+
+    fn dumped(service: &PagerService, key: &str) -> u64 {
+        service
+            .metrics_json()
+            .get(key)
+            .and_then(Value::as_u64)
             .unwrap()
-        };
+    }
+
+    #[test]
+    fn observe_ack_carries_its_frames_only_when_shipping() {
+        let owner = durable_node("owner");
+        let replica = durable_node("replica");
+        let plain = handle_line(
+            &owner,
+            r#"{"cmd": "observe", "cells": 4, "sightings": [{"device": "a", "cell": 1, "time": 1.0}]}"#,
+        )
+        .response;
+        assert_eq!(
+            plain, r#"{"v":1,"ok":true,"node":"owner","ingested":1,"versions":{"a":1}}"#,
+            "an observe without the ship flag acks as it always has"
+        );
+        let shipped = jsonio::parse(
+            &handle_line(
+                &owner,
+                r#"{"cmd": "observe", "cells": 4, "ship": true, "sightings": [
+                    {"device": "b", "cell": 2, "time": 1.5}, {"device": "a", "cell": 3, "time": 2.0}]}"#,
+            )
+            .response,
+        )
+        .unwrap();
+        let field = |name| shipped.get(name).and_then(Value::as_u64).unwrap();
+        assert_eq!(
+            owner
+                .observe(4, &[])
+                .unwrap()
+                .appended
+                .map(|append| append.incarnation),
+            Some(field("wal_incarnation"))
+        );
+        // The frames start where the first observe's ended and are
+        // exactly what `wal_ship` would read back from there.
+        assert_eq!(field("wal_generation"), 0);
+        let offset = field("wal_offset");
+        assert!(offset > 0, "{shipped}");
+        let hex = shipped.get("wal_bytes").and_then(Value::as_str).unwrap();
+        let export = owner.export_wal(0, offset, 1 << 20).unwrap();
+        assert_eq!(hex, encode_hex(&export.bytes));
+        // Forwarded after the first batch's frames, they reproduce the
+        // owner's versions on the replica.
+        let head = owner.export_wal(0, 0, offset as usize).unwrap();
+        replica.apply_wal(&head.bytes).unwrap();
+        let apply_line = format!(r#"{{"cmd": "wal_apply", "bytes": "{hex}"}}"#);
+        let applied = jsonio::parse(&handle_line(&replica, &apply_line).response).unwrap();
+        assert_eq!(applied.get("applied").and_then(Value::as_u64), Some(2));
+        assert_eq!(
+            applied.get("consumed").and_then(Value::as_u64),
+            Some(hex.len() as u64 / 2)
+        );
+        assert_eq!(
+            applied.get("profile_version").and_then(Value::as_u64),
+            Some(3)
+        );
+        for device in ["a", "b"] {
+            assert_eq!(
+                replica.profiles().version(device),
+                owner.profiles().version(device)
+            );
+        }
+    }
+
+    #[test]
+    fn a_shipped_chunk_costs_the_replica_one_fsync() {
+        let owner = durable_node("owner");
+        let replica = durable_node("replica");
+        let sightings: Vec<pager_profiles::Sighting> = (0..128u32)
+            .map(|i| pager_profiles::Sighting {
+                device: format!("d{}", i % 16),
+                cell: (i % 4) as usize,
+                time: f64::from(i),
+            })
+            .collect();
+        let Observed { versions, appended } = owner.observe(4, &sightings).unwrap();
+        let append = appended.expect("a durable owner returns its frames");
+        assert_eq!(dumped(&owner, "wal_fsyncs"), 1);
+        let before = dumped(&replica, "wal_fsyncs");
+        let outcome = replica.apply_wal(&append.bytes).unwrap();
+        assert_eq!(outcome.records, 128);
+        assert_eq!(outcome.consumed, append.bytes.len() as u64);
+        assert_eq!(dumped(&replica, "wal_fsyncs"), before + 1);
+        for (device, version) in &versions[versions.len() - 16..] {
+            assert_eq!(replica.profiles().version(device), Some(*version));
+        }
+        assert_eq!(
+            replica.profiles().latest_version(),
+            owner.profiles().latest_version()
+        );
+    }
+
+    #[test]
+    fn an_observe_over_one_ship_window_acks_without_frames() {
+        let owner = durable_node("owner");
+        let replica = durable_node("replica");
+        // 600 frames of ~4 KiB each: more than one ship window.
+        let device = |i: u32| format!("{}{}", "d".repeat(4000), i % 4);
+        let sightings: Vec<String> = (0..600u32)
+            .map(|i| {
+                format!(
+                    r#"{{"device": "{}", "cell": {}, "time": {i}}}"#,
+                    device(i),
+                    i % 4
+                )
+            })
+            .collect();
+        let line = format!(
+            r#"{{"cmd": "observe", "cells": 4, "ship": true, "sightings": [{}]}}"#,
+            sightings.join(",")
+        );
+        let response = handle_line(&owner, &line).response;
+        let ack = jsonio::parse(&response).unwrap();
+        assert_eq!(ack.get("ingested").and_then(Value::as_u64), Some(600));
+        for field in [
+            "wal_incarnation",
+            "wal_generation",
+            "wal_offset",
+            "wal_bytes",
+        ] {
+            assert!(ack.get(field).is_none(), "{field} on an oversize ack");
+        }
+        assert!(response.len() < line.len());
+        // The replica converges through window-sized `wal_ship` reads.
+        let mut offset = 0;
+        loop {
+            let export = owner.export_wal(0, offset, SHIP_WINDOW_BYTES).unwrap();
+            if export.bytes.is_empty() {
+                break;
+            }
+            offset += replica.apply_wal(&export.bytes).unwrap().consumed;
+        }
+        assert!(offset > SHIP_WINDOW_BYTES as u64);
+        for i in 0..4 {
+            assert_eq!(
+                replica.profiles().version(&device(i)),
+                owner.profiles().version(&device(i))
+            );
+        }
+    }
+
+    #[test]
+    fn wal_ship_and_apply_replicate_versions() {
         let owner = durable_node("owner");
         let replica = durable_node("replica");
         let observe = r#"{"cmd": "observe", "cells": 4, "sightings": [

@@ -9,7 +9,7 @@ use pager_core::Instance;
 use pager_profiles::io::{DiskIo, StorageIo};
 use pager_profiles::{
     DurabilityConfig, DurableError, DurableStore, Estimator, FsyncPolicy, ProfileStore,
-    RecoveryReport, Sighting, StoreConfig, Time, WalSegment,
+    RecoveryReport, Sighting, StoreConfig, Time, WalAppend, WalSegment,
 };
 use pager_wire::fold_cache_key;
 
@@ -167,6 +167,16 @@ pub struct PlanResponse {
     pub cached: bool,
     /// Joined an identical in-flight computation.
     pub coalesced: bool,
+}
+
+/// What an acked [`PagerService::observe`] did.
+#[derive(Debug, Clone)]
+pub struct Observed {
+    /// `(device, new version)` per sighting, in batch order.
+    pub versions: Vec<(String, u64)>,
+    /// The WAL frames the batch appended, for a router to forward to
+    /// replicas (`None` without a durable store).
+    pub appended: Option<WalAppend>,
 }
 
 /// What applying a shipped WAL chunk did ([`PagerService::apply_wal`]).
@@ -430,7 +440,10 @@ impl PagerService {
     }
 
     /// Applies a chunk of an owner's WAL to this store (the
-    /// `wal_apply` wire op), one record at a time in frame order.
+    /// `wal_apply` wire op) in frame order. Each run of consecutive
+    /// records with the same `cells` is one [`PagerService::observe`]
+    /// call, so a shipped batch costs the replica one WAL fsync, as it
+    /// cost the owner.
     ///
     /// A replica fed *only* through this path reproduces the owner's
     /// profile-version numbering exactly: versions are drawn from a
@@ -444,18 +457,19 @@ impl PagerService {
     /// chunk stay applied — same append-only contract as `observe`).
     pub fn apply_wal(&self, bytes: &[u8]) -> Result<WalApplyOutcome, ServiceError> {
         let scan = pager_profiles::wal::scan(bytes);
-        let mut records = 0u64;
-        for record in &scan.records {
-            let sighting = Sighting {
-                device: record.device.clone(),
-                cell: record.cell,
-                time: record.time,
-            };
-            self.observe(record.cells, &[sighting])?;
-            records += 1;
+        for run in scan.records.chunk_by(|a, b| a.cells == b.cells) {
+            let sightings: Vec<Sighting> = run
+                .iter()
+                .map(|record| Sighting {
+                    device: record.device.clone(),
+                    cell: record.cell,
+                    time: record.time,
+                })
+                .collect();
+            self.observe(run[0].cells, &sightings)?;
         }
         Ok(WalApplyOutcome {
-            records,
+            records: scan.records.len() as u64,
             consumed: scan.valid_len,
         })
     }
@@ -669,27 +683,32 @@ impl PagerService {
     }
 
     /// Ingests a batch of sightings into the profile store, returning
-    /// `(device, new version)` per sighting.
+    /// each sighting's new version and, on a durable store, the WAL
+    /// frames the batch appended.
     ///
     /// # Errors
     ///
     /// The first offending sighting's message (earlier sightings in
     /// the batch have been ingested — append-only, no rollback).
-    pub fn observe(
-        &self,
-        cells: usize,
-        sightings: &[Sighting],
-    ) -> Result<Vec<(String, u64)>, ServiceError> {
+    pub fn observe(&self, cells: usize, sightings: &[Sighting]) -> Result<Observed, ServiceError> {
         let result = match &self.durable {
             None => self
                 .profiles
                 .observe_batch(cells, sightings)
+                .map(|versions| Observed {
+                    versions,
+                    appended: None,
+                })
                 .map_err(ServiceError::BadRequest),
             // Durable path: the batch is applied, WAL-appended, and
             // (per policy) fsynced before this returns — an Ok here is
             // the acked-write guarantee.
             Some(durable) => durable
                 .observe_batch(cells, sightings)
+                .map(|(versions, append)| Observed {
+                    versions,
+                    appended: Some(append),
+                })
                 .map_err(|e| match e {
                     DurableError::Rejected(m) => ServiceError::BadRequest(m),
                     DurableError::Degraded(m) => ServiceError::Degraded(m),

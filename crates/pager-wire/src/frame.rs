@@ -166,9 +166,11 @@ pub fn begin_frame(out: &mut Vec<u8>, op: u8) -> usize {
 
 /// Patches the length field of the frame started at `start` to cover
 /// everything appended since. Frames over [`MAX_FRAME_LEN`] cannot be
-/// produced by this crate's encoders (their payloads are bounded by
-/// request sizes the decoders already capped), so the cast saturates
-/// defensively rather than panicking.
+/// produced by this crate's encoders: their payloads are bounded by
+/// request sizes the decoders already capped, except an `observe` ack
+/// sent with `ship` set, whose WAL frames the service attaches only
+/// when they fit one ship window (2 MiB, 4 MiB as hex). The cast
+/// therefore saturates defensively rather than panicking.
 pub fn finish_frame(out: &mut [u8], start: usize) {
     let len = out.len() - start - HEADER_LEN;
     let len = u32::try_from(len).unwrap_or(u32::MAX);

@@ -176,7 +176,17 @@ fn parse_observe(value: &Value) -> Result<Request, String> {
             time,
         });
     }
-    Ok(Request::Observe { cells, sightings })
+    let ship = match value.get("ship") {
+        None | Some(Value::Null) => false,
+        Some(flag) => flag
+            .as_bool()
+            .ok_or_else(|| "\"ship\" must be a boolean".to_string())?,
+    };
+    Ok(Request::Observe {
+        cells,
+        sightings,
+        ship,
+    })
 }
 
 fn parse_epoch(value: &Value) -> Result<Request, String> {
@@ -341,25 +351,35 @@ pub fn encode_request(request: &Request) -> String {
             fields.extend(spec_fields(spec));
             Value::object(fields)
         }
-        Request::Observe { cells, sightings } => Value::object(vec![
-            ("cmd", Value::from("observe")),
-            ("cells", Value::from(*cells)),
-            (
-                "sightings",
-                Value::Array(
-                    sightings
-                        .iter()
-                        .map(|s| {
-                            Value::object(vec![
-                                ("device", Value::from(s.device.as_str())),
-                                ("cell", Value::from(s.cell)),
-                                ("time", Value::Float(s.time)),
-                            ])
-                        })
-                        .collect(),
+        Request::Observe {
+            cells,
+            sightings,
+            ship,
+        } => {
+            let mut fields = vec![
+                ("cmd", Value::from("observe")),
+                ("cells", Value::from(*cells)),
+                (
+                    "sightings",
+                    Value::Array(
+                        sightings
+                            .iter()
+                            .map(|s| {
+                                Value::object(vec![
+                                    ("device", Value::from(s.device.as_str())),
+                                    ("cell", Value::from(s.cell)),
+                                    ("time", Value::Float(s.time)),
+                                ])
+                            })
+                            .collect(),
+                    ),
                 ),
-            ),
-        ]),
+            ];
+            if *ship {
+                fields.push(("ship", Value::Bool(true)));
+            }
+            Value::object(fields)
+        }
         Request::PlanDevices {
             id,
             devices,

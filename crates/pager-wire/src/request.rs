@@ -179,6 +179,13 @@ pub enum Request {
         cells: usize,
         /// The sightings, in order.
         sightings: Vec<Sighting>,
+        /// Router-internal (`"ship": true`): the ack also carries the
+        /// WAL frames this batch appended (`wal_incarnation`,
+        /// `wal_generation`, `wal_offset`, hex `wal_bytes`), which the
+        /// router forwards to the shard's replicas. A batch whose
+        /// frames exceed one ship window acks without them. Clients
+        /// never need it.
+        ship: bool,
     },
     /// Plan a strategy for named devices out of the profile store.
     PlanDevices {

@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use conference_call::cluster::ring::ShardMap;
 use conference_call::cluster::router::RouterConfig;
-use conference_call::cluster::{Cluster, HarnessConfig, Topology};
+use conference_call::cluster::{Cluster, Conn, HarnessConfig, Topology};
 use jsonio::Value;
 
 const CELLS: usize = 6;
@@ -231,6 +231,107 @@ fn sigkill_owner_fails_over_without_losing_acked_observations() {
         shipped > 0,
         "replication must have shipped WAL records: {stats}"
     );
+
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&data_root);
+}
+
+/// A routed observe replicates in two hops: the owner's ack carries
+/// the frames it appended and the router forwards them to the replica,
+/// so steady single-writer traffic never reads the owner's WAL back
+/// with `wal_ship`. A write that bypasses the router leaves the
+/// replica's cursor behind; the next routed observe sees the gap,
+/// catches up with `wal_ship`, and the replica again matches the owner.
+/// So does a batch too large for its frames to ride the ack.
+#[test]
+fn routed_observes_ship_from_the_ack_and_catch_up_after_a_gap() {
+    let data_root =
+        std::env::temp_dir().join(format!("pager-cluster-two-hop-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&data_root);
+    let config = HarnessConfig {
+        pager_serve: PathBuf::from(env!("CARGO_BIN_EXE_pager-serve")),
+        data_root: data_root.clone(),
+        topology: Topology {
+            shards: 1,
+            replicas: 1,
+            ..Topology::default()
+        },
+        // Room for the multi-MiB batch below in an unoptimized build.
+        router: RouterConfig {
+            default_deadline: Duration::from_secs(30),
+            ..RouterConfig::default()
+        },
+    };
+    let cluster = Cluster::launch(&config).expect("launch 1x2 cluster");
+    let (owner, replica) = (&cluster.nodes[0], &cluster.nodes[1]);
+    assert_eq!((owner.replica, replica.replica), (0, 1));
+    let router_counter = |name: &str| {
+        cluster
+            .request(r#"{"cmd": "stats"}"#)
+            .get("router")
+            .and_then(|r| r.get(name))
+            .and_then(Value::as_u64)
+            .unwrap_or_else(|| panic!("router counter {name}"))
+    };
+
+    let devices: Vec<String> = (0..4).map(|i| format!("device-{i}")).collect();
+    for round in 0..5usize {
+        let batch: Vec<(String, usize, f64)> = devices
+            .iter()
+            .take(round % devices.len() + 1)
+            .map(|d| (d.clone(), round % CELLS, round as f64))
+            .collect();
+        observe_acked(&cluster, &batch);
+    }
+    assert_eq!(router_counter("ship_catchups"), 0);
+    assert_eq!(router_counter("shipped_records"), 11);
+
+    // The gap: one write straight to the owner.
+    let mut direct = Conn::connect(&owner.addr, Duration::from_secs(2)).expect("dial owner");
+    let ack = direct
+        .round_trip(&observe_line(&[("device-gap".to_string(), 1, 10.0)]))
+        .expect("direct observe");
+    assert_eq!(ack.get("ok").and_then(Value::as_bool), Some(true), "{ack}");
+    observe_acked(&cluster, &[(devices[0].clone(), 2, 11.0)]);
+    assert!(router_counter("ship_catchups") > 0);
+    assert_eq!(router_counter("shipped_records"), 13);
+
+    // A batch whose frames pass one ship window: the owner's ack
+    // leaves them off, and the router catches the replica up through
+    // window-sized `wal_ship` reads.
+    let long: Vec<String> = (0..4).map(|i| format!("{}{i}", "x".repeat(4000))).collect();
+    let big: Vec<(String, usize, f64)> = (0..600)
+        .map(|i| (long[i % 4].clone(), i % CELLS, 20.0 + i as f64))
+        .collect();
+    let catchups = router_counter("ship_catchups");
+    let acked = observe_acked(&cluster, &big);
+    let after = router_counter("ship_catchups");
+    assert!(after > catchups + 1, "{catchups} -> {after}: {acked:?}");
+    assert_eq!(router_counter("shipped_records"), 613);
+
+    // The replica serves the owner's versions, the bypassing write
+    // and the oversize batch included.
+    let versions = |addr: &str| -> Vec<u64> {
+        let mut conn = Conn::connect(addr, Duration::from_secs(2)).expect("dial node");
+        let mut all = Vec::new();
+        let gap = "device-gap".to_string();
+        for device in devices.iter().chain([&gap]).chain(&long) {
+            let plan = conn
+                .round_trip(&format!(
+                    r#"{{"cmd": "plan_devices", "id": 1, "devices": ["{device}"], "delay": 2, "estimator": "empirical"}}"#
+                ))
+                .expect("plan_devices");
+            all.push(
+                plan.get("profile_versions")
+                    .and_then(Value::as_array)
+                    .and_then(|v| v.first())
+                    .and_then(Value::as_u64)
+                    .unwrap_or_else(|| panic!("{device}: {plan}")),
+            );
+        }
+        all
+    };
+    assert_eq!(versions(&replica.addr), versions(&owner.addr));
 
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&data_root);
