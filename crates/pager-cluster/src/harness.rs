@@ -4,15 +4,15 @@
 //! `pager-serve` process per node — `shards × (replicas + 1)` in all —
 //! each with its own data directory, `--fsync always`, and a stable
 //! `--node-id`, plus an in-process [`Router`] wired to all of them.
-//! Tests and the `pager-cluster` binary then drive traffic through the
-//! router, `SIGKILL` owners mid-stream, poll `node_info` on survivors,
-//! and measure throughput — against the same binaries production runs,
-//! not mocks.
+//! Tests and the benchmark then drive traffic through the router,
+//! `SIGKILL` owners mid-stream and poll `node_info` on survivors —
+//! against the same binaries production runs, not mocks. The
+//! `pager-cluster` binary serves the same router over TCP.
 
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use jsonio::Value;
@@ -151,10 +151,6 @@ pub struct Cluster {
     /// harness's direct [`Cluster::node_info`] probes stay unproxied
     /// so the invariant checker keeps an honest observation channel.
     chaos: Option<ChaosNet>,
-    /// Completed `drive_traffic` rounds: each round starts its
-    /// sighting clock past the previous round's, keeping per-device
-    /// times monotone across warm-up and measurement runs.
-    traffic_rounds: std::sync::atomic::AtomicU64,
 }
 
 impl Cluster {
@@ -198,7 +194,6 @@ impl Cluster {
             nodes,
             router: Arc::new(router),
             chaos,
-            traffic_rounds: std::sync::atomic::AtomicU64::new(0),
         })
     }
 
@@ -252,100 +247,6 @@ impl Cluster {
         jsonio::parse(&outcome.response).unwrap_or(Value::Null)
     }
 
-    /// Drives a mixed observe/plan workload through the router from
-    /// `threads` concurrent clients and reports throughput and
-    /// latency. Each thread owns a private device namespace (sighting
-    /// times must be monotone per device, and threads interleave
-    /// unpredictably); every fourth request plans for a device that
-    /// thread has already observed.
-    #[must_use]
-    pub fn drive_traffic(&self, threads: usize, requests_per_thread: usize) -> TrafficReport {
-        const CELLS: usize = 8;
-        const DEVICES_PER_THREAD: usize = 16;
-        let round = self
-            .traffic_rounds
-            .fetch_add(1, std::sync::atomic::Ordering::AcqRel);
-        // Far enough apart that no realistic round length overlaps.
-        let time_base = round.saturating_mul(1_000_000);
-        let latencies: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-        let errors: Arc<Mutex<u64>> = Arc::new(Mutex::new(0));
-        let begin = Instant::now();
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let router = Arc::clone(&self.router);
-                let latencies = Arc::clone(&latencies);
-                let errors = Arc::clone(&errors);
-                scope.spawn(move || {
-                    let mut local_lat: Vec<u64> = Vec::with_capacity(requests_per_thread);
-                    let mut local_err = 0u64;
-                    for i in 0..requests_per_thread {
-                        let n = t * requests_per_thread + i;
-                        let line = if i % 4 == 3 {
-                            // Plan for the device observed at i-1: it
-                            // exists, and only this thread touches it.
-                            let device = format!("device-{t}-{}", (i - 1) % DEVICES_PER_THREAD);
-                            format!(
-                                r#"{{"cmd": "plan_devices", "id": {n}, "devices": ["{device}"], "delay": 2, "deadline_ms": 2000}}"#
-                            )
-                        } else {
-                            let device = format!("device-{t}-{}", i % DEVICES_PER_THREAD);
-                            format!(
-                                r#"{{"cmd": "observe", "cells": {CELLS}, "sightings": [{{"device": "{device}", "cell": {cell}, "time": {time}.0}}]}}"#,
-                                cell = i % CELLS,
-                                time = time_base + i as u64 + 1,
-                            )
-                        };
-                        let start = Instant::now();
-                        let outcome = router.handle_line(&line);
-                        let micros =
-                            u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-                        local_lat.push(micros);
-                        let ok = jsonio::parse(&outcome.response)
-                            .ok()
-                            .and_then(|v| v.get("ok").and_then(Value::as_bool))
-                            == Some(true);
-                        if !ok {
-                            local_err += 1;
-                        }
-                    }
-                    let mut all = latencies.lock().unwrap_or_else(|e| e.into_inner());
-                    all.extend(local_lat);
-                    drop(all);
-                    let mut e = errors.lock().unwrap_or_else(|e| e.into_inner());
-                    *e += local_err;
-                });
-            }
-        });
-        let elapsed = begin.elapsed();
-        let mut all = latencies.lock().unwrap_or_else(|e| e.into_inner());
-        all.sort_unstable();
-        let quantile = |q: f64| -> u64 {
-            if all.is_empty() {
-                return 0;
-            }
-            #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
-            #[allow(clippy::cast_sign_loss)]
-            let idx = ((all.len() - 1) as f64 * q).round() as usize;
-            all[idx.min(all.len() - 1)]
-        };
-        let requests = all.len() as u64;
-        let error_count = *errors.lock().unwrap_or_else(|e| e.into_inner());
-        TrafficReport {
-            requests,
-            errors: error_count,
-            elapsed,
-            rps: if elapsed.as_secs_f64() > 0.0 {
-                #[allow(clippy::cast_precision_loss)]
-                let r = requests as f64 / elapsed.as_secs_f64();
-                r
-            } else {
-                0.0
-            },
-            p50_micros: quantile(0.50),
-            p99_micros: quantile(0.99),
-        }
-    }
-
     /// Orderly stop: one `shutdown` through the router (broadcast to
     /// every live node), then reap all children.
     pub fn shutdown(mut self) {
@@ -371,40 +272,5 @@ impl Cluster {
             }
             node.child = None;
         }
-    }
-}
-
-/// What `drive_traffic` measured.
-#[derive(Debug, Clone)]
-pub struct TrafficReport {
-    /// Total requests issued.
-    pub requests: u64,
-    /// Responses that were not `"ok": true`.
-    pub errors: u64,
-    /// Wall-clock time for the whole run.
-    pub elapsed: Duration,
-    /// Requests per second.
-    pub rps: f64,
-    /// Median per-request latency.
-    pub p50_micros: u64,
-    /// 99th-percentile per-request latency.
-    pub p99_micros: u64,
-}
-
-impl TrafficReport {
-    /// JSON form for benchmark artifacts.
-    #[must_use]
-    pub fn to_json(&self) -> Value {
-        Value::object(vec![
-            ("requests", Value::from(self.requests)),
-            ("errors", Value::from(self.errors)),
-            (
-                "elapsed_micros",
-                Value::from(u64::try_from(self.elapsed.as_micros()).unwrap_or(u64::MAX)),
-            ),
-            ("rps", Value::Float(self.rps)),
-            ("p50_micros", Value::from(self.p50_micros)),
-            ("p99_micros", Value::from(self.p99_micros)),
-        ])
     }
 }

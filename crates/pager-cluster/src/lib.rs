@@ -23,9 +23,9 @@
 //!   *before* acking an `observe`, so failover serves every acked
 //!   sighting with the owner's exact version numbering.
 //! - [`harness`]: an **orchestration harness** that launches a real
-//!   N-process cluster from a [`topology::Topology`] spec, drives
-//!   mixed traffic, polls `node_info` on every shard, and asserts the
-//!   cluster invariants (no acked observation lost after SIGKILL,
+//!   N-process cluster from a [`topology::Topology`] spec, routes
+//!   requests through it, polls `node_info` on every shard, and
+//!   asserts the cluster invariants (no acked observation lost after SIGKILL,
 //!   version monotonicity across failover). A topology with a
 //!   [`topology::ChaosSpec`] gets a seeded `pager-chaos` fault proxy
 //!   on every router→node link.
@@ -40,8 +40,8 @@
 //!   `pager-serve` — drain, deadline watchdog and an elastic I/O pool
 //!   that keeps one blocked backend from stalling other clients.
 //!
-//! The `pager-cluster` binary serves the router over TCP (`launch`)
-//! and wraps the harness in a throughput baseline (`bench`).
+//! The `pager-cluster` binary serves the router over TCP (`launch`);
+//! perfbench's `cluster-mixed` workload measures it end to end.
 
 #![warn(missing_docs)]
 
@@ -55,7 +55,7 @@ pub mod ship;
 pub mod topology;
 pub mod wire;
 
-pub use harness::{Cluster, HarnessConfig, TrafficReport};
+pub use harness::{Cluster, HarnessConfig};
 pub use invariants::{check_under_schedule, CheckConfig, InvariantReport};
 pub use ring::{ArcMove, RebalancePlan, ShardMap};
 pub use router::{BackendSpec, Router, RouterConfig, RouterOutcome, ShardSpec};

@@ -244,16 +244,6 @@ impl Conn {
             .set_write_timeout(Some(timeout))
             .map_err(|e| format!("cannot set write timeout: {e}"))
     }
-
-    /// Sends one line without waiting for a response (used for
-    /// best-effort broadcasts like `shutdown`).
-    pub fn send_only(&mut self, line: &str) -> Result<(), String> {
-        self.writer
-            .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-            .and_then(|()| self.writer.flush())
-            .map_err(|e| format!("write failed: {e}"))
-    }
 }
 
 #[cfg(test)]
