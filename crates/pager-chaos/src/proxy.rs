@@ -534,7 +534,14 @@ mod tests {
         let proxy = ChaosProxy::spawn("router->n0", &upstream, 1).expect("spawn");
         let reply = round_trip(&proxy.addr(), "hello", Duration::from_secs(2)).expect("reply");
         assert_eq!(reply, "echo:hello");
-        let stats = proxy.stats();
+        // The proxy counts a chunk after writing it, so the client can
+        // read the echo first: wait (bounded) for the count to land.
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        let mut stats = proxy.stats();
+        while stats.bytes_forwarded < 12 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+            stats = proxy.stats();
+        }
         assert_eq!(stats.conns_opened, 1);
         assert!(stats.bytes_forwarded >= 12);
         assert_eq!(stats.chunks_corrupted, 0);

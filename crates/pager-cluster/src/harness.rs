@@ -187,9 +187,7 @@ impl Cluster {
                 backends,
             });
         }
-        let mut router_config = config.router.clone();
-        router_config.vnodes = t.vnodes;
-        let router = Router::new(shards, router_config)?;
+        let router = Router::new(shards, t.vnodes, config.router.clone())?;
         Ok(Cluster {
             nodes,
             router: Arc::new(router),

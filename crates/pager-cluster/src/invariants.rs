@@ -182,12 +182,14 @@ fn traffic_thread(
     let devices: Vec<String> = (0..config.devices_per_thread.max(1))
         .map(|d| format!("{}-t{thread}-d{d}", config.namespace))
         .collect();
+    let shard_count = cluster.router.shard_count();
     // Highest version acked per device, parallel to `devices`, plus a
-    // short history of `(version, routing snapshot)` per device — an
-    // in-memory diagnostic trail dumped only into violation messages
-    // (logging on the hot path perturbs timing enough to mask races).
+    // short history of `(version, owners)` per device — each shard's
+    // owning backend index just after the ack. An in-memory diagnostic
+    // trail dumped only into violation messages (logging on the hot
+    // path perturbs timing enough to mask races).
     let mut max_acked: Vec<u64> = vec![0; devices.len()];
-    let mut ack_trail: Vec<Vec<(u64, String)>> = vec![Vec::new(); devices.len()];
+    let mut ack_trail: Vec<Vec<(u64, Vec<usize>)>> = vec![Vec::new(); devices.len()];
     const TRAIL: usize = 12;
     let allowance = Duration::from_millis(config.deadline_ms + config.deadline_slack_ms);
     let mut clock: u64 = 0;
@@ -225,12 +227,6 @@ fn traffic_thread(
         }
         let ok = value.get("ok").and_then(Value::as_bool) == Some(true);
         if !ok {
-            if crate::router::chaos_debug() {
-                eprintln!(
-                    "[chaos-debug] t{thread} error after {}ms: {value}",
-                    elapsed.as_millis()
-                );
-            }
             // An honest, in-budget error is chaos working as intended.
             outcome.honest_errors += 1;
             continue;
@@ -260,10 +256,11 @@ fn traffic_thread(
                 if version > max_acked[d] {
                     max_acked[d] = version;
                 }
-                let owners = value
-                    .get("debug_owners")
-                    .map(|v| v.to_string())
-                    .unwrap_or_default();
+                // Which backend the routing table credits as each
+                // shard's owner just after the ack.
+                let owners = (0..shard_count)
+                    .map(|shard| cluster.router.shard_snapshot(shard).0)
+                    .collect();
                 if ack_trail[d].len() == TRAIL {
                     ack_trail[d].remove(0);
                 }

@@ -6,8 +6,7 @@
 //! on top of `pager-serve` without touching the v1 wire protocol:
 //!
 //! - [`ring`]: a consistent-hash **shard map** with virtual nodes over
-//!   device/area keys, versioned membership epochs, and deterministic
-//!   rebalance plans on join/leave.
+//!   device/area keys and a versioned membership epoch.
 //! - [`router`]: a dual-protocol **router** speaking both `pager_wire`
 //!   encodings — v1 JSON lines and v2 binary frames (a v2 `plan`
 //!   frame is routed by fingerprinting its borrowed payload and
@@ -57,7 +56,7 @@ pub mod wire;
 
 pub use harness::{Cluster, HarnessConfig};
 pub use invariants::{check_under_schedule, CheckConfig, InvariantReport};
-pub use ring::{ArcMove, RebalancePlan, ShardMap};
+pub use ring::ShardMap;
 pub use router::{BackendSpec, Router, RouterConfig, RouterOutcome, ShardSpec};
 pub use topology::{ChaosSpec, Topology};
 pub use wire::Conn;

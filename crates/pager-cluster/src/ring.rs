@@ -2,14 +2,10 @@
 //!
 //! Keys (device names, or any routing key) are hashed onto a 64-bit
 //! ring; each shard owns the arcs that end at its virtual-node points.
-//! Virtual nodes smooth the load split, and — the property that makes
-//! consistent hashing worth its salt — adding or removing one shard
-//! only moves the arcs adjacent to that shard's points. Every
-//! membership change bumps a monotone **epoch** and yields a
-//! deterministic [`RebalancePlan`] listing exactly which arcs changed
-//! hands, so an operator (or the harness) can verify that a join
-//! steals only from the survivors and a leave spills only from the
-//! departed.
+//! Virtual nodes smooth the load split. The router builds one map and
+//! never changes its members: a failover or a dropped replica changes
+//! the backends serving a shard and bumps the map's membership
+//! **epoch**, but every key keeps its shard.
 
 use pager_core::fingerprint;
 
@@ -35,7 +31,8 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// A versioned consistent-hash map from keys to shard names.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardMap {
-    /// Membership epoch; bumped by every `with_shard`/`without_shard`.
+    /// Membership epoch; the router bumps it whenever a shard changes
+    /// backends (a failover or a dropped replica).
     pub epoch: u64,
     /// Virtual nodes per shard.
     pub vnodes: u32,
@@ -43,33 +40,6 @@ pub struct ShardMap {
     pub shards: Vec<String>,
     /// Ring points, sorted by hash: `(point, index into shards)`.
     ring: Vec<(u64, u32)>,
-}
-
-/// One arc of the ring that changed owner in a membership change.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArcMove {
-    /// First hash in the arc (arcs are `(start..=end]` going clockwise,
-    /// with wraparound when `start > end`).
-    pub start: u64,
-    /// Last hash in the arc.
-    pub end: u64,
-    /// Shard that owned the arc before the change.
-    pub from: String,
-    /// Shard that owns the arc after the change.
-    pub to: String,
-}
-
-/// The deterministic diff between two consecutive membership epochs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RebalancePlan {
-    /// Epoch the plan starts from.
-    pub from_epoch: u64,
-    /// Epoch the plan produces.
-    pub to_epoch: u64,
-    /// Arcs that change owner, sorted by `start`, adjacent same-owner
-    /// arcs coalesced. Empty when nothing moves (e.g. removing a shard
-    /// that was never a member).
-    pub moves: Vec<ArcMove>,
 }
 
 impl ShardMap {
@@ -83,29 +53,25 @@ impl ShardMap {
                 unique.push(s.clone());
             }
         }
-        let mut map = ShardMap {
-            epoch,
-            vnodes: vnodes.max(1),
-            shards: unique,
-            ring: Vec::new(),
-        };
-        map.rebuild();
-        map
-    }
-
-    fn rebuild(&mut self) {
-        self.ring.clear();
-        for (idx, shard) in self.shards.iter().enumerate() {
-            for vnode in 0..self.vnodes {
+        let vnodes = vnodes.max(1);
+        let mut ring = Vec::with_capacity(unique.len() * vnodes as usize);
+        for (idx, shard) in unique.iter().enumerate() {
+            for vnode in 0..vnodes {
                 let point = fnv1a64(format!("{shard}#{vnode}").as_bytes());
                 #[allow(clippy::cast_possible_truncation)]
-                self.ring.push((point, idx as u32));
+                ring.push((point, idx as u32));
             }
         }
-        self.ring.sort_unstable();
+        ring.sort_unstable();
         // Colliding points would make ownership depend on sort order of
         // the shard index; keep the first (lowest index) deterministically.
-        self.ring.dedup_by_key(|&mut (point, _)| point);
+        ring.dedup_by_key(|&mut (point, _)| point);
+        ShardMap {
+            epoch,
+            vnodes,
+            shards: unique,
+            ring,
+        }
     }
 
     /// Number of member shards.
@@ -129,125 +95,14 @@ impl ShardMap {
     /// Index (into [`Self::shards`]) of the shard owning `key`.
     #[must_use]
     pub fn owner_index(&self, key: &str) -> Option<usize> {
-        self.owner_of_point(fnv1a64(key.as_bytes()))
-    }
-
-    fn owner_of_point(&self, point: u64) -> Option<usize> {
         if self.ring.is_empty() {
             return None;
         }
         // Successor point on the ring (wrap to the first past the top).
+        let point = fnv1a64(key.as_bytes());
         let idx = self.ring.partition_point(|&(p, _)| p < point);
         let (_, shard) = self.ring[idx % self.ring.len()];
         Some(shard as usize)
-    }
-
-    /// Up to `n` distinct shards for `key`: the owner first, then the
-    /// next distinct shards clockwise — the standard replica
-    /// preference list.
-    #[must_use]
-    pub fn successors(&self, key: &str, n: usize) -> Vec<&str> {
-        let mut out: Vec<&str> = Vec::new();
-        if self.ring.is_empty() || n == 0 {
-            return out;
-        }
-        let point = fnv1a64(key.as_bytes());
-        let start = self.ring.partition_point(|&(p, _)| p < point);
-        for step in 0..self.ring.len() {
-            let (_, shard) = self.ring[(start + step) % self.ring.len()];
-            let name = self.shards[shard as usize].as_str();
-            if !out.contains(&name) {
-                out.push(name);
-                if out.len() == n {
-                    break;
-                }
-            }
-        }
-        out
-    }
-
-    /// Adds `shard` (no-op plan if already a member), bumping the
-    /// epoch and returning the new map plus the deterministic diff.
-    #[must_use]
-    pub fn with_shard(&self, shard: &str) -> (ShardMap, RebalancePlan) {
-        let mut shards = self.shards.clone();
-        if !shards.iter().any(|s| s == shard) {
-            shards.push(shard.to_string());
-        }
-        self.transition(shards)
-    }
-
-    /// Removes `shard` (no-op plan if not a member), bumping the epoch
-    /// and returning the new map plus the deterministic diff.
-    #[must_use]
-    pub fn without_shard(&self, shard: &str) -> (ShardMap, RebalancePlan) {
-        let shards: Vec<String> = self
-            .shards
-            .iter()
-            .filter(|s| *s != shard)
-            .cloned()
-            .collect();
-        self.transition(shards)
-    }
-
-    fn transition(&self, shards: Vec<String>) -> (ShardMap, RebalancePlan) {
-        let next = ShardMap::new(&shards, self.vnodes, self.epoch + 1);
-        let plan = self.diff(&next);
-        (next, plan)
-    }
-
-    /// Computes the arc-by-arc ownership diff from `self` to `next`.
-    ///
-    /// Walks the union of both rings' points: between two consecutive
-    /// boundary points ownership is constant in both maps, so sampling
-    /// each arc's end point gives the exact before/after owners.
-    #[must_use]
-    pub fn diff(&self, next: &ShardMap) -> RebalancePlan {
-        let mut points: Vec<u64> = self
-            .ring
-            .iter()
-            .chain(next.ring.iter())
-            .map(|&(p, _)| p)
-            .collect();
-        points.sort_unstable();
-        points.dedup();
-        let mut moves: Vec<ArcMove> = Vec::new();
-        for (i, &end) in points.iter().enumerate() {
-            let start = if i == 0 {
-                // The arc ending at the lowest point wraps from the top.
-                *points.last().unwrap_or(&end)
-            } else {
-                points[i - 1]
-            };
-            let (before, after) = match (self.owner_of_point(end), next.owner_of_point(end)) {
-                (Some(b), Some(a)) => (b, a),
-                _ => continue,
-            };
-            if self.shards[before] == next.shards[after] {
-                continue;
-            }
-            let from = self.shards[before].clone();
-            let to = next.shards[after].clone();
-            // Coalesce with the previous move when the arcs are
-            // adjacent and transfer between the same pair of shards.
-            if let Some(last) = moves.last_mut() {
-                if last.end == start && last.from == from && last.to == to {
-                    last.end = end;
-                    continue;
-                }
-            }
-            moves.push(ArcMove {
-                start,
-                end,
-                from,
-                to,
-            });
-        }
-        RebalancePlan {
-            from_epoch: self.epoch,
-            to_epoch: next.epoch,
-            moves,
-        }
     }
 }
 
@@ -298,69 +153,5 @@ mod tests {
         for &c in &counts {
             assert!(c > 50, "unbalanced split: {counts:?}");
         }
-    }
-
-    #[test]
-    fn successors_lists_distinct_shards_owner_first() {
-        let map = ShardMap::new(&names(3), 32, 0);
-        for i in 0..100 {
-            let key = format!("device-{i}");
-            let succ = map.successors(&key, 2);
-            assert_eq!(succ.len(), 2);
-            assert_eq!(Some(succ[0]), map.owner(&key));
-            assert_ne!(succ[0], succ[1]);
-        }
-        assert_eq!(map.successors("k", 5).len(), 3, "capped at member count");
-    }
-
-    #[test]
-    fn join_moves_arcs_only_to_the_new_shard() {
-        let map = ShardMap::new(&names(3), 64, 7);
-        let (next, plan) = map.with_shard("shard-3");
-        assert_eq!(plan.from_epoch, 7);
-        assert_eq!(plan.to_epoch, 8);
-        assert_eq!(next.epoch, 8);
-        assert!(!plan.moves.is_empty());
-        for mv in &plan.moves {
-            assert_eq!(mv.to, "shard-3", "join must only steal arcs: {mv:?}");
-            assert_ne!(mv.from, "shard-3");
-        }
-        // Keys outside the moved arcs keep their owner.
-        let mut moved = 0usize;
-        for i in 0..1000 {
-            let key = format!("device-{i}");
-            if map.owner(&key) != next.owner(&key) {
-                assert_eq!(next.owner(&key), Some("shard-3"));
-                moved += 1;
-            }
-        }
-        assert!(moved > 0 && moved < 600, "join moved {moved}/1000 keys");
-    }
-
-    #[test]
-    fn leave_spills_arcs_only_from_the_departed_shard() {
-        let map = ShardMap::new(&names(4), 64, 0);
-        let (next, plan) = map.without_shard("shard-2");
-        assert_eq!(next.len(), 3);
-        for mv in &plan.moves {
-            assert_eq!(mv.from, "shard-2", "leave must only spill arcs: {mv:?}");
-            assert_ne!(mv.to, "shard-2");
-        }
-        for i in 0..1000 {
-            let key = format!("device-{i}");
-            if map.owner(&key) != next.owner(&key) {
-                assert_eq!(map.owner(&key), Some("shard-2"));
-            }
-        }
-    }
-
-    #[test]
-    fn no_op_membership_changes_produce_empty_plans() {
-        let map = ShardMap::new(&names(3), 16, 3);
-        let (next, plan) = map.with_shard("shard-1");
-        assert!(plan.moves.is_empty());
-        assert_eq!(next.epoch, 4, "epoch still bumps — the change was acked");
-        let (_, plan) = map.without_shard("shard-9");
-        assert!(plan.moves.is_empty());
     }
 }

@@ -34,13 +34,13 @@
 //! released before any backend I/O.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use jsonio::Value;
 use pager_profiles::Sighting;
 use pager_service::metrics::Counter;
-use pager_wire::frame::{self, op};
+use pager_wire::frame::{self, op, Message};
 use pager_wire::{
     binary, json, ErrorCode, IdView, PlanFrameView, Request, RoutedRequest, WireError,
 };
@@ -60,14 +60,6 @@ pub const PROTOCOL_VERSION: u64 = 1;
 /// cache keys just use its own resolution.
 const ROUTING_GRID: u32 = 1000;
 
-/// Whether `CHAOS_DEBUG` diagnostics are enabled. Read once: a
-/// per-request `env::var` takes a process-global lock, which is enough
-/// timing perturbation to mask the races the chaos matrix hunts.
-pub(crate) fn chaos_debug() -> bool {
-    static FLAG: OnceLock<bool> = OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var("CHAOS_DEBUG").is_ok())
-}
-
 /// One process a shard can be served by.
 #[derive(Debug, Clone)]
 pub struct BackendSpec {
@@ -86,42 +78,37 @@ pub struct ShardSpec {
     pub backends: Vec<BackendSpec>,
 }
 
-/// Router tuning.
+/// Consecutive transport failures before a backend's breaker opens.
+pub(crate) const BREAKER_THRESHOLD: u32 = 3;
+
+/// How long an open breaker rejects calls before half-opening.
+const BREAKER_COOLDOWN: Duration = Duration::from_millis(500);
+
+/// How long an idle pooled backend connection may sit unused before
+/// the router drops it instead of reusing it. Reaping is lazy (at
+/// checkout), so an idle router holds sockets at most one checkout
+/// past the TTL — and an engine-served backend holds the matching
+/// server side for pennies, not a thread.
+const POOL_IDLE_TTL: Duration = Duration::from_secs(30);
+
+/// Router tuning: the socket and deadline bounds. Ring shape comes
+/// from [`Router::new`]; breaker and pool policy are constants.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Virtual nodes per shard on the hash ring.
-    pub vnodes: u32,
-    /// Starting membership epoch.
-    pub epoch: u64,
     /// TCP connect timeout per backend dial.
     pub connect_timeout: Duration,
     /// Read/write timeout per backend round trip.
     pub io_timeout: Duration,
-    /// Consecutive transport failures before a backend's breaker opens.
-    pub breaker_threshold: u32,
-    /// How long an open breaker rejects calls before half-opening.
-    pub breaker_cooldown: Duration,
     /// Retry budget for requests that carry no `deadline_ms`.
     pub default_deadline: Duration,
-    /// How long an idle pooled backend connection may sit unused
-    /// before the router drops it instead of reusing it. Reaping is
-    /// lazy (at checkout), so an idle router holds sockets at most
-    /// one checkout past the TTL — and an engine-served backend
-    /// holds the matching server side for pennies, not a thread.
-    pub pool_idle_ttl: Duration,
 }
 
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
-            vnodes: 64,
-            epoch: 0,
             connect_timeout: Duration::from_millis(1000),
             io_timeout: Duration::from_millis(5000),
-            breaker_threshold: 3,
-            breaker_cooldown: Duration::from_millis(500),
             default_deadline: Duration::from_millis(2000),
-            pool_idle_ttl: Duration::from_secs(30),
         }
     }
 }
@@ -156,7 +143,7 @@ pub(crate) struct Backend {
     /// Idle pooled connections, each stamped with when it was parked.
     /// Poisoned connections (any transport or parse error
     /// mid-round-trip) are dropped, never returned; parked ones
-    /// expire after [`RouterConfig::pool_idle_ttl`].
+    /// expire after [`POOL_IDLE_TTL`].
     conns: Mutex<Vec<(Conn, Instant)>>,
     /// Consecutive transport failures (reset on success).
     failures: AtomicU32,
@@ -239,8 +226,13 @@ pub struct Router {
 
 impl Router {
     /// Builds a router over `shards` (each with its owner-first backend
-    /// list). Fails on an empty or inconsistent spec.
-    pub fn new(shards: Vec<ShardSpec>, config: RouterConfig) -> Result<Router, String> {
+    /// list), hashed onto a ring with `vnodes` virtual nodes per shard,
+    /// at membership epoch 0. Fails on an empty or inconsistent spec.
+    pub fn new(
+        shards: Vec<ShardSpec>,
+        vnodes: u32,
+        config: RouterConfig,
+    ) -> Result<Router, String> {
         if shards.is_empty() {
             return Err("router needs at least one shard".to_string());
         }
@@ -271,7 +263,7 @@ impl Router {
                 replicas: idxs[1..].to_vec(),
             });
         }
-        let map = ShardMap::new(&names, config.vnodes, config.epoch);
+        let map = ShardMap::new(&names, vnodes, 0);
         let ship = shard_nodes
             .iter()
             .map(|nodes| Mutex::new(ShipCursors::new(nodes.owner)))
@@ -304,7 +296,7 @@ impl Router {
     }
 
     /// Number of shards in the routing table.
-    fn shard_count(&self) -> usize {
+    pub(crate) fn shard_count(&self) -> usize {
         let membership = self.membership.lock().unwrap_or_else(|e| e.into_inner());
         membership.shards.len()
     }
@@ -342,7 +334,7 @@ impl Router {
             .connect_timeout
             .min(budget)
             .max(Duration::from_millis(1));
-        let pooled = checkout_pooled(&backend.conns, Instant::now(), self.config.pool_idle_ttl);
+        let pooled = checkout_pooled(&backend.conns, Instant::now(), POOL_IDLE_TTL);
         let mut conn = match pooled {
             Some(conn) => conn,
             None => match Conn::connect(&backend.addr, connect_timeout) {
@@ -434,9 +426,9 @@ impl Router {
         self.metrics.transport_errors.inc();
         let backend = &self.backends[idx];
         let failures = backend.failures.fetch_add(1, Ordering::AcqRel) + 1;
-        if failures >= self.config.breaker_threshold {
-            let horizon = self.now_micros()
-                + u64::try_from(self.config.breaker_cooldown.as_micros()).unwrap_or(u64::MAX);
+        if failures >= BREAKER_THRESHOLD {
+            let horizon =
+                self.now_micros() + u64::try_from(BREAKER_COOLDOWN.as_micros()).unwrap_or(u64::MAX);
             backend.open_until_micros.store(horizon, Ordering::Release);
             // Half-open: one probe is allowed once the horizon passes;
             // reset the count so a success fully closes the breaker.
@@ -466,12 +458,6 @@ impl Router {
                     nodes.owner = next;
                     membership.map.epoch += 1;
                     self.metrics.failovers.inc();
-                    if chaos_debug() {
-                        eprintln!(
-                            "[chaos-debug] promote shard={shard} dead={dead} next={next} epoch={}",
-                            membership.map.epoch
-                        );
-                    }
                     (membership.map.epoch, self.live_backends(&membership))
                 }
             }
@@ -516,12 +502,6 @@ impl Router {
         nodes.replicas.retain(|&r| r != dead);
         if nodes.replicas.len() != before {
             membership.map.epoch += 1;
-            if chaos_debug() {
-                eprintln!(
-                    "[chaos-debug] drop_replica shard={shard} dead={dead} epoch={}",
-                    membership.map.epoch
-                );
-            }
         }
     }
 
@@ -746,36 +726,40 @@ impl Router {
         }
     }
 
-    /// Routes one v2 frame, appending the response frame(s) to `out`.
+    /// Routes one v2 frame, appending the response frame to `out`.
     /// Returns `true` when the caller should stop serving (the client
     /// sent `shutdown` inside a JSON-wrapped frame).
     ///
-    /// `plan` frames are forwarded without decode/re-encode: the view
-    /// reads only the header fields it routes by, and the backend's
-    /// response frame is relayed verbatim. Frame-native responses are
-    /// not stamped with `shard`/`router_epoch` — that metadata is a v1
-    /// JSON affordance; v2 clients wanting membership ask `node_info`.
+    /// A `JSON_REQ` frame is unwrapped by
+    /// [`frame::Message::of_frame`] and routed as the line it carries
+    /// (counted once, by [`Router::handle_line`]). `plan` frames are
+    /// forwarded without decode/re-encode: the view reads only the
+    /// header fields it routes by, and the backend's response frame is
+    /// relayed verbatim. Frame-native responses are not stamped with
+    /// `shard`/`router_epoch` — that metadata is a v1 JSON affordance;
+    /// v2 clients wanting membership ask `node_info`.
     #[must_use]
     pub fn handle_frame(&self, frame_op: u8, payload: &[u8], out: &mut Vec<u8>) -> bool {
-        self.metrics.requests.inc();
-        match frame_op {
-            op::PLAN => self.route_plan_frame(frame_op, payload, out),
-            op::JSON_REQ => match std::str::from_utf8(payload) {
-                Ok(line) => {
-                    let outcome = self.handle_line(line);
-                    frame::write_checked_frame(out, op::JSON_RESP, outcome.response.as_bytes());
-                    return outcome.shutdown;
+        match Message::of_frame(frame_op, payload) {
+            Message::Line { text, framing } => {
+                let outcome = self.handle_line(text);
+                framing.append_line(&outcome.response, out);
+                return outcome.shutdown;
+            }
+            Message::Reject {
+                framing, reason, ..
+            } => {
+                framing.append_bad_request(out, None, reason);
+            }
+            // `of_frame` never yields a blank line.
+            Message::Frame { .. } | Message::Blank => {
+                self.metrics.requests.inc();
+                if frame_op == op::PLAN {
+                    self.route_plan_frame(frame_op, payload, out);
+                } else {
+                    Self::answer_local_frame(frame_op, out);
                 }
-                Err(_) => binary::encode_error_response(
-                    out,
-                    IdView::Null,
-                    None,
-                    ErrorCode::BadRequest,
-                    "JSON request frame payload is not UTF-8",
-                    None,
-                ),
-            },
-            other => Self::answer_local_frame(other, out),
+            }
         }
         false
     }
@@ -882,11 +866,7 @@ impl Router {
         let give_up = Instant::now() + deadline;
         // Group sightings by owning shard, preserving batch order
         // within each group (versions are assigned in apply order).
-        let shard_count = {
-            let membership = self.membership.lock().unwrap_or_else(|e| e.into_inner());
-            membership.shards.len()
-        };
-        let mut groups: Vec<Vec<Sighting>> = vec![Vec::new(); shard_count];
+        let mut groups: Vec<Vec<Sighting>> = vec![Vec::new(); self.shard_count()];
         for sighting in sightings {
             let Some(shard) = self.shard_of(&sighting.device) else {
                 return RouterOutcome {
@@ -967,22 +947,11 @@ impl Router {
                 };
             }
         }
-        let mut fields = vec![
-            ("ingested", Value::from(ingested)),
-            ("versions", Value::Object(versions)),
-        ];
-        if chaos_debug() {
-            // Diagnostic for the chaos invariant checker: which node
-            // the routing table credits as the (last touched) shard's
-            // owner at ack time. Unknown fields are ignored by every
-            // consumer, and the field only appears under CHAOS_DEBUG.
-            let snapshot: Vec<Value> = (0..self.shard_count())
-                .map(|shard| Value::from(i64::try_from(self.shard_snapshot(shard).0).unwrap_or(-1)))
-                .collect();
-            fields.push(("debug_owners", Value::Array(snapshot)));
-        }
         RouterOutcome {
-            response: self.ok_line(fields),
+            response: self.ok_line(vec![
+                ("ingested", Value::from(ingested)),
+                ("versions", Value::Object(versions)),
+            ]),
             shutdown: false,
         }
     }
@@ -1308,9 +1277,30 @@ mod tests {
                     addr,
                 }],
             }],
+            64,
             RouterConfig::default(),
         )
         .unwrap()
+    }
+
+    #[test]
+    fn a_json_wrapped_request_counts_once() {
+        // Answered by the router itself: no backend is dialled.
+        let router = one_backend_router("127.0.0.1:1".to_string());
+        let mut out = Vec::new();
+        assert!(!router.handle_frame(op::JSON_REQ, br#"{"cmd":"ping"}"#, &mut out));
+        assert_eq!(router.metrics.requests.get(), 1);
+        let frame::Split::V2Frame {
+            op: resp_op,
+            payload,
+            ..
+        } = frame::split(&out)
+        else {
+            panic!("expected a JSON_RESP frame, got {out:?}");
+        };
+        assert_eq!(resp_op, op::JSON_RESP);
+        let reply = jsonio::parse(std::str::from_utf8(payload).unwrap()).unwrap();
+        assert_eq!(reply.get("pong").and_then(Value::as_bool), Some(true));
     }
 
     #[test]
@@ -1321,7 +1311,7 @@ mod tests {
         // breaker and the byzantine metric, never be relayed.
         let router = one_backend_router(scripted_backend("{\"pong\":true}"));
         let budget = Duration::from_millis(500);
-        for _ in 0..router.config.breaker_threshold {
+        for _ in 0..BREAKER_THRESHOLD {
             let err = router
                 .call_backend_within(0, "{\"cmd\":\"ping\"}", budget)
                 .unwrap_err();
@@ -1334,7 +1324,7 @@ mod tests {
         assert!(err.contains("breaker open"), "{err}");
         assert_eq!(
             router.metrics.byzantine_replies.get(),
-            u64::from(router.config.breaker_threshold),
+            u64::from(BREAKER_THRESHOLD),
         );
         assert_eq!(router.metrics.breaker_rejections.get(), 1);
     }
@@ -1370,6 +1360,7 @@ mod tests {
                     },
                 ],
             }],
+            64,
             RouterConfig::default(),
         )
         .unwrap();
@@ -1410,6 +1401,7 @@ mod tests {
                     },
                 ],
             }],
+            64,
             RouterConfig::default(),
         )
         .unwrap();
@@ -1456,6 +1448,7 @@ mod tests {
                     },
                 ],
             }],
+            64,
             RouterConfig::default(),
         )
         .unwrap();

@@ -9,7 +9,10 @@
 //! response frame ([`Conn::round_trip_frame`]). Both directions carry
 //! socket timeouts so a dead or wedged node surfaces as an error
 //! within the router's retry budget instead of hanging a client
-//! forever.
+//! forever. Replies of both protocols are read through
+//! [`frame::split`] over one read buffer, which grows only as bytes
+//! arrive, so the header checks and the CRC-32 check are the wire
+//! crate's own.
 //!
 //! The checked round trip also *correlates* request and reply: the
 //! request's `id` is rewritten to a per-connection nonce which the
@@ -21,12 +24,12 @@
 //! cannot catch this case: the duplicate is a perfectly intact frame,
 //! just for a question that was already answered.
 
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use jsonio::Value;
-use pager_wire::frame;
+use pager_wire::frame::{self, Split};
 
 /// Bound on stale duplicated replies discarded in one checked round
 /// trip. Each discard is a response frame some earlier call already
@@ -34,11 +37,18 @@ use pager_wire::frame;
 /// hopeless and the connection should be poisoned instead.
 const MAX_STALE_REPLIES: usize = 8;
 
+/// Bytes read per `read` call. Replies are buffered only as their
+/// bytes arrive, so a corrupted-but-in-bounds length field costs at
+/// most what the peer actually sends before the read times out.
+const READ_CHUNK: usize = 16 * 1024;
+
 /// A pooled client connection to one node.
 #[derive(Debug)]
 pub struct Conn {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    stream: TcpStream,
+    /// Bytes read but not yet consumed as a reply. What follows one
+    /// reply (a duplicated frame, say) waits here for the next read.
+    buf: Vec<u8>,
     /// Correlation nonce for [`Conn::round_trip_checked`]:
     /// monotonically increasing per connection, so a reply echoing a
     /// value below the current nonce is provably one this connection
@@ -59,22 +69,13 @@ impl Conn {
             .ok_or_else(|| format!("{addr} resolves to no addresses"))?;
         let stream = TcpStream::connect_timeout(first, timeout)
             .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-        stream
-            .set_read_timeout(Some(timeout))
-            .map_err(|e| format!("cannot set read timeout: {e}"))?;
-        stream
-            .set_write_timeout(Some(timeout))
-            .map_err(|e| format!("cannot set write timeout: {e}"))?;
-        let reader = BufReader::new(
-            stream
-                .try_clone()
-                .map_err(|e| format!("cannot clone stream: {e}"))?,
-        );
-        Ok(Conn {
-            reader,
-            writer: BufWriter::new(stream),
+        let mut conn = Conn {
+            stream,
+            buf: Vec::new(),
             txn: 0,
-        })
+        };
+        conn.set_io_timeout(timeout)?;
+        Ok(conn)
     }
 
     /// Sends one request line and reads one response line, parsed as
@@ -82,19 +83,11 @@ impl Conn {
     /// caller must drop it rather than return it to a pool: a timed-out
     /// read may leave a half-delivered response in the stream).
     pub fn round_trip(&mut self, line: &str) -> Result<Value, String> {
-        self.writer
-            .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-            .and_then(|()| self.writer.flush())
-            .map_err(|e| format!("write failed: {e}"))?;
-        let mut response = String::new();
-        let n = self
-            .reader
-            .read_line(&mut response)
-            .map_err(|e| format!("read failed: {e}"))?;
-        if n == 0 {
-            return Err("connection closed by peer".to_string());
-        }
+        let mut wire = Vec::with_capacity(line.len() + 1);
+        wire.extend_from_slice(line.as_bytes());
+        wire.push(b'\n');
+        self.send(&wire)?;
+        let response = self.read_line()?;
         jsonio::parse(response.trim_end()).map_err(|e| format!("bad response JSON: {e}"))
     }
 
@@ -132,10 +125,7 @@ impl Conn {
         let sealed = request.to_string();
         let mut wire = Vec::with_capacity(sealed.len() + frame::HEADER_LEN + 4);
         frame::write_checked_frame(&mut wire, frame::op::JSON_REQ, sealed.as_bytes());
-        self.writer
-            .write_all(&wire)
-            .and_then(|()| self.writer.flush())
-            .map_err(|e| format!("write failed: {e}"))?;
+        self.send(&wire)?;
         for _ in 0..=MAX_STALE_REPLIES {
             let (op, payload, checked) = self.read_frame()?;
             if !checked {
@@ -176,59 +166,80 @@ impl Conn {
     /// any transport error (or a non-v2 answer) poisons the
     /// connection and the caller must drop it instead of repooling.
     pub fn round_trip_frame(&mut self, frame_bytes: &[u8]) -> Result<(u8, Vec<u8>), String> {
-        self.writer
-            .write_all(frame_bytes)
-            .and_then(|()| self.writer.flush())
-            .map_err(|e| format!("write failed: {e}"))?;
+        self.send(frame_bytes)?;
         let (op, payload, _) = self.read_frame()?;
         Ok((op, payload))
     }
 
-    /// Reads one v2 frame off the connection, verifying the CRC-32
-    /// trailer when the checked flag is set. Returns
-    /// `(op, payload, checked)`.
-    fn read_frame(&mut self) -> Result<(u8, Vec<u8>, bool), String> {
-        let mut header = [0u8; frame::HEADER_LEN];
-        self.reader
-            .read_exact(&mut header)
-            .map_err(|e| format!("read failed: {e}"))?;
-        if header[0] != frame::MAGIC || header[1] != frame::VERSION {
-            return Err("backend answered with a non-v2 frame".to_string());
-        }
-        if header[3] & !frame::FLAG_CHECKED != 0 {
-            // A set reserved flag means the header is corrupt or from
-            // a future protocol; its length field cannot be trusted.
-            return Err("backend frame has reserved flags set".to_string());
-        }
-        let checked = header[3] & frame::FLAG_CHECKED != 0;
-        let len = u32::from_le_bytes([header[4], header[5], header[6], header[7]]) as usize;
-        if len > frame::MAX_FRAME_LEN {
-            return Err("backend declared an oversize frame".to_string());
-        }
-        // Read incrementally rather than pre-allocating `len` bytes:
-        // a corrupted-but-in-bounds length field should cost at most
-        // one chunk of memory before the read times out or hits EOF.
-        let mut payload = Vec::new();
-        while payload.len() < len {
-            let want = (len - payload.len()).min(64 * 1024);
-            let from = payload.len();
-            payload.resize(from + want, 0);
-            self.reader
-                .read_exact(&mut payload[from..])
-                .map_err(|e| format!("read failed: {e}"))?;
-        }
-        if checked {
-            let mut trailer = [0u8; 4];
-            self.reader
-                .read_exact(&mut trailer)
-                .map_err(|e| format!("read failed: {e}"))?;
-            let mut body = header.to_vec();
-            body.extend_from_slice(&payload);
-            if frame::crc32(&body) != u32::from_le_bytes(trailer) {
-                return Err("frame checksum mismatch".to_string());
+    fn send(&mut self, wire: &[u8]) -> Result<(), String> {
+        self.stream
+            .write_all(wire)
+            .map_err(|e| format!("write failed: {e}"))
+    }
+
+    /// Reads one v1 reply line.
+    fn read_line(&mut self) -> Result<String, String> {
+        loop {
+            match frame::split(&self.buf) {
+                Split::NeedMore => self.fill()?,
+                Split::V1Line { line, consumed } => {
+                    let line = std::str::from_utf8(line)
+                        .map_err(|e| format!("bad response UTF-8: {e}"))?
+                        .to_string();
+                    self.buf.drain(..consumed);
+                    return Ok(line);
+                }
+                Split::V2Frame { .. } => {
+                    return Err("backend answered a line with a v2 frame".to_string())
+                }
+                Split::Malformed(message) => return Err(format!("bad backend reply: {message}")),
             }
         }
-        Ok((header[2], payload, checked))
+    }
+
+    /// Reads one v2 reply frame, its CRC-32 trailer (when the checked
+    /// flag is set) verified by [`frame::split`]. Returns
+    /// `(op, payload, checked)`.
+    fn read_frame(&mut self) -> Result<(u8, Vec<u8>, bool), String> {
+        loop {
+            match frame::split(&self.buf) {
+                Split::NeedMore if self.buf.first().is_none_or(|&b| b == frame::MAGIC) => {
+                    self.fill()?;
+                }
+                // A line, or the start of one: no frame starts without
+                // the magic byte, so there is no newline to wait for.
+                Split::NeedMore | Split::V1Line { .. } => {
+                    return Err("backend answered with a non-v2 frame".to_string())
+                }
+                Split::V2Frame {
+                    op,
+                    payload,
+                    consumed,
+                } => {
+                    // `split` strips a verified trailer, so only a
+                    // checked frame consumes more than it carries.
+                    let checked = consumed > frame::HEADER_LEN + payload.len();
+                    let reply = (op, payload.to_vec(), checked);
+                    self.buf.drain(..consumed);
+                    return Ok(reply);
+                }
+                Split::Malformed(message) => return Err(format!("bad backend reply: {message}")),
+            }
+        }
+    }
+
+    /// Appends what one `read` returns to the buffer.
+    fn fill(&mut self) -> Result<(), String> {
+        let mut chunk = [0u8; READ_CHUNK];
+        let n = self
+            .stream
+            .read(&mut chunk)
+            .map_err(|e| format!("read failed: {e}"))?;
+        if n == 0 {
+            return Err("connection closed by peer".to_string());
+        }
+        self.buf.extend_from_slice(&chunk[..n]);
+        Ok(())
     }
 
     /// Re-arms the socket read/write timeouts, bounding every
@@ -236,11 +247,10 @@ impl Conn {
     /// to at least 1 ms (a zero timeout is an error in std).
     pub fn set_io_timeout(&mut self, timeout: Duration) -> Result<(), String> {
         let timeout = timeout.max(Duration::from_millis(1));
-        let stream = self.writer.get_ref();
-        stream
+        self.stream
             .set_read_timeout(Some(timeout))
             .map_err(|e| format!("cannot set read timeout: {e}"))?;
-        stream
+        self.stream
             .set_write_timeout(Some(timeout))
             .map_err(|e| format!("cannot set write timeout: {e}"))
     }
@@ -342,5 +352,47 @@ mod tests {
         assert!(conn.round_trip_checked("{\"cmd\":\"ping\"}").is_ok());
         let err = conn.round_trip_checked("{\"cmd\":\"ping\"}").unwrap_err();
         assert!(err.contains("stale duplicates"), "{err}");
+    }
+
+    /// A backend that answers the first request with `reply` and then
+    /// holds the connection open without sending anything else.
+    fn raw_backend(reply: Vec<u8>) -> String {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        std::thread::spawn(move || {
+            let Ok((mut stream, _)) = listener.accept() else {
+                return;
+            };
+            let mut chunk = [0u8; 4096];
+            if stream.read(&mut chunk).is_ok() && stream.write_all(&reply).is_ok() {
+                // Hold the connection until the client hangs up.
+                let _ = stream.read(&mut chunk);
+            }
+        });
+        addr
+    }
+
+    #[test]
+    fn checked_round_trips_reject_lines_and_unchecked_frames() {
+        // No newline ever arrives: the first byte alone must fail the
+        // read, well inside the 5 s timeout.
+        let addr = raw_backend(b"{\"ok\":true".to_vec());
+        let mut conn = Conn::connect(&addr, Duration::from_secs(5)).unwrap();
+        let begin = std::time::Instant::now();
+        let err = conn.round_trip_checked("{\"cmd\":\"ping\"}").unwrap_err();
+        assert!(err.contains("non-v2"), "{err}");
+        assert!(
+            begin.elapsed() < Duration::from_secs(1),
+            "waited for a newline"
+        );
+        let mut unchecked = Vec::new();
+        frame::write_frame(
+            &mut unchecked,
+            frame::op::JSON_RESP,
+            b"{\"id\":1,\"ok\":true}",
+        );
+        let mut conn = Conn::connect(&raw_backend(unchecked), Duration::from_secs(5)).unwrap();
+        let err = conn.round_trip_checked("{\"cmd\":\"ping\"}").unwrap_err();
+        assert!(err.contains("not integrity-checked"), "{err}");
     }
 }

@@ -14,9 +14,9 @@
 //!   without thundering herds).
 //! * [`waker`] — an `eventfd`-backed cross-thread wakeup handle, so
 //!   solver workers can interrupt a shard blocked in `epoll_wait`.
-//! * [`timer`] — a hashed timer wheel for deadlines, accept backoff
-//!   and drain grace periods; expiry is driven by the poll timeout,
-//!   not by parked threads.
+//! * [`timer`] — deadline-ordered timers for deadlines, accept
+//!   backoff and drain grace periods; expiry is driven by the poll
+//!   timeout, not by parked threads.
 //! * [`queue`] — a completion queue ([`queue::Remote`] posts a value
 //!   from any thread and wakes the owning reactor).
 //! * [`reactor`] — ties the above together: one [`reactor::Reactor`]

@@ -1,4 +1,4 @@
-//! One reactor per shard thread: poller + waker + timer wheel +
+//! One reactor per shard thread: poller + waker + timers +
 //! completion queue behind a single blocking [`Reactor::turn`].
 
 use std::io;

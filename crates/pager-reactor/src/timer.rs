@@ -1,81 +1,52 @@
-//! Hashed timer wheel.
+//! Deadline-ordered timers.
 //!
 //! Deadlines, accept backoff and drain grace all need "call me back at
-//! time T" without a dedicated thread. The wheel hashes each timer
-//! into one of a fixed number of tick-wide slots; expiry walks only
-//! the slots the clock has passed, so arming, cancelling and firing
-//! are all cheap for the small timer populations a shard carries (one
-//! deadline per in-flight request plus a couple of housekeeping
-//! timers).
+//! time T" without a dedicated thread. A shard carries few timers (one
+//! deadline per in-flight request plus a couple of housekeeping ones),
+//! so they live in one map ordered by `(deadline, id)`: the earliest is
+//! the first entry, expiry pops from the front, and a cancel removes
+//! one key.
 
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-/// Handle for cancelling a scheduled timer.
+/// Handle for cancelling a scheduled timer: its key in the map.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TimerId {
+    /// Deadline as an offset from [`TimerWheel`]'s start instant.
+    at: Duration,
     id: u64,
-    slot: usize,
-}
-
-struct Entry {
-    id: u64,
-    /// Absolute tick at which the entry fires; entries hashed into the
-    /// same slot from a later wheel revolution have a larger tick and
-    /// are skipped until their revolution arrives.
-    tick: u64,
-    token: u64,
 }
 
 pub struct TimerWheel {
-    slots: Vec<Vec<Entry>>,
-    tick: Duration,
+    /// Armed timers: `(deadline offset, id)` to token.
+    timers: BTreeMap<(Duration, u64), u64>,
+    /// Deadlines are kept as offsets from here.
     start: Instant,
-    /// Next tick to sweep; everything strictly before it has fired.
-    cursor: u64,
     next_id: u64,
-    live: usize,
 }
-
-const DEFAULT_SLOTS: usize = 256;
-const DEFAULT_TICK: Duration = Duration::from_millis(1);
 
 impl TimerWheel {
     pub fn new(start: Instant) -> TimerWheel {
-        TimerWheel::with_granularity(start, DEFAULT_TICK, DEFAULT_SLOTS)
-    }
-
-    pub fn with_granularity(start: Instant, tick: Duration, slots: usize) -> TimerWheel {
-        let slots = slots.max(1);
         TimerWheel {
-            slots: (0..slots).map(|_| Vec::new()).collect(),
-            tick: if tick.is_zero() { DEFAULT_TICK } else { tick },
+            timers: BTreeMap::new(),
             start,
-            cursor: 0,
             next_id: 0,
-            live: 0,
         }
     }
 
-    fn tick_of(&self, at: Instant) -> u64 {
-        let elapsed = at.saturating_duration_since(self.start);
-        let ticks = elapsed.as_nanos() / self.tick.as_nanos();
-        u64::try_from(ticks).unwrap_or(u64::MAX)
-    }
-
-    /// Schedules `token` to fire at `at` (clamped to "not already
-    /// swept": a past deadline fires on the next [`expire`] call).
+    /// Schedules `token` to fire at `at`; a past deadline fires on the
+    /// next [`expire`] call.
     ///
     /// [`expire`]: TimerWheel::expire
     pub fn schedule_at(&mut self, at: Instant, token: u64) -> TimerId {
-        // +1: an instant inside the current tick fires on the *next*
-        // sweep boundary, never in the past.
-        let tick = (self.tick_of(at) + 1).max(self.cursor);
-        let slot = (tick % self.slots.len() as u64) as usize;
-        let id = self.next_id;
+        let timer = TimerId {
+            at: at.saturating_duration_since(self.start),
+            id: self.next_id,
+        };
         self.next_id += 1;
-        self.slots[slot].push(Entry { id, tick, token });
-        self.live += 1;
-        TimerId { id, slot }
+        self.timers.insert((timer.at, timer.id), token);
+        timer
     }
 
     /// Schedules `token` to fire `after` from `now`.
@@ -85,70 +56,37 @@ impl TimerWheel {
 
     /// Cancels a timer; a no-op if it already fired.
     pub fn cancel(&mut self, timer: TimerId) {
-        let slot = &mut self.slots[timer.slot];
-        let before = slot.len();
-        slot.retain(|entry| entry.id != timer.id);
-        self.live -= before - slot.len();
+        self.timers.remove(&(timer.at, timer.id));
     }
 
     /// How long until the earliest timer fires (`None` when empty;
     /// zero when one is already due).
     pub fn next_timeout(&self, now: Instant) -> Option<Duration> {
-        let earliest = self.slots.iter().flatten().map(|entry| entry.tick).min()?;
-        let due = self.start + self.tick * u32::try_from(earliest).unwrap_or(u32::MAX);
-        Some(due.saturating_duration_since(now))
+        let (&(at, _), _) = self.timers.first_key_value()?;
+        Some((self.start + at).saturating_duration_since(now))
     }
 
-    /// Fires every timer due at `now`, appending their tokens to
-    /// `fired`. Returns how many fired.
+    /// Fires every timer due at `now`, in deadline order, appending
+    /// their tokens to `fired`. Returns how many fired.
     pub fn expire(&mut self, now: Instant, fired: &mut Vec<u64>) -> usize {
-        let now_tick = self.tick_of(now);
-        if now_tick < self.cursor {
-            return 0;
-        }
-        if self.live == 0 {
-            self.cursor = now_tick + 1;
-            return 0;
-        }
+        let now = now.saturating_duration_since(self.start);
         let before = fired.len();
-        let nslots = self.slots.len() as u64;
-        let span = now_tick - self.cursor + 1;
-        if span >= nslots {
-            // The clock moved a full revolution: every slot may hold
-            // due entries, so sweep them all once.
-            for slot in &mut self.slots {
-                Self::drain_due(slot, now_tick, fired);
+        while let Some(entry) = self.timers.first_entry() {
+            if entry.key().0 > now {
+                break;
             }
-        } else {
-            for t in self.cursor..=now_tick {
-                let idx = (t % nslots) as usize;
-                Self::drain_due(&mut self.slots[idx], now_tick, fired);
-            }
+            fired.push(entry.remove());
         }
-        self.cursor = now_tick + 1;
-        let count = fired.len() - before;
-        self.live -= count;
-        count
-    }
-
-    fn drain_due(slot: &mut Vec<Entry>, now_tick: u64, fired: &mut Vec<u64>) {
-        let mut i = 0;
-        while i < slot.len() {
-            if slot[i].tick <= now_tick {
-                fired.push(slot.swap_remove(i).token);
-            } else {
-                i += 1;
-            }
-        }
+        fired.len() - before
     }
 
     /// Number of armed timers.
     pub fn len(&self) -> usize {
-        self.live
+        self.timers.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.timers.is_empty()
     }
 }
 
@@ -187,20 +125,6 @@ mod tests {
         assert!(wheel.is_empty());
         // Cancelling an already-fired timer is a no-op.
         wheel.cancel(id);
-    }
-
-    #[test]
-    fn survives_full_revolutions() {
-        let start = Instant::now();
-        let mut wheel = TimerWheel::with_granularity(start, Duration::from_millis(1), 8);
-        // Two timers a revolution apart hash to nearby slots.
-        wheel.schedule_at(start + Duration::from_millis(3), 1);
-        wheel.schedule_at(start + Duration::from_millis(3 + 8), 2);
-        let mut fired = Vec::new();
-        wheel.expire(start + Duration::from_millis(5), &mut fired);
-        assert_eq!(fired, vec![1]);
-        wheel.expire(start + Duration::from_millis(20), &mut fired);
-        assert_eq!(fired, vec![1, 2]);
     }
 
     #[test]

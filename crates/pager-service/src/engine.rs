@@ -7,12 +7,11 @@
 //! shard's poller with `EPOLLEXCLUSIVE`, so the kernel load-balances
 //! accepts across shards without `SO_REUSEPORT`.
 //!
-//! The engine knows nothing about paging. It owns the wire framing —
-//! v1 lines and v2 frames interleave per message
-//! ([`pager_wire::frame::split`], rules in `docs/wire.md`), and a
-//! `JSON_REQ` frame is unwrapped into its line and answered wrapped —
-//! and hands each message to a [`Handler`], which answers now, later
-//! through a [`Completion`], or closes the connection ([`Reply`]).
+//! The engine knows nothing about paging. It reads each connection
+//! through [`pager_wire::frame::next_message`] (rules in
+//! `docs/wire.md`), answers the bytes that rule rejects itself, and
+//! hands every request line or native frame to a [`Handler`], which
+//! answers now or later through a [`Completion`] ([`Reply`]).
 //! Around the handler the engine keeps the serving contracts:
 //!
 //! * **Ordering** — a connection dispatches strictly serially: the
@@ -22,8 +21,8 @@
 //! * **In-flight accounting** — a request counts from dispatch until
 //!   its answer reaches the kernel ([`ReactorHandle::drain`] waits on
 //!   this), decremented exactly once via flushed-byte offsets.
-//! * **Deadline watchdog** — every deferred answer arms a timer-wheel
-//!   watchdog for the budget the handler names; a firing while the
+//! * **Deadline watchdog** — every deferred answer arms a watchdog
+//!   timer for the budget the handler names; a firing while the
 //!   answer is still outstanding bumps the handler's
 //!   `deadline_watchdog` counter. Telemetry only: enforcement stays
 //!   with the solver and the router.
@@ -45,8 +44,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pager_reactor::{Event, Interest, Reactor, Remote, TimerId, Turn, Waker};
-use pager_wire::frame::{self, op, Split};
-use pager_wire::{binary, ErrorCode, IdView};
+use pager_wire::frame::{self, Framing, Message};
 
 use crate::metrics::Counter;
 
@@ -102,8 +100,8 @@ impl Default for ReactorConfig {
 /// may (disk, backend round trips, uncached solves) goes to
 /// [`Call::spawn`] behind a [`Call::later`] completion.
 pub trait Handler: Send + Sync + 'static {
-    /// Answers one request line: a v1 line (trimmed, never empty) or
-    /// the line inside a `JSON_REQ` frame. [`Call::reply_line`] and
+    /// Answers one request line, trimmed: a non-blank v1 line or the
+    /// line inside a `JSON_REQ` frame. [`Call::reply_line`] and
     /// [`Completion::answer_line`] frame the answer the way the request
     /// arrived.
     fn on_line(self: Arc<Self>, line: &str, call: &mut Call<'_>) -> Reply;
@@ -113,7 +111,8 @@ pub trait Handler: Send + Sync + 'static {
     /// into [`Call::out`].
     fn on_frame(self: Arc<Self>, frame_op: u8, payload: &[u8], call: &mut Call<'_>) -> Reply;
 
-    /// Node identity stamped on the engine's own error frames.
+    /// Node identity stamped on the `bad_request` answers the engine
+    /// gives itself (bytes that are not a well-formed message).
     fn node(&self) -> Option<&str>;
 
     /// The counters the engine keeps on the handler's behalf.
@@ -138,33 +137,6 @@ pub enum Reply {
     /// The answer will arrive through the [`Completion`] the handler
     /// took with [`Call::later`].
     Later,
-    /// The stream is unrecoverable: close after flushing whatever was
-    /// queued, discarding the rest of the input.
-    Close,
-}
-
-/// How a line-shaped answer leaves the wire: as a bare v1 line or
-/// wrapped in a sealed `JSON_RESP` frame, matching the request.
-#[derive(Clone, Copy)]
-enum Framing {
-    Line,
-    JsonFrame,
-}
-
-impl Framing {
-    fn append(self, line: &str, out: &mut Vec<u8>) {
-        match self {
-            Framing::Line => {
-                out.extend_from_slice(line.as_bytes());
-                out.push(b'\n');
-            }
-            Framing::JsonFrame => {
-                // Always sealed: the cluster hop relies on the CRC
-                // trailer to reject in-flight corruption.
-                frame::write_checked_frame(out, op::JSON_RESP, line.as_bytes());
-            }
-        }
-    }
 }
 
 /// One message's view of its connection, handed to the [`Handler`].
@@ -190,7 +162,7 @@ impl Call<'_> {
     /// arrived; with `stop` the server begins draining once it is
     /// queued.
     pub fn reply_line(&mut self, line: &str, stop: bool) {
-        self.framing.append(line, self.out);
+        self.framing.append_line(line, self.out);
         self.stop |= stop;
     }
 
@@ -238,7 +210,7 @@ impl Completion {
     /// `stop` the server begins draining once it is queued.
     pub fn answer_line(self, line: &str, stop: bool) -> Answer {
         let mut bytes = Vec::with_capacity(line.len() + frame::HEADER_LEN);
-        self.framing.append(line, &mut bytes);
+        self.framing.append_line(line, &mut bytes);
         Answer {
             to: self,
             bytes,
@@ -746,10 +718,10 @@ impl Shard {
     /// Hands the next complete buffered message to the handler and
     /// applies its [`Reply`]. Returns whether to look for another.
     ///
-    /// At EOF an unterminated v1 tail is still served; an incomplete
-    /// v2 frame at EOF is a mid-frame disconnect and just closes.
-    /// Invalid UTF-8 in a v1 line breaks the connection; a malformed
-    /// v2 header earns one `bad_request` error frame and a close.
+    /// What each message is owed is decided by
+    /// [`frame::next_message`], with the connection's EOF as its flag;
+    /// the engine answers rejected bytes itself, and a malformed header
+    /// is answered once before the connection closes.
     fn dispatch_next(&mut self, token: u64) -> bool {
         if self.stop_seen || self.shared.stop.load(Ordering::SeqCst) {
             return false;
@@ -760,9 +732,12 @@ impl Shard {
         if conn.busy || conn.broken {
             return false;
         }
+        let pending = &conn.read_buf[conn.read_pos..];
+        let Some((message, consumed)) = frame::next_message(pending, conn.read_closed) else {
+            return false;
+        };
         let handler: Arc<dyn Handler> = Arc::clone(&self.shared.handler);
         let before = conn.write_buf.len();
-        let pending = &conn.read_buf[conn.read_pos..];
         let mut call = Call {
             out: &mut conn.write_buf,
             stream: &conn.stream,
@@ -773,56 +748,22 @@ impl Shard {
             deadline_ms: None,
             stop: false,
         };
-        let (consumed, reply) = match frame::split(pending) {
-            Split::NeedMore
-                if conn.read_closed && pending.first().is_some_and(|&b| b != frame::MAGIC) =>
-            {
-                (pending.len(), line_reply(handler, pending, &mut call))
+        let mut close = false;
+        let reply = match message {
+            Message::Blank => None,
+            Message::Line { text, framing } => {
+                call.framing = framing;
+                Some(handler.on_line(text, &mut call))
             }
-            Split::NeedMore => return false,
-            Split::V1Line { line, consumed } => (consumed, line_reply(handler, line, &mut call)),
-            Split::V2Frame {
-                op: op::JSON_REQ,
-                payload,
-                consumed,
+            Message::Frame { op, payload } => Some(handler.on_frame(op, payload, &mut call)),
+            Message::Reject {
+                framing,
+                reason,
+                close: fatal,
             } => {
-                let reply = match std::str::from_utf8(payload) {
-                    Ok(text) => {
-                        call.framing = Framing::JsonFrame;
-                        handler.on_line(text.trim(), &mut call)
-                    }
-                    Err(_) => {
-                        binary::encode_error_response(
-                            call.out,
-                            IdView::Null,
-                            handler.node(),
-                            ErrorCode::BadRequest,
-                            "JSON request frame payload is not UTF-8",
-                            None,
-                        );
-                        Reply::Now
-                    }
-                };
-                (consumed, Some(reply))
-            }
-            Split::V2Frame {
-                op: frame_op,
-                payload,
-                consumed,
-            } => (
-                consumed,
-                Some(handler.on_frame(frame_op, payload, &mut call)),
-            ),
-            Split::Malformed(message) => {
-                binary::encode_error_response(
-                    call.out,
-                    IdView::Null,
-                    handler.node(),
-                    ErrorCode::BadRequest,
-                    message,
-                    None,
-                );
-                (pending.len(), Some(Reply::Close))
+                framing.append_bad_request(call.out, handler.node(), reason);
+                close = fatal;
+                Some(Reply::Now)
             }
         };
         let (deadline_ms, stop) = (call.deadline_ms, call.stop);
@@ -846,17 +787,15 @@ impl Shard {
                     conn.deadline = Some(self.reactor.schedule(Duration::from_millis(ms), token));
                 }
             }
-            Reply::Now | Reply::Close => {
+            Reply::Now => {
                 if answered {
                     conn.end_answer();
                 }
-                if reply == Reply::Close {
+                if close {
                     // Discard the rest of the stream; `read_closed`
                     // stops further reads and closes once the answer
-                    // has flushed. Unanswered invalid UTF-8 breaks the
-                    // connection outright.
+                    // has flushed.
                     conn.read_closed = true;
-                    conn.broken |= !answered;
                     conn.read_buf.clear();
                     conn.read_pos = 0;
                 }
@@ -868,7 +807,7 @@ impl Shard {
             // before this connection closes.
             self.shared.request_stop();
         }
-        reply == Reply::Now
+        reply == Reply::Now && !close
     }
 
     fn on_complete(&mut self, done: Done) {
@@ -996,16 +935,6 @@ impl Shard {
         if !self.conns.is_empty() {
             self.grace = Some(self.reactor.schedule(FLUSH_GRACE, GRACE_TOKEN));
         }
-    }
-}
-
-/// Hands one v1 line to the handler: `None` for a blank line (nothing
-/// to answer), `Close` for invalid UTF-8 (unanswerable).
-fn line_reply(handler: Arc<dyn Handler>, line: &[u8], call: &mut Call<'_>) -> Option<Reply> {
-    match std::str::from_utf8(line) {
-        Ok(text) if text.trim().is_empty() => None,
-        Ok(text) => Some(handler.on_line(text.trim(), call)),
-        Err(_) => Some(Reply::Close),
     }
 }
 

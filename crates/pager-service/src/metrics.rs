@@ -245,7 +245,7 @@ registry! {
         /// Open TCP connections on the transport engine (gauge; stays 0
         /// under `--stdio`).
         reactor_connections: Counter,
-        /// Reactor timer-wheel watchdog firings: a request whose deadline
+        /// Reactor watchdog-timer firings: a request whose deadline
         /// elapsed while it was still awaiting its solver. Telemetry only
         /// — enforcement (downgrades, `deadline_misses`) stays with the
         /// solver's own deadline checks, so this never double-counts.

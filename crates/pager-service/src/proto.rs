@@ -24,8 +24,8 @@
 //! construction.
 
 use jsonio::Value;
-use pager_wire::frame::op;
-use pager_wire::{binary, frame, json, ErrorBody, IdView, PlanBody, PlanFrameView, Response};
+use pager_wire::frame::{op, Message};
+use pager_wire::{binary, json, ErrorBody, IdView, PlanBody, PlanFrameView, Response};
 
 pub use pager_wire::json::PROTOCOL_VERSION;
 pub use pager_wire::Request;
@@ -458,33 +458,45 @@ pub fn handle_frame(
     payload: &[u8],
     out: &mut Vec<u8>,
 ) -> bool {
-    if frame_op == op::JSON_REQ {
-        let Ok(line) = std::str::from_utf8(payload) else {
-            binary::encode_error_response(
-                out,
-                IdView::Null,
-                service.node_id(),
-                pager_wire::ErrorCode::BadRequest,
-                "JSON request frame payload is not UTF-8",
-                None,
-            );
-            return false;
-        };
-        let outcome = handle_line(service, line);
-        // JSON_RESP is always sealed: the cluster hop relies on the
-        // CRC trailer to reject in-flight corruption.
-        frame::write_checked_frame(out, op::JSON_RESP, outcome.response.as_bytes());
-        return outcome.shutdown;
-    }
-    if let FrameDispatch::Solve { id, instance, spec } =
-        dispatch_frame(service, frame_op, payload, out)
-    {
-        match service.plan(&instance, spec) {
-            Ok(response) => plan_response_frame(service, &id, &response, out),
-            Err(error) => error_frame(service, &id, &error, out),
+    handle_message(service, Message::of_frame(frame_op, payload), out)
+}
+
+/// Answers one message of either protocol, as
+/// [`pager_wire::frame::next_message`] yields it, appending the answer
+/// to `out`. Returns whether the stream ends here: a `shutdown`
+/// request, or a rejection that closes.
+pub(crate) fn handle_message(
+    service: &PagerService,
+    message: Message<'_>,
+    out: &mut Vec<u8>,
+) -> bool {
+    match message {
+        Message::Blank => false,
+        Message::Line { text, framing } => {
+            let outcome = handle_line(service, text);
+            framing.append_line(&outcome.response, out);
+            outcome.shutdown
+        }
+        Message::Frame { op, payload } => {
+            if let FrameDispatch::Solve { id, instance, spec } =
+                dispatch_frame(service, op, payload, out)
+            {
+                match service.plan(&instance, spec) {
+                    Ok(response) => plan_response_frame(service, &id, &response, out),
+                    Err(error) => error_frame(service, &id, &error, out),
+                }
+            }
+            false
+        }
+        Message::Reject {
+            framing,
+            reason,
+            close,
+        } => {
+            framing.append_bad_request(out, service.node_id(), reason);
+            close
         }
     }
-    false
 }
 
 /// Encodes a cache-hit plan answer for a borrowed frame view. The id
@@ -545,7 +557,7 @@ mod tests {
     use super::*;
     use crate::service::ServiceConfig;
     use pager_profiles::wal::MAX_DEVICE_BYTES;
-    use pager_wire::frame::Split;
+    use pager_wire::frame::{self, Split};
 
     fn service() -> PagerService {
         PagerService::new(ServiceConfig {

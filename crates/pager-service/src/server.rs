@@ -2,26 +2,25 @@
 //!
 //! `pager-serve --stdio` (and in-process tests) speak the
 //! [`crate::proto`] wire protocols — v1 JSON lines and v2 binary
-//! frames, selected *per message* by the first byte
-//! ([`pager_wire::frame::split`]) — against one [`PagerService`], one
-//! message at a time. TCP connections are served by the transport
-//! engine ([`crate::engine`]) instead.
+//! frames, selected *per message* by the first byte — against one
+//! [`PagerService`], one message at a time. TCP connections are served
+//! by the transport engine ([`crate::engine`]) instead; both read
+//! through [`pager_wire::frame::next_message`], so they answer alike.
 
 use std::io::{BufRead, Write};
 
-use jsonio::Value;
-use pager_wire::frame::{self, Split};
-use pager_wire::{binary, ErrorCode, IdView};
+use pager_wire::frame;
 
-use crate::error::ServiceError;
-use crate::proto::{error_line, handle_frame, handle_line};
+use crate::proto::handle_message;
 use crate::service::PagerService;
 
 /// Serves the wire protocols over arbitrary reader/writer pairs (used
 /// for `pager-serve --stdio` and in-process tests), one message at a
-/// time — v1 lines and v2 frames interleave freely. Returns when the
-/// reader reaches EOF, a shutdown request is handled, or a malformed
-/// v2 frame forces a close.
+/// time — v1 lines and v2 frames interleave freely, and every message
+/// is read through [`frame::next_message`], as the TCP engine reads
+/// it. Returns when the reader reaches EOF (after serving an
+/// unterminated last line), a shutdown request is handled, or a
+/// malformed v2 frame forces a close.
 ///
 /// # Errors
 ///
@@ -33,68 +32,32 @@ pub fn serve_lines<R: BufRead, W: Write>(
 ) -> std::io::Result<()> {
     let mut buf: Vec<u8> = Vec::new();
     let mut out: Vec<u8> = Vec::new();
+    let mut eof = false;
     loop {
-        let chunk = reader.fill_buf()?;
-        if chunk.is_empty() {
-            // EOF; a partial trailing message has no sender left to
-            // answer and is dropped.
+        let mut cursor = 0;
+        while let Some((message, consumed)) = frame::next_message(&buf[cursor..], eof) {
+            cursor += consumed;
+            out.clear();
+            let end = handle_message(service, message, &mut out);
+            if !out.is_empty() {
+                writer.write_all(&out)?;
+                writer.flush()?;
+            }
+            if end {
+                return Ok(());
+            }
+        }
+        if eof {
+            // Whatever is left is a partial frame with no sender left
+            // to answer.
             return Ok(());
         }
+        buf.drain(..cursor);
+        let chunk = reader.fill_buf()?;
+        eof = chunk.is_empty();
         let n = chunk.len();
         buf.extend_from_slice(chunk);
         reader.consume(n);
-        let mut cursor = 0;
-        loop {
-            out.clear();
-            let (consumed, open) = match frame::split(&buf[cursor..]) {
-                Split::NeedMore => break,
-                Split::Malformed(message) => {
-                    // A hostile or corrupt header: the stream can never
-                    // re-synchronise, so answer once and close.
-                    binary::encode_error_response(
-                        &mut out,
-                        IdView::Null,
-                        service.node_id(),
-                        ErrorCode::BadRequest,
-                        message,
-                        None,
-                    );
-                    (0, false)
-                }
-                Split::V1Line { line, consumed } => {
-                    let (response, open) = match std::str::from_utf8(line) {
-                        Ok(text) if text.trim().is_empty() => {
-                            cursor += consumed;
-                            continue;
-                        }
-                        Ok(text) => {
-                            let outcome = handle_line(service, text);
-                            (outcome.response, !outcome.shutdown)
-                        }
-                        Err(_) => {
-                            let error =
-                                ServiceError::BadRequest("request line is not UTF-8".into());
-                            (error_line(service, &Value::Null, &error), true)
-                        }
-                    };
-                    out.extend_from_slice(response.as_bytes());
-                    out.push(b'\n');
-                    (consumed, open)
-                }
-                Split::V2Frame {
-                    op,
-                    payload,
-                    consumed,
-                } => (consumed, !handle_frame(service, op, payload, &mut out)),
-            };
-            writer.write_all(&out)?;
-            writer.flush()?;
-            if !open {
-                return Ok(());
-            }
-            cursor += consumed;
-        }
-        buf.drain(..cursor);
     }
 }
 
@@ -103,6 +66,8 @@ mod tests {
     use super::*;
     use crate::service::ServiceConfig;
     use jsonio::Value;
+    use pager_wire::binary;
+    use pager_wire::frame::Split;
     use std::io::Cursor;
 
     fn service() -> PagerService {
@@ -126,6 +91,22 @@ mod tests {
         let first = jsonio::parse(lines[0]).unwrap();
         assert_eq!(first.get("ok").and_then(Value::as_bool), Some(true));
         assert!(lines[1].contains("pong"));
+    }
+
+    #[test]
+    fn bad_lines_are_answered_and_eof_tails_served() {
+        let svc = service();
+        let input = b"\xff\xfe\n{\"cmd\": \"ping\"}\n{\"cmd\": \"ping\"}".to_vec();
+        let mut out = Vec::new();
+        serve_lines(&svc, Cursor::new(input), &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 3, "{text}");
+        assert!(lines[0].contains("\"code\":\"bad_request\""), "{text}");
+        assert!(
+            lines[1..].iter().all(|line| line.contains("pong")),
+            "{text}"
+        );
     }
 
     #[test]

@@ -20,13 +20,20 @@
 //! across proxies and middleboxes; the cluster's router↔backend hop
 //! seals every internal request and response with this flag.
 //!
-//! Both transports feed raw connection bytes through [`split`], which
-//! recognises v1 and v2 messages *per message*: a buffer starting with
-//! the magic byte is a v2 frame, anything else is a v1 JSON line up to
-//! the next `\n`. (`0xB7` is not valid UTF-8 as a leading byte, so no
-//! JSON line can start with it.) One connection may freely interleave
-//! both protocols; the server answers each message in the protocol it
-//! arrived in.
+//! Every front (the TCP engine, `--stdio`, the in-process handlers)
+//! reads connection bytes through [`next_message`], so they all answer
+//! alike. Its first step, [`split`], recognises v1 and v2 messages
+//! *per message*: a buffer starting with the magic byte is a v2 frame,
+//! anything else is a v1 JSON line up to the next `\n`. (`0xB7` is not
+//! valid UTF-8 as a leading byte, so no JSON line can start with it.)
+//! One connection may freely interleave both protocols; the server
+//! answers each message in the protocol it arrived in. On top of that,
+//! `next_message` skips blank lines, unwraps `JSON_REQ` frames, rejects
+//! non-UTF-8 input and decides what the end of the stream is owed.
+
+use jsonio::Value;
+
+use crate::{binary, json, ErrorBody, ErrorCode, IdView};
 
 /// First byte of every v2 frame.
 pub const MAGIC: u8 = 0xB7;
@@ -152,6 +159,167 @@ pub fn split(buf: &[u8]) -> Split<'_> {
         op: buf[2],
         payload: &buf[HEADER_LEN..HEADER_LEN + len],
         consumed: HEADER_LEN + len + trailer,
+    }
+}
+
+/// The protocol a message arrived in, which is the protocol its answer
+/// leaves in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Framing {
+    /// A v1 line, answered with a bare line.
+    Line,
+    /// A v2 frame. A line-shaped answer rides a sealed `JSON_RESP`
+    /// frame; a `bad_request` is an `ERROR` frame.
+    Frame,
+}
+
+impl Framing {
+    /// Appends a line-shaped answer: a bare v1 line, or a sealed
+    /// `JSON_RESP` frame (always sealed: the cluster hop relies on the
+    /// CRC trailer to reject in-flight corruption).
+    pub fn append_line(self, line: &str, out: &mut Vec<u8>) {
+        match self {
+            Framing::Line => {
+                out.extend_from_slice(line.as_bytes());
+                out.push(b'\n');
+            }
+            Framing::Frame => write_checked_frame(out, op::JSON_RESP, line.as_bytes()),
+        }
+    }
+
+    /// Appends the `bad_request` a [`Message::Reject`] is owed, stamped
+    /// with the answering node's name.
+    pub fn append_bad_request(self, out: &mut Vec<u8>, node: Option<&str>, reason: &str) {
+        match self {
+            Framing::Line => {
+                let body = ErrorBody {
+                    id: &Value::Null,
+                    code: ErrorCode::BadRequest,
+                    message: reason,
+                    retry_after_ms: None,
+                };
+                self.append_line(&json::error_line(node, &body), out);
+            }
+            Framing::Frame => binary::encode_error_response(
+                out,
+                IdView::Null,
+                node,
+                ErrorCode::BadRequest,
+                reason,
+                None,
+            ),
+        }
+    }
+}
+
+/// One message taken off a connection buffer by [`next_message`], with
+/// every framing decision made.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Message<'a> {
+    /// A blank v1 line: nothing to answer.
+    Blank,
+    /// A request line, trimmed: a v1 line, or the line a `JSON_REQ`
+    /// frame carries. Its answer goes back in `framing`
+    /// ([`Framing::append_line`]).
+    Line {
+        /// The request line.
+        text: &'a str,
+        /// How the request arrived.
+        framing: Framing,
+    },
+    /// A native v2 request frame (any op but `JSON_REQ`).
+    Frame {
+        /// The op code (not yet validated against known ops).
+        op: u8,
+        /// The payload bytes.
+        payload: &'a [u8],
+    },
+    /// Bytes owed a `bad_request` in the protocol they arrived in
+    /// ([`Framing::append_bad_request`]).
+    Reject {
+        /// How the bytes arrived.
+        framing: Framing,
+        /// The error message.
+        reason: &'static str,
+        /// The stream cannot re-synchronise (a malformed header): answer
+        /// once, discard the rest and close. Otherwise the stream goes
+        /// on with the next message.
+        close: bool,
+    },
+}
+
+impl<'a> Message<'a> {
+    /// Classifies one complete v2 frame: a `JSON_REQ` frame unwraps to
+    /// the line it carries (or is rejected when that is not UTF-8); any
+    /// other op is a native frame.
+    #[must_use]
+    pub fn of_frame(frame_op: u8, payload: &'a [u8]) -> Message<'a> {
+        if frame_op != op::JSON_REQ {
+            return Message::Frame {
+                op: frame_op,
+                payload,
+            };
+        }
+        match std::str::from_utf8(payload) {
+            Ok(text) => Message::Line {
+                text: text.trim(),
+                framing: Framing::Frame,
+            },
+            Err(_) => Message::Reject {
+                framing: Framing::Frame,
+                reason: "JSON request frame payload is not UTF-8",
+                close: false,
+            },
+        }
+    }
+
+    /// Classifies one v1 line (newline excluded).
+    fn of_line(line: &'a [u8]) -> Message<'a> {
+        match std::str::from_utf8(line) {
+            Ok(text) if text.trim().is_empty() => Message::Blank,
+            Ok(text) => Message::Line {
+                text: text.trim(),
+                framing: Framing::Line,
+            },
+            Err(_) => Message::Reject {
+                framing: Framing::Line,
+                reason: "request line is not UTF-8",
+                close: false,
+            },
+        }
+    }
+}
+
+/// Takes the next message off the front of a connection buffer: the
+/// one framing rule every front applies (table in `docs/wire.md`).
+/// Returns the message and the bytes it consumed, or `None` while the
+/// buffer holds no complete message.
+///
+/// `eof` says no more bytes will arrive. An unterminated v1 line is
+/// then served as if terminated; a partial v2 frame stays `None` and
+/// goes unanswered. A malformed header is a closing
+/// [`Message::Reject`] that consumes the whole buffer.
+#[must_use]
+pub fn next_message(buf: &[u8], eof: bool) -> Option<(Message<'_>, usize)> {
+    match split(buf) {
+        Split::V1Line { line, consumed } => Some((Message::of_line(line), consumed)),
+        Split::V2Frame {
+            op: frame_op,
+            payload,
+            consumed,
+        } => Some((Message::of_frame(frame_op, payload), consumed)),
+        Split::Malformed(reason) => Some((
+            Message::Reject {
+                framing: Framing::Frame,
+                reason,
+                close: true,
+            },
+            buf.len(),
+        )),
+        Split::NeedMore if eof && buf.first().is_some_and(|&b| b != MAGIC) => {
+            Some((Message::of_line(buf), buf.len()))
+        }
+        Split::NeedMore => None,
     }
 }
 
@@ -374,6 +542,88 @@ mod tests {
         // A newline anywhere still wins: the line splits normally.
         line.push(b'\n');
         assert!(matches!(split(&line), Split::V1Line { .. }));
+    }
+
+    #[test]
+    fn next_message_makes_every_framing_decision() {
+        let line = |text| Message::Line {
+            text,
+            framing: Framing::Line,
+        };
+        // Blank lines are consumed unanswered; lines arrive trimmed.
+        assert_eq!(next_message(b" \r\nx", false), Some((Message::Blank, 3)));
+        assert_eq!(next_message(b" {} \r\n", false), Some((line("{}"), 6)));
+        // A non-UTF-8 line is rejected and the stream goes on.
+        let reject = |framing| Message::Reject {
+            framing,
+            reason: match framing {
+                Framing::Line => "request line is not UTF-8",
+                Framing::Frame => "JSON request frame payload is not UTF-8",
+            },
+            close: false,
+        };
+        assert_eq!(
+            next_message(b"\xff\xfe\n{}\n", false),
+            Some((reject(Framing::Line), 3))
+        );
+        // A JSON_REQ frame unwraps to its line; other ops stay frames.
+        let mut wire = Vec::new();
+        write_frame(&mut wire, op::JSON_REQ, b"{\"cmd\":\"ping\"}\n");
+        let wrapped = Message::Line {
+            text: "{\"cmd\":\"ping\"}",
+            framing: Framing::Frame,
+        };
+        assert_eq!(next_message(&wire, false), Some((wrapped, wire.len())));
+        let mut bad = Vec::new();
+        write_frame(&mut bad, op::JSON_REQ, b"\xff");
+        assert_eq!(
+            next_message(&bad, false),
+            Some((reject(Framing::Frame), bad.len()))
+        );
+        let mut ping = Vec::new();
+        write_frame(&mut ping, op::PING, b"");
+        let native = Message::Frame {
+            op: op::PING,
+            payload: b"",
+        };
+        assert_eq!(next_message(&ping, true), Some((native, 8)));
+        // A malformed header closes and takes the whole buffer.
+        let hostile = [MAGIC, 9, op::PING, 0, 0, 0, 0, 0, b'x'];
+        assert!(matches!(
+            next_message(&hostile, false),
+            Some((
+                Message::Reject {
+                    framing: Framing::Frame,
+                    close: true,
+                    ..
+                },
+                9
+            ))
+        ));
+        // At EOF an unterminated line is served and a partial frame
+        // is not; before EOF both wait.
+        assert_eq!(next_message(b"{}", false), None);
+        assert_eq!(next_message(b"{}", true), Some((line("{}"), 2)));
+        assert_eq!(next_message(&ping[..5], true), None);
+        assert_eq!(next_message(b"", true), None);
+    }
+
+    #[test]
+    fn bad_requests_answer_in_the_arrival_protocol() {
+        let mut out = Vec::new();
+        Framing::Line.append_bad_request(&mut out, Some("n1"), "no");
+        assert_eq!(
+            out,
+            b"{\"v\":1,\"id\":null,\"ok\":false,\"code\":\"bad_request\",\"error\":\"no\",\"node\":\"n1\"}\n"
+        );
+        out.clear();
+        Framing::Frame.append_bad_request(&mut out, None, "no");
+        let Split::V2Frame { op: o, payload, .. } = split(&out) else {
+            panic!("expected an error frame");
+        };
+        assert_eq!(o, op::ERROR);
+        let v = binary::response_to_value(o, payload).unwrap();
+        assert_eq!(v.get("code").and_then(Value::as_str), Some("bad_request"));
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! while a small set of active connections keeps planning through the
 //! same process. The companions pin the engine's serving contracts: a
 //! deterministic request script answers byte-identically (modulo
-//! timing fields) over TCP and over `--stdio`; a burst sheds with
+//! timing fields) over TCP and over `--stdio`, and so do a non-UTF-8
+//! line and an unterminated last line; a burst sheds with
 //! `overloaded` and a retry hint; and a drain answers every in-flight
 //! request.
 //!
@@ -16,7 +17,7 @@
 //! 10k soak is ignored in debug builds where solve times and fd churn
 //! make it pointlessly slow.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -311,6 +312,58 @@ fn transports_answer_byte_identically() {
             "request #{i} ({:?}) diverged between TCP and --stdio",
             script[i]
         );
+    }
+}
+
+/// Sends `input` to a fresh TCP connection and to a fresh `--stdio`
+/// session, closing each input after it, and returns everything each
+/// front wrote before it closed.
+fn answers_on_both_fronts(server: &Server, input: &[u8]) -> (Vec<u8>, Vec<u8>) {
+    let mut tcp = server.connect_idle();
+    tcp.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    tcp.write_all(input).expect("write TCP input");
+    tcp.shutdown(std::net::Shutdown::Write)
+        .expect("half-close TCP");
+    let mut tcp_out = Vec::new();
+    tcp.read_to_end(&mut tcp_out).expect("read TCP answers");
+    let mut stdio = Command::new(env!("CARGO_BIN_EXE_pager-serve"))
+        .arg("--stdio")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn pager-serve --stdio");
+    let mut stdin = stdio.stdin.take().expect("child stdin");
+    stdin.write_all(input).expect("write stdio input");
+    drop(stdin);
+    let output = stdio.wait_with_output().expect("stdio session");
+    (tcp_out, output.stdout)
+}
+
+/// The framing edge cases answer byte-identically on both fronts: a
+/// non-UTF-8 line earns a `bad_request` and the ping pipelined behind
+/// it is still answered; an unterminated last line is served at EOF.
+#[test]
+fn fronts_frame_bad_and_unterminated_lines_alike() {
+    let server = Server::spawn(&[]);
+    let cases: [(&[u8], &[&str]); 2] = [
+        (
+            b"\xff\xfe\n{\"cmd\":\"ping\"}\n",
+            &["\"code\":\"bad_request\"", "\"pong\":true"],
+        ),
+        (b"{\"cmd\":\"ping\"}", &["\"pong\":true"]),
+    ];
+    for (input, wants) in cases {
+        let (tcp, stdio) = answers_on_both_fronts(&server, input);
+        let tcp = String::from_utf8(tcp).expect("UTF-8 TCP answers");
+        let stdio = String::from_utf8(stdio).expect("UTF-8 stdio answers");
+        assert_eq!(tcp, stdio, "{input:?}: TCP and --stdio diverged");
+        let lines: Vec<&str> = tcp.lines().collect();
+        assert_eq!(lines.len(), wants.len(), "{input:?}: {tcp}");
+        for (line, want) in lines.iter().zip(wants) {
+            assert!(line.contains(want), "{input:?}: {line} lacks {want}");
+        }
     }
 }
 

@@ -241,6 +241,7 @@ fn dump_shapes_are_pinned() {
                 addr: "127.0.0.1:1".to_string(),
             }],
         }],
+        64,
         RouterConfig::default(),
     )
     .expect("router");

@@ -4,8 +4,9 @@
 //! JSON lines and v2 binary frames, over the transport engine,
 //! directly and through the cluster router — and asserts the answers
 //! carry byte-identical strategies. The hostile-input tests feed the
-//! engine truncated, oversize and wrong-version frames and assert a
-//! `bad_request` answer or a clean close, never a hang.
+//! engine truncated, oversize and wrong-version frames and non-UTF-8
+//! lines and assert a `bad_request` answer or a clean close, never a
+//! hang.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -205,6 +206,23 @@ fn hostile_battery(addr: SocketAddr) {
         stream.shutdown(std::net::Shutdown::Write).unwrap();
         let mut tail = [0u8; 16];
         assert_eq!(stream.read(&mut tail).unwrap(), 0, "expected silent close");
+    }
+    // A non-UTF-8 line: a v1 bad_request, and the pipelined ping
+    // behind it is still answered on the same connection.
+    {
+        let mut stream = connect(addr);
+        stream.write_all(b"\xff\xfe\n{\"cmd\":\"ping\"}\n").unwrap();
+        let mut buf = Vec::new();
+        for want in ["bad_request", "pong"] {
+            let Msg::Line(line) = read_message(&mut stream, &mut buf) else {
+                panic!("a v1 line must be answered with a v1 line");
+            };
+            let v = jsonio::parse(&line).unwrap();
+            match want {
+                "pong" => assert_eq!(v.get("pong").and_then(Value::as_bool), Some(true)),
+                code => assert_eq!(v.get("code").and_then(Value::as_str), Some(code)),
+            }
+        }
     }
     // The server survived all of it.
     let mut stream = connect(addr);
