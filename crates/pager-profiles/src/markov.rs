@@ -111,23 +111,31 @@ impl MarkovModel {
             point[from] = 1.0;
             return estimators::empirical_from_counts(&point, alpha.max(f64::MIN_POSITIVE));
         }
-        // Pre-normalise each row once; the multiply loop then reads
-        // plain slices.
-        let rows: Vec<Vec<f64>> = (0..self.cells)
-            .map(|i| self.transition_row(i, alpha.max(f64::MIN_POSITIVE)))
-            .collect();
-        let mut dist = vec![0.0f64; self.cells];
+        // Pre-normalise every row once into one row-major c×c matrix
+        // (the arithmetic of `transition_row`, in the same order); the
+        // multiply loop then walks plain slices.
+        let c = self.cells;
+        let alpha = alpha.max(f64::MIN_POSITIVE);
+        let mut matrix = Vec::with_capacity(c * c);
+        for row in self.counts.chunks_exact(c) {
+            #[allow(clippy::cast_precision_loss)]
+            let total = row.iter().fold(0.0f64, |sum, &n| sum + n as f64);
+            let denom = total + c as f64 * alpha;
+            #[allow(clippy::cast_precision_loss)]
+            matrix.extend(row.iter().map(|&n| (n as f64 + alpha) / denom));
+        }
+        let mut dist = vec![0.0f64; c];
         dist[from] = 1.0;
-        let mut next = vec![0.0f64; self.cells];
+        let mut next = vec![0.0f64; c];
         for _ in 0..steps {
-            next.iter_mut().for_each(|x| *x = 0.0);
-            for (i, &mass) in dist.iter().enumerate() {
+            next.fill(0.0);
+            for (&mass, row) in dist.iter().zip(matrix.chunks_exact(c)) {
                 // lint:allow(no-float-eq): exact-zero skip is an optimisation only
                 if mass == 0.0 {
                     continue;
                 }
-                for (j, &p) in rows[i].iter().enumerate() {
-                    next[j] += mass * p;
+                for (slot, &p) in next.iter_mut().zip(row) {
+                    *slot += mass * p;
                 }
             }
             std::mem::swap(&mut dist, &mut next);
@@ -240,6 +248,65 @@ mod tests {
         // Many steps with smoothing: mass spreads toward 50/50.
         let far = m.predict(0, 501, 1.0);
         assert!(total_variation(&far, &[0.5, 0.5]) < 0.1, "{far:?}");
+    }
+
+    /// The nested-`Vec` predict loop the flat matrix replaced, kept as
+    /// the oracle for [`MarkovModel::predict`].
+    fn predict_nested(m: &MarkovModel, from: usize, steps: usize, alpha: f64) -> Vec<f64> {
+        if steps == 0 {
+            let mut point = vec![0.0; m.cells];
+            point[from] = 1.0;
+            return estimators::empirical_from_counts(&point, alpha.max(f64::MIN_POSITIVE));
+        }
+        let rows: Vec<Vec<f64>> = (0..m.cells)
+            .map(|i| m.transition_row(i, alpha.max(f64::MIN_POSITIVE)))
+            .collect();
+        let mut dist = vec![0.0f64; m.cells];
+        dist[from] = 1.0;
+        let mut next = vec![0.0f64; m.cells];
+        for _ in 0..steps {
+            next.iter_mut().for_each(|x| *x = 0.0);
+            for (i, &mass) in dist.iter().enumerate() {
+                // lint:allow(no-float-eq): exact-zero skip is an optimisation only
+                if mass == 0.0 {
+                    continue;
+                }
+                for (j, &p) in rows[i].iter().enumerate() {
+                    next[j] += mass * p;
+                }
+            }
+            std::mem::swap(&mut dist, &mut next);
+        }
+        let total: f64 = dist.iter().sum();
+        dist.iter_mut().for_each(|x| *x /= total);
+        dist
+    }
+
+    #[test]
+    fn flat_predict_is_bit_identical_to_the_nested_loop() {
+        use rand::{Rng, SeedableRng};
+        let horizon = crate::ProfileConfig::default().markov_horizon;
+        let mut cases = 0;
+        for seed in 0..200u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let cells = rng.gen_range(1..=20usize);
+            let mut m = MarkovModel::new(cells);
+            // Sparse and dense count matrices alike, some rows empty.
+            for _ in 0..rng.gen_range(0..=cells * cells * 4) {
+                m.observe(rng.gen_range(0..cells), rng.gen_range(0..cells));
+            }
+            let alpha = [0.0, 1e-3, 0.1, 0.5, 1.0][rng.gen_range(0..5usize)];
+            let from = rng.gen_range(0..cells);
+            for steps in 0..=horizon {
+                let flat = m.predict(from, steps, alpha);
+                let nested = predict_nested(&m, from, steps, alpha);
+                let flat: Vec<u64> = flat.iter().map(|p| p.to_bits()).collect();
+                let nested: Vec<u64> = nested.iter().map(|p| p.to_bits()).collect();
+                assert_eq!(flat, nested, "seed {seed}, steps {steps}");
+                cases += 1;
+            }
+        }
+        assert_eq!(cases, 200 * (horizon + 1));
     }
 
     #[test]

@@ -97,8 +97,9 @@ impl Default for ReactorConfig {
 /// What a service plugs into the engine: how to answer one message.
 ///
 /// Methods run on a shard thread and must not block — anything that
-/// may (disk, backend round trips, uncached solves) goes to
-/// [`Call::spawn`] behind a [`Call::later`] completion.
+/// may (disk, backend round trips, solves too costly to run inline)
+/// goes to [`Call::spawn`] behind a [`Call::later`] completion.
+/// Bounded CPU work, such as a cheap solve, may run here.
 pub trait Handler: Send + Sync + 'static {
     /// Answers one request line, trimmed: a non-blank v1 line or the
     /// line inside a `JSON_REQ` frame. [`Call::reply_line`] and
@@ -132,7 +133,8 @@ pub struct Gauges<'a> {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Reply {
     /// The answer is already queued on the connection (a v2 cache hit
-    /// is encoded there straight from the borrowed payload).
+    /// is encoded there straight from the borrowed payload, a plan
+    /// solved during dispatch straight from its result).
     Now,
     /// The answer will arrive through the [`Completion`] the handler
     /// took with [`Call::later`].
@@ -156,6 +158,12 @@ impl Call<'_> {
     /// The connection's write buffer, for answers encoded in place.
     pub fn out(&mut self) -> &mut Vec<u8> {
         self.out
+    }
+
+    /// How the request arrived, for answers encoded in place with
+    /// [`Framing::append_line`].
+    pub fn framing(&self) -> Framing {
+        self.framing
     }
 
     /// Queues a line-shaped answer, framed the way the request

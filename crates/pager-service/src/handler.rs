@@ -1,19 +1,24 @@
 //! [`PagerService`] as an engine [`Handler`]: which requests answer on
 //! the shard thread and which leave it.
 //!
-//! * **Inline** — v2 cache-hit plans, pings and malformed frames
-//!   ([`proto::dispatch_frame`]), parse errors, and the control ops
+//! * **Inline** — anything answered without blocking, returned as
+//!   [`Reply::Now`]: v2 cache-hit plans, pings and malformed frames
+//!   ([`proto::dispatch_frame`]), parse errors, the control ops
 //!   (`ping`, `stats`, `metrics`, `node_info`, `profile_stats`,
-//!   `epoch`, `shutdown`), none of which touch disk or a solver.
-//! * **Admission** — cacheable plans (v1, v2 and `plan_devices`) go
-//!   through [`PagerService::plan_async`] /
-//!   [`PagerService::plan_devices_async`]: the same `derive_key →
-//!   cache → dispatcher` path as the blocking calls, so the bounded
-//!   queue, coalescing, shed `retry_after_ms` hints and deadline
-//!   downgrades are untouched.
+//!   `epoch`, `shutdown`), and every plan the service answers during
+//!   dispatch ([`Planned::Now`]): v1 and `plan_devices` cache hits,
+//!   and greedy misses whose Theorem 4.8 cost is at most
+//!   [`crate::planner::INLINE_SOLVE_OPS`], cacheable or not. Bounded
+//!   CPU work may run here; nothing that waits on disk, a lock held
+//!   across I/O, or another thread does.
+//! * **Admission** — any other cacheable miss ([`Planned::Later`])
+//!   goes through the same `derive_key → cache → dispatcher` path as
+//!   the blocking calls, so the bounded queue, coalescing, shed
+//!   `retry_after_ms` hints and deadline downgrades are untouched.
 //! * **I/O pool** — `observe` (WAL append + fsync before the ack),
-//!   WAL ship/apply and uncacheable plans never shed and may block, so
-//!   they run on the engine's I/O pool.
+//!   WAL ship/apply and every other uncacheable plan
+//!   ([`Planned::Blocking`]) never shed and may block, so they run on
+//!   the engine's I/O pool.
 //!
 //! Answers are formatted by the same `proto` builders as
 //! [`proto::handle_line`] / [`proto::handle_frame`], so a TCP client
@@ -28,7 +33,7 @@ use pager_wire::PlanSpec;
 use crate::engine::{Call, Gauges, Handler, Reply};
 use crate::error::ServiceError;
 use crate::proto::{self, FrameDispatch, Request};
-use crate::service::{PagerService, PlanResponse};
+use crate::service::{Callback, PagerService, PlanResponse, Planned};
 
 impl Handler for PagerService {
     fn on_line(self: Arc<Self>, line: &str, call: &mut Call<'_>) -> Reply {
@@ -41,19 +46,17 @@ impl Handler for PagerService {
             }
         };
         let default_budget = self.config().default_deadline_ms;
+        let framing = call.framing();
         match request {
-            Request::Plan { id, instance, spec } if spec.cache_enabled() => {
-                let done = call.later(spec.deadline_ms().or(default_budget));
+            Request::Plan { id, instance, spec } => {
+                let budget = spec.deadline_ms().or(default_budget);
                 let service = Arc::clone(&self);
-                self.plan_async(
-                    &instance,
-                    spec,
-                    Box::new(move |result| {
-                        let line = proto::plan_response_line(&service, &id, &result);
-                        done.answer_line(&line, false).send();
-                    }),
-                );
-                Reply::Later
+                let render = move |result: &Result<PlanResponse, ServiceError>,
+                                   out: &mut Vec<u8>| {
+                    framing.append_line(&proto::plan_response_line(&service, &id, result), out);
+                };
+                let planned = self.plan_async(&instance, spec, || deferred(call, budget, &render));
+                reply(call, default_budget, planned, render)
             }
             Request::PlanDevices {
                 id,
@@ -61,35 +64,30 @@ impl Handler for PagerService {
                 estimator,
                 now,
                 spec,
-            } if spec.cache_enabled() => {
-                let done = call.later(spec.deadline_ms().or(default_budget));
+            } => {
+                let budget = spec.deadline_ms().or(default_budget);
                 let service = Arc::clone(&self);
+                let render = move |result: &Result<_, ServiceError>, out: &mut Vec<u8>| {
+                    let line = proto::device_plan_response_line(&service, &id, estimator, result);
+                    framing.append_line(&line, out);
+                };
                 let refs: Vec<&str> = devices.iter().map(String::as_str).collect();
                 // Profile resolution happens here (cheap, in-memory);
-                // only the solve is deferred to the pool.
-                self.plan_devices_async(
-                    &refs,
-                    estimator,
-                    now,
-                    spec,
-                    Box::new(move |result| {
-                        let line =
-                            proto::device_plan_response_line(&service, &id, estimator, &result);
-                        done.answer_line(&line, false).send();
-                    }),
-                );
-                Reply::Later
+                // only a solve the cost gate does not pass leaves the
+                // shard.
+                let planned = self.plan_devices_async(&refs, estimator, now, spec, || {
+                    deferred(call, budget, &render)
+                });
+                reply(call, default_budget, planned, render)
             }
             request @ (Request::Observe { .. }
             | Request::WalShip { .. }
-            | Request::WalApply { .. }
-            | Request::Plan { .. }
-            | Request::PlanDevices { .. }) => {
+            | Request::WalApply { .. }) => {
                 let done = call.later(default_budget);
                 call.spawn(move || {
                     // lint:allow(no-blocking-in-reactor): this closure
                     // runs on the I/O pool, not the shard thread;
-                    // blocking on disk or a solver here is the design.
+                    // blocking on disk here is the design.
                     let outcome = proto::handle_request(&self, Ok(request), &id);
                     done.answer_line(&outcome.response, false)
                 });
@@ -107,7 +105,7 @@ impl Handler for PagerService {
         match proto::dispatch_frame(&self, frame_op, payload, call.out()) {
             FrameDispatch::Answered => Reply::Now,
             FrameDispatch::Solve { id, instance, spec } => {
-                self.solve_frame(id, instance, spec, call)
+                self.solve_frame(id, &instance, spec, call)
             }
         }
     }
@@ -125,46 +123,79 @@ impl Handler for PagerService {
 }
 
 impl PagerService {
-    /// A native v2 plan frame that missed the cache. Cacheable plans
-    /// go through the coalescing async solver (same admission, shed
-    /// and deadline path as v1 plans); uncacheable ones run on the I/O
-    /// pool, mirroring the v1 routing. Either way the answer is a
-    /// native v2 frame.
+    /// A native v2 plan frame that missed the cache probe: routed like
+    /// a v1 plan, answered as a native v2 frame.
     fn solve_frame(
         self: Arc<Self>,
         id: Value,
-        instance: Instance,
+        instance: &Instance,
         spec: PlanSpec,
         call: &mut Call<'_>,
     ) -> Reply {
-        let service = Arc::clone(&self);
-        let encode = move |result: Result<PlanResponse, ServiceError>| {
-            let mut bytes = Vec::new();
-            match &result {
-                Ok(response) => proto::plan_response_frame(&service, &id, response, &mut bytes),
-                Err(error) => proto::error_frame(&service, &id, error, &mut bytes),
-            }
-            bytes
-        };
         let default_budget = self.config().default_deadline_ms;
-        if spec.cache_enabled() {
-            let done = call.later(spec.deadline_ms().or(default_budget));
-            self.plan_async(
-                &instance,
-                spec,
-                Box::new(move |result| done.answer(encode(result)).send()),
-            );
-        } else {
+        let budget = spec.deadline_ms().or(default_budget);
+        let service = Arc::clone(&self);
+        let render =
+            move |result: &Result<PlanResponse, ServiceError>, out: &mut Vec<u8>| match result {
+                Ok(response) => proto::plan_response_frame(&service, &id, response, out),
+                Err(error) => proto::error_frame(&service, &id, error, out),
+            };
+        let planned = self.plan_async(instance, spec, || deferred(call, budget, &render));
+        reply(call, default_budget, planned, render)
+    }
+}
+
+/// The callback for an answer the worker pool will produce: arms the
+/// watchdog for the request's `budget` and sends what `render` (the
+/// plan answer's encoder, either protocol) writes.
+fn deferred<T: 'static>(
+    call: &mut Call<'_>,
+    budget: Option<u64>,
+    render: &(impl Fn(&Result<T, ServiceError>, &mut Vec<u8>) + Clone + Send + 'static),
+) -> Callback<T> {
+    let done = call.later(budget);
+    let render = render.clone();
+    Box::new(move |result| done.answer(encoded(&render, &result)).send())
+}
+
+/// Applies the service's [`Planned`] outcome to the connection: an
+/// answer ready now is encoded straight into the write buffer, a
+/// blocking job goes to the I/O pool under the server's default
+/// watchdog budget, as every I/O-pool request does.
+fn reply<T: 'static>(
+    call: &mut Call<'_>,
+    default_budget: Option<u64>,
+    planned: Planned<T>,
+    render: impl Fn(&Result<T, ServiceError>, &mut Vec<u8>) + Send + 'static,
+) -> Reply {
+    match planned {
+        Planned::Now(result) => {
+            render(&result, call.out());
+            Reply::Now
+        }
+        Planned::Later => Reply::Later,
+        Planned::Blocking(job) => {
             let done = call.later(default_budget);
             call.spawn(move || {
                 // lint:allow(no-blocking-in-reactor): this closure runs
                 // on the I/O pool, not the shard thread; an uncached
                 // solve blocking here is the design.
-                done.answer(encode(self.plan(&instance, spec)))
+                let result = job();
+                done.answer(encoded(&render, &result))
             });
+            Reply::Later
         }
-        Reply::Later
     }
+}
+
+/// `render`'s encoding of `result` as a fresh buffer.
+fn encoded<T>(
+    render: &impl Fn(&Result<T, ServiceError>, &mut Vec<u8>),
+    result: &Result<T, ServiceError>,
+) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    render(result, &mut bytes);
+    bytes
 }
 
 #[cfg(test)]

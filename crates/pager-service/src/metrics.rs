@@ -224,6 +224,10 @@ registry! {
         /// Requests that joined an identical in-flight computation
         /// instead of planning again.
         coalesced: Counter,
+        /// Misses solved on the thread that received them: their
+        /// Theorem 4.8 cost is at most `planner::INLINE_SOLVE_OPS`, so
+        /// they skip the admission queue.
+        solved_inline: Counter,
         /// Requests rejected with an error (bad instance, infeasible
         /// bandwidth, ...).
         errors: Counter,

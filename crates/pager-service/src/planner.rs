@@ -102,6 +102,14 @@ pub struct Plan {
 /// without a thundering herd (the hint, not a timer, spreads retries).
 pub const RETRY_AFTER_MS: u64 = 50;
 
+/// The largest greedy-tier [`solve_cost`] solved on the thread that
+/// received the request. At the measured ~2 ns per greedy operation
+/// that is about 8 µs — less than handing the job to a worker thread
+/// and waking the shard with its answer. Cheaper greedy misses skip
+/// the admission queue, so they are never shed or coalesced;
+/// deliberately not configurable.
+pub const INLINE_SOLVE_OPS: u64 = 4096;
+
 /// Plans `instance` under `delay` with the solver tier selected by
 /// `variant` and `policy`, polling `cancel` at solver checkpoints.
 ///
@@ -125,16 +133,8 @@ pub fn plan(
     cancel: &CancelToken,
 ) -> Result<Plan, ServiceError> {
     let start = Instant::now();
-    let want_exact = match variant {
-        Variant::Exact => true,
-        Variant::Auto => {
-            instance.num_cells() <= policy.exact_max_cells
-                && instance.num_devices() <= policy.exact_max_devices
-        }
-        _ => false,
-    };
-    let (tier, downgraded, planned) = if want_exact {
-        match plan_exact(instance, delay, cancel) {
+    let (tier, downgraded, planned) = match (requested_tier(instance, variant, policy), variant) {
+        (Tier::Exact, _) => match plan_exact(instance, delay, cancel) {
             Ok(planned) => (Tier::Exact, false, planned),
             Err(ServiceError::Overloaded { .. }) => {
                 // Deadline fired mid-DP: degrade to greedy instead of
@@ -145,24 +145,25 @@ pub fn plan(
                 (Tier::Greedy, true, fallback)
             }
             Err(other) => return Err(other),
-        }
-    } else {
-        let planned = match variant {
-            Variant::Bandwidth(cap) => {
-                bandwidth::greedy_strategy_bounded_cancel(instance, delay, cap, cancel)
-                    .map_err(|e| map_solver_error(&e))?
-            }
-            Variant::Signature(k) => signature::greedy_signature_cancel(instance, delay, k, cancel)
+        },
+        (tier, Variant::Bandwidth(cap)) => (
+            tier,
+            false,
+            bandwidth::greedy_strategy_bounded_cancel(instance, delay, cap, cancel)
                 .map_err(|e| map_solver_error(&e))?,
-            _ => greedy_strategy_planned_cancel(instance, delay, cancel)
+        ),
+        (tier, Variant::Signature(k)) => (
+            tier,
+            false,
+            signature::greedy_signature_cancel(instance, delay, k, cancel)
                 .map_err(|e| map_solver_error(&e))?,
-        };
-        let tier = match variant {
-            Variant::Bandwidth(_) => Tier::Bandwidth,
-            Variant::Signature(_) => Tier::Signature,
-            _ => Tier::Greedy,
-        };
-        (tier, false, planned)
+        ),
+        (tier, _) => (
+            tier,
+            false,
+            greedy_strategy_planned_cancel(instance, delay, cancel)
+                .map_err(|e| map_solver_error(&e))?,
+        ),
     };
     let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
     Ok(Plan {
@@ -172,6 +173,75 @@ pub fn plan(
         planning_micros: micros,
         downgraded,
     })
+}
+
+/// The tier `variant` asks for under `policy`, before any deadline
+/// downgrade: `Auto` picks the exact optimum within the policy's size
+/// limits and the Fig. 1 greedy beyond them.
+fn requested_tier(instance: &Instance, variant: Variant, policy: &TierPolicy) -> Tier {
+    match variant {
+        Variant::Exact => Tier::Exact,
+        Variant::Auto
+            if instance.num_cells() <= policy.exact_max_cells
+                && instance.num_devices() <= policy.exact_max_devices =>
+        {
+            Tier::Exact
+        }
+        Variant::Bandwidth(_) => Tier::Bandwidth,
+        Variant::Signature(_) => Tier::Signature,
+        _ => Tier::Greedy,
+    }
+}
+
+/// The operation count of the solve [`plan`] would run, from the
+/// paper's cost model: `c(m + d·c)` for the Fig. 1 greedy (Theorem
+/// 4.8) and `m·2^c + d·3^c` for the exact subset DP (its per-device
+/// prefix sums, then the submask chains), with `d` clamped to `c` as
+/// both solvers do. `None` for the bandwidth and signature tiers,
+/// which the model does not cover. Saturates instead of overflowing.
+#[must_use]
+pub fn solve_cost(
+    instance: &Instance,
+    delay: Delay,
+    variant: Variant,
+    policy: &TierPolicy,
+) -> Option<u64> {
+    let c = instance.num_cells() as u64;
+    let m = instance.num_devices() as u64;
+    let d = delay.clamp_to_cells(instance.num_cells()).get() as u64;
+    match requested_tier(instance, variant, policy) {
+        Tier::Greedy => Some(c.saturating_mul(m.saturating_add(d.saturating_mul(c)))),
+        Tier::Exact => {
+            let pow = |base: u64| {
+                u32::try_from(c)
+                    .ok()
+                    .and_then(|c| base.checked_pow(c))
+                    .unwrap_or(u64::MAX)
+            };
+            Some(
+                m.saturating_mul(pow(2))
+                    .saturating_add(d.saturating_mul(pow(3))),
+            )
+        }
+        Tier::Bandwidth | Tier::Signature => None,
+    }
+}
+
+/// Whether a solve is cheap enough to run on the calling thread: a
+/// greedy-tier solve whose [`solve_cost`] is at most
+/// [`INLINE_SOLVE_OPS`]. Only the greedy tier qualifies, because only
+/// its per-operation cost is measured (`core.greedy.ns_per_op`) and
+/// served by a benchmark workload; the exact DP's cost stays priced for
+/// the stage check but always leaves the calling thread.
+#[must_use]
+pub(crate) fn solves_inline(
+    instance: &Instance,
+    delay: Delay,
+    variant: Variant,
+    policy: &TierPolicy,
+) -> bool {
+    requested_tier(instance, variant, policy) == Tier::Greedy
+        && solve_cost(instance, delay, variant, policy).is_some_and(|ops| ops <= INLINE_SOLVE_OPS)
 }
 
 /// Maps a core solver error onto the wire surface: cancellation means
@@ -213,6 +283,32 @@ mod tests {
 
     fn live() -> CancelToken {
         CancelToken::never()
+    }
+
+    #[test]
+    fn the_exact_price_counts_devices_and_never_runs_inline() {
+        let policy = TierPolicy::default();
+        let d5 = Delay::new(5).unwrap();
+        // Few cells, many devices: d·3^c alone (3,645) is under the
+        // bound, but the per-device prefix sums are not.
+        let wide = Instance::uniform(100_000, 6).unwrap();
+        assert_eq!(
+            solve_cost(&wide, d5, Variant::Exact, &policy),
+            Some(100_000 * 64 + 5 * 729)
+        );
+        assert!(!solves_inline(&wide, d5, Variant::Exact, &policy));
+        // Even a tiny exact solve leaves the calling thread.
+        let d1 = Delay::new(1).unwrap();
+        let tiny = Instance::uniform(1, 2).unwrap();
+        assert_eq!(solve_cost(&tiny, d1, Variant::Exact, &policy), Some(4 + 9));
+        assert!(!solves_inline(&tiny, d1, Variant::Exact, &policy));
+        assert!(solves_inline(&tiny, d1, Variant::Greedy, &policy));
+        // Saturates instead of overflowing.
+        let huge = Instance::uniform(1, 64).unwrap();
+        assert_eq!(
+            solve_cost(&huge, d1, Variant::Exact, &policy),
+            Some(u64::MAX)
+        );
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! in-flight computation adds no load.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -87,6 +88,9 @@ enum Enqueue {
 /// threads.
 pub(crate) struct Dispatcher {
     queue: Mutex<Option<mpsc::SyncSender<Job>>>,
+    /// Set by [`Dispatcher::shutdown`], so callers that never queue
+    /// can see the refusal without taking the queue lock.
+    closed: AtomicBool,
     inflight: Arc<Mutex<HashMap<PlanKey, Vec<Waiter>>>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     metrics: Arc<Metrics>,
@@ -121,6 +125,7 @@ impl Dispatcher {
             .collect::<std::io::Result<Vec<_>>>()?;
         Ok(Dispatcher {
             queue: Mutex::new(Some(tx)),
+            closed: AtomicBool::new(false),
             inflight,
             workers: Mutex::new(handles),
             metrics,
@@ -264,8 +269,14 @@ impl Dispatcher {
         }
     }
 
+    /// Whether [`Dispatcher::shutdown`] has run: new work is refused.
+    pub(crate) fn closed(&self) -> bool {
+        self.closed.load(Ordering::Acquire)
+    }
+
     /// Stops accepting work and joins every worker.
     pub(crate) fn shutdown(&self) {
+        self.closed.store(true, Ordering::Release);
         self.queue
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -320,38 +331,15 @@ fn worker_loop(
         // the time this job reaches the front of the queue.
         let result: PlanResult = match cache.get(job.fingerprint, &job.key) {
             Some(ready) => Ok(ready),
-            None => {
-                let token = job.deadline.token();
-                match plan(&job.instance, job.delay, job.variant, &policy, &token) {
-                    Ok(fresh) => {
-                        metrics
-                            .tier_latency(fresh.tier)
-                            .record(fresh.planning_micros);
-                        if fresh.downgraded {
-                            metrics.deadline_downgrades.inc();
-                        }
-                        if job.deadline.expired() {
-                            metrics.deadline_misses.inc();
-                        }
-                        if fresh.downgraded {
-                            // A downgraded plan is a deadline artefact,
-                            // not the best answer for this key: caching
-                            // it would poison the slot for every later
-                            // patient request.
-                            Ok(Arc::new(fresh))
-                        } else {
-                            Ok(cache.insert(job.fingerprint, job.key.clone(), Arc::new(fresh)))
-                        }
-                    }
-                    Err(error) => {
-                        metrics.errors.inc();
-                        if matches!(error, ServiceError::Overloaded { .. }) {
-                            metrics.deadline_misses.inc();
-                        }
-                        Err(error)
-                    }
-                }
-            }
+            None => solve(
+                &job.instance,
+                job.delay,
+                job.variant,
+                job.deadline,
+                &policy,
+                metrics,
+                Some((cache, job.fingerprint, job.key.clone())),
+            ),
         };
         let waiters = inflight
             .lock()
@@ -362,6 +350,51 @@ fn worker_loop(
         // callback waiters may take their own locks (`reactor` class).
         for waiter in waiters {
             waiter.deliver(&result);
+        }
+    }
+}
+
+/// Runs one solve and records it: tier latency, deadline downgrades
+/// and misses, and errors. With `slot` (the cache plus the miss's
+/// fingerprint and key) a fresh plan is cached — unless it was
+/// downgraded. Worker threads and the service's cheap inline solves
+/// both come through here.
+pub(crate) fn solve(
+    instance: &Instance,
+    delay: Delay,
+    variant: Variant,
+    deadline: Deadline,
+    policy: &TierPolicy,
+    metrics: &Metrics,
+    slot: Option<(&ShardedCache<PlanKey, Plan>, u64, PlanKey)>,
+) -> PlanResult {
+    match plan(instance, delay, variant, policy, &deadline.token()) {
+        Ok(fresh) => {
+            metrics
+                .tier_latency(fresh.tier)
+                .record(fresh.planning_micros);
+            if fresh.downgraded {
+                metrics.deadline_downgrades.inc();
+            }
+            if deadline.expired() {
+                metrics.deadline_misses.inc();
+            }
+            match slot {
+                // A downgraded plan is a deadline artefact, not the
+                // best answer for this key: caching it would poison
+                // the slot for every later patient request.
+                Some((cache, fingerprint, key)) if !fresh.downgraded => {
+                    Ok(cache.insert(fingerprint, key, Arc::new(fresh)))
+                }
+                _ => Ok(Arc::new(fresh)),
+            }
+        }
+        Err(error) => {
+            metrics.errors.inc();
+            if matches!(error, ServiceError::Overloaded { .. }) {
+                metrics.deadline_misses.inc();
+            }
+            Err(error)
         }
     }
 }

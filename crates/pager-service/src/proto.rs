@@ -310,8 +310,8 @@ fn error_body<'a>(id: &'a Value, error: &ServiceError, message: &'a str) -> Erro
 }
 
 /// Formats a `plan` answer (success or error) exactly as
-/// [`handle_request`] would. The engine's handler calls this from
-/// solver-completion callbacks.
+/// [`handle_request`] would. The engine's handler calls this for
+/// answers ready during dispatch and from solver-completion callbacks.
 pub(crate) fn plan_response_line(
     service: &PagerService,
     id: &Value,
@@ -358,7 +358,8 @@ pub(crate) fn error_line(service: &PagerService, id: &Value, error: &ServiceErro
 /// [`dispatch_frame`] answers everything it can without blocking —
 /// cache-hit plans, pings, malformed payloads, unknown ops — directly
 /// into the output buffer. A cache miss is handed back: the engine
-/// solves it off its shard thread, [`handle_frame`] in place.
+/// routes it like a v1 plan (a cheap one is solved on the shard thread,
+/// a costlier one leaves it), [`handle_frame`] solves it in place.
 pub(crate) enum FrameDispatch {
     /// `out` now holds the complete response frame; nothing else to do.
     Answered,
@@ -523,7 +524,7 @@ fn encode_cached_plan_frame(
 }
 
 /// Encodes a `plan` answer (success) as a native v2 frame with an
-/// owned id — the slow path and the engine's async completions.
+/// owned id — the slow path and every engine answer to a cache miss.
 pub(crate) fn plan_response_frame(
     service: &PagerService,
     id: &Value,

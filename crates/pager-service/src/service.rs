@@ -2,7 +2,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 use jsonio::Value;
 use pager_core::Instance;
@@ -17,8 +17,8 @@ use crate::cache::ShardedCache;
 use crate::deadline::Deadline;
 use crate::error::ServiceError;
 use crate::metrics::Metrics;
-use crate::planner::{plan, Plan, TierPolicy, Variant};
-use crate::pool::{Dispatcher, Waiter};
+use crate::planner::{solves_inline, Plan, TierPolicy, Variant};
+use crate::pool::{self, Dispatcher, Waiter};
 
 /// The full cache key: quantised probabilities plus everything else
 /// that changes the answer. Two requests with equal keys are served
@@ -522,37 +522,48 @@ impl PagerService {
         Deadline::from_budget_ms(spec.deadline_ms().or(self.config.default_deadline_ms))
     }
 
-    /// Inline planning on the caller thread: the pool exists to dedupe
-    /// identical work, and uncacheable work cannot be deduped.
-    fn plan_inline(
+    /// An uncacheable plan: the pool exists to dedupe identical work,
+    /// and uncacheable work cannot be deduped. A cheap greedy one is
+    /// solved on the calling thread; any other is handed back as a
+    /// [`Planned::Blocking`] job for a thread that may block.
+    fn plan_uncached(
         &self,
         instance: &Instance,
         spec: &PlanSpec,
         deadline: Deadline,
+    ) -> Planned<PlanResponse> {
+        let (delay, variant, policy) = (spec.delay(), spec.variant(), self.config.policy);
+        if solves_inline(instance, delay, variant, &policy) {
+            return Planned::Now(self.solve_inline(instance, spec, deadline, None));
+        }
+        let metrics = Arc::clone(&self.metrics);
+        let instance = instance.clone();
+        Planned::Blocking(Box::new(move || {
+            pool::solve(&instance, delay, variant, deadline, &policy, &metrics, None).map(fresh)
+        }))
+    }
+
+    /// Solves a miss whose cost passed the gate of
+    /// [`crate::planner::INLINE_SOLVE_OPS`] on the calling thread,
+    /// caching it in `slot` if given.
+    fn solve_inline(
+        &self,
+        instance: &Instance,
+        spec: &PlanSpec,
+        deadline: Deadline,
+        slot: Option<(&ShardedCache<PlanKey, Plan>, u64, PlanKey)>,
     ) -> Result<PlanResponse, ServiceError> {
-        let token = deadline.token();
-        let fresh = plan(
+        self.metrics.solved_inline.inc();
+        pool::solve(
             instance,
             spec.delay(),
             spec.variant(),
+            deadline,
             &self.config.policy,
-            &token,
+            &self.metrics,
+            slot,
         )
-        .inspect_err(|_| self.metrics.errors.inc())?;
-        if fresh.downgraded {
-            self.metrics.deadline_downgrades.inc();
-        }
-        if deadline.expired() {
-            self.metrics.deadline_misses.inc();
-        }
-        self.metrics
-            .tier_latency(fresh.tier)
-            .record(fresh.planning_micros);
-        Ok(PlanResponse {
-            plan: Arc::new(fresh),
-            cached: false,
-            coalesced: false,
-        })
+        .map(fresh)
     }
 
     /// Plans a strategy, serving from the cache or an identical
@@ -566,7 +577,9 @@ impl PagerService {
     /// the deadline expired on a non-degradable tier;
     /// [`ServiceError::Internal`] when called during shutdown.
     pub fn plan(&self, instance: &Instance, spec: PlanSpec) -> Result<PlanResponse, ServiceError> {
-        wait_for(|done| self.plan_async(instance, spec, done))
+        let mut reply = None;
+        let planned = self.plan_async(instance, spec, || reply_to(&mut reply));
+        wait_for(planned, reply)
     }
 
     /// Probes the strategy cache straight from a borrowed v2 plan
@@ -610,31 +623,37 @@ impl PagerService {
         })
     }
 
-    /// [`PagerService::plan`] without blocking the calling thread:
-    /// `complete` is invoked exactly once — synchronously on this
-    /// thread for cache hits, shed requests and inline (uncacheable)
-    /// work, or later on a worker thread when the job was enqueued or
-    /// coalesced. The transport engine's shards live on this.
-    pub fn plan_async(
+    /// [`PagerService::plan`] without blocking the calling thread.
+    ///
+    /// Cache hits, cheap greedy misses (a Theorem 4.8 cost of at most
+    /// [`crate::planner::INLINE_SOLVE_OPS`]) and shutdown refusals are
+    /// answered during the call as [`Planned::Now`]. Any other
+    /// cacheable miss is admitted to the worker pool: `later` is called
+    /// once, right then, for the callback that receives the answer — on
+    /// a worker thread, or on this one if the request is shed — and the
+    /// call returns [`Planned::Later`]. Any other uncacheable plan comes
+    /// back as [`Planned::Blocking`]. The transport engine's shards
+    /// live on this.
+    pub(crate) fn plan_async(
         &self,
         instance: &Instance,
         spec: PlanSpec,
-        complete: Box<dyn FnOnce(Result<PlanResponse, ServiceError>) + Send>,
-    ) {
+        later: impl FnOnce() -> Callback<PlanResponse>,
+    ) -> Planned<PlanResponse> {
         self.metrics.requests.inc();
         let deadline = self.admit(&spec);
         if !spec.cache_enabled() {
-            complete(self.plan_inline(instance, &spec, deadline));
-            return;
+            return self.plan_uncached(instance, &spec, deadline);
         }
         let (key, fingerprint) = self.derive_key(instance, &spec, 0, &[]);
-        self.plan_via_cache(key, fingerprint, instance, &spec, deadline, complete);
+        self.plan_via_cache(key, fingerprint, instance, &spec, deadline, later)
     }
 
-    /// Cacheable async path shared by [`PagerService::plan_async`] and
-    /// [`PagerService::plan_devices_async`]. Exactly-once delivery
-    /// relies on the dispatcher contract: `Dispatcher::submit` either keeps
-    /// the waiter (worker delivers) or fails it before returning
+    /// Cacheable path shared by [`PagerService::plan_async`] and
+    /// [`PagerService::plan_devices_async`]: cache, then the cost gate,
+    /// then the dispatcher. Exactly-once delivery of a deferred answer
+    /// relies on the dispatcher contract: `Dispatcher::submit` either
+    /// keeps the waiter (worker delivers) or fails it before returning
     /// `Err`.
     fn plan_via_cache(
         &self,
@@ -643,18 +662,30 @@ impl PagerService {
         instance: &Instance,
         spec: &PlanSpec,
         deadline: Deadline,
-        complete: Box<dyn FnOnce(Result<PlanResponse, ServiceError>) + Send>,
-    ) {
+        later: impl FnOnce() -> Callback<PlanResponse>,
+    ) -> Planned<PlanResponse> {
         if let Some(hit) = self.cache.get(fingerprint, &key) {
             self.metrics.cache_hits.inc();
-            complete(Ok(PlanResponse {
+            return Planned::Now(Ok(PlanResponse {
                 plan: hit,
                 cached: true,
                 coalesced: false,
             }));
-            return;
         }
         self.metrics.cache_misses.inc();
+        if solves_inline(instance, spec.delay(), spec.variant(), &self.config.policy) {
+            // Cheaper than admission itself: no queue, so never shed
+            // and never coalesced (an identical key is never in flight,
+            // since its cost — hence this branch — is the same).
+            if self.dispatcher.closed() {
+                return Planned::Now(Err(ServiceError::Internal(
+                    "service is shutting down".into(),
+                )));
+            }
+            let slot = Some((&*self.cache, fingerprint, key));
+            return Planned::Now(self.solve_inline(instance, spec, deadline, slot));
+        }
+        let complete = later();
         let waiter = Waiter {
             complete: Box::new(move |result, coalesced| {
                 complete(result.map(|plan| PlanResponse {
@@ -680,6 +711,7 @@ impl PagerService {
             // waiter (shed accounting included) — nothing more here.
             Err(_) => {}
         }
+        Planned::Later
     }
 
     /// Ingests a batch of sightings into the profile store, returning
@@ -759,41 +791,39 @@ impl PagerService {
         now: Option<Time>,
         spec: PlanSpec,
     ) -> Result<DevicePlanResponse, ServiceError> {
-        wait_for(|done| self.plan_devices_async(devices, estimator, now, spec, done))
+        let mut reply = None;
+        let planned =
+            self.plan_devices_async(devices, estimator, now, spec, || reply_to(&mut reply));
+        wait_for(planned, reply)
     }
 
     /// [`PagerService::plan_devices`] without blocking the calling
-    /// thread; same exactly-once `complete` contract as
-    /// [`PagerService::plan_async`]. Profile resolution (cheap, pure
-    /// in-memory) still happens on the calling thread; only the solve
-    /// is deferred.
-    pub fn plan_devices_async(
+    /// thread; same three outcomes as [`PagerService::plan_async`].
+    /// Profile resolution (cheap, pure in-memory) happens on the
+    /// calling thread; only a solve the cost gate does not pass is
+    /// deferred.
+    pub(crate) fn plan_devices_async(
         &self,
         devices: &[&str],
         estimator: Estimator,
         now: Option<Time>,
         spec: PlanSpec,
-        complete: Box<dyn FnOnce(Result<DevicePlanResponse, ServiceError>) + Send>,
-    ) {
+        later: impl FnOnce() -> Callback<DevicePlanResponse>,
+    ) -> Planned<DevicePlanResponse> {
         self.metrics.requests.inc();
         let deadline = self.admit(&spec);
-        let now = match now.or_else(|| self.profiles.latest_time()) {
-            Some(now) => now,
-            None => {
-                self.metrics.errors.inc();
-                complete(Err(ServiceError::BadRequest(
-                    "store has no sightings and no \"now\" was given".into(),
-                )));
-                return;
-            }
+        let Some(now) = now.or_else(|| self.profiles.latest_time()) else {
+            self.metrics.errors.inc();
+            return Planned::Now(Err(ServiceError::BadRequest(
+                "store has no sightings and no \"now\" was given".into(),
+            )));
         };
         let (instance, versions, staleness) =
             match self.profiles.instance_for(devices, estimator, Some(now)) {
                 Ok(resolved) => resolved,
                 Err(e) => {
                     self.metrics.errors.inc();
-                    complete(Err(ServiceError::BadRequest(e)));
-                    return;
+                    return Planned::Now(Err(ServiceError::BadRequest(e)));
                 }
             };
         let stale_profiles = staleness.iter().filter(|&&lambda| lambda < 0.5).count();
@@ -802,22 +832,26 @@ impl PagerService {
                 .stale_profiles_served
                 .add(stale_profiles as u64);
         }
-        let key_versions = versions.clone();
-        let wrap = move |result: Result<PlanResponse, ServiceError>| {
-            complete(result.map(|response| DevicePlanResponse {
-                response,
-                versions,
-                stale_profiles,
-                now,
-            }));
+        let slot = spec
+            .cache_enabled()
+            .then(|| self.derive_key(&instance, &spec, estimator.tag() + 1, &versions));
+        let device = move |response| DevicePlanResponse {
+            response,
+            versions,
+            stale_profiles,
+            now,
         };
-        if spec.cache_enabled() {
-            let (key, fingerprint) =
-                self.derive_key(&instance, &spec, estimator.tag() + 1, &key_versions);
-            self.plan_via_cache(key, fingerprint, &instance, &spec, deadline, Box::new(wrap));
-        } else {
-            wrap(self.plan_inline(&instance, &spec, deadline));
-        }
+        let planned = match slot {
+            None => self.plan_uncached(&instance, &spec, deadline),
+            Some((key, fingerprint)) => {
+                self.plan_via_cache(key, fingerprint, &instance, &spec, deadline, || {
+                    let complete = later();
+                    let device = device.clone();
+                    Box::new(move |result| complete(result.map(device)))
+                })
+            }
+        };
+        planned.map(device)
     }
 
     /// Number of strategies currently cached.
@@ -845,22 +879,75 @@ impl PagerService {
     }
 }
 
-/// Runs an async planning entry point to completion on the calling
-/// thread: the blocking API is the callback API plus a channel.
-fn wait_for<T: Send + 'static>(
-    start: impl FnOnce(Box<dyn FnOnce(Result<T, ServiceError>) + Send>),
-) -> Result<T, ServiceError> {
-    let (tx, rx) = std::sync::mpsc::channel();
-    start(Box::new(move |result| {
+/// The callback a deferred plan answer is delivered to, exactly once.
+pub(crate) type Callback<T> = Box<dyn FnOnce(Result<T, ServiceError>) + Send>;
+
+/// How an async planning entry point ([`PagerService::plan_async`],
+/// [`PagerService::plan_devices_async`]) answered.
+pub(crate) enum Planned<T> {
+    /// Answered during the call: a cache hit, a cheap greedy solve, or an
+    /// error found before any solve.
+    Now(Result<T, ServiceError>),
+    /// Admitted to the worker pool (or shed there): the callback the
+    /// caller's `later` built receives the answer.
+    Later,
+    /// An uncacheable solve the cost gate keeps off the calling thread: run the
+    /// job where blocking is allowed.
+    Blocking(Box<dyn FnOnce() -> Result<T, ServiceError> + Send>),
+}
+
+impl<T: 'static> Planned<T> {
+    /// Maps the answer, whenever it is produced.
+    fn map<U>(self, f: impl FnOnce(T) -> U + Send + 'static) -> Planned<U> {
+        match self {
+            Planned::Now(result) => Planned::Now(result.map(f)),
+            Planned::Later => Planned::Later,
+            Planned::Blocking(job) => Planned::Blocking(Box::new(move || job().map(f))),
+        }
+    }
+}
+
+/// A freshly solved plan's response.
+fn fresh(plan: Arc<Plan>) -> PlanResponse {
+    PlanResponse {
+        plan,
+        cached: false,
+        coalesced: false,
+    }
+}
+
+/// A callback that sends the answer down a channel whose receiver it
+/// leaves in `reply`: the blocking API is the callback API plus a
+/// channel, made only when the answer is deferred.
+fn reply_to<T: Send + 'static>(
+    reply: &mut Option<mpsc::Receiver<Result<T, ServiceError>>>,
+) -> Callback<T> {
+    let (tx, rx) = mpsc::channel();
+    *reply = Some(rx);
+    Box::new(move |result| {
         let _ = tx.send(result);
-    }));
-    rx.recv()
-        .map_err(|_| ServiceError::Internal("worker pool dropped the request".into()))?
+    })
+}
+
+/// Finishes an async planning call on the calling thread: runs a
+/// blocking job here, or waits for a deferred answer on `reply`.
+fn wait_for<T>(
+    planned: Planned<T>,
+    reply: Option<mpsc::Receiver<Result<T, ServiceError>>>,
+) -> Result<T, ServiceError> {
+    match planned {
+        Planned::Now(result) => result,
+        Planned::Blocking(job) => job(),
+        Planned::Later => reply
+            .and_then(|rx| rx.recv().ok())
+            .ok_or_else(|| ServiceError::Internal("worker pool dropped the request".into()))?,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planner::{solve_cost, INLINE_SOLVE_OPS};
     use pager_core::Delay;
 
     fn service() -> PagerService {
@@ -1010,6 +1097,181 @@ mod tests {
         svc.shutdown();
         let err = svc.plan(&inst(), PlanSpec::new(Delay::new(2).unwrap()));
         assert!(err.is_err());
+    }
+
+    /// A `later` factory for tests: the deferred answer arrives on
+    /// `rx`, and `asked` records that a callback was requested.
+    fn deferred_to(
+        tx: &mpsc::Sender<Result<PlanResponse, ServiceError>>,
+        asked: &mut bool,
+    ) -> Callback<PlanResponse> {
+        *asked = true;
+        let tx = tx.clone();
+        Box::new(move |result| {
+            let _ = tx.send(result);
+        })
+    }
+
+    fn greedy(devices: usize, cells: usize, delay: usize) -> (Instance, PlanSpec) {
+        let spec = PlanSpec::new(Delay::new(delay).unwrap()).with_variant(Variant::Greedy);
+        (Instance::uniform(devices, cells).unwrap(), spec)
+    }
+
+    #[test]
+    fn a_cheap_miss_is_answered_before_plan_async_returns() {
+        let svc = service();
+        let (tx, _rx) = mpsc::channel();
+        let mut asked = false;
+        let spec = PlanSpec::new(Delay::new(2).unwrap()).with_variant(Variant::Greedy);
+        let planned = svc.plan_async(&inst(), spec, || deferred_to(&tx, &mut asked));
+        let Planned::Now(Ok(first)) = planned else {
+            panic!("a cheap miss must be answered during the call");
+        };
+        assert!(!asked, "no deferred callback for an inline solve");
+        assert!(!first.cached && !first.coalesced);
+        let Planned::Now(Ok(again)) =
+            svc.plan_async(&inst(), spec, || deferred_to(&tx, &mut asked))
+        else {
+            panic!("a cache hit must be answered during the call");
+        };
+        assert!(again.cached);
+        assert!(Arc::ptr_eq(&first.plan, &again.plan));
+        assert!(!asked);
+    }
+
+    #[test]
+    fn a_cheap_miss_skips_the_admission_queue() {
+        let svc = service();
+        let (instance, spec) = greedy(3, 16, 4);
+        assert_eq!(
+            solve_cost(&instance, spec.delay(), spec.variant(), &svc.config.policy),
+            Some(16 * (3 + 4 * 16))
+        );
+        let waited = svc.metrics().queue_wait.count();
+        let served = svc.plan(&instance, spec).unwrap();
+        assert!(!served.cached);
+        assert_eq!(svc.metrics().solved_inline.get(), 1);
+        assert_eq!(svc.metrics().cache_misses.get(), 1);
+        assert_eq!(svc.metrics().queue_wait.count(), waited, "never queued");
+        assert_eq!(dumped(&svc, "solved_inline"), 1);
+    }
+
+    #[test]
+    fn one_operation_over_the_bound_goes_through_the_dispatcher() {
+        let svc = service();
+        let policy = svc.config.policy;
+        // 16·(16 + 15·16) = 4096: exactly the bound, solved inline.
+        let (at, at_spec) = greedy(16, 16, 15);
+        assert_eq!(
+            solve_cost(&at, at_spec.delay(), at_spec.variant(), &policy),
+            Some(INLINE_SOLVE_OPS)
+        );
+        // 17·(3 + 14·17) = 4097: one operation over.
+        let (over, over_spec) = greedy(3, 17, 14);
+        assert_eq!(
+            solve_cost(&over, over_spec.delay(), over_spec.variant(), &policy),
+            Some(INLINE_SOLVE_OPS + 1)
+        );
+        let (tx, rx) = mpsc::channel();
+        let mut asked = false;
+        let planned = svc.plan_async(&at, at_spec, || deferred_to(&tx, &mut asked));
+        assert!(matches!(planned, Planned::Now(Ok(_))) && !asked);
+        let planned = svc.plan_async(&over, over_spec, || deferred_to(&tx, &mut asked));
+        assert!(matches!(planned, Planned::Later) && asked);
+        let served = rx.recv().unwrap().unwrap();
+        assert!(!served.cached);
+        assert_eq!(served.plan.strategy.num_cells(), 17);
+        assert_eq!(svc.metrics().solved_inline.get(), 1);
+        assert_eq!(svc.metrics().queue_wait.count(), 1, "one dequeue");
+    }
+
+    #[test]
+    fn exact_plans_never_run_inline() {
+        let svc = service();
+        let policy = svc.config.policy;
+        // Six cells under delay 5 price d·3^c at 3,645, within the
+        // bound, but a thousand devices add m·2^c = 64,000 more.
+        let wide = Instance::uniform(1_000, 6).unwrap();
+        let d5 = Delay::new(5).unwrap();
+        assert!(solve_cost(&wide, d5, Variant::Exact, &policy).unwrap() > INLINE_SOLVE_OPS);
+        // The auto variant picks the exact tier for this small one.
+        let d2 = Delay::new(2).unwrap();
+        assert!(solve_cost(&inst(), d2, Variant::Auto, &policy).unwrap() <= INLINE_SOLVE_OPS);
+        let cases = [
+            (wide, PlanSpec::new(d5).with_variant(Variant::Exact)),
+            (inst(), PlanSpec::new(d2)),
+        ];
+        for (instance, spec) in cases {
+            let (tx, rx) = mpsc::channel();
+            let mut asked = false;
+            let planned = svc.plan_async(&instance, spec, || deferred_to(&tx, &mut asked));
+            assert!(matches!(planned, Planned::Later) && asked);
+            assert_eq!(rx.recv().unwrap().unwrap().plan.tier, crate::Tier::Exact);
+            let planned = svc.plan_async(&instance, spec.with_cache(false), || {
+                deferred_to(&tx, &mut asked)
+            });
+            let Planned::Blocking(job) = planned else {
+                panic!("an uncached exact plan must be a blocking job");
+            };
+            assert!(job().is_ok());
+        }
+        assert_eq!(svc.metrics().solved_inline.get(), 0);
+    }
+
+    #[test]
+    fn bandwidth_and_signature_plans_never_run_inline() {
+        let svc = service();
+        let policy = svc.config.policy;
+        let d2 = Delay::new(2).unwrap();
+        for variant in [Variant::Bandwidth(2), Variant::Signature(1)] {
+            let spec = PlanSpec::new(d2).with_variant(variant);
+            assert_eq!(solve_cost(&inst(), d2, variant, &policy), None);
+            let (tx, rx) = mpsc::channel();
+            let mut asked = false;
+            let planned = svc.plan_async(&inst(), spec, || deferred_to(&tx, &mut asked));
+            assert!(matches!(planned, Planned::Later) && asked, "{variant:?}");
+            assert!(rx.recv().unwrap().is_ok());
+            // Uncacheable: handed back for a thread that may block.
+            let planned = svc.plan_async(&inst(), spec.with_cache(false), || {
+                deferred_to(&tx, &mut asked)
+            });
+            let Planned::Blocking(job) = planned else {
+                panic!("{variant:?} uncached must be a blocking job");
+            };
+            assert!(job().is_ok());
+        }
+        assert_eq!(svc.metrics().solved_inline.get(), 0);
+    }
+
+    #[test]
+    fn a_downgraded_plan_is_not_cached() {
+        // Past the bound and big enough for a DP checkpoint: the
+        // worker's solve is cancelled and downgraded to greedy.
+        let svc = service();
+        let heavy = Instance::uniform(2, 15).unwrap();
+        let spec = PlanSpec::new(Delay::new(3).unwrap())
+            .with_variant(Variant::Exact)
+            .with_deadline_ms(0);
+        let served = svc.plan(&heavy, spec).unwrap();
+        assert!(served.plan.downgraded);
+        assert_eq!(svc.cached_strategies(), 0);
+        assert!(svc.plan(&heavy, spec).unwrap().plan.downgraded);
+        // The same holds for the cheap path's solve, which shares it.
+        let metrics = Metrics::default();
+        let (key, fingerprint) = svc.derive_key(&heavy, &spec, 0, &[]);
+        let fresh = pool::solve(
+            &heavy,
+            spec.delay(),
+            Variant::Exact,
+            Deadline::in_ms(0),
+            &svc.config.policy,
+            &metrics,
+            Some((&*svc.cache, fingerprint, key)),
+        )
+        .unwrap();
+        assert!(fresh.downgraded);
+        assert_eq!(svc.cached_strategies(), 0);
+        assert_eq!(metrics.deadline_downgrades.get(), 1);
     }
 
     fn sighting(device: &str, cell: usize, time: f64) -> pager_profiles::Sighting {

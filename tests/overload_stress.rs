@@ -1,6 +1,6 @@
 //! Stress tests for the deadline-aware request lifecycle: spawn the
 //! real `pager-serve` binary with a small worker pool and a tight
-//! admission queue, then prove three properties under load:
+//! admission queue, then prove four properties under load:
 //!
 //! 1. **Backpressure** — a burst at ~4× the server's capacity
 //!    (workers + queue slots) is answered *immediately* for every
@@ -12,6 +12,9 @@
 //!    `"tier": "greedy", "downgraded": true` instead of arriving late.
 //! 3. **Drain** — a shutdown issued while solves are in flight answers
 //!    every admitted request before the process exits.
+//! 4. **No head-of-line blocking** — while that burst fills the workers
+//!    and the queue, a plan cheap enough to solve on the shard thread
+//!    (Theorem 4.8 cost at most `INLINE_SOLVE_OPS`) is still answered.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
@@ -113,18 +116,15 @@ fn distinct_instance_json(seed: usize) -> String {
     format!("[[{}]]", cells.join(", "))
 }
 
-/// Burst 4× the server's capacity with distinct exact-tier requests:
-/// every request is answered promptly — a plan for what fits, an
-/// `"overloaded"` shed for what does not — and the metrics agree.
-#[test]
-fn burst_at_4x_capacity_sheds_with_overloaded() {
-    let server = Arc::new(Server::spawn(&["--workers", "2", "--queue-depth", "4"]));
-
+/// Releases a burst 4× the server's capacity of distinct exact-tier
+/// requests, one connection each, all at once; each thread returns its
+/// answer.
+fn burst(server: &Arc<Server>) -> Vec<std::thread::JoinHandle<Value>> {
     // All clients connect first, then release the burst together.
     let barrier = Arc::new(Barrier::new(BURST));
-    let clients: Vec<_> = (0..BURST)
+    (0..BURST)
         .map(|t| {
-            let server = Arc::clone(&server);
+            let server = Arc::clone(server);
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
                 let mut conn = server.connect();
@@ -136,7 +136,16 @@ fn burst_at_4x_capacity_sheds_with_overloaded() {
                 conn.round_trip(&request)
             })
         })
-        .collect();
+        .collect()
+}
+
+/// Burst 4× the server's capacity with distinct exact-tier requests:
+/// every request is answered promptly — a plan for what fits, an
+/// `"overloaded"` shed for what does not — and the metrics agree.
+#[test]
+fn burst_at_4x_capacity_sheds_with_overloaded() {
+    let server = Arc::new(Server::spawn(&["--workers", "2", "--queue-depth", "4"]));
+    let clients = burst(&server);
 
     let mut planned = 0usize;
     let mut shed = 0usize;
@@ -202,6 +211,74 @@ fn burst_at_4x_capacity_sheds_with_overloaded() {
     assert!(
         depth <= QUEUE_DEPTH as u64,
         "queue gauge {depth} exceeds the bound {QUEUE_DEPTH}"
+    );
+    let stop = conn.round_trip(r#"{"cmd": "shutdown"}"#);
+    assert_eq!(stop.get("stopping").and_then(Value::as_bool), Some(true));
+}
+
+/// Head-of-line: while the burst above fills both workers and the
+/// queue, a cheap plan — a greedy `plan_devices` over 16 cells, whose
+/// Theorem 4.8 cost is far below the inline bound — is solved on the
+/// shard thread that received it: answered, never shed, never queued
+/// behind the exact solves.
+#[test]
+fn a_cheap_plan_is_served_while_a_burst_fills_the_pool() {
+    let server = Arc::new(Server::spawn(&["--workers", "2", "--queue-depth", "4"]));
+    let mut conn = server.connect();
+    let sightings: Vec<String> = (0..48)
+        .map(|t| {
+            format!(
+                r#"{{"device": "d{}", "cell": {}, "time": {t}}}"#,
+                t % 3,
+                (t * 5) % 16
+            )
+        })
+        .collect();
+    let observed = conn.round_trip(&format!(
+        r#"{{"cmd": "observe", "cells": 16, "sightings": [{}]}}"#,
+        sightings.join(", ")
+    ));
+    assert_eq!(observed.get("ok").and_then(Value::as_bool), Some(true));
+
+    let clients = burst(&server);
+    // The burst has overflowed the queue once something is shed.
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    loop {
+        let metrics = conn.round_trip(r#"{"cmd": "metrics"}"#);
+        let shed = metrics
+            .get("metrics")
+            .and_then(|m| m.get("requests_shed"))
+            .and_then(Value::as_u64);
+        if shed > Some(0) {
+            break;
+        }
+        assert!(std::time::Instant::now() < deadline, "the burst never shed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let cheap = conn.round_trip(
+        r#"{"cmd": "plan_devices", "id": 99, "devices": ["d0", "d1", "d2"], "delay": 4, "variant": "greedy"}"#,
+    );
+    // Join the burst before asserting: its threads hold the server, and
+    // a failed assertion must not leave the process running.
+    for client in clients {
+        let response = client.join().expect("client thread");
+        assert!(response.get("ok").is_some(), "{response}");
+    }
+    assert_eq!(
+        cheap.get("ok").and_then(Value::as_bool),
+        Some(true),
+        "a cheap plan must not be shed behind the burst: {cheap}"
+    );
+    assert_eq!(cheap.get("cached").and_then(Value::as_bool), Some(false));
+    assert_eq!(cheap.get("tier").and_then(Value::as_str), Some("greedy"));
+    let metrics = conn.round_trip(r#"{"cmd": "metrics"}"#);
+    assert!(
+        metrics
+            .get("metrics")
+            .and_then(|m| m.get("solved_inline"))
+            .and_then(Value::as_u64)
+            >= Some(1),
+        "{metrics}"
     );
     let stop = conn.round_trip(r#"{"cmd": "shutdown"}"#);
     assert_eq!(stop.get("stopping").and_then(Value::as_bool), Some(true));

@@ -234,14 +234,19 @@ fn ten_thousand_idle_connections_no_thread_per_connection() {
 }
 
 /// Deterministic request script used for front-end parity. Covers
-/// plans (cached, repeated for a cache hit, uncached, bad), observes,
-/// device plans, stats, and errors.
+/// plans (cached, repeated for a cache hit, uncached, a cheap miss
+/// solved inline, bad), observes, device plans, stats, and errors.
 fn parity_script() -> Vec<String> {
     let mut script = vec![
         r#"{"id": 1, "instance": [[0.5, 0.3, 0.2]], "delay": 2}"#.to_string(),
         r#"{"id": 2, "instance": [[0.5, 0.3, 0.2]], "delay": 2}"#.to_string(),
         r#"{"id": 3, "instance": [[0.25, 0.25, 0.25, 0.25], [0.1, 0.2, 0.3, 0.4]], "delay": 3, "cache": false}"#.to_string(),
         r#"{"id": 4, "instance": [[0.7, 0.3]], "delay": 1, "variant": "greedy"}"#.to_string(),
+        // A cheap miss over 16 cells: solved on the shard thread.
+        format!(
+            r#"{{"id": 6, "instance": [[{}]], "delay": 4, "variant": "greedy"}}"#,
+            vec!["0.0625"; 16].join(", ")
+        ),
         r#"{"instance": [[1.0]], "delay": 0}"#.to_string(),
         r#"{"cmd": "observe", "cells": 4, "sightings": [{"device": "a", "cell": 1, "time": 1.0}, {"device": "b", "cell": 2, "time": 1.5}]}"#.to_string(),
         r#"{"cmd": "plan_devices", "id": 5, "devices": ["a", "b"], "delay": 2}"#.to_string(),
