@@ -120,12 +120,6 @@ impl NodeProc {
             .and_then(|()| child.wait().map(|_| ()))
             .map_err(|e| format!("cannot kill {}: {e}", self.node_id))
     }
-
-    /// Whether the process is still ours to kill.
-    #[must_use]
-    pub fn is_running(&self) -> bool {
-        self.child.is_some()
-    }
 }
 
 impl Drop for NodeProc {

@@ -15,57 +15,114 @@
 //!
 //! so the optimal cut maximises the *savings* `Σ s_{r+1} G(j_r)`. This
 //! module solves that maximisation in `O(d·c²)` time and `O(d·c)` space,
-//! optionally under a per-round bandwidth cap (Section 5 extension). The
-//! paper's literal Fig. 1 pseudocode — an equivalent conditional-
-//! expectation formulation — lives in [`crate::fig1`] and is tested to
-//! agree with this engine.
+//! optionally under a per-round bandwidth cap (Section 5 extension). It
+//! is generic over [`Scalar`]: `f64` serves plans, and [`Ratio`]
+//! certifies them exactly. The paper's literal Fig. 1 pseudocode — an
+//! equivalent conditional-expectation formulation — lives in
+//! [`crate::fig1`] and is tested to agree with this engine.
 
 use std::cell::RefCell;
+use std::convert::Infallible;
 
 use crate::cancel::CancelToken;
 use crate::error::Result;
 use rational::Ratio;
 
-/// Reusable DP tables, flattened to `(d+1) × (c+1)` row-major.
-///
-/// The float DP runs on every greedy/bandwidth-tier plan, and its
-/// tables are the dominant per-solve allocation. Keeping them in a
-/// thread-local arena means a worker thread allocates them once at the
-/// largest `(d, c)` it has seen and then re-solves allocation-free —
-/// part of the wire fast path's steady-state zero-allocation budget.
-/// The exact-rational DP is for offline certification and keeps its
-/// plain allocation.
-#[derive(Default)]
-struct Scratch {
-    best: Vec<f64>,
-    cut: Vec<usize>,
+/// The arithmetic the cut DP and the stop probabilities run on. Sealed:
+/// only `f64` and [`Ratio`] implement it.
+pub trait Scalar: Clone + PartialOrd + sealed::Tables {
+    /// The additive identity.
+    fn zero() -> Self;
+    /// The multiplicative identity.
+    fn one() -> Self;
+    /// `self + rhs`.
+    fn add(&self, rhs: &Self) -> Self;
+    /// `self · rhs`.
+    fn mul(&self, rhs: &Self) -> Self;
+    /// `count · self`.
+    fn times(&self, count: usize) -> Self;
+}
+
+mod sealed {
+    /// Where a [`super::Scalar`] keeps the DP's tables, off the public trait.
+    pub trait Tables: Sized {
+        /// Runs `f` on the DP's savings and cut tables, which the DP clears
+        /// and resizes before use. The default allocates them per call.
+        fn with_tables<R>(f: impl FnOnce(&mut Vec<Self>, &mut Vec<usize>) -> R) -> R {
+            f(&mut Vec::new(), &mut Vec::new())
+        }
+    }
 }
 
 thread_local! {
-    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+    static F64_TABLES: RefCell<(Vec<f64>, Vec<usize>)> = RefCell::default();
 }
 
+impl Scalar for f64 {
+    fn zero() -> f64 {
+        0.0
+    }
+    fn one() -> f64 {
+        1.0
+    }
+    fn add(&self, rhs: &f64) -> f64 {
+        self + rhs
+    }
+    fn mul(&self, rhs: &f64) -> f64 {
+        self * rhs
+    }
+    fn times(&self, count: usize) -> f64 {
+        count as f64 * self
+    }
+}
+
+impl sealed::Tables for f64 {
+    /// The float DP runs on every greedy/bandwidth-tier plan, and its
+    /// tables are the dominant per-solve allocation. A thread-local
+    /// arena means a worker thread allocates them once at the largest
+    /// `(d, c)` it has seen and then re-solves allocation-free — part
+    /// of the wire fast path's steady-state zero-allocation budget.
+    fn with_tables<R>(f: impl FnOnce(&mut Vec<f64>, &mut Vec<usize>) -> R) -> R {
+        F64_TABLES.with(|tables| {
+            let (best, cut) = &mut *tables.borrow_mut();
+            f(best, cut)
+        })
+    }
+}
+
+impl Scalar for Ratio {
+    fn zero() -> Ratio {
+        Ratio::zero()
+    }
+    fn one() -> Ratio {
+        Ratio::one()
+    }
+    fn add(&self, rhs: &Ratio) -> Ratio {
+        self + rhs
+    }
+    fn mul(&self, rhs: &Ratio) -> Ratio {
+        self * rhs
+    }
+    fn times(&self, count: usize) -> Ratio {
+        &Ratio::from(count) * self
+    }
+}
+
+impl sealed::Tables for Ratio {}
+
 /// Result of an optimal prefix split: group sizes and achieved savings.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Split {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Split<T> {
     /// Group sizes `s_1, …, s_d` (all positive, summing to `c`).
     pub sizes: Vec<usize>,
     /// The maximised savings `Σ_{r=1}^{d−1} s_{r+1}·G(j_r)`; the
     /// expected paging is `c − savings`.
-    pub savings: f64,
-}
-
-/// Result of an exact optimal prefix split.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExactSplit {
-    /// Group sizes `s_1, …, s_d`.
-    pub sizes: Vec<usize>,
-    /// Exact savings; expected paging is `c − savings`.
-    pub savings: Ratio,
+    pub savings: T,
 }
 
 /// Maximises `Σ_{r=1}^{d−1} s_{r+1}·g[j_r]` over cuts of `0..c` into `d`
-/// non-empty contiguous groups.
+/// non-empty contiguous groups. Among equal savings the earliest cut
+/// wins.
 ///
 /// `g` has length `c + 1`; `g[j]` is the probability the search is over
 /// once the first `j` cells (in the chosen order) have been paged.
@@ -78,10 +135,9 @@ pub struct ExactSplit {
 /// Returns `None` when the split is infeasible: `d == 0`, `d > c`, or
 /// `d·b < c` under a bandwidth cap.
 #[must_use]
-pub fn optimal_split(g: &[f64], d: usize, max_group: Option<usize>) -> Option<Split> {
-    optimal_split_cancel(g, d, max_group, &CancelToken::never())
-        // lint:allow(no-unwrap-outside-tests): a never-firing token cannot cancel
-        .expect("a never-firing token cannot cancel the DP")
+pub fn optimal_split<T: Scalar>(g: &[T], d: usize, max_group: Option<usize>) -> Option<Split<T>> {
+    let Ok(split) = split_with(g, d, max_group, || Ok::<(), Infallible>(()));
+    split
 }
 
 /// Cancellable counterpart of [`optimal_split`]: polls `cancel` at
@@ -93,60 +149,58 @@ pub fn optimal_split(g: &[f64], d: usize, max_group: Option<usize>) -> Option<Sp
 /// [`crate::Error::Cancelled`] when `cancel` fires mid-solve. The
 /// `Ok(None)` cases are the same infeasibility conditions as
 /// [`optimal_split`].
-pub fn optimal_split_cancel(
-    g: &[f64],
+pub fn optimal_split_cancel<T: Scalar>(
+    g: &[T],
     d: usize,
     max_group: Option<usize>,
     cancel: &CancelToken,
-) -> Result<Option<Split>> {
-    let Some(c) = g.len().checked_sub(1) else {
-        return Ok(None);
-    };
-    if d == 0 || d > c || c == 0 {
+) -> Result<Option<Split<T>>> {
+    let mut ticks = 0u32;
+    split_with(g, d, max_group, || cancel.checkpoint(&mut ticks))
+}
+
+/// The cut DP, calling `poll` before every candidate cut and giving up
+/// with its error.
+fn split_with<T: Scalar, E>(
+    g: &[T],
+    d: usize,
+    max_group: Option<usize>,
+    mut poll: impl FnMut() -> core::result::Result<(), E>,
+) -> core::result::Result<Option<Split<T>>, E> {
+    let c = g.len().saturating_sub(1);
+    // A cap of c or more is no cap.
+    let b = max_group.unwrap_or(c).min(c);
+    if d == 0 || d > c || b.saturating_mul(d) < c {
         return Ok(None);
     }
-    let b = max_group.unwrap_or(c);
-    if b == 0 || b.checked_mul(d).is_none_or(|cap| cap < c) {
-        return Ok(None);
-    }
-    SCRATCH.with(|scratch| {
-        let scratch = &mut *scratch.borrow_mut();
+    T::with_tables(|best, cut| {
         // best[l*(c+1) + j]: max savings splitting the first j cells
-        // into l groups. Infeasible states get NEG_INFINITY. The
-        // tables live in the thread-local arena: clear-then-resize
-        // refills them without reallocating once the thread has seen
-        // this size.
+        // into l groups of at most b cells. Such a split exists iff
+        // l <= j <= l*b, and only those states are visited. The zero
+        // fill is layer 1's answer: one group saves nothing.
         let width = c + 1;
-        let table = (d + 1) * width;
-        scratch.best.clear();
-        scratch.best.resize(table, f64::NEG_INFINITY);
-        scratch.cut.clear();
-        scratch.cut.resize(table, 0);
-        let best = &mut scratch.best;
-        let cut = &mut scratch.cut;
-        for j in 1..=c.min(b) {
-            best[width + j] = 0.0;
-        }
-        let mut ticks = 0u32;
+        best.clear();
+        best.resize((d + 1) * width, T::zero());
+        cut.clear();
+        cut.resize((d + 1) * width, 0);
         for l in 2..=d {
-            for j in l..=c {
-                // Previous prefix j' = j - s with 1 <= s <= b and j' >= l-1.
+            let (done, rest) = best.split_at_mut(l * width);
+            let (last, row) = (&done[(l - 1) * width..], &mut rest[..width]);
+            let cuts = &mut cut[l * width..(l + 1) * width];
+            for j in l..=c.min(l * b) {
+                // The previous l-1 groups hold prev cells, so
+                // l-1 <= prev <= (l-1)*b, and 1 <= j - prev <= b.
                 let lo = j.saturating_sub(b).max(l - 1);
-                for prev in lo..j {
-                    cancel.checkpoint(&mut ticks)?;
-                    if !best[(l - 1) * width + prev].is_finite() {
-                        continue;
-                    }
-                    let cand = best[(l - 1) * width + prev] + (j - prev) as f64 * g[prev];
-                    if cand > best[l * width + j] {
-                        best[l * width + j] = cand;
-                        cut[l * width + j] = prev;
+                for prev in lo..=(j - 1).min((l - 1) * b) {
+                    poll()?;
+                    let cand = last[prev].add(&g[prev].times(j - prev));
+                    // Only a strictly better cut replaces the earliest.
+                    if prev == lo || cand > row[j] {
+                        row[j] = cand;
+                        cuts[j] = prev;
                     }
                 }
             }
-        }
-        if !best[d * width + c].is_finite() {
-            return Ok(None);
         }
         // Backtrack the cut positions.
         let mut sizes = vec![0usize; d];
@@ -161,107 +215,38 @@ pub fn optimal_split_cancel(
         debug_assert_eq!(sizes.iter().sum::<usize>(), c);
         Ok(Some(Split {
             sizes,
-            savings: best[d * width + c],
+            savings: best[d * width + c].clone(),
         }))
     })
-}
-
-/// Exact-rational counterpart of [`optimal_split`].
-///
-/// Intended for small instances where certified comparisons matter (the
-/// hardness reductions and the Section 4.3 lower bound).
-#[must_use]
-pub fn optimal_split_exact(g: &[Ratio], d: usize, max_group: Option<usize>) -> Option<ExactSplit> {
-    let c = g.len().checked_sub(1)?;
-    if d == 0 || d > c || c == 0 {
-        return None;
-    }
-    let b = max_group.unwrap_or(c);
-    if b == 0 || b.checked_mul(d)? < c {
-        return None;
-    }
-    let mut best: Vec<Vec<Option<Ratio>>> = vec![vec![None; c + 1]; d + 1];
-    let mut cut = vec![vec![0usize; c + 1]; d + 1];
-    for j in 1..=c.min(b) {
-        best[1][j] = Some(Ratio::zero());
-    }
-    for l in 2..=d {
-        for j in l..=c {
-            let lo = j.saturating_sub(b).max(l - 1);
-            let mut bost: Option<(Ratio, usize)> = None;
-            for prev in lo..j {
-                let Some(prev_best) = best[l - 1][prev].clone() else {
-                    continue;
-                };
-                let cand = &prev_best + &(&Ratio::from(j - prev) * &g[prev]);
-                match &bost {
-                    Some((cur, _)) if *cur >= cand => {}
-                    _ => bost = Some((cand, prev)),
-                }
-            }
-            if let Some((val, prev)) = bost {
-                best[l][j] = Some(val);
-                cut[l][j] = prev;
-            }
-        }
-    }
-    let savings = best[d][c].clone()?;
-    let mut sizes = vec![0usize; d];
-    let mut j = c;
-    for l in (2..=d).rev() {
-        let prev = cut[l][j];
-        sizes[l - 1] = j - prev;
-        j = prev;
-    }
-    sizes[0] = j;
-    Some(ExactSplit { sizes, savings })
 }
 
 /// Computes the conference-call stop probabilities `G(j) = Π_i P_i(prefix j)`
 /// for a given cell order. `G` has length `c + 1` with `G[0] = 0`
 /// (unless there are zero devices, which instances rule out).
 #[must_use]
-pub fn conference_stop_probs(rows: &[&[f64]], order: &[usize]) -> Vec<f64> {
-    stop_probs(rows, order, |prefix| prefix.iter().product())
+pub fn conference_stop_probs<T: Scalar>(rows: &[&[T]], order: &[usize]) -> Vec<T> {
+    stop_probs(rows, order, |prefix| {
+        prefix.iter().fold(T::one(), |acc, p| acc.mul(p))
+    })
 }
 
 /// Stop probabilities along a cell order: `g[j] = stop(P(prefix j))`,
 /// where `P_i(prefix j)` is the probability that device `i` is in one
 /// of the first `j` cells of `order`. `g` has length `c + 1`.
 #[must_use]
-pub(crate) fn stop_probs(
-    rows: &[&[f64]],
+pub(crate) fn stop_probs<T: Scalar>(
+    rows: &[&[T]],
     order: &[usize],
-    stop: impl Fn(&[f64]) -> f64,
-) -> Vec<f64> {
-    let mut prefix: Vec<f64> = vec![0.0; rows.len()];
+    stop: impl Fn(&[T]) -> T,
+) -> Vec<T> {
+    let mut prefix = vec![T::zero(); rows.len()];
     let mut g = Vec::with_capacity(order.len() + 1);
     g.push(stop(&prefix));
     for &cell in order {
-        for (i, acc) in prefix.iter_mut().enumerate() {
-            *acc += rows[i][cell];
+        for (acc, row) in prefix.iter_mut().zip(rows) {
+            *acc = acc.add(&row[cell]);
         }
         g.push(stop(&prefix));
-    }
-    g
-}
-
-/// Exact counterpart of [`conference_stop_probs`].
-#[must_use]
-pub fn conference_stop_probs_exact(rows: &[&[Ratio]], order: &[usize]) -> Vec<Ratio> {
-    let c = order.len();
-    let mut prefix: Vec<Ratio> = vec![Ratio::zero(); rows.len()];
-    let mut g = Vec::with_capacity(c + 1);
-    g.push(if rows.is_empty() {
-        Ratio::one()
-    } else {
-        Ratio::zero()
-    });
-    for &cell in order {
-        for (i, acc) in prefix.iter_mut().enumerate() {
-            *acc = &*acc + &rows[i][cell];
-        }
-        g.push(prefix.iter().product());
     }
     g
 }
@@ -294,7 +279,7 @@ mod tests {
         assert!(optimal_split(&g, 0, None).is_none());
         assert!(optimal_split(&g, 3, None).is_none()); // d > c
         assert!(optimal_split(&g, 2, Some(0)).is_none());
-        assert!(optimal_split(&[], 1, None).is_none());
+        assert!(optimal_split::<f64>(&[], 1, None).is_none());
         // c = 4 cells, 2 rounds, bandwidth 1 → 2 < 4 infeasible.
         let g4 = vec![0.0, 0.25, 0.5, 0.75, 1.0];
         assert!(optimal_split(&g4, 2, Some(1)).is_none());
@@ -314,48 +299,65 @@ mod tests {
 
     #[test]
     fn matches_brute_force_enumeration() {
-        // Non-trivial G: compare against enumerating all compositions.
+        // Non-trivial G: compare against enumerating all compositions,
+        // uncapped and under every feasible bandwidth cap, in f64 and
+        // exactly.
         let g = vec![0.0, 0.1, 0.35, 0.4, 0.75, 0.9, 1.0];
+        let ge: Vec<Ratio> = g.iter().map(|&x| Ratio::from_f64(x).unwrap()).collect();
         let c = g.len() - 1;
-        for d in 1..=c {
-            let dp = optimal_split(&g, d, None).unwrap();
-            let mut best = f64::NEG_INFINITY;
-            // Enumerate all compositions of c into d positive parts.
-            fn enumerate(c: usize, d: usize) -> Vec<Vec<usize>> {
-                fn go(c: usize, d: usize, cur: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-                    if d == 1 {
-                        if c >= 1 {
-                            cur.push(c);
-                            out.push(cur.clone());
-                            cur.pop();
-                        }
-                        return;
-                    }
-                    for s in 1..=c - (d - 1) {
-                        cur.push(s);
-                        go(c - s, d - 1, cur, out);
+        // Enumerate all compositions of c into d parts in 1..=b.
+        fn enumerate(c: usize, d: usize, b: usize) -> Vec<Vec<usize>> {
+            fn go(c: usize, d: usize, b: usize, cur: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+                if d == 1 {
+                    if (1..=b).contains(&c) {
+                        cur.push(c);
+                        out.push(cur.clone());
                         cur.pop();
                     }
+                    return;
                 }
-                let mut out = Vec::new();
-                go(c, d, &mut Vec::new(), &mut out);
-                out
-            }
-            for sizes in enumerate(c, d) {
-                let mut prefix = 0usize;
-                let mut sav = 0.0;
-                for r in 0..sizes.len() - 1 {
-                    prefix += sizes[r];
-                    sav += sizes[r + 1] as f64 * g[prefix];
+                for s in 1..=b.min(c - (d - 1)) {
+                    cur.push(s);
+                    go(c - s, d - 1, b, cur, out);
+                    cur.pop();
                 }
-                best = best.max(sav);
             }
-            assert!(
-                (dp.savings - best).abs() < 1e-9,
-                "d={d}: dp={} brute={}",
-                dp.savings,
-                best
-            );
+            let mut out = Vec::new();
+            go(c, d, b, &mut Vec::new(), &mut out);
+            out
+        }
+        fn savings<T: Scalar>(g: &[T], sizes: &[usize]) -> T {
+            let mut prefix = 0usize;
+            let mut sav = T::zero();
+            for r in 0..sizes.len() - 1 {
+                prefix += sizes[r];
+                sav = sav.add(&g[prefix].times(sizes[r + 1]));
+            }
+            sav
+        }
+        for d in 1..=c {
+            let caps = std::iter::once(None).chain((c.div_ceil(d)..=c).map(Some));
+            for cap in caps {
+                let all = enumerate(c, d, cap.unwrap_or(c));
+                let dp = optimal_split(&g, d, cap).unwrap();
+                let best = all
+                    .iter()
+                    .map(|s| savings(&g, s))
+                    .fold(f64::NEG_INFINITY, f64::max);
+                assert!(
+                    (dp.savings - best).abs() < 1e-9,
+                    "d={d} cap={cap:?}: dp={} brute={}",
+                    dp.savings,
+                    best
+                );
+                let exact = optimal_split(&ge, d, cap).unwrap();
+                let best = all.iter().map(|s| savings(&ge, s)).max().unwrap();
+                assert_eq!(exact.savings, best, "d={d} cap={cap:?}");
+                assert_eq!(savings(&ge, &exact.sizes), best, "d={d} cap={cap:?}");
+                for sizes in [&dp.sizes, &exact.sizes] {
+                    assert!(all.contains(sizes), "d={d} cap={cap:?}: {sizes:?}");
+                }
+            }
         }
     }
 
@@ -372,7 +374,7 @@ mod tests {
         assert_eq!(f.sizes, vec![1, 2]);
         assert!((f.savings - 1.0).abs() < 1e-12);
         let ge: Vec<Ratio> = gf.iter().map(|&x| Ratio::from_f64(x).unwrap()).collect();
-        let e = optimal_split_exact(&ge, 2, None).unwrap();
+        let e = optimal_split(&ge, 2, None).unwrap();
         assert_eq!(e.sizes, f.sizes);
         assert_eq!(e.savings, Ratio::one());
     }
@@ -383,7 +385,7 @@ mod tests {
         let ge: Vec<Ratio> = gf.iter().map(|&x| Ratio::from_f64(x).unwrap()).collect();
         for d in 1..=5 {
             let f = optimal_split(&gf, d, None).unwrap();
-            let e = optimal_split_exact(&ge, d, None).unwrap();
+            let e = optimal_split(&ge, d, None).unwrap();
             assert!((f.savings - e.savings.to_f64()).abs() < 1e-12, "d={d}");
             assert_eq!(f.sizes, e.sizes, "d={d}");
         }
@@ -395,15 +397,15 @@ mod tests {
         let ge: Vec<Ratio> = gf.iter().map(|&x| Ratio::from_f64(x).unwrap()).collect();
         for b in 2..=5 {
             let f = optimal_split(&gf, 3, Some(b)).unwrap();
-            let e = optimal_split_exact(&ge, 3, Some(b)).unwrap();
+            let e = optimal_split(&ge, 3, Some(b)).unwrap();
             assert_eq!(f.sizes, e.sizes, "b={b}");
             assert!((f.savings - e.savings.to_f64()).abs() < 1e-12, "b={b}");
             assert!(e.sizes.iter().all(|&s| s <= b));
         }
         // Infeasible cap handled identically.
-        assert!(optimal_split_exact(&ge, 3, Some(1)).is_none());
-        assert!(optimal_split_exact(&ge, 0, None).is_none());
-        assert!(optimal_split_exact(&[], 1, None).is_none());
+        assert!(optimal_split(&ge, 3, Some(1)).is_none());
+        assert!(optimal_split(&ge, 0, None).is_none());
+        assert!(optimal_split::<Ratio>(&[], 1, None).is_none());
     }
 
     #[test]
@@ -413,7 +415,7 @@ mod tests {
             .iter()
             .map(|&x| Ratio::from_f64(x).unwrap())
             .collect();
-        let e = optimal_split_exact(&ge, 2, None).unwrap();
+        let e = optimal_split(&ge, 2, None).unwrap();
         assert_eq!(e.sizes, vec![2, 2]); // cut after the jump
     }
 

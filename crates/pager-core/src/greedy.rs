@@ -10,9 +10,7 @@
 //!   [`heuristic_ratio_lower_bound`] (`320/317`, Section 4.3).
 
 use crate::cancel::CancelToken;
-use crate::dp::{
-    conference_stop_probs, conference_stop_probs_exact, optimal_split_cancel, optimal_split_exact,
-};
+use crate::dp::{conference_stop_probs, optimal_split, optimal_split_cancel};
 use crate::error::{Error, Result};
 use crate::instance::{Delay, ExactInstance, Instance};
 use crate::strategy::Strategy;
@@ -129,11 +127,11 @@ pub fn greedy_strategy_exact(instance: &ExactInstance, delay: Delay) -> ExactPla
     let d = delay.clamp_to_cells(c).get();
     let order = instance.cells_by_weight_desc();
     let rows: Vec<&[Ratio]> = instance.rows().collect();
-    let g = conference_stop_probs_exact(&rows, &order);
+    let g = conference_stop_probs(&rows, &order);
     // lint:allow(no-unwrap-outside-tests): this fn is the infallible
     // exact-rational twin of the planned path — 1 <= d <= c after
     // clamping, so the unconstrained DP split always exists.
-    let split = optimal_split_exact(&g, d, None).expect("clamped delay always feasible");
+    let split = optimal_split(&g, d, None).expect("clamped delay always feasible");
     let strategy = Strategy::cut(&order, &split.sizes);
     ExactPlannedStrategy {
         expected_paging: &Ratio::from(c) - &split.savings,

@@ -304,12 +304,6 @@ impl MemIo {
         fs.durable_names = fs.files.keys().cloned().collect();
         fs.orphans.clear();
     }
-
-    /// Total live bytes across all files (test introspection).
-    #[must_use]
-    pub fn total_bytes(&self) -> usize {
-        self.lock().files.values().map(|f| f.live.len()).sum()
-    }
 }
 
 fn not_found(path: &Path) -> io::Error {
@@ -508,12 +502,6 @@ impl FaultyIo {
     #[must_use]
     pub fn dead(&self) -> bool {
         self.dead.load(Ordering::Acquire)
-    }
-
-    /// Operations attempted so far.
-    #[must_use]
-    pub fn operations(&self) -> u64 {
-        self.ops.load(Ordering::Acquire)
     }
 
     /// `Some(kind)` when this call is the faulty one.

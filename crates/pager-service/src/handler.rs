@@ -397,14 +397,15 @@ mod tests {
 
     fn plan_frame(id: i64, cache: bool) -> Vec<u8> {
         use pager_core::Delay;
-        use pager_wire::Codec;
-        let request = Request::Plan {
-            id: Value::Int(id),
-            instance: Instance::from_rows(vec![vec![0.6, 0.4]]).unwrap(),
-            spec: PlanSpec::new(Delay::new(1).unwrap()).with_cache(cache),
-        };
+        let instance = Instance::from_rows(vec![vec![0.6, 0.4]]).unwrap();
+        let spec = PlanSpec::new(Delay::new(1).unwrap()).with_cache(cache);
         let mut wire = Vec::new();
-        pager_wire::BinaryCodec.encode_request(&request, &mut wire);
+        assert!(binary::encode_plan_request(
+            &mut wire,
+            &Value::Int(id),
+            &instance,
+            &spec
+        ));
         wire
     }
 

@@ -1158,15 +1158,17 @@ mod tests {
     #[test]
     fn plan_frames_answer_natively_and_hit_the_cache() {
         use pager_core::{Delay, Instance};
-        use pager_wire::{Codec, PlanSpec};
+        use pager_wire::PlanSpec;
         let svc = service();
-        let request = Request::Plan {
-            id: Value::Int(41),
-            instance: Instance::from_rows(vec![vec![0.5, 0.3, 0.2]]).unwrap(),
-            spec: PlanSpec::new(Delay::new(2).unwrap()),
-        };
+        let instance = Instance::from_rows(vec![vec![0.5, 0.3, 0.2]]).unwrap();
+        let spec = PlanSpec::new(Delay::new(2).unwrap());
         let mut wire = Vec::new();
-        pager_wire::BinaryCodec.encode_request(&request, &mut wire);
+        assert!(binary::encode_plan_request(
+            &mut wire,
+            &Value::Int(41),
+            &instance,
+            &spec
+        ));
         let (op_in, payload) = split_one(&wire);
         assert_eq!(op_in, op::PLAN);
         // First frame: a miss, planned fresh.
@@ -1191,17 +1193,19 @@ mod tests {
     #[test]
     fn fast_path_and_v1_line_agree_on_strategy() {
         use pager_core::{Delay, Instance};
-        use pager_wire::{Codec, PlanSpec};
+        use pager_wire::PlanSpec;
         let svc = service();
         let line = r#"{"id": 1, "instance": [[0.4, 0.4, 0.2], [0.1, 0.8, 0.1]], "delay": 2}"#;
         let v1 = jsonio::parse(&handle_line(&svc, line).response).unwrap();
-        let request = Request::Plan {
-            id: Value::Int(1),
-            instance: Instance::from_rows(vec![vec![0.4, 0.4, 0.2], vec![0.1, 0.8, 0.1]]).unwrap(),
-            spec: PlanSpec::new(Delay::new(2).unwrap()),
-        };
+        let instance = Instance::from_rows(vec![vec![0.4, 0.4, 0.2], vec![0.1, 0.8, 0.1]]).unwrap();
+        let spec = PlanSpec::new(Delay::new(2).unwrap());
         let mut wire = Vec::new();
-        pager_wire::BinaryCodec.encode_request(&request, &mut wire);
+        assert!(binary::encode_plan_request(
+            &mut wire,
+            &Value::Int(1),
+            &instance,
+            &spec
+        ));
         let (op_in, payload) = split_one(&wire);
         let mut out = Vec::new();
         let _ = handle_frame(&svc, op_in, &payload, &mut out);

@@ -123,16 +123,18 @@ mod tests {
     #[test]
     fn serve_lines_interleaves_v1_and_v2_messages() {
         use pager_core::{Delay, Instance};
-        use pager_wire::{Codec, PlanSpec, Request};
+        use pager_wire::PlanSpec;
         let svc = service();
         let mut input = Vec::new();
         input.extend_from_slice(b"{\"id\": 1, \"instance\": [[0.5, 0.5]], \"delay\": 1}\n");
-        let request = Request::Plan {
-            id: Value::Int(2),
-            instance: Instance::from_rows(vec![vec![0.5, 0.5]]).unwrap(),
-            spec: PlanSpec::new(Delay::new(1).unwrap()),
-        };
-        pager_wire::BinaryCodec.encode_request(&request, &mut input);
+        let instance = Instance::from_rows(vec![vec![0.5, 0.5]]).unwrap();
+        let spec = PlanSpec::new(Delay::new(1).unwrap());
+        assert!(binary::encode_plan_request(
+            &mut input,
+            &Value::Int(2),
+            &instance,
+            &spec
+        ));
         input.extend_from_slice(b"{\"cmd\": \"ping\"}\n");
         let mut out = Vec::new();
         serve_lines(&svc, Cursor::new(input), &mut out).unwrap();

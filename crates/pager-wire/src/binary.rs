@@ -717,6 +717,55 @@ mod tests {
         PlanSpec::new(Delay::new(2).expect("valid delay")).with_deadline_ms(250)
     }
 
+    /// Encodes a plan request as a PLAN frame and checks that it decodes
+    /// unchanged from that frame, from a v1 line and from a JSON-wrapped
+    /// frame.
+    fn assert_plan_round_trips(id: &Value, instance: &Instance, spec: &PlanSpec) {
+        let mut out = Vec::new();
+        assert!(encode_plan_request(&mut out, id, instance, spec));
+        let Split::V2Frame { op: o, payload, .. } = frame::split(&out) else {
+            panic!("expected a v2 frame");
+        };
+        assert_eq!(o, op::PLAN);
+        let request = PlanFrameView::parse(payload)
+            .expect("parses")
+            .to_request()
+            .expect("materialises");
+        let line = json::encode_request(&request);
+        let mut wrapped = Vec::new();
+        encode_json_request(&mut wrapped, &request);
+        let Split::V2Frame {
+            op: json_op,
+            payload: json_payload,
+            ..
+        } = frame::split(&wrapped)
+        else {
+            panic!("expected a v2 frame");
+        };
+        assert_eq!(json_op, op::JSON_REQ);
+        let decoded = [
+            Ok(request),
+            decode_request_frame(o, payload),
+            json::parse_request(&line),
+            decode_request_frame(json_op, json_payload),
+        ];
+        for request in decoded {
+            let Request::Plan {
+                id: got_id,
+                instance: got_instance,
+                spec: got_spec,
+            } = request.expect("decodes")
+            else {
+                panic!("expected plan");
+            };
+            assert_eq!(&got_id, id);
+            assert_eq!(&got_instance, instance);
+            assert_eq!(got_spec.variant(), spec.variant());
+            assert_eq!(got_spec.cache_enabled(), spec.cache_enabled());
+            assert_eq!(&got_spec, spec);
+        }
+    }
+
     #[test]
     fn plan_request_round_trips() {
         let mut out = Vec::new();
@@ -739,17 +788,29 @@ mod tests {
         assert_eq!(view.devices(), 2);
         assert_eq!(view.cells(), 3);
         assert!(view.rows_valid());
-        let Request::Plan {
-            id,
-            instance: inst,
-            spec: s,
-        } = view.to_request().expect("materialises")
-        else {
-            panic!("expected plan");
+        assert_plan_round_trips(&Value::Int(7), &instance(), &spec());
+        // A string id, a non-Auto variant and a disabled cache survive
+        // every path too.
+        let spec = PlanSpec::new(Delay::new(1).expect("valid delay"))
+            .with_variant(Variant::Greedy)
+            .with_cache(false);
+        assert_eq!(spec.variant(), Variant::Greedy);
+        assert!(!spec.cache_enabled());
+        let instance = Instance::from_rows(vec![vec![0.5, 0.5]]).expect("valid instance");
+        assert_plan_round_trips(&Value::from("rt"), &instance, &spec);
+        // Cold ops ride the JSON-wrapped frame too.
+        let mut wrapped = Vec::new();
+        encode_json_request(&mut wrapped, &Request::Metrics);
+        let Split::V2Frame { op: o, payload, .. } = frame::split(&wrapped) else {
+            panic!("expected a v2 frame");
         };
-        assert_eq!(id, Value::Int(7));
-        assert_eq!(inst, instance());
-        assert_eq!(s, spec());
+        assert_eq!(o, op::JSON_REQ);
+        assert!(matches!(
+            decode_request_frame(o, payload),
+            Ok(Request::Metrics)
+        ));
+        let ping = json::encode_request(&Request::Ping);
+        assert!(matches!(json::parse_request(&ping), Ok(Request::Ping)));
     }
 
     #[test]

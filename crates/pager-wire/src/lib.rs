@@ -5,13 +5,13 @@
 //! two encodings either can travel in:
 //!
 //! - **v1** — JSON lines: one object per line, `"v": 1`, stable error
-//!   codes, unknown fields ignored ([`JsonCodec`]). This is the
-//!   protocol the service has always spoken; its field orders and
-//!   semantics are frozen here byte-for-byte.
+//!   codes, unknown fields ignored ([`json`]). This is the protocol
+//!   the service has always spoken; its field orders and semantics are
+//!   frozen here byte-for-byte.
 //! - **v2** — binary frames: an 8-byte header (magic, version, op,
-//!   length) and flat little-endian payloads ([`BinaryCodec`],
-//!   [`frame`]). Hot ops (`plan`, `ping`) get native layouts; every
-//!   other op rides a frame that carries its v1 line as the payload.
+//!   length) and flat little-endian payloads ([`binary`], [`frame`]).
+//!   Hot ops (`plan`, `ping`) get native layouts; every other op rides
+//!   a frame that carries its v1 line as the payload.
 //!
 //! Protocol selection is *per message*, not per connection: the first
 //! byte of a message is either the frame magic `0xB7` (v2) or the
@@ -28,7 +28,6 @@
 //! with zero heap allocation.
 
 pub mod binary;
-mod codec;
 #[cfg(feature = "count-alloc")]
 pub mod count_alloc;
 mod error;
@@ -38,7 +37,6 @@ mod request;
 mod response;
 
 pub use binary::{IdView, PlanFrameView};
-pub use codec::{BinaryCodec, Codec, JsonCodec};
 pub use error::{ErrorCode, WireError};
 pub use request::{fold_cache_key, PlanSpec, Request, RoutedRequest, Variant};
 pub use response::{DeviceExt, ErrorBody, PlanBody, Response};

@@ -26,7 +26,7 @@ use pager_core::{Delay, Instance};
 use pager_service::{handle_frame, handle_line, PagerService, ServiceConfig};
 use pager_wire::count_alloc;
 use pager_wire::frame::{self, Split};
-use pager_wire::{Codec, PlanSpec, Request};
+use pager_wire::{binary, PlanSpec};
 
 #[global_allocator]
 static ALLOC: count_alloc::CountingAlloc = count_alloc::CountingAlloc;
@@ -61,13 +61,14 @@ fn plan_frame() -> Vec<u8> {
         vec![0.25, 0.25, 0.25, 0.25],
     ])
     .unwrap();
-    let request = Request::Plan {
-        id: Value::Int(1),
-        instance,
-        spec: PlanSpec::new(Delay::new(2).unwrap()),
-    };
+    let spec = PlanSpec::new(Delay::new(2).unwrap());
     let mut wire = Vec::new();
-    pager_wire::BinaryCodec.encode_request(&request, &mut wire);
+    assert!(binary::encode_plan_request(
+        &mut wire,
+        &Value::Int(1),
+        &instance,
+        &spec
+    ));
     wire
 }
 

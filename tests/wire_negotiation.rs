@@ -19,7 +19,7 @@ use conference_call::service::{
 use jsonio::Value;
 use pager_core::{Delay, Instance};
 use pager_wire::frame::{self, op, Split};
-use pager_wire::{binary, Codec, PlanSpec, Request};
+use pager_wire::{binary, PlanSpec};
 
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -40,13 +40,14 @@ fn plan_line(id: i64) -> String {
 }
 
 fn plan_frame(id: i64) -> Vec<u8> {
-    let request = Request::Plan {
-        id: Value::Int(id),
-        instance: instance(),
-        spec: PlanSpec::new(Delay::new(2).unwrap()),
-    };
+    let spec = PlanSpec::new(Delay::new(2).unwrap());
     let mut wire = Vec::new();
-    pager_wire::BinaryCodec.encode_request(&request, &mut wire);
+    assert!(binary::encode_plan_request(
+        &mut wire,
+        &Value::Int(id),
+        &instance(),
+        &spec
+    ));
     wire
 }
 
@@ -449,14 +450,13 @@ fn router_front_end_answers_like_the_in_process_router() {
     let handle = cluster.serve("127.0.0.1:0").expect("serve the router");
     let mut stream = connect(handle.local_addr());
     let mut uncached_plan = Vec::new();
-    pager_wire::BinaryCodec.encode_request(
-        &Request::Plan {
-            id: Value::Int(2),
-            instance: instance(),
-            spec: PlanSpec::new(Delay::new(2).unwrap()).with_cache(false),
-        },
+    let uncached = PlanSpec::new(Delay::new(2).unwrap()).with_cache(false);
+    assert!(binary::encode_plan_request(
         &mut uncached_plan,
-    );
+        &Value::Int(2),
+        &instance(),
+        &uncached
+    ));
     let mut ping = Vec::new();
     frame::write_frame(&mut ping, op::PING, &[]);
     let mut messages = Vec::new();
