@@ -3,7 +3,9 @@
 //! The crates registry is unavailable in CI, so instead of `serde` +
 //! `serde_json` the workspace uses this small, std-only JSON library:
 //! a [`Value`] model, a strict recursive-descent [`parse`] function,
-//! and a compact writer ([`Value::to_string`] via `Display`).
+//! and a compact writer (`Value::to_string` via `Display`). The
+//! [`metrics`] module holds the counters, histograms and the
+//! [`registry!`] macro every crate dumps its metrics through.
 //!
 //! Design choices:
 //!
@@ -21,6 +23,7 @@
 
 use std::fmt;
 
+pub mod metrics;
 mod parse;
 
 pub use parse::{parse, ParseError};

@@ -52,5 +52,5 @@ pub mod proxy;
 pub mod schedule;
 
 pub use net::ChaosNet;
-pub use proxy::{ChaosProxy, LinkStatsSnapshot};
+pub use proxy::ChaosProxy;
 pub use schedule::{Fault, Schedule, Step};

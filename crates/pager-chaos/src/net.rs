@@ -7,7 +7,7 @@
 
 use std::time::{Duration, Instant};
 
-use crate::proxy::{ChaosProxy, LinkStatsSnapshot};
+use crate::proxy::ChaosProxy;
 use crate::schedule::{link_matches, Fault, Schedule};
 
 /// All chaos proxies for one cluster under test.
@@ -83,15 +83,6 @@ impl ChaosNet {
             matched.push(self.apply(&step.link, &step.fault));
         }
         matched
-    }
-
-    /// Per-link counter snapshots, in wiring order.
-    #[must_use]
-    pub fn stats(&self) -> Vec<(String, LinkStatsSnapshot)> {
-        self.proxies
-            .iter()
-            .map(|p| (p.link().to_string(), p.stats()))
-            .collect()
     }
 }
 

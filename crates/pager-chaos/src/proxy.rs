@@ -15,10 +15,11 @@
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
+use jsonio::metrics::Counter;
 use rand::prelude::{Rng, SeedableRng, StdRng};
 
 use crate::schedule::Fault;
@@ -74,35 +75,24 @@ struct PolicySnapshot {
     kill_generation: u64,
 }
 
-/// Monotone per-link counters.
-#[derive(Debug, Default)]
-struct LinkStats {
-    conns_opened: AtomicU64,
-    conns_refused: AtomicU64,
-    conns_severed: AtomicU64,
-    bytes_forwarded: AtomicU64,
-    bytes_discarded: AtomicU64,
-    chunks_corrupted: AtomicU64,
-    chunks_duplicated: AtomicU64,
-}
-
-/// A readable snapshot of a link's counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LinkStatsSnapshot {
-    /// Connections accepted and wired through to upstream.
-    pub conns_opened: u64,
-    /// Connections refused (partition) or failed upstream dials.
-    pub conns_refused: u64,
-    /// Established connections severed by `drop_conn`/`partition`.
-    pub conns_severed: u64,
-    /// Bytes delivered (after corruption/duplication).
-    pub bytes_forwarded: u64,
-    /// Bytes swallowed while blackholed.
-    pub bytes_discarded: u64,
-    /// Chunks that had bytes flipped.
-    pub chunks_corrupted: u64,
-    /// Chunks forwarded twice.
-    pub chunks_duplicated: u64,
+jsonio::registry! {
+    /// Monotone per-link counters.
+    pub struct LinkStats {
+        /// Connections accepted and wired through to upstream.
+        conns_opened: Counter,
+        /// Connections refused (partition) or failed upstream dials.
+        conns_refused: Counter,
+        /// Established connections severed by `drop_conn`/`partition`.
+        conns_severed: Counter,
+        /// Bytes delivered (after corruption/duplication).
+        bytes_forwarded: Counter,
+        /// Bytes swallowed while blackholed.
+        bytes_discarded: Counter,
+        /// Chunks that had bytes flipped.
+        chunks_corrupted: Counter,
+        /// Chunks forwarded twice.
+        chunks_duplicated: Counter,
+    }
 }
 
 /// State shared between the proxy handle, its accept loop, and pumps.
@@ -111,7 +101,6 @@ struct Shared {
     link_policy: Mutex<Policy>,
     stats: LinkStats,
     stop: AtomicBool,
-    conn_counter: AtomicU64,
     seed: u64,
     link_hash: u64,
 }
@@ -168,7 +157,6 @@ impl ChaosProxy {
             link_policy: Mutex::new(Policy::default()),
             stats: LinkStats::default(),
             stop: AtomicBool::new(false),
-            conn_counter: AtomicU64::new(0),
             seed,
             link_hash: fnv1a(link.as_bytes()),
         });
@@ -241,20 +229,10 @@ impl ChaosProxy {
         self.apply(&Fault::Heal);
     }
 
-    /// Point-in-time counter snapshot.
+    /// The link's live counters (read one with [`Counter::get`]).
     #[must_use]
-    pub fn stats(&self) -> LinkStatsSnapshot {
-        let s = &self.shared.stats;
-        let read = |c: &AtomicU64| c.load(Ordering::Relaxed); // lint:allow(atomics-ordering-audit): report-only monotone counters
-        LinkStatsSnapshot {
-            conns_opened: read(&s.conns_opened),
-            conns_refused: read(&s.conns_refused),
-            conns_severed: read(&s.conns_severed),
-            bytes_forwarded: read(&s.bytes_forwarded),
-            bytes_discarded: read(&s.bytes_discarded),
-            chunks_corrupted: read(&s.chunks_corrupted),
-            chunks_duplicated: read(&s.chunks_duplicated),
-        }
+    pub fn stats(&self) -> &LinkStats {
+        &self.shared.stats
     }
 }
 
@@ -275,6 +253,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, upstream: &str) {
+    // Connection numbers seed each pump's RNG stream; only this
+    // thread hands them out.
+    let mut next_conn = 0u64;
     while !shared.stop.load(Ordering::Acquire) {
         match listener.accept() {
             Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL_TICK),
@@ -284,17 +265,18 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, upstream: &str) {
                 if snapshot.mode == Mode::Partition {
                     // Close immediately: the peer's first round trip
                     // fails with a reset/EOF, as a cut link should.
-                    shared.stats.conns_refused.fetch_add(1, Ordering::Relaxed); // lint:allow(atomics-ordering-audit): monotone counter
+                    shared.stats.conns_refused.inc();
                     drop(client);
                     continue;
                 }
                 let Ok(server) = dial_upstream(upstream) else {
-                    shared.stats.conns_refused.fetch_add(1, Ordering::Relaxed); // lint:allow(atomics-ordering-audit): monotone counter
+                    shared.stats.conns_refused.inc();
                     drop(client);
                     continue;
                 };
-                shared.stats.conns_opened.fetch_add(1, Ordering::Relaxed); // lint:allow(atomics-ordering-audit): monotone counter
-                let conn = shared.conn_counter.fetch_add(1, Ordering::Relaxed); // lint:allow(atomics-ordering-audit): unique ids only, no handoff
+                shared.stats.conns_opened.inc();
+                let conn = next_conn;
+                next_conn += 1;
                 let generation = snapshot.kill_generation;
                 spawn_pump(shared, &client, &server, conn, 0, generation);
                 spawn_pump(shared, &server, &client, conn, 1, generation);
@@ -357,7 +339,7 @@ fn pump(
         }
         let policy = shared.snapshot();
         if policy.kill_generation > generation || policy.mode == Mode::Partition {
-            shared.stats.conns_severed.fetch_add(1, Ordering::Relaxed); // lint:allow(atomics-ordering-audit): monotone counter
+            shared.stats.conns_severed.inc();
             sever(src, dst);
             return;
         }
@@ -384,10 +366,7 @@ fn pump(
             }
             Mode::Blackhole => {
                 let add = u64::try_from(n).unwrap_or(u64::MAX);
-                shared
-                    .stats
-                    .bytes_discarded
-                    .fetch_add(add, Ordering::Relaxed); // lint:allow(atomics-ordering-audit): monotone counter
+                shared.stats.bytes_discarded.add(add);
             }
             Mode::Forward => {
                 if !forward_chunk(shared, dst, &mut buf[..n], &policy, &mut rng) {
@@ -428,18 +407,12 @@ fn forward_chunk(
     if let Some((flips, prob_pct)) = policy.corrupt {
         if flips > 0 && rng.gen_bool(f64::from(prob_pct) / 100.0) {
             corrupt_chunk(chunk, flips, rng);
-            shared
-                .stats
-                .chunks_corrupted
-                .fetch_add(1, Ordering::Relaxed); // lint:allow(atomics-ordering-audit): monotone counter
+            shared.stats.chunks_corrupted.inc();
         }
     }
     let copies = match policy.duplicate_pct {
         Some(pct) if rng.gen_bool(f64::from(pct) / 100.0) => {
-            shared
-                .stats
-                .chunks_duplicated
-                .fetch_add(1, Ordering::Relaxed); // lint:allow(atomics-ordering-audit): monotone counter
+            shared.stats.chunks_duplicated.inc();
             2
         }
         _ => 1,
@@ -450,10 +423,7 @@ fn forward_chunk(
             return false;
         }
         let add = u64::try_from(chunk.len()).unwrap_or(u64::MAX);
-        shared
-            .stats
-            .bytes_forwarded
-            .fetch_add(add, Ordering::Relaxed); // lint:allow(atomics-ordering-audit): monotone counter
+        shared.stats.bytes_forwarded.add(add);
     }
     true
 }
@@ -537,14 +507,13 @@ mod tests {
         // The proxy counts a chunk after writing it, so the client can
         // read the echo first: wait (bounded) for the count to land.
         let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        let mut stats = proxy.stats();
-        while stats.bytes_forwarded < 12 && std::time::Instant::now() < deadline {
+        let stats = proxy.stats();
+        while stats.bytes_forwarded.get() < 12 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
-            stats = proxy.stats();
         }
-        assert_eq!(stats.conns_opened, 1);
-        assert!(stats.bytes_forwarded >= 12);
-        assert_eq!(stats.chunks_corrupted, 0);
+        assert_eq!(stats.conns_opened.get(), 1);
+        assert!(stats.bytes_forwarded.get() >= 12);
+        assert_eq!(stats.chunks_corrupted.get(), 0);
     }
 
     #[test]
@@ -556,7 +525,7 @@ mod tests {
         let err = round_trip(&proxy.addr(), "lost", Duration::from_millis(300))
             .expect_err("blackholed reply");
         assert!(err.starts_with("read:"), "{err}");
-        assert!(proxy.stats().bytes_discarded > 0);
+        assert!(proxy.stats().bytes_discarded.get() > 0);
         proxy.heal();
         std::thread::sleep(POLL_TICK * 3);
         let reply = round_trip(&proxy.addr(), "back", Duration::from_secs(2)).expect("healed");
@@ -615,7 +584,7 @@ mod tests {
             Ok("echo:abcdefgh"),
             "corrupted link delivered the clean bytes"
         );
-        assert!(proxy.stats().chunks_corrupted >= 1);
+        assert!(proxy.stats().chunks_corrupted.get() >= 1);
     }
 
     #[test]
@@ -630,7 +599,7 @@ mod tests {
         // guaranteed: chunks were duplicated, and the link serves
         // cleanly again after heal.
         let _ = round_trip(&proxy.addr(), "dup", Duration::from_millis(500));
-        assert!(proxy.stats().chunks_duplicated >= 1);
+        assert!(proxy.stats().chunks_duplicated.get() >= 1);
         proxy.heal();
         std::thread::sleep(POLL_TICK * 3);
         let reply = round_trip(&proxy.addr(), "clean", Duration::from_secs(2)).expect("healed");

@@ -37,9 +37,9 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use jsonio::metrics::Counter;
 use jsonio::Value;
 use pager_profiles::Sighting;
-use pager_service::metrics::Counter;
 use pager_wire::frame::{self, op, Message};
 use pager_wire::{
     binary, json, ErrorCode, IdView, PlanFrameView, Request, RoutedRequest, WireError,
@@ -170,7 +170,7 @@ pub(crate) struct ShardNodes {
     pub(crate) replicas: Vec<usize>,
 }
 
-pager_service::registry! {
+jsonio::registry! {
     /// Router-side counters, dumped by the `stats` op.
     pub(crate) struct RouterMetrics {
         /// Client requests received (lines and frames).

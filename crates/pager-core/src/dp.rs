@@ -176,7 +176,10 @@ fn split_with<T: Scalar, E>(
     T::with_tables(|best, cut| {
         // best[l*(c+1) + j]: max savings splitting the first j cells
         // into l groups of at most b cells. Such a split exists iff
-        // l <= j <= l*b, and only those states are visited. The zero
+        // l <= j <= l*b, and it can still grow into the answer (d, c)
+        // iff the other d-l groups can hold the other c-j cells:
+        // d-l <= c-j <= (d-l)*b. Only states meeting both are visited;
+        // every predecessor of such a state meets both too. The zero
         // fill is layer 1's answer: one group saves nothing.
         let width = c + 1;
         best.clear();
@@ -187,7 +190,9 @@ fn split_with<T: Scalar, E>(
             let (done, rest) = best.split_at_mut(l * width);
             let (last, row) = (&done[(l - 1) * width..], &mut rest[..width]);
             let cuts = &mut cut[l * width..(l + 1) * width];
-            for j in l..=c.min(l * b) {
+            let groups_after = d - l;
+            let first = l.max(c.saturating_sub(groups_after.saturating_mul(b)));
+            for j in first..=(l * b).min(c - groups_after) {
                 // The previous l-1 groups hold prev cells, so
                 // l-1 <= prev <= (l-1)*b, and 1 <= j - prev <= b.
                 let lo = j.saturating_sub(b).max(l - 1);

@@ -199,12 +199,12 @@ impl Policy {
         "crates/pager-profiles/src/durable.rs",
     ];
 
-    /// `atomics-ordering-audit` applies everywhere except the metrics
-    /// module, whose counters are monotone and independent (Relaxed is
-    /// the documented norm there).
+    /// `atomics-ordering-audit` applies everywhere except the shared
+    /// metrics module (`jsonio::metrics`), whose counters are monotone
+    /// and independent (Relaxed is the documented norm there).
     #[must_use]
     pub fn atomics_audited(&self, path: &str) -> bool {
-        path != "crates/pager-service/src/metrics.rs" && !Self::is_test_path(path)
+        path != "crates/jsonio/src/metrics.rs" && !Self::is_test_path(path)
     }
 
     /// `no-raw-instance-literal` applies outside `pager-core`, which
@@ -304,7 +304,8 @@ mod tests {
         assert!(p.unwrap_denied("crates/pager-profiles/src/io.rs"));
         assert!(p.unwrap_denied("crates/pager-profiles/src/durable.rs"));
         assert!(!p.unwrap_denied("crates/pager-profiles/src/store.rs"));
-        assert!(!p.atomics_audited("crates/pager-service/src/metrics.rs"));
+        assert!(!p.atomics_audited("crates/jsonio/src/metrics.rs"));
+        assert!(p.atomics_audited("crates/pager-service/src/metrics.rs"));
         assert!(p.atomics_audited("crates/pager-profiles/src/store.rs"));
         assert!(p.instance_literal_denied("crates/pager-service/src/service.rs"));
         assert!(!p.instance_literal_denied("crates/pager-core/src/instance.rs"));

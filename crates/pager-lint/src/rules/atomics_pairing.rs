@@ -13,7 +13,7 @@
 //! 2. a `Relaxed` load of a field that is `Release`-stored somewhere —
 //!    the load discards exactly the ordering the store paid for.
 //!
-//! Scope follows `atomics-ordering-audit`: the metrics module's
+//! Scope follows `atomics-ordering-audit`: `jsonio::metrics`'
 //! monotone Relaxed counters are exempt via
 //! [`crate::config::Policy::atomics_audited`].
 

@@ -53,6 +53,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
+use jsonio::metrics::Counter;
+
 use crate::io::{write_atomic, StorageIo};
 use crate::store::{ProfileStore, Sighting, StoreConfig};
 use crate::wal::{encode_record, scan, SightingRecord};
@@ -198,21 +200,20 @@ impl std::fmt::Display for DurableError {
     }
 }
 
-/// Durability counters, read by the serving metrics dump.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DurabilityStats {
-    /// WAL records appended since open.
-    pub wal_appends: u64,
-    /// Fsyncs issued for the WAL.
-    pub wal_fsyncs: u64,
-    /// Records replayed at the last open.
-    pub wal_recovered_records: u64,
-    /// Bytes truncated from the WAL at the last open.
-    pub wal_truncated_bytes: u64,
-    /// Snapshots rotated since open.
-    pub checkpoints: u64,
-    /// Whether the store is degraded (read-only).
-    pub degraded: bool,
+jsonio::registry! {
+    /// Durability counters, dumped by the serving metrics dump.
+    pub struct WalMetrics {
+        /// WAL records appended since open.
+        wal_appends: Counter,
+        /// Fsyncs issued for the WAL.
+        wal_fsyncs: Counter,
+        /// Records replayed at open.
+        wal_recovered_records: Counter,
+        /// Bytes truncated from the WAL at open.
+        wal_truncated_bytes: Counter,
+        /// Snapshots rotated since open.
+        checkpoints: Counter,
+    }
 }
 
 /// Serialized WAL state: generation, group-commit progress, and the
@@ -246,13 +247,11 @@ pub struct DurableStore {
     /// `wal.generation`, mirrored outside the WAL lock so status reads
     /// (`node_info`) never wait behind an append's fsync.
     live_generation: AtomicU64,
+    /// A state flag that gates ingest, not a metric, so it stays
+    /// Acquire/Release rather than a relaxed counter.
     degraded: AtomicBool,
     checkpoint_pending: AtomicBool,
-    wal_appends: AtomicU64,
-    wal_fsyncs: AtomicU64,
-    wal_recovered_records: AtomicU64,
-    wal_truncated_bytes: AtomicU64,
-    checkpoints: AtomicU64,
+    metrics: WalMetrics,
 }
 
 fn snapshot_name(generation: u64) -> String {
@@ -398,12 +397,10 @@ impl DurableStore {
             live_generation: AtomicU64::new(generation),
             degraded: AtomicBool::new(false),
             checkpoint_pending: AtomicBool::new(false),
-            wal_appends: AtomicU64::new(0),
-            wal_fsyncs: AtomicU64::new(0),
-            wal_recovered_records: AtomicU64::new(recovered),
-            wal_truncated_bytes: AtomicU64::new(truncated),
-            checkpoints: AtomicU64::new(0),
+            metrics: WalMetrics::default(),
         };
+        durable.metrics.wal_recovered_records.add(recovered);
+        durable.metrics.wal_truncated_bytes.add(truncated);
         let report = RecoveryReport {
             generation,
             snapshot_loaded,
@@ -426,22 +423,10 @@ impl DurableStore {
         self.degraded.load(Ordering::Acquire)
     }
 
-    /// Current counters.
+    /// The WAL's counters.
     #[must_use]
-    pub fn stats(&self) -> DurabilityStats {
-        DurabilityStats {
-            // lint:allow(atomics-ordering-audit): monotone stats counters, no handoff
-            wal_appends: self.wal_appends.load(Ordering::Relaxed),
-            // lint:allow(atomics-ordering-audit): monotone stats counters, no handoff
-            wal_fsyncs: self.wal_fsyncs.load(Ordering::Relaxed),
-            // lint:allow(atomics-ordering-audit): set once at open, read-only after
-            wal_recovered_records: self.wal_recovered_records.load(Ordering::Relaxed),
-            // lint:allow(atomics-ordering-audit): set once at open, read-only after
-            wal_truncated_bytes: self.wal_truncated_bytes.load(Ordering::Relaxed),
-            // lint:allow(atomics-ordering-audit): monotone stats counter, no handoff
-            checkpoints: self.checkpoints.load(Ordering::Relaxed),
-            degraded: self.degraded(),
-        }
+    pub fn metrics(&self) -> &WalMetrics {
+        &self.metrics
     }
 
     /// Whether enough records have accumulated that the owner should
@@ -536,8 +521,7 @@ impl DurableStore {
                 return Err(self.enter_degraded(&e));
             }
             wal.len += frames.len() as u64;
-            // lint:allow(atomics-ordering-audit): monotone stats counter, no handoff
-            self.wal_appends.fetch_add(applied, Ordering::Relaxed);
+            self.metrics.wal_appends.add(applied);
             wal.unsynced_records += applied;
             wal.records_since_checkpoint += applied;
             let must_sync = match self.config.fsync {
@@ -549,8 +533,7 @@ impl DurableStore {
                 if let Err(e) = self.io.sync(&path) {
                     return Err(self.enter_degraded(&e));
                 }
-                // lint:allow(atomics-ordering-audit): monotone stats counter, no handoff
-                self.wal_fsyncs.fetch_add(1, Ordering::Relaxed);
+                self.metrics.wal_fsyncs.inc();
                 wal.unsynced_records = 0;
             }
             // Once per generation: make the WAL file's directory entry
@@ -592,8 +575,7 @@ impl DurableStore {
         let path = self.dir.join(wal_name(wal.generation));
         match self.io.sync(&path) {
             Ok(()) => {
-                // lint:allow(atomics-ordering-audit): monotone stats counter, no handoff
-                self.wal_fsyncs.fetch_add(1, Ordering::Relaxed);
+                self.metrics.wal_fsyncs.inc();
                 wal.unsynced_records = 0;
                 Ok(())
             }
@@ -707,8 +689,7 @@ impl DurableStore {
         wal.records_since_checkpoint = 0;
         wal.unsynced_records = 0;
         wal.dir_synced = false;
-        // lint:allow(atomics-ordering-audit): monotone stats counter, no handoff
-        self.checkpoints.fetch_add(1, Ordering::Relaxed);
+        self.metrics.checkpoints.inc();
         // The old snapshot is now garbage; removal is best-effort (a
         // leftover pair is ignored by recovery, which prefers the
         // higher generation). The old WAL outlives it by
@@ -908,7 +889,7 @@ mod tests {
             durable.observe_batch(4, &[sighting("bob", 9.0, 0)]),
             Err(DurableError::Degraded(_))
         ));
-        assert!(durable.stats().degraded);
+        assert!(durable.degraded());
     }
 
     #[test]
@@ -1146,8 +1127,12 @@ mod tests {
                 .observe_batch(4, &[sighting("alice", f64::from(i), 0)])
                 .unwrap();
         }
-        assert_eq!(durable.stats().wal_fsyncs, 2);
+        assert_eq!(durable.metrics().wal_fsyncs.get(), 2);
         durable.flush().unwrap();
-        assert_eq!(durable.stats().wal_fsyncs, 2, "flush with nothing unsynced");
+        assert_eq!(
+            durable.metrics().wal_fsyncs.get(),
+            2,
+            "flush with nothing unsynced"
+        );
     }
 }

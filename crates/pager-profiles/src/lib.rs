@@ -39,10 +39,10 @@ mod store;
 pub mod wal;
 
 pub use durable::{
-    DurabilityConfig, DurabilityStats, DurableError, DurableStore, FsyncPolicy, RecoveryReport,
-    WalAppend, WalSegment,
+    DurabilityConfig, DurableError, DurableStore, FsyncPolicy, RecoveryReport, WalAppend,
+    WalMetrics, WalSegment,
 };
 pub use markov::MarkovModel;
 pub use profile::{DeviceProfile, Estimator, ProfileConfig, Time};
 pub use replay::{replay, CallRecord, ReplayConfig, ReplayReport, Step};
-pub use store::{ProfileStore, Sighting, StoreConfig, StoreStats};
+pub use store::{ProfileStore, Sighting, StoreConfig, StoreMetrics, StoreStats};

@@ -18,6 +18,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use jsonio::metrics::Counter;
 use jsonio::Value;
 use pager_core::fingerprint::{fnv1a64, FNV1A64_OFFSET};
 use pager_core::Instance;
@@ -57,7 +58,17 @@ impl Default for StoreConfig {
     }
 }
 
-/// A snapshot of the store's counters.
+jsonio::registry! {
+    /// The store's counters, as the serving metrics dump names them.
+    pub struct StoreMetrics {
+        /// Sightings ingested since creation (or snapshot load).
+        sightings_ingested: Counter,
+        /// Profiles evicted to make room.
+        profile_evictions: Counter,
+    }
+}
+
+/// A snapshot of the store's size, counters and version.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreStats {
     /// Devices currently tracked.
@@ -86,8 +97,7 @@ pub struct ProfileStore {
     shards: Vec<Mutex<Shard>>,
     per_shard_capacity: usize,
     version: AtomicU64,
-    sightings: AtomicU64,
-    evictions: AtomicU64,
+    metrics: StoreMetrics,
     /// Largest sighting time ever ingested (bits of an `f64`), used as
     /// the default "now" when callers do not supply a clock.
     latest_time: Mutex<Time>,
@@ -114,8 +124,7 @@ impl ProfileStore {
                 .collect(),
             config,
             version: AtomicU64::new(0),
-            sightings: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            metrics: StoreMetrics::default(),
             latest_time: Mutex::new(f64::NEG_INFINITY),
         })
     }
@@ -141,17 +150,22 @@ impl ProfileStore {
         self.len() == 0
     }
 
-    /// Counter snapshot.
+    /// Size, counter and version snapshot.
     #[must_use]
     pub fn stats(&self) -> StoreStats {
         StoreStats {
             devices: self.len(),
-            // lint:allow(atomics-ordering-audit): monotone stats counters, no handoff
-            sightings: self.sightings.load(Ordering::Relaxed),
-            // lint:allow(atomics-ordering-audit): monotone stats counter, no handoff
-            evictions: self.evictions.load(Ordering::Relaxed),
+            sightings: self.metrics.sightings_ingested.get(),
+            evictions: self.metrics.profile_evictions.get(),
             version: self.latest_version(),
         }
+    }
+
+    /// The store's counters. Unlike [`ProfileStore::stats`] it locks
+    /// no profile shard.
+    #[must_use]
+    pub fn metrics(&self) -> &StoreMetrics {
+        &self.metrics
     }
 
     /// The global version counter: the largest version ever issued.
@@ -212,8 +226,7 @@ impl ProfileStore {
                     .map(|(k, _)| k.clone())
                 {
                     shard.map.remove(&oldest);
-                    // lint:allow(atomics-ordering-audit): monotone stats counter, no handoff
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.profile_evictions.inc();
                 }
             }
             shard.map.insert(
@@ -242,8 +255,7 @@ impl ProfileStore {
             .observe(time, cell, version, &self.config.profile)?;
         entry.last_used = tick;
         drop(shard);
-        // lint:allow(atomics-ordering-audit): monotone stats counter, no handoff
-        self.sightings.fetch_add(1, Ordering::Relaxed);
+        self.metrics.sightings_ingested.inc();
         let mut latest = self.latest_time.lock().expect("latest_time poisoned");
         if time > *latest {
             *latest = time;
@@ -371,8 +383,7 @@ impl ProfileStore {
             ("version", Value::from(self.version.load(Ordering::Acquire))),
             (
                 "sightings",
-                // lint:allow(atomics-ordering-audit): monotone stats counter, no handoff
-                Value::from(self.sightings.load(Ordering::Relaxed)),
+                Value::from(self.metrics.sightings_ingested.get()),
             ),
             ("profiles", Value::Object(profiles)),
         ])
@@ -423,8 +434,7 @@ impl ProfileStore {
             );
         }
         store.version.store(max_version, Ordering::Release);
-        // lint:allow(atomics-ordering-audit): store not yet shared during load
-        store.sightings.store(sightings, Ordering::Relaxed);
+        store.metrics.sightings_ingested.add(sightings);
         *store.latest_time.lock().expect("latest_time poisoned") = latest;
         Ok(store)
     }

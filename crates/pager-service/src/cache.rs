@@ -25,7 +25,7 @@ use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex};
 
-use crate::metrics::Counter;
+use jsonio::metrics::Counter;
 
 /// A sharded LRU map from plan keys to cached plans.
 #[derive(Debug)]

@@ -43,10 +43,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use jsonio::metrics::Counter;
 use pager_reactor::{Event, Interest, Reactor, Remote, TimerId, Turn, Waker};
 use pager_wire::frame::{self, Framing, Message};
-
-use crate::metrics::Counter;
 
 /// Registration token for the shared listener (the reactor reserves
 /// `u64::MAX` for its waker).

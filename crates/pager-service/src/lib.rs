@@ -28,12 +28,13 @@
 //!   token so an exact plan whose deadline expires mid-solve is
 //!   abandoned and downgraded to the greedy tier instead of hogging a
 //!   worker.
-//! * **Metrics** ([`metrics`]) — the one metrics vocabulary, shared
-//!   with the `pager-cluster` router: [`metrics::Counter`],
-//!   log-bucketed latency histograms, and the [`registry!`] macro
-//!   that declares each metric once and derives its JSON dump.
-//!   [`PagerService::metrics_json`] adds the values other objects own
-//!   (cache evictions, profile-store and WAL stats) at dump time.
+//! * **Metrics** ([`metrics`]) — the service's registry, declared with
+//!   the workspace's one metrics vocabulary in [`jsonio::metrics`]
+//!   (counters, log-bucketed latency histograms, and the
+//!   [`jsonio::registry!`] macro that declares each metric once and
+//!   derives its JSON dump). [`PagerService::metrics_json`] appends
+//!   the dumps of the objects that own the other counters — the cache,
+//!   the profile store and its WAL — at dump time.
 //! * **Profile store** ([`pager_profiles`], wired in via
 //!   [`PagerService::observe`] / [`PagerService::plan_devices`]) —
 //!   devices stream in sightings and plans are requested by device
@@ -83,7 +84,7 @@ pub use engine::{
     Reply,
 };
 pub use error::ServiceError;
-pub use metrics::{LatencyHistogram, Metrics};
+pub use metrics::Metrics;
 pub use planner::{plan, Plan, Tier, TierPolicy, Variant, RETRY_AFTER_MS};
 pub use proto::{handle_frame, handle_line, parse_request, LineOutcome, Request};
 pub use server::serve_lines;

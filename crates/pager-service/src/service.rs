@@ -9,7 +9,7 @@ use pager_core::Instance;
 use pager_profiles::io::{DiskIo, StorageIo};
 use pager_profiles::{
     DurabilityConfig, DurableError, DurableStore, Estimator, FsyncPolicy, ProfileStore,
-    RecoveryReport, Sighting, StoreConfig, Time, WalAppend, WalSegment,
+    RecoveryReport, Sighting, StoreConfig, Time, WalAppend, WalMetrics, WalSegment,
 };
 use pager_wire::fold_cache_key;
 
@@ -330,40 +330,27 @@ impl PagerService {
     /// The full dump, which adds the values other objects own, is
     /// [`PagerService::metrics_json`].
     ///
-    /// [`Counter::get`]: crate::metrics::Counter::get
+    /// [`Counter::get`]: jsonio::metrics::Counter::get
     #[must_use]
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
     }
 
     /// The metrics dump behind the `metrics` op, the node `stats` op
-    /// and `pager-serve --metrics-json`: the service's registry plus
-    /// the values their owners keep, read now — cache evictions, the
-    /// profile store's ingest and eviction totals, and the durable
-    /// store's WAL stats (all zero without a data directory).
+    /// and `pager-serve --metrics-json`: the service's registry, then
+    /// the registries their owners keep, read now — cache evictions,
+    /// the profile store's counters and the WAL's (all zero without a
+    /// data directory) — then the degraded flag.
     #[must_use]
     pub fn metrics_json(&self) -> Value {
-        let store = self.profiles.stats();
-        let wal = self
-            .durable
-            .as_ref()
-            .map(|durable| durable.stats())
-            .unwrap_or_default();
         let mut entries = self.metrics.entries();
-        entries.extend([
-            ("evictions", Value::from(self.cache.evictions())),
-            ("sightings_ingested", Value::from(store.sightings)),
-            ("profile_evictions", Value::from(store.evictions)),
-            ("wal_appends", Value::from(wal.wal_appends)),
-            ("wal_fsyncs", Value::from(wal.wal_fsyncs)),
-            (
-                "wal_recovered_records",
-                Value::from(wal.wal_recovered_records),
-            ),
-            ("wal_truncated_bytes", Value::from(wal.wal_truncated_bytes)),
-            ("checkpoints", Value::from(wal.checkpoints)),
-            ("degraded", Value::from(u64::from(wal.degraded))),
-        ]);
+        entries.push(("evictions", Value::from(self.cache.evictions())));
+        entries.extend(self.profiles.metrics().entries());
+        entries.extend(self.durable.as_ref().map_or_else(
+            || WalMetrics::default().entries(),
+            |durable| durable.metrics().entries(),
+        ));
+        entries.push(("degraded", Value::from(u64::from(self.degraded()))));
         Value::object(entries)
     }
 
@@ -1317,6 +1304,19 @@ mod tests {
             "unknown devices are the client's fault"
         );
         assert!(svc.metrics().errors.get() >= 1);
+        // A one-device store evicts "a" to admit "b".
+        let tiny = PagerService::new(ServiceConfig {
+            workers: 1,
+            profiles: StoreConfig {
+                capacity: 1,
+                shards: 1,
+                ..StoreConfig::default()
+            },
+            ..ServiceConfig::default()
+        });
+        tiny.observe(4, &[sighting("a", 0, 1.0), sighting("b", 1, 2.0)])
+            .unwrap();
+        assert_eq!(dumped(&tiny, "profile_evictions"), 1);
     }
 
     #[test]
@@ -1382,6 +1382,15 @@ mod tests {
             svc.shutdown();
         }
         mem.crash(17);
+        // A torn frame header after the last acked record: recovery
+        // replays both records and truncates the tail.
+        let data = std::path::Path::new("/svc-data");
+        let wal = mem
+            .list(data)
+            .unwrap()
+            .into_iter()
+            .find(|n| n.starts_with("wal."));
+        mem.append(&data.join(wal.unwrap()), &[0xFF; 5]).unwrap();
         let svc = PagerService::try_new(durable_config(
             Arc::<pager_profiles::io::MemIo>::clone(&mem),
             0,
@@ -1390,6 +1399,8 @@ mod tests {
         let report = svc.recovery().unwrap();
         assert_eq!(report.recovered_records, 2);
         assert_eq!(dumped(&svc, "wal_recovered_records"), 2);
+        assert!(report.truncated_bytes > 0);
+        assert_eq!(dumped(&svc, "wal_truncated_bytes"), report.truncated_bytes);
         // The recovered profiles plan.
         let spec = PlanSpec::new(Delay::new(2).unwrap());
         let served = svc

@@ -20,9 +20,8 @@
 //! calling the solvers directly, so policy changes in the service
 //! planner apply everywhere.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use cellnet::PagingPlanner;
+use jsonio::metrics::Counter;
 use pager_core::{CancelToken, Delay, Instance};
 
 pub use pager_service::planner::{plan, Plan, Tier, TierPolicy, Variant, RETRY_AFTER_MS};
@@ -71,7 +70,7 @@ impl std::error::Error for DegenerateInput {}
 /// ```
 #[derive(Debug, Default)]
 pub struct GreedyPlanner {
-    degenerate: AtomicU64,
+    degenerate: Counter,
 }
 
 impl GreedyPlanner {
@@ -112,8 +111,7 @@ impl GreedyPlanner {
     /// back (blanket paging, or an empty plan for empty input).
     #[must_use]
     pub fn degenerate_inputs(&self) -> u64 {
-        // lint:allow(atomics-ordering-audit): monotone stats counter, no handoff
-        self.degenerate.load(Ordering::Relaxed)
+        self.degenerate.get()
     }
 }
 
@@ -122,8 +120,7 @@ impl PagingPlanner for GreedyPlanner {
         match self.plan_checked(rows, delay) {
             Ok(groups) => groups,
             Err(why) => {
-                // lint:allow(atomics-ordering-audit): monotone stats counter, no handoff
-                self.degenerate.fetch_add(1, Ordering::Relaxed);
+                self.degenerate.inc();
                 eprintln!("GreedyPlanner: degenerate input ({why}); falling back");
                 let c = rows.first().map_or(0, Vec::len);
                 if c == 0 {
