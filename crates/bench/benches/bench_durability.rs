@@ -1,20 +1,24 @@
 //! Durability-layer benchmarks: what crash safety costs per sighting.
 //!
-//! All I/O runs against the deterministic in-memory backend
-//! ([`MemIo`]), so the numbers isolate the durability *code* — frame
+//! Most I/O runs against the deterministic in-memory backend
+//! ([`MemIo`]), so those numbers isolate the durability *code* — frame
 //! encoding, checksumming, the WAL lock, snapshot serialization — from
 //! physical disk latency. Three questions:
 //!
 //! 1. raw frame encode + scan throughput (the recovery path's core
 //!    loop);
 //! 2. ingest overhead per fsync policy, against the plain
-//!    [`ProfileStore`] as the zero-durability baseline;
+//!    [`ProfileStore`] as the zero-durability baseline — plus one
+//!    case on the real disk ([`DiskIo`], a fresh directory under the
+//!    system temp directory) where each iteration is one acked
+//!    sighting: a positioned write and `fdatasync`, and every few
+//!    thousand acks a new zero-filled extent;
 //! 3. checkpoint cost as the store grows (snapshot bytes dominate).
 
 use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use pager_profiles::io::MemIo;
+use pager_profiles::io::{DiskIo, MemIo};
 use pager_profiles::wal::{encode_record, scan, SightingRecord};
 use pager_profiles::{
     DurabilityConfig, DurableStore, FsyncPolicy, ProfileStore, Sighting, StoreConfig,
@@ -112,6 +116,33 @@ fn bench_durable_ingest(crit: &mut Criterion) {
             });
         });
     }
+    let dir = std::env::temp_dir().join(format!("bench-durability-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (durable, _) = DurableStore::open(
+        Arc::new(DiskIo),
+        &dir,
+        StoreConfig::default(),
+        DurabilityConfig {
+            fsync: FsyncPolicy::Always,
+            checkpoint_every: 0,
+            retain_wal: 0,
+        },
+    )
+    .unwrap();
+    let mut time = 0.0;
+    group.bench_function("disk_fsync_always_one_sighting", |b| {
+        b.iter(|| {
+            time += 1.0;
+            let sighting = Sighting {
+                device: "dev0".to_string(),
+                cell: 3,
+                time,
+            };
+            black_box(durable.observe_batch(CELLS, &[sighting]).unwrap());
+        });
+    });
+    drop(durable);
+    let _ = std::fs::remove_dir_all(&dir);
     group.finish();
 }
 

@@ -3,7 +3,7 @@
 //! A trace is a time-ordered log of `(time, terminal, cell)` sightings.
 //! Traces decouple mobility generation from estimation: record once,
 //! then replay into any estimator or re-run paging what-ifs offline —
-//! the workflow the paper's citation [15] (trajectory prediction)
+//! the workflow the paper's citation \[15\] (trajectory prediction)
 //! assumes a system has.
 
 use crate::estimator;

@@ -1,6 +1,6 @@
 //! The Quadratic Assignment Problem connection (Section 5.1).
 //!
-//! The paper notes (citing Burkard et al. [6]) that a QAP solver can
+//! The paper notes (citing Burkard et al. \[6\]) that a QAP solver can
 //! solve the two-device Conference Call problem. For the full-delay
 //! case `d = c` the reduction is transparent: a strategy is a
 //! permutation `π` (cell paged per round), and by Lemma 2.1

@@ -11,15 +11,26 @@
 //!   wal.G.log         # sightings ingested since snapshot G
 //! ```
 //!
+//! The live `wal.G.log` is longer than its frames: it grows in
+//! zero-filled extents of [`EXTENT_BYTES`], and the frames fill it
+//! from the front. The store's `wal.len`
+//! is where the frames end; the file length is where the zeros end.
+//! [`crate::wal::scan`] stops at the first zero length word, so the
+//! zero tail reads as free space.
+//!
 //! # The acked-write guarantee
 //!
 //! [`DurableStore::observe_batch`] applies sightings to the in-memory
-//! store, appends their WAL records, and (under
-//! [`FsyncPolicy::Always`]) fsyncs — all before returning. The first
-//! append of each generation also fsyncs the data directory, so the
-//! freshly created WAL file's *entry* is durable, not just its bytes.
-//! A success return therefore means the sightings are durable: any
-//! later crash recovers them from `snapshot.G + wal.G`.
+//! store, writes their WAL records at `wal.len`, and (under
+//! [`FsyncPolicy::Always`]) syncs the file — all before returning. The
+//! sync is `fdatasync`, which commits the bytes and any size change.
+//! Only the ack that opens a new extent changes the size; every other
+//! ack writes into zeros an earlier sync already made durable, so its
+//! sync commits nothing but its own frames. The first append of each
+//! generation (and the first after each open) also fsyncs the data
+//! directory, so the WAL file's *entry* is durable, not just its
+//! bytes. A success return therefore means the sightings are durable:
+//! any later crash recovers them from `snapshot.G + wal.G`.
 //!
 //! The guarantee is protected at ingest: a sighting that cannot be
 //! encoded within the WAL's frame bounds (device name over
@@ -28,15 +39,31 @@
 //! oversized record would be acked now and truncate the log (plus
 //! every acked record after it) at the next recovery.
 //!
+//! # Recovery truncates before it appends
+//!
+//! A crash can tear unsynced frames in any pattern: a later frame may
+//! reach the disk whole while the one before it is torn. Recovery
+//! replays up to the first bad frame and, when anything but zeros
+//! follows it, truncates the file there and syncs before the first
+//! new append, which then opens a fresh extent. Otherwise a stale
+//! whole frame behind the torn one could line up with the end of a
+//! later append and replay out of order at the next recovery. A tail
+//! of zeros alone is free space and is kept.
+//!
 //! # Checkpoint ordering
 //!
-//! [`DurableStore::checkpoint`] writes `snapshot.{G+1}` via temp file
-//! → sync → rename → dir sync, and only *then* switches appends to
-//! `wal.{G+1}` and removes generation `G`. The order is the safety
-//! argument: if any record in `wal.{G+1}` is durable, `snapshot.{G+1}`
-//! was durable first, so recovery (which picks the highest-generation
-//! valid snapshot) can never pair a new WAL with an old snapshot and
-//! drop the acked records in between.
+//! [`DurableStore::checkpoint`] first truncates `wal.G` to its frames
+//! and fsyncs it, then writes `snapshot.{G+1}` via temp file → sync →
+//! rename → dir sync, and only *then* switches appends to `wal.{G+1}`
+//! and removes generation `G`. The snapshot-before-switch order is the
+//! safety argument: if any record in `wal.{G+1}` is durable,
+//! `snapshot.{G+1}` was durable first, so recovery (which picks the
+//! highest-generation valid snapshot) can never pair a new WAL with an
+//! old snapshot and drop the acked records in between. Truncating
+//! first means a closed generation never has a zero tail on disk, so
+//! a shipper that reads it to its end stops exactly after its frames;
+//! a crash between the truncation and the snapshot recovers
+//! generation `G` whole, since truncation drops only zeros.
 //!
 //! # Degraded mode
 //!
@@ -57,7 +84,13 @@ use jsonio::metrics::Counter;
 
 use crate::io::{write_atomic, StorageIo};
 use crate::store::{ProfileStore, Sighting, StoreConfig};
-use crate::wal::{encode_record, scan, SightingRecord};
+use crate::wal::{encode_record, nonzero_len, scan, SightingRecord, EXTENT_BYTES};
+
+/// The source of every zero the WAL writes to a new extent, a chunk of
+/// this at a time. A quarter extent rather than a whole one, because
+/// the buffer lives in the binary's read-only data and its pages count
+/// as resident memory once they are written from.
+static ZEROS: [u8; EXTENT_BYTES / 4] = [0; EXTENT_BYTES / 4];
 
 /// When appended WAL records are fsynced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,7 +207,8 @@ pub struct RecoveryReport {
     pub snapshot_loaded: bool,
     /// WAL records replayed into the store.
     pub recovered_records: u64,
-    /// Bytes dropped from the WAL tail (torn writes, corruption).
+    /// Bytes dropped from the WAL tail (torn writes, corruption), up
+    /// to its last non-zero byte; the zero tail is free space.
     pub truncated_bytes: u64,
 }
 
@@ -205,11 +239,12 @@ jsonio::registry! {
     pub struct WalMetrics {
         /// WAL records appended since open.
         wal_appends: Counter,
-        /// Fsyncs issued for the WAL.
+        /// Syncs of the WAL since open: acks, flushes and the
+        /// truncation that closes a generation.
         wal_fsyncs: Counter,
         /// Records replayed at open.
         wal_recovered_records: Counter,
-        /// Bytes truncated from the WAL at open.
+        /// Torn or corrupt WAL bytes dropped at open.
         wal_truncated_bytes: Counter,
         /// Snapshots rotated since open.
         checkpoints: Counter,
@@ -221,10 +256,14 @@ jsonio::registry! {
 /// WAL is always a faithful replay of the in-memory apply order.
 struct WalState {
     generation: u64,
-    /// Bytes in the live generation's WAL file: the recovered valid
-    /// length at open, grown by each append, 0 after a rotation. It is
-    /// the offset the next appended frame lands at.
+    /// Bytes of frames in the live generation's WAL file: the
+    /// recovered valid length at open, grown by each append, 0 after a
+    /// rotation. It is the offset the next appended frame lands at.
+    /// The file is longer: zeros follow the frames.
     len: u64,
+    /// The live WAL file's length: `len` plus its zero tail of
+    /// written extents.
+    allocated: u64,
     unsynced_records: u64,
     records_since_checkpoint: u64,
     /// Whether this generation's WAL file has had its directory entry
@@ -279,7 +318,7 @@ impl DurableStore {
     /// cleanly (a torn or corrupt one falls back to the previous
     /// generation — with the checkpoint ordering above, a corrupt
     /// *latest* snapshot can only mean its WAL never received durable
-    /// records), replays its WAL, and truncates any torn WAL tail.
+    /// records), replays its WAL, and zeroes any torn WAL tail.
     ///
     /// Absence and corruption are the only states recovery works
     /// around: a *transient* read error (anything other than
@@ -341,12 +380,13 @@ impl DurableStore {
             None => ProfileStore::new(store_config)?,
         };
 
-        // Replay the matching WAL, truncating at the first bad frame
-        // (torn tail) or the first record the store rejects.
+        // Replay the matching WAL up to the first bad frame (torn
+        // tail) or the first record the store rejects.
         let wal_path = dir.join(wal_name(generation));
         let mut recovered = 0u64;
         let mut truncated = 0u64;
         let mut valid_len = 0u64;
+        let mut allocated = 0u64;
         let wal_bytes = match io.read(&wal_path) {
             Ok(bytes) => Some(bytes),
             // No WAL for this generation: nothing was ingested since
@@ -369,12 +409,19 @@ impl DurableStore {
                 recovered += 1;
                 valid_len = frame_end;
             }
-            truncated = bytes.len() as u64 - valid_len;
-            if truncated > 0 {
+            // A zero tail is free space and stays. Anything else past
+            // the replayed frames is cut off, durably, before the first
+            // new append: a whole stale frame behind a torn one could
+            // otherwise line up after a later append and replay.
+            truncated = (nonzero_len(&bytes) as u64).saturating_sub(valid_len);
+            allocated = if truncated > 0 {
                 io.truncate(&wal_path, valid_len)
                     .and_then(|()| io.sync(&wal_path))
                     .map_err(|e| format!("truncate {}: {e}", wal_path.display()))?;
-            }
+                valid_len
+            } else {
+                bytes.len() as u64
+            };
         }
 
         let durable = DurableStore {
@@ -385,6 +432,7 @@ impl DurableStore {
             wal: Mutex::new(WalState {
                 generation,
                 len: valid_len,
+                allocated,
                 unsynced_records: 0,
                 records_since_checkpoint: 0,
                 // Conservative: re-sync the directory on the first
@@ -517,10 +565,9 @@ impl DurableStore {
         let applied = versions.len() as u64;
         if applied > 0 {
             let path = self.dir.join(wal_name(wal.generation));
-            if let Err(e) = self.io.append(&path, &frames) {
+            if let Err(e) = self.write_frames(&mut wal, &path, &frames) {
                 return Err(self.enter_degraded(&e));
             }
-            wal.len += frames.len() as u64;
             self.metrics.wal_appends.add(applied);
             wal.unsynced_records += applied;
             wal.records_since_checkpoint += applied;
@@ -530,16 +577,18 @@ impl DurableStore {
                 FsyncPolicy::Never => false,
             };
             if must_sync {
+                // Unless the frames opened a new extent, the file size
+                // is unchanged and the sync commits only their bytes.
                 if let Err(e) = self.io.sync(&path) {
                     return Err(self.enter_degraded(&e));
                 }
                 self.metrics.wal_fsyncs.inc();
                 wal.unsynced_records = 0;
             }
-            // Once per generation: make the WAL file's directory entry
-            // durable before acking. A file fsync alone does not
-            // guarantee a freshly created file survives a crash on
-            // every filesystem.
+            // Once per open and generation: make the WAL file's
+            // directory entry durable before acking. A file sync alone
+            // does not guarantee a freshly created file survives a
+            // crash on every filesystem.
             if !wal.dir_synced {
                 if let Err(e) = self.io.sync_dir(&self.dir) {
                     return Err(self.enter_degraded(&e));
@@ -559,6 +608,29 @@ impl DurableStore {
                 },
             )),
         }
+    }
+
+    /// Writes `frames` at `wal.len`, first growing the file by whole
+    /// zero-filled extents when they would pass its end. The next sync
+    /// makes the extents durable with the frames, so only the ack that
+    /// opens an extent pays for committing a new file size.
+    fn write_frames(&self, wal: &mut WalState, path: &Path, frames: &[u8]) -> io::Result<()> {
+        let end = wal.len + frames.len() as u64;
+        if end > wal.allocated {
+            let extent = EXTENT_BYTES as u64;
+            let grown = wal.allocated + (end - wal.allocated).div_ceil(extent) * extent;
+            let mut at = wal.allocated;
+            while at < grown {
+                let chunk = &ZEROS
+                    [..usize::try_from(grown - at).map_or(ZEROS.len(), |n| n.min(ZEROS.len()))];
+                self.io.write_at(path, at, chunk)?;
+                at += chunk.len() as u64;
+            }
+            wal.allocated = grown;
+        }
+        self.io.write_at(path, wal.len, frames)?;
+        wal.len = end;
+        Ok(())
     }
 
     /// Fsyncs any unsynced WAL tail (shutdown path for the interval /
@@ -621,35 +693,49 @@ impl DurableStore {
             ));
         }
         let path = self.dir.join(wal_name(generation));
-        let bytes = match self.io.read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                if generation == latest {
-                    // The live generation simply has no appends yet.
-                    Vec::new()
-                } else {
-                    return Err(format!(
-                        "generation {generation} was compacted (latest {latest}); re-seed the follower"
-                    ));
-                }
+        let read_error = |e: io::Error| match e.kind() {
+            io::ErrorKind::NotFound => format!(
+                "generation {generation} was compacted (latest {latest}); re-seed the follower"
+            ),
+            io::ErrorKind::InvalidInput => {
+                format!("offset {offset} beyond WAL length for generation {generation}: {e}")
             }
-            Err(e) => return Err(format!("read {}: {e}", path.display())),
+            _ => format!("read {}: {e}", path.display()),
         };
-        let len = bytes.len() as u64;
-        if offset > len {
-            return Err(format!(
-                "offset {offset} beyond WAL length {len} for generation {generation}"
-            ));
-        }
-        let start = usize::try_from(offset).map_err(|_| "offset does not fit usize".to_string())?;
-        let end = start.saturating_add(max_bytes).min(bytes.len());
-        let chunk = bytes[start..end].to_vec();
+        let (bytes, end_of_generation) = if generation == latest {
+            // The live file is longer than its frames: read up to
+            // `wal.len`, never into the zero tail.
+            let Some(rest) = wal.len.checked_sub(offset) else {
+                return Err(format!(
+                    "offset {offset} beyond WAL length {} for generation {generation}",
+                    wal.len
+                ));
+            };
+            let take = usize::try_from(rest).map_or(max_bytes, |rest| rest.min(max_bytes));
+            let bytes = if take == 0 {
+                Vec::new()
+            } else {
+                self.io.read_at(&path, offset, take).map_err(read_error)?
+            };
+            (bytes, false)
+        } else {
+            // A closed generation was truncated to its frames before
+            // the snapshot that closed it. One byte past the window
+            // tells whether the window reaches its end.
+            let mut bytes = self
+                .io
+                .read_at(&path, offset, max_bytes.saturating_add(1))
+                .map_err(read_error)?;
+            let end = bytes.len() <= max_bytes;
+            bytes.truncate(max_bytes);
+            (bytes, end)
+        };
         Ok(WalSegment {
             generation,
             offset,
-            end_of_generation: generation < latest && end as u64 == len,
-            bytes: chunk,
+            bytes,
             latest_generation: latest,
+            end_of_generation,
         })
     }
 
@@ -675,6 +761,22 @@ impl DurableStore {
         let mut wal = self.wal.lock().unwrap_or_else(PoisonError::into_inner);
         let old = wal.generation;
         let new = old + 1;
+        // Close the finishing generation at its frames, durably, before
+        // the snapshot that retires it: a closed generation never has a
+        // zero tail on disk, so a shipper reading it to the end learns
+        // exactly where its frames stop.
+        if wal.allocated > wal.len {
+            let path = self.dir.join(wal_name(old));
+            if let Err(e) = self
+                .io
+                .truncate(&path, wal.len)
+                .and_then(|()| self.io.sync(&path))
+            {
+                return Err(self.enter_degraded(&e));
+            }
+            self.metrics.wal_fsyncs.inc();
+            wal.allocated = wal.len;
+        }
         let bytes = self.store.snapshot_bytes();
         let snapshot_path = self.dir.join(snapshot_name(new));
         if let Err(e) = write_atomic(self.io.as_ref(), &snapshot_path, &bytes) {
@@ -685,6 +787,7 @@ impl DurableStore {
         // append must sync the directory entry again.
         wal.generation = new;
         wal.len = 0;
+        wal.allocated = 0;
         self.live_generation.store(new, Ordering::Release);
         wal.records_since_checkpoint = 0;
         wal.unsynced_records = 0;
@@ -1111,6 +1214,284 @@ mod tests {
         let err = durable.export_wal(0, 0, 1 << 20).unwrap_err();
         assert!(err.contains("compacted"), "{err}");
         assert!(durable.export_wal(1, 0, 1 << 20).unwrap().end_of_generation);
+    }
+
+    /// Runs `script` on a fault-free counting disk and returns how
+    /// many storage operations the open plus the script issued.
+    fn ops_of(script: impl FnOnce(&DurableStore)) -> u64 {
+        use crate::io::{FaultKind, FaultyIo};
+        let counting = Arc::new(FaultyIo::new(
+            Arc::new(MemIo::new()),
+            u64::MAX,
+            FaultKind::Error,
+            0,
+        ));
+        let io: Arc<dyn StorageIo> = Arc::<FaultyIo>::clone(&counting);
+        let (durable, _) = DurableStore::open(
+            io,
+            &dir(),
+            StoreConfig::default(),
+            DurabilityConfig::default(),
+        )
+        .unwrap();
+        script(&durable);
+        counting.ops()
+    }
+
+    /// Opens a store whose disk dies at operation `fault_at`.
+    fn open_dying(mem: &Arc<MemIo>, fault_at: u64) -> DurableStore {
+        use crate::io::{FaultKind, FaultyIo};
+        let io: Arc<dyn StorageIo> = Arc::new(FaultyIo::new(
+            Arc::clone(mem),
+            fault_at,
+            FaultKind::Crash,
+            0,
+        ));
+        DurableStore::open(
+            io,
+            &dir(),
+            StoreConfig::default(),
+            DurabilityConfig::default(),
+        )
+        .unwrap()
+        .0
+    }
+
+    fn frame(device: &str, time: f64, cell: usize) -> Vec<u8> {
+        encode_record(&SightingRecord {
+            device: device.to_string(),
+            cells: 4,
+            time,
+            cell,
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn the_wal_grows_in_whole_extents() {
+        let mem = Arc::new(MemIo::new());
+        let (durable, _) = open_mem(&mem, DurabilityConfig::default());
+        let wal = dir().join(wal_name(0));
+        durable
+            .observe_batch(4, &[sighting("alice", 1.0, 2)])
+            .unwrap();
+        assert_eq!(mem.read(&wal).unwrap().len(), EXTENT_BYTES);
+        // Acks inside the extent leave the file size alone.
+        for i in 2..50 {
+            durable
+                .observe_batch(4, &[sighting("alice", f64::from(i), 1)])
+                .unwrap();
+        }
+        assert_eq!(mem.read(&wal).unwrap().len(), EXTENT_BYTES);
+        // A batch past the end grows the file by as many as it needs.
+        let giant = "g".repeat(4000);
+        let batch: Vec<Sighting> = (0..100)
+            .map(|i| sighting(&giant, f64::from(i), 0))
+            .collect();
+        durable.observe_batch(4, &batch).unwrap();
+        assert_eq!(mem.read(&wal).unwrap().len(), 2 * EXTENT_BYTES);
+        assert_eq!(
+            scan(&mem.read(&wal).unwrap()).records.len(),
+            149,
+            "every frame scans in front of the zero tail"
+        );
+    }
+
+    #[test]
+    fn a_crash_between_write_and_sync_loses_only_unacked_records() {
+        // The third ack's ops are its `write_at` and then its `sync`;
+        // the disk dies at the latter.
+        let two_acks = ops_of(|durable| {
+            durable
+                .observe_batch(4, &[sighting("alice", 1.0, 2)])
+                .unwrap();
+            durable
+                .observe_batch(4, &[sighting("bob", 2.0, 3)])
+                .unwrap();
+        });
+        for seed in 0..32 {
+            let mem = Arc::new(MemIo::new());
+            let durable = open_dying(&mem, two_acks + 1);
+            durable
+                .observe_batch(4, &[sighting("alice", 1.0, 2)])
+                .unwrap();
+            durable
+                .observe_batch(4, &[sighting("bob", 2.0, 3)])
+                .unwrap();
+            let unacked = durable.observe_batch(4, &[sighting("carol", 3.0, 1)]);
+            assert!(matches!(unacked, Err(DurableError::Degraded(_))));
+            mem.crash(seed);
+            let (recovered, report) = open_mem(&mem, DurabilityConfig::default());
+            for device in ["alice", "bob"] {
+                assert!(
+                    recovered.store().version(device).is_some(),
+                    "seed {seed}: acked {device} lost"
+                );
+            }
+            assert!((2..=3).contains(&report.recovered_records), "seed {seed}");
+            recovered
+                .observe_batch(4, &[sighting("dave", 4.0, 0)])
+                .unwrap();
+        }
+    }
+
+    #[test]
+    fn a_torn_frame_followed_by_zeros_recovers_the_prefix() {
+        let mem = Arc::new(MemIo::new());
+        let (durable, _) = open_mem(&mem, DurabilityConfig::default());
+        let (_, acked) = durable
+            .observe_batch(4, &[sighting("alice", 1.0, 2), sighting("bob", 2.0, 3)])
+            .unwrap();
+        drop(durable);
+        // What survives of a third frame: its header and two bytes of
+        // its body, then the extent's zeros.
+        let wal = dir().join(wal_name(0));
+        let end = acked.offset + acked.bytes.len() as u64;
+        let torn = &frame("carol", 3.0, 1)[..crate::wal::HEADER_BYTES + 2];
+        mem.write_at(&wal, end, torn).unwrap();
+        mem.sync(&wal).unwrap();
+        mem.crash(5);
+        let (recovered, report) = open_mem(&mem, DurabilityConfig::default());
+        assert_eq!(report.recovered_records, 2);
+        assert_eq!(report.truncated_bytes, nonzero_len(torn) as u64);
+        assert!(recovered.store().version("carol").is_none());
+        assert_eq!(
+            mem.read(&wal).unwrap().len() as u64,
+            end,
+            "the torn piece was cut off"
+        );
+    }
+
+    #[test]
+    fn a_stale_frame_beyond_a_torn_one_never_replays() {
+        let mem = Arc::new(MemIo::new());
+        let (durable, _) = open_mem(&mem, DurabilityConfig::default());
+        let (_, acked) = durable
+            .observe_batch(4, &[sighting("alice", 1.0, 2)])
+            .unwrap();
+        drop(durable);
+        // Two unacked frames reached the disk out of order: bob's is
+        // torn (its length word lost), carol's behind it is whole.
+        let wal = dir().join(wal_name(0));
+        let end = acked.offset + acked.bytes.len() as u64;
+        let bob = frame("bob", 2.0, 3);
+        mem.write_at(&wal, end + 4, &bob[4..]).unwrap();
+        mem.write_at(&wal, end + bob.len() as u64, &frame("carol", 3.0, 1))
+            .unwrap();
+        mem.sync(&wal).unwrap();
+        mem.crash(1);
+        let (recovered, report) = open_mem(&mem, DurabilityConfig::default());
+        assert_eq!(report.recovered_records, 1);
+        // A later append exactly as long as bob's frame ends where
+        // carol's stale frame starts.
+        let dan = recovered
+            .observe_batch(4, &[sighting("dan", 4.0, 0)])
+            .unwrap()
+            .1;
+        assert_eq!(dan.bytes.len(), bob.len());
+        mem.crash(2);
+        let (recovered, report) = open_mem(&mem, DurabilityConfig::default());
+        assert_eq!(report.recovered_records, 2);
+        assert!(recovered.store().version("dan").is_some());
+        assert!(
+            recovered.store().version("carol").is_none(),
+            "a never-acked stale frame replayed"
+        );
+    }
+
+    #[test]
+    fn a_crash_between_truncation_and_snapshot_recovers_every_acked_record() {
+        let ingest = |durable: &DurableStore| {
+            for (i, device) in ["alice", "bob", "carol"].into_iter().enumerate() {
+                durable
+                    .observe_batch(4, &[sighting(device, i as f64, i)])
+                    .unwrap();
+            }
+        };
+        // The checkpoint's first ops truncate and fsync generation 0;
+        // the disk dies at the next, the snapshot's temp-file write.
+        let before_checkpoint = ops_of(ingest);
+        for seed in 0..16 {
+            let mem = Arc::new(MemIo::new());
+            let durable = open_dying(&mem, before_checkpoint + 2);
+            ingest(&durable);
+            assert!(durable.checkpoint().is_err());
+            mem.crash(seed);
+            let wal = mem.read(&dir().join(wal_name(0))).unwrap();
+            let scanned = scan(&wal);
+            assert_eq!(
+                scanned.valid_len,
+                wal.len() as u64,
+                "seed {seed}: the closed generation kept its zero tail"
+            );
+            let (recovered, report) = open_mem(&mem, DurabilityConfig::default());
+            assert_eq!(report.generation, 0, "seed {seed}");
+            assert_eq!(report.recovered_records, 3, "seed {seed}");
+            assert_eq!(report.truncated_bytes, 0, "seed {seed}");
+            assert_eq!(recovered.store().len(), 3, "seed {seed}");
+        }
+    }
+
+    /// A [`MemIo`] whose directory syncs open a directory that does
+    /// not exist on the real disk, so they fail the way an `EMFILE` or
+    /// `EACCES` from opening the data directory would.
+    struct UnsyncableDir(MemIo);
+
+    impl StorageIo for UnsyncableDir {
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            self.0.read(path)
+        }
+        fn read_at(&self, path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
+            self.0.read_at(path, offset, len)
+        }
+        fn write(&self, path: &Path, data: &[u8]) -> io::Result<()> {
+            self.0.write(path, data)
+        }
+        fn write_at(&self, path: &Path, offset: u64, data: &[u8]) -> io::Result<()> {
+            self.0.write_at(path, offset, data)
+        }
+        fn sync(&self, path: &Path) -> io::Result<()> {
+            self.0.sync(path)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            self.0.rename(from, to)
+        }
+        fn sync_dir(&self, _: &Path) -> io::Result<()> {
+            let missing = std::env::temp_dir()
+                .join(format!("pager-missing-{}", std::process::id()))
+                .join("data");
+            crate::io::DiskIo.sync_dir(&missing)
+        }
+        fn remove(&self, path: &Path) -> io::Result<()> {
+            self.0.remove(path)
+        }
+        fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+            self.0.create_dir_all(dir)
+        }
+        fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
+            self.0.list(dir)
+        }
+        fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
+            self.0.truncate(path, len)
+        }
+    }
+
+    #[test]
+    fn a_failing_dir_sync_degrades_the_store() {
+        let io: Arc<dyn StorageIo> = Arc::new(UnsyncableDir(MemIo::new()));
+        let (durable, _) = DurableStore::open(
+            io,
+            &dir(),
+            StoreConfig::default(),
+            DurabilityConfig::default(),
+        )
+        .unwrap();
+        let first = durable.observe_batch(4, &[sighting("alice", 1.0, 2)]);
+        assert!(
+            matches!(first, Err(DurableError::Degraded(_))),
+            "acked without a durable directory entry: {first:?}"
+        );
+        assert!(durable.degraded());
     }
 
     #[test]

@@ -7,23 +7,34 @@
 //! - [`DiskIo`] — the real filesystem (what `pager-serve` uses);
 //! - [`MemIo`] — a deterministic in-memory filesystem that models
 //!   *crash durability*: written bytes are volatile until `sync`, new
-//!   directory entries (created, renamed, or removed names alike) are
-//!   volatile until `sync_dir`, and
+//!   directory entries (created, renamed, or removed
+//!   names alike) are volatile until `sync_dir`, and
 //!   [`MemIo::crash`] collapses the volatile state exactly the way a
-//!   power cut would (unsynced appends survive only as a seeded torn
-//!   prefix, unsynced renames roll back);
+//!   power cut would (each unsynced run of changed bytes survives only
+//!   as a seeded prefix, independently of the others, and unsynced
+//!   renames and truncations roll back);
 //! - [`FaultyIo`] — a seeded fault injector over [`MemIo`] that makes
 //!   operation *N* fail, short-write, flip a bit, or "crash" the disk,
 //!   so recovery paths are exercised without real crashes (the
 //!   FoundationDB/tigerbeetle simulation-testing shape).
 //!
+//! The WAL's ack path is a positioned write ([`StorageIo::write_at`])
+//! into space the file already has, then [`StorageIo::sync`], which is
+//! `fdatasync` on disk. Since the file size does not change there, the
+//! sync has no inode size to commit; the space itself is written as
+//! zeros ahead of time, a whole extent at once, and made durable by
+//! the first sync that follows.
+//!
 //! The model is deliberately pessimistic where POSIX is vague: a
 //! created or renamed entry does not survive a crash until its
 //! directory is synced, and unsynced file content may tear at any byte
-//! (with an occasional flipped bit in the torn tail).
+//! (with an occasional flipped bit in the torn piece), a later
+//! overwrite surviving while an earlier one is lost.
 
 use std::collections::HashMap;
 use std::io;
+use std::ops::Range;
+use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -32,7 +43,9 @@ use std::sync::{Mutex, PoisonError};
 ///
 /// Path-based rather than handle-based: every operation names its
 /// file, which keeps fault injection and the in-memory model trivially
-/// serializable (one operation = one injection point).
+/// serializable (one operation = one injection point). Reopening a
+/// file per operation costs nothing measurable next to the sync that
+/// follows it on the WAL's ack path, so [`DiskIo`] holds no handles.
 pub trait StorageIo: Send + Sync {
     /// Reads a whole file.
     ///
@@ -41,6 +54,15 @@ pub trait StorageIo: Send + Sync {
     /// Propagates I/O errors (`NotFound` included).
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
 
+    /// Reads up to `len` bytes of `path` from `offset`: fewer when the
+    /// file ends first, none when `offset` is its length.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidInput` when `offset` lies past the end of the file;
+    /// otherwise propagates I/O errors (`NotFound` included).
+    fn read_at(&self, path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>>;
+
     /// Creates or truncates `path` and writes `data`.
     ///
     /// # Errors
@@ -48,15 +70,21 @@ pub trait StorageIo: Send + Sync {
     /// Propagates I/O errors.
     fn write(&self, path: &Path, data: &[u8]) -> io::Result<()>;
 
-    /// Appends `data` to `path`, creating it if missing.
+    /// Writes `data` at `offset` of `path` (`pwrite`), creating the
+    /// file if missing. A write past the end grows the file, and any
+    /// gap before `offset` reads back as zeros.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors; a failed append may have written a
+    /// Propagates I/O errors; a failed write may have written a
     /// prefix of `data` (a *short write*).
-    fn append(&self, path: &Path, data: &[u8]) -> io::Result<()>;
+    fn write_at(&self, path: &Path, offset: u64, data: &[u8]) -> io::Result<()>;
 
-    /// Makes `path`'s current content durable (`fsync`).
+    /// Makes `path`'s current content and size durable (`fdatasync`).
+    /// POSIX commits a changed size (growth or truncation) with the
+    /// data, because reading the data back needs it; only metadata
+    /// such as timestamps is left out. The sync is cheapest when the
+    /// size has not changed since the last one.
     ///
     /// # Errors
     ///
@@ -116,9 +144,12 @@ pub trait StorageIo: Send + Sync {
 /// untouched (a stale `.tmp` sibling may remain and is ignored by
 /// recovery).
 pub fn write_atomic(io: &dyn StorageIo, path: &Path, data: &[u8]) -> io::Result<()> {
-    let dir = path
-        .parent()
-        .map_or_else(|| PathBuf::from("."), Path::to_path_buf);
+    // A bare file name has the empty parent, which cannot be opened
+    // for a directory sync.
+    let dir = match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => parent,
+        _ => Path::new("."),
+    };
     let mut tmp_name = path.file_name().map_or_else(
         || "atomic".to_string(),
         |n| n.to_string_lossy().into_owned(),
@@ -128,7 +159,7 @@ pub fn write_atomic(io: &dyn StorageIo, path: &Path, data: &[u8]) -> io::Result<
     io.write(&tmp, data)?;
     io.sync(&tmp)?;
     io.rename(&tmp, path)?;
-    io.sync_dir(&dir)
+    io.sync_dir(dir)
 }
 
 /// The real filesystem.
@@ -140,24 +171,32 @@ impl StorageIo for DiskIo {
         std::fs::read(path)
     }
 
+    fn read_at(&self, path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
+        let file = std::fs::File::open(path)?;
+        let size = file.metadata()?.len();
+        let rest = size
+            .checked_sub(offset)
+            .ok_or_else(|| past_end(path, offset, size))?;
+        let mut bytes = vec![0; usize::try_from(rest).map_or(len, |rest| rest.min(len))];
+        file.read_exact_at(&mut bytes, offset)?;
+        Ok(bytes)
+    }
+
     fn write(&self, path: &Path, data: &[u8]) -> io::Result<()> {
         std::fs::write(path, data)
     }
 
-    fn append(&self, path: &Path, data: &[u8]) -> io::Result<()> {
-        use std::io::Write as _;
-        let mut file = std::fs::OpenOptions::new()
+    fn write_at(&self, path: &Path, offset: u64, data: &[u8]) -> io::Result<()> {
+        std::fs::OpenOptions::new()
             .create(true)
-            .append(true)
-            .open(path)?;
-        file.write_all(data)
+            .truncate(false)
+            .write(true)
+            .open(path)?
+            .write_all_at(data, offset)
     }
 
     fn sync(&self, path: &Path) -> io::Result<()> {
-        std::fs::OpenOptions::new()
-            .read(true)
-            .open(path)?
-            .sync_all()
+        std::fs::File::open(path)?.sync_data()
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
@@ -165,13 +204,7 @@ impl StorageIo for DiskIo {
     }
 
     fn sync_dir(&self, dir: &Path) -> io::Result<()> {
-        // Windows cannot open directories for syncing; the rename is
-        // already durable-enough there. On Unix this is a real fsync
-        // of the directory inode.
-        match std::fs::File::open(dir) {
-            Ok(handle) => handle.sync_all(),
-            Err(_) => Ok(()),
-        }
+        std::fs::File::open(dir)?.sync_all()
     }
 
     fn remove(&self, path: &Path) -> io::Result<()> {
@@ -207,6 +240,73 @@ struct MemFile {
     /// Content preserved across a crash *if the entry survives*
     /// (updated by `sync`).
     synced: Vec<u8>,
+    /// The span of `live` written since the last sync; outside it,
+    /// `live` and `synced` agree. Empty when the file is clean.
+    dirty: Range<usize>,
+}
+
+impl MemFile {
+    /// Widens the dirty span to cover `range`.
+    fn touch(&mut self, range: Range<usize>) {
+        self.dirty = if self.dirty.is_empty() {
+            range
+        } else {
+            self.dirty.start.min(range.start)..self.dirty.end.max(range.end)
+        };
+    }
+
+    /// Makes the live content durable.
+    fn sync(&mut self) {
+        self.synced.resize(self.live.len(), 0);
+        let dirty = self.dirty.start..self.dirty.end.min(self.live.len());
+        if !dirty.is_empty() {
+            self.synced[dirty.clone()].copy_from_slice(&self.live[dirty]);
+        }
+        self.dirty = 0..0;
+    }
+
+    /// What a power cut leaves of this file: its synced content, with
+    /// each unsynced run of changed bytes torn independently of every
+    /// other (so a later write may survive while an earlier one is
+    /// lost). Unsynced growth tears the same way; an unsynced
+    /// truncation rolls back.
+    fn after_crash(&self, rng: &mut u64) -> Vec<u8> {
+        let mut kept = self.synced.clone();
+        let common = self.live.len().min(kept.len());
+        let end = self.dirty.end.min(common);
+        let mut at = self.dirty.start.min(end);
+        while at < end {
+            if self.live[at] == kept[at] {
+                at += 1;
+                continue;
+            }
+            let start = at;
+            while at < end && self.live[at] != kept[at] {
+                at += 1;
+            }
+            tear(&mut kept[start..at], &self.live[start..at], rng);
+        }
+        let grown = kept.len();
+        if self.live.len() > grown {
+            kept.resize(self.live.len(), 0);
+            let keep = tear(&mut kept[grown..], &self.live[grown..], rng);
+            kept.truncate(grown + keep);
+        }
+        kept
+    }
+}
+
+/// Overwrites a seeded prefix of `old` with the matching prefix of
+/// `new`, occasionally with one flipped bit (the way a torn sector
+/// reads back garbage), and returns the prefix length.
+fn tear(old: &mut [u8], new: &[u8], rng: &mut u64) -> usize {
+    let keep = (split_mix(rng) as usize) % (new.len() + 1);
+    old[..keep].copy_from_slice(&new[..keep]);
+    if keep > 0 && split_mix(rng).is_multiple_of(4) {
+        let bit = (split_mix(rng) as usize) % (keep * 8);
+        old[bit / 8] ^= 1 << (bit % 8);
+    }
+    keep
 }
 
 #[derive(Debug, Default)]
@@ -252,9 +352,7 @@ impl MemIo {
 
     /// Simulates a power cut and reboot, deterministically from
     /// `seed`: volatile directory operations roll back, and each
-    /// file's unsynced tail survives only as a seeded prefix —
-    /// occasionally with one flipped bit, the way a torn sector reads
-    /// back garbage.
+    /// file's unsynced changes survive only as seeded torn pieces.
     pub fn crash(&self, seed: u64) {
         let mut fs = self.lock();
         let mut rng = seed ^ 0xD1F7_5EED;
@@ -272,22 +370,7 @@ impl MemIo {
         names.dedup();
         for name in names {
             let mut content = match (fs.files.get(&name), fs.orphans.get(&name)) {
-                (Some(file), _) => {
-                    // Entry survives: synced prefix plus a torn piece
-                    // of whatever was appended after the last sync.
-                    let mut kept = file.synced.clone();
-                    if file.live.len() > kept.len() && file.live.starts_with(&kept) {
-                        let tail = &file.live[kept.len()..];
-                        let keep = (split_mix(&mut rng) as usize) % (tail.len() + 1);
-                        kept.extend_from_slice(&tail[..keep]);
-                        if keep > 0 && split_mix(&mut rng).is_multiple_of(4) {
-                            let bit = (split_mix(&mut rng) as usize) % (keep * 8);
-                            let idx = kept.len() - keep + bit / 8;
-                            kept[idx] ^= 1 << (bit % 8);
-                        }
-                    }
-                    kept
-                }
+                (Some(file), _) => file.after_crash(&mut rng),
                 (None, Some(old)) => old.clone(),
                 (None, None) => Vec::new(),
             };
@@ -297,6 +380,7 @@ impl MemIo {
                 MemFile {
                     live: content.clone(),
                     synced: content,
+                    dirty: 0..0,
                 },
             );
         }
@@ -313,6 +397,16 @@ fn not_found(path: &Path) -> io::Error {
     )
 }
 
+fn past_end(path: &Path, offset: u64, size: u64) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidInput,
+        format!(
+            "{}: offset {offset} is past the end ({size} bytes)",
+            path.display()
+        ),
+    )
+}
+
 impl StorageIo for MemIo {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         let fs = self.lock();
@@ -322,24 +416,50 @@ impl StorageIo for MemIo {
             .ok_or_else(|| not_found(path))
     }
 
+    fn read_at(&self, path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
+        let fs = self.lock();
+        let live = &fs.files.get(path).ok_or_else(|| not_found(path))?.live;
+        let start = usize::try_from(offset)
+            .ok()
+            .filter(|&start| start <= live.len())
+            .ok_or_else(|| past_end(path, offset, live.len() as u64))?;
+        let end = start.saturating_add(len).min(live.len());
+        Ok(live[start..end].to_vec())
+    }
+
     fn write(&self, path: &Path, data: &[u8]) -> io::Result<()> {
         let mut fs = self.lock();
         let file = fs.files.entry(path.to_path_buf()).or_default();
         file.live = data.to_vec();
+        file.touch(0..data.len());
         Ok(())
     }
 
-    fn append(&self, path: &Path, data: &[u8]) -> io::Result<()> {
+    fn write_at(&self, path: &Path, offset: u64, data: &[u8]) -> io::Result<()> {
+        let end = usize::try_from(offset)
+            .ok()
+            .and_then(|start| start.checked_add(data.len()))
+            .ok_or_else(|| {
+                io::Error::other(format!("{}: offset {offset} out of memory", path.display()))
+            })?;
+        let start = end - data.len();
         let mut fs = self.lock();
         let file = fs.files.entry(path.to_path_buf()).or_default();
-        file.live.extend_from_slice(data);
+        // A gap before `start` is written too: it reads back as zeros.
+        file.touch(start.min(file.live.len())..end);
+        if file.live.len() < end {
+            file.live.resize(end, 0);
+        }
+        file.live[start..end].copy_from_slice(data);
         Ok(())
     }
 
     fn sync(&self, path: &Path) -> io::Result<()> {
         let mut fs = self.lock();
-        let file = fs.files.get_mut(path).ok_or_else(|| not_found(path))?;
-        file.synced = file.live.clone();
+        fs.files
+            .get_mut(path)
+            .ok_or_else(|| not_found(path))?
+            .sync();
         // Pessimistic POSIX: fsync makes the *content* durable, but a
         // freshly created entry survives a crash only once its
         // directory is synced. Modeling the ext4-style
@@ -427,10 +547,11 @@ pub enum FaultKind {
     /// The operation fails and every later one does too (the disk is
     /// gone); pair with [`MemIo::crash`] to model a reboot.
     Crash,
-    /// A write/append persists only a seeded prefix of its bytes,
-    /// then fails (a torn write). Non-write operations fail plainly.
+    /// A `write`/`write_at` persists only a seeded prefix of its
+    /// bytes, then fails (a torn write). Other operations fail
+    /// plainly.
     ShortWrite,
-    /// A write/append silently persists with one bit flipped (media
+    /// A `write`/`write_at` silently persists with one bit flipped (media
     /// corruption the checksums must catch).
     FlipBit,
 }
@@ -497,6 +618,13 @@ impl FaultyIo {
         self.fault_at
     }
 
+    /// Operations issued so far, the faulty one included: a fault-free
+    /// run's count is the horizon a seeded schedule must cover.
+    #[must_use]
+    pub fn ops(&self) -> u64 {
+        self.ops.load(Ordering::Acquire)
+    }
+
     /// Whether the simulated disk has died (a [`FaultKind::Crash`]
     /// fired).
     #[must_use]
@@ -522,25 +650,20 @@ impl FaultyIo {
         }
     }
 
-    /// Applies write-shaped faults; `append` says whether partial data
-    /// should be appended or written whole-file.
-    fn faulty_write(&self, path: &Path, data: &[u8], append: bool) -> io::Result<()> {
+    /// Applies write-shaped faults to a write that `put` performs.
+    fn faulty_write(
+        &self,
+        data: &[u8],
+        put: impl FnOnce(&[u8]) -> io::Result<()>,
+    ) -> io::Result<()> {
         let Some(kind) = self.tick()? else {
-            return if append {
-                self.inner.append(path, data)
-            } else {
-                self.inner.write(path, data)
-            };
+            return put(data);
         };
         match kind {
             FaultKind::ShortWrite => {
                 let mut state = self.seed ^ 0x5807_1e1d;
                 let keep = (split_mix(&mut state) as usize) % (data.len() + 1);
-                if append {
-                    self.inner.append(path, &data[..keep])?;
-                } else {
-                    self.inner.write(path, &data[..keep])?;
-                }
+                put(&data[..keep])?;
                 Err(io::Error::other("injected fault: short write"))
             }
             FaultKind::FlipBit => {
@@ -550,11 +673,7 @@ impl FaultyIo {
                     let bit = (split_mix(&mut state) as usize) % (corrupted.len() * 8);
                     corrupted[bit / 8] ^= 1 << (bit % 8);
                 }
-                if append {
-                    self.inner.append(path, &corrupted)
-                } else {
-                    self.inner.write(path, &corrupted)
-                }
+                put(&corrupted)
             }
             FaultKind::Error | FaultKind::Crash => {
                 Err(io::Error::other("injected fault: I/O error"))
@@ -578,12 +697,16 @@ impl StorageIo for FaultyIo {
         self.faulty_op(|| self.inner.read(path))
     }
 
-    fn write(&self, path: &Path, data: &[u8]) -> io::Result<()> {
-        self.faulty_write(path, data, false)
+    fn read_at(&self, path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
+        self.faulty_op(|| self.inner.read_at(path, offset, len))
     }
 
-    fn append(&self, path: &Path, data: &[u8]) -> io::Result<()> {
-        self.faulty_write(path, data, true)
+    fn write(&self, path: &Path, data: &[u8]) -> io::Result<()> {
+        self.faulty_write(data, |data| self.inner.write(path, data))
+    }
+
+    fn write_at(&self, path: &Path, offset: u64, data: &[u8]) -> io::Result<()> {
+        self.faulty_write(data, |data| self.inner.write_at(path, offset, data))
     }
 
     fn sync(&self, path: &Path) -> io::Result<()> {
@@ -628,12 +751,54 @@ mod tests {
     fn mem_io_round_trip() {
         let io = MemIo::new();
         io.write(&p("/d/a"), b"hello").unwrap();
-        io.append(&p("/d/a"), b" world").unwrap();
+        io.write_at(&p("/d/a"), 5, b" world").unwrap();
         assert_eq!(io.read(&p("/d/a")).unwrap(), b"hello world");
+        io.write_at(&p("/d/a"), 0, b"J").unwrap();
+        assert_eq!(io.read_at(&p("/d/a"), 0, 5).unwrap(), b"Jello");
+        assert_eq!(io.read_at(&p("/d/a"), 6, 64).unwrap(), b"world");
+        assert!(io.read_at(&p("/d/a"), 11, 4).unwrap().is_empty());
+        assert_eq!(
+            io.read_at(&p("/d/a"), 12, 4).unwrap_err().kind(),
+            io::ErrorKind::InvalidInput
+        );
         assert!(io.read(&p("/d/missing")).is_err());
         io.truncate(&p("/d/a"), 5).unwrap();
-        assert_eq!(io.read(&p("/d/a")).unwrap(), b"hello");
+        assert_eq!(io.read(&p("/d/a")).unwrap(), b"Jello");
+        // A write past the end zero-fills the gap.
+        io.write_at(&p("/d/a"), 7, b"!").unwrap();
+        assert_eq!(io.read(&p("/d/a")).unwrap(), b"Jello\0\0!");
         assert_eq!(io.list(&p("/d")).unwrap(), vec!["a".to_string()]);
+    }
+
+    #[test]
+    fn disk_io_positioned_calls_match_mem_io() {
+        let dir = std::env::temp_dir().join(format!("pager-io-{}", std::process::id()));
+        DiskIo.create_dir_all(&dir).unwrap();
+        let path = dir.join("a");
+        for io in [&DiskIo as &dyn StorageIo, &MemIo::new()] {
+            io.write_at(&path, 3, b"xyz").unwrap();
+            io.write_at(&path, 0, b"ab").unwrap();
+            io.sync(&path).unwrap();
+            assert_eq!(io.read(&path).unwrap(), b"ab\0xyz");
+            assert_eq!(io.read_at(&path, 2, 2).unwrap(), b"\0x");
+            assert_eq!(io.read_at(&path, 4, 9).unwrap(), b"yz");
+            assert_eq!(
+                io.read_at(&path, 7, 1).unwrap_err().kind(),
+                io::ErrorKind::InvalidInput
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn disk_io_reports_a_directory_it_cannot_sync() {
+        let missing = std::env::temp_dir()
+            .join(format!("pager-io-missing-{}", std::process::id()))
+            .join("data");
+        assert_eq!(
+            DiskIo.sync_dir(&missing).unwrap_err().kind(),
+            io::ErrorKind::NotFound
+        );
     }
 
     #[test]
@@ -669,13 +834,53 @@ mod tests {
             io.write(&p("/d/wal"), b"synced").unwrap();
             io.sync(&p("/d/wal")).unwrap();
             io.sync_dir(&p("/d")).unwrap();
-            io.append(&p("/d/wal"), b"0123456789").unwrap();
+            io.write_at(&p("/d/wal"), 6, b"0123456789").unwrap();
             io.crash(seed);
             let after = io.read(&p("/d/wal")).unwrap();
             assert!(after.len() >= b"synced".len(), "synced prefix lost");
             assert!(after.len() <= b"synced0123456789".len());
             assert_eq!(&after[..4], b"sync", "synced bytes corrupted");
         }
+    }
+
+    #[test]
+    fn unsynced_overwrites_tear_independently() {
+        // Two unsynced writes into synced zeros: across seeds, each
+        // survives whole, torn or not at all, the later one sometimes
+        // without the earlier, and the synced bytes between them never
+        // change.
+        let mut later_without_earlier = false;
+        for seed in 0..64 {
+            let io = MemIo::new();
+            io.write(&p("/d/wal"), &[0; 16]).unwrap();
+            io.sync(&p("/d/wal")).unwrap();
+            io.sync_dir(&p("/d")).unwrap();
+            io.write_at(&p("/d/wal"), 2, b"abc").unwrap();
+            io.write_at(&p("/d/wal"), 10, b"xyz").unwrap();
+            io.crash(seed);
+            let after = io.read(&p("/d/wal")).unwrap();
+            assert_eq!(after.len(), 16, "seed {seed}: size changed");
+            assert!(after[5..10].iter().all(|&b| b == 0), "seed {seed}");
+            later_without_earlier |= after[2] == 0 && after[10] == b'x';
+        }
+        assert!(later_without_earlier, "runs never tore independently");
+    }
+
+    #[test]
+    fn sync_makes_overwrites_durable_and_truncation_needs_a_sync() {
+        let io = MemIo::new();
+        io.write(&p("/d/wal"), &[0; 8]).unwrap();
+        io.sync(&p("/d/wal")).unwrap();
+        io.sync_dir(&p("/d")).unwrap();
+        io.write_at(&p("/d/wal"), 0, b"frame").unwrap();
+        io.sync(&p("/d/wal")).unwrap();
+        io.truncate(&p("/d/wal"), 5).unwrap();
+        io.crash(1);
+        assert_eq!(io.read(&p("/d/wal")).unwrap(), b"frame\0\0\0");
+        io.truncate(&p("/d/wal"), 5).unwrap();
+        io.sync(&p("/d/wal")).unwrap();
+        io.crash(2);
+        assert_eq!(io.read(&p("/d/wal")).unwrap(), b"frame");
     }
 
     #[test]
@@ -732,7 +937,7 @@ mod tests {
     fn short_write_persists_a_prefix() {
         let mem = Arc::new(MemIo::new());
         let io = FaultyIo::new(Arc::clone(&mem), 0, FaultKind::ShortWrite, 42);
-        assert!(io.append(&p("/d/wal"), b"0123456789").is_err());
+        assert!(io.write_at(&p("/d/wal"), 0, b"0123456789").is_err());
         let written = mem.read(&p("/d/wal")).map_or(0, |b| b.len());
         assert!(written <= 10, "wrote more than the data");
     }
@@ -741,7 +946,7 @@ mod tests {
     fn flip_bit_corrupts_silently() {
         let mem = Arc::new(MemIo::new());
         let io = FaultyIo::new(Arc::clone(&mem), 0, FaultKind::FlipBit, 9);
-        io.append(&p("/d/wal"), &[0u8; 16]).unwrap();
+        io.write_at(&p("/d/wal"), 0, &[0u8; 16]).unwrap();
         let bytes = mem.read(&p("/d/wal")).unwrap();
         let ones: u32 = bytes.iter().map(|b| b.count_ones()).sum();
         assert_eq!(ones, 1, "exactly one flipped bit");

@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use pager_profiles::io::{FaultKind, FaultyIo, MemIo, StorageIo};
-use pager_profiles::wal::{encode_record, scan, SightingRecord};
+use pager_profiles::wal::{encode_record, nonzero_len, scan, SightingRecord};
 use pager_profiles::{DurabilityConfig, DurableError, DurableStore, FsyncPolicy, StoreConfig};
 use proptest::prelude::*;
 
@@ -63,9 +63,27 @@ proptest! {
         prop_assert_eq!(scanned.truncated_bytes, 0);
     }
 
+    /// Any valid log followed by a zero tail of any length scans to
+    /// the same records and `valid_len`, with nothing truncated: the
+    /// zeros a WAL file grows by are free space.
+    #[test]
+    fn a_zero_tail_of_any_length_is_free_space(
+        raw in proptest::collection::vec((0usize..6, 0usize..64, 0usize..64), 0..20),
+        zeros in 0usize..70_000,
+    ) {
+        let records = records_from(&raw);
+        let mut bytes = encode_all(&records);
+        let valid_len = bytes.len() as u64;
+        bytes.resize(bytes.len() + zeros, 0);
+        let scanned = scan(&bytes);
+        prop_assert_eq!(&scanned.records, &records);
+        prop_assert_eq!(scanned.valid_len, valid_len);
+        prop_assert_eq!(scanned.truncated_bytes, 0);
+    }
+
     /// Cutting the log at *any* byte yields an intact record prefix:
     /// `valid_len` covers exactly the surviving records and
-    /// `truncated_bytes` the torn tail.
+    /// `truncated_bytes` the torn tail up to its last non-zero byte.
     #[test]
     fn truncation_at_any_byte_yields_a_record_prefix(
         raw in proptest::collection::vec((0usize..6, 0usize..64, 0usize..64), 1..16),
@@ -78,7 +96,8 @@ proptest! {
         prop_assert!(scanned.records.len() <= records.len());
         prop_assert_eq!(&scanned.records[..], &records[..scanned.records.len()]);
         prop_assert!(scanned.valid_len <= cut as u64);
-        prop_assert_eq!(scanned.truncated_bytes, cut as u64 - scanned.valid_len);
+        let torn = &bytes[scanned.valid_len as usize..cut];
+        prop_assert_eq!(scanned.truncated_bytes, nonzero_len(torn) as u64);
         // valid_len is exactly the bytes of the records it vouches for.
         let reencoded = encode_all(&scanned.records);
         prop_assert_eq!(scanned.valid_len, reencoded.len() as u64);
@@ -101,17 +120,34 @@ proptest! {
         prop_assert!(scanned.records.len() < records.len(),
             "a flipped bit must invalidate at least its own frame");
         prop_assert_eq!(&scanned.records[..], &records[..scanned.records.len()]);
-        prop_assert!(scanned.valid_len + scanned.truncated_bytes == bytes.len() as u64);
+        let tail = &bytes[scanned.valid_len as usize..];
+        prop_assert_eq!(scanned.truncated_bytes, nonzero_len(tail) as u64);
     }
 }
 
-/// Drives one ingest run against a seeded fault schedule, crashes the
-/// disk, and recovers on healthy I/O. Returns nothing — panics carry
-/// the seed so any failing schedule reproduces exactly.
-fn run_schedule(seed: u64) {
+/// Storage operations in a fault-free [`run_schedule`]: 3 to open,
+/// 7 for the first ack (the zero extent's 4 chunk writes, the frame's
+/// `write_at`, its `sync` and the directory sync), 2 for each of the
+/// 11 others, 9 for the checkpoint (truncate, sync, the snapshot's 4,
+/// 2 removals, a directory sync) and 5 more for the new generation's
+/// first extent and directory sync. Seeded faults land anywhere below
+/// it.
+const INGEST_HORIZON: u64 = 46;
+
+/// Storage operations in a fault-free phase 2 of
+/// [`run_recovery_schedule`]: 4 to open (no torn tail to truncate), 3
+/// for the first ack (`write_at`, `sync`, directory sync) and 2 for
+/// each of the 3 others.
+const RECOVERY_HORIZON: u64 = 13;
+
+/// Drives one ingest run against the fault schedule `arm` puts on the
+/// disk, crashes the disk, and recovers on healthy I/O. Returns how
+/// many operations the faulty disk saw — panics carry the seed so any
+/// failing schedule reproduces exactly.
+fn run_schedule(seed: u64, arm: impl FnOnce(Arc<MemIo>) -> FaultyIo) -> u64 {
     let dir = PathBuf::from("/fault-data");
     let mem = Arc::new(MemIo::new());
-    let faulty = Arc::new(FaultyIo::from_seed(Arc::clone(&mem), seed, 40));
+    let faulty = Arc::new(arm(Arc::clone(&mem)));
     let kind = faulty.kind();
     let config = DurabilityConfig {
         fsync: FsyncPolicy::Always,
@@ -150,6 +186,7 @@ fn run_schedule(seed: u64) {
     }
 
     // Power cut, then reboot on a healthy disk.
+    let ops = faulty.ops();
     mem.crash(seed);
     let healthy: Arc<dyn StorageIo> = mem;
     let (recovered, report) = DurableStore::open(healthy, &dir, StoreConfig::default(), config)
@@ -188,6 +225,12 @@ fn run_schedule(seed: u64) {
         fresh[0].1 > 0 && fresh[0].1 >= report.recovered_records.min(floor),
         "seed {seed}: version counter regressed after recovery"
     );
+    ops
+}
+
+/// A disk that never faults but counts operations.
+fn fault_free(mem: Arc<MemIo>) -> FaultyIo {
+    FaultyIo::new(mem, u64::MAX, FaultKind::Error, 0)
 }
 
 /// The acceptance matrix: 64 seeded schedules (operation index and
@@ -196,8 +239,18 @@ fn run_schedule(seed: u64) {
 #[test]
 fn recovery_survives_a_seeded_fault_schedule_matrix() {
     for seed in 0..64 {
-        run_schedule(seed);
+        run_schedule(seed, |mem| FaultyIo::from_seed(mem, seed, INGEST_HORIZON));
     }
+}
+
+/// Both matrices draw fault points from every operation their runs
+/// issue — the extent writes and syncs, the positioned frame writes
+/// and their data syncs, the checkpoint's truncation — and from no
+/// point past them.
+#[test]
+fn seeded_horizons_cover_every_operation() {
+    assert_eq!(run_schedule(0, fault_free), INGEST_HORIZON);
+    assert_eq!(run_recovery_schedule(0, fault_free), RECOVERY_HORIZON);
 }
 
 /// Drives one schedule where the fault is armed during *recovery*
@@ -209,7 +262,7 @@ fn recovery_survives_a_seeded_fault_schedule_matrix() {
 /// loudly (a transient read error must not silently fall back to stale
 /// state) or recovers correctly; either way the healthy reopen sees
 /// every pre-fault acked record.
-fn run_recovery_schedule(seed: u64) {
+fn run_recovery_schedule(seed: u64, arm: impl FnOnce(Arc<MemIo>) -> FaultyIo) -> u64 {
     let dir = PathBuf::from("/fault-recovery");
     let mem = Arc::new(MemIo::new());
     let config = DurabilityConfig {
@@ -246,7 +299,7 @@ fn run_recovery_schedule(seed: u64) {
     mem.crash(seed);
 
     // Phase 2: recovery and follow-up ingest on a faulty disk.
-    let faulty = Arc::new(FaultyIo::from_seed(Arc::clone(&mem), seed, 20));
+    let faulty = Arc::new(arm(Arc::clone(&mem)));
     let kind = faulty.kind();
     let mut late_acked: Vec<String> = Vec::new();
     match DurableStore::open(
@@ -278,6 +331,7 @@ fn run_recovery_schedule(seed: u64) {
             }
         }
     }
+    let ops = faulty.ops();
     mem.crash(seed ^ 0xBEEF);
 
     // Phase 3: healthy reopen. Pre-fault acks must always be there —
@@ -306,6 +360,7 @@ fn run_recovery_schedule(seed: u64) {
             );
         }
     }
+    ops
 }
 
 /// Recovery-time counterpart of the ingest-time matrix: 64 seeded
@@ -314,6 +369,6 @@ fn run_recovery_schedule(seed: u64) {
 #[test]
 fn recovery_time_faults_never_lose_previously_acked_records() {
     for seed in 0..64 {
-        run_recovery_schedule(seed);
+        run_recovery_schedule(seed, |mem| FaultyIo::from_seed(mem, seed, RECOVERY_HORIZON));
     }
 }

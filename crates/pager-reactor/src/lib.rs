@@ -5,11 +5,11 @@
 //! sockets, far short of the million-user north star. This crate is
 //! the enabling subsystem for a readiness-driven transport:
 //!
-//! * [`sys`] — a minimal in-tree FFI shim over the handful of Linux
+//! * `sys` — a minimal in-tree FFI shim over the handful of Linux
 //!   syscalls we need (`epoll_create1`, `epoll_ctl`, `epoll_wait`,
 //!   `eventfd`). No external crates, honouring the offline build.
 //! * [`poller`] — safe wrapper: register/modify/deregister fds with an
-//!   [`Interest`](poller::Interest) (edge- or level-triggered, and
+//!   [`Interest`] (edge- or level-triggered, and
 //!   `EPOLLEXCLUSIVE` so one listener can be shared by every shard
 //!   without thundering herds).
 //! * [`waker`] — an `eventfd`-backed cross-thread wakeup handle, so

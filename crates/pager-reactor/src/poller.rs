@@ -105,7 +105,7 @@ impl Poller {
 
     /// Blocks until readiness or `timeout` (forever when `None`),
     /// appending decoded events to `out`. Returns how many arrived.
-    /// Signal interruptions are retried inside [`sys::epoll_wait_events`]
+    /// Signal interruptions are retried inside `sys::epoll_wait_events`
     /// with the same timeout, so `Ok(0)` always means the timeout (or a
     /// spurious wakeup), never a swallowed `EINTR`.
     pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {

@@ -1383,14 +1383,17 @@ mod tests {
         }
         mem.crash(17);
         // A torn frame header after the last acked record: recovery
-        // replays both records and truncates the tail.
+        // replays both records and zeroes the torn bytes.
         let data = std::path::Path::new("/svc-data");
         let wal = mem
             .list(data)
             .unwrap()
             .into_iter()
-            .find(|n| n.starts_with("wal."));
-        mem.append(&data.join(wal.unwrap()), &[0xFF; 5]).unwrap();
+            .find(|n| n.starts_with("wal."))
+            .map(|name| data.join(name))
+            .unwrap();
+        let end = pager_profiles::wal::scan(&mem.read(&wal).unwrap()).valid_len;
+        mem.write_at(&wal, end, &[0xFF; 5]).unwrap();
         let svc = PagerService::try_new(durable_config(
             Arc::<pager_profiles::io::MemIo>::clone(&mem),
             0,

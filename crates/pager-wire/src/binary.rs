@@ -11,7 +11,7 @@
 //! The plan-request payload is designed for *zero-copy* serving:
 //! [`PlanFrameView`] borrows the payload, exposes the fields and the
 //! probability matrix without materialising an
-//! [`Instance`](pager_core::Instance), and computes the same cache
+//! [`Instance`], and computes the same cache
 //! fingerprint the service derives from a parsed instance — so a
 //! cache-hit plan can be answered without a single heap allocation.
 //!
