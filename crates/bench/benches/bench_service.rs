@@ -3,15 +3,18 @@
 //! The interesting ratios are cache-hit vs cold-plan latency per tier
 //! (the hit path is a shard lock + `HashMap` probe + `Arc` clone) and
 //! the cost of computing the quantised fingerprint itself, which is
-//! paid on every cacheable request.
+//! paid on every cacheable request. `service_plan_devices` times the
+//! profile path in perfbench's node-mixed shape, where every plan's
+//! key is dead by the next observe.
 
 use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use pager_core::{Delay, Instance};
+use pager_profiles::{Estimator, Sighting};
 use pager_service::{PagerService, PlanSpec, ServiceConfig, TierPolicy, Variant};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use workloads::{DistributionFamily, InstanceGenerator};
 
 fn instance(m: usize, c: usize, seed: u64) -> Instance {
@@ -99,10 +102,70 @@ fn bench_concurrent_hits(crit: &mut Criterion) {
     service.shutdown();
 }
 
+/// One observe, then one `plan_devices` for a conference group, per
+/// iteration: an in-memory service holding 2,016 devices over 16 cells
+/// in groups of 2–4, planned under delays 2–4 (perfbench's node-mixed
+/// shape, without the wire and the WAL).
+fn bench_plan_devices(crit: &mut Criterion) {
+    const CELLS: usize = 16;
+    const DEVICES: usize = 2_016;
+    let mut group = crit.benchmark_group("service_plan_devices");
+    let service = PagerService::new(ServiceConfig::default());
+    let mut rng = StdRng::seed_from_u64(26);
+    let names: Vec<String> = (0..DEVICES).map(|d| format!("dev-{d}")).collect();
+    let mut groups: Vec<Vec<&str>> = Vec::new();
+    let mut next = 0;
+    while next < DEVICES {
+        let size = rng.gen_range(2..=4usize).min(DEVICES - next);
+        groups.push(
+            names[next..next + size]
+                .iter()
+                .map(String::as_str)
+                .collect(),
+        );
+        next += size;
+    }
+    let mut time = 0u32;
+    for _ in 0..4 {
+        let batch: Vec<Sighting> = names
+            .iter()
+            .map(|device| Sighting {
+                device: device.clone(),
+                cell: rng.gen_range(0..CELLS),
+                time: f64::from(time),
+            })
+            .collect();
+        service.observe(CELLS, &batch).unwrap();
+        time += 1;
+    }
+    group.bench_function("observe_then_plan", |b| {
+        b.iter(|| {
+            let sighting = Sighting {
+                device: names[rng.gen_range(0..DEVICES)].clone(),
+                cell: rng.gen_range(0..CELLS),
+                time: f64::from(time),
+            };
+            service.observe(CELLS, &[sighting]).unwrap();
+            let devices = &groups[rng.gen_range(0..groups.len())];
+            let spec = PlanSpec::new(Delay::new(rng.gen_range(2..=4)).unwrap());
+            let now = Some(f64::from(time));
+            time += 1;
+            black_box(
+                service
+                    .plan_devices(devices, Estimator::Empirical, now, spec)
+                    .unwrap(),
+            )
+        });
+    });
+    group.finish();
+    service.shutdown();
+}
+
 criterion_group!(
     benches,
     bench_hit_vs_cold,
     bench_fingerprint,
-    bench_concurrent_hits
+    bench_concurrent_hits,
+    bench_plan_devices
 );
 criterion_main!(benches);

@@ -74,12 +74,6 @@ impl<K: Eq + Hash + Clone, V> ShardedCache<K, V> {
         }
     }
 
-    /// Number of shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Total entries evicted since creation.
     #[must_use]
     pub fn evictions(&self) -> u64 {

@@ -39,7 +39,8 @@
 //!   [`PagerService::observe`] / [`PagerService::plan_devices`]) —
 //!   devices stream in sightings and plans are requested by device
 //!   *name*; profile versions join the cache key so an update can
-//!   never be answered with a strategy planned from older data.
+//!   never be answered with a strategy planned from older data, and a
+//!   plan cheap enough to solve inline is not stored at all.
 //! * **Wire protocol** ([`proto`], [`server`]) — the typed
 //!   [`pager_wire`] request/response surface in both its encodings,
 //!   v1 JSON lines and v2 binary frames (detected per message; see

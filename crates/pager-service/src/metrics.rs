@@ -37,8 +37,16 @@ jsonio::registry! {
         requests: Counter,
         /// Requests answered straight from the strategy cache.
         cache_hits: Counter,
-        /// Requests that had to plan (or join an in-flight plan).
+        /// Cache probes that missed, so the request had to plan (or join
+        /// an in-flight plan).
         cache_misses: Counter,
+        /// The `plan_devices` share of `cache_hits`: hits on a key
+        /// holding profile versions.
+        plan_devices_cache_hits: Counter,
+        /// The `plan_devices` share of `cache_misses`. A device plan the
+        /// cost gate solves inline is never stored, so it counts in
+        /// neither.
+        plan_devices_cache_misses: Counter,
         /// Requests that joined an identical in-flight computation
         /// instead of planning again.
         coalesced: Counter,

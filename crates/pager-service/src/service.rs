@@ -197,8 +197,9 @@ pub struct DevicePlanResponse {
     /// The plan, as for a matrix request.
     pub response: PlanResponse,
     /// The profile version each device's row was built from (same
-    /// order as the requested devices). These are part of the cache
-    /// key: a later sighting bumps them and forces a re-plan.
+    /// order as the requested devices). These are part of a stored
+    /// plan's cache key: a later sighting bumps them and forces a
+    /// re-plan.
     pub versions: Vec<u64>,
     /// How many of the devices were stale (staleness weight below ½)
     /// when the plan was built.
@@ -338,13 +339,14 @@ impl PagerService {
 
     /// The metrics dump behind the `metrics` op, the node `stats` op
     /// and `pager-serve --metrics-json`: the service's registry, then
-    /// the registries their owners keep, read now — cache evictions,
-    /// the profile store's counters and the WAL's (all zero without a
-    /// data directory) — then the degraded flag.
+    /// the registries their owners keep, read now — cache evictions and
+    /// live entries, the profile store's counters and the WAL's (all
+    /// zero without a data directory) — then the degraded flag.
     #[must_use]
     pub fn metrics_json(&self) -> Value {
         let mut entries = self.metrics.entries();
         entries.push(("evictions", Value::from(self.cache.evictions())));
+        entries.push(("cache_entries", Value::from(self.cache.len() as u64)));
         entries.extend(self.profiles.metrics().entries());
         entries.extend(self.durable.as_ref().map_or_else(
             || WalMetrics::default().entries(),
@@ -461,13 +463,6 @@ impl PagerService {
         })
     }
 
-    /// The cache key for a request, exposed so tests and tools can
-    /// reason about hit behaviour.
-    #[must_use]
-    pub fn cache_key(&self, instance: &Instance, spec: &PlanSpec) -> PlanKey {
-        self.derive_key(instance, spec, 0, &[]).0
-    }
-
     /// The single place cache keys (and their shard fingerprints) are
     /// derived. Both the matrix and the profile-driven paths funnel
     /// through here, so key composition cannot drift between them.
@@ -528,6 +523,27 @@ impl PagerService {
         Planned::Blocking(Box::new(move || {
             pool::solve(&instance, delay, variant, deadline, &policy, &metrics, None).map(fresh)
         }))
+    }
+
+    /// Solves a cacheable request whose cost passed the gate of
+    /// [`crate::planner::INLINE_SOLVE_OPS`] on the calling thread,
+    /// storing it in `slot` if given, unless shutdown has begun.
+    /// Cheaper than admission itself: no queue, so never shed and never
+    /// coalesced (an identical key is never in flight, since its cost —
+    /// hence this path — is the same).
+    fn solve_now(
+        &self,
+        instance: &Instance,
+        spec: &PlanSpec,
+        deadline: Deadline,
+        slot: Option<(&ShardedCache<PlanKey, Plan>, u64, PlanKey)>,
+    ) -> Planned<PlanResponse> {
+        if self.dispatcher.closed() {
+            return Planned::Now(Err(ServiceError::Internal(
+                "service is shutting down".into(),
+            )));
+        }
+        Planned::Now(self.solve_inline(instance, spec, deadline, slot))
     }
 
     /// Solves a miss whose cost passed the gate of
@@ -651,8 +667,13 @@ impl PagerService {
         deadline: Deadline,
         later: impl FnOnce() -> Callback<PlanResponse>,
     ) -> Planned<PlanResponse> {
+        // Only a `plan_devices` key carries an estimator tag.
+        let versioned = key.estimator != 0;
         if let Some(hit) = self.cache.get(fingerprint, &key) {
             self.metrics.cache_hits.inc();
+            if versioned {
+                self.metrics.plan_devices_cache_hits.inc();
+            }
             return Planned::Now(Ok(PlanResponse {
                 plan: hit,
                 cached: true,
@@ -660,17 +681,16 @@ impl PagerService {
             }));
         }
         self.metrics.cache_misses.inc();
+        if versioned {
+            self.metrics.plan_devices_cache_misses.inc();
+        }
         if solves_inline(instance, spec.delay(), spec.variant(), &self.config.policy) {
-            // Cheaper than admission itself: no queue, so never shed
-            // and never coalesced (an identical key is never in flight,
-            // since its cost — hence this branch — is the same).
-            if self.dispatcher.closed() {
-                return Planned::Now(Err(ServiceError::Internal(
-                    "service is shutting down".into(),
-                )));
-            }
-            let slot = Some((&*self.cache, fingerprint, key));
-            return Planned::Now(self.solve_inline(instance, spec, deadline, slot));
+            return self.solve_now(
+                instance,
+                spec,
+                deadline,
+                Some((&*self.cache, fingerprint, key)),
+            );
         }
         let complete = later();
         let waiter = Waiter {
@@ -764,7 +784,10 @@ impl PagerService {
     /// The per-device profile versions join the cache key and its
     /// fingerprint, so a sighting ingested between two otherwise
     /// identical requests forces a fresh plan — a stale cached
-    /// strategy is unreachable by construction.
+    /// strategy is unreachable by construction. A plan the cost gate
+    /// solves on the calling thread is not stored at all: the next
+    /// sighting of any of its devices would make the entry unservable,
+    /// and the solve costs less than deriving its key.
     ///
     /// # Errors
     ///
@@ -788,7 +811,7 @@ impl PagerService {
     /// thread; same three outcomes as [`PagerService::plan_async`].
     /// Profile resolution (cheap, pure in-memory) happens on the
     /// calling thread; only a solve the cost gate does not pass is
-    /// deferred.
+    /// deferred, and only such a solve touches the strategy cache.
     pub(crate) fn plan_devices_async(
         &self,
         devices: &[&str],
@@ -819,9 +842,13 @@ impl PagerService {
                 .stale_profiles_served
                 .add(stale_profiles as u64);
         }
-        let slot = spec
-            .cache_enabled()
-            .then(|| self.derive_key(&instance, &spec, estimator.tag() + 1, &versions));
+        // Theorem 4.8's price decides whether the answer is stored, not
+        // only where it is solved: a cheap plan is keyed by versions the
+        // next observe bumps, so storing it buys an entry that cannot hit.
+        let stored = spec.cache_enabled()
+            && !solves_inline(&instance, spec.delay(), spec.variant(), &self.config.policy);
+        let slot =
+            stored.then(|| self.derive_key(&instance, &spec, estimator.tag() + 1, &versions));
         let device = move |response| DevicePlanResponse {
             response,
             versions,
@@ -829,7 +856,6 @@ impl PagerService {
             now,
         };
         let planned = match slot {
-            None => self.plan_uncached(&instance, &spec, deadline),
             Some((key, fingerprint)) => {
                 self.plan_via_cache(key, fingerprint, &instance, &spec, deadline, || {
                     let complete = later();
@@ -837,6 +863,8 @@ impl PagerService {
                     Box::new(move |result| complete(result.map(device)))
                 })
             }
+            None if spec.cache_enabled() => self.solve_now(&instance, &spec, deadline, None),
+            None => self.plan_uncached(&instance, &spec, deadline),
         };
         planned.map(device)
     }
@@ -1024,8 +1052,8 @@ mod tests {
         let patient = PlanSpec::new(d).with_deadline_ms(60_000);
         let hurried = PlanSpec::new(d).with_deadline_ms(17);
         assert_eq!(
-            svc.cache_key(&inst(), &patient),
-            svc.cache_key(&inst(), &hurried)
+            svc.derive_key(&inst(), &patient, 0, &[]),
+            svc.derive_key(&inst(), &hurried, 0, &[])
         );
         assert!(!svc.plan(&inst(), patient).unwrap().cached);
         assert!(svc.plan(&inst(), hurried).unwrap().cached);
@@ -1350,6 +1378,160 @@ mod tests {
             .plan_devices(&["a", "b"], Estimator::Markov, Some(19.0), spec)
             .unwrap();
         assert!(!markov.response.cached);
+    }
+
+    /// A service whose profile store holds `devices` devices over
+    /// `cells` cells, each seen in a few cells so its row is not
+    /// uniform.
+    fn observed(devices: &[&str], cells: usize) -> PagerService {
+        let svc = service();
+        for t in 0..4 * cells {
+            let batch: Vec<_> = devices
+                .iter()
+                .enumerate()
+                .map(|(i, d)| sighting(d, (t * (i + 1)) % cells, t as f64))
+                .collect();
+            svc.observe(cells, &batch).unwrap();
+        }
+        svc
+    }
+
+    #[test]
+    fn a_cheap_device_plan_is_solved_and_not_stored() {
+        let devices = ["a", "b", "c"];
+        let svc = observed(&devices, 16);
+        let now = Some(100.0);
+        let spec = PlanSpec::new(Delay::new(3).unwrap());
+        let (instance, versions, _) = svc
+            .profiles()
+            .instance_for(&devices, Estimator::Empirical, now)
+            .unwrap();
+        let policy = svc.config.policy;
+        assert_eq!(
+            solve_cost(&instance, spec.delay(), spec.variant(), &policy),
+            Some(16 * (3 + 3 * 16))
+        );
+        let direct = crate::planner::plan(
+            &instance,
+            spec.delay(),
+            spec.variant(),
+            &policy,
+            &Deadline::unbounded().token(),
+        )
+        .unwrap();
+        for _ in 0..2 {
+            let served = svc
+                .plan_devices(&devices, Estimator::Empirical, now, spec)
+                .unwrap();
+            assert!(!served.response.cached && !served.response.coalesced);
+            assert_eq!(served.versions, versions, "same versions both times");
+            assert_eq!(served.response.plan.strategy, direct.strategy);
+            assert_eq!(
+                served.response.plan.expected_paging.to_bits(),
+                direct.expected_paging.to_bits()
+            );
+        }
+        assert_eq!(svc.cached_strategies(), 0);
+        assert_eq!(svc.metrics().solved_inline.get(), 2);
+        assert_eq!(svc.metrics().cache_misses.get(), 0);
+        assert_eq!(svc.metrics().requests.get(), 2);
+        assert_eq!(dumped(&svc, "cache_entries"), 0);
+    }
+
+    #[test]
+    fn a_device_plan_one_operation_over_the_bound_is_stored() {
+        let devices = ["a", "b"];
+        let svc = observed(&devices, 32);
+        let policy = svc.config.policy;
+        let now = Some(200.0);
+        let (instance, _, _) = svc
+            .profiles()
+            .instance_for(&devices, Estimator::Empirical, now)
+            .unwrap();
+        let spec = |d| PlanSpec::new(Delay::new(d).unwrap());
+        // 32·(2 + 3·32) = 3,136: within the bound, solved and not stored.
+        let at = spec(3);
+        assert_eq!(
+            solve_cost(&instance, at.delay(), at.variant(), &policy),
+            Some(3_136)
+        );
+        const { assert!(3_136 <= INLINE_SOLVE_OPS) };
+        let served = svc
+            .plan_devices(&devices, Estimator::Empirical, now, at)
+            .unwrap();
+        assert!(!served.response.cached);
+        assert_eq!(svc.cached_strategies(), 0);
+        assert_eq!(svc.metrics().solved_inline.get(), 1);
+        // 32·(2 + 4·32) = 4,160: over it, so keyed, queued and stored.
+        let over = spec(4);
+        assert_eq!(
+            solve_cost(&instance, over.delay(), over.variant(), &policy),
+            Some(4_160)
+        );
+        const { assert!(4_160 > INLINE_SOLVE_OPS) };
+        let first = svc
+            .plan_devices(&devices, Estimator::Empirical, now, over)
+            .unwrap();
+        assert!(!first.response.cached);
+        assert_eq!(svc.cached_strategies(), 1);
+        let again = svc
+            .plan_devices(&devices, Estimator::Empirical, now, over)
+            .unwrap();
+        assert!(again.response.cached);
+        assert!(Arc::ptr_eq(&first.response.plan, &again.response.plan));
+        assert_eq!(svc.metrics().solved_inline.get(), 1);
+        assert_eq!(dumped(&svc, "plan_devices_cache_misses"), 1);
+        assert_eq!(dumped(&svc, "plan_devices_cache_hits"), 1);
+    }
+
+    #[test]
+    fn observe_and_cheap_plan_churn_leaves_the_cache_empty() {
+        let devices = ["a", "b", "c"];
+        let svc = observed(&devices, 16);
+        let spec = PlanSpec::new(Delay::new(2).unwrap());
+        for round in 0..1_000usize {
+            let device = devices[round % devices.len()];
+            let time = 100.0 + round as f64;
+            svc.observe(16, &[sighting(device, round % 16, time)])
+                .unwrap();
+            let served = svc
+                .plan_devices(&devices, Estimator::Empirical, None, spec)
+                .unwrap();
+            assert!(!served.response.cached);
+        }
+        assert_eq!(dumped(&svc, "cache_entries"), 0);
+        assert_eq!(dumped(&svc, "evictions"), 0);
+        assert_eq!(dumped(&svc, "solved_inline"), 1_000);
+        assert_eq!(dumped(&svc, "plan_devices_cache_misses"), 0);
+    }
+
+    #[test]
+    fn a_cheap_device_plan_after_shutdown_is_refused() {
+        let devices = ["a", "b"];
+        let svc = observed(&devices, 16);
+        svc.shutdown();
+        let spec = PlanSpec::new(Delay::new(2).unwrap());
+        let refused = svc.plan_devices(&devices, Estimator::Empirical, None, spec);
+        assert_eq!(refused.err().map(|e| e.code()), Some("internal"));
+        assert_eq!(svc.metrics().solved_inline.get(), 0);
+    }
+
+    #[test]
+    fn cache_counters_split_by_op() {
+        let svc = observed(&["a", "b"], 4);
+        // Four cells and two devices take the exact tier, which is
+        // priced over the bound: these device plans are stored.
+        let spec = PlanSpec::new(Delay::new(2).unwrap());
+        for _ in 0..2 {
+            svc.plan_devices(&["a", "b"], Estimator::Empirical, None, spec)
+                .unwrap();
+            svc.plan(&inst(), spec).unwrap();
+        }
+        assert_eq!(dumped(&svc, "cache_hits"), 2);
+        assert_eq!(dumped(&svc, "cache_misses"), 2);
+        assert_eq!(dumped(&svc, "plan_devices_cache_hits"), 1);
+        assert_eq!(dumped(&svc, "plan_devices_cache_misses"), 1);
+        assert_eq!(dumped(&svc, "cache_entries"), 2);
     }
 
     fn durable_config(io: Arc<dyn StorageIo>, checkpoint_every: u64) -> ServiceConfig {

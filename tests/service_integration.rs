@@ -193,6 +193,73 @@ fn observe_then_plan_devices_over_tcp() {
     );
 }
 
+/// The profile path's storage rule over the real binary: with three
+/// observes per `plan_devices` at c = 16, as in perfbench's node-mixed
+/// mix, every plan is a cheap greedy solve whose key the next observe
+/// would kill, so none is stored and the cache stays empty.
+#[test]
+fn cheap_device_plans_leave_the_cache_empty_over_tcp() {
+    const CELLS: usize = 16;
+    const DEVICES: usize = 24;
+    let server = Server::spawn();
+    let mut conn = server.connect();
+    let mut rng = StdRng::seed_from_u64(26);
+    let sightings = |time: usize, devices: &[usize], rng: &mut StdRng| {
+        let items: Vec<String> = devices
+            .iter()
+            .map(|d| {
+                let cell = rng.gen_range(0..CELLS);
+                format!(r#"{{"device": "dev-{d}", "cell": {cell}, "time": {time}.0}}"#)
+            })
+            .collect();
+        format!(
+            r#"{{"cmd": "observe", "cells": {CELLS}, "sightings": [{}]}}"#,
+            items.join(", ")
+        )
+    };
+    let everyone: Vec<usize> = (0..DEVICES).collect();
+    for time in 0..8 {
+        let preload = conn.round_trip(&sightings(time, &everyone, &mut rng));
+        assert_eq!(preload.get("ok").and_then(Value::as_bool), Some(true));
+    }
+    let mut plans = 0u64;
+    for line in 0..2_000usize {
+        let time = 8 + line;
+        let request = if line % 4 == 3 {
+            plans += 1;
+            let size: usize = rng.gen_range(2..=4);
+            let first = rng.gen_range(0..DEVICES - size);
+            let devices: Vec<String> = (first..first + size)
+                .map(|d| format!(r#""dev-{d}""#))
+                .collect();
+            let delay = rng.gen_range(2..=4);
+            format!(
+                r#"{{"cmd": "plan_devices", "devices": [{}], "delay": {delay}, "now": {time}.0}}"#,
+                devices.join(", ")
+            )
+        } else {
+            sightings(time, &[rng.gen_range(0..DEVICES)], &mut rng)
+        };
+        let response = conn.round_trip(&request);
+        assert_eq!(
+            response.get("ok").and_then(Value::as_bool),
+            Some(true),
+            "{request} -> {response}"
+        );
+        if line % 4 == 3 {
+            assert_eq!(response.get("cached").and_then(Value::as_bool), Some(false));
+        }
+    }
+    let metrics = conn.round_trip(r#"{"cmd": "metrics"}"#);
+    let metrics = metrics.get("metrics").expect("metrics payload");
+    let counter = |name: &str| metrics.get(name).and_then(Value::as_u64);
+    assert_eq!(counter("cache_entries"), Some(0), "{metrics}");
+    assert_eq!(counter("cache_misses"), Some(0), "{metrics}");
+    assert_eq!(counter("plan_devices_cache_misses"), Some(0), "{metrics}");
+    assert_eq!(counter("solved_inline"), Some(plans), "{metrics}");
+    assert_eq!(counter("evictions"), Some(0), "{metrics}");
+}
+
 /// Appends one `path kind` line per node of `value` (objects
 /// recurse; arrays are leaves).
 fn shape_lines(path: &str, value: &Value, out: &mut Vec<String>) {
