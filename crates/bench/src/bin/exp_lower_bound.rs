@@ -7,7 +7,7 @@
 
 use pager_core::lower_bound_instance as lbi;
 use pager_core::optimal::optimal_two_round_exact;
-use pager_core::{greedy_strategy_exact, Delay};
+use pager_core::{greedy_strategy_planned, Delay};
 
 fn main() {
     println!("E5: the m = 2, c = 8, d = 2 instance of Section 4.3\n");
@@ -19,7 +19,7 @@ fn main() {
     }
     println!();
 
-    let heur = greedy_strategy_exact(&exact, Delay::new(2).expect("d"));
+    let heur = greedy_strategy_planned(&exact, Delay::new(2).expect("d"));
     let opt = optimal_two_round_exact(&exact).expect("c = 8");
     println!("heuristic strategy : {}", heur.strategy);
     println!(
@@ -45,7 +45,7 @@ fn main() {
     );
     for denom in [1_000i64, 10_000, 100_000, 1_000_000] {
         let p = lbi::perturbed_exact(denom);
-        let heur = greedy_strategy_exact(&p, Delay::new(2).expect("d"));
+        let heur = greedy_strategy_planned(&p, Delay::new(2).expect("d"));
         let opt = optimal_two_round_exact(&p).expect("c = 8");
         let ratio = (&heur.expected_paging / &opt.expected_paging).to_f64();
         println!(

@@ -4,14 +4,11 @@
 //! subset DP) and the serving layer plans under *deadlines*: a plan
 //! whose budget expired mid-solve is worthless, so the solver should
 //! stop burning CPU and let the caller downgrade to the greedy tier.
-//! [`CancelToken`] carries that intent: a deadline, an externally
-//! settable flag, or both. Solvers poll it at coarse checkpoints
-//! (every [`CHECKPOINT_STRIDE`] inner-loop iterations) and return
-//! [`crate::Error::Cancelled`] once it fires — cooperative, so a
-//! token can never tear a solver down mid-write.
+//! [`CancelToken`] carries that intent as an optional deadline. Solvers
+//! poll it at coarse checkpoints (every [`CHECKPOINT_STRIDE`] inner-loop
+//! iterations) and return [`crate::Error::Cancelled`] once it fires —
+//! cooperative, so a token can never tear a solver down mid-write.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How many cheap inner-loop iterations a solver runs between
@@ -23,9 +20,7 @@ pub const CHECKPOINT_STRIDE: u32 = 4096;
 /// A cooperative cancellation token.
 ///
 /// Cheap to clone and share across threads. A token fires when its
-/// deadline passes or its shared flag is raised, whichever happens
-/// first; a token with neither never fires and compiles down to two
-/// branch-free checks.
+/// deadline passes; a token without one never fires.
 ///
 /// # Examples
 ///
@@ -42,7 +37,6 @@ pub const CHECKPOINT_STRIDE: u32 = 4096;
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     deadline: Option<Instant>,
-    flag: Option<Arc<AtomicBool>>,
 }
 
 impl CancelToken {
@@ -58,7 +52,6 @@ impl CancelToken {
     pub fn with_deadline(deadline: Instant) -> CancelToken {
         CancelToken {
             deadline: Some(deadline),
-            flag: None,
         }
     }
 
@@ -68,45 +61,9 @@ impl CancelToken {
         CancelToken::with_deadline(Instant::now() + budget)
     }
 
-    /// A token driven by a shared flag (raise it with
-    /// [`CancelToken::cancel`] from any clone).
-    #[must_use]
-    pub fn with_flag() -> CancelToken {
-        CancelToken {
-            deadline: None,
-            flag: Some(Arc::new(AtomicBool::new(false))),
-        }
-    }
-
-    /// Adds a deadline to an existing token, keeping its flag. The
-    /// earlier of an existing and the new deadline wins.
-    #[must_use]
-    pub fn and_deadline(mut self, deadline: Instant) -> CancelToken {
-        self.deadline = Some(match self.deadline {
-            Some(existing) => existing.min(deadline),
-            None => deadline,
-        });
-        self
-    }
-
-    /// Raises the shared flag. No-op on tokens without one.
-    pub fn cancel(&self) {
-        if let Some(flag) = &self.flag {
-            // Release pairs with the Acquire in `is_cancelled`: writes
-            // made before cancelling are visible to the solver that
-            // observes the flag.
-            flag.store(true, Ordering::Release);
-        }
-    }
-
-    /// Whether the token has fired (flag raised or deadline passed).
+    /// Whether the token has fired (its deadline passed).
     #[must_use]
     pub fn is_cancelled(&self) -> bool {
-        if let Some(flag) = &self.flag {
-            if flag.load(Ordering::Acquire) {
-                return true;
-            }
-        }
         match self.deadline {
             Some(deadline) => Instant::now() >= deadline,
             None => false,
@@ -164,7 +121,6 @@ mod tests {
             assert!(t.checkpoint(&mut ticks).is_ok());
         }
         assert!(t.check().is_ok());
-        t.cancel(); // no flag: no-op
         assert!(!t.is_cancelled());
     }
 
@@ -180,25 +136,6 @@ mod tests {
         let t = CancelToken::with_timeout(Duration::from_secs(3600));
         assert!(!t.is_cancelled());
         assert!(t.deadline().is_some());
-    }
-
-    #[test]
-    fn flag_fires_across_clones() {
-        let t = CancelToken::with_flag();
-        let clone = t.clone();
-        assert!(!clone.is_cancelled());
-        t.cancel();
-        assert!(clone.is_cancelled());
-    }
-
-    #[test]
-    fn and_deadline_keeps_earlier() {
-        let soon = Instant::now();
-        let later = soon + Duration::from_secs(60);
-        let t = CancelToken::with_deadline(later).and_deadline(soon);
-        assert_eq!(t.deadline(), Some(soon));
-        let t2 = CancelToken::with_deadline(soon).and_deadline(later);
-        assert_eq!(t2.deadline(), Some(soon));
     }
 
     #[test]

@@ -16,99 +16,16 @@
 //! so the optimal cut maximises the *savings* `Σ s_{r+1} G(j_r)`. This
 //! module solves that maximisation in `O(d·c²)` time and `O(d·c)` space,
 //! optionally under a per-round bandwidth cap (Section 5 extension). It
-//! is generic over [`Scalar`]: `f64` serves plans, and [`Ratio`]
+//! is generic over [`Scalar`]: `f64` serves plans, and [`rational::Ratio`]
 //! certifies them exactly. The paper's literal Fig. 1 pseudocode — an
 //! equivalent conditional-expectation formulation — lives in
 //! [`crate::fig1`] and is tested to agree with this engine.
 
-use std::cell::RefCell;
 use std::convert::Infallible;
 
 use crate::cancel::CancelToken;
 use crate::error::Result;
-use rational::Ratio;
-
-/// The arithmetic the cut DP and the stop probabilities run on. Sealed:
-/// only `f64` and [`Ratio`] implement it.
-pub trait Scalar: Clone + PartialOrd + sealed::Tables {
-    /// The additive identity.
-    fn zero() -> Self;
-    /// The multiplicative identity.
-    fn one() -> Self;
-    /// `self + rhs`.
-    fn add(&self, rhs: &Self) -> Self;
-    /// `self · rhs`.
-    fn mul(&self, rhs: &Self) -> Self;
-    /// `count · self`.
-    fn times(&self, count: usize) -> Self;
-}
-
-mod sealed {
-    /// Where a [`super::Scalar`] keeps the DP's tables, off the public trait.
-    pub trait Tables: Sized {
-        /// Runs `f` on the DP's savings and cut tables, which the DP clears
-        /// and resizes before use. The default allocates them per call.
-        fn with_tables<R>(f: impl FnOnce(&mut Vec<Self>, &mut Vec<usize>) -> R) -> R {
-            f(&mut Vec::new(), &mut Vec::new())
-        }
-    }
-}
-
-thread_local! {
-    static F64_TABLES: RefCell<(Vec<f64>, Vec<usize>)> = RefCell::default();
-}
-
-impl Scalar for f64 {
-    fn zero() -> f64 {
-        0.0
-    }
-    fn one() -> f64 {
-        1.0
-    }
-    fn add(&self, rhs: &f64) -> f64 {
-        self + rhs
-    }
-    fn mul(&self, rhs: &f64) -> f64 {
-        self * rhs
-    }
-    fn times(&self, count: usize) -> f64 {
-        count as f64 * self
-    }
-}
-
-impl sealed::Tables for f64 {
-    /// The float DP runs on every greedy/bandwidth-tier plan, and its
-    /// tables are the dominant per-solve allocation. A thread-local
-    /// arena means a worker thread allocates them once at the largest
-    /// `(d, c)` it has seen and then re-solves allocation-free — part
-    /// of the wire fast path's steady-state zero-allocation budget.
-    fn with_tables<R>(f: impl FnOnce(&mut Vec<f64>, &mut Vec<usize>) -> R) -> R {
-        F64_TABLES.with(|tables| {
-            let (best, cut) = &mut *tables.borrow_mut();
-            f(best, cut)
-        })
-    }
-}
-
-impl Scalar for Ratio {
-    fn zero() -> Ratio {
-        Ratio::zero()
-    }
-    fn one() -> Ratio {
-        Ratio::one()
-    }
-    fn add(&self, rhs: &Ratio) -> Ratio {
-        self + rhs
-    }
-    fn mul(&self, rhs: &Ratio) -> Ratio {
-        self * rhs
-    }
-    fn times(&self, count: usize) -> Ratio {
-        &Ratio::from(count) * self
-    }
-}
-
-impl sealed::Tables for Ratio {}
+use crate::scalar::Scalar;
 
 /// Result of an optimal prefix split: group sizes and achieved savings.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -230,9 +147,13 @@ fn split_with<T: Scalar, E>(
 /// (unless there are zero devices, which instances rule out).
 #[must_use]
 pub fn conference_stop_probs<T: Scalar>(rows: &[&[T]], order: &[usize]) -> Vec<T> {
-    stop_probs(rows, order, |prefix| {
-        prefix.iter().fold(T::one(), |acc, p| acc.mul(p))
-    })
+    stop_probs(rows, order, all_found)
+}
+
+/// The probability that every device has been found, `Π_i P_i`, given
+/// each device's probability `P_i` of lying in the cells paged so far.
+pub(crate) fn all_found<T: Scalar>(prefix: &[T]) -> T {
+    prefix.iter().fold(T::one(), |acc, p| acc.mul(p))
 }
 
 /// Stop probabilities along a cell order: `g[j] = stop(P(prefix j))`,
@@ -259,6 +180,7 @@ pub(crate) fn stop_probs<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rational::Ratio;
 
     #[test]
     fn single_round_split() {

@@ -10,28 +10,21 @@
 //!   [`heuristic_ratio_lower_bound`] (`320/317`, Section 4.3).
 
 use crate::cancel::CancelToken;
-use crate::dp::{conference_stop_probs, optimal_split, optimal_split_cancel};
+use crate::dp::{conference_stop_probs, optimal_split_cancel};
 use crate::error::{Error, Result};
-use crate::instance::{Delay, ExactInstance, Instance};
+use crate::instance::{Delay, Instance};
+use crate::scalar::Scalar;
 use crate::strategy::Strategy;
 use rational::Ratio;
 
-/// A strategy together with its expected paging.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlannedStrategy {
+/// A strategy together with its expected paging, in the scalar of the
+/// instance it was planned for.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlannedStrategy<S = f64> {
     /// The paging strategy.
     pub strategy: Strategy,
     /// Its expected paging under the instance it was planned for.
-    pub expected_paging: f64,
-}
-
-/// An exact strategy plan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExactPlannedStrategy {
-    /// The paging strategy.
-    pub strategy: Strategy,
-    /// Its exact expected paging.
-    pub expected_paging: Ratio,
+    pub expected_paging: S,
 }
 
 /// Computes the `e/(e−1)`-approximate paging strategy of Theorem 4.8.
@@ -53,13 +46,17 @@ pub struct ExactPlannedStrategy {
 /// # Ok::<(), pager_core::Error>(())
 /// ```
 #[must_use]
-pub fn greedy_strategy(instance: &Instance, delay: Delay) -> Strategy {
+pub fn greedy_strategy<S: Scalar>(instance: &Instance<S>, delay: Delay) -> Strategy {
     greedy_strategy_planned(instance, delay).strategy
 }
 
-/// Like [`greedy_strategy`], also returning the expected paging.
+/// Like [`greedy_strategy`], also returning the expected paging. Over
+/// [`Ratio`] the plan and its expected paging are certified.
 #[must_use]
-pub fn greedy_strategy_planned(instance: &Instance, delay: Delay) -> PlannedStrategy {
+pub fn greedy_strategy_planned<S: Scalar>(
+    instance: &Instance<S>,
+    delay: Delay,
+) -> PlannedStrategy<S> {
     greedy_strategy_planned_cancel(instance, delay, &CancelToken::never())
         // lint:allow(no-unwrap-outside-tests): a never-firing token cannot cancel
         .expect("a never-firing token cannot cancel the planner")
@@ -71,11 +68,11 @@ pub fn greedy_strategy_planned(instance: &Instance, delay: Delay) -> PlannedStra
 /// # Errors
 ///
 /// [`Error::Cancelled`] when `cancel` fires mid-solve.
-pub fn greedy_strategy_planned_cancel(
-    instance: &Instance,
+pub fn greedy_strategy_planned_cancel<S: Scalar>(
+    instance: &Instance<S>,
     delay: Delay,
     cancel: &CancelToken,
-) -> Result<PlannedStrategy> {
+) -> Result<PlannedStrategy<S>> {
     plan_weight_sorted(instance, delay, None, cancel, conference_stops)
 }
 
@@ -89,13 +86,13 @@ pub fn greedy_strategy_planned_cancel(
 /// [`Error::InfeasibleBandwidth`] when `min(d, c)` rounds of
 /// `max_group` cells cannot cover the cells; [`Error::Cancelled`]
 /// when `cancel` fires; any error of `stop_probs`.
-pub(crate) fn plan_weight_sorted(
-    instance: &Instance,
+pub(crate) fn plan_weight_sorted<S: Scalar>(
+    instance: &Instance<S>,
     delay: Delay,
     max_group: Option<usize>,
     cancel: &CancelToken,
-    stop_probs: impl FnOnce(&Instance, &[usize]) -> Result<Vec<f64>>,
-) -> Result<PlannedStrategy> {
+    stop_probs: impl FnOnce(&Instance<S>, &[usize]) -> Result<Vec<S>>,
+) -> Result<PlannedStrategy<S>> {
     let c = instance.num_cells();
     let d = delay.clamp_to_cells(c).get();
     let order = instance.cells_by_weight_desc();
@@ -107,36 +104,18 @@ pub(crate) fn plan_weight_sorted(
             cells: c,
         })?;
     Ok(PlannedStrategy {
-        expected_paging: c as f64 - split.savings,
+        expected_paging: S::one().times(c).sub(&split.savings),
         strategy: Strategy::cut(&order, &split.sizes),
     })
 }
 
 /// [`conference_stop_probs`] of an instance along `order`; never fails.
-pub(crate) fn conference_stops(instance: &Instance, order: &[usize]) -> Result<Vec<f64>> {
-    let rows: Vec<&[f64]> = instance.rows().collect();
+pub(crate) fn conference_stops<S: Scalar>(
+    instance: &Instance<S>,
+    order: &[usize],
+) -> Result<Vec<S>> {
+    let rows: Vec<&[S]> = instance.rows().collect();
     Ok(conference_stop_probs(&rows, order))
-}
-
-/// Exact-rational counterpart of [`greedy_strategy_planned`]: identical
-/// cell sequencing and dynamic program, evaluated over the rationals so
-/// the planned strategy and its expected paging are certified.
-#[must_use]
-pub fn greedy_strategy_exact(instance: &ExactInstance, delay: Delay) -> ExactPlannedStrategy {
-    let c = instance.num_cells();
-    let d = delay.clamp_to_cells(c).get();
-    let order = instance.cells_by_weight_desc();
-    let rows: Vec<&[Ratio]> = instance.rows().collect();
-    let g = conference_stop_probs(&rows, &order);
-    // lint:allow(no-unwrap-outside-tests): this fn is the infallible
-    // exact-rational twin of the planned path — 1 <= d <= c after
-    // clamping, so the unconstrained DP split always exists.
-    let split = optimal_split(&g, d, None).expect("clamped delay always feasible");
-    let strategy = Strategy::cut(&order, &split.sizes);
-    ExactPlannedStrategy {
-        expected_paging: &Ratio::from(c) - &split.savings,
-        strategy,
-    }
 }
 
 /// The Section 4.1 algorithm for `m = 2`, `d = 2`: scans every split
@@ -258,7 +237,7 @@ mod tests {
 
     #[test]
     fn exact_and_float_greedy_agree() {
-        let exact = ExactInstance::from_rows(vec![
+        let exact = Instance::from_rows(vec![
             vec![
                 Ratio::from_fraction(1, 2),
                 Ratio::from_fraction(1, 4),
@@ -275,7 +254,7 @@ mod tests {
         .unwrap();
         let inst = exact.to_f64();
         for d in 1..=4 {
-            let e = greedy_strategy_exact(&exact, Delay::new(d).unwrap());
+            let e = greedy_strategy_planned(&exact, Delay::new(d).unwrap());
             let f = greedy_strategy_planned(&inst, Delay::new(d).unwrap());
             assert!(
                 (e.expected_paging.to_f64() - f.expected_paging).abs() < 1e-9,
@@ -309,7 +288,7 @@ mod tests {
     #[test]
     fn section_4_3_exact_heuristic_value() {
         let exact = crate::lower_bound_instance::instance_exact();
-        let plan = greedy_strategy_exact(&exact, Delay::new(2).unwrap());
+        let plan = greedy_strategy_planned(&exact, Delay::new(2).unwrap());
         assert_eq!(plan.expected_paging, Ratio::from_fraction(320, 49));
     }
 

@@ -3,11 +3,12 @@
 //! An instance is an `m × c` matrix of location probabilities: entry
 //! `(i, j)` is the probability that mobile device `i` currently resides in
 //! cell `j`. Rows sum to one and devices are independent (Section 1.2 of
-//! the paper). Two representations are provided: [`Instance`] over `f64`
-//! for planning and experiments, and [`ExactInstance`] over [`Ratio`] for
-//! the hardness reductions and certified comparisons.
+//! the paper). [`Instance`] is generic over the [`Scalar`] it holds:
+//! `f64` for planning and experiments, [`Ratio`] for the hardness
+//! reductions and certified comparisons.
 
 use crate::error::{Error, Result};
+use crate::scalar::Scalar;
 use rational::Ratio;
 
 /// Tolerance for `f64` row sums: a row must sum to `1 ± ROW_SUM_TOL`.
@@ -53,7 +54,10 @@ impl core::fmt::Display for Delay {
     }
 }
 
-/// A Conference Call instance over `f64` probabilities.
+/// A Conference Call instance: `f64` probabilities by default, exact
+/// [`Ratio`]s for the hardness reductions (Section 3) and the Section
+/// 4.3 lower-bound certification, where `f64` rounding could flip a
+/// comparison.
 ///
 /// # Examples
 ///
@@ -69,23 +73,25 @@ impl core::fmt::Display for Delay {
 /// assert!((inst.cell_weight(0) - 0.7).abs() < 1e-12);
 /// # Ok::<(), pager_core::Error>(())
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Instance {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Instance<S = f64> {
     /// `rows[i][j]` = probability device `i` is in cell `j`.
-    rows: Vec<Vec<f64>>,
+    rows: Vec<Vec<S>>,
 }
 
-impl Instance {
+impl<S: Scalar> Instance<S> {
     /// Builds an instance from per-device probability rows.
     ///
     /// # Errors
     ///
     /// * [`Error::NoDevices`] / [`Error::NoCells`] for empty input;
     /// * [`Error::RaggedRows`] if rows have different lengths;
-    /// * [`Error::InvalidProbability`] for negative, NaN or infinite
-    ///   entries (zero is allowed — the Section 4.3 instance uses zeros);
-    /// * [`Error::RowSumNotOne`] if a row does not sum to `1 ± 1e-6`.
-    pub fn from_rows(rows: Vec<Vec<f64>>) -> Result<Instance> {
+    /// * [`Error::InvalidProbability`] for negative entries, and NaN or
+    ///   infinite `f64` ones (zero is allowed — the Section 4.3 instance
+    ///   uses zeros);
+    /// * [`Error::RowSumNotOne`] if a row does not sum to `1 ± 1e-6` in
+    ///   `f64`, or to exactly one in [`Ratio`].
+    pub fn from_rows(rows: Vec<Vec<S>>) -> Result<Instance<S>> {
         if rows.is_empty() {
             return Err(Error::NoDevices);
         }
@@ -101,24 +107,78 @@ impl Instance {
                     expected: c,
                 });
             }
-            let mut sum = 0.0;
-            for (j, &p) in row.iter().enumerate() {
-                if !p.is_finite() || p < 0.0 {
+            let mut sum = S::zero();
+            for (j, p) in row.iter().enumerate() {
+                if !p.is_probability() {
                     return Err(Error::InvalidProbability {
                         device: i,
                         cell: j,
-                        value: p,
+                        value: p.to_f64(),
                     });
                 }
-                sum += p;
+                sum = sum.add(p);
             }
-            if (sum - 1.0).abs() > ROW_SUM_TOL {
-                return Err(Error::RowSumNotOne { device: i, sum });
+            if !sum.is_unit_sum() {
+                return Err(Error::RowSumNotOne {
+                    device: i,
+                    sum: sum.to_f64(),
+                });
             }
         }
         Ok(Instance { rows })
     }
 
+    /// Number of mobile devices `m`.
+    #[must_use]
+    pub fn num_devices(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Number of cells `c`.
+    #[must_use]
+    pub fn num_cells(&self) -> usize {
+        self.rows[0].len()
+    }
+
+    /// Probability that device `i` is in cell `j`: the value for `f64`,
+    /// a borrow for [`Ratio`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` or `j` are out of range.
+    #[must_use]
+    pub fn prob(&self, device: usize, cell: usize) -> S::Entry<'_> {
+        self.rows[device][cell].entry()
+    }
+
+    /// Iterates over device rows.
+    pub fn rows(&self) -> impl Iterator<Item = &[S]> {
+        self.rows.iter().map(Vec::as_slice)
+    }
+
+    /// The *expected number of devices* in cell `j`:
+    /// `Σ_i p[i][j]` — the sort key of the Section 4 heuristic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell` is out of range.
+    #[must_use]
+    pub fn cell_weight(&self, cell: usize) -> S {
+        self.rows.iter().map(|r| &r[cell]).sum()
+    }
+
+    /// Cells sorted by non-increasing weight, ties broken by cell index
+    /// (the heuristic's paging order).
+    #[must_use]
+    pub fn cells_by_weight_desc(&self) -> Vec<usize> {
+        let w: Vec<S> = (0..self.num_cells()).map(|j| self.cell_weight(j)).collect();
+        let mut order: Vec<usize> = (0..self.num_cells()).collect();
+        order.sort_by(|&a, &b| w[b].total_cmp(&w[a]).then(a.cmp(&b)));
+        order
+    }
+}
+
+impl Instance {
     /// Builds a single-device instance.
     ///
     /// # Errors
@@ -146,28 +206,6 @@ impl Instance {
         })
     }
 
-    /// Number of mobile devices `m`.
-    #[must_use]
-    pub fn num_devices(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Number of cells `c`.
-    #[must_use]
-    pub fn num_cells(&self) -> usize {
-        self.rows[0].len()
-    }
-
-    /// Probability that device `i` is in cell `j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` or `j` are out of range.
-    #[must_use]
-    pub fn prob(&self, device: usize, cell: usize) -> f64 {
-        self.rows[device][cell]
-    }
-
     /// The probability row of one device.
     ///
     /// # Panics
@@ -178,43 +216,11 @@ impl Instance {
         &self.rows[device]
     }
 
-    /// Iterates over device rows.
-    pub fn rows(&self) -> impl Iterator<Item = &[f64]> {
-        self.rows.iter().map(Vec::as_slice)
-    }
-
-    /// The *expected number of devices* in cell `j`:
-    /// `Σ_i p[i][j]` — the sort key of the Section 4 heuristic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cell` is out of range.
-    #[must_use]
-    pub fn cell_weight(&self, cell: usize) -> f64 {
-        self.rows.iter().map(|r| r[cell]).sum()
-    }
-
-    /// All cell weights.
-    #[must_use]
-    pub fn cell_weights(&self) -> Vec<f64> {
-        (0..self.num_cells()).map(|j| self.cell_weight(j)).collect()
-    }
-
-    /// Cells sorted by non-increasing weight, ties broken by cell index
-    /// (the heuristic's paging order).
-    #[must_use]
-    pub fn cells_by_weight_desc(&self) -> Vec<usize> {
-        let w = self.cell_weights();
-        let mut order: Vec<usize> = (0..self.num_cells()).collect();
-        order.sort_by(|&a, &b| w[b].total_cmp(&w[a]).then(a.cmp(&b)));
-        order
-    }
-
     /// Converts to an exact instance. Each `f64` becomes the dyadic
     /// rational it represents, then the row is renormalised by its exact
     /// sum so rows sum to exactly one.
     #[must_use]
-    pub fn to_exact(&self) -> ExactInstance {
+    pub fn to_exact(&self) -> Instance<Ratio> {
         let rows = self
             .rows
             .iter()
@@ -229,109 +235,11 @@ impl Instance {
                 exact.into_iter().map(|p| &p / &sum).collect()
             })
             .collect();
-        ExactInstance { rows }
+        Instance { rows }
     }
 }
 
-/// A Conference Call instance over exact rationals.
-///
-/// Used by the NP-hardness reductions (Section 3) and the Section 4.3
-/// lower-bound certification, where `f64` rounding could flip a
-/// comparison.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExactInstance {
-    rows: Vec<Vec<Ratio>>,
-}
-
-impl ExactInstance {
-    /// Builds an exact instance from rational rows.
-    ///
-    /// # Errors
-    ///
-    /// Mirrors [`Instance::from_rows`], but row sums must equal one
-    /// **exactly** and entries must be non-negative.
-    pub fn from_rows(rows: Vec<Vec<Ratio>>) -> Result<ExactInstance> {
-        if rows.is_empty() {
-            return Err(Error::NoDevices);
-        }
-        let c = rows[0].len();
-        if c == 0 {
-            return Err(Error::NoCells);
-        }
-        for (i, row) in rows.iter().enumerate() {
-            if row.len() != c {
-                return Err(Error::RaggedRows {
-                    device: i,
-                    found: row.len(),
-                    expected: c,
-                });
-            }
-            for (j, p) in row.iter().enumerate() {
-                if p.is_negative() {
-                    return Err(Error::InvalidProbability {
-                        device: i,
-                        cell: j,
-                        value: p.to_f64(),
-                    });
-                }
-            }
-            let sum: Ratio = row.iter().sum();
-            if sum != Ratio::one() {
-                return Err(Error::RowSumNotOne {
-                    device: i,
-                    sum: sum.to_f64(),
-                });
-            }
-        }
-        Ok(ExactInstance { rows })
-    }
-
-    /// Number of mobile devices `m`.
-    #[must_use]
-    pub fn num_devices(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Number of cells `c`.
-    #[must_use]
-    pub fn num_cells(&self) -> usize {
-        self.rows[0].len()
-    }
-
-    /// Probability that device `i` is in cell `j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if indices are out of range.
-    #[must_use]
-    pub fn prob(&self, device: usize, cell: usize) -> &Ratio {
-        &self.rows[device][cell]
-    }
-
-    /// Iterates over device rows.
-    pub fn rows(&self) -> impl Iterator<Item = &[Ratio]> {
-        self.rows.iter().map(Vec::as_slice)
-    }
-
-    /// Exact cell weight `Σ_i p[i][j]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cell` is out of range.
-    #[must_use]
-    pub fn cell_weight(&self, cell: usize) -> Ratio {
-        self.rows.iter().map(|r| &r[cell]).sum()
-    }
-
-    /// Cells sorted by non-increasing exact weight, ties broken by index.
-    #[must_use]
-    pub fn cells_by_weight_desc(&self) -> Vec<usize> {
-        let w: Vec<Ratio> = (0..self.num_cells()).map(|j| self.cell_weight(j)).collect();
-        let mut order: Vec<usize> = (0..self.num_cells()).collect();
-        order.sort_by(|&a, &b| w[b].cmp(&w[a]).then(a.cmp(&b)));
-        order
-    }
-
+impl Instance<Ratio> {
     /// Converts to a floating-point instance (renormalising rounding
     /// error away).
     #[must_use]
@@ -377,17 +285,36 @@ mod tests {
         assert!((inst.cell_weight(0) - 0.6).abs() < 1e-12);
     }
 
+    /// `rows` validated as `f64` and as the exact `Ratio`s those floats
+    /// denote.
+    fn from_both(rows: &[&[f64]]) -> (Result<Instance>, Result<Instance<Ratio>>) {
+        let exact = rows
+            .iter()
+            .map(|row| row.iter().map(|&p| Ratio::from_f64(p).unwrap()).collect())
+            .collect();
+        let float = rows.iter().map(|row| row.to_vec()).collect();
+        (Instance::from_rows(float), Instance::from_rows(exact))
+    }
+
+    /// Asserts both scalars reject `rows` with the same error.
+    fn rejects_alike(rows: &[&[f64]]) -> Error {
+        let (float, exact) = from_both(rows);
+        let err = float.unwrap_err();
+        assert_eq!(exact.unwrap_err(), err, "{rows:?}");
+        err
+    }
+
     #[test]
     fn rejects_empty() {
-        assert_eq!(Instance::from_rows(vec![]), Err(Error::NoDevices));
-        assert_eq!(Instance::from_rows(vec![vec![]]), Err(Error::NoCells));
+        assert_eq!(rejects_alike(&[]), Error::NoDevices);
+        assert_eq!(rejects_alike(&[&[]]), Error::NoCells);
         assert_eq!(Instance::uniform(0, 3).unwrap_err(), Error::NoDevices);
         assert_eq!(Instance::uniform(3, 0).unwrap_err(), Error::NoCells);
     }
 
     #[test]
     fn rejects_ragged() {
-        let err = Instance::from_rows(vec![vec![1.0], vec![0.5, 0.5]]).unwrap_err();
+        let err = rejects_alike(&[&[1.0], &[0.5, 0.5]]);
         assert_eq!(
             err,
             Error::RaggedRows {
@@ -401,13 +328,14 @@ mod tests {
     #[test]
     fn rejects_bad_probabilities() {
         assert!(matches!(
-            Instance::from_rows(vec![vec![-0.1, 1.1]]).unwrap_err(),
+            rejects_alike(&[&[-0.1, 1.1]]),
             Error::InvalidProbability {
                 device: 0,
                 cell: 0,
                 ..
             }
         ));
+        // NaN and ∞ exist only in f64.
         assert!(matches!(
             Instance::from_rows(vec![vec![f64::NAN, 0.5]]).unwrap_err(),
             Error::InvalidProbability { .. }
@@ -421,12 +349,31 @@ mod tests {
     #[test]
     fn rejects_bad_row_sum() {
         assert!(matches!(
-            Instance::from_rows(vec![vec![0.5, 0.4]]).unwrap_err(),
+            rejects_alike(&[&[0.5, 0.4]]),
             Error::RowSumNotOne { device: 0, .. }
         ));
         assert!(matches!(
-            Instance::from_rows(vec![vec![0.5, 0.5], vec![0.9, 0.2]]).unwrap_err(),
+            rejects_alike(&[&[0.5, 0.5], &[0.9, 0.2]]),
             Error::RowSumNotOne { device: 1, .. }
+        ));
+        // Off by ½.
+        assert_eq!(
+            rejects_alike(&[&[0.5]]),
+            Error::RowSumNotOne {
+                device: 0,
+                sum: 0.5
+            }
+        );
+    }
+
+    #[test]
+    fn row_sum_tolerance_is_f64_only() {
+        // 1 + 1e-9 is within ROW_SUM_TOL of one, but it is not one.
+        let (float, exact) = from_both(&[&[0.5, 0.5 + 1e-9]]);
+        assert!(float.is_ok());
+        assert!(matches!(
+            exact.unwrap_err(),
+            Error::RowSumNotOne { device: 0, .. }
         ));
     }
 
@@ -462,7 +409,7 @@ mod tests {
 
     #[test]
     fn exact_round_trip() {
-        let exact = ExactInstance::from_rows(vec![vec![
+        let exact = Instance::from_rows(vec![vec![
             Ratio::from_fraction(2, 7),
             Ratio::from_fraction(5, 7),
         ]])
@@ -477,31 +424,24 @@ mod tests {
     }
 
     #[test]
-    fn exact_rejects_bad_rows() {
-        assert!(matches!(
-            ExactInstance::from_rows(vec![vec![Ratio::from_fraction(1, 2)]]).unwrap_err(),
-            Error::RowSumNotOne { .. }
-        ));
-        assert!(matches!(
-            ExactInstance::from_rows(vec![vec![
-                Ratio::from_fraction(-1, 2),
-                Ratio::from_fraction(3, 2)
-            ]])
-            .unwrap_err(),
-            Error::InvalidProbability { .. }
-        ));
-        assert_eq!(ExactInstance::from_rows(vec![]), Err(Error::NoDevices));
-    }
-
-    #[test]
     fn exact_cell_weight_orders() {
-        let exact = ExactInstance::from_rows(vec![
+        let exact = Instance::from_rows(vec![
             vec![Ratio::from_fraction(1, 3), Ratio::from_fraction(2, 3)],
             vec![Ratio::from_fraction(1, 2), Ratio::from_fraction(1, 2)],
         ])
         .unwrap();
         assert_eq!(exact.cell_weight(1), Ratio::from_fraction(7, 6));
         assert_eq!(exact.cells_by_weight_desc(), vec![1, 0]);
+    }
+
+    #[test]
+    fn cell_weight_is_the_std_f64_sum() {
+        // `from_rows` accepts -0.0. `Iterator::sum` keeps an all-(-0.0)
+        // column at -0.0, which `total_cmp` orders below a +0.0 column.
+        let inst = Instance::from_rows(vec![vec![-0.0, 0.0, 1.0], vec![-0.0, 0.0, 1.0]]).unwrap();
+        let std_sum: f64 = [-0.0f64, -0.0].iter().sum();
+        assert_eq!(inst.cell_weight(0).to_bits(), std_sum.to_bits());
+        assert_eq!(inst.cells_by_weight_desc(), vec![2, 1, 0]);
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! delays) are rejected at the boundary. Used by the `pager-service`
 //! wire protocol and by fixtures.
 
-use crate::instance::{Delay, ExactInstance, Instance};
+use crate::instance::{Delay, Instance};
+use crate::scalar::Scalar;
 use crate::strategy::Strategy;
 use jsonio::Value;
-use rational::Ratio;
 
 impl Delay {
     /// Renders as a JSON integer.
@@ -72,23 +72,25 @@ impl Strategy {
     }
 }
 
-impl Instance {
-    /// Renders as a JSON array of probability rows.
+impl<S: Scalar> Instance<S> {
+    /// Renders as a JSON array of probability rows: numbers for `f64`,
+    /// ratio strings for [`rational::Ratio`].
     #[must_use]
     pub fn to_json(&self) -> Value {
         Value::Array(
             self.rows()
-                .map(|row| Value::Array(row.iter().map(|&p| Value::Float(p)).collect()))
+                .map(|row| Value::Array(row.iter().map(S::to_json).collect()))
                 .collect(),
         )
     }
 
-    /// Parses from a JSON array of rows, re-validating row sums.
+    /// Parses from a JSON array of rows written by
+    /// [`Instance::to_json`], re-validating row sums.
     ///
     /// # Errors
     ///
     /// A message on malformed JSON shape or an invalid instance.
-    pub fn from_json(value: &Value) -> Result<Instance, String> {
+    pub fn from_json(value: &Value) -> Result<Instance<S>, String> {
         let outer = value
             .as_array()
             .ok_or_else(|| "instance must be an array of rows".to_string())?;
@@ -97,55 +99,17 @@ impl Instance {
             let cells = row
                 .as_array()
                 .ok_or_else(|| "instance row must be an array of numbers".to_string())?;
-            let parsed: Result<Vec<f64>, String> = cells
-                .iter()
-                .map(|p| {
-                    p.as_f64()
-                        .ok_or_else(|| format!("probability must be a number, got {p}"))
-                })
-                .collect();
+            let parsed: Result<Vec<S>, String> = cells.iter().map(S::from_json).collect();
             rows.push(parsed?);
         }
         Instance::from_rows(rows).map_err(|e| e.to_string())
     }
 }
 
-impl ExactInstance {
-    /// Renders as a JSON array of rows of ratio strings.
-    #[must_use]
-    pub fn to_json(&self) -> Value {
-        Value::Array(
-            self.rows()
-                .map(|row| Value::Array(row.iter().map(Ratio::to_json).collect()))
-                .collect(),
-        )
-    }
-
-    /// Parses from a JSON array of rows of ratio strings, re-validating
-    /// exact row sums.
-    ///
-    /// # Errors
-    ///
-    /// A message on malformed JSON shape or an invalid instance.
-    pub fn from_json(value: &Value) -> Result<ExactInstance, String> {
-        let outer = value
-            .as_array()
-            .ok_or_else(|| "exact instance must be an array of rows".to_string())?;
-        let mut rows = Vec::with_capacity(outer.len());
-        for row in outer {
-            let cells = row
-                .as_array()
-                .ok_or_else(|| "exact instance row must be an array of strings".to_string())?;
-            let parsed: Result<Vec<Ratio>, String> = cells.iter().map(Ratio::from_json).collect();
-            rows.push(parsed?);
-        }
-        ExactInstance::from_rows(rows).map_err(|e| e.to_string())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rational::Ratio;
 
     #[test]
     fn delay_round_trip() {
@@ -183,27 +147,27 @@ mod tests {
         let back = Instance::from_json(&jsonio::parse(&json).unwrap()).unwrap();
         assert_eq!(back, inst);
         // Row does not sum to one.
-        assert!(Instance::from_json(&jsonio::parse("[[0.5,0.4]]").unwrap()).is_err());
+        assert!(Instance::<f64>::from_json(&jsonio::parse("[[0.5,0.4]]").unwrap()).is_err());
     }
 
     #[test]
     fn exact_instance_round_trip() {
-        let exact = ExactInstance::from_rows(vec![vec![
+        let exact = Instance::from_rows(vec![vec![
             Ratio::from_fraction(2, 7),
             Ratio::from_fraction(5, 7),
         ]])
         .unwrap();
         let json = exact.to_json().to_string();
         assert_eq!(json, "[[\"2/7\",\"5/7\"]]");
-        let back = ExactInstance::from_json(&jsonio::parse(&json).unwrap()).unwrap();
+        let back = Instance::<Ratio>::from_json(&jsonio::parse(&json).unwrap()).unwrap();
         assert_eq!(back, exact);
-        assert!(ExactInstance::from_json(&jsonio::parse("[[\"1/2\"]]").unwrap()).is_err());
+        assert!(Instance::<Ratio>::from_json(&jsonio::parse("[[\"1/2\"]]").unwrap()).is_err());
     }
 
     #[test]
     fn integer_probabilities_accepted() {
         // `1` (Int) should work where a probability is expected.
-        let inst = Instance::from_json(&jsonio::parse("[[0, 1]]").unwrap()).unwrap();
+        let inst = Instance::<f64>::from_json(&jsonio::parse("[[0, 1]]").unwrap()).unwrap();
         assert_eq!(inst.prob(0, 1), 1.0);
     }
 }

@@ -12,7 +12,7 @@
 //!
 //! | paper | module |
 //! |-------|--------|
-//! | §1.2 model, Lemma 2.1 | [`Instance`], [`Strategy`] |
+//! | §1.2 model, Lemma 2.1 (`f64` or exact, via [`Scalar`]) | [`Instance`], [`Strategy`] |
 //! | §4.2 heuristic (Fig. 1, Thm 4.8, `e/(e−1)`) | [`greedy`], [`fig1`], [`dp`] |
 //! | §4.1 special case `m = d = 2` (`4/3`) | [`greedy::two_device_two_round`] |
 //! | §4.3 lower bound `320/317` | [`lower_bound_instance`] |
@@ -64,6 +64,7 @@ pub mod lossy;
 pub mod lower_bound_instance;
 pub mod moving;
 pub mod optimal;
+mod scalar;
 pub mod signature;
 pub mod simulation;
 pub mod single_user;
@@ -73,9 +74,10 @@ pub mod yellow_pages;
 pub use cancel::CancelToken;
 pub use error::{Error, Result};
 pub use greedy::{
-    greedy_strategy, greedy_strategy_exact, greedy_strategy_planned,
-    greedy_strategy_planned_cancel, two_device_two_round, ExactPlannedStrategy, PlannedStrategy,
+    greedy_strategy, greedy_strategy_planned, greedy_strategy_planned_cancel, two_device_two_round,
+    PlannedStrategy,
 };
-pub use instance::{Delay, ExactInstance, Instance, ROW_SUM_TOL};
+pub use instance::{Delay, Instance, ROW_SUM_TOL};
+pub use scalar::Scalar;
 pub use single_user::single_user_optimal;
 pub use strategy::Strategy;

@@ -13,7 +13,7 @@
 //! breaking, and only slightly moves the ratio. [`perturbed_exact`]
 //! implements that perturbation exactly.
 
-use crate::instance::{ExactInstance, Instance};
+use crate::instance::Instance;
 use rational::Ratio;
 
 /// Number of devices in the instance.
@@ -29,7 +29,7 @@ pub const D: usize = 2;
 ///
 /// Never panics: the construction is statically valid.
 #[must_use]
-pub fn instance_exact() -> ExactInstance {
+pub fn instance_exact() -> Instance<Ratio> {
     let f = |n: i64| Ratio::from_fraction(n, 7);
     // Device 1: 2/7 in cell 1, 1/7 in cells 2..6, 0 in cells 7, 8.
     let row1 = vec![f(2), f(1), f(1), f(1), f(1), f(1), f(0), f(0)];
@@ -37,7 +37,7 @@ pub fn instance_exact() -> ExactInstance {
     let row2 = vec![f(0), f(1), f(1), f(1), f(1), f(1), f(1), f(1)];
     // lint:allow(no-unwrap-outside-tests): paper-constant rows; each
     // sums to exactly 7/7 and every entry is a non-negative seventh.
-    ExactInstance::from_rows(vec![row1, row2]).expect("the Section 4.3 instance is valid")
+    Instance::from_rows(vec![row1, row2]).expect("the Section 4.3 instance is valid")
 }
 
 /// The instance over `f64`.
@@ -88,7 +88,7 @@ pub fn optimal_strategy() -> crate::strategy::Strategy {
 /// Panics if `denom < 200` — the perturbation `1/denom` must be small
 /// enough to keep all entries positive and the ordering intact.
 #[must_use]
-pub fn perturbed_exact(denom: i64) -> ExactInstance {
+pub fn perturbed_exact(denom: i64) -> Instance<Ratio> {
     assert!(denom >= 200, "perturbation 1/{denom} too large");
     let eps = Ratio::from_fraction(1, denom);
     let f = |n: i64| Ratio::from_fraction(n, 7);
@@ -123,13 +123,13 @@ pub fn perturbed_exact(denom: i64) -> ExactInstance {
     // lint:allow(no-unwrap-outside-tests): the asserts directly above
     // re-verify exactly what `from_rows` checks (row sums of one,
     // positive entries), so failure here is unreachable.
-    ExactInstance::from_rows(vec![row1, row2]).expect("perturbed instance is valid")
+    Instance::from_rows(vec![row1, row2]).expect("perturbed instance is valid")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::greedy::greedy_strategy_exact;
+    use crate::greedy::greedy_strategy_planned;
     use crate::instance::Delay;
 
     #[test]
@@ -153,7 +153,7 @@ mod tests {
     #[test]
     fn heuristic_achieves_320_49() {
         let e = instance_exact();
-        let plan = greedy_strategy_exact(&e, Delay::new(D).unwrap());
+        let plan = greedy_strategy_planned(&e, Delay::new(D).unwrap());
         assert_eq!(plan.expected_paging, heuristic_ep());
         // And the heuristic's first group is cells 0..=4.
         let mut first = plan.strategy.group(0).to_vec();
@@ -203,7 +203,7 @@ mod tests {
         // Cell 0 now has strictly the largest weight.
         let order = p.cells_by_weight_desc();
         assert_eq!(order[0], 0);
-        let plan = greedy_strategy_exact(&p, Delay::new(2).unwrap());
+        let plan = greedy_strategy_planned(&p, Delay::new(2).unwrap());
         let mut first = plan.strategy.group(0).to_vec();
         first.sort_unstable();
         assert_eq!(first, vec![0, 1, 2, 3, 4]);
@@ -212,7 +212,7 @@ mod tests {
     #[test]
     fn perturbed_ratio_close_to_320_317() {
         let p = perturbed_exact(100_000);
-        let plan = greedy_strategy_exact(&p, Delay::new(2).unwrap());
+        let plan = greedy_strategy_planned(&p, Delay::new(2).unwrap());
         // Exhaustive optimal on the perturbed instance.
         let mut best = Ratio::from(C);
         for mask in 1u32..((1 << C) - 1) {

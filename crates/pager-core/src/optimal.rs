@@ -10,7 +10,8 @@
 //! Three engines, cross-checked against each other in tests:
 //!
 //! * [`optimal_exhaustive`] — enumerates all `d^c` round assignments
-//!   (skipping those with empty rounds); simple, for `c ≤ 12`;
+//!   (skipping those with empty rounds) in `f64` or, certified, in
+//!   [`Ratio`]; simple, for `c ≤ 12`;
 //! * [`optimal_subset_dp`] — dynamic program over prefix-union chains
 //!   `∅ ⊂ L_1 ⊂ … ⊂ L_d = [c]` in `O(d·3^c)`; reaches `c ≈ 18`;
 //! * [`optimal_two_round_exact`] — exact rational optimum for `d = 2`
@@ -19,8 +20,9 @@
 
 use crate::cancel::CancelToken;
 use crate::error::{Error, Result};
-use crate::greedy::{ExactPlannedStrategy, PlannedStrategy};
-use crate::instance::{Delay, ExactInstance, Instance};
+use crate::greedy::PlannedStrategy;
+use crate::instance::{Delay, Instance};
+use crate::scalar::Scalar;
 use crate::strategy::Strategy;
 use rational::Ratio;
 
@@ -30,7 +32,7 @@ pub const EXHAUSTIVE_MAX_CELLS: usize = 12;
 pub const SUBSET_DP_MAX_CELLS: usize = 18;
 
 /// Finds a minimum-expected-paging strategy by enumerating every
-/// assignment of cells to rounds.
+/// assignment of cells to rounds, exactly for a [`Ratio`] instance.
 ///
 /// # Errors
 ///
@@ -40,32 +42,13 @@ pub const SUBSET_DP_MAX_CELLS: usize = 18;
 ///
 /// Panics if `c >` [`EXHAUSTIVE_MAX_CELLS`] — use
 /// [`optimal_subset_dp`] or the heuristic instead.
-pub fn optimal_exhaustive(instance: &Instance, delay: Delay) -> Result<PlannedStrategy> {
+pub fn optimal_exhaustive<S: Scalar>(
+    instance: &Instance<S>,
+    delay: Delay,
+) -> Result<PlannedStrategy<S>> {
     let (strategy, expected_paging) =
         best_onto_assignment(instance.num_cells(), delay, |s| instance.lemma_2_1(s))?;
     Ok(PlannedStrategy {
-        strategy,
-        expected_paging,
-    })
-}
-
-/// Exact-rational exhaustive optimum (same enumeration as
-/// [`optimal_exhaustive`]).
-///
-/// # Errors
-///
-/// Returns [`Error::DelayExceedsCells`] when `d > c`.
-///
-/// # Panics
-///
-/// Panics if `c >` [`EXHAUSTIVE_MAX_CELLS`].
-pub fn optimal_exhaustive_exact(
-    instance: &ExactInstance,
-    delay: Delay,
-) -> Result<ExactPlannedStrategy> {
-    let (strategy, expected_paging) =
-        best_onto_assignment(instance.num_cells(), delay, |s| instance.lemma_2_1(s))?;
-    Ok(ExactPlannedStrategy {
         strategy,
         expected_paging,
     })
@@ -261,7 +244,7 @@ pub fn optimal_subset_dp_cancel(
 ///
 /// Panics if `c > 24` (the enumeration would not terminate in
 /// reasonable time).
-pub fn optimal_two_round_exact(instance: &ExactInstance) -> Result<ExactPlannedStrategy> {
+pub fn optimal_two_round_exact(instance: &Instance<Ratio>) -> Result<PlannedStrategy<Ratio>> {
     let c = instance.num_cells();
     assert!(c <= 24, "optimal_two_round_exact supports at most 24 cells");
     let m = instance.num_devices();
@@ -296,7 +279,7 @@ pub fn optimal_two_round_exact(instance: &ExactInstance) -> Result<ExactPlannedS
         .collect();
     let first = mask.count_ones() as usize;
     let strategy = Strategy::cut(&order, &[first, c - first]);
-    Ok(ExactPlannedStrategy {
+    Ok(PlannedStrategy {
         strategy,
         expected_paging: ep,
     })
@@ -359,7 +342,7 @@ mod tests {
         let exact = crate::lower_bound_instance::instance_exact();
         let inst = exact.to_f64();
         for d in [2usize, 3] {
-            let e = optimal_exhaustive_exact(&exact, Delay::new(d).unwrap()).unwrap();
+            let e = optimal_exhaustive(&exact, Delay::new(d).unwrap()).unwrap();
             let f = optimal_exhaustive(&inst, Delay::new(d).unwrap()).unwrap();
             assert!(
                 (e.expected_paging.to_f64() - f.expected_paging).abs() < 1e-9,

@@ -66,14 +66,6 @@ fn check_k(instance: &Instance, k: usize) -> Result<()> {
     Ok(())
 }
 
-/// Stop probabilities `G_k(prefix j)` for a cell order: index `j` is the
-/// probability at least `k` devices are in the first `j` cells.
-#[must_use]
-pub fn signature_stop_probs(instance: &Instance, order: &[usize], k: usize) -> Vec<f64> {
-    let rows: Vec<&[f64]> = instance.rows().collect();
-    stop_probs(&rows, order, |prefix| at_least_k_prob(prefix, k))
-}
-
 /// Expected cells paged until at least `k` devices are found.
 ///
 /// # Errors
@@ -114,7 +106,10 @@ pub fn greedy_signature_cancel(
 ) -> Result<PlannedStrategy> {
     check_k(instance, k)?;
     plan_weight_sorted(instance, delay, None, cancel, |instance, order| {
-        let g = signature_stop_probs(instance, order, k);
+        // G_k(prefix j): the probability at least k devices are in the
+        // first j cells of the order.
+        let rows: Vec<&[f64]> = instance.rows().collect();
+        let g = stop_probs(&rows, order, |prefix| at_least_k_prob(prefix, k));
         cancel.check()?;
         Ok(g)
     })

@@ -10,9 +10,10 @@
 //! EP = c − Σ_{r=1}^{t−1} |S_{r+1}| · Π_{i=1}^{m} P_i(L_r),   L_r = S_1 ∪ … ∪ S_r
 //! ```
 
+use crate::dp::all_found;
 use crate::error::{Error, Result};
-use crate::instance::{ExactInstance, Instance};
-use rational::Ratio;
+use crate::instance::Instance;
+use crate::scalar::Scalar;
 
 /// An ordered partition of the cells into non-empty paging groups.
 ///
@@ -274,23 +275,23 @@ impl core::str::FromStr for Strategy {
     }
 }
 
-impl Instance {
+impl<S: Scalar> Instance<S> {
     /// Expected number of cells paged until **all** devices are found
-    /// (Lemma 2.1 closed form).
+    /// (Lemma 2.1 closed form), exactly for [`rational::Ratio`].
     ///
     /// # Errors
     ///
     /// Returns [`Error::StrategyInstanceMismatch`] when the strategy
     /// covers a different number of cells.
-    pub fn expected_paging(&self, strategy: &Strategy) -> Result<f64> {
+    pub fn expected_paging(&self, strategy: &Strategy) -> Result<S> {
         strategy.check_cells(self.num_cells())?;
         Ok(self.lemma_2_1(strategy))
     }
 
     /// [`Instance::expected_paging`] for a strategy the caller built
     /// over exactly this instance's cells, as every solver does.
-    pub(crate) fn lemma_2_1(&self, strategy: &Strategy) -> f64 {
-        self.telescoped_ep(strategy, |prefix| prefix.iter().product())
+    pub(crate) fn lemma_2_1(&self, strategy: &Strategy) -> S {
+        self.telescoped_ep(strategy, all_found)
     }
 
     /// `c − Σ_r |S_{r+1}| · stop(P(L_r))`, where `stop` maps the
@@ -298,22 +299,24 @@ impl Instance {
     /// search is over after round `r`: their product for the
     /// Conference Call (Lemma 2.1), a tail probability for the
     /// Signature problem. The strategy must cover this instance's cells.
-    pub(crate) fn telescoped_ep(&self, strategy: &Strategy, stop: impl Fn(&[f64]) -> f64) -> f64 {
+    pub(crate) fn telescoped_ep(&self, strategy: &Strategy, stop: impl Fn(&[S]) -> S) -> S {
         debug_assert_eq!(strategy.num_cells(), self.num_cells());
         // prefix[i] = P_i(L_r) accumulated as we sweep rounds.
-        let mut prefix = vec![0.0f64; self.num_devices()];
-        let mut ep = self.num_cells() as f64;
+        let mut prefix = vec![S::zero(); self.num_devices()];
+        let mut ep = S::one().times(self.num_cells());
         for r in 0..strategy.rounds().saturating_sub(1) {
             for &cell in strategy.group(r) {
-                for (i, acc) in prefix.iter_mut().enumerate() {
-                    *acc += self.prob(i, cell);
+                for (acc, row) in prefix.iter_mut().zip(self.rows()) {
+                    *acc = acc.add(&row[cell]);
                 }
             }
-            ep -= strategy.group(r + 1).len() as f64 * stop(&prefix);
+            ep = ep.sub(&stop(&prefix).times(strategy.group(r + 1).len()));
         }
         ep
     }
+}
 
+impl Instance {
     /// Expected paging computed **directly** from the definition — the
     /// telescoping sum `Σ_r (|S_1|+…+|S_r|) · Pr[search lasts exactly r]`
     /// — without Lemma 2.1's simplification. Used to cross-check the
@@ -368,41 +371,6 @@ impl Instance {
             }
         }
         Ok(prefix.iter().product())
-    }
-}
-
-impl ExactInstance {
-    /// Exact expected paging (Lemma 2.1) over the rationals.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::StrategyInstanceMismatch`] when the strategy
-    /// covers a different number of cells.
-    pub fn expected_paging(&self, strategy: &Strategy) -> Result<Ratio> {
-        strategy.check_cells(self.num_cells())?;
-        Ok(self.lemma_2_1(strategy))
-    }
-
-    /// [`ExactInstance::expected_paging`] for a strategy the caller
-    /// built over exactly this instance's cells.
-    pub(crate) fn lemma_2_1(&self, strategy: &Strategy) -> Ratio {
-        debug_assert_eq!(strategy.num_cells(), self.num_cells());
-        let m = self.num_devices();
-        let c = self.num_cells();
-        let mut prefix = vec![Ratio::zero(); m];
-        let mut ep = Ratio::from(c);
-        let t = strategy.rounds();
-        for r in 0..t.saturating_sub(1) {
-            for &cell in strategy.group(r) {
-                for (i, acc) in prefix.iter_mut().enumerate() {
-                    *acc = &*acc + self.prob(i, cell);
-                }
-            }
-            let all_found: Ratio = prefix.iter().product();
-            let weight = Ratio::from(strategy.group(r + 1).len());
-            ep = &ep - &(&weight * &all_found);
-        }
-        ep
     }
 }
 
@@ -535,7 +503,7 @@ mod tests {
     #[test]
     fn exact_matches_float() {
         use rational::Ratio;
-        let exact = ExactInstance::from_rows(vec![
+        let exact = Instance::from_rows(vec![
             vec![
                 Ratio::from_fraction(1, 4),
                 Ratio::from_fraction(1, 2),

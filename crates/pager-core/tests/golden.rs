@@ -3,7 +3,7 @@
 
 use pager_core::bounds::{lemma34_alphas, lemma34_boundaries, two_device_two_round_lb};
 use pager_core::single_user::uniform_optimal_ep;
-use pager_core::{greedy_strategy_exact, Delay, ExactInstance, Instance, Strategy};
+use pager_core::{greedy_strategy_planned, Delay, Instance, Strategy};
 use rational::Ratio;
 
 fn r(n: i64, d: i64) -> Ratio {
@@ -13,7 +13,7 @@ fn r(n: i64, d: i64) -> Ratio {
 /// EP = 3 − 2·(1/2)·(1/3) = 8/3 for the two-device, three-cell split.
 #[test]
 fn hand_computed_ep_8_3() {
-    let exact = ExactInstance::from_rows(vec![
+    let exact = Instance::from_rows(vec![
         vec![r(1, 4), r(1, 2), r(1, 4)],
         vec![r(1, 3), r(1, 3), r(1, 3)],
     ])
@@ -76,7 +76,7 @@ fn lemma34_chain_m3_d3() {
 /// EP = 4 − 2·(1/2)² = 7/2.
 #[test]
 fn two_uniform_devices_halved() {
-    let exact = ExactInstance::from_rows(vec![vec![r(1, 4); 4], vec![r(1, 4); 4]]).unwrap();
+    let exact = Instance::from_rows(vec![vec![r(1, 4); 4], vec![r(1, 4); 4]]).unwrap();
     let s = Strategy::new(vec![vec![0, 1], vec![2, 3]]).unwrap();
     assert_eq!(exact.expected_paging(&s).unwrap(), r(7, 2));
 }
@@ -88,12 +88,12 @@ fn two_uniform_devices_halved() {
 /// DP picks x = 2 → EP = 39/16.
 #[test]
 fn greedy_hand_trace() {
-    let exact = ExactInstance::from_rows(vec![
+    let exact = Instance::from_rows(vec![
         vec![r(1, 2), r(1, 4), r(1, 4)],
         vec![r(1, 4), r(1, 4), r(1, 2)],
     ])
     .unwrap();
-    let plan = greedy_strategy_exact(&exact, Delay::new(2).unwrap());
+    let plan = greedy_strategy_planned(&exact, Delay::new(2).unwrap());
     assert_eq!(plan.expected_paging, r(39, 16));
     assert_eq!(plan.strategy.group(0), &[0, 2]);
     assert_eq!(plan.strategy.group(1), &[1]);
@@ -116,7 +116,7 @@ fn blanket_costs_c() {
 /// EP = 3 − 1·(1/3) − 1·(2/3) = 2.
 #[test]
 fn deterministic_device_hand_trace() {
-    let exact = ExactInstance::from_rows(vec![
+    let exact = Instance::from_rows(vec![
         vec![Ratio::one(), Ratio::zero(), Ratio::zero()],
         vec![r(1, 3), r(1, 3), r(1, 3)],
     ])

@@ -114,11 +114,11 @@ proptest! {
                 w.iter().map(|&x| Ratio::from_fraction(i64::from(x), total)).collect()
             })
             .collect();
-        let exact = pager_core::ExactInstance::from_rows(rows_exact).unwrap();
+        let exact = pager_core::Instance::from_rows(rows_exact).unwrap();
         let float = exact.to_f64();
         for d in [2usize, 3] {
             let delay = Delay::new(d).unwrap();
-            let e = pager_core::greedy_strategy_exact(&exact, delay);
+            let e = pager_core::greedy_strategy_planned(&exact, delay);
             let f = greedy_strategy_planned(&float, delay);
             prop_assert!((e.expected_paging.to_f64() - f.expected_paging).abs() < 1e-6,
                 "d={d}: exact {} vs float {}", e.expected_paging.to_f64(), f.expected_paging);

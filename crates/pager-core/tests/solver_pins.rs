@@ -7,12 +7,10 @@
 
 use pager_core::bandwidth::greedy_strategy_bounded;
 use pager_core::cell_types::optimal_by_types;
-use pager_core::optimal::{
-    optimal_exhaustive, optimal_exhaustive_exact, optimal_subset_dp, optimal_two_round_exact,
-};
+use pager_core::optimal::{optimal_exhaustive, optimal_subset_dp, optimal_two_round_exact};
 use pager_core::signature::{greedy_signature, optimal_signature_exhaustive};
 use pager_core::yellow_pages::optimal_yellow_exhaustive;
-use pager_core::{greedy_strategy_exact, greedy_strategy_planned, Delay, Instance};
+use pager_core::{greedy_strategy_planned, Delay, Instance};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -67,9 +65,9 @@ fn render() -> Vec<String> {
                 let plan = greedy_strategy_bounded(inst, delay, b).unwrap();
                 plans.push((format!("bandwidth b={b}"), plan));
             }
-            let mut exact_plans = vec![("greedy_exact", greedy_strategy_exact(&exact, delay))];
+            let mut exact_plans = vec![("greedy_exact", greedy_strategy_planned(&exact, delay))];
             if c <= 6 {
-                let plan = optimal_exhaustive_exact(&exact, delay).unwrap();
+                let plan = optimal_exhaustive(&exact, delay).unwrap();
                 exact_plans.push(("exhaustive_exact", plan));
                 if d == 2 {
                     let plan = optimal_two_round_exact(&exact).unwrap();

@@ -9,7 +9,7 @@
 //! extra cell in its first round and continues with an optimal
 //! `(c, 2, d)` strategy for the original instance.
 
-use pager_core::{Delay, ExactInstance};
+use pager_core::{Delay, Instance};
 use rational::Ratio;
 
 /// Lifts a two-device instance to `m ≥ 2` devices with one extra cell
@@ -20,7 +20,7 @@ use rational::Ratio;
 /// Panics if `instance` does not have exactly two devices, if `m < 2`,
 /// or if `a < 1 − 1/c²` or `a >= 1`.
 #[must_use]
-pub fn lift_instance(instance: &ExactInstance, m: usize, a: &Ratio) -> ExactInstance {
+pub fn lift_instance(instance: &Instance<Ratio>, m: usize, a: &Ratio) -> Instance<Ratio> {
     assert_eq!(
         instance.num_devices(),
         2,
@@ -45,7 +45,7 @@ pub fn lift_instance(instance: &ExactInstance, m: usize, a: &Ratio) -> ExactInst
         row.push(Ratio::one());
         rows.push(row);
     }
-    ExactInstance::from_rows(rows).expect("lifted rows are valid")
+    Instance::from_rows(rows).expect("lifted rows are valid")
 }
 
 /// The canonical `a` for the lift: `1 − 1/c²`.
@@ -78,22 +78,20 @@ pub fn project_strategy(lifted: &pager_core::Strategy, c: usize) -> Option<pager
 ///
 /// Panics on instances too large for the exhaustive solver.
 #[must_use]
-pub fn verify_lift(instance: &ExactInstance, m: usize, d: usize) -> (Ratio, Ratio, Ratio) {
+pub fn verify_lift(instance: &Instance<Ratio>, m: usize, d: usize) -> (Ratio, Ratio, Ratio) {
     let c = instance.num_cells();
     let a = canonical_a(c);
     let lifted = lift_instance(instance, m, &a);
-    let lifted_opt = pager_core::optimal::optimal_exhaustive_exact(
-        &lifted,
-        Delay::new(d + 1).expect("d + 1 >= 1"),
-    )
-    .expect("lifted instance solvable");
+    let lifted_opt =
+        pager_core::optimal::optimal_exhaustive(&lifted, Delay::new(d + 1).expect("d + 1 >= 1"))
+            .expect("lifted instance solvable");
     let projected = project_strategy(&lifted_opt.strategy, c)
         .expect("optimal lifted strategy pages the extra cell first");
     let projected_ep = instance
         .expected_paging(&projected)
         .expect("projection matches the original instance");
     let original_opt =
-        pager_core::optimal::optimal_exhaustive_exact(instance, Delay::new(d).expect("d >= 1"))
+        pager_core::optimal::optimal_exhaustive(instance, Delay::new(d).expect("d >= 1"))
             .expect("original instance solvable");
     (
         lifted_opt.expected_paging,
@@ -106,8 +104,8 @@ pub fn verify_lift(instance: &ExactInstance, m: usize, d: usize) -> (Ratio, Rati
 mod tests {
     use super::*;
 
-    fn small_two_device() -> ExactInstance {
-        ExactInstance::from_rows(vec![
+    fn small_two_device() -> Instance<Ratio> {
+        Instance::from_rows(vec![
             vec![
                 Ratio::from_fraction(1, 2),
                 Ratio::from_fraction(1, 4),

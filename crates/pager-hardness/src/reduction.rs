@@ -26,7 +26,7 @@
 
 use pager_core::bounds::two_device_two_round_lb;
 use pager_core::optimal::optimal_two_round_exact;
-use pager_core::ExactInstance;
+use pager_core::Instance;
 use rational::Ratio;
 
 use crate::quasipartition::Qp1Instance;
@@ -35,7 +35,7 @@ use crate::quasipartition::Qp1Instance;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConferenceCallReduction {
     /// The two-device instance (`m = 2`, `c` cells, intended `d = 2`).
-    pub instance: ExactInstance,
+    pub instance: Instance<Ratio>,
     /// The expected-paging threshold: the optimum equals `lb` iff the
     /// Quasipartition1 instance is a YES instance.
     pub lb: Ratio,
@@ -111,7 +111,7 @@ pub fn quasipartition1_to_conference_call(
         p_row.push(&p_norm * &(&(&Ratio::one() - &three_2c) + &frac));
         q_row.push(&q_norm * &(&Ratio::one() - &frac));
     }
-    let instance = ExactInstance::from_rows(vec![p_row, q_row])
+    let instance = Instance::from_rows(vec![p_row, q_row])
         .expect("Lemma 3.2 rows are valid probability vectors");
     Ok(ConferenceCallReduction {
         instance,

@@ -30,7 +30,7 @@ pub fn check(ctx: &FileContext<'_>) -> Vec<Finding> {
     let tokens = ctx.tokens;
     let mut findings = Vec::new();
     for (i, t) in tokens.iter().enumerate() {
-        if !(t.is_ident("Instance") || t.is_ident("ExactInstance")) {
+        if !t.is_ident("Instance") {
             continue;
         }
         if ctx.in_test_region(t.line) {
@@ -50,15 +50,15 @@ pub fn check(ctx: &FileContext<'_>) -> Vec<Finding> {
                 continue;
             }
         }
-        findings.push(ctx.finding(
-            RULE,
-            t.line,
-            format!(
-                "struct-literal `{} {{ .. }}` bypasses row validation; \
-                 use Instance::from_rows",
-                t.text
+        findings.push(
+            ctx.finding(
+                RULE,
+                t.line,
+                "struct-literal `Instance { .. }` bypasses row validation; \
+             use Instance::from_rows"
+                    .to_string(),
             ),
-        ));
+        );
     }
     findings
 }

@@ -118,12 +118,6 @@ impl BigInt {
         self.sign == Sign::Plus
     }
 
-    /// Returns `true` iff the value is even.
-    #[must_use]
-    pub fn is_even(&self) -> bool {
-        self.mag.first().copied().unwrap_or(0) & 1 == 0
-    }
-
     /// The sign of this integer.
     #[must_use]
     pub fn sign(&self) -> Sign {
@@ -305,13 +299,6 @@ mod tests {
         assert_eq!(BigInt::from(255u32).bits(), 8);
         assert_eq!(BigInt::from(256u32).bits(), 9);
         assert_eq!(BigInt::from(u64::MAX).bits(), 64);
-    }
-
-    #[test]
-    fn parity() {
-        assert!(BigInt::zero().is_even());
-        assert!(!BigInt::from(1u32).is_even());
-        assert!(BigInt::from(-2).is_even());
     }
 
     #[test]

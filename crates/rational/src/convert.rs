@@ -81,22 +81,10 @@ impl BigInt {
         Some(if neg { -out } else { out })
     }
 
-    /// Converts to `i64` if it fits.
-    #[must_use]
-    pub fn to_i64(&self) -> Option<i64> {
-        i64::try_from(self).ok()
-    }
-
     /// Converts to `u64` if it fits and is non-negative.
     #[must_use]
     pub fn to_u64(&self) -> Option<u64> {
         u64::try_from(self).ok()
-    }
-
-    /// Converts to `i128` if it fits.
-    #[must_use]
-    pub fn to_i128(&self) -> Option<i128> {
-        i128::try_from(self).ok()
     }
 
     fn mag_as_u128(&self) -> Option<u128> {
@@ -213,8 +201,6 @@ mod tests {
 
     #[test]
     fn helper_getters() {
-        assert_eq!(BigInt::from(7).to_i64(), Some(7));
         assert_eq!(BigInt::from(-7).to_u64(), None);
-        assert_eq!(BigInt::from(7).to_i128(), Some(7));
     }
 }

@@ -12,7 +12,7 @@
 use conference_call::hardness::quasipartition::Qp1Instance;
 use conference_call::hardness::reduction::verify_reduction;
 use conference_call::pager::lower_bound_instance;
-use conference_call::pager::{greedy_strategy_exact, Delay};
+use conference_call::pager::{greedy_strategy_planned, Delay};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== Lemma 3.2: Quasipartition1 -> Conference Call (m = 2, d = 2) ==\n");
@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("== Section 4.3: the 320/317 lower-bound instance ==\n");
     let exact = lower_bound_instance::instance_exact();
-    let heuristic = greedy_strategy_exact(&exact, Delay::new(2)?);
+    let heuristic = greedy_strategy_planned(&exact, Delay::new(2)?);
     println!(
         "heuristic strategy : {}   EP = {}",
         heuristic.strategy, heuristic.expected_paging

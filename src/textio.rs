@@ -14,7 +14,7 @@
 //! 0.7 0.1 0.1 0.1
 //! ```
 
-use pager_core::{ExactInstance, Instance};
+use pager_core::Instance;
 use rational::Ratio;
 
 /// Errors parsing an instance from text.
@@ -84,16 +84,16 @@ pub fn parse_instance(text: &str) -> Result<Instance, ParseInstanceError> {
     Instance::from_rows(float_rows).map_err(|e| ParseInstanceError::Invalid(e.to_string()))
 }
 
-/// Parses an [`ExactInstance`] from text — rows must sum to exactly 1,
+/// Parses an exact [`Instance`] from text — rows must sum to exactly 1,
 /// so use fraction entries (`1/3`) or exact decimals (`0.25`).
 ///
 /// # Errors
 ///
 /// [`ParseInstanceError`] on malformed text or rows not summing to 1.
-pub fn parse_exact_instance(text: &str) -> Result<ExactInstance, ParseInstanceError> {
+pub fn parse_exact_instance(text: &str) -> Result<Instance<Ratio>, ParseInstanceError> {
     let rows = parse_rows(text)?;
     let exact_rows: Vec<Vec<Ratio>> = rows.into_iter().map(|(_, row)| row).collect();
-    ExactInstance::from_rows(exact_rows).map_err(|e| ParseInstanceError::Invalid(e.to_string()))
+    Instance::from_rows(exact_rows).map_err(|e| ParseInstanceError::Invalid(e.to_string()))
 }
 
 /// Renders an instance back to the text format (decimal probabilities,

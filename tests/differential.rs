@@ -24,7 +24,6 @@ use conference_call::pager::bandwidth::greedy_strategy_bounded;
 use conference_call::pager::cell_types::optimal_by_types;
 use conference_call::pager::signature::{expected_paging_signature, greedy_signature};
 use conference_call::pager::yellow_pages::{expected_paging_yellow, greedy_yellow};
-use conference_call::pager::ExactInstance;
 use conference_call::pager::{fig1, greedy_strategy_planned, optimal, two_device_two_round};
 use conference_call::prelude::*;
 use rand::rngs::StdRng;
@@ -121,11 +120,11 @@ fn float_vs_exact_exhaustive() {
                     .collect()
             })
             .collect();
-        let exact = ExactInstance::from_rows(rows_exact).unwrap();
+        let exact = Instance::from_rows(rows_exact).unwrap();
         let float = exact.to_f64();
         let d = rng.gen_range(2..=c.min(3));
         let delay = Delay::new(d).unwrap();
-        let a = optimal::optimal_exhaustive_exact(&exact, delay)
+        let a = optimal::optimal_exhaustive(&exact, delay)
             .unwrap()
             .expected_paging;
         let b = optimal::optimal_exhaustive(&float, delay)

@@ -66,7 +66,7 @@ fn heuristic_within_proven_factor_everywhere() {
 #[test]
 fn lower_bound_instance_certified() {
     let exact = lower_bound_instance::instance_exact();
-    let heur = conference_call::pager::greedy_strategy_exact(&exact, Delay::new(2).unwrap());
+    let heur = conference_call::pager::greedy_strategy_planned(&exact, Delay::new(2).unwrap());
     let opt = conference_call::pager::optimal::optimal_two_round_exact(&exact).unwrap();
     assert_eq!(heur.expected_paging, lower_bound_instance::heuristic_ep());
     assert_eq!(opt.expected_paging, lower_bound_instance::optimal_ep());
