@@ -10,12 +10,15 @@
 //! on the engine's I/O pool, which grows a worker whenever none is
 //! idle, so a client waiting on a dead backend never delays another
 //! client's request.
+//!
+//! The request's deadline is made here, when the request is read, and
+//! the watchdog is armed at its instant: time queued for the I/O pool
+//! counts against the budget, as the client sees it.
 
 use std::sync::Arc;
 
 use pager_service::engine::{Call, Gauges, Handler, Reply};
 use pager_wire::frame::op;
-use pager_wire::PlanFrameView;
 
 use crate::router::Router;
 
@@ -29,16 +32,17 @@ impl Handler for Router {
                 return Reply::Now;
             }
         };
-        if let Some(outcome) = self.control(&routed.request) {
+        if let Some(outcome) = self.control(&routed) {
             call.reply_line(&outcome.response, false);
             return Reply::Now;
         }
-        let done = call.later(Some(self.budget_ms(routed.deadline_ms)));
+        let deadline = self.deadline(routed.deadline_ms);
+        let done = call.later(&deadline);
         let line = line.to_string();
         call.spawn(move || {
             // lint:allow(no-blocking-in-reactor): this closure runs on
             // the I/O pool; blocking backend round trips are the design.
-            let outcome = self.route(&line, routed);
+            let outcome = self.route(&line, &deadline, routed);
             done.answer_line(&outcome.response, outcome.shutdown)
         });
         Reply::Later
@@ -50,16 +54,14 @@ impl Handler for Router {
             Router::answer_local_frame(frame_op, call.out());
             return Reply::Now;
         }
-        let deadline_ms = PlanFrameView::parse(payload)
-            .ok()
-            .and_then(|view| view.deadline_ms());
-        let done = call.later(Some(self.budget_ms(deadline_ms)));
+        let deadline = self.frame_deadline(payload);
+        let done = call.later(&deadline);
         let payload = payload.to_vec();
         call.spawn(move || {
             let mut out = Vec::new();
             // lint:allow(no-blocking-in-reactor): this closure runs on
             // the I/O pool; the forward is a blocking backend round trip.
-            self.route_plan_frame(frame_op, &payload, &mut out);
+            self.route_plan_frame(frame_op, &payload, &deadline, &mut out);
             done.answer(out)
         });
         Reply::Later

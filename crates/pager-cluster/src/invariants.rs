@@ -302,7 +302,7 @@ fn audit_epoch_convergence(cluster: &Cluster, report: &mut InvariantReport) {
             }
         }
     }
-    let give_up = Instant::now() + Duration::from_secs(5);
+    let settle_by = Instant::now() + Duration::from_secs(5);
     let mut laggards: Vec<String> = Vec::new();
     loop {
         let want = cluster.router.epoch();
@@ -322,7 +322,7 @@ fn audit_epoch_convergence(cluster: &Cluster, report: &mut InvariantReport) {
         if laggards.is_empty() {
             return;
         }
-        if Instant::now() >= give_up {
+        if Instant::now() >= settle_by {
             report.violations.push(format!(
                 "epochs did not converge after heal: {}",
                 laggards.join(", ")
@@ -340,7 +340,7 @@ fn audit_acked_durability(
     acked_versions: &[(String, u64)],
     report: &mut InvariantReport,
 ) {
-    let give_up = Instant::now() + Duration::from_secs(10);
+    let settle_by = Instant::now() + Duration::from_secs(10);
     for (device, acked) in acked_versions {
         let line = format!(
             r#"{{"cmd": "plan_devices", "devices": ["{device}"], "delay": 2, "deadline_ms": {}}}"#,
@@ -365,7 +365,7 @@ fn audit_acked_durability(
                 }
                 break;
             }
-            if Instant::now() >= give_up {
+            if Instant::now() >= settle_by {
                 report.violations.push(format!(
                     "after heal, acked device {device} is not servable: {value}"
                 ));

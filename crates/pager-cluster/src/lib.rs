@@ -57,6 +57,6 @@ pub mod wire;
 pub use harness::{Cluster, HarnessConfig};
 pub use invariants::{check_under_schedule, CheckConfig, InvariantReport};
 pub use ring::ShardMap;
-pub use router::{BackendSpec, Router, RouterConfig, RouterOutcome, ShardSpec};
+pub use router::{BackendSpec, Router, RouterConfig, ShardSpec};
 pub use topology::{ChaosSpec, Topology};
 pub use wire::Conn;

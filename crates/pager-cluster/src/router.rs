@@ -13,6 +13,12 @@
 //! within the request's `deadline_ms` budget — promoting a warm
 //! replica and bumping the membership epoch if the owner is gone.
 //!
+//! A request's budget becomes one [`CancelToken`] when the request is
+//! read (`Router::deadline`); every hop it makes — forwards, retries,
+//! failover fan-out, scatter, WAL shipping — reads its socket timeouts
+//! from that token's [`CancelToken::remaining`], so no hop can stretch
+//! the client's deadline.
+//!
 //! Requests arrive typed: [`handle_line`](Router::handle_line) parses
 //! v1 lines with [`pager_wire::json::parse_routed`] and dispatches on
 //! [`pager_wire::Request`] — the same enum `pager-service`'s `proto`
@@ -39,19 +45,17 @@ use std::time::{Duration, Instant};
 
 use jsonio::metrics::Counter;
 use jsonio::Value;
+use pager_core::cancel::CancelToken;
 use pager_profiles::Sighting;
+use pager_service::LineOutcome;
 use pager_wire::frame::{self, op, Message};
 use pager_wire::{
-    binary, json, ErrorCode, IdView, PlanFrameView, Request, RoutedRequest, WireError,
+    binary, json, ErrorBody, ErrorCode, IdView, PlanFrameView, Request, RoutedRequest, WireError,
 };
 
 use crate::ring::ShardMap;
 use crate::ship::{Appended, ShipCursors};
 use crate::wire::Conn;
-
-/// Protocol version stamped on router-origin response lines (matches
-/// `pager_wire::json::PROTOCOL_VERSION`).
-pub const PROTOCOL_VERSION: u64 = 1;
 
 /// Quantisation grid for the `plan` routing fingerprint. Matches the
 /// default service cache grid so near-identical matrices co-locate
@@ -124,15 +128,6 @@ pub(crate) fn checkout_pooled<C>(
     let mut conns = pool.lock().unwrap_or_else(|e| e.into_inner());
     conns.retain(|(_, parked_at)| now.duration_since(*parked_at) < ttl);
     conns.pop().map(|(conn, _)| conn)
-}
-
-/// The result of routing one line.
-#[derive(Debug)]
-pub struct RouterOutcome {
-    /// The response line (compact JSON).
-    pub response: String,
-    /// Whether the caller should stop serving (client sent `shutdown`).
-    pub shutdown: bool,
 }
 
 /// One backend process: its pooled connections and breaker state.
@@ -314,13 +309,13 @@ impl Router {
     /// Runs one round trip against a backend through its pool and
     /// breaker: checkout (or dial), `run`, repool on success, drop the
     /// poisoned connection and count the failure otherwise. Every
-    /// socket operation is bounded by `budget` (the caller's remaining
-    /// deadline), so a blackholed backend costs one bounded timeout,
-    /// never a parked router thread.
+    /// socket operation is bounded by what is left of `deadline`, so a
+    /// blackholed backend costs one bounded timeout, never a parked
+    /// router thread.
     fn with_backend_conn<T>(
         &self,
         idx: usize,
-        budget: Duration,
+        deadline: &CancelToken,
         run: impl FnOnce(&mut Conn) -> Result<T, String>,
     ) -> Result<T, String> {
         let backend = &self.backends[idx];
@@ -329,15 +324,13 @@ impl Router {
             self.metrics.breaker_rejections.inc();
             return Err(format!("breaker open for {}", backend.node));
         }
-        let connect_timeout = self
-            .config
-            .connect_timeout
-            .min(budget)
-            .max(Duration::from_millis(1));
         let pooled = checkout_pooled(&backend.conns, Instant::now(), POOL_IDLE_TTL);
         let mut conn = match pooled {
             Some(conn) => conn,
-            None => match Conn::connect(&backend.addr, connect_timeout) {
+            None => match Conn::connect(
+                &backend.addr,
+                socket_timeout(self.config.connect_timeout, deadline),
+            ) {
                 Ok(conn) => conn,
                 Err(e) => {
                     self.record_failure(idx);
@@ -347,7 +340,7 @@ impl Router {
         };
         // Re-arm the socket timeouts for this call: a pooled
         // connection carries whatever budget its previous caller had.
-        if let Err(e) = conn.set_io_timeout(self.config.io_timeout.min(budget)) {
+        if let Err(e) = conn.set_io_timeout(socket_timeout(self.config.io_timeout, deadline)) {
             self.record_failure(idx);
             return Err(e);
         }
@@ -366,16 +359,9 @@ impl Router {
         }
     }
 
-    /// One v1 round trip to a backend with the router's configured
-    /// `io_timeout` as the budget. For calls inside a request deadline
-    /// prefer [`Router::call_backend_within`].
-    pub(crate) fn call_backend(&self, idx: usize, line: &str) -> Result<Value, String> {
-        self.call_backend_within(idx, line, self.config.io_timeout)
-    }
-
     /// One v1 round trip to a backend, through its pool and breaker,
-    /// with every socket operation bounded by the remaining deadline
-    /// `budget`. The line travels sealed in CRC-checked frames both
+    /// with every socket operation bounded by what is left of
+    /// `deadline`. The line travels sealed in CRC-checked frames both
     /// ways, so a byte flipped in flight is rejected here instead of
     /// served. A reply that verifies but is not a pager response (no
     /// `ok` field — a byzantine backend sealing garbage correctly)
@@ -386,9 +372,9 @@ impl Router {
         &self,
         idx: usize,
         line: &str,
-        budget: Duration,
+        deadline: &CancelToken,
     ) -> Result<Value, String> {
-        self.with_backend_conn(idx, budget, |conn| {
+        self.with_backend_conn(idx, deadline, |conn| {
             let value = conn.round_trip_checked(line)?;
             if value.get("ok").and_then(Value::as_bool).is_none() {
                 self.metrics.byzantine_replies.inc();
@@ -399,15 +385,15 @@ impl Router {
     }
 
     /// One v2 round trip to a backend, through the same pool, breaker
-    /// and budget discipline. The frame bytes are forwarded verbatim;
+    /// and deadline discipline. The frame bytes are forwarded verbatim;
     /// a response with an op the protocol cannot produce is byzantine.
     fn call_backend_frame(
         &self,
         idx: usize,
         frame_bytes: &[u8],
-        budget: Duration,
+        deadline: &CancelToken,
     ) -> Result<(u8, Vec<u8>), String> {
-        self.with_backend_conn(idx, budget, |conn| {
+        self.with_backend_conn(idx, deadline, |conn| {
             let (resp_op, payload) = conn.round_trip_frame(frame_bytes)?;
             if !matches!(
                 resp_op,
@@ -441,9 +427,9 @@ impl Router {
     /// an owner afterwards (promotion happened or had already
     /// happened), `false` when no replica is left to promote. The
     /// epoch fanout to survivors is best-effort and bounded by
-    /// `give_up` — a wedged survivor must not park the failover past
+    /// `deadline` — a wedged survivor must not park the failover past
     /// the caller's deadline.
-    fn promote(&self, shard: usize, dead: usize, give_up: Instant) -> bool {
+    fn promote(&self, shard: usize, dead: usize, deadline: &CancelToken) -> bool {
         let (epoch, survivors) = {
             let mut membership = self.membership.lock().unwrap_or_else(|e| e.into_inner());
             let nodes = &mut membership.shards[shard];
@@ -467,11 +453,10 @@ impl Router {
         // on the next `epoch` broadcast.
         let line = json::encode_request(&Request::Epoch { epoch });
         for idx in survivors {
-            let remaining = give_up.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
+            if deadline.is_cancelled() {
                 break;
             }
-            let _ = self.call_backend_within(idx, &line, remaining);
+            let _ = self.call_backend_within(idx, &line, deadline);
         }
         true
     }
@@ -510,7 +495,12 @@ impl Router {
     /// `retry_after_ms`) and owner failovers. `overloaded` answers are
     /// passed through once the budget is exhausted; `degraded` and
     /// other application-level errors pass through immediately.
-    fn call_shard(&self, shard: usize, line: &str, deadline: Duration) -> Result<Value, String> {
+    fn call_shard(
+        &self,
+        shard: usize,
+        line: &str,
+        deadline: &CancelToken,
+    ) -> Result<Value, String> {
         self.call_shard_traced(shard, line, deadline)
             .map(|(value, _)| value)
     }
@@ -523,11 +513,10 @@ impl Router {
         &self,
         shard: usize,
         line: &str,
-        deadline: Duration,
+        deadline: &CancelToken,
     ) -> Result<(Value, usize), String> {
-        self.call_shard_with(shard, deadline, |router, owner, remaining| {
-            router
-                .call_backend_within(owner, line, remaining)
+        self.call_shard_with(shard, deadline, |owner| {
+            self.call_backend_within(owner, line, deadline)
                 .map(|value| {
                     let overloaded = value.get("ok").and_then(Value::as_bool) == Some(false)
                         && value.get("code").and_then(Value::as_str)
@@ -550,11 +539,10 @@ impl Router {
         &self,
         shard: usize,
         frame_bytes: &[u8],
-        deadline: Duration,
+        deadline: &CancelToken,
     ) -> Result<(u8, Vec<u8>), String> {
-        self.call_shard_with(shard, deadline, |router, owner, remaining| {
-            router
-                .call_backend_frame(owner, frame_bytes, remaining)
+        self.call_shard_with(shard, deadline, |owner| {
+            self.call_backend_frame(owner, frame_bytes, deadline)
                 .map(|reply| {
                     let retry_after = frame_overload_retry(reply.0, &reply.1);
                     (reply, retry_after)
@@ -563,33 +551,31 @@ impl Router {
         .map(|(reply, _)| reply)
     }
 
-    /// The shared retry loop behind both protocols: `call` receives
-    /// the remaining deadline budget (which bounds its socket
-    /// operations) and returns the response plus `Some(retry_after_ms)`
-    /// when the shard shed the request as overloaded. The success value
-    /// carries the backend index that served the final attempt.
+    /// The shared retry loop behind both protocols: `call` sends one
+    /// attempt to the given owner within `deadline` and returns the
+    /// response plus `Some(retry_after_ms)` when the shard shed the
+    /// request as overloaded. The success value carries the backend
+    /// index that served the final attempt.
     fn call_shard_with<T>(
         &self,
         shard: usize,
-        deadline: Duration,
-        call: impl Fn(&Router, usize, Duration) -> Result<(T, Option<u64>), String>,
+        deadline: &CancelToken,
+        call: impl Fn(usize) -> Result<(T, Option<u64>), String>,
     ) -> Result<(T, usize), String> {
-        let give_up = Instant::now() + deadline;
         let mut backoff = Duration::from_millis(5);
         loop {
-            let remaining = give_up.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
+            if deadline.is_cancelled() {
                 return Err(format!("shard {shard} unavailable within deadline"));
             }
             let (owner, _, _) = self.shard_snapshot(shard);
-            match call(self, owner, remaining) {
+            match call(owner) {
                 Ok((value, retry_after)) => {
                     self.metrics.forwarded.inc();
                     let Some(retry_after) = retry_after else {
                         return Ok((value, owner));
                     };
                     let wait = Duration::from_millis(retry_after);
-                    if Instant::now() + wait >= give_up {
+                    if outlasts(deadline, wait) {
                         self.metrics.shed_passthrough.inc();
                         return Ok((value, owner));
                     }
@@ -597,8 +583,8 @@ impl Router {
                     std::thread::sleep(wait);
                 }
                 Err(error) => {
-                    let has_owner = self.promote(shard, owner, give_up);
-                    if Instant::now() + backoff >= give_up {
+                    let has_owner = self.promote(shard, owner, deadline);
+                    if outlasts(deadline, backoff) {
                         return Err(format!(
                             "shard {shard} unavailable within deadline: {error}"
                         ));
@@ -622,106 +608,117 @@ impl Router {
     /// Routes one request line, returning the response line to send
     /// back to the client.
     #[must_use]
-    pub fn handle_line(&self, line: &str) -> RouterOutcome {
+    pub fn handle_line(&self, line: &str) -> LineOutcome {
         self.metrics.requests.inc();
         match self.parse_line(line) {
-            Ok(routed) => self.route(line, routed),
+            Ok(routed) => self.route(line, &self.deadline(routed.deadline_ms), routed),
             Err(outcome) => outcome,
         }
     }
 
-    /// Parses one request line, or answers its parse error.
-    pub(crate) fn parse_line(&self, line: &str) -> Result<RoutedRequest, RouterOutcome> {
-        json::parse_routed(line).map_err(|e| {
+    /// Parses one request line, or answers its parse error (echoing the
+    /// line's `id` when it was valid JSON).
+    pub(crate) fn parse_line(&self, line: &str) -> Result<RoutedRequest, LineOutcome> {
+        json::parse_routed(line).map_err(|(id, e)| {
             let (code, message) = match e {
                 WireError::BadRequest(m) => (ErrorCode::BadRequest, m),
                 WireError::Unsupported(m) => (ErrorCode::Unsupported, m),
             };
-            RouterOutcome {
-                response: self.error_line(code, &message),
-                shutdown: false,
-            }
+            self.error(&id, code, &message)
         })
     }
 
-    /// The request's deadline budget in ms: its own `deadline_ms`,
-    /// else the router default.
-    pub(crate) fn budget_ms(&self, deadline_ms: Option<u64>) -> u64 {
-        deadline_ms.unwrap_or_else(|| {
-            u64::try_from(self.config.default_deadline.as_millis()).unwrap_or(u64::MAX)
-        })
+    /// A request's deadline: its own `deadline_ms`, else the router
+    /// default. This is the router's one budget rule; the token is made
+    /// when the request is read, so time queued before routing counts
+    /// against it, and every hop reads its socket timeouts from it.
+    pub(crate) fn deadline(&self, deadline_ms: Option<u64>) -> CancelToken {
+        CancelToken::with_timeout(
+            deadline_ms.map_or(self.config.default_deadline, Duration::from_millis),
+        )
+    }
+
+    /// [`Router::deadline`] for a v2 `plan` frame: the `deadline_ms` of
+    /// its header, if the header parses.
+    pub(crate) fn frame_deadline(&self, payload: &[u8]) -> CancelToken {
+        self.deadline(
+            PlanFrameView::parse(payload)
+                .ok()
+                .and_then(|view| view.deadline_ms()),
+        )
     }
 
     /// Answers the requests that touch no backend — `ping`, `stats` /
     /// `metrics` and `node_info` — from the router's own state.
-    pub(crate) fn control(&self, request: &Request) -> Option<RouterOutcome> {
-        match request {
-            Request::Ping => Some(RouterOutcome {
-                response: self.ok_line(vec![("pong", Value::Bool(true))]),
-                shutdown: false,
-            }),
-            Request::NodeInfo => Some(self.local_node_info()),
-            Request::Stats | Request::Metrics => Some(RouterOutcome {
-                response: self.ok_line(vec![
+    pub(crate) fn control(&self, routed: &RoutedRequest) -> Option<LineOutcome> {
+        let id = &routed.id;
+        match routed.request {
+            Request::Ping => Some(self.ok(id, vec![("pong", Value::Bool(true))])),
+            Request::NodeInfo => Some(self.local_node_info(id)),
+            Request::Stats | Request::Metrics => Some(self.ok(
+                id,
+                vec![
                     ("epoch", Value::from(self.epoch())),
                     ("router", Value::object(self.metrics.entries())),
-                ]),
-                shutdown: false,
-            }),
+                ],
+            )),
             _ => None,
         }
     }
 
-    /// Routes one parsed request line to the shards that serve it.
-    /// `line` is forwarded verbatim where the request goes to one
-    /// shard, so ids and unknown fields survive.
-    pub(crate) fn route(&self, line: &str, routed: RoutedRequest) -> RouterOutcome {
-        if let Some(outcome) = self.control(&routed.request) {
+    /// Routes one parsed request line to the shards that serve it,
+    /// within `deadline`. `line` is forwarded verbatim where the
+    /// request goes to one shard, so ids and unknown fields survive.
+    pub(crate) fn route(
+        &self,
+        line: &str,
+        deadline: &CancelToken,
+        routed: RoutedRequest,
+    ) -> LineOutcome {
+        if let Some(outcome) = self.control(&routed) {
             return outcome;
         }
-        let deadline = Duration::from_millis(self.budget_ms(routed.deadline_ms));
-        match routed.request {
+        let RoutedRequest {
+            id,
+            request,
+            route_key,
+            ..
+        } = routed;
+        match request {
             // Raw `plan`: route by `route_key` when the client names
             // one, otherwise by the quantised instance fingerprint —
             // identical instances land on the same shard (in any wire
             // form) and share its strategy cache. The original line is
             // forwarded untouched, so ids and unknown fields survive.
             Request::Plan { instance, .. } => {
-                let key = routed
-                    .route_key
+                let key = route_key
                     .unwrap_or_else(|| plan_route_key(instance.fingerprint64(ROUTING_GRID)));
-                self.forward_by_key(line, &key, deadline)
+                self.forward_by_key(line, &id, &key, deadline)
             }
             // `plan_devices` routes by its first device (or an
             // explicit `route_key`). All devices of a call group must
             // live on one shard — co-locate them by keying their
             // sightings consistently.
             Request::PlanDevices { devices, .. } => {
-                let key = routed
-                    .route_key
+                let key = route_key
                     .or_else(|| devices.first().cloned())
                     .unwrap_or_default();
-                self.forward_by_key(line, &key, deadline)
+                self.forward_by_key(line, &id, &key, deadline)
             }
             Request::Observe {
                 cells, sightings, ..
-            } => self.route_observe(cells, sightings, deadline),
-            Request::ProfileStats => self.route_profile_stats(deadline),
-            Request::Epoch { epoch } => self.adopt_epoch(epoch),
-            Request::Shutdown => self.broadcast_shutdown(),
-            Request::WalShip { .. } | Request::WalApply { .. } => RouterOutcome {
-                response: self.error_line(
-                    ErrorCode::Unsupported,
-                    "WAL ops address a node, not the router",
-                ),
-                shutdown: false,
-            },
+            } => self.route_observe(&id, cells, sightings, deadline),
+            Request::ProfileStats => self.route_profile_stats(&id, deadline),
+            Request::Epoch { epoch } => self.adopt_epoch(&id, epoch),
+            Request::Shutdown => self.broadcast_shutdown(&id),
+            Request::WalShip { .. } | Request::WalApply { .. } => self.error(
+                &id,
+                ErrorCode::Unsupported,
+                "WAL ops address a node, not the router",
+            ),
             // Answered by `control` above.
             Request::Ping | Request::NodeInfo | Request::Stats | Request::Metrics => {
-                RouterOutcome {
-                    response: self.error_line(ErrorCode::Internal, "control op reached routing"),
-                    shutdown: false,
-                }
+                self.error(&id, ErrorCode::Internal, "control op reached routing")
             }
         }
     }
@@ -755,7 +752,8 @@ impl Router {
             Message::Frame { .. } | Message::Blank => {
                 self.metrics.requests.inc();
                 if frame_op == op::PLAN {
-                    self.route_plan_frame(frame_op, payload, out);
+                    let deadline = self.frame_deadline(payload);
+                    self.route_plan_frame(frame_op, payload, &deadline, out);
                 } else {
                     Self::answer_local_frame(frame_op, out);
                 }
@@ -784,7 +782,13 @@ impl Router {
     /// Forwards a binary `plan` frame to the shard owning its instance
     /// fingerprint — the same key the v1 path derives from the parsed
     /// matrix, so both forms share one shard's cache.
-    pub(crate) fn route_plan_frame(&self, frame_op: u8, payload: &[u8], out: &mut Vec<u8>) {
+    pub(crate) fn route_plan_frame(
+        &self,
+        frame_op: u8,
+        payload: &[u8],
+        deadline: &CancelToken,
+        out: &mut Vec<u8>,
+    ) {
         let view = match PlanFrameView::parse(payload) {
             Ok(view) => view,
             Err(message) => {
@@ -811,9 +815,6 @@ impl Router {
             );
             return;
         };
-        let deadline = view
-            .deadline_ms()
-            .map_or(self.config.default_deadline, Duration::from_millis);
         // Re-frame the borrowed payload: one memcpy, no field decode.
         let mut forward = Vec::with_capacity(frame::HEADER_LEN + payload.len());
         frame::write_frame(&mut forward, frame_op, payload);
@@ -830,22 +831,22 @@ impl Router {
         }
     }
 
-    fn forward_by_key(&self, line: &str, key: &str, deadline: Duration) -> RouterOutcome {
+    fn forward_by_key(
+        &self,
+        line: &str,
+        id: &Value,
+        key: &str,
+        deadline: &CancelToken,
+    ) -> LineOutcome {
         let Some(shard) = self.shard_of(key) else {
-            return RouterOutcome {
-                response: self.error_line(ErrorCode::Internal, "empty shard map"),
-                shutdown: false,
-            };
+            return self.error(id, ErrorCode::Internal, "empty shard map");
         };
         match self.call_shard(shard, line, deadline) {
-            Ok(response) => RouterOutcome {
+            Ok(response) => LineOutcome {
                 response: self.stamp(response, shard),
                 shutdown: false,
             },
-            Err(error) => RouterOutcome {
-                response: self.error_line(ErrorCode::Unavailable, &error),
-                shutdown: false,
-            },
+            Err(error) => self.error(id, ErrorCode::Unavailable, &error),
         }
     }
 
@@ -856,23 +857,20 @@ impl Router {
     /// replayed on that shard's live replicas.
     fn route_observe(
         &self,
+        id: &Value,
         cells: usize,
         sightings: Vec<Sighting>,
-        deadline: Duration,
-    ) -> RouterOutcome {
-        // One budget covers the whole observe — every per-shard
-        // forward and every replication pass draws from the same
-        // remaining time, so the client's deadline bounds the ack.
-        let give_up = Instant::now() + deadline;
-        // Group sightings by owning shard, preserving batch order
-        // within each group (versions are assigned in apply order).
+        deadline: &CancelToken,
+    ) -> LineOutcome {
+        // One deadline covers the whole observe — every per-shard
+        // forward and every replication pass draws from it, so the
+        // client's deadline bounds the ack. Group sightings by owning
+        // shard, preserving batch order within each group (versions
+        // are assigned in apply order).
         let mut groups: Vec<Vec<Sighting>> = vec![Vec::new(); self.shard_count()];
         for sighting in sightings {
             let Some(shard) = self.shard_of(&sighting.device) else {
-                return RouterOutcome {
-                    response: self.error_line(ErrorCode::Internal, "empty shard map"),
-                    shutdown: false,
-                };
+                return self.error(id, ErrorCode::Internal, "empty shard map");
             };
             groups[shard].push(sighting);
         }
@@ -887,26 +885,14 @@ impl Router {
                 sightings: group,
                 ship: true,
             });
-            let remaining = give_up.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return RouterOutcome {
-                    response: self.error_line(ErrorCode::Unavailable, "observe deadline exhausted"),
-                    shutdown: false,
-                };
-            }
-            let (response, applied_on) = match self.call_shard_traced(shard, &sub, remaining) {
+            let (response, applied_on) = match self.call_shard_traced(shard, &sub, deadline) {
                 Ok(traced) => traced,
-                Err(error) => {
-                    return RouterOutcome {
-                        response: self.error_line(ErrorCode::Unavailable, &error),
-                        shutdown: false,
-                    }
-                }
+                Err(error) => return self.error(id, ErrorCode::Unavailable, &error),
             };
             if response.get("ok").and_then(Value::as_bool) != Some(true) {
                 // Pass the shard's own error (degraded, overloaded
                 // after budget, bad_request) through unchanged.
-                return RouterOutcome {
+                return LineOutcome {
                     response: self.stamp(response, shard),
                     shutdown: false,
                 };
@@ -926,7 +912,7 @@ impl Router {
             // Replicate before acking: a SIGKILLed owner must never
             // take an acked sighting with it. The owner's ack carries
             // the frames it appended, which go straight to the
-            // replicas. Shipping draws from the same budget, so a
+            // replicas. Shipping draws from the same deadline, so a
             // wedged link fails the ack honestly instead of parking
             // the client. `applied_on` pins the replication pass to
             // the backend that ingested the batch: if the shard fails
@@ -936,29 +922,29 @@ impl Router {
                 shard,
                 applied_on,
                 Appended::from_ack(&response).as_ref(),
-                give_up.saturating_duration_since(Instant::now()),
+                deadline,
             ) {
-                return RouterOutcome {
-                    response: self.error_line(
-                        ErrorCode::Unavailable,
-                        &format!("replication failed: {error}"),
-                    ),
-                    shutdown: false,
-                };
+                return self.error(
+                    id,
+                    ErrorCode::Unavailable,
+                    &format!("replication failed: {error}"),
+                );
             }
         }
-        RouterOutcome {
-            response: self.ok_line(vec![
+        self.ok(
+            id,
+            vec![
                 ("ingested", Value::from(ingested)),
                 ("versions", Value::Object(versions)),
-            ]),
-            shutdown: false,
-        }
+            ],
+        )
     }
 
     /// `profile_stats`: scatter to every shard owner and answer with
-    /// the per-shard breakdown plus summed totals.
-    fn route_profile_stats(&self, deadline: Duration) -> RouterOutcome {
+    /// the per-shard breakdown plus summed totals. Every shard call
+    /// draws from the one `deadline`, so the scatter answers within it
+    /// however many shards are slow.
+    fn route_profile_stats(&self, id: &Value, deadline: &CancelToken) -> LineOutcome {
         let shard_names = {
             let membership = self.membership.lock().unwrap_or_else(|e| e.into_inner());
             membership.map.shards.clone()
@@ -970,12 +956,7 @@ impl Router {
         for (shard, shard_name) in shard_names.iter().enumerate() {
             let response = match self.call_shard(shard, &scatter, deadline) {
                 Ok(response) => response,
-                Err(error) => {
-                    return RouterOutcome {
-                        response: self.error_line(ErrorCode::Unavailable, &error),
-                        shutdown: false,
-                    }
-                }
+                Err(error) => return self.error(id, ErrorCode::Unavailable, &error),
             };
             if let Some(profiles) = response.get("profiles") {
                 devices += profiles.get("devices").and_then(Value::as_u64).unwrap_or(0);
@@ -986,18 +967,18 @@ impl Router {
                 per_shard.push((shard_name.clone(), profiles.clone()));
             }
         }
-        RouterOutcome {
-            response: self.ok_line(vec![
+        self.ok(
+            id,
+            vec![
                 ("devices", Value::from(devices)),
                 ("sightings", Value::from(sightings)),
                 ("shards", Value::Object(per_shard)),
-            ]),
-            shutdown: false,
-        }
+            ],
+        )
     }
 
     /// The router's own `node_info`: membership as the router sees it.
-    fn local_node_info(&self) -> RouterOutcome {
+    fn local_node_info(&self, id: &Value) -> LineOutcome {
         let (epoch, shards) = {
             let membership = self.membership.lock().unwrap_or_else(|e| e.into_inner());
             let shards: Vec<Value> = membership
@@ -1026,19 +1007,20 @@ impl Router {
                 .collect();
             (membership.map.epoch, shards)
         };
-        RouterOutcome {
-            response: self.ok_line(vec![
+        self.ok(
+            id,
+            vec![
                 ("role", Value::from("router")),
                 ("epoch", Value::from(epoch)),
                 ("shards", Value::Array(shards)),
-            ]),
-            shutdown: false,
-        }
+            ],
+        )
     }
 
     /// `epoch`: adopt a higher membership epoch (monotone) and fan it
-    /// out to every live backend.
-    fn adopt_epoch(&self, epoch: u64) -> RouterOutcome {
+    /// out to every live backend. The fan-out carries no client
+    /// deadline: each call is bounded by `io_timeout` alone.
+    fn adopt_epoch(&self, id: &Value, epoch: u64) -> LineOutcome {
         let (adopted, live) = {
             let mut membership = self.membership.lock().unwrap_or_else(|e| e.into_inner());
             if epoch > membership.map.epoch {
@@ -1048,27 +1030,25 @@ impl Router {
         };
         let line = json::encode_request(&Request::Epoch { epoch: adopted });
         for idx in live {
-            let _ = self.call_backend(idx, &line);
+            let _ = self.call_backend_within(idx, &line, &CancelToken::never());
         }
-        RouterOutcome {
-            response: self.ok_line(vec![("epoch", Value::from(adopted))]),
-            shutdown: false,
-        }
+        self.ok(id, vec![("epoch", Value::from(adopted))])
     }
 
-    /// `shutdown`: stop every backend (best effort), then stop serving.
-    fn broadcast_shutdown(&self) -> RouterOutcome {
+    /// `shutdown`: stop every backend (best effort, each call bounded
+    /// by `io_timeout`), then stop serving.
+    fn broadcast_shutdown(&self, id: &Value) -> LineOutcome {
         let live = {
             let membership = self.membership.lock().unwrap_or_else(|e| e.into_inner());
             self.live_backends(&membership)
         };
         let line = json::encode_request(&Request::Shutdown);
         for idx in live {
-            let _ = self.call_backend(idx, &line);
+            let _ = self.call_backend_within(idx, &line, &CancelToken::never());
         }
-        RouterOutcome {
-            response: self.ok_line(vec![("stopping", Value::Bool(true))]),
+        LineOutcome {
             shutdown: true,
+            ..self.ok(id, vec![("stopping", Value::Bool(true))])
         }
     }
 
@@ -1091,26 +1071,53 @@ impl Router {
         }
     }
 
-    fn ok_line(&self, fields: Vec<(&'static str, Value)>) -> String {
-        let mut all = vec![
-            ("v", Value::from(PROTOCOL_VERSION)),
-            ("ok", Value::Bool(true)),
-            ("router_epoch", Value::from(self.epoch())),
-        ];
+    /// A router-origin success answer: `id` echoed (omitted when
+    /// null), then the `router_epoch` stamp, then `fields`.
+    fn ok(&self, id: &Value, fields: Vec<(&'static str, Value)>) -> LineOutcome {
+        let mut all = vec![("router_epoch", Value::from(self.epoch()))];
         all.extend(fields);
-        Value::object(all).to_string()
+        LineOutcome {
+            response: json::ok_line_with_id(None, id, all),
+            shutdown: false,
+        }
     }
 
-    fn error_line(&self, code: ErrorCode, message: &str) -> String {
-        Value::object(vec![
-            ("v", Value::from(PROTOCOL_VERSION)),
-            ("ok", Value::Bool(false)),
-            ("code", Value::from(code.as_str())),
-            ("error", Value::from(message)),
-            ("router_epoch", Value::from(self.epoch())),
-        ])
-        .to_string()
+    /// A router-origin error answer: the node's error line (`id`
+    /// echoed, `null` when the request had none) with the
+    /// `router_epoch` stamp last.
+    fn error(&self, id: &Value, code: ErrorCode, message: &str) -> LineOutcome {
+        let line = json::error_line(
+            None,
+            &ErrorBody {
+                id,
+                code,
+                message,
+                retry_after_ms: None,
+            },
+        );
+        // `line` is one JSON object: reopen it before its closing brace.
+        let body = line.strip_suffix('}').unwrap_or(&line);
+        LineOutcome {
+            response: format!("{body},\"router_epoch\":{}}}", self.epoch()),
+            shutdown: false,
+        }
     }
+}
+
+/// `cap`, cut to what is left of `deadline`, for one socket
+/// operation. Never zero, which std rejects as a socket timeout:
+/// callers check the deadline before each call, and a call racing its
+/// expiry gets one millisecond.
+fn socket_timeout(cap: Duration, deadline: &CancelToken) -> Duration {
+    deadline
+        .remaining()
+        .map_or(cap, |left| cap.min(left))
+        .max(Duration::from_millis(1))
+}
+
+/// Whether waiting `wait` would reach `deadline`.
+fn outlasts(deadline: &CancelToken, wait: Duration) -> bool {
+    deadline.remaining().is_some_and(|left| left <= wait)
 }
 
 /// The consistent-hash key for a `plan` request: the quantised
@@ -1199,6 +1206,12 @@ mod tests {
     /// semantic validation: this models a byzantine *backend* rather
     /// than a corrupted link, and the CRC verifies end to end.
     fn scripted_backend(reply: &'static str) -> String {
+        scripted_backend_after(reply, Duration::ZERO)
+    }
+
+    /// [`scripted_backend`], answering each request `delay` after it
+    /// arrives.
+    fn scripted_backend_after(reply: &'static str, delay: Duration) -> String {
         use std::io::{Read, Write};
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
@@ -1237,6 +1250,7 @@ mod tests {
                                     _ => reply.to_string(),
                                 };
                                 buf.drain(..consumed);
+                                std::thread::sleep(delay);
                                 let mut out = Vec::new();
                                 frame::write_checked_frame(
                                     &mut out,
@@ -1284,6 +1298,81 @@ mod tests {
     }
 
     #[test]
+    fn a_profile_stats_scatter_keeps_its_deadline() {
+        // Two shards whose backends each answer after 0.7·D: given the
+        // full budget per shard, the scatter would answer after 1.4·D.
+        const D: u64 = 400;
+        let reply = "{\"ok\":true,\"profiles\":{\"devices\":1,\"sightings\":2}}";
+        let shards = (0..2)
+            .map(|i| ShardSpec {
+                shard: format!("s{i}"),
+                backends: vec![BackendSpec {
+                    node: format!("n{i}"),
+                    addr: scripted_backend_after(reply, Duration::from_millis(D * 7 / 10)),
+                }],
+            })
+            .collect();
+        let router = Router::new(shards, 64, RouterConfig::default()).unwrap();
+        let started = Instant::now();
+        let outcome =
+            router.handle_line(&format!(r#"{{"cmd":"profile_stats","deadline_ms":{D}}}"#));
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(D + 100),
+            "answered after {elapsed:?}: {}",
+            outcome.response
+        );
+        let answer = jsonio::parse(&outcome.response).unwrap();
+        assert!(
+            answer.get("ok").and_then(Value::as_bool) == Some(true)
+                || answer.get("code").and_then(Value::as_str) == Some("unavailable"),
+            "{answer}"
+        );
+    }
+
+    #[test]
+    fn router_answers_echo_the_request_id() {
+        let router = one_backend_router(scripted_backend(
+            "{\"ok\":true,\"profiles\":{\"devices\":0,\"sightings\":0}}",
+        ));
+        // An id-less answer is unchanged; an id rides right after "v".
+        assert_eq!(
+            router.handle_line(r#"{"cmd":"ping"}"#).response,
+            r#"{"v":1,"ok":true,"router_epoch":0,"pong":true}"#
+        );
+        assert_eq!(
+            router.handle_line(r#"{"cmd":"ping","id":7}"#).response,
+            r#"{"v":1,"id":7,"ok":true,"router_epoch":0,"pong":true}"#
+        );
+        let stats = router.handle_line(r#"{"cmd":"profile_stats","id":"s-1"}"#);
+        assert!(
+            stats
+                .response
+                .starts_with(r#"{"v":1,"id":"s-1","ok":true,"router_epoch":0,"devices":0"#),
+            "{}",
+            stats.response
+        );
+        // Router-origin errors echo the id, null when there is none.
+        let dead = one_backend_router("127.0.0.1:1".to_string());
+        let unavailable = dead
+            .handle_line(r#"{"cmd":"profile_stats","id":9,"deadline_ms":50}"#)
+            .response;
+        assert!(
+            unavailable.starts_with(r#"{"v":1,"id":9,"ok":false,"code":"unavailable","error":"#)
+                && unavailable.ends_with(r#","router_epoch":0}"#),
+            "{unavailable}"
+        );
+        assert_eq!(
+            dead.handle_line(r#"{"cmd":"nope","id":3}"#).response,
+            r#"{"v":1,"id":3,"ok":false,"code":"unsupported","error":"unknown cmd \"nope\"","router_epoch":0}"#
+        );
+        assert!(dead
+            .handle_line("not json")
+            .response
+            .starts_with(r#"{"v":1,"id":null,"ok":false,"code":"bad_request""#));
+    }
+
+    #[test]
     fn a_json_wrapped_request_counts_once() {
         // Answered by the router itself: no backend is dialled.
         let router = one_backend_router("127.0.0.1:1".to_string());
@@ -1313,13 +1402,13 @@ mod tests {
         let budget = Duration::from_millis(500);
         for _ in 0..BREAKER_THRESHOLD {
             let err = router
-                .call_backend_within(0, "{\"cmd\":\"ping\"}", budget)
+                .call_backend_within(0, "{\"cmd\":\"ping\"}", &CancelToken::with_timeout(budget))
                 .unwrap_err();
             assert!(err.contains("byzantine"), "{err}");
         }
         // The breaker is now open: the next call is rejected locally.
         let err = router
-            .call_backend_within(0, "{\"cmd\":\"ping\"}", budget)
+            .call_backend_within(0, "{\"cmd\":\"ping\"}", &CancelToken::with_timeout(budget))
             .unwrap_err();
         assert!(err.contains("breaker open"), "{err}");
         assert_eq!(
@@ -1333,7 +1422,11 @@ mod tests {
     fn well_formed_replies_pass_byzantine_validation() {
         let router = one_backend_router(scripted_backend("{\"ok\":true,\"pong\":true}"));
         let value = router
-            .call_backend_within(0, "{\"cmd\":\"ping\"}", Duration::from_millis(500))
+            .call_backend_within(
+                0,
+                "{\"cmd\":\"ping\"}",
+                &CancelToken::with_timeout(Duration::from_millis(500)),
+            )
             .unwrap();
         assert_eq!(value.get("ok").and_then(Value::as_bool), Some(true));
         assert_eq!(router.metrics.byzantine_replies.get(), 0);
@@ -1366,9 +1459,18 @@ mod tests {
         .unwrap();
         let (old_owner, replicas, _) = router.shard_snapshot(0);
         assert_eq!(replicas.len(), 1);
-        assert!(router.promote(0, old_owner, Instant::now() + Duration::from_millis(200)));
+        assert!(router.promote(
+            0,
+            old_owner,
+            &CancelToken::with_timeout(Duration::from_millis(200))
+        ));
         let err = router
-            .ship_shard(0, old_owner, None, Duration::from_millis(100))
+            .ship_shard(
+                0,
+                old_owner,
+                None,
+                &CancelToken::with_timeout(Duration::from_millis(100)),
+            )
             .unwrap_err();
         assert!(err.contains("failed over mid-observe"), "{err}");
         // Pinned to the *current* owner the pass succeeds — the shard
@@ -1377,7 +1479,12 @@ mod tests {
         assert_ne!(new_owner, old_owner);
         assert!(replicas_after.is_empty());
         assert_eq!(
-            router.ship_shard(0, new_owner, None, Duration::from_millis(100)),
+            router.ship_shard(
+                0,
+                new_owner,
+                None,
+                &CancelToken::with_timeout(Duration::from_millis(100))
+            ),
             Ok(0)
         );
     }
@@ -1414,14 +1521,23 @@ mod tests {
         };
         // At the cursor: forwarded, no read-back.
         let first = appended(0, 0);
-        assert_eq!(router.ship_shard(0, owner, Some(&first), budget), Ok(2));
+        assert_eq!(
+            router.ship_shard(0, owner, Some(&first), &CancelToken::with_timeout(budget)),
+            Ok(2)
+        );
         // Already shipped (a concurrent catch-up passed it): nothing.
-        assert_eq!(router.ship_shard(0, owner, Some(&first), budget), Ok(0));
+        assert_eq!(
+            router.ship_shard(0, owner, Some(&first), &CancelToken::with_timeout(budget)),
+            Ok(0)
+        );
         assert_eq!(router.metrics.ship_catchups.get(), 0);
         // A gap, a later generation, or no frames at all: catch up.
         for gap in [Some(appended(0, 20)), Some(appended(1, 0)), None] {
             let before = router.metrics.ship_catchups.get();
-            assert_eq!(router.ship_shard(0, owner, gap.as_ref(), budget), Ok(0));
+            assert_eq!(
+                router.ship_shard(0, owner, gap.as_ref(), &CancelToken::with_timeout(budget)),
+                Ok(0)
+            );
             assert_eq!(router.metrics.ship_catchups.get(), before + 1);
         }
         assert_eq!(router.metrics.shipped_records.get(), 2);
@@ -1460,12 +1576,22 @@ mod tests {
             bytes: vec![0; 8],
         };
         assert_eq!(
-            router.ship_shard(0, owner, Some(&appended(1)), budget),
+            router.ship_shard(
+                0,
+                owner,
+                Some(&appended(1)),
+                &CancelToken::with_timeout(budget)
+            ),
             Ok(2)
         );
         // Same incarnation: the cursor past the frames proves them shipped.
         assert_eq!(
-            router.ship_shard(0, owner, Some(&appended(1)), budget),
+            router.ship_shard(
+                0,
+                owner,
+                Some(&appended(1)),
+                &CancelToken::with_timeout(budget)
+            ),
             Ok(0)
         );
         assert_eq!(router.metrics.ship_catchups.get(), 0);
@@ -1473,7 +1599,12 @@ mod tests {
         // cursor indexes the old log: catch-up re-checks it against the
         // owner's WAL and the ack fails instead of skipping the replica.
         let err = router
-            .ship_shard(0, owner, Some(&appended(2)), budget)
+            .ship_shard(
+                0,
+                owner,
+                Some(&appended(2)),
+                &CancelToken::with_timeout(budget),
+            )
             .unwrap_err();
         assert!(err.contains("beyond WAL length"), "{err}");
         assert_eq!(router.metrics.ship_catchups.get(), 1);

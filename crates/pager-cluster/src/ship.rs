@@ -33,9 +33,9 @@
 //! shards ship concurrently.
 
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
 
 use jsonio::Value;
+use pager_core::cancel::CancelToken;
 use pager_profiles::wal::{decode_hex, SHIP_WINDOW_BYTES};
 use pager_wire::{json, Request};
 
@@ -123,7 +123,7 @@ const MAX_ROUNDS: usize = 100_000;
 impl Router {
     /// Brings every live replica of `shard` up to at least the end of
     /// `appended` — the frames the observe being acked wrote on the
-    /// owner — within `budget`: forwarded as-is when the replica's
+    /// owner — within `deadline`: forwarded as-is when the replica's
     /// cursor sits at their start, by catch-up to the owner's tip
     /// otherwise (always, when `appended` is `None`). Returns the
     /// number of records applied across replicas.
@@ -146,9 +146,8 @@ impl Router {
         shard: usize,
         applied_on: usize,
         appended: Option<&Appended>,
-        budget: Duration,
+        deadline: &CancelToken,
     ) -> Result<u64, String> {
-        let give_up = Instant::now() + budget;
         let (owner, replicas, _) = self.shard_snapshot(shard);
         if owner != applied_on {
             return Err(format!(
@@ -170,7 +169,7 @@ impl Router {
             let same_log = appended.is_some_and(|a| ship.incarnation == Some(a.incarnation));
             for replica in replicas {
                 let cursor = ship.cursors.entry(replica).or_default();
-                match self.ship_to_replica(owner, replica, cursor, appended, same_log, give_up) {
+                match self.ship_to_replica(owner, replica, cursor, appended, same_log, deadline) {
                     Ok(records) => shipped += records,
                     Err(ShipError::Replica(())) => {
                         // The replica is gone; stop shipping to it and
@@ -218,7 +217,7 @@ impl Router {
         cursor: &mut Cursor,
         appended: Option<&Appended>,
         same_log: bool,
-        give_up: Instant,
+        deadline: &CancelToken,
     ) -> Result<u64, ShipError> {
         let mut applied = 0u64;
         if let Some(appended) = appended {
@@ -227,7 +226,7 @@ impl Router {
             }
             if *cursor == appended.at {
                 let (records, consumed) =
-                    self.apply_to_replica(replica, &appended.bytes, give_up)?;
+                    self.apply_to_replica(replica, &appended.bytes, deadline)?;
                 cursor.offset += consumed;
                 if consumed == appended.bytes.len() as u64 {
                     return Ok(records);
@@ -238,7 +237,7 @@ impl Router {
                 applied = records;
             }
         }
-        self.catch_up(owner, replica, cursor, give_up)
+        self.catch_up(owner, replica, cursor, deadline)
             .map(|records| applied + records)
     }
 
@@ -248,10 +247,9 @@ impl Router {
         &self,
         replica: usize,
         bytes: &[u8],
-        give_up: Instant,
+        deadline: &CancelToken,
     ) -> Result<(u64, u64), ShipError> {
-        let remaining = give_up.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
+        if deadline.is_cancelled() {
             return Err(ShipError::Owner(
                 "replication deadline exhausted".to_string(),
             ));
@@ -260,7 +258,7 @@ impl Router {
             bytes: bytes.to_vec(),
         });
         let outcome = self
-            .call_backend_within(replica, &apply, remaining)
+            .call_backend_within(replica, &apply, deadline)
             .map_err(|_| ShipError::Replica(()))?;
         if outcome.get("ok").and_then(Value::as_bool) != Some(true) {
             return Err(ShipError::Replica(()));
@@ -271,21 +269,20 @@ impl Router {
 
     /// Tails `owner`'s WAL from `cursor` with `wal_ship` and applies
     /// it to `replica` until the cursor reaches the owner's tip or
-    /// `give_up` passes.
+    /// `deadline` fires.
     fn catch_up(
         &self,
         owner: usize,
         replica: usize,
         cursor: &mut Cursor,
-        give_up: Instant,
+        deadline: &CancelToken,
     ) -> Result<u64, ShipError> {
         let mut applied = 0u64;
         for _ in 0..MAX_ROUNDS {
             // Budget exhaustion is an owner-side error, not the
             // replica's fault: fail the ack rather than dropping a
             // healthy replica that ran out of time.
-            let remaining = give_up.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
+            if deadline.is_cancelled() {
                 return Err(ShipError::Owner(
                     "replication deadline exhausted".to_string(),
                 ));
@@ -297,7 +294,7 @@ impl Router {
             });
             self.metrics.ship_catchups.inc();
             let export = self
-                .call_backend_within(owner, &request, remaining)
+                .call_backend_within(owner, &request, deadline)
                 .map_err(ShipError::Owner)?;
             if export.get("ok").and_then(Value::as_bool) != Some(true) {
                 let error = export
@@ -320,7 +317,7 @@ impl Router {
                         .unwrap_or_default(),
                 )
                 .map_err(|e| ShipError::Owner(format!("wal_ship exported bad hex: {e}")))?;
-                let (records, consumed) = self.apply_to_replica(replica, &bytes, give_up)?;
+                let (records, consumed) = self.apply_to_replica(replica, &bytes, deadline)?;
                 applied += records;
                 if consumed == 0 {
                     // A window bigger than any frame yielded no full

@@ -47,18 +47,21 @@ impl CancelToken {
         CancelToken::default()
     }
 
-    /// A token that fires once `deadline` passes.
-    #[must_use]
-    pub fn with_deadline(deadline: Instant) -> CancelToken {
-        CancelToken {
-            deadline: Some(deadline),
-        }
-    }
-
     /// A token that fires `budget` from now.
     #[must_use]
     pub fn with_timeout(budget: Duration) -> CancelToken {
-        CancelToken::with_deadline(Instant::now() + budget)
+        CancelToken {
+            deadline: Some(Instant::now() + budget),
+        }
+    }
+
+    /// A token that fires `budget_ms` milliseconds from now, or never
+    /// when `budget_ms` is `None`: a request's deadline budget.
+    #[must_use]
+    pub fn from_budget_ms(budget_ms: Option<u64>) -> CancelToken {
+        budget_ms.map_or_else(CancelToken::never, |ms| {
+            CancelToken::with_timeout(Duration::from_millis(ms))
+        })
     }
 
     /// Whether the token has fired (its deadline passed).
@@ -74,6 +77,14 @@ impl CancelToken {
     #[must_use]
     pub fn deadline(&self) -> Option<Instant> {
         self.deadline
+    }
+
+    /// Time left until the token fires, saturating at zero (`None`
+    /// for a token that never fires).
+    #[must_use]
+    pub fn remaining(&self) -> Option<Duration> {
+        self.deadline
+            .map(|deadline| deadline.saturating_duration_since(Instant::now()))
     }
 
     /// Checkpoint helper for solver inner loops: counts calls and
@@ -136,6 +147,21 @@ mod tests {
         let t = CancelToken::with_timeout(Duration::from_secs(3600));
         assert!(!t.is_cancelled());
         assert!(t.deadline().is_some());
+    }
+
+    #[test]
+    fn budgets_and_remaining_time() {
+        let unbounded = CancelToken::from_budget_ms(None);
+        assert!(!unbounded.is_cancelled());
+        assert_eq!(unbounded.remaining(), None);
+        let spent = CancelToken::from_budget_ms(Some(0));
+        assert!(spent.is_cancelled());
+        assert_eq!(spent.remaining(), Some(Duration::ZERO));
+        let live = CancelToken::from_budget_ms(Some(60_000));
+        assert!(!live.is_cancelled());
+        assert!(live
+            .remaining()
+            .is_some_and(|left| left > Duration::from_secs(59)));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use super::FileContext;
 use crate::findings::Finding;
-use crate::lexer::TokenKind;
+use crate::lexer::{Token, TokenKind};
 
 pub(crate) const RULE: &str = "no-raw-instance-literal";
 
@@ -36,9 +36,14 @@ pub fn check(ctx: &FileContext<'_>) -> Vec<Finding> {
         if ctx.in_test_region(t.line) {
             continue;
         }
-        // `Instance { ... }` — a brace directly after the name (path
-        // qualifiers like `core::Instance` still end with the name).
-        if !tokens.get(i + 1).is_some_and(|n| n.is_punct("{")) {
+        // `Instance { ... }` or `Instance::<S> { ... }` — a brace
+        // after the name and its turbofish, if any (path qualifiers
+        // like `core::Instance` still end with the name). A plain
+        // `Instance<S> {` is a type position, never a literal.
+        if !tokens
+            .get(after_turbofish(tokens, i + 1))
+            .is_some_and(|n| n.is_punct("{"))
+        {
             continue;
         }
         if let Some(prev) = i.checked_sub(1).map(|p| &tokens[p]) {
@@ -63,6 +68,32 @@ pub fn check(ctx: &FileContext<'_>) -> Vec<Finding> {
     findings
 }
 
+/// The index just past a `::<…>` argument list starting at `at`, or
+/// `at` itself when none starts there.
+fn after_turbofish(tokens: &[Token], at: usize) -> usize {
+    if !(tokens.get(at).is_some_and(|t| t.is_punct("::"))
+        && tokens.get(at + 1).is_some_and(|t| t.is_punct("<")))
+    {
+        return at;
+    }
+    let mut depth = 0usize;
+    for (j, t) in tokens.iter().enumerate().skip(at + 1) {
+        if t.kind == TokenKind::Punct {
+            match t.text.as_str() {
+                "<" => depth += 1,
+                "<<" => depth += 2,
+                ">" => depth = depth.saturating_sub(1),
+                ">>" => depth = depth.saturating_sub(2),
+                _ => {}
+            }
+            if depth == 0 {
+                return j + 1;
+            }
+        }
+    }
+    tokens.len()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,6 +106,28 @@ mod tests {
         let src = "fn f(rows: Vec<Vec<f64>>) -> Instance { Instance { rows } }";
         let findings = run_rule_at(PATH, src, check);
         assert_eq!(findings.len(), 1, "{findings:?}");
+    }
+
+    #[test]
+    fn flags_turbofish_literals() {
+        for src in [
+            "fn f(rows: Vec<Vec<Ratio>>) { let _ = Instance::<Ratio> { rows }; }",
+            "fn f(rows: Vec<Vec<f64>>) { let _ = Instance::<Wrapped<f64>> { rows }; }",
+        ] {
+            let findings = run_rule_at(PATH, src, check);
+            assert_eq!(findings.len(), 1, "{src}: {findings:?}");
+        }
+    }
+
+    #[test]
+    fn generic_type_positions_are_clean() {
+        let src = "\
+impl<S> Instance<S> {
+    fn rows(&self) -> usize { 0 }
+}
+fn exact() -> Instance<Ratio> { Instance::<Ratio>::from_rows(Vec::new()).unwrap() }
+";
+        assert!(run_rule_at(PATH, src, check).is_empty());
     }
 
     #[test]

@@ -464,30 +464,6 @@ impl ProfileStore {
         let value = jsonio::parse(line).map_err(|e| format!("snapshot does not parse: {e}"))?;
         ProfileStore::from_json(&value, config)
     }
-
-    /// Writes the snapshot to a file crash-atomically: temp file in
-    /// the same directory, `sync_all`, atomic rename, directory sync.
-    /// A crash at any point leaves either the old file or the new one,
-    /// never a torn mixture.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        crate::io::write_atomic(&crate::io::DiskIo, path, &self.snapshot_bytes())
-    }
-
-    /// Loads a snapshot written by [`ProfileStore::save`].
-    ///
-    /// # Errors
-    ///
-    /// A message on I/O failure, a truncated file, or a malformed
-    /// payload.
-    pub fn load(path: &std::path::Path, config: StoreConfig) -> Result<ProfileStore, String> {
-        let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        ProfileStore::from_snapshot_bytes(&bytes, config)
-            .map_err(|e| format!("{}: {e}", path.display()))
-    }
 }
 
 #[cfg(test)]
@@ -627,19 +603,6 @@ mod tests {
             StoreConfig::default()
         )
         .is_err());
-    }
-
-    #[test]
-    fn save_and_load_files() {
-        let dir = std::env::temp_dir().join("pager-profiles-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snapshot.json");
-        let s = store();
-        s.observe("x", 3, 1.0, 2).unwrap();
-        s.save(&path).unwrap();
-        let back = ProfileStore::load(&path, StoreConfig::default()).unwrap();
-        assert_eq!(back.version("x"), s.version("x"));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -86,7 +86,12 @@ impl<T> Reactor<T> {
     /// Arms a timer firing `after` from now, yielding `token` in
     /// [`Turn::timers`].
     pub fn schedule(&mut self, after: Duration, token: u64) -> TimerId {
-        self.wheel.schedule_after(Instant::now(), after, token)
+        self.schedule_at(Instant::now() + after, token)
+    }
+
+    /// Arms a timer firing at `at` (at once if it has passed).
+    pub fn schedule_at(&mut self, at: Instant, token: u64) -> TimerId {
+        self.wheel.schedule_at(at, token)
     }
 
     pub fn cancel_timer(&mut self, timer: TimerId) {

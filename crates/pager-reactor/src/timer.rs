@@ -49,11 +49,6 @@ impl TimerWheel {
         timer
     }
 
-    /// Schedules `token` to fire `after` from `now`.
-    pub fn schedule_after(&mut self, now: Instant, after: Duration, token: u64) -> TimerId {
-        self.schedule_at(now + after, token)
-    }
-
     /// Cancels a timer; a no-op if it already fired.
     pub fn cancel(&mut self, timer: TimerId) {
         self.timers.remove(&(timer.at, timer.id));

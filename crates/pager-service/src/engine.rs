@@ -22,7 +22,7 @@
 //!   its answer reaches the kernel ([`ReactorHandle::drain`] waits on
 //!   this), decremented exactly once via flushed-byte offsets.
 //! * **Deadline watchdog** — every deferred answer arms a watchdog
-//!   timer for the budget the handler names; a firing while the
+//!   timer at the deadline the handler names; a firing while the
 //!   answer is still outstanding bumps the handler's
 //!   `deadline_watchdog` counter. Telemetry only: enforcement stays
 //!   with the solver and the router.
@@ -44,6 +44,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use jsonio::metrics::Counter;
+use pager_core::cancel::CancelToken;
 use pager_reactor::{Event, Interest, Reactor, Remote, TimerId, Turn, Waker};
 use pager_wire::frame::{self, Framing, Message};
 
@@ -124,7 +125,7 @@ pub struct Gauges<'a> {
     /// Open connections (gauge).
     pub connections: &'a Counter,
     /// Watchdog firings: a deferred answer still outstanding when the
-    /// budget named in [`Call::later`] elapsed.
+    /// deadline named in [`Call::later`] passed.
     pub deadline_watchdog: &'a Counter,
 }
 
@@ -148,8 +149,8 @@ pub struct Call<'a> {
     token: u64,
     remote: &'a Remote<Done>,
     pool: &'a Arc<IoPool>,
-    /// The watchdog budget named in [`Call::later`].
-    deadline_ms: Option<u64>,
+    /// The watchdog deadline named in [`Call::later`].
+    deadline: Option<Instant>,
     stop: bool,
 }
 
@@ -174,10 +175,11 @@ impl Call<'_> {
     }
 
     /// Defers the answer: the returned [`Completion`] builds it, and
-    /// the watchdog is armed for `deadline_ms` (none when `None`).
-    /// Return [`Reply::Later`] after calling this.
-    pub fn later(&mut self, deadline_ms: Option<u64>) -> Completion {
-        self.deadline_ms = deadline_ms;
+    /// the watchdog is armed at the instant `deadline` fires (none for
+    /// a token that never does). Return [`Reply::Later`] after calling
+    /// this.
+    pub fn later(&mut self, deadline: &CancelToken) -> Completion {
+        self.deadline = deadline.deadline();
         Completion {
             conn: self.token,
             framing: self.framing,
@@ -752,7 +754,7 @@ impl Shard {
             token,
             remote: &self.remote,
             pool: &self.shared.io_pool,
-            deadline_ms: None,
+            deadline: None,
             stop: false,
         };
         let mut close = false;
@@ -773,7 +775,7 @@ impl Shard {
                 Some(Reply::Now)
             }
         };
-        let (deadline_ms, stop) = (call.deadline_ms, call.stop);
+        let (deadline, stop) = (call.deadline, call.stop);
         conn.read_pos += consumed;
         if conn.read_pos == conn.read_buf.len() || conn.read_pos > 64 * 1024 {
             conn.read_buf.drain(..conn.read_pos);
@@ -790,8 +792,8 @@ impl Shard {
         match reply {
             Reply::Later => {
                 conn.busy = true;
-                if let Some(ms) = deadline_ms {
-                    conn.deadline = Some(self.reactor.schedule(Duration::from_millis(ms), token));
+                if let Some(at) = deadline {
+                    conn.deadline = Some(self.reactor.schedule_at(at, token));
                 }
             }
             Reply::Now => {

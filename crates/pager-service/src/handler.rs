@@ -27,6 +27,7 @@
 use std::sync::Arc;
 
 use jsonio::Value;
+use pager_core::cancel::CancelToken;
 use pager_core::Instance;
 use pager_wire::PlanSpec;
 
@@ -45,18 +46,18 @@ impl Handler for PagerService {
                 return Reply::Now;
             }
         };
-        let default_budget = self.config().default_deadline_ms;
         let framing = call.framing();
         match request {
             Request::Plan { id, instance, spec } => {
-                let budget = spec.deadline_ms().or(default_budget);
                 let service = Arc::clone(&self);
                 let render = move |result: &Result<PlanResponse, ServiceError>,
                                    out: &mut Vec<u8>| {
                     framing.append_line(&proto::plan_response_line(&service, &id, result), out);
                 };
-                let planned = self.plan_async(&instance, spec, || deferred(call, budget, &render));
-                reply(call, default_budget, planned, render)
+                let planned = self.plan_async(&instance, spec, |deadline| {
+                    deferred(call, deadline, &render)
+                });
+                reply(call, &self, planned, render)
             }
             Request::PlanDevices {
                 id,
@@ -65,7 +66,6 @@ impl Handler for PagerService {
                 now,
                 spec,
             } => {
-                let budget = spec.deadline_ms().or(default_budget);
                 let service = Arc::clone(&self);
                 let render = move |result: &Result<_, ServiceError>, out: &mut Vec<u8>| {
                     let line = proto::device_plan_response_line(&service, &id, estimator, result);
@@ -75,15 +75,15 @@ impl Handler for PagerService {
                 // Profile resolution happens here (cheap, in-memory);
                 // only a solve the cost gate does not pass leaves the
                 // shard.
-                let planned = self.plan_devices_async(&refs, estimator, now, spec, || {
-                    deferred(call, budget, &render)
+                let planned = self.plan_devices_async(&refs, estimator, now, spec, |deadline| {
+                    deferred(call, deadline, &render)
                 });
-                reply(call, default_budget, planned, render)
+                reply(call, &self, planned, render)
             }
             request @ (Request::Observe { .. }
             | Request::WalShip { .. }
             | Request::WalApply { .. }) => {
-                let done = call.later(default_budget);
+                let done = call.later(&self.io_deadline());
                 call.spawn(move || {
                     // lint:allow(no-blocking-in-reactor): this closure
                     // runs on the I/O pool, not the shard thread;
@@ -132,28 +132,33 @@ impl PagerService {
         spec: PlanSpec,
         call: &mut Call<'_>,
     ) -> Reply {
-        let default_budget = self.config().default_deadline_ms;
-        let budget = spec.deadline_ms().or(default_budget);
         let service = Arc::clone(&self);
         let render =
             move |result: &Result<PlanResponse, ServiceError>, out: &mut Vec<u8>| match result {
                 Ok(response) => proto::plan_response_frame(&service, &id, response, out),
                 Err(error) => proto::error_frame(&service, &id, error, out),
             };
-        let planned = self.plan_async(instance, spec, || deferred(call, budget, &render));
-        reply(call, default_budget, planned, render)
+        let planned = self.plan_async(instance, spec, |deadline| deferred(call, deadline, &render));
+        reply(call, &self, planned, render)
+    }
+
+    /// The watchdog deadline of I/O-pool work (observe, WAL ship/apply,
+    /// uncacheable solves): the server default.
+    fn io_deadline(&self) -> CancelToken {
+        CancelToken::from_budget_ms(self.config().default_deadline_ms)
     }
 }
 
 /// The callback for an answer the worker pool will produce: arms the
-/// watchdog for the request's `budget` and sends what `render` (the
-/// plan answer's encoder, either protocol) writes.
+/// watchdog at the request's admission `deadline` (the instant its
+/// solver polls) and sends what `render` (the plan answer's encoder,
+/// either protocol) writes.
 fn deferred<T: 'static>(
     call: &mut Call<'_>,
-    budget: Option<u64>,
+    deadline: &CancelToken,
     render: &(impl Fn(&Result<T, ServiceError>, &mut Vec<u8>) + Clone + Send + 'static),
 ) -> Callback<T> {
-    let done = call.later(budget);
+    let done = call.later(deadline);
     let render = render.clone();
     Box::new(move |result| done.answer(encoded(&render, &result)).send())
 }
@@ -161,10 +166,10 @@ fn deferred<T: 'static>(
 /// Applies the service's [`Planned`] outcome to the connection: an
 /// answer ready now is encoded straight into the write buffer, a
 /// blocking job goes to the I/O pool under the server's default
-/// watchdog budget, as every I/O-pool request does.
+/// watchdog deadline, as every I/O-pool request does.
 fn reply<T: 'static>(
     call: &mut Call<'_>,
-    default_budget: Option<u64>,
+    service: &PagerService,
     planned: Planned<T>,
     render: impl Fn(&Result<T, ServiceError>, &mut Vec<u8>) + Send + 'static,
 ) -> Reply {
@@ -175,7 +180,7 @@ fn reply<T: 'static>(
         }
         Planned::Later => Reply::Later,
         Planned::Blocking(job) => {
-            let done = call.later(default_budget);
+            let done = call.later(&service.io_deadline());
             call.spawn(move || {
                 // lint:allow(no-blocking-in-reactor): this closure runs
                 // on the I/O pool, not the shard thread; an uncached

@@ -21,13 +21,13 @@
 //!   misses are planned by a fixed thread pool, and concurrent
 //!   requests for the same fingerprint are coalesced into a single
 //!   computation whose result fans out to every waiter.
-//! * **Deadline-aware lifecycle** ([`PlanSpec`], [`deadline`],
-//!   [`error`]) — every request carries a deadline budget; admission
-//!   goes through a *bounded* queue that sheds excess load with
-//!   `"code": "overloaded"`, and solvers poll a cooperative cancel
-//!   token so an exact plan whose deadline expires mid-solve is
-//!   abandoned and downgraded to the greedy tier instead of hogging a
-//!   worker.
+//! * **Deadline-aware lifecycle** ([`PlanSpec`], [`error`]) — every
+//!   request carries a deadline budget, fixed at admission as one
+//!   [`pager_core::cancel::CancelToken`]; admission goes through a
+//!   *bounded* queue that sheds excess load with `"code": "overloaded"`,
+//!   and solvers poll that token so an exact plan whose deadline
+//!   expires mid-solve is abandoned and downgraded to the greedy tier
+//!   instead of hogging a worker.
 //! * **Metrics** ([`metrics`]) — the service's registry, declared with
 //!   the workspace's one metrics vocabulary in [`jsonio::metrics`]
 //!   (counters, log-bucketed latency histograms, and the
@@ -64,7 +64,6 @@
 //! ```
 
 pub mod cache;
-pub mod deadline;
 #[cfg(target_os = "linux")]
 pub mod engine;
 pub mod error;
@@ -78,7 +77,6 @@ pub mod server;
 mod service;
 
 pub use cache::ShardedCache;
-pub use deadline::Deadline;
 #[cfg(target_os = "linux")]
 pub use engine::{
     serve_reactor_with, Answer, Call, Completion, Gauges, Handler, ReactorConfig, ReactorHandle,

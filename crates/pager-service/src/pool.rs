@@ -21,9 +21,9 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
+use pager_core::cancel::CancelToken;
 use pager_core::{Delay, Instance};
 
-use crate::deadline::Deadline;
 use crate::error::ServiceError;
 use crate::planner::{plan, Plan, TierPolicy, Variant};
 use crate::service::PlanKey;
@@ -61,7 +61,7 @@ struct PlanJob {
     /// The *admission-time* deadline: queueing delay counts against
     /// the budget, so a job that waited too long is already expired
     /// when a worker picks it up and cancels at the first checkpoint.
-    deadline: Deadline,
+    deadline: CancelToken,
     /// When the job was offered to the queue; the dequeue records the
     /// elapsed wait into `Metrics::queue_wait`, which in turn drives
     /// shed responses' `retry_after_ms`.
@@ -151,7 +151,7 @@ impl Dispatcher {
         instance: Instance,
         delay: Delay,
         variant: Variant,
-        deadline: Deadline,
+        deadline: CancelToken,
         mut waiter: Waiter,
     ) -> Result<bool, ServiceError> {
         let coalesced = {
@@ -335,7 +335,7 @@ fn worker_loop(
                 &job.instance,
                 job.delay,
                 job.variant,
-                job.deadline,
+                &job.deadline,
                 &policy,
                 metrics,
                 Some((cache, job.fingerprint, job.key.clone())),
@@ -363,12 +363,12 @@ pub(crate) fn solve(
     instance: &Instance,
     delay: Delay,
     variant: Variant,
-    deadline: Deadline,
+    deadline: &CancelToken,
     policy: &TierPolicy,
     metrics: &Metrics,
     slot: Option<(&ShardedCache<PlanKey, Plan>, u64, PlanKey)>,
 ) -> PlanResult {
-    match plan(instance, delay, variant, policy, &deadline.token()) {
+    match plan(instance, delay, variant, policy, deadline) {
         Ok(fresh) => {
             metrics
                 .tier_latency(fresh.tier)
@@ -376,7 +376,7 @@ pub(crate) fn solve(
             if fresh.downgraded {
                 metrics.deadline_downgrades.inc();
             }
-            if deadline.expired() {
+            if deadline.is_cancelled() {
                 metrics.deadline_misses.inc();
             }
             match slot {

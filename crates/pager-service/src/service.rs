@@ -5,6 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 
 use jsonio::Value;
+use pager_core::cancel::CancelToken;
 use pager_core::Instance;
 use pager_profiles::io::{DiskIo, StorageIo};
 use pager_profiles::{
@@ -14,7 +15,6 @@ use pager_profiles::{
 use pager_wire::fold_cache_key;
 
 use crate::cache::ShardedCache;
-use crate::deadline::Deadline;
 use crate::error::ServiceError;
 use crate::metrics::Metrics;
 use crate::planner::{solves_inline, Plan, TierPolicy, Variant};
@@ -497,11 +497,13 @@ impl PagerService {
         (key, fp)
     }
 
-    /// Materialises the request's deadline budget (or the server
-    /// default) into an absolute instant at admission, so queueing
-    /// time counts against it.
-    fn admit(&self, spec: &PlanSpec) -> Deadline {
-        Deadline::from_budget_ms(spec.deadline_ms().or(self.config.default_deadline_ms))
+    /// The request's deadline: its own `deadline_ms`, else the server
+    /// default, fixed as an instant at admission so queueing time
+    /// counts against it. The node's only budget rule: the solvers
+    /// poll this token and the engine's watchdog is armed at its
+    /// instant.
+    fn admit(&self, spec: &PlanSpec) -> CancelToken {
+        CancelToken::from_budget_ms(spec.deadline_ms().or(self.config.default_deadline_ms))
     }
 
     /// An uncacheable plan: the pool exists to dedupe identical work,
@@ -512,16 +514,19 @@ impl PagerService {
         &self,
         instance: &Instance,
         spec: &PlanSpec,
-        deadline: Deadline,
+        deadline: &CancelToken,
     ) -> Planned<PlanResponse> {
         let (delay, variant, policy) = (spec.delay(), spec.variant(), self.config.policy);
         if solves_inline(instance, delay, variant, &policy) {
             return Planned::Now(self.solve_inline(instance, spec, deadline, None));
         }
         let metrics = Arc::clone(&self.metrics);
-        let instance = instance.clone();
+        let (instance, deadline) = (instance.clone(), deadline.clone());
         Planned::Blocking(Box::new(move || {
-            pool::solve(&instance, delay, variant, deadline, &policy, &metrics, None).map(fresh)
+            pool::solve(
+                &instance, delay, variant, &deadline, &policy, &metrics, None,
+            )
+            .map(fresh)
         }))
     }
 
@@ -535,7 +540,7 @@ impl PagerService {
         &self,
         instance: &Instance,
         spec: &PlanSpec,
-        deadline: Deadline,
+        deadline: &CancelToken,
         slot: Option<(&ShardedCache<PlanKey, Plan>, u64, PlanKey)>,
     ) -> Planned<PlanResponse> {
         if self.dispatcher.closed() {
@@ -553,7 +558,7 @@ impl PagerService {
         &self,
         instance: &Instance,
         spec: &PlanSpec,
-        deadline: Deadline,
+        deadline: &CancelToken,
         slot: Option<(&ShardedCache<PlanKey, Plan>, u64, PlanKey)>,
     ) -> Result<PlanResponse, ServiceError> {
         self.metrics.solved_inline.inc();
@@ -581,7 +586,7 @@ impl PagerService {
     /// [`ServiceError::Internal`] when called during shutdown.
     pub fn plan(&self, instance: &Instance, spec: PlanSpec) -> Result<PlanResponse, ServiceError> {
         let mut reply = None;
-        let planned = self.plan_async(instance, spec, || reply_to(&mut reply));
+        let planned = self.plan_async(instance, spec, |_| reply_to(&mut reply));
         wait_for(planned, reply)
     }
 
@@ -632,21 +637,22 @@ impl PagerService {
     /// [`crate::planner::INLINE_SOLVE_OPS`]) and shutdown refusals are
     /// answered during the call as [`Planned::Now`]. Any other
     /// cacheable miss is admitted to the worker pool: `later` is called
-    /// once, right then, for the callback that receives the answer — on
-    /// a worker thread, or on this one if the request is shed — and the
-    /// call returns [`Planned::Later`]. Any other uncacheable plan comes
-    /// back as [`Planned::Blocking`]. The transport engine's shards
-    /// live on this.
+    /// once, right then, with the request's admission deadline (the
+    /// token the solver polls), for the callback that receives the
+    /// answer — on a worker thread, or on this one if the request is
+    /// shed — and the call returns [`Planned::Later`]. Any other
+    /// uncacheable plan comes back as [`Planned::Blocking`]. The
+    /// transport engine's shards live on this.
     pub(crate) fn plan_async(
         &self,
         instance: &Instance,
         spec: PlanSpec,
-        later: impl FnOnce() -> Callback<PlanResponse>,
+        later: impl FnOnce(&CancelToken) -> Callback<PlanResponse>,
     ) -> Planned<PlanResponse> {
         self.metrics.requests.inc();
         let deadline = self.admit(&spec);
         if !spec.cache_enabled() {
-            return self.plan_uncached(instance, &spec, deadline);
+            return self.plan_uncached(instance, &spec, &deadline);
         }
         let (key, fingerprint) = self.derive_key(instance, &spec, 0, &[]);
         self.plan_via_cache(key, fingerprint, instance, &spec, deadline, later)
@@ -664,8 +670,8 @@ impl PagerService {
         fingerprint: u64,
         instance: &Instance,
         spec: &PlanSpec,
-        deadline: Deadline,
-        later: impl FnOnce() -> Callback<PlanResponse>,
+        deadline: CancelToken,
+        later: impl FnOnce(&CancelToken) -> Callback<PlanResponse>,
     ) -> Planned<PlanResponse> {
         // Only a `plan_devices` key carries an estimator tag.
         let versioned = key.estimator != 0;
@@ -688,11 +694,11 @@ impl PagerService {
             return self.solve_now(
                 instance,
                 spec,
-                deadline,
+                &deadline,
                 Some((&*self.cache, fingerprint, key)),
             );
         }
-        let complete = later();
+        let complete = later(&deadline);
         let waiter = Waiter {
             complete: Box::new(move |result, coalesced| {
                 complete(result.map(|plan| PlanResponse {
@@ -803,7 +809,7 @@ impl PagerService {
     ) -> Result<DevicePlanResponse, ServiceError> {
         let mut reply = None;
         let planned =
-            self.plan_devices_async(devices, estimator, now, spec, || reply_to(&mut reply));
+            self.plan_devices_async(devices, estimator, now, spec, |_| reply_to(&mut reply));
         wait_for(planned, reply)
     }
 
@@ -818,7 +824,7 @@ impl PagerService {
         estimator: Estimator,
         now: Option<Time>,
         spec: PlanSpec,
-        later: impl FnOnce() -> Callback<DevicePlanResponse>,
+        later: impl FnOnce(&CancelToken) -> Callback<DevicePlanResponse>,
     ) -> Planned<DevicePlanResponse> {
         self.metrics.requests.inc();
         let deadline = self.admit(&spec);
@@ -857,14 +863,14 @@ impl PagerService {
         };
         let planned = match slot {
             Some((key, fingerprint)) => {
-                self.plan_via_cache(key, fingerprint, &instance, &spec, deadline, || {
-                    let complete = later();
+                self.plan_via_cache(key, fingerprint, &instance, &spec, deadline, |deadline| {
+                    let complete = later(deadline);
                     let device = device.clone();
                     Box::new(move |result| complete(result.map(device)))
                 })
             }
-            None if spec.cache_enabled() => self.solve_now(&instance, &spec, deadline, None),
-            None => self.plan_uncached(&instance, &spec, deadline),
+            None if spec.cache_enabled() => self.solve_now(&instance, &spec, &deadline, None),
+            None => self.plan_uncached(&instance, &spec, &deadline),
         };
         planned.map(device)
     }
@@ -1138,14 +1144,14 @@ mod tests {
         let (tx, _rx) = mpsc::channel();
         let mut asked = false;
         let spec = PlanSpec::new(Delay::new(2).unwrap()).with_variant(Variant::Greedy);
-        let planned = svc.plan_async(&inst(), spec, || deferred_to(&tx, &mut asked));
+        let planned = svc.plan_async(&inst(), spec, |_| deferred_to(&tx, &mut asked));
         let Planned::Now(Ok(first)) = planned else {
             panic!("a cheap miss must be answered during the call");
         };
         assert!(!asked, "no deferred callback for an inline solve");
         assert!(!first.cached && !first.coalesced);
         let Planned::Now(Ok(again)) =
-            svc.plan_async(&inst(), spec, || deferred_to(&tx, &mut asked))
+            svc.plan_async(&inst(), spec, |_| deferred_to(&tx, &mut asked))
         else {
             panic!("a cache hit must be answered during the call");
         };
@@ -1189,9 +1195,9 @@ mod tests {
         );
         let (tx, rx) = mpsc::channel();
         let mut asked = false;
-        let planned = svc.plan_async(&at, at_spec, || deferred_to(&tx, &mut asked));
+        let planned = svc.plan_async(&at, at_spec, |_| deferred_to(&tx, &mut asked));
         assert!(matches!(planned, Planned::Now(Ok(_))) && !asked);
-        let planned = svc.plan_async(&over, over_spec, || deferred_to(&tx, &mut asked));
+        let planned = svc.plan_async(&over, over_spec, |_| deferred_to(&tx, &mut asked));
         assert!(matches!(planned, Planned::Later) && asked);
         let served = rx.recv().unwrap().unwrap();
         assert!(!served.cached);
@@ -1219,10 +1225,10 @@ mod tests {
         for (instance, spec) in cases {
             let (tx, rx) = mpsc::channel();
             let mut asked = false;
-            let planned = svc.plan_async(&instance, spec, || deferred_to(&tx, &mut asked));
+            let planned = svc.plan_async(&instance, spec, |_| deferred_to(&tx, &mut asked));
             assert!(matches!(planned, Planned::Later) && asked);
             assert_eq!(rx.recv().unwrap().unwrap().plan.tier, crate::Tier::Exact);
-            let planned = svc.plan_async(&instance, spec.with_cache(false), || {
+            let planned = svc.plan_async(&instance, spec.with_cache(false), |_| {
                 deferred_to(&tx, &mut asked)
             });
             let Planned::Blocking(job) = planned else {
@@ -1243,11 +1249,11 @@ mod tests {
             assert_eq!(solve_cost(&inst(), d2, variant, &policy), None);
             let (tx, rx) = mpsc::channel();
             let mut asked = false;
-            let planned = svc.plan_async(&inst(), spec, || deferred_to(&tx, &mut asked));
+            let planned = svc.plan_async(&inst(), spec, |_| deferred_to(&tx, &mut asked));
             assert!(matches!(planned, Planned::Later) && asked, "{variant:?}");
             assert!(rx.recv().unwrap().is_ok());
             // Uncacheable: handed back for a thread that may block.
-            let planned = svc.plan_async(&inst(), spec.with_cache(false), || {
+            let planned = svc.plan_async(&inst(), spec.with_cache(false), |_| {
                 deferred_to(&tx, &mut asked)
             });
             let Planned::Blocking(job) = planned else {
@@ -1278,7 +1284,7 @@ mod tests {
             &heavy,
             spec.delay(),
             Variant::Exact,
-            Deadline::in_ms(0),
+            &CancelToken::from_budget_ms(Some(0)),
             &svc.config.policy,
             &metrics,
             Some((&*svc.cache, fingerprint, key)),
@@ -1416,7 +1422,7 @@ mod tests {
             spec.delay(),
             spec.variant(),
             &policy,
-            &Deadline::unbounded().token(),
+            &CancelToken::never(),
         )
         .unwrap();
         for _ in 0..2 {

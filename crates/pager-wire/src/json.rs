@@ -10,11 +10,11 @@ use jsonio::Value;
 use pager_core::{Delay, Instance};
 use pager_profiles::wal::{decode_hex, MAX_DEVICE_BYTES};
 use pager_profiles::{Estimator, Sighting};
-use rational::Ratio;
 
 use crate::error::{ErrorCode, WireError};
 use crate::request::{PlanSpec, Request, RoutedRequest, Variant};
 use crate::response::{DeviceExt, ErrorBody, PlanBody, Response};
+use crate::textio::ParseInstanceError;
 
 /// Protocol version stamped on every v1 response line.
 pub const PROTOCOL_VERSION: u64 = 1;
@@ -46,16 +46,32 @@ pub fn parse_request_with_id(line: &str) -> (Value, Result<Request, WireError>) 
     }
 }
 
-/// [`parse_request`] plus the routing hints a cluster router reads
-/// from the same line (`route_key`, `deadline_ms`), so the router
-/// never touches raw JSON itself.
+/// [`parse_request`] plus the `id` and the routing hints a cluster
+/// router reads from the same line (`route_key`, `deadline_ms`), so
+/// the router never touches raw JSON itself.
 ///
 /// # Errors
 ///
-/// As [`parse_request`].
-pub fn parse_routed(line: &str) -> Result<RoutedRequest, WireError> {
-    let value = parse_json(line)?;
-    let request = parse_value(&value)?;
+/// As [`parse_request`], paired with the line's `id` (`Value::Null`
+/// when absent or when the line is not valid JSON) so the error
+/// answer can echo it.
+pub fn parse_routed(line: &str) -> Result<RoutedRequest, (Value, WireError)> {
+    let value = parse_json(line).map_err(|e| (Value::Null, e))?;
+    let id = value.get("id").cloned().unwrap_or(Value::Null);
+    match routing_hints(&value) {
+        Ok((request, route_key, deadline_ms)) => Ok(RoutedRequest {
+            id,
+            request,
+            route_key,
+            deadline_ms,
+        }),
+        Err(e) => Err((id, e)),
+    }
+}
+
+/// The request and its routing hints, for [`parse_routed`].
+fn routing_hints(value: &Value) -> Result<(Request, Option<String>, Option<u64>), WireError> {
+    let request = parse_value(value)?;
     let route_key = match value.get("route_key") {
         None | Some(Value::Null) => None,
         Some(key) => Some(
@@ -70,11 +86,7 @@ pub fn parse_routed(line: &str) -> Result<RoutedRequest, WireError> {
             WireError::BadRequest("\"deadline_ms\" must be a non-negative integer".to_string())
         })?),
     };
-    Ok(RoutedRequest {
-        request,
-        route_key,
-        deadline_ms,
-    })
+    Ok((request, route_key, deadline_ms))
 }
 
 fn parse_json(line: &str) -> Result<Value, WireError> {
@@ -272,37 +284,16 @@ fn parse_plan_devices(value: &Value) -> Result<Request, WireError> {
     })
 }
 
-/// Accepts either the JSON rows form or the `textio` string form.
+/// Accepts either the JSON rows form or the [`crate::textio`] string
+/// form.
 fn parse_instance_payload(payload: &Value) -> Result<Instance, String> {
     match payload {
-        Value::Str(text) => parse_textio_instance(text),
+        Value::Str(text) => crate::textio::parse_instance(text).map_err(|e| match e {
+            ParseInstanceError::Invalid(message) => message,
+            other => other.to_string(),
+        }),
         other => Instance::from_json(other),
     }
-}
-
-/// `textio`-convention parser: one device per line, whitespace-
-/// separated probabilities, `#` comments, decimals or `num/den`
-/// fractions (kept in sync with the root crate's `textio` module).
-fn parse_textio_instance(text: &str) -> Result<Instance, String> {
-    let mut rows = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        let body = line.split('#').next().unwrap_or("").trim();
-        if body.is_empty() {
-            continue;
-        }
-        let mut row = Vec::new();
-        for token in body.split_whitespace() {
-            let value: Ratio = token.parse().map_err(|_| {
-                format!("line {}: cannot parse {token:?} as a probability", idx + 1)
-            })?;
-            row.push(value.to_f64());
-        }
-        rows.push(row);
-    }
-    if rows.is_empty() {
-        return Err("no probability rows found".to_string());
-    }
-    Instance::from_rows(rows).map_err(|e| e.to_string())
 }
 
 fn parse_variant(value: &Value) -> Result<Variant, WireError> {

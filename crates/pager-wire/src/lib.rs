@@ -35,6 +35,7 @@ pub mod frame;
 pub mod json;
 mod request;
 mod response;
+pub mod textio;
 
 pub use binary::{IdView, PlanFrameView};
 pub use error::{ErrorCode, WireError};

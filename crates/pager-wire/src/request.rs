@@ -235,12 +235,14 @@ pub enum Request {
     Shutdown,
 }
 
-/// A request plus the routing hints a cluster router reads from the
-/// same line (`route_key`, and the `deadline_ms` already inside the
-/// spec). Decoding this alongside [`Request`] keeps the router free of
-/// its own field extraction.
+/// A request plus what a cluster router reads from the same line: the
+/// `id` its answers echo, and the routing hints (`route_key`, and the
+/// `deadline_ms` already inside the spec). Decoding this alongside
+/// [`Request`] keeps the router free of its own field extraction.
 #[derive(Debug, Clone)]
 pub struct RoutedRequest {
+    /// The line's `id` (`Value::Null` when absent).
+    pub id: Value,
     /// The typed request.
     pub request: Request,
     /// Explicit routing key (`"route_key"`), overriding the
