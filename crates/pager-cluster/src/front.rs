@@ -61,7 +61,7 @@ impl Handler for Router {
             let mut out = Vec::new();
             // lint:allow(no-blocking-in-reactor): this closure runs on
             // the I/O pool; the forward is a blocking backend round trip.
-            self.route_plan_frame(frame_op, &payload, &deadline, &mut out);
+            self.route_plan_frame(&payload, &deadline, &mut out);
             done.answer(out)
         });
         Reply::Later

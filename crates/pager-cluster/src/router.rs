@@ -26,7 +26,15 @@
 //! pick it up. [`handle_frame`](Router::handle_frame) forwards v2
 //! `plan` frames shard-ward *without* decoding the matrix: only the
 //! fixed-size header fields are viewed (for the routing fingerprint
-//! and deadline) and the frame bytes travel to the backend as-is.
+//! and deadline) and the payload travels to the backend in one copy.
+//!
+//! Every backend call, of either protocol, is one `Conn::call`: a
+//! sealed request frame carrying a per-connection nonce in place of the
+//! client's id, and a sealed, nonce-correlated reply of an op the
+//! request can produce, with the client's id restored
+//! ([`crate::wire`]). `Router::call_backend` adds the pool, the
+//! breaker and the byzantine count; `call_shard` adds overload retry
+//! and failover.
 //!
 //! `observe` is special-cased twice: the batch is split per owning
 //! shard, and each sub-batch replicates in two hops — the owner's ack
@@ -55,7 +63,7 @@ use pager_wire::{
 
 use crate::ring::ShardMap;
 use crate::ship::{Appended, ShipCursors};
-use crate::wire::Conn;
+use crate::wire::{socket_timeout, Ask, Conn, Reply};
 
 /// Quantisation grid for the `plan` routing fingerprint. Matches the
 /// default service cache grid so near-identical matrices co-locate
@@ -101,7 +109,8 @@ const POOL_IDLE_TTL: Duration = Duration::from_secs(30);
 pub struct RouterConfig {
     /// TCP connect timeout per backend dial.
     pub connect_timeout: Duration,
-    /// Read/write timeout per backend round trip.
+    /// Cap on each read and write of a backend call; what is left of
+    /// the request's deadline cuts it further.
     pub io_timeout: Duration,
     /// Retry budget for requests that carry no `deadline_ms`.
     pub default_deadline: Duration,
@@ -306,18 +315,21 @@ impl Router {
         u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX)
     }
 
-    /// Runs one round trip against a backend through its pool and
-    /// breaker: checkout (or dial), `run`, repool on success, drop the
-    /// poisoned connection and count the failure otherwise. Every
-    /// socket operation is bounded by what is left of `deadline`, so a
-    /// blackholed backend costs one bounded timeout, never a parked
-    /// router thread.
-    fn with_backend_conn<T>(
+    /// One call to a backend, through its pool and breaker: checkout
+    /// (or dial), [`Conn::call`], repool on success, drop the poisoned
+    /// connection and count the failure otherwise. The dial and every
+    /// socket operation of the call are bounded by what is left of
+    /// `deadline`, so a blackholed or trickling backend costs at most
+    /// the budget, never a parked router thread. A byzantine reply —
+    /// intact but not a pager answer to this request — bumps
+    /// `byzantine_replies` and counts against the breaker like any
+    /// failure, so a garbage-speaking backend is not retried forever.
+    pub(crate) fn call_backend(
         &self,
         idx: usize,
+        ask: Ask<'_>,
         deadline: &CancelToken,
-        run: impl FnOnce(&mut Conn) -> Result<T, String>,
-    ) -> Result<T, String> {
+    ) -> Result<Reply, String> {
         let backend = &self.backends[idx];
         let open_until = backend.open_until_micros.load(Ordering::Acquire);
         if open_until > self.now_micros() {
@@ -325,87 +337,29 @@ impl Router {
             return Err(format!("breaker open for {}", backend.node));
         }
         let pooled = checkout_pooled(&backend.conns, Instant::now(), POOL_IDLE_TTL);
-        let mut conn = match pooled {
-            Some(conn) => conn,
-            None => match Conn::connect(
-                &backend.addr,
-                socket_timeout(self.config.connect_timeout, deadline),
-            ) {
-                Ok(conn) => conn,
-                Err(e) => {
-                    self.record_failure(idx);
-                    return Err(e);
-                }
-            },
+        let dialed = match pooled {
+            Some(conn) => Ok(conn),
+            None => socket_timeout(self.config.connect_timeout, deadline)
+                .and_then(|timeout| Conn::connect(&backend.addr, timeout)),
         };
-        // Re-arm the socket timeouts for this call: a pooled
-        // connection carries whatever budget its previous caller had.
-        if let Err(e) = conn.set_io_timeout(socket_timeout(self.config.io_timeout, deadline)) {
-            self.record_failure(idx);
-            return Err(e);
-        }
-        match run(&mut conn) {
-            Ok(value) => {
+        let result = dialed.and_then(|mut conn| {
+            let byzantine = &self.metrics.byzantine_replies;
+            let reply = conn.call(ask, deadline, self.config.io_timeout, byzantine)?;
+            Ok((conn, reply))
+        });
+        match result {
+            Ok((conn, reply)) => {
                 backend.failures.store(0, Ordering::Release);
                 let mut conns = backend.conns.lock().unwrap_or_else(|e| e.into_inner());
                 conns.push((conn, Instant::now()));
-                Ok(value)
+                Ok(reply)
             }
             Err(e) => {
-                // `conn` is poisoned; drop it instead of repooling.
+                // A poisoned connection is dropped instead of repooled.
                 self.record_failure(idx);
                 Err(e)
             }
         }
-    }
-
-    /// One v1 round trip to a backend, through its pool and breaker,
-    /// with every socket operation bounded by what is left of
-    /// `deadline`. The line travels sealed in CRC-checked frames both
-    /// ways, so a byte flipped in flight is rejected here instead of
-    /// served. A reply that verifies but is not a pager response (no
-    /// `ok` field — a byzantine backend sealing garbage correctly)
-    /// poisons the connection and counts toward the breaker like any
-    /// transport failure, so a garbage-speaking backend is not
-    /// retried forever.
-    pub(crate) fn call_backend_within(
-        &self,
-        idx: usize,
-        line: &str,
-        deadline: &CancelToken,
-    ) -> Result<Value, String> {
-        self.with_backend_conn(idx, deadline, |conn| {
-            let value = conn.round_trip_checked(line)?;
-            if value.get("ok").and_then(Value::as_bool).is_none() {
-                self.metrics.byzantine_replies.inc();
-                return Err("byzantine reply from backend (no ok field)".to_string());
-            }
-            Ok(value)
-        })
-    }
-
-    /// One v2 round trip to a backend, through the same pool, breaker
-    /// and deadline discipline. The frame bytes are forwarded verbatim;
-    /// a response with an op the protocol cannot produce is byzantine.
-    fn call_backend_frame(
-        &self,
-        idx: usize,
-        frame_bytes: &[u8],
-        deadline: &CancelToken,
-    ) -> Result<(u8, Vec<u8>), String> {
-        self.with_backend_conn(idx, deadline, |conn| {
-            let (resp_op, payload) = conn.round_trip_frame(frame_bytes)?;
-            if !matches!(
-                resp_op,
-                op::PLAN_RESP | op::ERROR | op::PONG | op::JSON_RESP
-            ) {
-                self.metrics.byzantine_replies.inc();
-                return Err(format!(
-                    "byzantine reply from backend (response op 0x{resp_op:02X})"
-                ));
-            }
-            Ok((resp_op, payload))
-        })
     }
 
     fn record_failure(&self, idx: usize) {
@@ -456,7 +410,7 @@ impl Router {
             if deadline.is_cancelled() {
                 break;
             }
-            let _ = self.call_backend_within(idx, &line, deadline);
+            let _ = self.call_backend(idx, Ask::Line(&line), deadline);
         }
         true
     }
@@ -490,94 +444,36 @@ impl Router {
         }
     }
 
-    /// Forwards `line` to the owner of `shard`, retrying within
-    /// `deadline` across overloads (honoring the shard's
-    /// `retry_after_ms`) and owner failovers. `overloaded` answers are
-    /// passed through once the budget is exhausted; `degraded` and
-    /// other application-level errors pass through immediately.
+    /// Sends `ask` to the owner of `shard`, retrying within `deadline`
+    /// across overloads (honoring the shard's `retry_after_ms`) and
+    /// owner failovers. An `overloaded` answer is passed through once
+    /// the budget is exhausted; `degraded` and other application-level
+    /// errors pass through immediately. Also reports *which* backend
+    /// served the answer: `route_observe`'s replication pass must
+    /// refuse to ack a sighting if the shard failed over away from the
+    /// backend that applied it.
     fn call_shard(
         &self,
         shard: usize,
-        line: &str,
+        ask: Ask<'_>,
         deadline: &CancelToken,
-    ) -> Result<Value, String> {
-        self.call_shard_traced(shard, line, deadline)
-            .map(|(value, _)| value)
-    }
-
-    /// [`Router::call_shard`], also reporting *which* backend served
-    /// the successful attempt. `route_observe` needs the distinction:
-    /// the replication pass must refuse to ack a sighting if the shard
-    /// failed over away from the backend that applied it.
-    fn call_shard_traced(
-        &self,
-        shard: usize,
-        line: &str,
-        deadline: &CancelToken,
-    ) -> Result<(Value, usize), String> {
-        self.call_shard_with(shard, deadline, |owner| {
-            self.call_backend_within(owner, line, deadline)
-                .map(|value| {
-                    let overloaded = value.get("ok").and_then(Value::as_bool) == Some(false)
-                        && value.get("code").and_then(Value::as_str)
-                            == Some(ErrorCode::Overloaded.as_str());
-                    let retry_after = overloaded.then(|| {
-                        value
-                            .get("retry_after_ms")
-                            .and_then(Value::as_u64)
-                            .unwrap_or(10)
-                    });
-                    (value, retry_after)
-                })
-        })
-    }
-
-    /// Forwards one v2 frame to the owner of `shard`, with the same
-    /// retry/overload/failover policy as [`Router::call_shard`]. The
-    /// overload check decodes only `ERROR` frames.
-    fn call_shard_frame(
-        &self,
-        shard: usize,
-        frame_bytes: &[u8],
-        deadline: &CancelToken,
-    ) -> Result<(u8, Vec<u8>), String> {
-        self.call_shard_with(shard, deadline, |owner| {
-            self.call_backend_frame(owner, frame_bytes, deadline)
-                .map(|reply| {
-                    let retry_after = frame_overload_retry(reply.0, &reply.1);
-                    (reply, retry_after)
-                })
-        })
-        .map(|(reply, _)| reply)
-    }
-
-    /// The shared retry loop behind both protocols: `call` sends one
-    /// attempt to the given owner within `deadline` and returns the
-    /// response plus `Some(retry_after_ms)` when the shard shed the
-    /// request as overloaded. The success value carries the backend
-    /// index that served the final attempt.
-    fn call_shard_with<T>(
-        &self,
-        shard: usize,
-        deadline: &CancelToken,
-        call: impl Fn(usize) -> Result<(T, Option<u64>), String>,
-    ) -> Result<(T, usize), String> {
+    ) -> Result<(Reply, usize), String> {
         let mut backoff = Duration::from_millis(5);
         loop {
             if deadline.is_cancelled() {
                 return Err(format!("shard {shard} unavailable within deadline"));
             }
             let (owner, _, _) = self.shard_snapshot(shard);
-            match call(owner) {
-                Ok((value, retry_after)) => {
+            match self.call_backend(owner, ask, deadline) {
+                Ok(reply) => {
                     self.metrics.forwarded.inc();
-                    let Some(retry_after) = retry_after else {
-                        return Ok((value, owner));
+                    let Some(retry_after) = reply.overload_retry() else {
+                        return Ok((reply, owner));
                     };
                     let wait = Duration::from_millis(retry_after);
                     if outlasts(deadline, wait) {
                         self.metrics.shed_passthrough.inc();
-                        return Ok((value, owner));
+                        return Ok((reply, owner));
                     }
                     self.metrics.retries.inc();
                     std::thread::sleep(wait);
@@ -603,6 +499,28 @@ impl Router {
                 }
             }
         }
+    }
+
+    /// [`Router::call_shard`] to the shard owning `key`: the forward
+    /// both `plan` forms and `plan_devices` make. Returns the reply as
+    /// `answer` reads it and the shard that served it; an error comes
+    /// with the code it is answered with.
+    fn forward<T>(
+        &self,
+        key: &str,
+        ask: Ask<'_>,
+        deadline: &CancelToken,
+        answer: fn(Reply) -> Result<T, String>,
+    ) -> Result<(T, usize), (ErrorCode, String)> {
+        let shard = self
+            .shard_of(key)
+            .ok_or_else(|| (ErrorCode::Internal, "empty shard map".to_string()))?;
+        let (reply, _) = self
+            .call_shard(shard, ask, deadline)
+            .map_err(|error| (ErrorCode::Unavailable, error))?;
+        answer(reply)
+            .map(|reply| (reply, shard))
+            .map_err(|error| (ErrorCode::Internal, error))
     }
 
     /// Routes one request line, returning the response line to send
@@ -732,9 +650,10 @@ impl Router {
     /// (counted once, by [`Router::handle_line`]). `plan` frames are
     /// forwarded without decode/re-encode: the view reads only the
     /// header fields it routes by, and the backend's response frame is
-    /// relayed verbatim. Frame-native responses are not stamped with
-    /// `shard`/`router_epoch` — that metadata is a v1 JSON affordance;
-    /// v2 clients wanting membership ask `node_info`.
+    /// relayed, sealed, with the client's id. Frame-native responses
+    /// are not stamped with `shard`/`router_epoch` — that metadata is a
+    /// v1 JSON affordance; v2 clients wanting membership ask
+    /// `node_info`.
     #[must_use]
     pub fn handle_frame(&self, frame_op: u8, payload: &[u8], out: &mut Vec<u8>) -> bool {
         match Message::of_frame(frame_op, payload) {
@@ -753,7 +672,7 @@ impl Router {
                 self.metrics.requests.inc();
                 if frame_op == op::PLAN {
                     let deadline = self.frame_deadline(payload);
-                    self.route_plan_frame(frame_op, payload, &deadline, out);
+                    self.route_plan_frame(payload, &deadline, out);
                 } else {
                     Self::answer_local_frame(frame_op, out);
                 }
@@ -781,10 +700,10 @@ impl Router {
 
     /// Forwards a binary `plan` frame to the shard owning its instance
     /// fingerprint — the same key the v1 path derives from the parsed
-    /// matrix, so both forms share one shard's cache.
+    /// matrix, so both forms share one shard's cache — and relays the
+    /// backend's answer, sealed, with the client's id.
     pub(crate) fn route_plan_frame(
         &self,
-        frame_op: u8,
         payload: &[u8],
         deadline: &CancelToken,
         out: &mut Vec<u8>,
@@ -804,33 +723,20 @@ impl Router {
             }
         };
         let key = plan_route_key(view.instance_fingerprint(ROUTING_GRID));
-        let Some(shard) = self.shard_of(&key) else {
-            binary::encode_error_response(
-                out,
-                view.id(),
-                None,
-                ErrorCode::Internal,
-                "empty shard map",
-                None,
-            );
-            return;
-        };
-        // Re-frame the borrowed payload: one memcpy, no field decode.
-        let mut forward = Vec::with_capacity(frame::HEADER_LEN + payload.len());
-        frame::write_frame(&mut forward, frame_op, payload);
-        match self.call_shard_frame(shard, &forward, deadline) {
-            Ok((resp_op, body)) => frame::write_frame(out, resp_op, &body),
-            Err(error) => binary::encode_error_response(
-                out,
-                view.id(),
-                None,
-                ErrorCode::Unavailable,
-                &error,
-                None,
-            ),
+        match self.forward(&key, Ask::Plan(payload), deadline, Reply::into_frame) {
+            Ok(((reply_op, body), _)) => {
+                let start = frame::begin_frame(out, reply_op);
+                out.extend_from_slice(&body);
+                frame::seal_frame(out, start);
+            }
+            Err((code, error)) => {
+                binary::encode_error_response(out, view.id(), None, code, &error, None);
+            }
         }
     }
 
+    /// Forwards a v1 `plan` or `plan_devices` line to the shard owning
+    /// `key` and stamps the answer with that shard.
     fn forward_by_key(
         &self,
         line: &str,
@@ -838,15 +744,12 @@ impl Router {
         key: &str,
         deadline: &CancelToken,
     ) -> LineOutcome {
-        let Some(shard) = self.shard_of(key) else {
-            return self.error(id, ErrorCode::Internal, "empty shard map");
-        };
-        match self.call_shard(shard, line, deadline) {
-            Ok(response) => LineOutcome {
+        match self.forward(key, Ask::Line(line), deadline, Reply::into_line) {
+            Ok((response, shard)) => LineOutcome {
                 response: self.stamp(response, shard),
                 shutdown: false,
             },
-            Err(error) => self.error(id, ErrorCode::Unavailable, &error),
+            Err((code, error)) => self.error(id, code, &error),
         }
     }
 
@@ -885,8 +788,11 @@ impl Router {
                 sightings: group,
                 ship: true,
             });
-            let (response, applied_on) = match self.call_shard_traced(shard, &sub, deadline) {
-                Ok(traced) => traced,
+            let served = self
+                .call_shard(shard, Ask::Line(&sub), deadline)
+                .and_then(|(reply, owner)| Ok((reply.into_line()?, owner)));
+            let (response, applied_on) = match served {
+                Ok(served) => served,
                 Err(error) => return self.error(id, ErrorCode::Unavailable, &error),
             };
             if response.get("ok").and_then(Value::as_bool) != Some(true) {
@@ -954,7 +860,10 @@ impl Router {
         let mut devices = 0u64;
         let mut sightings = 0u64;
         for (shard, shard_name) in shard_names.iter().enumerate() {
-            let response = match self.call_shard(shard, &scatter, deadline) {
+            let response = match self
+                .call_shard(shard, Ask::Line(&scatter), deadline)
+                .and_then(|(reply, _)| reply.into_line())
+            {
                 Ok(response) => response,
                 Err(error) => return self.error(id, ErrorCode::Unavailable, &error),
             };
@@ -1030,7 +939,7 @@ impl Router {
         };
         let line = json::encode_request(&Request::Epoch { epoch: adopted });
         for idx in live {
-            let _ = self.call_backend_within(idx, &line, &CancelToken::never());
+            let _ = self.call_backend(idx, Ask::Line(&line), &CancelToken::never());
         }
         self.ok(id, vec![("epoch", Value::from(adopted))])
     }
@@ -1044,7 +953,7 @@ impl Router {
         };
         let line = json::encode_request(&Request::Shutdown);
         for idx in live {
-            let _ = self.call_backend_within(idx, &line, &CancelToken::never());
+            let _ = self.call_backend(idx, Ask::Line(&line), &CancelToken::never());
         }
         LineOutcome {
             shutdown: true,
@@ -1104,17 +1013,6 @@ impl Router {
     }
 }
 
-/// `cap`, cut to what is left of `deadline`, for one socket
-/// operation. Never zero, which std rejects as a socket timeout:
-/// callers check the deadline before each call, and a call racing its
-/// expiry gets one millisecond.
-fn socket_timeout(cap: Duration, deadline: &CancelToken) -> Duration {
-    deadline
-        .remaining()
-        .map_or(cap, |left| cap.min(left))
-        .max(Duration::from_millis(1))
-}
-
 /// Whether waiting `wait` would reach `deadline`.
 fn outlasts(deadline: &CancelToken, wait: Duration) -> bool {
     deadline.remaining().is_some_and(|left| left <= wait)
@@ -1124,24 +1022,6 @@ fn outlasts(deadline: &CancelToken, wait: Duration) -> bool {
 /// instance fingerprint in a stable text form.
 fn plan_route_key(fingerprint: u64) -> String {
     format!("{fingerprint:016x}")
-}
-
-/// `Some(retry_after_ms)` when a v2 response frame is an `overloaded`
-/// error (the only response the router retries); `None` otherwise.
-fn frame_overload_retry(resp_op: u8, payload: &[u8]) -> Option<u64> {
-    if resp_op != op::ERROR {
-        return None;
-    }
-    let value = binary::response_to_value(resp_op, payload).ok()?;
-    if value.get("code").and_then(Value::as_str) != Some(ErrorCode::Overloaded.as_str()) {
-        return None;
-    }
-    Some(
-        value
-            .get("retry_after_ms")
-            .and_then(Value::as_u64)
-            .unwrap_or(10),
-    )
 }
 
 #[cfg(test)]
@@ -1198,31 +1078,26 @@ mod tests {
         );
     }
 
-    /// A backend that answers every request frame with a fixed reply
-    /// line in a correctly sealed `JSON_RESP` — syntactically valid
-    /// JSON, semantically garbage when asked to be. The request's
-    /// correlation id is echoed into object-shaped replies, so the
-    /// reply passes the transport's duplicate screen and reaches
-    /// semantic validation: this models a byzantine *backend* rather
-    /// than a corrupted link, and the CRC verifies end to end.
-    fn scripted_backend(reply: &'static str) -> String {
-        scripted_backend_after(reply, Duration::ZERO)
-    }
-
-    /// [`scripted_backend`], answering each request `delay` after it
-    /// arrives.
-    fn scripted_backend_after(reply: &'static str, delay: Duration) -> String {
+    /// A backend serving each connection on its own thread: every
+    /// request frame is answered with the bytes `respond` returns for
+    /// its op and payload, written one byte per `pace` when it is set
+    /// (a link that trickles).
+    fn backend<F>(respond: F, pace: Option<Duration>) -> String
+    where
+        F: Fn(u8, &[u8]) -> Vec<u8> + Clone + Send + 'static,
+    {
         use std::io::{Read, Write};
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         std::thread::spawn(move || {
             for stream in listener.incoming() {
                 let Ok(mut stream) = stream else { continue };
+                let respond = respond.clone();
                 std::thread::spawn(move || {
                     let mut buf = Vec::new();
                     let mut chunk = [0u8; 4096];
                     loop {
-                        match frame::split(&buf) {
+                        let out = match frame::split(&buf) {
                             frame::Split::NeedMore => {
                                 let Ok(n) = stream.read(&mut chunk) else {
                                     break;
@@ -1231,55 +1106,137 @@ mod tests {
                                     break;
                                 }
                                 buf.extend_from_slice(&chunk[..n]);
+                                continue;
                             }
                             frame::Split::V2Frame {
-                                payload, consumed, ..
+                                op: request_op,
+                                payload,
+                                consumed,
                             } => {
-                                let echoed = std::str::from_utf8(payload)
-                                    .ok()
-                                    .and_then(|text| jsonio::parse(text).ok())
-                                    .and_then(|request| request.get("id").cloned());
-                                let line = match (jsonio::parse(reply), echoed) {
-                                    (Ok(Value::Object(mut fields)), Some(id)) => {
-                                        match fields.iter_mut().find(|(key, _)| key == "id") {
-                                            Some((_, slot)) => *slot = id,
-                                            None => fields.push(("id".to_string(), id)),
-                                        }
-                                        Value::Object(fields).to_string()
-                                    }
-                                    _ => reply.to_string(),
-                                };
+                                let out = respond(request_op, payload);
                                 buf.drain(..consumed);
-                                std::thread::sleep(delay);
-                                let mut out = Vec::new();
-                                frame::write_checked_frame(
-                                    &mut out,
-                                    op::JSON_RESP,
-                                    line.as_bytes(),
-                                );
-                                if stream.write_all(&out).is_err() {
-                                    break;
-                                }
+                                out
                             }
-                            frame::Split::V1Line { consumed, .. } => {
-                                buf.drain(..consumed);
-                                let mut out = Vec::new();
-                                frame::write_checked_frame(
-                                    &mut out,
-                                    op::JSON_RESP,
-                                    reply.as_bytes(),
-                                );
-                                if stream.write_all(&out).is_err() {
-                                    break;
-                                }
-                            }
-                            frame::Split::Malformed(_) => break,
+                            frame::Split::V1Line { .. } | frame::Split::Malformed(_) => break,
+                        };
+                        let written = match pace {
+                            None => stream.write_all(&out),
+                            Some(pace) => out.iter().try_for_each(|byte| {
+                                std::thread::sleep(pace);
+                                stream.write_all(std::slice::from_ref(byte))
+                            }),
+                        };
+                        if written.is_err() {
+                            break;
                         }
                     }
                 });
             }
         });
         addr
+    }
+
+    /// `payload` in a sealed frame.
+    fn sealed(reply_op: u8, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let start = frame::begin_frame(&mut out, reply_op);
+        out.extend_from_slice(payload);
+        frame::seal_frame(&mut out, start);
+        out
+    }
+
+    /// `reply` in a sealed `JSON_RESP`, with the `id` of the `JSON_REQ`
+    /// payload `request` echoed into object-shaped replies — so the
+    /// reply passes the hop's correlation and reaches its validation.
+    fn json_reply(reply: &str, request: &[u8]) -> Vec<u8> {
+        let echoed = std::str::from_utf8(request)
+            .ok()
+            .and_then(|text| jsonio::parse(text).ok())
+            .and_then(|request| request.get("id").cloned());
+        let line = match (jsonio::parse(reply), echoed) {
+            (Ok(Value::Object(mut fields)), Some(id)) => {
+                match fields.iter_mut().find(|(key, _)| key == "id") {
+                    Some((_, slot)) => *slot = id,
+                    None => fields.push(("id".to_string(), id)),
+                }
+                Value::Object(fields).to_string()
+            }
+            _ => reply.to_string(),
+        };
+        sealed(op::JSON_RESP, line.as_bytes())
+    }
+
+    /// A backend that answers every request with a fixed reply line in
+    /// a correctly sealed `JSON_RESP` — syntactically valid JSON,
+    /// semantically garbage when asked to be. This models a byzantine
+    /// *backend* rather than a corrupted link: the CRC verifies end to
+    /// end.
+    fn scripted_backend(reply: &'static str) -> String {
+        scripted_backend_after(reply, Duration::ZERO)
+    }
+
+    /// [`scripted_backend`], answering each request `delay` after it
+    /// arrives.
+    fn scripted_backend_after(reply: &'static str, delay: Duration) -> String {
+        backend(
+            move |_, request| {
+                std::thread::sleep(delay);
+                json_reply(reply, request)
+            },
+            None,
+        )
+    }
+
+    /// A sealed (or, with `sealed` false, unsealed) `PLAN_RESP` echoing
+    /// `id`, from the node named `node`.
+    fn plan_reply(id: IdView<'_>, node: &str, sealed: bool) -> Vec<u8> {
+        let mut out = Vec::new();
+        binary::encode_plan_response(
+            &mut out,
+            id,
+            Some(node),
+            "greedy",
+            1.5,
+            0,
+            false,
+            false,
+            false,
+            &[vec![0, 1]],
+        );
+        if sealed {
+            return out;
+        }
+        let frame::Split::V2Frame { payload, .. } = frame::split(&out) else {
+            panic!("encoder produced a non-frame");
+        };
+        let mut plain = Vec::new();
+        frame::write_frame(&mut plain, op::PLAN_RESP, payload);
+        plain
+    }
+
+    /// The payload of a `PLAN` frame with `id` and a 300 ms deadline.
+    fn plan_payload(id: &Value) -> Vec<u8> {
+        let instance = pager_core::Instance::from_rows(vec![vec![0.5, 0.5]]).unwrap();
+        let spec =
+            pager_wire::PlanSpec::new(pager_core::Delay::new(2).unwrap()).with_deadline_ms(300);
+        let mut wire = Vec::new();
+        assert!(binary::encode_plan_request(&mut wire, id, &instance, &spec));
+        wire[frame::HEADER_LEN..].to_vec()
+    }
+
+    /// Routes one `PLAN` payload through `router` and decodes the answer.
+    fn route_plan(router: &Router, payload: &[u8]) -> Value {
+        let mut out = Vec::new();
+        assert!(!router.handle_frame(op::PLAN, payload, &mut out));
+        let frame::Split::V2Frame {
+            op: reply_op,
+            payload,
+            ..
+        } = frame::split(&out)
+        else {
+            panic!("expected a frame, got {out:?}");
+        };
+        binary::response_to_value(reply_op, payload).unwrap()
     }
 
     fn one_backend_router(addr: String) -> Router {
@@ -1400,15 +1357,16 @@ mod tests {
         // breaker and the byzantine metric, never be relayed.
         let router = one_backend_router(scripted_backend("{\"pong\":true}"));
         let budget = Duration::from_millis(500);
+        let ping = Ask::Line("{\"cmd\":\"ping\"}");
         for _ in 0..BREAKER_THRESHOLD {
             let err = router
-                .call_backend_within(0, "{\"cmd\":\"ping\"}", &CancelToken::with_timeout(budget))
+                .call_backend(0, ping, &CancelToken::with_timeout(budget))
                 .unwrap_err();
             assert!(err.contains("byzantine"), "{err}");
         }
         // The breaker is now open: the next call is rejected locally.
         let err = router
-            .call_backend_within(0, "{\"cmd\":\"ping\"}", &CancelToken::with_timeout(budget))
+            .call_backend(0, ping, &CancelToken::with_timeout(budget))
             .unwrap_err();
         assert!(err.contains("breaker open"), "{err}");
         assert_eq!(
@@ -1422,11 +1380,12 @@ mod tests {
     fn well_formed_replies_pass_byzantine_validation() {
         let router = one_backend_router(scripted_backend("{\"ok\":true,\"pong\":true}"));
         let value = router
-            .call_backend_within(
+            .call_backend(
                 0,
-                "{\"cmd\":\"ping\"}",
+                Ask::Line("{\"cmd\":\"ping\"}"),
                 &CancelToken::with_timeout(Duration::from_millis(500)),
             )
+            .and_then(Reply::into_line)
             .unwrap();
         assert_eq!(value.get("ok").and_then(Value::as_bool), Some(true));
         assert_eq!(router.metrics.byzantine_replies.get(), 0);
@@ -1626,13 +1585,116 @@ mod tests {
         let frame::Split::V2Frame { op: o, payload, .. } = frame::split(&out) else {
             panic!("expected a complete error frame");
         };
-        assert_eq!(frame_overload_retry(o, payload), Some(50));
+        assert_eq!(Reply::Frame(o, payload.to_vec()).overload_retry(), Some(50));
 
         let mut pong = Vec::new();
         binary::encode_pong(&mut pong, None);
         let frame::Split::V2Frame { op: o, payload, .. } = frame::split(&pong) else {
             panic!("expected a complete pong frame");
         };
-        assert_eq!(frame_overload_retry(o, payload), None);
+        assert_eq!(Reply::Frame(o, payload.to_vec()).overload_retry(), None);
+    }
+    #[test]
+    fn unsealed_plan_replies_are_byzantine_and_never_relayed() {
+        // The backend echoes the forwarded id, so only the missing seal
+        // is wrong: the client must get an honest error, not the plan.
+        let router = one_backend_router(backend(
+            |_, payload| {
+                let id = PlanFrameView::parse(payload).map_or(IdView::Null, |view| view.id());
+                plan_reply(id, "unsealed", false)
+            },
+            None,
+        ));
+        let answer = route_plan(&router, &plan_payload(&Value::Int(7)));
+        assert_eq!(
+            answer.get("code").and_then(Value::as_str),
+            Some("unavailable"),
+            "{answer}"
+        );
+        assert_eq!(answer.get("id").and_then(Value::as_i64), Some(7));
+        assert!(router.metrics.byzantine_replies.get() >= 1);
+    }
+
+    #[test]
+    fn stale_plan_replies_are_skipped_and_the_client_id_restored() {
+        // Every request after a connection's first is answered twice:
+        // first by a sealed, intact PLAN_RESP echoing the previous
+        // nonce (a replayed duplicate), then by the right one.
+        let router = one_backend_router(backend(
+            |_, payload| {
+                let id = PlanFrameView::parse(payload).map_or(IdView::Null, |view| view.id());
+                let mut out = Vec::new();
+                let earlier = match id {
+                    IdView::U64(n) => n.checked_sub(1),
+                    IdView::I64(n) => u64::try_from(n - 1).ok(),
+                    IdView::Null | IdView::Str(_) => None,
+                };
+                if let Some(earlier) = earlier.filter(|&n| n > 0) {
+                    out.extend(plan_reply(IdView::U64(earlier), "stale", true));
+                }
+                out.extend(plan_reply(id, "fresh", true));
+                out
+            },
+            None,
+        ));
+        for id in [
+            Value::Int(7),
+            Value::Int(8),
+            Value::from("q-1"),
+            Value::from("q-2"),
+        ] {
+            let answer = route_plan(&router, &plan_payload(&id));
+            assert_eq!(
+                answer.get("node").and_then(Value::as_str),
+                Some("fresh"),
+                "{answer}"
+            );
+            assert_eq!(answer.get("id"), Some(&id), "{answer}");
+        }
+        assert_eq!(router.metrics.transport_errors.get(), 0);
+    }
+
+    #[test]
+    fn a_trickling_backend_cannot_hold_a_hop_past_its_deadline() {
+        // A sealed, correct reply that arrives one byte per 20 ms: each
+        // read returns well inside the 500 ms io_timeout, but the whole
+        // reply takes over a second.
+        const D: u64 = 300;
+        let reply = format!("{{\"ok\":true,\"pad\":\"{}\"}}", "x".repeat(48));
+        let addr = backend(
+            move |_, request| json_reply(&reply, request),
+            Some(Duration::from_millis(20)),
+        );
+        let router = Router::new(
+            vec![ShardSpec {
+                shard: "s0".to_string(),
+                backends: vec![BackendSpec {
+                    node: "n0".to_string(),
+                    addr,
+                }],
+            }],
+            64,
+            RouterConfig {
+                io_timeout: Duration::from_millis(500),
+                ..RouterConfig::default()
+            },
+        )
+        .unwrap();
+        let started = Instant::now();
+        let outcome = router.handle_line(&format!(
+            r#"{{"cmd":"plan_devices","devices":["d"],"delay":2,"deadline_ms":{D}}}"#
+        ));
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(D + 100),
+            "answered after {elapsed:?}: {}",
+            outcome.response
+        );
+        let answer = jsonio::parse(&outcome.response).unwrap();
+        assert_eq!(
+            answer.get("code").and_then(Value::as_str),
+            Some("unavailable"),
+            "{answer}"
+        );
     }
 }

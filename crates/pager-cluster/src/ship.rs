@@ -40,6 +40,7 @@ use pager_profiles::wal::{decode_hex, SHIP_WINDOW_BYTES};
 use pager_wire::{json, Request};
 
 use crate::router::Router;
+use crate::wire::{Ask, Reply};
 
 /// A replica's position in its owner's WAL.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
@@ -258,7 +259,8 @@ impl Router {
             bytes: bytes.to_vec(),
         });
         let outcome = self
-            .call_backend_within(replica, &apply, deadline)
+            .call_backend(replica, Ask::Line(&apply), deadline)
+            .and_then(Reply::into_line)
             .map_err(|_| ShipError::Replica(()))?;
         if outcome.get("ok").and_then(Value::as_bool) != Some(true) {
             return Err(ShipError::Replica(()));
@@ -294,7 +296,8 @@ impl Router {
             });
             self.metrics.ship_catchups.inc();
             let export = self
-                .call_backend_within(owner, &request, deadline)
+                .call_backend(owner, Ask::Line(&request), deadline)
+                .and_then(Reply::into_line)
                 .map_err(ShipError::Owner)?;
             if export.get("ok").and_then(Value::as_bool) != Some(true) {
                 let error = export

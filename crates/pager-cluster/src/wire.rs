@@ -1,46 +1,113 @@
 //! Minimal client connection to one backend node.
 //!
-//! One TCP connection to a `pager-serve` node, speaking either
-//! protocol: write one v1 request line and read one response line
-//! ([`Conn::round_trip`]), the same line sealed in CRC-checked v2
-//! `JSON_REQ`/`JSON_RESP` frames ([`Conn::round_trip_checked`] — the
-//! router's default for internal traffic, so in-flight corruption is
-//! rejected instead of served), or write one v2 frame and read one
-//! response frame ([`Conn::round_trip_frame`]). Both directions carry
-//! socket timeouts so a dead or wedged node surfaces as an error
-//! within the router's retry budget instead of hanging a client
-//! forever. Replies of both protocols are read through
-//! [`frame::split`] over one read buffer, which grows only as bytes
-//! arrive, so the header checks and the CRC-32 check are the wire
-//! crate's own.
+//! One TCP connection to a `pager-serve` node. The router's traffic
+//! takes one path, `Conn::call`: write one sealed v2 frame, read the
+//! sealed reply frame that answers it. The request is a v1 line
+//! (carried in a `JSON_REQ` frame, answered by a `JSON_RESP`) or a
+//! native `PLAN` payload (answered by a `PLAN_RESP` or an `ERROR`).
+//! [`Conn::round_trip`] is the plain unsealed v1 line, for tools that
+//! talk to one node directly.
 //!
-//! The checked round trip also *correlates* request and reply: the
-//! request's `id` is rewritten to a per-connection nonce which the
-//! backend echoes back (the caller's id is restored before the reply
-//! is returned). A CRC-valid reply carrying an **earlier** nonce of
-//! this connection is a stale duplicate — a duplicated TCP segment
-//! replayed a whole response frame — and is discarded rather than
-//! delivered as the answer to the wrong request. The CRC trailer
-//! cannot catch this case: the duplicate is a perfectly intact frame,
-//! just for a question that was already answered.
+//! A call accepts only a reply that is
+//! - **sealed**: its CRC-32 trailer verified by [`frame::split`], so a
+//!   byte flipped in flight is rejected instead of served;
+//! - **producible**: an op its request can be answered with;
+//! - **correlated**: the request's id travels as a per-connection
+//!   nonce, and the reply must echo it. For a line the nonce rides the
+//!   JSON `id`; for a `PLAN` it replaces the payload's leading `id`
+//!   field ([`binary::splice_id`]). The caller's id is restored in the
+//!   reply. A reply echoing an **earlier** nonce of this connection is
+//!   a stale duplicate — a duplicated TCP segment replayed a whole
+//!   response frame, which the CRC cannot catch — and is skipped; any
+//!   other id poisons the connection.
+//!
+//! Every socket operation of a call is bounded by what is left of the
+//! request's [`CancelToken`] (capped by the router's `io_timeout`),
+//! re-armed before each write and each read, so a backend that
+//! trickles its reply cannot hold a call past its deadline.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+use jsonio::metrics::Counter;
 use jsonio::Value;
-use pager_wire::frame::{self, Split};
+use pager_core::cancel::CancelToken;
+use pager_wire::frame::{self, op, Split};
+use pager_wire::{binary, ErrorCode, IdView};
 
-/// Bound on stale duplicated replies discarded in one checked round
-/// trip. Each discard is a response frame some earlier call already
-/// consumed once; more than a handful in a row means the stream is
-/// hopeless and the connection should be poisoned instead.
+/// Bound on stale duplicated replies discarded in one call. Each
+/// discard is a response frame some earlier call already consumed
+/// once; more than a handful in a row means the stream is hopeless and
+/// the connection should be poisoned instead.
 const MAX_STALE_REPLIES: usize = 8;
 
 /// Bytes read per `read` call. Replies are buffered only as their
 /// bytes arrive, so a corrupted-but-in-bounds length field costs at
 /// most what the peer actually sends before the read times out.
 const READ_CHUNK: usize = 16 * 1024;
+
+/// What the router asks a backend.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Ask<'a> {
+    /// A v1 request line, sent in a `JSON_REQ` frame.
+    Line(&'a str),
+    /// A native `PLAN` payload, as the client sent it.
+    Plan(&'a [u8]),
+}
+
+/// A backend's answer to an [`Ask`], with the caller's id restored.
+#[derive(Debug)]
+pub(crate) enum Reply {
+    /// The JSON answer to [`Ask::Line`].
+    Line(Value),
+    /// The op and payload of the answer to [`Ask::Plan`].
+    Frame(u8, Vec<u8>),
+}
+
+impl Reply {
+    /// The JSON answer to an [`Ask::Line`]. [`Conn::call`] answers each
+    /// ask in its own protocol, so the error arm is never taken.
+    pub(crate) fn into_line(self) -> Result<Value, String> {
+        match self {
+            Reply::Line(value) => Ok(value),
+            Reply::Frame(op, _) => Err(format!("backend answered a line with op {op:#04x}")),
+        }
+    }
+
+    /// The `(op, payload)` answer to an [`Ask::Plan`]; the error arm is
+    /// never taken, as for [`Reply::into_line`].
+    pub(crate) fn into_frame(self) -> Result<(u8, Vec<u8>), String> {
+        match self {
+            Reply::Frame(op, payload) => Ok((op, payload)),
+            Reply::Line(_) => Err("backend answered a frame with a line".to_string()),
+        }
+    }
+
+    /// `Some(retry_after_ms)` when the backend shed the request as
+    /// `overloaded` (the only answer the router retries), in either
+    /// protocol.
+    #[must_use]
+    pub(crate) fn overload_retry(&self) -> Option<u64> {
+        let decoded;
+        let value = match self {
+            Reply::Line(value) => value,
+            Reply::Frame(reply_op, payload) if *reply_op == op::ERROR => {
+                decoded = binary::response_to_value(*reply_op, payload).ok()?;
+                &decoded
+            }
+            Reply::Frame(..) => return None,
+        };
+        (value.get("code").and_then(Value::as_str) == Some(ErrorCode::Overloaded.as_str())).then(
+            || {
+                value
+                    .get("retry_after_ms")
+                    .and_then(Value::as_u64)
+                    .unwrap_or(10)
+            },
+        )
+    }
+}
 
 /// A pooled client connection to one node.
 #[derive(Debug)]
@@ -49,16 +116,16 @@ pub struct Conn {
     /// Bytes read but not yet consumed as a reply. What follows one
     /// reply (a duplicated frame, say) waits here for the next read.
     buf: Vec<u8>,
-    /// Correlation nonce for [`Conn::round_trip_checked`]:
-    /// monotonically increasing per connection, so a reply echoing a
-    /// value below the current nonce is provably one this connection
-    /// already consumed (a duplicated frame), never fresh data.
-    txn: i64,
+    /// Correlation nonce for `Conn::call`: monotonically increasing
+    /// per connection, so a reply echoing a value below the current
+    /// nonce is provably one this connection already consumed (a
+    /// duplicated frame), never fresh data.
+    txn: u64,
 }
 
 impl Conn {
     /// Connects to `addr` with `timeout` applied to the connect and to
-    /// every subsequent read/write.
+    /// every subsequent read/write of [`Conn::round_trip`].
     pub fn connect(addr: &str, timeout: Duration) -> Result<Conn, String> {
         let resolved: Vec<SocketAddr> = addr
             .to_socket_addrs()
@@ -69,112 +136,177 @@ impl Conn {
             .ok_or_else(|| format!("{addr} resolves to no addresses"))?;
         let stream = TcpStream::connect_timeout(first, timeout)
             .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-        let mut conn = Conn {
+        let timeout = Some(timeout.max(Duration::from_millis(1)));
+        stream
+            .set_read_timeout(timeout)
+            .and_then(|()| stream.set_write_timeout(timeout))
+            .map_err(|e| format!("cannot set socket timeouts: {e}"))?;
+        Ok(Conn {
             stream,
             buf: Vec::new(),
             txn: 0,
-        };
-        conn.set_io_timeout(timeout)?;
-        Ok(conn)
+        })
     }
 
     /// Sends one request line and reads one response line, parsed as
-    /// JSON. Any transport or parse error poisons the connection (the
-    /// caller must drop it rather than return it to a pool: a timed-out
-    /// read may leave a half-delivered response in the stream).
+    /// JSON, unsealed and uncorrelated. Any transport or parse error
+    /// poisons the connection (the caller must drop it rather than
+    /// return it to a pool: a timed-out read may leave a half-delivered
+    /// response in the stream).
     pub fn round_trip(&mut self, line: &str) -> Result<Value, String> {
         let mut wire = Vec::with_capacity(line.len() + 1);
         wire.extend_from_slice(line.as_bytes());
         wire.push(b'\n');
-        self.send(&wire)?;
+        self.stream
+            .write_all(&wire)
+            .map_err(|e| format!("write failed: {e}"))?;
         let response = self.read_line()?;
         jsonio::parse(response.trim_end()).map_err(|e| format!("bad response JSON: {e}"))
     }
 
-    /// Sends one v1 request line sealed inside a checked v2
-    /// `JSON_REQ` frame and reads the backend's checked `JSON_RESP`,
-    /// parsed as JSON. Both directions carry a CRC-32 trailer, so a
-    /// byte flipped in flight — in either the request or the response
-    /// — surfaces as an error here (or a `bad_request` at the
-    /// backend), never as silently corrupt data. An unchecked reply
-    /// is rejected outright: this hop does not negotiate down.
-    ///
-    /// The request's `id` travels as a per-connection nonce (the
-    /// caller's id is restored in the returned reply), and only the
-    /// reply echoing that nonce is delivered: a reply echoing an
-    /// earlier nonce is a stale duplicate left in the stream by a
-    /// replayed TCP segment and is skipped, while any other id is an
-    /// unmatched reply that poisons the connection.
-    pub fn round_trip_checked(&mut self, line: &str) -> Result<Value, String> {
-        let mut request =
-            jsonio::parse(line).map_err(|e| format!("bad internal request JSON: {e}"))?;
-        let Value::Object(fields) = &mut request else {
-            return Err("internal request line is not a JSON object".to_string());
+    /// Sends `ask` in one sealed frame and returns the reply that
+    /// answers it: sealed, of an op `ask` can produce, echoing this
+    /// call's nonce, with the caller's id restored. Replies echoing an
+    /// earlier nonce are skipped, up to `MAX_STALE_REPLIES`. Every
+    /// write and read is bounded by `cap` and by what is left of
+    /// `deadline`. An intact reply that is not a pager answer to `ask`
+    /// (unsealed, of the wrong op, or a JSON answer without `ok`) also
+    /// bumps `byzantine`. Any error poisons the connection.
+    pub(crate) fn call(
+        &mut self,
+        ask: Ask<'_>,
+        deadline: &CancelToken,
+        cap: Duration,
+        byzantine: &Counter,
+    ) -> Result<Reply, String> {
+        let byzantine = |what: &str| {
+            byzantine.inc();
+            format!("byzantine reply from backend ({what})")
         };
         self.txn += 1;
         let nonce = self.txn;
-        let original_id = match fields.iter_mut().find(|(key, _)| key == "id") {
-            Some((_, id)) => std::mem::replace(id, Value::Int(nonce)),
-            None => {
-                fields.push(("id".to_string(), Value::Int(nonce)));
-                // A v1 response always carries `id` (null when the
-                // request had none), so "absent" restores to null.
-                Value::Null
-            }
-        };
-        let sealed = request.to_string();
-        let mut wire = Vec::with_capacity(sealed.len() + frame::HEADER_LEN + 4);
-        frame::write_checked_frame(&mut wire, frame::op::JSON_REQ, sealed.as_bytes());
-        self.send(&wire)?;
-        for _ in 0..=MAX_STALE_REPLIES {
-            let (op, payload, checked) = self.read_frame()?;
-            if !checked {
-                return Err("backend reply is not integrity-checked".to_string());
-            }
-            if op != frame::op::JSON_RESP {
-                return Err(format!("backend answered op {op:#04x}, not JSON_RESP"));
-            }
-            let text =
-                std::str::from_utf8(&payload).map_err(|e| format!("bad response UTF-8: {e}"))?;
-            let mut reply =
-                jsonio::parse(text.trim_end()).map_err(|e| format!("bad response JSON: {e}"))?;
-            match reply.get("id").and_then(Value::as_i64) {
-                Some(echoed) if echoed == nonce => {
-                    if let Value::Object(fields) = &mut reply {
-                        if let Some((_, id)) = fields.iter_mut().find(|(key, _)| key == "id") {
-                            *id = original_id.clone();
+        let mut wire = Vec::new();
+        match ask {
+            Ask::Line(line) => {
+                let (request, original) = with_nonce(line, nonce)?;
+                let start = frame::begin_frame(&mut wire, op::JSON_REQ);
+                wire.extend_from_slice(request.as_bytes());
+                frame::seal_frame(&mut wire, start);
+                self.exchange(
+                    &wire,
+                    deadline,
+                    cap,
+                    nonce,
+                    &byzantine,
+                    |reply_op, payload| {
+                        if reply_op != op::JSON_RESP {
+                            return Err(byzantine(&format!("op {reply_op:#04x} to JSON_REQ")));
                         }
+                        let text = std::str::from_utf8(payload)
+                            .map_err(|e| format!("bad response UTF-8: {e}"))?;
+                        let mut reply = jsonio::parse(text.trim_end())
+                            .map_err(|e| format!("bad response JSON: {e}"))?;
+                        if reply.get("ok").and_then(Value::as_bool).is_none() {
+                            return Err(byzantine("no ok field"));
+                        }
+                        let echoed = reply.get("id").and_then(Value::as_u64);
+                        if let Value::Object(fields) = &mut reply {
+                            if let Some((_, id)) = fields.iter_mut().find(|(key, _)| key == "id") {
+                                *id = original.clone();
+                            }
+                        }
+                        Ok((echoed, Reply::Line(reply)))
+                    },
+                )
+            }
+            Ask::Plan(payload) => {
+                // The one copy of the client's payload, the nonce in its
+                // id's place. The router parsed the payload's header
+                // before routing it, so its id is well formed.
+                let start = frame::begin_frame(&mut wire, op::PLAN);
+                let original = binary::splice_id(&mut wire, IdView::U64(nonce), payload)?;
+                frame::seal_frame(&mut wire, start);
+                self.exchange(
+                    &wire,
+                    deadline,
+                    cap,
+                    nonce,
+                    &byzantine,
+                    |reply_op, payload| {
+                        if !matches!(reply_op, op::PLAN_RESP | op::ERROR) {
+                            return Err(byzantine(&format!("op {reply_op:#04x} to PLAN")));
+                        }
+                        let mut restored = Vec::with_capacity(payload.len());
+                        let echoed = binary::splice_id(&mut restored, original, payload)
+                            .map_err(|e| format!("bad reply payload: {e}"))?;
+                        Ok((nonce_of(echoed), Reply::Frame(reply_op, restored)))
+                    },
+                )
+            }
+        }
+    }
+
+    /// The one correlation loop: writes `wire`, then reads sealed reply
+    /// frames until `decode` — which checks each reply's op and payload
+    /// and returns the nonce it echoes — finds the one echoing `nonce`.
+    fn exchange(
+        &mut self,
+        wire: &[u8],
+        deadline: &CancelToken,
+        cap: Duration,
+        nonce: u64,
+        byzantine: &impl Fn(&str) -> String,
+        mut decode: impl FnMut(u8, &[u8]) -> Result<(Option<u64>, Reply), String>,
+    ) -> Result<Reply, String> {
+        self.stream
+            .set_write_timeout(Some(socket_timeout(cap, deadline)?))
+            .and_then(|()| self.stream.write_all(wire))
+            .map_err(|e| format!("write failed: {e}"))?;
+        for _ in 0..=MAX_STALE_REPLIES {
+            let (consumed, decoded) = loop {
+                match frame::split(&self.buf) {
+                    Split::NeedMore if self.buf.first().is_none_or(|&b| b == frame::MAGIC) => {
+                        self.stream
+                            .set_read_timeout(Some(socket_timeout(cap, deadline)?))
+                            .map_err(|e| format!("cannot set read timeout: {e}"))?;
+                        self.fill()?;
                     }
-                    return Ok(reply);
+                    // A line, or the start of one: no frame starts
+                    // without the magic byte, so there is no newline to
+                    // wait for.
+                    Split::NeedMore | Split::V1Line { .. } => {
+                        return Err("backend answered with a non-v2 frame".to_string())
+                    }
+                    // `split` strips a verified trailer, so only a
+                    // sealed frame consumes more than it carries.
+                    Split::V2Frame {
+                        payload, consumed, ..
+                    } if consumed == frame::HEADER_LEN + payload.len() => {
+                        return Err(byzantine("reply is not integrity-checked"))
+                    }
+                    Split::V2Frame {
+                        op: reply_op,
+                        payload,
+                        consumed,
+                    } => break (consumed, decode(reply_op, payload)?),
+                    Split::Malformed(message) => {
+                        return Err(format!("bad backend reply: {message}"))
+                    }
                 }
+            };
+            self.buf.drain(..consumed);
+            match decoded {
+                (Some(echoed), reply) if echoed == nonce => return Ok(reply),
                 // An earlier nonce of this connection: a stale
                 // duplicate of a reply already consumed. Skip it and
                 // keep reading for ours.
-                Some(echoed) if echoed > 0 && echoed < nonce => {}
-                _ => {
-                    return Err("unmatched reply from backend (bad correlation id)".to_string());
-                }
+                (Some(echoed), _) if (1..nonce).contains(&echoed) => {}
+                _ => return Err("unmatched reply from backend (bad correlation id)".to_string()),
             }
         }
         Err(format!(
             "no matching reply within {MAX_STALE_REPLIES} stale duplicates"
         ))
-    }
-
-    /// Sends one complete v2 frame and reads one v2 response frame,
-    /// returning its `(op, payload)`. As with [`Conn::round_trip`],
-    /// any transport error (or a non-v2 answer) poisons the
-    /// connection and the caller must drop it instead of repooling.
-    pub fn round_trip_frame(&mut self, frame_bytes: &[u8]) -> Result<(u8, Vec<u8>), String> {
-        self.send(frame_bytes)?;
-        let (op, payload, _) = self.read_frame()?;
-        Ok((op, payload))
-    }
-
-    fn send(&mut self, wire: &[u8]) -> Result<(), String> {
-        self.stream
-            .write_all(wire)
-            .map_err(|e| format!("write failed: {e}"))
     }
 
     /// Reads one v1 reply line.
@@ -197,37 +329,6 @@ impl Conn {
         }
     }
 
-    /// Reads one v2 reply frame, its CRC-32 trailer (when the checked
-    /// flag is set) verified by [`frame::split`]. Returns
-    /// `(op, payload, checked)`.
-    fn read_frame(&mut self) -> Result<(u8, Vec<u8>, bool), String> {
-        loop {
-            match frame::split(&self.buf) {
-                Split::NeedMore if self.buf.first().is_none_or(|&b| b == frame::MAGIC) => {
-                    self.fill()?;
-                }
-                // A line, or the start of one: no frame starts without
-                // the magic byte, so there is no newline to wait for.
-                Split::NeedMore | Split::V1Line { .. } => {
-                    return Err("backend answered with a non-v2 frame".to_string())
-                }
-                Split::V2Frame {
-                    op,
-                    payload,
-                    consumed,
-                } => {
-                    // `split` strips a verified trailer, so only a
-                    // checked frame consumes more than it carries.
-                    let checked = consumed > frame::HEADER_LEN + payload.len();
-                    let reply = (op, payload.to_vec(), checked);
-                    self.buf.drain(..consumed);
-                    return Ok(reply);
-                }
-                Split::Malformed(message) => return Err(format!("bad backend reply: {message}")),
-            }
-        }
-    }
-
     /// Appends what one `read` returns to the buffer.
     fn fill(&mut self) -> Result<(), String> {
         let mut chunk = [0u8; READ_CHUNK];
@@ -241,24 +342,75 @@ impl Conn {
         self.buf.extend_from_slice(&chunk[..n]);
         Ok(())
     }
+}
 
-    /// Re-arms the socket read/write timeouts, bounding every
-    /// subsequent operation on this connection. Durations are clamped
-    /// to at least 1 ms (a zero timeout is an error in std).
-    pub fn set_io_timeout(&mut self, timeout: Duration) -> Result<(), String> {
-        let timeout = timeout.max(Duration::from_millis(1));
-        self.stream
-            .set_read_timeout(Some(timeout))
-            .map_err(|e| format!("cannot set read timeout: {e}"))?;
-        self.stream
-            .set_write_timeout(Some(timeout))
-            .map_err(|e| format!("cannot set write timeout: {e}"))
+/// `cap`, cut to what is left of `deadline`, for one socket operation;
+/// an error once the deadline has passed. Never zero, which std rejects
+/// as a socket timeout.
+pub(crate) fn socket_timeout(cap: Duration, deadline: &CancelToken) -> Result<Duration, String> {
+    match deadline.remaining() {
+        Some(left) if left.is_zero() => {
+            Err("deadline expired before the backend answered".to_string())
+        }
+        left => Ok(left
+            .map_or(cap, |left| cap.min(left))
+            .max(Duration::from_millis(1))),
+    }
+}
+
+/// `line` with its `id` set to `nonce`, re-serialised, and the id it
+/// replaced (`null` when it had none: a v1 response always carries
+/// `id`, null when the request had none).
+fn with_nonce(line: &str, nonce: u64) -> Result<(String, Value), String> {
+    let mut request = jsonio::parse(line).map_err(|e| format!("bad internal request JSON: {e}"))?;
+    let Value::Object(fields) = &mut request else {
+        return Err("internal request line is not a JSON object".to_string());
+    };
+    let original = match fields.iter_mut().find(|(key, _)| key == "id") {
+        Some((_, id)) => std::mem::replace(id, Value::from(nonce)),
+        None => {
+            fields.push(("id".to_string(), Value::from(nonce)));
+            Value::Null
+        }
+    };
+    Ok((request.to_string(), original))
+}
+
+/// The nonce a native reply's id carries. The node echoes a cache hit's
+/// id as sent (`u64`) and a solved request's id through its JSON value
+/// (`i64`), so both count.
+fn nonce_of(id: IdView<'_>) -> Option<u64> {
+    match id {
+        IdView::U64(n) => Some(n),
+        IdView::I64(n) => u64::try_from(n).ok(),
+        IdView::Null | IdView::Str(_) => None,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One call carrying `line`.
+    fn call_line(conn: &mut Conn, line: &str) -> Result<Value, String> {
+        let never = CancelToken::never();
+        conn.call(
+            Ask::Line(line),
+            &never,
+            Duration::from_secs(2),
+            &Counter::default(),
+        )
+        .and_then(Reply::into_line)
+    }
+
+    /// `payload` in a sealed frame.
+    fn sealed(reply_op: u8, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let start = frame::begin_frame(&mut out, reply_op);
+        out.extend_from_slice(payload);
+        frame::seal_frame(&mut out, start);
+        out
+    }
 
     /// A backend that echoes the request id into a well-formed reply
     /// and sends every reply `copies` times — the application-level
@@ -298,12 +450,7 @@ mod tests {
                         .to_string();
                         served += 1;
                         buf.drain(..consumed);
-                        let mut out = Vec::new();
-                        frame::write_checked_frame(
-                            &mut out,
-                            frame::op::JSON_RESP,
-                            reply.as_bytes(),
-                        );
+                        let out = sealed(op::JSON_RESP, reply.as_bytes());
                         for _ in 0..copies {
                             if stream.write_all(&out).is_err() {
                                 return;
@@ -325,7 +472,7 @@ mod tests {
         let mut conn = Conn::connect(&duplicating_backend(3), Duration::from_secs(2)).unwrap();
         for i in 0..5i64 {
             let line = format!("{{\"id\":{},\"cmd\":\"ping\"}}", 1000 + i);
-            let reply = conn.round_trip_checked(&line).unwrap();
+            let reply = call_line(&mut conn, &line).unwrap();
             assert_eq!(
                 reply.get("served").and_then(Value::as_i64),
                 Some(i),
@@ -339,7 +486,7 @@ mod tests {
     #[test]
     fn requests_without_an_id_restore_to_null() {
         let mut conn = Conn::connect(&duplicating_backend(1), Duration::from_secs(2)).unwrap();
-        let reply = conn.round_trip_checked("{\"cmd\":\"ping\"}").unwrap();
+        let reply = call_line(&mut conn, "{\"cmd\":\"ping\"}").unwrap();
         assert_eq!(reply.get("ok").and_then(Value::as_bool), Some(true));
         assert_eq!(reply.get("id"), Some(&Value::Null));
     }
@@ -349,8 +496,8 @@ mod tests {
         // 40 copies of each reply exceeds MAX_STALE_REPLIES: the
         // second round trip must give up rather than scan forever.
         let mut conn = Conn::connect(&duplicating_backend(40), Duration::from_secs(2)).unwrap();
-        assert!(conn.round_trip_checked("{\"cmd\":\"ping\"}").is_ok());
-        let err = conn.round_trip_checked("{\"cmd\":\"ping\"}").unwrap_err();
+        assert!(call_line(&mut conn, "{\"cmd\":\"ping\"}").is_ok());
+        let err = call_line(&mut conn, "{\"cmd\":\"ping\"}").unwrap_err();
         assert!(err.contains("stale duplicates"), "{err}");
     }
 
@@ -379,7 +526,7 @@ mod tests {
         let addr = raw_backend(b"{\"ok\":true".to_vec());
         let mut conn = Conn::connect(&addr, Duration::from_secs(5)).unwrap();
         let begin = std::time::Instant::now();
-        let err = conn.round_trip_checked("{\"cmd\":\"ping\"}").unwrap_err();
+        let err = call_line(&mut conn, "{\"cmd\":\"ping\"}").unwrap_err();
         assert!(err.contains("non-v2"), "{err}");
         assert!(
             begin.elapsed() < Duration::from_secs(1),
@@ -392,7 +539,7 @@ mod tests {
             b"{\"id\":1,\"ok\":true}",
         );
         let mut conn = Conn::connect(&raw_backend(unchecked), Duration::from_secs(5)).unwrap();
-        let err = conn.round_trip_checked("{\"cmd\":\"ping\"}").unwrap_err();
+        let err = call_line(&mut conn, "{\"cmd\":\"ping\"}").unwrap_err();
         assert!(err.contains("not integrity-checked"), "{err}");
     }
 }

@@ -73,6 +73,16 @@ impl core::fmt::Display for Delay {
 /// assert!((inst.cell_weight(0) - 0.7).abs() < 1e-12);
 /// # Ok::<(), pager_core::Error>(())
 /// ```
+///
+/// Every instance outside this crate comes from a validating
+/// constructor: `rows` is private, so a struct literal, which would skip
+/// the row checks, does not compile.
+///
+/// ```compile_fail,E0451
+/// use pager_core::Instance;
+///
+/// let unchecked = Instance::<f64> { rows: vec![vec![0.9, 0.9]] };
+/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Instance<S = f64> {
     /// `rows[i][j]` = probability device `i` is in cell `j`.

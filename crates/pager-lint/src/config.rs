@@ -207,13 +207,6 @@ impl Policy {
         path != "crates/jsonio/src/metrics.rs" && !Self::is_test_path(path)
     }
 
-    /// `no-raw-instance-literal` applies outside `pager-core`, which
-    /// owns `Instance` and is allowed to construct it directly.
-    #[must_use]
-    pub fn instance_literal_denied(&self, path: &str) -> bool {
-        !path.starts_with("crates/pager-core/src/") && !Self::is_test_path(path)
-    }
-
     /// Whether the path is test/bench/example scaffolding (distinct
     /// from in-file `#[cfg(test)]` regions, which rules handle via
     /// [`crate::rules::FileContext::in_test_region`]).
@@ -307,8 +300,6 @@ mod tests {
         assert!(!p.atomics_audited("crates/jsonio/src/metrics.rs"));
         assert!(p.atomics_audited("crates/pager-service/src/metrics.rs"));
         assert!(p.atomics_audited("crates/pager-profiles/src/store.rs"));
-        assert!(p.instance_literal_denied("crates/pager-service/src/service.rs"));
-        assert!(!p.instance_literal_denied("crates/pager-core/src/instance.rs"));
         assert!(Policy::is_test_path("crates/pager-core/tests/x.rs"));
         assert!(Policy::is_test_path(
             "crates/pager-lint/tests/fixtures/bad.rs"

@@ -9,7 +9,6 @@
 pub mod atomics;
 pub mod atomics_pairing;
 pub mod float_eq;
-pub mod instance_literal;
 pub mod lock_order;
 pub mod reactor_blocking;
 pub mod unsafe_audit;
@@ -78,7 +77,6 @@ pub fn run_all(ctx: &FileContext<'_>) -> Vec<Finding> {
     findings.extend(float_eq::check(ctx));
     findings.extend(unwrap::check(ctx));
     findings.extend(atomics::check(ctx));
-    findings.extend(instance_literal::check(ctx));
     findings.extend(lock_order::check(ctx));
     findings.sort_by(|a, b| a.line.cmp(&b.line).then_with(|| a.rule.cmp(b.rule)));
     findings.dedup();
@@ -172,14 +170,6 @@ pub const RULES: &[RuleInfo] = &[
         rationale: "SeqCst-by-default hides the actual handoff protocol; each atomic \
                     use site must state (and justify) the ordering it needs.",
         allow: "// lint:allow(atomics-ordering-audit): <why this ordering is right>",
-    },
-    RuleInfo {
-        name: "no-raw-instance-literal",
-        summary: "construct Instance via its validated constructors",
-        rationale: "Instance invariants (probabilities sum to 1, positive cell count) \
-                    are checked in pager-core's constructors; literal construction \
-                    elsewhere bypasses them.",
-        allow: "// lint:allow(no-raw-instance-literal): <why the invariant holds>",
     },
     RuleInfo {
         name: "lock-order",

@@ -29,7 +29,7 @@ use std::sync::Arc;
 use jsonio::Value;
 use pager_core::cancel::CancelToken;
 use pager_core::Instance;
-use pager_wire::PlanSpec;
+use pager_wire::{IdView, PlanSpec};
 
 use crate::engine::{Call, Gauges, Handler, Reply};
 use crate::error::ServiceError;
@@ -135,8 +135,10 @@ impl PagerService {
         let service = Arc::clone(&self);
         let render =
             move |result: &Result<PlanResponse, ServiceError>, out: &mut Vec<u8>| match result {
-                Ok(response) => proto::plan_response_frame(&service, &id, response, out),
-                Err(error) => proto::error_frame(&service, &id, error, out),
+                Ok(response) => {
+                    proto::plan_response_frame(&service, IdView::from(&id), response, out)
+                }
+                Err(error) => proto::error_frame(&service, IdView::from(&id), error, out),
             };
         let planned = self.plan_async(instance, spec, |deadline| deferred(call, deadline, &render));
         reply(call, &self, planned, render)

@@ -401,9 +401,11 @@ pub(crate) fn dispatch_frame(
             }
             Ok(view) => {
                 if let Some(response) = service.plan_cache_probe(&view) {
-                    encode_cached_plan_frame(service, &view, &response, out);
+                    plan_response_frame(service, view.id(), &response, out);
                     return FrameDispatch::Answered;
                 }
+                // Every answer echoes the frame's id: the router's hop
+                // correlates replies by it.
                 match view.to_request().map_err(ServiceError::from) {
                     Ok(Request::Plan { id, instance, spec }) => {
                         FrameDispatch::Solve { id, instance, spec }
@@ -414,11 +416,11 @@ pub(crate) fn dispatch_frame(
                         let error = ServiceError::Internal(
                             "plan frame decoded to a non-plan request".into(),
                         );
-                        error_frame(service, &Value::Null, &error, out);
+                        error_frame(service, view.id(), &error, out);
                         FrameDispatch::Answered
                     }
                     Err(error) => {
-                        error_frame(service, &Value::Null, &error, out);
+                        error_frame(service, view.id(), &error, out);
                         FrameDispatch::Answered
                     }
                 }
@@ -483,8 +485,8 @@ pub(crate) fn handle_message(
                 dispatch_frame(service, op, payload, out)
             {
                 match service.plan(&instance, spec) {
-                    Ok(response) => plan_response_frame(service, &id, &response, out),
-                    Err(error) => error_frame(service, &id, &error, out),
+                    Ok(response) => plan_response_frame(service, IdView::from(&id), &response, out),
+                    Err(error) => error_frame(service, IdView::from(&id), &error, out),
                 }
             }
             false
@@ -500,18 +502,19 @@ pub(crate) fn handle_message(
     }
 }
 
-/// Encodes a cache-hit plan answer for a borrowed frame view. The id
-/// is echoed from the payload bytes; nothing is allocated beyond
-/// `out` growth (amortised by the caller reusing its buffer).
-fn encode_cached_plan_frame(
+/// Encodes a `plan` answer as a native v2 frame echoing `id`: the id
+/// borrowed from a cache-hit frame's payload (nothing is allocated
+/// beyond `out` growth, amortised by the caller reusing its buffer), or
+/// a solved request's owned id.
+pub(crate) fn plan_response_frame(
     service: &PagerService,
-    view: &PlanFrameView<'_>,
+    id: IdView<'_>,
     response: &PlanResponse,
     out: &mut Vec<u8>,
 ) {
     binary::encode_plan_response(
         out,
-        view.id(),
+        id,
         service.node_id(),
         response.plan.tier.name(),
         response.plan.expected_paging,
@@ -523,34 +526,21 @@ fn encode_cached_plan_frame(
     );
 }
 
-/// Encodes a `plan` answer (success) as a native v2 frame with an
-/// owned id — the slow path and every engine answer to a cache miss.
-pub(crate) fn plan_response_frame(
-    service: &PagerService,
-    id: &Value,
-    response: &PlanResponse,
-    out: &mut Vec<u8>,
-) {
-    binary::encode_response(
-        out,
-        service.node_id(),
-        &Response::Plan(plan_body(id, response)),
-    );
-}
-
-/// Encodes an error answer as a native v2 frame.
+/// Encodes an error answer as a native v2 frame echoing `id`.
 pub(crate) fn error_frame(
     service: &PagerService,
-    id: &Value,
+    id: IdView<'_>,
     error: &ServiceError,
     out: &mut Vec<u8>,
 ) {
     let message = error.message();
-    binary::encode_response(
-        out,
-        service.node_id(),
-        &Response::Error(error_body(id, error, &message)),
-    );
+    // The body's own id is unused: the frame echoes `id`, as borrowed.
+    let ErrorBody {
+        code,
+        retry_after_ms,
+        ..
+    } = error_body(&Value::Null, error, &message);
+    binary::encode_error_response(out, id, service.node_id(), code, &message, retry_after_ms);
 }
 
 #[cfg(test)]
@@ -1236,6 +1226,33 @@ mod tests {
         let (op_in, payload) = split_one(&wire);
         let mut out = Vec::new();
         assert!(handle_frame(&svc, op_in, &payload, &mut out));
+    }
+
+    #[test]
+    fn plan_frames_failing_validation_echo_their_id() {
+        use pager_core::{Delay, Instance};
+        use pager_wire::PlanSpec;
+        let svc = service();
+        let instance = Instance::from_rows(vec![vec![0.5, 0.5]]).unwrap();
+        let spec = PlanSpec::new(Delay::new(2).unwrap());
+        for id in [Value::Int(17), Value::from("bad-rows")] {
+            let mut wire = Vec::new();
+            assert!(binary::encode_plan_request(
+                &mut wire, &id, &instance, &spec
+            ));
+            // The last probability becomes 0.9: the row sums to 1.4, so
+            // the frame parses but fails `to_request`.
+            let len = wire.len();
+            wire[len - 8..].copy_from_slice(&0.9f64.to_le_bytes());
+            let (op_in, payload) = split_one(&wire);
+            let mut out = Vec::new();
+            assert!(!handle_frame(&svc, op_in, &payload, &mut out));
+            let (op_out, body) = split_one(&out);
+            assert_eq!(op_out, op::ERROR);
+            let v = binary::response_to_value(op_out, &body).unwrap();
+            assert_eq!(v.get("code").and_then(Value::as_str), Some("bad_request"));
+            assert_eq!(v.get("id"), Some(&id), "{v}");
+        }
     }
 
     #[test]

@@ -875,12 +875,6 @@ impl PagerService {
         planned.map(device)
     }
 
-    /// Number of strategies currently cached.
-    #[must_use]
-    pub fn cached_strategies(&self) -> usize {
-        self.cache.len()
-    }
-
     /// Total cache evictions so far.
     #[must_use]
     pub fn cache_evictions(&self) -> u64 {
@@ -1071,7 +1065,7 @@ mod tests {
         let spec = PlanSpec::new(Delay::new(2).unwrap()).with_cache(false);
         svc.plan(&inst(), spec).unwrap();
         svc.plan(&inst(), spec).unwrap();
-        assert_eq!(svc.cached_strategies(), 0);
+        assert_eq!(dumped(&svc, "cache_entries"), 0);
         assert_eq!(svc.metrics().cache_hits.get(), 0);
     }
 
@@ -1082,7 +1076,7 @@ mod tests {
         assert!(svc.plan(&inst(), spec).is_err());
         assert!(svc.plan(&inst(), spec).is_err());
         assert_eq!(svc.metrics().errors.get(), 2);
-        assert_eq!(svc.cached_strategies(), 0);
+        assert_eq!(dumped(&svc, "cache_entries"), 0);
     }
 
     #[test]
@@ -1109,7 +1103,7 @@ mod tests {
         // Every request either hit the cache or missed (and the
         // misses were deduped down to one stored strategy).
         assert_eq!(m.cache_hits.get() + m.cache_misses.get(), 16);
-        assert_eq!(svc.cached_strategies(), 1);
+        assert_eq!(dumped(&svc, "cache_entries"), 1);
     }
 
     #[test]
@@ -1275,7 +1269,7 @@ mod tests {
             .with_deadline_ms(0);
         let served = svc.plan(&heavy, spec).unwrap();
         assert!(served.plan.downgraded);
-        assert_eq!(svc.cached_strategies(), 0);
+        assert_eq!(dumped(&svc, "cache_entries"), 0);
         assert!(svc.plan(&heavy, spec).unwrap().plan.downgraded);
         // The same holds for the cheap path's solve, which shares it.
         let metrics = Metrics::default();
@@ -1291,7 +1285,7 @@ mod tests {
         )
         .unwrap();
         assert!(fresh.downgraded);
-        assert_eq!(svc.cached_strategies(), 0);
+        assert_eq!(dumped(&svc, "cache_entries"), 0);
         assert_eq!(metrics.deadline_downgrades.get(), 1);
     }
 
@@ -1437,7 +1431,7 @@ mod tests {
                 direct.expected_paging.to_bits()
             );
         }
-        assert_eq!(svc.cached_strategies(), 0);
+        assert_eq!(dumped(&svc, "cache_entries"), 0);
         assert_eq!(svc.metrics().solved_inline.get(), 2);
         assert_eq!(svc.metrics().cache_misses.get(), 0);
         assert_eq!(svc.metrics().requests.get(), 2);
@@ -1466,7 +1460,7 @@ mod tests {
             .plan_devices(&devices, Estimator::Empirical, now, at)
             .unwrap();
         assert!(!served.response.cached);
-        assert_eq!(svc.cached_strategies(), 0);
+        assert_eq!(dumped(&svc, "cache_entries"), 0);
         assert_eq!(svc.metrics().solved_inline.get(), 1);
         // 32·(2 + 4·32) = 4,160: over it, so keyed, queued and stored.
         let over = spec(4);
@@ -1479,7 +1473,7 @@ mod tests {
             .plan_devices(&devices, Estimator::Empirical, now, over)
             .unwrap();
         assert!(!first.response.cached);
-        assert_eq!(svc.cached_strategies(), 1);
+        assert_eq!(dumped(&svc, "cache_entries"), 1);
         let again = svc
             .plan_devices(&devices, Estimator::Empirical, now, over)
             .unwrap();

@@ -6,7 +6,9 @@
 //! Every other request rides op 0x7E with its v1 JSON line as the
 //! payload, and is answered with op 0x7F the same way, so the full
 //! command surface works over v2 framing without a second encoding of
-//! every cold op.
+//! every cold op. The response encoders seal what they write
+//! ([`frame::seal_frame`]), as a server must; the request encoder
+//! leaves its frame unsealed, as a client may.
 //!
 //! The plan-request payload is designed for *zero-copy* serving:
 //! [`PlanFrameView`] borrows the payload, exposes the fields and the
@@ -46,9 +48,7 @@ use pager_core::{Delay, Instance};
 
 use crate::error::{ErrorCode, WireError};
 use crate::frame::{self, op};
-use crate::json;
 use crate::request::{fold_cache_key, PlanSpec, Request, Variant};
-use crate::response::Response;
 
 /// Variant tag bytes in plan-request payloads.
 const VARIANT_AUTO: u8 = 0;
@@ -122,6 +122,40 @@ impl IdView<'_> {
             IdView::Str(s) => Value::from(s),
         }
     }
+}
+
+impl<'a> From<&'a Value> for IdView<'a> {
+    /// The binary form of an owned id: integers ride as `i64`, strings
+    /// borrow, anything else is null.
+    fn from(id: &'a Value) -> IdView<'a> {
+        match id {
+            Value::Int(i) => IdView::I64(*i),
+            Value::Str(s) => IdView::Str(s),
+            _ => IdView::Null,
+        }
+    }
+}
+
+/// Appends `payload`, a native payload (`PLAN`, `PLAN_RESP` and
+/// `ERROR` all start with their `id`), with its leading id replaced by
+/// `id`, and returns the id it replaced. The rest is copied verbatim.
+/// This is all a correlating hop needs: the router forwards a `PLAN`
+/// with its own nonce in the client's id's place and splices the
+/// client's id back into the reply.
+///
+/// # Errors
+///
+/// The payload does not start with a well-formed id.
+pub fn splice_id<'a>(
+    out: &mut Vec<u8>,
+    id: IdView<'_>,
+    payload: &'a [u8],
+) -> Result<IdView<'a>, &'static str> {
+    let mut r = Reader::new(payload);
+    let replaced = r.id()?;
+    encode_id_view(out, id);
+    out.extend_from_slice(&payload[r.pos..]);
+    Ok(replaced)
 }
 
 /// Encodes an id field; returns `false` (encoding nothing) for id
@@ -443,9 +477,10 @@ impl<'a> PlanFrameView<'a> {
     }
 }
 
-/// Encodes a plan request as a complete 0x01 frame. Returns `false`
-/// without writing when the id shape cannot ride the binary form (the
-/// caller should fall back to [`encode_json_request`]).
+/// Encodes a plan request as a complete 0x01 frame, unsealed as a
+/// client sends it. Returns `false` without writing when the id shape
+/// cannot ride the binary form (the caller should send the request as
+/// a v1 line instead).
 pub fn encode_plan_request(
     out: &mut Vec<u8>,
     id: &Value,
@@ -474,14 +509,7 @@ pub fn encode_plan_request(
     true
 }
 
-/// Encodes any request as a 0x7E JSON-wrapped frame.
-pub fn encode_json_request(out: &mut Vec<u8>, request: &Request) {
-    let start = frame::begin_frame(out, op::JSON_REQ);
-    out.extend_from_slice(json::encode_request(request).as_bytes());
-    frame::finish_frame(out, start);
-}
-
-/// Encodes a plan answer as a complete 0x02 frame, echoing the
+/// Encodes a plan answer as a complete, sealed 0x02 frame, echoing the
 /// *borrowed* id — the zero-allocation response path for cache hits.
 /// `groups` is visited through the callback-free iterator to keep the
 /// strategy unshared.
@@ -515,11 +543,11 @@ pub fn encode_plan_response(
             out.extend_from_slice(&saturate_u32(cell).to_le_bytes());
         }
     }
-    frame::finish_frame(out, start);
+    frame::seal_frame(out, start);
 }
 
-/// Encodes an error answer as a complete 0x03 frame with a borrowed
-/// id (allocation-free apart from `out` growth).
+/// Encodes an error answer as a complete, sealed 0x03 frame with a
+/// borrowed id (allocation-free apart from `out` growth).
 pub fn encode_error_response(
     out: &mut Vec<u8>,
     id: IdView<'_>,
@@ -534,14 +562,14 @@ pub fn encode_error_response(
     out.extend_from_slice(&retry_after_ms.unwrap_or(u64::MAX).to_le_bytes());
     encode_str(out, message);
     encode_str(out, node.unwrap_or(""));
-    frame::finish_frame(out, start);
+    frame::seal_frame(out, start);
 }
 
-/// Encodes a pong answer as a complete 0x05 frame.
+/// Encodes a pong answer as a complete, sealed 0x05 frame.
 pub fn encode_pong(out: &mut Vec<u8>, node: Option<&str>) {
     let start = frame::begin_frame(out, op::PONG);
     encode_str(out, node.unwrap_or(""));
-    frame::finish_frame(out, start);
+    frame::seal_frame(out, start);
 }
 
 /// Decodes the payload of a response frame (op 0x02/0x03/0x05/0x7F)
@@ -639,74 +667,11 @@ pub fn response_to_value(resp_op: u8, payload: &[u8]) -> Result<Value, WireError
     }
 }
 
-/// Decodes a v2 request frame's payload into a typed request.
-///
-/// # Errors
-///
-/// [`WireError::BadRequest`] for malformed payloads,
-/// [`WireError::Unsupported`] for unknown ops or variants.
-pub fn decode_request_frame(req_op: u8, payload: &[u8]) -> Result<Request, WireError> {
-    match req_op {
-        op::PLAN => PlanFrameView::parse(payload)
-            .map_err(|m| WireError::BadRequest(m.to_string()))?
-            .to_request(),
-        op::PING => Ok(Request::Ping),
-        op::JSON_REQ => {
-            let text = std::str::from_utf8(payload)
-                .map_err(|_| WireError::BadRequest("invalid UTF-8 in JSON request frame".into()))?;
-            json::parse_request(text)
-        }
-        other => Err(WireError::Unsupported(format!(
-            "unknown request op 0x{other:02X}"
-        ))),
-    }
-}
-
-/// Encodes a typed response as a complete v2 frame: native encodings
-/// for plan/error/pong, 0x7F JSON-wrap for everything else.
-pub fn encode_response(out: &mut Vec<u8>, node: Option<&str>, response: &Response<'_>) {
-    match response {
-        Response::Plan(body) => encode_plan_response(
-            out,
-            id_view_of(body.id),
-            node,
-            body.tier,
-            body.expected_paging,
-            body.planning_micros,
-            body.downgraded,
-            body.cached,
-            body.coalesced,
-            body.strategy.groups(),
-        ),
-        Response::Error(body) => encode_error_response(
-            out,
-            id_view_of(body.id),
-            node,
-            body.code,
-            body.message,
-            body.retry_after_ms,
-        ),
-        Response::Pong => encode_pong(out, node),
-        other => {
-            let start = frame::begin_frame(out, op::JSON_RESP);
-            out.extend_from_slice(json::encode_response(node, other).as_bytes());
-            frame::finish_frame(out, start);
-        }
-    }
-}
-
-fn id_view_of(id: &Value) -> IdView<'_> {
-    match id {
-        Value::Int(i) => IdView::I64(*i),
-        Value::Str(s) => IdView::Str(s),
-        _ => IdView::Null,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::frame::Split;
+    use crate::json;
 
     fn instance() -> Instance {
         Instance::from_rows(vec![vec![0.5, 0.3, 0.2], vec![0.25, 0.25, 0.5]])
@@ -718,8 +683,7 @@ mod tests {
     }
 
     /// Encodes a plan request as a PLAN frame and checks that it decodes
-    /// unchanged from that frame, from a v1 line and from a JSON-wrapped
-    /// frame.
+    /// unchanged from that frame and from the v1 line it re-encodes to.
     fn assert_plan_round_trips(id: &Value, instance: &Instance, spec: &PlanSpec) {
         let mut out = Vec::new();
         assert!(encode_plan_request(&mut out, id, instance, spec));
@@ -732,24 +696,7 @@ mod tests {
             .to_request()
             .expect("materialises");
         let line = json::encode_request(&request);
-        let mut wrapped = Vec::new();
-        encode_json_request(&mut wrapped, &request);
-        let Split::V2Frame {
-            op: json_op,
-            payload: json_payload,
-            ..
-        } = frame::split(&wrapped)
-        else {
-            panic!("expected a v2 frame");
-        };
-        assert_eq!(json_op, op::JSON_REQ);
-        let decoded = [
-            Ok(request),
-            decode_request_frame(o, payload),
-            json::parse_request(&line),
-            decode_request_frame(json_op, json_payload),
-        ];
-        for request in decoded {
+        for request in [Ok(request), json::parse_request(&line)] {
             let Request::Plan {
                 id: got_id,
                 instance: got_instance,
@@ -798,15 +745,9 @@ mod tests {
         assert!(!spec.cache_enabled());
         let instance = Instance::from_rows(vec![vec![0.5, 0.5]]).expect("valid instance");
         assert_plan_round_trips(&Value::from("rt"), &instance, &spec);
-        // Cold ops ride the JSON-wrapped frame too.
-        let mut wrapped = Vec::new();
-        encode_json_request(&mut wrapped, &Request::Metrics);
-        let Split::V2Frame { op: o, payload, .. } = frame::split(&wrapped) else {
-            panic!("expected a v2 frame");
-        };
-        assert_eq!(o, op::JSON_REQ);
+        let metrics = json::encode_request(&Request::Metrics);
         assert!(matches!(
-            decode_request_frame(o, payload),
+            json::parse_request(&metrics),
             Ok(Request::Metrics)
         ));
         let ping = json::encode_request(&Request::Ping);
@@ -926,11 +867,45 @@ mod tests {
     }
 
     #[test]
-    fn unknown_ops_are_unsupported() {
-        assert!(matches!(
-            decode_request_frame(0x55, b""),
-            Err(WireError::Unsupported(_))
-        ));
+    fn unknown_response_ops_do_not_decode() {
         assert!(response_to_value(0x56, b"").is_err());
+    }
+
+    #[test]
+    fn response_encoders_seal_and_splice_id_swaps_only_the_id() {
+        let mut out = Vec::new();
+        encode_pong(&mut out, Some("n1"));
+        assert_eq!(out[3], frame::FLAG_CHECKED, "a server frame is sealed");
+        out.clear();
+        encode_error_response(
+            &mut out,
+            IdView::Str("client-7"),
+            Some("n1"),
+            ErrorCode::Overloaded,
+            "busy",
+            Some(40),
+        );
+        assert_eq!(out[3], frame::FLAG_CHECKED);
+        let Split::V2Frame { payload, .. } = frame::split(&out) else {
+            panic!("expected a sealed error frame");
+        };
+        let mut forwarded = Vec::new();
+        assert_eq!(
+            splice_id(&mut forwarded, IdView::U64(9), payload),
+            Ok(IdView::Str("client-7"))
+        );
+        let mut restored = Vec::new();
+        assert_eq!(
+            splice_id(&mut restored, IdView::Str("client-7"), &forwarded),
+            Ok(IdView::U64(9))
+        );
+        assert_eq!(restored, payload, "a round of splices restores every byte");
+        let nonce = response_to_value(op::ERROR, &forwarded).expect("decodes");
+        assert_eq!(nonce.get("id").and_then(Value::as_u64), Some(9));
+        assert_eq!(
+            nonce.get("retry_after_ms").and_then(Value::as_u64),
+            Some(40)
+        );
+        assert!(splice_id(&mut Vec::new(), IdView::Null, &[9]).is_err());
     }
 }

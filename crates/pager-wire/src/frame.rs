@@ -17,8 +17,9 @@
 //! over everything before it, so a flipped byte anywhere in the
 //! header or payload surfaces as [`Split::Malformed`] instead of
 //! silently corrupt data. TCP's own checksum is too weak to rely on
-//! across proxies and middleboxes; the cluster's router↔backend hop
-//! seals every internal request and response with this flag.
+//! across proxies and middleboxes, so every frame a server writes is
+//! sealed ([`seal_frame`]), and so is every request the cluster router
+//! sends a backend. Clients may send unsealed frames.
 //!
 //! Every front (the TCP engine, `--stdio`, the in-process handlers)
 //! reads connection bytes through [`next_message`], so they all answer
@@ -175,15 +176,19 @@ pub enum Framing {
 
 impl Framing {
     /// Appends a line-shaped answer: a bare v1 line, or a sealed
-    /// `JSON_RESP` frame (always sealed: the cluster hop relies on the
-    /// CRC trailer to reject in-flight corruption).
+    /// `JSON_RESP` frame (the one `JSON_RESP` encoder; sealed like every
+    /// frame a server writes).
     pub fn append_line(self, line: &str, out: &mut Vec<u8>) {
         match self {
             Framing::Line => {
                 out.extend_from_slice(line.as_bytes());
                 out.push(b'\n');
             }
-            Framing::Frame => write_checked_frame(out, op::JSON_RESP, line.as_bytes()),
+            Framing::Frame => {
+                let start = begin_frame(out, op::JSON_RESP);
+                out.extend_from_slice(line.as_bytes());
+                seal_frame(out, start);
+            }
         }
     }
 
@@ -345,29 +350,23 @@ pub fn finish_frame(out: &mut [u8], start: usize) {
     out[start + 4..start + 8].copy_from_slice(&len.to_le_bytes());
 }
 
-/// Appends one complete v2 frame with the given payload.
+/// Appends one complete, unsealed v2 frame with the given payload: the
+/// form a client may send. Servers seal what they write
+/// ([`seal_frame`]).
 pub fn write_frame(out: &mut Vec<u8>, op: u8, payload: &[u8]) {
     let start = begin_frame(out, op);
     out.extend_from_slice(payload);
     finish_frame(out, start);
 }
 
-/// Appends one complete **checked** v2 frame: [`FLAG_CHECKED`] set and
-/// a CRC-32 trailer over the header and payload.
-pub fn write_checked_frame(out: &mut Vec<u8>, op: u8, payload: &[u8]) {
-    let start = begin_frame(out, op);
-    out.extend_from_slice(payload);
-    finish_frame(out, start);
-    seal_frame(out, start);
-}
-
-/// Converts the frame started at `start` (already length-patched by
-/// [`finish_frame`]) into a checked frame: sets [`FLAG_CHECKED`] and
-/// appends the CRC-32 trailer. A no-op if the frame is already sealed.
+/// Finishes the frame started at `start` as a **checked** frame:
+/// patches its length ([`finish_frame`]), sets [`FLAG_CHECKED`] and
+/// appends the CRC-32 trailer. Every frame a server writes ends here —
+/// the native response encoders, a `JSON_RESP`
+/// ([`Framing::append_line`]) and the router's requests to its
+/// backends.
 pub fn seal_frame(out: &mut Vec<u8>, start: usize) {
-    if out[start + 3] & FLAG_CHECKED != 0 {
-        return;
-    }
+    finish_frame(out, start);
     out[start + 3] |= FLAG_CHECKED;
     let crc = crc32(&out[start..]);
     out.extend_from_slice(&crc.to_le_bytes());
@@ -376,6 +375,12 @@ pub fn seal_frame(out: &mut Vec<u8>, start: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn write_checked_frame(out: &mut Vec<u8>, op: u8, payload: &[u8]) {
+        let start = begin_frame(out, op);
+        out.extend_from_slice(payload);
+        seal_frame(out, start);
+    }
 
     #[test]
     fn v1_lines_split_on_newlines() {
@@ -513,21 +518,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn seal_frame_is_idempotent() {
-        let mut plain = Vec::new();
-        let start = begin_frame(&mut plain, op::PING);
-        plain.extend_from_slice(b"xyz");
-        finish_frame(&mut plain, start);
-        seal_frame(&mut plain, start);
-        let once = plain.clone();
-        seal_frame(&mut plain, start);
-        assert_eq!(plain, once, "sealing twice must not re-append a trailer");
-        let mut direct = Vec::new();
-        write_checked_frame(&mut direct, op::PING, b"xyz");
-        assert_eq!(plain, direct);
     }
 
     #[test]

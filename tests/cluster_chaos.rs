@@ -2,8 +2,9 @@
 //! proxies, driven through declarative fault schedules while the
 //! invariant checker audits the safety properties.
 //!
-//! Four schedule families — partition-owner, lossy-ship-link,
-//! blackhole-backend, corrupt-frames — each run under many seeds.
+//! Five schedule families — partition-owner, lossy-ship-link,
+//! blackhole-backend, corrupt-frames, and v2 plan frames under the
+//! corrupt-frames schedule — each run under many seeds.
 //! Every random fault decision (jitter draws, corruption positions,
 //! duplication rolls) comes from the seed, so a failure line prints
 //! everything needed to replay it exactly:
@@ -16,16 +17,23 @@
 //! solve times blow the deadline budgets the checker audits. A small
 //! non-ignored smoke keeps one blackhole-owner run in tier-1.
 
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 
 use conference_call::cluster::router::RouterConfig;
 use conference_call::cluster::{
     check_under_schedule, ChaosSpec, CheckConfig, Cluster, HarnessConfig, Topology,
 };
+use jsonio::Value;
 use pager_chaos::{Fault, Schedule, Step};
+use pager_core::{Delay, Instance, Strategy};
+use pager_wire::frame::{self, op, Split};
+use pager_wire::{binary, PlanSpec};
 
-/// Seeds per family: 8 × 4 families = 32 checker runs. Override with
+/// Seeds per family: 8 × 5 families = 40 checker runs. Override with
 /// `CHAOS_SEEDS=17,42` to replay specific seeds.
 fn seeds() -> Vec<u64> {
     match std::env::var("CHAOS_SEEDS") {
@@ -220,6 +228,258 @@ fn blackhole_backend_matrix() {
 )]
 fn corrupt_frames_matrix() {
     run_family("corrupt_frames", &corrupt_frames_schedule());
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "seeded chaos matrix is release-only; run with --release -- --include-ignored"
+)]
+fn v2_plan_frames_matrix() {
+    for seed in seeds() {
+        run_v2_plan_cell(seed, &corrupt_frames_schedule());
+    }
+}
+
+/// Deadline stamped on every v2 plan, and how long past it an answer
+/// may take before the client calls the router hung.
+const V2_DEADLINE_MS: u64 = 2000;
+const V2_SLACK_MS: u64 = 2000;
+
+/// What the v2 clients of one cell saw.
+#[derive(Default)]
+struct V2Outcome {
+    requests: u64,
+    plans: u64,
+    errors: u64,
+    violations: Vec<String>,
+}
+
+/// One (seed) cell of the v2 family: clients send native `PLAN` frames
+/// through the router's TCP front while `schedule` corrupts and
+/// duplicates every router->backend link. Every answer must be an
+/// `ERROR`, or a `PLAN_RESP` that echoes the request's id and whose
+/// `ep` is Lemma 2.1's expected paging of the returned strategy on the
+/// request's own instance: a flipped byte or a replayed reply never
+/// reaches a client as a plan.
+fn run_v2_plan_cell(seed: u64, schedule: &Schedule) {
+    let family = "v2_plan_frames";
+    let (cluster, data_root) = launch(family, seed, schedule);
+    let handle = cluster.serve("127.0.0.1:0").expect("serve the router");
+    let addr = handle.local_addr();
+    let net = cluster.chaos().expect("chaos net");
+    let stop = AtomicBool::new(false);
+    let outcome = std::thread::scope(|scope| {
+        let driver = scope.spawn(|| net.run_schedule(schedule));
+        let clients: Vec<_> = (0..3u64)
+            .map(|t| {
+                let stop = &stop;
+                scope.spawn(move || v2_client(addr, seed, t, stop))
+            })
+            .collect();
+        let matched = driver.join().expect("schedule driver");
+        std::thread::sleep(Duration::from_millis(400));
+        stop.store(true, Ordering::Release);
+        let mut outcome = V2Outcome::default();
+        for (step, count) in matched.iter().enumerate() {
+            if *count == 0 {
+                outcome
+                    .violations
+                    .push(format!("schedule step {step} matched no links"));
+            }
+        }
+        for client in clients {
+            let seen = client.join().expect("v2 client");
+            outcome.requests += seen.requests;
+            outcome.plans += seen.plans;
+            outcome.errors += seen.errors;
+            outcome.violations.extend(seen.violations);
+        }
+        outcome
+    });
+    let summary = format!(
+        "family={family} seed={seed}: {} requests, {} plans, {} errors",
+        outcome.requests, outcome.plans, outcome.errors,
+    );
+    println!("{summary}");
+    assert!(
+        outcome.plans > 0,
+        "{summary}: no plan was served — the cell proved nothing"
+    );
+    assert!(
+        outcome.violations.is_empty(),
+        "{summary}\nviolations:\n  {}\nreplay: CHAOS_SEEDS={seed} cargo test --release \
+         --test cluster_chaos {family} -- --include-ignored\nschedule: {}",
+        outcome.violations.join("\n  "),
+        schedule.to_json(),
+    );
+    drop(handle);
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&data_root);
+}
+
+/// One v2 client: plans drawn from a small pool of instances (so
+/// repeats hit the cache and first sightings miss it), one frame at a
+/// time, each answer checked against the request it answers.
+fn v2_client(addr: SocketAddr, seed: u64, thread: u64, stop: &AtomicBool) -> V2Outcome {
+    let mut outcome = V2Outcome::default();
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (thread + 1);
+    let mut next = move || {
+        // SplitMix64: the cell replays from its seed alone.
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    // Probabilities are multiples of 1/10, so two distinct instances
+    // never share a cache bucket and a cached answer is always the
+    // answer for the very same matrix.
+    let pool: Vec<Instance> = (0..12)
+        .map(|_| {
+            let cells = 3 + (next() % 4) as usize;
+            let rows = (0..2)
+                .map(|_| {
+                    let mut tenths = vec![0u64; cells];
+                    for _ in 0..10 {
+                        tenths[(next() % cells as u64) as usize] += 1;
+                    }
+                    tenths.iter().map(|&t| t as f64 / 10.0).collect()
+                })
+                .collect();
+            Instance::from_rows(rows).expect("tenths sum to one")
+        })
+        .collect();
+    let delay = 2;
+    let spec = PlanSpec::new(Delay::new(delay).unwrap()).with_deadline_ms(V2_DEADLINE_MS);
+    let allowance = Duration::from_millis(V2_DEADLINE_MS + V2_SLACK_MS);
+    let mut stream: Option<TcpStream> = None;
+    let mut buf = Vec::new();
+    let mut id = (thread as i64 + 1) * 1_000_000;
+    while !stop.load(Ordering::Acquire) {
+        id += 1;
+        let instance = &pool[(next() % pool.len() as u64) as usize];
+        let mut wire = Vec::new();
+        assert!(binary::encode_plan_request(
+            &mut wire,
+            &Value::Int(id),
+            instance,
+            &spec
+        ));
+        let conn = stream.get_or_insert_with(|| {
+            let conn = TcpStream::connect(addr).expect("connect to the router");
+            conn.set_read_timeout(Some(allowance)).unwrap();
+            conn
+        });
+        outcome.requests += 1;
+        let begin = Instant::now();
+        let answer = conn
+            .write_all(&wire)
+            .map_err(|e| e.to_string())
+            .and_then(|()| read_frame(conn, &mut buf));
+        let (reply_op, payload) = match answer {
+            Ok(answer) => answer,
+            Err(e) => {
+                outcome.violations.push(format!(
+                    "request {id}: no answer after {:?}: {e}",
+                    begin.elapsed()
+                ));
+                stream = None;
+                buf.clear();
+                continue;
+            }
+        };
+        match reply_op {
+            op::ERROR => outcome.errors += 1,
+            op::PLAN_RESP => {
+                outcome.plans += 1;
+                if let Err(violation) = check_plan(id, instance, delay, &payload) {
+                    outcome
+                        .violations
+                        .push(format!("request {id}: {violation}"));
+                }
+            }
+            other => outcome
+                .violations
+                .push(format!("request {id}: answered with op {other:#04x}")),
+        }
+    }
+    outcome
+}
+
+/// Reads one frame off `stream`, consuming it from `buf`.
+fn read_frame(stream: &mut TcpStream, buf: &mut Vec<u8>) -> Result<(u8, Vec<u8>), String> {
+    let mut chunk = [0u8; 4096];
+    loop {
+        match frame::split(buf) {
+            Split::NeedMore => {
+                let n = stream.read(&mut chunk).map_err(|e| e.to_string())?;
+                if n == 0 {
+                    return Err("the router closed the connection".to_string());
+                }
+                buf.extend_from_slice(&chunk[..n]);
+            }
+            Split::V2Frame {
+                op: reply_op,
+                payload,
+                consumed,
+            } => {
+                let answer = (reply_op, payload.to_vec());
+                buf.drain(..consumed);
+                return Ok(answer);
+            }
+            Split::V1Line { .. } => return Err("a v2 plan was answered with a line".to_string()),
+            Split::Malformed(message) => return Err(format!("malformed answer: {message}")),
+        }
+    }
+}
+
+/// Whether a `PLAN_RESP` payload answers request `id` on `instance`:
+/// it echoes `id`, its strategy is a valid plan of at most `delay`
+/// rounds, and its `ep` is that strategy's Lemma 2.1 expected paging.
+fn check_plan(id: i64, instance: &Instance, delay: usize, payload: &[u8]) -> Result<(), String> {
+    let answer = binary::response_to_value(op::PLAN_RESP, payload)
+        .map_err(|e| format!("undecodable plan: {e}"))?;
+    if answer.get("id").and_then(Value::as_i64) != Some(id) {
+        return Err(format!("plan answers another request: {answer}"));
+    }
+    let groups = answer
+        .get("strategy")
+        .and_then(Value::as_array)
+        .map(|rounds| {
+            rounds
+                .iter()
+                .map(|round| {
+                    round
+                        .as_array()
+                        .map(|cells| {
+                            cells
+                                .iter()
+                                .filter_map(Value::as_u64)
+                                .map(|c| c as usize)
+                                .collect()
+                        })
+                        .unwrap_or_default()
+                })
+                .collect::<Vec<Vec<usize>>>()
+        })
+        .unwrap_or_default();
+    let strategy =
+        Strategy::new(groups).map_err(|e| format!("invalid strategy ({e}): {answer}"))?;
+    if strategy.rounds() > delay {
+        return Err(format!(
+            "{} rounds for delay {delay}: {answer}",
+            strategy.rounds()
+        ));
+    }
+    let lemma = instance
+        .expected_paging(&strategy)
+        .map_err(|e| format!("strategy does not fit the instance ({e}): {answer}"))?;
+    let ep = answer.get("ep").and_then(Value::as_f64).unwrap_or(f64::NAN);
+    if (ep - lemma).abs() > 1e-9 || ep.is_nan() {
+        return Err(format!("ep {ep} but Lemma 2.1 gives {lemma}: {answer}"));
+    }
+    Ok(())
 }
 
 /// Tier-1 smoke (runs in debug too): one seed, the blackhole-owner
