@@ -2,11 +2,14 @@
 //!
 //! The interesting numbers are sighting-ingest throughput (the hot
 //! write path: shard lock + history push + version bump), the
-//! per-estimator cost of materialising a distribution (Markov pays a
-//! matrix power, Laplace a single normalisation), and the
+//! per-estimator cost of materialising a distribution (Markov pays one
+//! sparse-plus-rank-one step per elapsed time unit, Laplace a single
+//! normalisation), and the
 //! `plan_devices` hit path where profile versions key the strategy
 //! cache (only for plans priced over the inline-solve bound: a
 //! cheaper one is solved on every request and never stored).
+
+use std::collections::HashSet;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use pager_core::Delay;
@@ -48,6 +51,35 @@ fn bench_ingest(crit: &mut Criterion) {
     group.finish();
 }
 
+/// Sightings of one perfbench-shaped device named `device`: mostly
+/// its home cell, sometimes anywhere, until its Markov counts hold
+/// exactly `nnz` distinct transitions.
+fn home_device(device: &str, nnz: usize, seed: u64) -> Vec<Sighting> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let home = rng.gen_range(0..CELLS);
+    let mut transitions = HashSet::new();
+    let mut last = None;
+    let mut out = Vec::new();
+    while transitions.len() < nnz {
+        let cell = if rng.gen_bool(0.7) {
+            home
+        } else {
+            rng.gen_range(0..CELLS)
+        };
+        if let Some(from) = last {
+            transitions.insert((from, cell));
+        }
+        last = Some(cell);
+        out.push(Sighting {
+            device: device.to_string(),
+            cell,
+            #[allow(clippy::cast_precision_loss)]
+            time: out.len() as f64,
+        });
+    }
+    out
+}
+
 fn bench_distribution(crit: &mut Criterion) {
     let mut group = crit.benchmark_group("profiles_distribution");
     let store = ProfileStore::new(StoreConfig::default()).unwrap();
@@ -60,6 +92,29 @@ fn bench_distribution(crit: &mut Criterion) {
     ] {
         group.bench_function(BenchmarkId::from_parameter(label), |b| {
             b.iter(|| black_box(store.distribution("dev0", estimator, now).unwrap()));
+        });
+    }
+    // Markov at the step cap, where perfbench's clock puts nearly
+    // every plan: perfbench-shaped devices with 8 and 57 distinct
+    // transitions, and "dev0" (512 uniform sightings, all 256) as the
+    // sparse form's worst case.
+    store
+        .observe_batch(CELLS, &home_device("nnz8", 8, 5))
+        .unwrap();
+    store
+        .observe_batch(CELLS, &home_device("nnz57", 57, 6))
+        .unwrap();
+    #[allow(clippy::cast_precision_loss)]
+    let horizon = now + store.config().profile.markov_horizon as f64;
+    for (label, device) in [("nnz8", "nnz8"), ("nnz57", "nnz57"), ("nnz256", "dev0")] {
+        group.bench_function(BenchmarkId::new("markov_h32", label), |b| {
+            b.iter(|| {
+                black_box(
+                    store
+                        .distribution(device, Estimator::Markov, horizon)
+                        .unwrap(),
+                )
+            });
         });
     }
     group.finish();

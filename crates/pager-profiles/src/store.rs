@@ -605,6 +605,40 @@ mod tests {
         .is_err());
     }
 
+    /// The `pager-profiles/v1` image of a small store, pinned byte for
+    /// byte: "empty" has an all-zero Markov count matrix (one
+    /// sighting), "single" one nonzero transition, and "multi" several
+    /// transitions in several rows, a repeated one among them. However
+    /// a profile holds its counts, the file it writes must not change.
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        let s = store();
+        s.observe("empty", 3, 1.0, 2).unwrap();
+        s.observe("single", 3, 1.0, 0).unwrap();
+        s.observe("single", 3, 2.5, 2).unwrap();
+        for (t, cell) in [0, 1, 1, 2, 0, 1].into_iter().enumerate() {
+            s.observe("multi", 3, 3.0 + t as f64, cell).unwrap();
+        }
+        let image = String::from_utf8(s.snapshot_bytes()).unwrap();
+        let pinned = concat!(
+            r#"{"format":"pager-profiles/v1","version":9,"sightings":9,"profiles":{"#,
+            r#""empty":{"cells":3,"version":1,"sightings":1,"counts":[0.0,0.0,1.0],"#,
+            r#""recency":[0.0,0.0,1.0],"markov":[[0,0,0],[0,0,0],[0,0,0]],"#,
+            r#""last_time":1.0,"last_cell":2},"#,
+            r#""multi":{"cells":3,"version":9,"sightings":6,"counts":[2.0,3.0,1.0],"#,
+            r#""recency":[1.7237809375,2.6718812499999993,0.9025],"#,
+            r#""markov":[[0,2,0],[0,1,1],[1,0,0]],"last_time":8.0,"last_cell":1},"#,
+            r#""single":{"cells":3,"version":3,"sightings":2,"counts":[1.0,0.0,1.0],"#,
+            r#""recency":[0.95,0.0,1.0],"markov":[[0,0,1],[0,0,0],[0,0,0]],"#,
+            r#""last_time":2.5,"last_cell":2}}}"#,
+            "\n"
+        );
+        assert_eq!(image, pinned);
+        // A loaded image writes itself back unchanged.
+        let back = ProfileStore::from_snapshot_bytes(image.as_bytes(), StoreConfig::default());
+        assert_eq!(back.unwrap().snapshot_bytes(), image.as_bytes());
+    }
+
     #[test]
     fn truncated_snapshot_never_loads_as_empty_but_valid() {
         let s = store();

@@ -26,10 +26,9 @@
 
 use std::sync::Arc;
 
-use jsonio::Value;
 use pager_core::cancel::CancelToken;
 use pager_core::Instance;
-use pager_wire::{IdView, PlanSpec};
+use pager_wire::{IdBuf, PlanSpec};
 
 use crate::engine::{Call, Gauges, Handler, Reply};
 use crate::error::ServiceError;
@@ -127,7 +126,7 @@ impl PagerService {
     /// a v1 plan, answered as a native v2 frame.
     fn solve_frame(
         self: Arc<Self>,
-        id: Value,
+        id: IdBuf,
         instance: &Instance,
         spec: PlanSpec,
         call: &mut Call<'_>,
@@ -135,10 +134,8 @@ impl PagerService {
         let service = Arc::clone(&self);
         let render =
             move |result: &Result<PlanResponse, ServiceError>, out: &mut Vec<u8>| match result {
-                Ok(response) => {
-                    proto::plan_response_frame(&service, IdView::from(&id), response, out)
-                }
-                Err(error) => proto::error_frame(&service, IdView::from(&id), error, out),
+                Ok(response) => proto::plan_response_frame(&service, id.view(), response, out),
+                Err(error) => proto::error_frame(&service, id.view(), error, out),
             };
         let planned = self.plan_async(instance, spec, |deadline| deferred(call, deadline, &render));
         reply(call, &self, planned, render)
@@ -210,6 +207,7 @@ mod tests {
     use super::*;
     use crate::engine::{serve_reactor_with, ReactorConfig, ReactorHandle};
     use crate::service::ServiceConfig;
+    use jsonio::Value;
     use pager_wire::binary;
     use pager_wire::frame::{self, op, Split};
     use std::io::{BufRead, BufReader, Read, Write};

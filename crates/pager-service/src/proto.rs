@@ -25,7 +25,7 @@
 
 use jsonio::Value;
 use pager_wire::frame::{op, Message};
-use pager_wire::{binary, json, ErrorBody, IdView, PlanBody, PlanFrameView, Response};
+use pager_wire::{binary, json, ErrorBody, IdBuf, IdView, PlanBody, PlanFrameView, Response};
 
 pub use pager_wire::json::PROTOCOL_VERSION;
 pub use pager_wire::Request;
@@ -367,7 +367,7 @@ pub(crate) enum FrameDispatch {
     /// answer with [`plan_response_frame`] / [`error_frame`], echoing
     /// `id`.
     Solve {
-        id: Value,
+        id: IdBuf,
         instance: pager_core::Instance,
         spec: pager_wire::PlanSpec,
     },
@@ -407,9 +407,11 @@ pub(crate) fn dispatch_frame(
                 // Every answer echoes the frame's id: the router's hop
                 // correlates replies by it.
                 match view.to_request().map_err(ServiceError::from) {
-                    Ok(Request::Plan { id, instance, spec }) => {
-                        FrameDispatch::Solve { id, instance, spec }
-                    }
+                    Ok(Request::Plan { instance, spec, .. }) => FrameDispatch::Solve {
+                        id: IdBuf::from(view.id()),
+                        instance,
+                        spec,
+                    },
                     // A plan frame decodes to a plan request by
                     // construction.
                     Ok(_) => {
@@ -485,8 +487,8 @@ pub(crate) fn handle_message(
                 dispatch_frame(service, op, payload, out)
             {
                 match service.plan(&instance, spec) {
-                    Ok(response) => plan_response_frame(service, IdView::from(&id), &response, out),
-                    Err(error) => error_frame(service, IdView::from(&id), &error, out),
+                    Ok(response) => plan_response_frame(service, id.view(), &response, out),
+                    Err(error) => error_frame(service, id.view(), &error, out),
                 }
             }
             false
@@ -1178,6 +1180,36 @@ mod tests {
         assert_eq!(v2.get("strategy"), v.get("strategy"));
         assert_eq!(svc.metrics().requests.get(), 2);
         assert_eq!(svc.metrics().cache_hits.get(), 1);
+    }
+
+    #[test]
+    fn a_u64_plan_frame_id_survives_the_solve_and_the_hit() {
+        use pager_core::{Delay, Instance};
+        use pager_wire::PlanSpec;
+        let svc = service();
+        let instance = Instance::from_rows(vec![vec![0.6, 0.3, 0.1]]).unwrap();
+        let spec = PlanSpec::new(Delay::new(2).unwrap());
+        let mut wire = Vec::new();
+        assert!(binary::encode_plan_request(
+            &mut wire,
+            &Value::Int(0),
+            &instance,
+            &spec
+        ));
+        // An id above `i64::MAX` only the binary form can carry.
+        let (_, payload) = split_one(&wire);
+        let mut big = Vec::new();
+        binary::splice_id(&mut big, IdView::U64(u64::MAX), &payload).unwrap();
+        for cached in [false, true] {
+            let mut out = Vec::new();
+            assert!(!handle_frame(&svc, op::PLAN, &big, &mut out));
+            let (op_out, body) = split_one(&out);
+            assert_eq!(op_out, op::PLAN_RESP);
+            let echoed = binary::splice_id(&mut Vec::new(), IdView::Null, &body).unwrap();
+            assert_eq!(echoed, IdView::U64(u64::MAX), "cached: {cached}");
+            let v = binary::response_to_value(op_out, &body).unwrap();
+            assert_eq!(v.get("cached").and_then(Value::as_bool), Some(cached));
+        }
     }
 
     #[test]

@@ -124,14 +124,41 @@ impl IdView<'_> {
     }
 }
 
-impl<'a> From<&'a Value> for IdView<'a> {
-    /// The binary form of an owned id: integers ride as `i64`, strings
-    /// borrow, anything else is null.
-    fn from(id: &'a Value) -> IdView<'a> {
+/// An owned [`IdView`]: a frame's id kept past the payload it was read
+/// from. A JSON value cannot stand in for it, since a `u64` id above
+/// `i64::MAX` would become a float.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum IdBuf {
+    /// No id (`null`).
+    Null,
+    /// A non-negative integer id.
+    U64(u64),
+    /// A signed integer id.
+    I64(i64),
+    /// A string id.
+    Str(String),
+}
+
+impl IdBuf {
+    /// The id, borrowed.
+    #[must_use]
+    pub fn view(&self) -> IdView<'_> {
+        match self {
+            IdBuf::Null => IdView::Null,
+            IdBuf::U64(u) => IdView::U64(*u),
+            IdBuf::I64(i) => IdView::I64(*i),
+            IdBuf::Str(s) => IdView::Str(s),
+        }
+    }
+}
+
+impl From<IdView<'_>> for IdBuf {
+    fn from(id: IdView<'_>) -> IdBuf {
         match id {
-            Value::Int(i) => IdView::I64(*i),
-            Value::Str(s) => IdView::Str(s),
-            _ => IdView::Null,
+            IdView::Null => IdBuf::Null,
+            IdView::U64(u) => IdBuf::U64(u),
+            IdView::I64(i) => IdBuf::I64(i),
+            IdView::Str(s) => IdBuf::Str(s.to_string()),
         }
     }
 }

@@ -37,7 +37,7 @@ mod request;
 mod response;
 pub mod textio;
 
-pub use binary::{IdView, PlanFrameView};
+pub use binary::{IdBuf, IdView, PlanFrameView};
 pub use error::{ErrorCode, WireError};
 pub use request::{fold_cache_key, PlanSpec, Request, RoutedRequest, Variant};
 pub use response::{DeviceExt, ErrorBody, PlanBody, Response};
