@@ -134,7 +134,8 @@ fn bench_plan_devices(crit: &mut Criterion) {
     let devices = ["dev0", "dev1", "dev2"];
     let now = service.profiles().latest_time();
     // Warm the strategy cache, then measure the version-keyed hit path
-    // against the uncached build-and-plan path.
+    // against the uncached build-and-plan path (priced over the bound,
+    // so it is solved on a worker like any other costly miss).
     service
         .plan_devices(&devices, Estimator::Empirical, now, spec)
         .unwrap();

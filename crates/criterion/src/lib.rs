@@ -6,8 +6,8 @@
 //! `bench_with_input`, [`BenchmarkId`], [`criterion_group!`] and
 //! [`criterion_main!`].
 //!
-//! Measurement is intentionally simple — warm-up, then a fixed batch
-//! of timed iterations reported as mean / min wall-clock time per
+//! Measurement is intentionally simple — warm-up, then a fixed number
+//! of timed batches reported as median / min wall-clock time per
 //! iteration. No statistical analysis, HTML reports, or comparison to
 //! baselines; good enough to eyeball asymptotics and spot regressions
 //! by hand. Honors `CRITERION_QUICK=1` for a fast smoke run.
@@ -53,20 +53,31 @@ impl From<&str> for BenchmarkId {
 #[derive(Debug)]
 pub struct Bencher {
     samples: usize,
-    /// Mean and min per-iteration time, filled in by [`Bencher::iter`].
+    /// Median and min per-iteration time, filled in by [`Bencher::iter`].
     result: Option<(Duration, Duration)>,
 }
+
+/// How long warm-up runs, and how long each measured batch aims to.
+const BATCH: Duration = Duration::from_millis(1);
 
 impl Bencher {
     /// Times `body` over warm-up plus `samples` measured batches.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut body: F) {
-        // Warm-up and batch sizing: aim for batches of >= 1ms so timer
-        // resolution is irrelevant, capped to keep total time bounded.
-        let warm_start = Instant::now();
-        black_box(body());
-        let once = warm_start.elapsed().max(Duration::from_nanos(1));
-        let per_batch = (Duration::from_millis(1).as_nanos() / once.as_nanos()).clamp(1, 10_000);
-        let per_batch = u64::try_from(per_batch).unwrap_or(1);
+        // Warm up for a full batch, then size batches from a second,
+        // warmed one: as many calls as fit in 1 ms, so timer resolution
+        // is irrelevant and a slow first call cannot shrink the batch.
+        // Capped to keep total time bounded.
+        let calls_within = |body: &mut F| {
+            let start = Instant::now();
+            let mut calls = 0u32;
+            while start.elapsed() < BATCH {
+                black_box(body());
+                calls += 1;
+            }
+            calls
+        };
+        calls_within(&mut body);
+        let per_batch = calls_within(&mut body).clamp(1, 10_000);
 
         let mut times = Vec::with_capacity(self.samples);
         for _ in 0..self.samples {
@@ -74,12 +85,12 @@ impl Bencher {
             for _ in 0..per_batch {
                 black_box(body());
             }
-            times.push(start.elapsed() / u32::try_from(per_batch).unwrap_or(1));
+            times.push(start.elapsed() / per_batch);
         }
-        let total: Duration = times.iter().sum();
-        let mean = total / u32::try_from(times.len().max(1)).unwrap_or(1);
-        let min = times.iter().min().copied().unwrap_or_default();
-        self.result = Some((mean, min));
+        times.sort_unstable();
+        let median = times.get(times.len() / 2).copied().unwrap_or_default();
+        let min = times.first().copied().unwrap_or_default();
+        self.result = Some((median, min));
     }
 }
 
@@ -138,8 +149,8 @@ impl BenchmarkGroup<'_> {
 
 fn report(group: &str, id: &str, result: Option<(Duration, Duration)>) {
     match result {
-        Some((mean, min)) => {
-            println!("{group}/{id:<28} mean {mean:>12.3?}   min {min:>12.3?}");
+        Some((median, min)) => {
+            println!("{group}/{id:<28} median {median:>12.3?}   min {min:>12.3?}");
         }
         None => println!("{group}/{id:<28} (no measurement: iter() never called)"),
     }

@@ -97,8 +97,9 @@ impl Default for ReactorConfig {
 /// What a service plugs into the engine: how to answer one message.
 ///
 /// Methods run on a shard thread and must not block — anything that
-/// may (disk, backend round trips, solves too costly to run inline)
-/// goes to [`Call::spawn`] behind a [`Call::later`] completion.
+/// may (disk, backend round trips) goes to [`Call::spawn`] behind a
+/// [`Call::later`] completion, and work the handler queues elsewhere
+/// (such as a solve too costly to run inline) answers through one.
 /// Bounded CPU work, such as a cheap solve, may run here.
 pub trait Handler: Send + Sync + 'static {
     /// Answers one request line, trimmed: a non-blank v1 line or the

@@ -11,14 +11,15 @@
 //!   [`crate::planner::INLINE_SOLVE_OPS`], cacheable or not. Bounded
 //!   CPU work may run here; nothing that waits on disk, a lock held
 //!   across I/O, or another thread does.
-//! * **Admission** — any other cacheable miss ([`Planned::Later`])
-//!   goes through the same `derive_key → cache → dispatcher` path as
-//!   the blocking calls, so the bounded queue, coalescing, shed
-//!   `retry_after_ms` hints and deadline downgrades are untouched.
-//! * **I/O pool** — `observe` (WAL append + fsync before the ack),
-//!   WAL ship/apply and every other uncacheable plan
-//!   ([`Planned::Blocking`]) never shed and may block, so they run on
-//!   the engine's I/O pool.
+//! * **Admission** — every other plan, cacheable or not
+//!   ([`Planned::Later`]), goes through the same gate as the blocking
+//!   calls into the dispatcher's bounded queue, so it is queued, shed
+//!   with a `retry_after_ms` hint, coalesced when it has a key, and
+//!   downgraded at its deadline. The watchdog is armed at its admission
+//!   token.
+//! * **I/O pool** — `observe` (WAL append + fsync before the ack) and
+//!   WAL ship/apply never shed and may block, so they run on the
+//!   engine's I/O pool under the server's default deadline.
 //!
 //! Answers are formatted by the same `proto` builders as
 //! [`proto::handle_line`] / [`proto::handle_frame`], so a TCP client
@@ -56,7 +57,7 @@ impl Handler for PagerService {
                 let planned = self.plan_async(&instance, spec, |deadline| {
                     deferred(call, deadline, &render)
                 });
-                reply(call, &self, planned, render)
+                reply(call, planned, &render)
             }
             Request::PlanDevices {
                 id,
@@ -77,7 +78,7 @@ impl Handler for PagerService {
                 let planned = self.plan_devices_async(&refs, estimator, now, spec, |deadline| {
                     deferred(call, deadline, &render)
                 });
-                reply(call, &self, planned, render)
+                reply(call, planned, &render)
             }
             request @ (Request::Observe { .. }
             | Request::WalShip { .. }
@@ -138,11 +139,11 @@ impl PagerService {
                 Err(error) => proto::error_frame(&service, id.view(), error, out),
             };
         let planned = self.plan_async(instance, spec, |deadline| deferred(call, deadline, &render));
-        reply(call, &self, planned, render)
+        reply(call, planned, &render)
     }
 
     /// The watchdog deadline of I/O-pool work (observe, WAL ship/apply,
-    /// uncacheable solves): the server default.
+    /// none of which carries a budget of its own): the server default.
     fn io_deadline(&self) -> CancelToken {
         CancelToken::from_budget_ms(self.config().default_deadline_ms)
     }
@@ -159,18 +160,20 @@ fn deferred<T: 'static>(
 ) -> Callback<T> {
     let done = call.later(deadline);
     let render = render.clone();
-    Box::new(move |result| done.answer(encoded(&render, &result)).send())
+    Box::new(move |result| {
+        let mut bytes = Vec::new();
+        render(&result, &mut bytes);
+        done.answer(bytes).send();
+    })
 }
 
 /// Applies the service's [`Planned`] outcome to the connection: an
-/// answer ready now is encoded straight into the write buffer, a
-/// blocking job goes to the I/O pool under the server's default
-/// watchdog deadline, as every I/O-pool request does.
-fn reply<T: 'static>(
+/// answer ready now is encoded straight into the write buffer; a
+/// deferred one arrives through the callback `deferred` built.
+fn reply<T>(
     call: &mut Call<'_>,
-    service: &PagerService,
     planned: Planned<T>,
-    render: impl Fn(&Result<T, ServiceError>, &mut Vec<u8>) + Send + 'static,
+    render: &impl Fn(&Result<T, ServiceError>, &mut Vec<u8>),
 ) -> Reply {
     match planned {
         Planned::Now(result) => {
@@ -178,28 +181,7 @@ fn reply<T: 'static>(
             Reply::Now
         }
         Planned::Later => Reply::Later,
-        Planned::Blocking(job) => {
-            let done = call.later(&service.io_deadline());
-            call.spawn(move || {
-                // lint:allow(no-blocking-in-reactor): this closure runs
-                // on the I/O pool, not the shard thread; an uncached
-                // solve blocking here is the design.
-                let result = job();
-                done.answer(encoded(&render, &result))
-            });
-            Reply::Later
-        }
     }
-}
-
-/// `render`'s encoding of `result` as a fresh buffer.
-fn encoded<T>(
-    render: &impl Fn(&Result<T, ServiceError>, &mut Vec<u8>),
-    result: &Result<T, ServiceError>,
-) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    render(result, &mut bytes);
-    bytes
 }
 
 #[cfg(test)]
@@ -269,8 +251,9 @@ mod tests {
     }
 
     #[test]
-    fn observe_and_uncached_plan_use_the_pool_path() {
-        let handle = start(service());
+    fn observe_uses_the_io_pool_and_an_uncached_plan_the_queue() {
+        let svc = service();
+        let handle = start(Arc::clone(&svc));
         let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
         let observe = request(
             &mut stream,
@@ -287,6 +270,9 @@ mod tests {
             v.get("cached").and_then(jsonio::Value::as_bool),
             Some(false)
         );
+        // The exact tier is never solved inline: the plan was queued.
+        assert_eq!(svc.metrics().queue_wait.count(), 1);
+        assert_eq!(svc.metrics().solved_inline.get(), 0);
     }
 
     #[test]
@@ -438,7 +424,7 @@ mod tests {
         assert_eq!(hit.get("id").and_then(Value::as_i64), Some(21));
         assert_eq!(hit.get("cached").and_then(Value::as_bool), Some(true));
         assert_eq!(hit.get("strategy"), miss.get("strategy"));
-        // An uncacheable plan frame takes the I/O pool path.
+        // An uncacheable plan frame takes the admission queue.
         stream.write_all(&plan_frame(22, false)).unwrap();
         let Msg::Frame(op3, p3) = read_message(&mut stream, &mut buf) else {
             panic!("expected a v2 frame");

@@ -80,7 +80,8 @@ jsonio::registry! {
         /// — enforcement (downgrades, `deadline_misses`) stays with the
         /// solver's own deadline checks, so this never double-counts.
         reactor_deadline_watchdog: Counter,
-        /// Queue wait per admitted planning job (enqueue → dequeue). This
+        /// Queue wait per admitted job (enqueue → dequeue): plans,
+        /// uncacheable solves and checkpoints alike. This
         /// is the signal behind shed responses' `retry_after_ms`: the
         /// median wait is roughly how long the backlog ahead of a retry
         /// takes to drain.

@@ -13,13 +13,16 @@
 //! are already waiting, new distinct work is *shed* immediately with
 //! [`ServiceError::Overloaded`] rather than queued behind a backlog it
 //! would only deepen. Coalesced subscriptions never shed — joining an
-//! in-flight computation adds no load.
+//! in-flight computation adds no load. An uncacheable solve has no key
+//! to coalesce on, so it enters as a task: queued, shed and refused at
+//! shutdown like any first request for a key.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 use pager_core::cancel::CancelToken;
 use pager_core::{Delay, Instance};
@@ -62,24 +65,24 @@ struct PlanJob {
     /// the budget, so a job that waited too long is already expired
     /// when a worker picks it up and cancels at the first checkpoint.
     deadline: CancelToken,
-    /// When the job was offered to the queue; the dequeue records the
-    /// elapsed wait into `Metrics::queue_wait`, which in turn drives
-    /// shed responses' `retry_after_ms`.
-    enqueued_at: std::time::Instant,
 }
+
+/// Work with nothing to coalesce — an uncacheable solve or a snapshot
+/// checkpoint. A worker runs it with `Ok(())`; a refused one is handed
+/// its refusal instead. Either way it is called exactly once.
+pub(crate) type Task = Box<dyn FnOnce(Result<(), ServiceError>) + Send>;
 
 /// Work the pool executes: planning requests (the hot path, coalesced
-/// and shed) or one-off maintenance closures (snapshot checkpoints)
-/// that share the same threads so background work can never outnumber
-/// the configured worker count.
+/// and shed) or tasks, which share the same threads and the same bound
+/// so that no solve and no checkpoint runs outside the configured
+/// worker count.
 enum Job {
-    Plan(PlanJob),
-    Maintenance(Box<dyn FnOnce() + Send>),
+    Plan(Box<PlanJob>),
+    Run(Task),
 }
 
-/// What happened when a job was offered to the bounded queue.
-enum Enqueue {
-    Accepted,
+/// Why the bounded queue turned a job away.
+enum Refused {
     Full,
     Closed,
 }
@@ -87,7 +90,10 @@ enum Enqueue {
 /// Owns the bounded queue, the in-flight table, and the worker
 /// threads.
 pub(crate) struct Dispatcher {
-    queue: Mutex<Option<mpsc::SyncSender<Job>>>,
+    /// Each job travels with the instant it was offered; the dequeue
+    /// records the elapsed wait into `Metrics::queue_wait`, which in
+    /// turn drives shed responses' `retry_after_ms`.
+    queue: Mutex<Option<mpsc::SyncSender<(Job, Instant)>>>,
     /// Set by [`Dispatcher::shutdown`], so callers that never queue
     /// can see the refusal without taking the queue lock.
     closed: AtomicBool,
@@ -108,7 +114,7 @@ impl Dispatcher {
         metrics: Arc<Metrics>,
         policy: TierPolicy,
     ) -> std::io::Result<Dispatcher> {
-        let (tx, rx) = mpsc::sync_channel::<Job>(queue_depth.max(1));
+        let (tx, rx) = mpsc::sync_channel::<(Job, Instant)>(queue_depth.max(1));
         let rx = Arc::new(Mutex::new(rx));
         let inflight: Arc<Mutex<HashMap<PlanKey, Vec<Waiter>>>> =
             Arc::new(Mutex::new(HashMap::new()));
@@ -171,87 +177,94 @@ impl Dispatcher {
         if coalesced {
             return Ok(true);
         }
-        // Gauge before the offer: the moment the job lands in the
-        // channel a worker may dequeue it and run the matching `dec`,
-        // so incrementing after `try_send` could order inc after dec
-        // and leak a permanent +1 (dec saturates at zero).
-        self.metrics.queue_depth.inc();
-        // First request for this key: offer it to the bounded queue.
-        // The queue lock is released before touching the in-flight
-        // table again (lock order: queue before inflight, never
-        // nested the other way).
-        let outcome = {
-            let queue = self
-                .queue
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            match queue.as_ref() {
-                None => Enqueue::Closed,
-                Some(tx) => match tx.try_send(Job::Plan(PlanJob {
-                    key: key.clone(),
-                    fingerprint,
-                    instance,
-                    delay,
-                    variant,
-                    deadline,
-                    enqueued_at: std::time::Instant::now(),
-                })) {
-                    Ok(()) => Enqueue::Accepted,
-                    Err(mpsc::TrySendError::Full(_)) => Enqueue::Full,
-                    Err(mpsc::TrySendError::Disconnected(_)) => Enqueue::Closed,
-                },
-            }
-        };
-        match outcome {
-            Enqueue::Accepted => Ok(false),
-            Enqueue::Full => {
-                // Shed: un-register and fail everyone who coalesced
-                // onto this key between our insert and now, so nobody
-                // waits on a computation that will never run.
-                self.metrics.queue_depth.dec();
-                // The hint tracks the observed queue wait: a shed
-                // client retrying sooner than the median wait would
-                // only rejoin the very backlog that shed it.
-                let error = ServiceError::Overloaded {
-                    retry_after_ms: self.metrics.retry_hint_ms(),
-                };
-                self.metrics.requests_shed.inc();
-                self.fail_waiters(&key, &error);
-                Err(error)
-            }
-            Enqueue::Closed => {
-                self.metrics.queue_depth.dec();
-                let error = ServiceError::Internal("service is shutting down".into());
+        let job = Job::Plan(Box::new(PlanJob {
+            key: key.clone(),
+            fingerprint,
+            instance,
+            delay,
+            variant,
+            deadline,
+        }));
+        match self.offer(job) {
+            Ok(()) => Ok(false),
+            // Un-register and fail everyone who coalesced onto this key
+            // between our insert and now, so nobody waits on a
+            // computation that will never run.
+            Err((refused, _)) => {
+                let error = self.refusal(refused);
                 self.fail_waiters(&key, &error);
                 Err(error)
             }
         }
     }
 
+    /// Submits an uncacheable request's `task`, which nothing can
+    /// coalesce with. It is admitted, shed and refused at shutdown
+    /// exactly as a first request for a key is by
+    /// [`Dispatcher::submit`], and handed the refusal before this
+    /// returns.
+    pub(crate) fn submit_task(&self, task: Task) {
+        if let Err((refused, Job::Run(task))) = self.offer(Job::Run(task)) {
+            task(Err(self.refusal(refused)));
+        }
+    }
+
     /// Offers a one-off maintenance closure (e.g. a snapshot
-    /// checkpoint) to the worker pool. Maintenance bypasses the
-    /// in-flight table (there is nothing to coalesce or wait on) but
-    /// respects the bounded queue: under full load the checkpoint is
-    /// simply not scheduled this round, and the caller's trigger will
-    /// re-fire on a later observe.
+    /// checkpoint) to the worker pool. Maintenance respects the
+    /// bounded queue but is not a request: under full load the
+    /// checkpoint is simply not scheduled this round (and not counted
+    /// as shed), and the caller's trigger will re-fire on a later
+    /// observe.
     ///
     /// Returns whether the job was accepted.
     pub(crate) fn submit_maintenance(&self, work: Box<dyn FnOnce() + Send>) -> bool {
+        self.offer(Job::Run(Box::new(move |_| work()))).is_ok()
+    }
+
+    /// Offers `job` to the bounded queue, handing it back with the
+    /// reason when the queue is full or closed.
+    fn offer(&self, job: Job) -> Result<(), (Refused, Job)> {
+        // Gauge before the offer: the moment the job lands in the
+        // channel a worker may dequeue it and run the matching `dec`,
+        // so incrementing after `try_send` could order inc after dec
+        // and leak a permanent +1 (dec saturates at zero).
         self.metrics.queue_depth.inc();
-        let accepted = {
-            let queue = self
-                .queue
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            match queue.as_ref() {
-                None => false,
-                Some(tx) => tx.try_send(Job::Maintenance(work)).is_ok(),
-            }
+        // The queue lock is released before the caller touches the
+        // in-flight table again (lock order: queue before inflight,
+        // never nested the other way).
+        let sent = match self
+            .queue
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .as_ref()
+        {
+            None => Err((Refused::Closed, job)),
+            Some(tx) => tx.try_send((job, Instant::now())).map_err(|e| match e {
+                mpsc::TrySendError::Full((job, _)) => (Refused::Full, job),
+                mpsc::TrySendError::Disconnected((job, _)) => (Refused::Closed, job),
+            }),
         };
-        if !accepted {
+        if sent.is_err() {
             self.metrics.queue_depth.dec();
         }
-        accepted
+        sent
+    }
+
+    /// The error a refused request is answered with; a shed one is
+    /// counted.
+    fn refusal(&self, refused: Refused) -> ServiceError {
+        match refused {
+            Refused::Full => {
+                self.metrics.requests_shed.inc();
+                // The hint tracks the observed queue wait: a shed
+                // client retrying sooner than the median wait would
+                // only rejoin the very backlog that shed it.
+                ServiceError::Overloaded {
+                    retry_after_ms: self.metrics.retry_hint_ms(),
+                }
+            }
+            Refused::Closed => ServiceError::Internal("service is shutting down".into()),
+        }
     }
 
     /// Removes a key's in-flight registration and sends `error` to
@@ -300,7 +313,7 @@ impl Drop for Dispatcher {
 }
 
 fn worker_loop(
-    rx: &Mutex<mpsc::Receiver<Job>>,
+    rx: &Mutex<mpsc::Receiver<(Job, Instant)>>,
     cache: &ShardedCache<PlanKey, Plan>,
     metrics: &Metrics,
     inflight: &Mutex<HashMap<PlanKey, Vec<Waiter>>>,
@@ -308,25 +321,25 @@ fn worker_loop(
 ) {
     loop {
         // Hold the receiver lock only for the dequeue itself.
-        let job = match rx
+        let (job, enqueued_at) = match rx
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .recv()
         {
-            Ok(job) => job,
+            Ok(queued) => queued,
             Err(_) => return, // queue closed: shut down
         };
         metrics.queue_depth.dec();
+        metrics
+            .queue_wait
+            .record(u64::try_from(enqueued_at.elapsed().as_micros()).unwrap_or(u64::MAX));
         let job = match job {
             Job::Plan(job) => job,
-            Job::Maintenance(work) => {
-                work();
+            Job::Run(task) => {
+                task(Ok(()));
                 continue;
             }
         };
-        metrics
-            .queue_wait
-            .record(u64::try_from(job.enqueued_at.elapsed().as_micros()).unwrap_or(u64::MAX));
         // A coalesced burst may have already populated the cache by
         // the time this job reaches the front of the queue.
         let result: PlanResult = match cache.get(job.fingerprint, &job.key) {

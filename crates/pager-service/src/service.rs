@@ -506,74 +506,6 @@ impl PagerService {
         CancelToken::from_budget_ms(spec.deadline_ms().or(self.config.default_deadline_ms))
     }
 
-    /// An uncacheable plan: the pool exists to dedupe identical work,
-    /// and uncacheable work cannot be deduped. A cheap greedy one is
-    /// solved on the calling thread; any other is handed back as a
-    /// [`Planned::Blocking`] job for a thread that may block.
-    fn plan_uncached(
-        &self,
-        instance: &Instance,
-        spec: &PlanSpec,
-        deadline: &CancelToken,
-    ) -> Planned<PlanResponse> {
-        let (delay, variant, policy) = (spec.delay(), spec.variant(), self.config.policy);
-        if solves_inline(instance, delay, variant, &policy) {
-            return Planned::Now(self.solve_inline(instance, spec, deadline, None));
-        }
-        let metrics = Arc::clone(&self.metrics);
-        let (instance, deadline) = (instance.clone(), deadline.clone());
-        Planned::Blocking(Box::new(move || {
-            pool::solve(
-                &instance, delay, variant, &deadline, &policy, &metrics, None,
-            )
-            .map(fresh)
-        }))
-    }
-
-    /// Solves a cacheable request whose cost passed the gate of
-    /// [`crate::planner::INLINE_SOLVE_OPS`] on the calling thread,
-    /// storing it in `slot` if given, unless shutdown has begun.
-    /// Cheaper than admission itself: no queue, so never shed and never
-    /// coalesced (an identical key is never in flight, since its cost —
-    /// hence this path — is the same).
-    fn solve_now(
-        &self,
-        instance: &Instance,
-        spec: &PlanSpec,
-        deadline: &CancelToken,
-        slot: Option<(&ShardedCache<PlanKey, Plan>, u64, PlanKey)>,
-    ) -> Planned<PlanResponse> {
-        if self.dispatcher.closed() {
-            return Planned::Now(Err(ServiceError::Internal(
-                "service is shutting down".into(),
-            )));
-        }
-        Planned::Now(self.solve_inline(instance, spec, deadline, slot))
-    }
-
-    /// Solves a miss whose cost passed the gate of
-    /// [`crate::planner::INLINE_SOLVE_OPS`] on the calling thread,
-    /// caching it in `slot` if given.
-    fn solve_inline(
-        &self,
-        instance: &Instance,
-        spec: &PlanSpec,
-        deadline: &CancelToken,
-        slot: Option<(&ShardedCache<PlanKey, Plan>, u64, PlanKey)>,
-    ) -> Result<PlanResponse, ServiceError> {
-        self.metrics.solved_inline.inc();
-        pool::solve(
-            instance,
-            spec.delay(),
-            spec.variant(),
-            deadline,
-            &self.config.policy,
-            &self.metrics,
-            slot,
-        )
-        .map(fresh)
-    }
-
     /// Plans a strategy, serving from the cache or an identical
     /// in-flight computation when possible.
     ///
@@ -635,14 +567,13 @@ impl PagerService {
     ///
     /// Cache hits, cheap greedy misses (a Theorem 4.8 cost of at most
     /// [`crate::planner::INLINE_SOLVE_OPS`]) and shutdown refusals are
-    /// answered during the call as [`Planned::Now`]. Any other
-    /// cacheable miss is admitted to the worker pool: `later` is called
-    /// once, right then, with the request's admission deadline (the
-    /// token the solver polls), for the callback that receives the
+    /// answered during the call as [`Planned::Now`]. Any other miss,
+    /// cacheable or not, is admitted to the worker pool: `later` is
+    /// called once, right then, with the request's admission deadline
+    /// (the token the solver polls), for the callback that receives the
     /// answer — on a worker thread, or on this one if the request is
-    /// shed — and the call returns [`Planned::Later`]. Any other
-    /// uncacheable plan comes back as [`Planned::Blocking`]. The
-    /// transport engine's shards live on this.
+    /// shed — and the call returns [`Planned::Later`]. The transport
+    /// engine's shards live on this.
     pub(crate) fn plan_async(
         &self,
         instance: &Instance,
@@ -651,54 +582,87 @@ impl PagerService {
     ) -> Planned<PlanResponse> {
         self.metrics.requests.inc();
         let deadline = self.admit(&spec);
-        if !spec.cache_enabled() {
-            return self.plan_uncached(instance, &spec, &deadline);
-        }
-        let (key, fingerprint) = self.derive_key(instance, &spec, 0, &[]);
-        self.plan_via_cache(key, fingerprint, instance, &spec, deadline, later)
+        let slot = spec
+            .cache_enabled()
+            .then(|| self.derive_key(instance, &spec, 0, &[]));
+        self.gate(slot, instance, &spec, deadline, later)
     }
 
-    /// Cacheable path shared by [`PagerService::plan_async`] and
-    /// [`PagerService::plan_devices_async`]: cache, then the cost gate,
-    /// then the dispatcher. Exactly-once delivery of a deferred answer
-    /// relies on the dispatcher contract: `Dispatcher::submit` either
-    /// keeps the waiter (worker delivers) or fails it before returning
-    /// `Err`.
-    fn plan_via_cache(
+    /// The one gate every solve passes, shared by
+    /// [`PagerService::plan_async`] and
+    /// [`PagerService::plan_devices_async`]. With a `slot` (the key and
+    /// fingerprint of a plan that is stored) the cache answers a hit at
+    /// once. A miss the cost gate passes is solved on the calling thread:
+    /// cheaper than admission itself, so never queued, shed or coalesced
+    /// (an identical key is never in flight, since its cost — hence this
+    /// path — is the same), but refused once shutdown has begun. Any
+    /// other miss is admitted to the dispatcher: a stored one through
+    /// `Dispatcher::submit`, which coalesces, and an uncacheable one as a
+    /// task. Exactly-once delivery relies on the dispatcher contract:
+    /// each of the two either keeps the callback (a worker delivers) or
+    /// fails it before returning.
+    fn gate(
         &self,
-        key: PlanKey,
-        fingerprint: u64,
+        slot: Option<(PlanKey, u64)>,
         instance: &Instance,
         spec: &PlanSpec,
         deadline: CancelToken,
         later: impl FnOnce(&CancelToken) -> Callback<PlanResponse>,
     ) -> Planned<PlanResponse> {
-        // Only a `plan_devices` key carries an estimator tag.
-        let versioned = key.estimator != 0;
-        if let Some(hit) = self.cache.get(fingerprint, &key) {
-            self.metrics.cache_hits.inc();
-            if versioned {
-                self.metrics.plan_devices_cache_hits.inc();
+        if let Some((key, fingerprint)) = &slot {
+            // Only a `plan_devices` key carries an estimator tag.
+            let versioned = key.estimator != 0;
+            if let Some(hit) = self.cache.get(*fingerprint, key) {
+                self.metrics.cache_hits.inc();
+                if versioned {
+                    self.metrics.plan_devices_cache_hits.inc();
+                }
+                return Planned::Now(Ok(PlanResponse {
+                    plan: hit,
+                    cached: true,
+                    coalesced: false,
+                }));
             }
-            return Planned::Now(Ok(PlanResponse {
-                plan: hit,
-                cached: true,
-                coalesced: false,
-            }));
+            self.metrics.cache_misses.inc();
+            if versioned {
+                self.metrics.plan_devices_cache_misses.inc();
+            }
         }
-        self.metrics.cache_misses.inc();
-        if versioned {
-            self.metrics.plan_devices_cache_misses.inc();
-        }
-        if solves_inline(instance, spec.delay(), spec.variant(), &self.config.policy) {
-            return self.solve_now(
-                instance,
-                spec,
-                &deadline,
-                Some((&*self.cache, fingerprint, key)),
+        let (delay, variant, policy) = (spec.delay(), spec.variant(), self.config.policy);
+        if solves_inline(instance, delay, variant, &policy) {
+            if self.dispatcher.closed() {
+                return Planned::Now(Err(ServiceError::Internal(
+                    "service is shutting down".into(),
+                )));
+            }
+            self.metrics.solved_inline.inc();
+            let slot = slot.map(|(key, fingerprint)| (&*self.cache, fingerprint, key));
+            return Planned::Now(
+                pool::solve(
+                    instance,
+                    delay,
+                    variant,
+                    &deadline,
+                    &policy,
+                    &self.metrics,
+                    slot,
+                )
+                .map(fresh),
             );
         }
         let complete = later(&deadline);
+        let Some((key, fingerprint)) = slot else {
+            let (instance, metrics) = (instance.clone(), Arc::clone(&self.metrics));
+            self.dispatcher.submit_task(Box::new(move |admitted| {
+                complete(admitted.and_then(|()| {
+                    pool::solve(
+                        &instance, delay, variant, &deadline, &policy, &metrics, None,
+                    )
+                    .map(fresh)
+                }));
+            }));
+            return Planned::Later;
+        };
         let waiter = Waiter {
             complete: Box::new(move |result, coalesced| {
                 complete(result.map(|plan| PlanResponse {
@@ -713,8 +677,8 @@ impl PagerService {
             key,
             fingerprint,
             instance.clone(),
-            spec.delay(),
-            spec.variant(),
+            delay,
+            variant,
             deadline,
             waiter,
         ) {
@@ -814,7 +778,7 @@ impl PagerService {
     }
 
     /// [`PagerService::plan_devices`] without blocking the calling
-    /// thread; same three outcomes as [`PagerService::plan_async`].
+    /// thread; same two outcomes as [`PagerService::plan_async`].
     /// Profile resolution (cheap, pure in-memory) happens on the
     /// calling thread; only a solve the cost gate does not pass is
     /// deferred, and only such a solve touches the strategy cache.
@@ -861,17 +825,11 @@ impl PagerService {
             stale_profiles,
             now,
         };
-        let planned = match slot {
-            Some((key, fingerprint)) => {
-                self.plan_via_cache(key, fingerprint, &instance, &spec, deadline, |deadline| {
-                    let complete = later(deadline);
-                    let device = device.clone();
-                    Box::new(move |result| complete(result.map(device)))
-                })
-            }
-            None if spec.cache_enabled() => self.solve_now(&instance, &spec, &deadline, None),
-            None => self.plan_uncached(&instance, &spec, &deadline),
-        };
+        let planned = self.gate(slot, &instance, &spec, deadline, |deadline| {
+            let complete = later(deadline);
+            let device = device.clone();
+            Box::new(move |result| complete(result.map(device)))
+        });
         planned.map(device)
     }
 
@@ -884,8 +842,8 @@ impl PagerService {
     /// Stops the worker pool (in-flight requests and scheduled
     /// checkpoints finish) and fsyncs any unsynced WAL tail, so a
     /// clean shutdown loses nothing even under `--fsync interval` /
-    /// `never`. Later calls to [`PagerService::plan`] on the cacheable
-    /// path fail fast.
+    /// `never`. Later misses, cheap or not, fail fast; cache hits are
+    /// still served.
     pub fn shutdown(&self) {
         self.dispatcher.shutdown();
         if let Some(durable) = &self.durable {
@@ -906,18 +864,14 @@ pub(crate) enum Planned<T> {
     /// Admitted to the worker pool (or shed there): the callback the
     /// caller's `later` built receives the answer.
     Later,
-    /// An uncacheable solve the cost gate keeps off the calling thread: run the
-    /// job where blocking is allowed.
-    Blocking(Box<dyn FnOnce() -> Result<T, ServiceError> + Send>),
 }
 
-impl<T: 'static> Planned<T> {
-    /// Maps the answer, whenever it is produced.
-    fn map<U>(self, f: impl FnOnce(T) -> U + Send + 'static) -> Planned<U> {
+impl<T> Planned<T> {
+    /// Maps an answer produced during the call.
+    fn map<U>(self, f: impl FnOnce(T) -> U) -> Planned<U> {
         match self {
             Planned::Now(result) => Planned::Now(result.map(f)),
             Planned::Later => Planned::Later,
-            Planned::Blocking(job) => Planned::Blocking(Box::new(move || job().map(f))),
         }
     }
 }
@@ -944,15 +898,14 @@ fn reply_to<T: Send + 'static>(
     })
 }
 
-/// Finishes an async planning call on the calling thread: runs a
-/// blocking job here, or waits for a deferred answer on `reply`.
+/// Finishes an async planning call on the calling thread: waits for a
+/// deferred answer on `reply`.
 fn wait_for<T>(
     planned: Planned<T>,
     reply: Option<mpsc::Receiver<Result<T, ServiceError>>>,
 ) -> Result<T, ServiceError> {
     match planned {
         Planned::Now(result) => result,
-        Planned::Blocking(job) => job(),
         Planned::Later => reply
             .and_then(|rx| rx.recv().ok())
             .ok_or_else(|| ServiceError::Internal("worker pool dropped the request".into()))?,
@@ -1222,13 +1175,16 @@ mod tests {
             let planned = svc.plan_async(&instance, spec, |_| deferred_to(&tx, &mut asked));
             assert!(matches!(planned, Planned::Later) && asked);
             assert_eq!(rx.recv().unwrap().unwrap().plan.tier, crate::Tier::Exact);
+            // Uncacheable: admitted to the same queue, as a task.
+            let mut asked = false;
             let planned = svc.plan_async(&instance, spec.with_cache(false), |_| {
                 deferred_to(&tx, &mut asked)
             });
-            let Planned::Blocking(job) = planned else {
-                panic!("an uncached exact plan must be a blocking job");
-            };
-            assert!(job().is_ok());
+            assert!(
+                matches!(planned, Planned::Later) && asked,
+                "an uncached exact plan must be queued"
+            );
+            assert!(rx.recv().unwrap().is_ok());
         }
         assert_eq!(svc.metrics().solved_inline.get(), 0);
     }
@@ -1246,14 +1202,16 @@ mod tests {
             let planned = svc.plan_async(&inst(), spec, |_| deferred_to(&tx, &mut asked));
             assert!(matches!(planned, Planned::Later) && asked, "{variant:?}");
             assert!(rx.recv().unwrap().is_ok());
-            // Uncacheable: handed back for a thread that may block.
+            // Uncacheable: admitted to the same queue, as a task.
+            let mut asked = false;
             let planned = svc.plan_async(&inst(), spec.with_cache(false), |_| {
                 deferred_to(&tx, &mut asked)
             });
-            let Planned::Blocking(job) = planned else {
-                panic!("{variant:?} uncached must be a blocking job");
-            };
-            assert!(job().is_ok());
+            assert!(
+                matches!(planned, Planned::Later) && asked,
+                "{variant:?} uncached must be queued"
+            );
+            assert!(rx.recv().unwrap().is_ok());
         }
         assert_eq!(svc.metrics().solved_inline.get(), 0);
     }
@@ -1511,8 +1469,10 @@ mod tests {
         let svc = observed(&devices, 16);
         svc.shutdown();
         let spec = PlanSpec::new(Delay::new(2).unwrap());
-        let refused = svc.plan_devices(&devices, Estimator::Empirical, None, spec);
-        assert_eq!(refused.err().map(|e| e.code()), Some("internal"));
+        for spec in [spec, spec.with_cache(false)] {
+            let refused = svc.plan_devices(&devices, Estimator::Empirical, None, spec);
+            assert_eq!(refused.err().map(|e| e.code()), Some("internal"));
+        }
         assert_eq!(svc.metrics().solved_inline.get(), 0);
     }
 

@@ -8,66 +8,14 @@
 //! the same directory, and asserts that every acked sighting is back
 //! and the version counter never regresses.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::TcpStream;
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+mod common;
 
+use std::path::PathBuf;
+
+use common::{Connection, Server};
 use jsonio::Value;
 
-struct Server {
-    child: Option<Child>,
-    port: u16,
-    /// Stderr lines printed before the listening banner (the recovery
-    /// report, when `--data-dir` is in play).
-    preamble: Vec<String>,
-}
-
 impl Server {
-    /// Spawns `pager-serve`, reading stderr until the `listening on`
-    /// banner (a durable server prints its recovery report first).
-    fn spawn(extra_args: &[&str]) -> Server {
-        let mut args = vec!["--addr", "127.0.0.1:0"];
-        args.extend_from_slice(extra_args);
-        let mut child = Command::new(env!("CARGO_BIN_EXE_pager-serve"))
-            .args(&args)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("spawn pager-serve");
-        let stderr = child.stderr.take().expect("child stderr");
-        let mut lines = BufReader::new(stderr).lines();
-        let mut preamble = Vec::new();
-        let port: u16 = loop {
-            let line = lines
-                .next()
-                .expect("server exited before listening")
-                .expect("read server stderr");
-            if line.contains("listening on") {
-                break line
-                    .rsplit(':')
-                    .next()
-                    .and_then(|p| p.trim().parse().ok())
-                    .unwrap_or_else(|| panic!("no port in banner {line:?}"));
-            }
-            preamble.push(line);
-        };
-        std::thread::spawn(move || for _ in lines {});
-        Server {
-            child: Some(child),
-            port,
-            preamble,
-        }
-    }
-
-    fn connect(&self) -> Connection {
-        let stream = TcpStream::connect(("127.0.0.1", self.port)).expect("connect");
-        Connection {
-            reader: BufReader::new(stream.try_clone().expect("clone stream")),
-            writer: BufWriter::new(stream),
-        }
-    }
-
     /// SIGKILL — no drain, no shutdown handshake, no flush.
     fn kill_hard(&mut self) {
         let mut child = self.child.take().expect("child already taken");
@@ -76,29 +24,7 @@ impl Server {
     }
 }
 
-impl Drop for Server {
-    fn drop(&mut self) {
-        if let Some(child) = self.child.as_mut() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
-}
-
-struct Connection {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-}
-
 impl Connection {
-    fn round_trip(&mut self, request: &str) -> Value {
-        writeln!(self.writer, "{request}").expect("send request");
-        self.writer.flush().expect("flush request");
-        let mut line = String::new();
-        self.reader.read_line(&mut line).expect("read response");
-        jsonio::parse(&line).unwrap_or_else(|e| panic!("bad response {line:?}: {e}"))
-    }
-
     /// Sends one observe batch; returns the acked `device -> version`
     /// map.
     fn observe(&mut self, cells: usize, sightings: &[(String, usize, f64)]) -> Vec<(String, u64)> {

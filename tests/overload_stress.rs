@@ -6,7 +6,8 @@
 //!    (workers + queue slots) is answered *immediately* for every
 //!    request: accepted work gets a plan, excess load is shed with
 //!    `"code": "overloaded"` and a `retry_after_ms` hint, and nothing
-//!    blocks behind an unbounded backlog.
+//!    blocks behind an unbounded backlog — whether or not the requests
+//!    opt out of the cache.
 //! 2. **Deadline downgrade** — an exact-tier request whose deadline
 //!    expires mid-solve comes back as the greedy approximation with
 //!    `"tier": "greedy", "downgraded": true` instead of arriving late.
@@ -16,12 +17,12 @@
 //!    and the queue, a plan cheap enough to solve on the shard thread
 //!    (Theorem 4.8 cost at most `INLINE_SOLVE_OPS`) is still answered.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
+mod common;
+
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
+use common::Server;
 use jsonio::Value;
 
 /// Server capacity in the overload test: jobs solving plus jobs
@@ -38,72 +39,6 @@ const BURST: usize = 4 * CAPACITY;
 /// up behind the two workers instead of draining instantly.
 const CELLS: usize = 14;
 
-struct Server {
-    child: Option<Child>,
-    port: u16,
-}
-
-impl Server {
-    fn spawn(extra_args: &[&str]) -> Server {
-        let mut args = vec!["--addr", "127.0.0.1:0", "--metrics-json"];
-        args.extend_from_slice(extra_args);
-        let mut child = Command::new(env!("CARGO_BIN_EXE_pager-serve"))
-            .args(&args)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("spawn pager-serve");
-        let stderr = child.stderr.take().expect("child stderr");
-        let mut lines = BufReader::new(stderr).lines();
-        let banner = lines
-            .next()
-            .expect("server banner")
-            .expect("read server banner");
-        let port: u16 = banner
-            .rsplit(':')
-            .next()
-            .and_then(|p| p.trim().parse().ok())
-            .unwrap_or_else(|| panic!("no port in banner {banner:?}"));
-        std::thread::spawn(move || for _ in lines {});
-        Server {
-            child: Some(child),
-            port,
-        }
-    }
-
-    fn connect(&self) -> Connection {
-        let stream = TcpStream::connect(("127.0.0.1", self.port)).expect("connect");
-        Connection {
-            reader: BufReader::new(stream.try_clone().expect("clone stream")),
-            writer: BufWriter::new(stream),
-        }
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        if let Some(child) = self.child.as_mut() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
-}
-
-struct Connection {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-}
-
-impl Connection {
-    fn round_trip(&mut self, request: &str) -> Value {
-        writeln!(self.writer, "{request}").expect("send request");
-        self.writer.flush().expect("flush request");
-        let mut line = String::new();
-        self.reader.read_line(&mut line).expect("read response");
-        jsonio::parse(&line).unwrap_or_else(|e| panic!("bad response {line:?}: {e}"))
-    }
-}
-
 /// A distinct (per-seed) normalized instance row, heavy on different
 /// cells for different seeds so no two burst requests share a
 /// quantised fingerprint (distinct keys can never coalesce).
@@ -118,8 +53,8 @@ fn distinct_instance_json(seed: usize) -> String {
 
 /// Releases a burst 4× the server's capacity of distinct exact-tier
 /// requests, one connection each, all at once; each thread returns its
-/// answer.
-fn burst(server: &Arc<Server>) -> Vec<std::thread::JoinHandle<Value>> {
+/// answer. With `cache` false every request opts out of the cache.
+fn burst(server: &Arc<Server>, cache: bool) -> Vec<std::thread::JoinHandle<Value>> {
     // All clients connect first, then release the burst together.
     let barrier = Arc::new(Barrier::new(BURST));
     (0..BURST)
@@ -130,7 +65,7 @@ fn burst(server: &Arc<Server>) -> Vec<std::thread::JoinHandle<Value>> {
                 let mut conn = server.connect();
                 let instance = distinct_instance_json(t);
                 let request = format!(
-                    r#"{{"id": {t}, "instance": {instance}, "delay": 3, "variant": "exact"}}"#
+                    r#"{{"id": {t}, "instance": {instance}, "delay": 3, "variant": "exact", "cache": {cache}}}"#
                 );
                 barrier.wait();
                 conn.round_trip(&request)
@@ -139,81 +74,92 @@ fn burst(server: &Arc<Server>) -> Vec<std::thread::JoinHandle<Value>> {
         .collect()
 }
 
-/// Burst 4× the server's capacity with distinct exact-tier requests:
-/// every request is answered promptly — a plan for what fits, an
-/// `"overloaded"` shed for what does not — and the metrics agree.
+/// Burst 4× the server's capacity with distinct exact-tier requests,
+/// first cacheable, then with `"cache": false`: every request is
+/// answered promptly — a plan for what fits, an `"overloaded"` shed for
+/// what does not — and the metrics agree.
 #[test]
 fn burst_at_4x_capacity_sheds_with_overloaded() {
-    let server = Arc::new(Server::spawn(&["--workers", "2", "--queue-depth", "4"]));
-    let clients = burst(&server);
+    // Cacheable misses are coalesced and stored; uncacheable ones are
+    // admitted as tasks. Both go through the one bounded queue.
+    for cache in [true, false] {
+        let server = Arc::new(Server::spawn(&[
+            "--metrics-json",
+            "--workers",
+            "2",
+            "--queue-depth",
+            "4",
+        ]));
+        let clients = burst(&server, cache);
 
-    let mut planned = 0usize;
-    let mut shed = 0usize;
-    for client in clients {
-        let response = client.join().expect("client thread");
-        assert_eq!(
-            response.get("v").and_then(Value::as_u64),
-            Some(1),
-            "every response carries the protocol version: {response}"
-        );
-        match response.get("ok").and_then(Value::as_bool) {
-            Some(true) => {
-                let cells: usize = response
-                    .get("strategy")
-                    .and_then(Value::as_array)
-                    .expect("strategy")
-                    .iter()
-                    .map(|g| g.as_array().expect("group").len())
-                    .sum();
-                assert_eq!(cells, CELLS, "strategy must partition all cells");
-                planned += 1;
+        let mut planned = 0usize;
+        let mut shed = 0usize;
+        for client in clients {
+            let response = client.join().expect("client thread");
+            assert_eq!(
+                response.get("v").and_then(Value::as_u64),
+                Some(1),
+                "every response carries the protocol version: {response}"
+            );
+            match response.get("ok").and_then(Value::as_bool) {
+                Some(true) => {
+                    let cells: usize = response
+                        .get("strategy")
+                        .and_then(Value::as_array)
+                        .expect("strategy")
+                        .iter()
+                        .map(|g| g.as_array().expect("group").len())
+                        .sum();
+                    assert_eq!(cells, CELLS, "strategy must partition all cells");
+                    planned += 1;
+                }
+                Some(false) => {
+                    assert_eq!(
+                        response.get("code").and_then(Value::as_str),
+                        Some("overloaded"),
+                        "a rejected burst request must be shed, not errored: {response}"
+                    );
+                    assert!(
+                        response.get("retry_after_ms").and_then(Value::as_u64) > Some(0),
+                        "shed responses carry a retry hint: {response}"
+                    );
+                    shed += 1;
+                }
+                None => panic!("response without ok field: {response}"),
             }
-            Some(false) => {
-                assert_eq!(
-                    response.get("code").and_then(Value::as_str),
-                    Some("overloaded"),
-                    "a rejected burst request must be shed, not errored: {response}"
-                );
-                assert!(
-                    response.get("retry_after_ms").and_then(Value::as_u64) > Some(0),
-                    "shed responses carry a retry hint: {response}"
-                );
-                shed += 1;
-            }
-            None => panic!("response without ok field: {response}"),
         }
-    }
-    assert_eq!(planned + shed, BURST);
-    assert!(
-        shed > 0,
-        "a 4x burst against capacity {CAPACITY} must shed something"
-    );
-    assert!(
-        planned >= WORKERS,
-        "the servers must still plan what fits: planned {planned}"
-    );
+        assert_eq!(planned + shed, BURST);
+        assert!(
+            shed > 0,
+            "a 4x burst against capacity {CAPACITY} must shed something (cache {cache})"
+        );
+        assert!(
+            planned >= WORKERS,
+            "the servers must still plan what fits: planned {planned} (cache {cache})"
+        );
 
-    // The metrics registry saw the shedding, and the queue gauge is
-    // back to idle (bounded: it can never exceed the queue depth, so
-    // after the burst it must be zero again).
-    let mut conn = server.connect();
-    let metrics = conn.round_trip(r#"{"cmd": "metrics"}"#);
-    let metrics = metrics.get("metrics").expect("metrics payload");
-    let shed_metric = metrics
-        .get("requests_shed")
-        .and_then(Value::as_u64)
-        .unwrap();
-    assert!(
-        shed_metric >= shed as u64,
-        "metrics shed {shed_metric} < observed {shed}"
-    );
-    let depth = metrics.get("queue_depth").and_then(Value::as_u64).unwrap();
-    assert!(
-        depth <= QUEUE_DEPTH as u64,
-        "queue gauge {depth} exceeds the bound {QUEUE_DEPTH}"
-    );
-    let stop = conn.round_trip(r#"{"cmd": "shutdown"}"#);
-    assert_eq!(stop.get("stopping").and_then(Value::as_bool), Some(true));
+        // The metrics registry saw the shedding, and the queue gauge is
+        // back to idle (bounded: it can never exceed the queue depth, so
+        // after the burst it must be zero again).
+        let mut conn = server.connect();
+        let metrics = conn.round_trip(r#"{"cmd": "metrics"}"#);
+        let metrics = metrics.get("metrics").expect("metrics payload");
+        let shed_metric = metrics
+            .get("requests_shed")
+            .and_then(Value::as_u64)
+            .unwrap();
+        assert!(
+            shed_metric >= shed as u64,
+            "metrics shed {shed_metric} < observed {shed}"
+        );
+        let depth = metrics.get("queue_depth").and_then(Value::as_u64).unwrap();
+        assert!(
+            depth <= QUEUE_DEPTH as u64,
+            "queue gauge {depth} exceeds the bound {QUEUE_DEPTH}"
+        );
+        let stop = conn.round_trip(r#"{"cmd": "shutdown"}"#);
+        assert_eq!(stop.get("stopping").and_then(Value::as_bool), Some(true));
+    }
 }
 
 /// Head-of-line: while the burst above fills both workers and the
@@ -223,7 +169,13 @@ fn burst_at_4x_capacity_sheds_with_overloaded() {
 /// behind the exact solves.
 #[test]
 fn a_cheap_plan_is_served_while_a_burst_fills_the_pool() {
-    let server = Arc::new(Server::spawn(&["--workers", "2", "--queue-depth", "4"]));
+    let server = Arc::new(Server::spawn(&[
+        "--metrics-json",
+        "--workers",
+        "2",
+        "--queue-depth",
+        "4",
+    ]));
     let mut conn = server.connect();
     let sightings: Vec<String> = (0..48)
         .map(|t| {
@@ -240,7 +192,7 @@ fn a_cheap_plan_is_served_while_a_burst_fills_the_pool() {
     ));
     assert_eq!(observed.get("ok").and_then(Value::as_bool), Some(true));
 
-    let clients = burst(&server);
+    let clients = burst(&server, true);
     // The burst has overflowed the queue once something is shed.
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
     loop {
@@ -289,7 +241,7 @@ fn a_cheap_plan_is_served_while_a_burst_fills_the_pool() {
 /// flagged as such, and it arrives without waiting out the full solve.
 #[test]
 fn expired_deadline_downgrades_exact_to_greedy_over_the_wire() {
-    let server = Server::spawn(&["--workers", "2"]);
+    let server = Server::spawn(&["--metrics-json", "--workers", "2"]);
     let mut conn = server.connect();
     let instance = distinct_instance_json(0);
     // ~5ms of budget against a solve that takes hundreds of ms.
@@ -340,6 +292,7 @@ fn expired_deadline_downgrades_exact_to_greedy_over_the_wire() {
 #[test]
 fn shutdown_drains_inflight_requests() {
     let server = Arc::new(Server::spawn(&[
+        "--metrics-json",
         "--workers",
         "2",
         "--queue-depth",

@@ -17,46 +17,17 @@
 //! 10k soak is ignored in debug builds where solve times and fd churn
 //! make it pointlessly slow.
 
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+mod common;
+
+use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
+use common::{Connection, Server};
 use jsonio::Value;
 
-struct Server {
-    child: Option<Child>,
-    port: u16,
-}
-
 impl Server {
-    fn spawn(extra_args: &[&str]) -> Server {
-        let mut args = vec!["--addr", "127.0.0.1:0"];
-        args.extend_from_slice(extra_args);
-        let mut child = Command::new(env!("CARGO_BIN_EXE_pager-serve"))
-            .args(&args)
-            .stdout(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("spawn pager-serve");
-        let stderr = child.stderr.take().expect("child stderr");
-        let mut lines = BufReader::new(stderr).lines();
-        let banner = lines
-            .next()
-            .expect("server banner")
-            .expect("read server banner");
-        let port: u16 = banner
-            .rsplit(':')
-            .next()
-            .and_then(|p| p.trim().parse().ok())
-            .unwrap_or_else(|| panic!("no port in banner {banner:?}"));
-        std::thread::spawn(move || for _ in lines {});
-        Server {
-            child: Some(child),
-            port,
-        }
-    }
-
     fn pid(&self) -> u32 {
         self.child.as_ref().expect("live child").id()
     }
@@ -80,39 +51,6 @@ impl Server {
         }
         panic!("connect: {last_err:?}");
     }
-
-    fn connect(&self) -> Conn {
-        let stream = self.connect_idle();
-        Conn {
-            reader: BufReader::new(stream.try_clone().expect("clone stream")),
-            writer: BufWriter::new(stream),
-        }
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        if let Some(mut child) = self.child.take() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
-}
-
-struct Conn {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-}
-
-impl Conn {
-    fn round_trip(&mut self, line: &str) -> String {
-        writeln!(self.writer, "{line}").expect("write request");
-        self.writer.flush().expect("flush request");
-        let mut response = String::new();
-        self.reader.read_line(&mut response).expect("read response");
-        assert!(!response.is_empty(), "connection closed mid-request");
-        response.trim_end().to_string()
-    }
 }
 
 /// Reads a numeric field (`Threads:` / `VmRSS:`) from
@@ -129,8 +67,8 @@ fn proc_status_field(pid: u32, field: &str) -> u64 {
         .unwrap_or_else(|| panic!("unparsable {field} line {line:?}"))
 }
 
-fn metrics_field(conn: &mut Conn, field: &str) -> u64 {
-    let response = conn.round_trip(r#"{"cmd": "metrics"}"#);
+fn metrics_field(conn: &mut Connection, field: &str) -> u64 {
+    let response = conn.round_trip_line(r#"{"cmd": "metrics"}"#);
     let v = jsonio::parse(&response).expect("metrics JSON");
     v.get("metrics")
         .and_then(|m| m.get(field))
@@ -194,21 +132,23 @@ fn ten_thousand_idle_connections_no_thread_per_connection() {
 
     // Mixed traffic while the 10k sit idle: plans (cache on and off),
     // observes, pings — all served promptly through the same shards.
-    let mut active: Vec<Conn> = (0..ACTIVE).map(|_| server.connect()).collect();
+    let mut active: Vec<Connection> = (0..ACTIVE)
+        .map(|_| Connection::new(server.connect_idle()))
+        .collect();
     for (i, conn) in active.iter_mut().enumerate() {
-        let plan = conn.round_trip(&format!(
+        let plan = conn.round_trip_line(&format!(
             r#"{{"id": {i}, "instance": [[0.6, 0.3, 0.1]], "delay": 2, "cache": {}}}"#,
             i % 2 == 0
         ));
         let v = jsonio::parse(&plan).expect("plan response");
         assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true), "{plan}");
-        let observe = conn.round_trip(&format!(
+        let observe = conn.round_trip_line(&format!(
             r#"{{"cmd": "observe", "cells": 4, "sightings": [{{"device": "d{i}", "cell": {}, "time": {}.0}}]}}"#,
             i % 4,
             i + 1
         ));
         assert!(observe.contains("\"ingested\""), "{observe}");
-        assert!(conn.round_trip(r#"{"cmd": "ping"}"#).contains("pong"));
+        assert!(conn.round_trip_line(r#"{"cmd": "ping"}"#).contains("pong"));
     }
     let threads_under_load = proc_status_field(server.pid(), "Threads:");
     assert!(
@@ -290,7 +230,7 @@ fn transports_answer_byte_identically() {
     let mut conn = server.connect();
     let tcp: Vec<String> = script
         .iter()
-        .map(|line| normalize(&conn.round_trip(line)))
+        .map(|line| normalize(&conn.round_trip_line(line)))
         .collect();
     let mut stdio = Command::new(env!("CARGO_BIN_EXE_pager-serve"))
         .args(["--stdio", "--workers", "2"])
@@ -413,7 +353,7 @@ fn shed_semantics_match_across_transports() {
                     slow_instance_json(i)
                 );
                 barrier.wait();
-                conn.round_trip(&line)
+                conn.round_trip_line(&line)
             })
         })
         .collect();
@@ -455,10 +395,10 @@ fn drain_answers_inflight_on_both_transports() {
         slow_instance_json(77)
     );
     let mut worker_conn = server.connect();
-    let solver = std::thread::spawn(move || worker_conn.round_trip(&slow));
+    let solver = std::thread::spawn(move || worker_conn.round_trip_line(&slow));
     std::thread::sleep(Duration::from_millis(100));
     let mut shutdown_conn = server.connect();
-    let stopping = shutdown_conn.round_trip(r#"{"cmd": "shutdown"}"#);
+    let stopping = shutdown_conn.round_trip_line(r#"{"cmd": "shutdown"}"#);
     assert!(stopping.contains("stopping"), "{stopping}");
     let answer = solver.join().expect("solver client");
     let v = jsonio::parse(&answer).expect("in-flight answer");
@@ -476,7 +416,7 @@ fn drain_answers_inflight_on_both_transports() {
 fn transport_flag_accepts_only_reactor() {
     for args in [&["--transport", "reactor"][..], &[]] {
         let server = Server::spawn(args);
-        let pong = server.connect().round_trip(r#"{"cmd": "ping"}"#);
+        let pong = server.connect().round_trip_line(r#"{"cmd": "ping"}"#);
         assert!(pong.contains("pong"), "{args:?}: {pong}");
     }
     let out = Command::new(env!("CARGO_BIN_EXE_pager-serve"))

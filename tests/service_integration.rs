@@ -3,11 +3,12 @@
 //! repeated and fresh instances, and check correctness, cache
 //! behaviour, and the metrics dump.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
+mod common;
+
+use std::io::{BufRead, BufReader};
 use std::sync::Arc;
 
+use common::Server;
 use jsonio::Value;
 use pager_cluster::{BackendSpec, Router, RouterConfig, ShardSpec};
 use rand::rngs::StdRng;
@@ -17,70 +18,9 @@ const CLIENT_THREADS: usize = 16;
 const REQUESTS_PER_CLIENT: usize = 64; // 16 × 64 = 1024 ≥ 1k
 const POOL_SIZE: usize = 8;
 
-struct Server {
-    child: Option<Child>,
-    port: u16,
-}
-
-impl Server {
-    fn spawn() -> Server {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_pager-serve"))
-            .args(["--addr", "127.0.0.1:0", "--workers", "4", "--metrics-json"])
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("spawn pager-serve");
-        // The server announces its bound address on stderr.
-        let stderr = child.stderr.take().expect("child stderr");
-        let mut lines = BufReader::new(stderr).lines();
-        let banner = lines
-            .next()
-            .expect("server banner")
-            .expect("read server banner");
-        let port: u16 = banner
-            .rsplit(':')
-            .next()
-            .and_then(|p| p.trim().parse().ok())
-            .unwrap_or_else(|| panic!("no port in banner {banner:?}"));
-        // Keep draining stderr so the child never blocks on a full pipe.
-        std::thread::spawn(move || for _ in lines {});
-        Server {
-            child: Some(child),
-            port,
-        }
-    }
-
-    fn connect(&self) -> Connection {
-        let stream = TcpStream::connect(("127.0.0.1", self.port)).expect("connect");
-        Connection {
-            reader: BufReader::new(stream.try_clone().expect("clone stream")),
-            writer: BufWriter::new(stream),
-        }
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        if let Some(child) = self.child.as_mut() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
-}
-
-struct Connection {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-}
-
-impl Connection {
-    fn round_trip(&mut self, request: &str) -> Value {
-        writeln!(self.writer, "{request}").expect("send request");
-        self.writer.flush().expect("flush request");
-        let mut line = String::new();
-        self.reader.read_line(&mut line).expect("read response");
-        jsonio::parse(&line).unwrap_or_else(|e| panic!("bad response {line:?}: {e}"))
-    }
+/// The server every test here runs against.
+fn spawn_server() -> Server {
+    Server::spawn(&["--workers", "4", "--metrics-json"])
 }
 
 fn rows_to_json(rows: &[Vec<f64>]) -> String {
@@ -108,7 +48,7 @@ fn random_rows(rng: &mut StdRng, devices: usize, cells: usize) -> Vec<Vec<f64>> 
 /// built from an older profile.
 #[test]
 fn observe_then_plan_devices_over_tcp() {
-    let server = Server::spawn();
+    let server = spawn_server();
     let mut conn = server.connect();
 
     // Stream a movement history for two devices: "a" cycles through
@@ -201,7 +141,7 @@ fn observe_then_plan_devices_over_tcp() {
 fn cheap_device_plans_leave_the_cache_empty_over_tcp() {
     const CELLS: usize = 16;
     const DEVICES: usize = 24;
-    let server = Server::spawn();
+    let server = spawn_server();
     let mut conn = server.connect();
     let mut rng = StdRng::seed_from_u64(26);
     let sightings = |time: usize, devices: &[usize], rng: &mut StdRng| {
@@ -287,7 +227,7 @@ fn shape_lines(path: &str, value: &Value, out: &mut Vec<String>) {
 /// renamed, moved or retyped key fails here; key order is free.
 #[test]
 fn dump_shapes_are_pinned() {
-    let mut server = Server::spawn();
+    let mut server = spawn_server();
     let mut conn = server.connect();
     let mut lines = Vec::new();
     shape_lines(
@@ -342,7 +282,7 @@ fn dump_shapes_are_pinned() {
 
 #[test]
 fn thousand_concurrent_requests_over_tcp() {
-    let server = Arc::new(Server::spawn());
+    let server = Arc::new(spawn_server());
 
     // A fixed pool of instances that every client repeats (these must
     // hit the cache and must all be served the same strategy), plus
