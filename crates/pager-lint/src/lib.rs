@@ -19,7 +19,8 @@
 //!    interprocedural rules run ([`rules::run_workspace`]).
 //!
 //! Findings from both passes flow through the inline suppression
-//! filter ([`suppress::Allows`]); any finding left fails the run.
+//! filter ([`suppress::Allows`]); a marker that filtered nothing is a
+//! finding of its own, and any finding left fails the run.
 
 pub mod callgraph;
 pub mod config;
@@ -146,6 +147,16 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
             report.allowed.push(finding);
         } else {
             report.findings.push(finding);
+        }
+    }
+    for (fi, analysis) in analyses.iter().enumerate() {
+        for (line, rule) in analysis.allows.unused() {
+            report.findings.push(ws.finding(
+                fi,
+                suppress::UNUSED_RULE,
+                line,
+                format!("`lint:allow({rule})` suppresses nothing on its lines; delete it"),
+            ));
         }
     }
     report.findings.sort_by(|a, b| {

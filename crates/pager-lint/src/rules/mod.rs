@@ -212,6 +212,15 @@ pub const RULES: &[RuleInfo] = &[
                     matched by name across the workspace.",
         allow: "// lint:allow(atomics-pairing): <why the weaker ordering suffices>",
     },
+    RuleInfo {
+        name: "unused-allow",
+        summary: "every lint:allow marker suppresses something",
+        rationale: "A marker that suppresses no finding of its rule — and, for \
+                    no-blocking-in-reactor, cuts no reachable call-graph edge — is a \
+                    stale justification that would silently excuse the next real \
+                    finding on its lines. Doc comments hold no markers.",
+        allow: "none: delete the marker",
+    },
 ];
 
 /// Looks up a rule's documentation by name.

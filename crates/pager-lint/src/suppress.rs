@@ -14,16 +14,35 @@
 //! Several rules may be allowed at once: `lint:allow(rule-a, rule-b)`.
 //! The suppression policy (see DESIGN.md §9) asks every allow to carry
 //! a justification after the closing parenthesis; the lint itself only
-//! enforces the marker shape.
+//! enforces the marker shape — and that the marker is needed: one that
+//! suppresses no finding of its rule (nor, for `no-blocking-in-reactor`,
+//! cuts a reachable call-graph edge) is itself reported as
+//! [`UNUSED_RULE`]. Doc comments hold no markers, so a doc that shows
+//! the syntax, like this one, is never counted.
 
 use crate::lexer::Comment;
-use std::collections::HashMap;
+use std::cell::Cell;
+
+/// The rule an allow marker that suppressed nothing is reported under.
+pub const UNUSED_RULE: &str = "unused-allow";
+
+/// One rule named by one marker, with the lines it covers.
+#[derive(Debug)]
+struct Marker {
+    rule: String,
+    /// The line the marker itself is written on.
+    line: u32,
+    /// The covered span: the marker's comment block plus the next line.
+    first: u32,
+    last: u32,
+    /// Whether [`Allows::covers`] has answered `true` for it.
+    used: Cell<bool>,
+}
 
 /// Allow markers collected from one file's comments.
 #[derive(Debug, Default)]
 pub struct Allows {
-    /// rule name → lines on which the rule is allowed.
-    by_rule: HashMap<String, Vec<u32>>,
+    markers: Vec<Marker>,
 }
 
 impl Allows {
@@ -33,6 +52,7 @@ impl Allows {
     /// justification covers the whole block and the line after it.
     #[must_use]
     pub fn collect(comments: &[Comment]) -> Allows {
+        let comments: Vec<&Comment> = comments.iter().filter(|c| !is_doc(&c.text)).collect();
         let mut allows = Allows::default();
         let mut i = 0;
         while i < comments.len() {
@@ -53,12 +73,13 @@ impl Allows {
                         if rule.is_empty() {
                             continue;
                         }
-                        let lines = allows.by_rule.entry(rule.to_string()).or_default();
-                        // The marker covers its block's line span plus
-                        // the next line (comment-above style).
-                        for line in block[0].line..=end_line + 1 {
-                            lines.push(line);
-                        }
+                        allows.markers.push(Marker {
+                            rule: rule.to_string(),
+                            line: comment.line,
+                            first: block[0].line,
+                            last: end_line + 1,
+                            used: Cell::new(false),
+                        });
                     }
                     rest = &rest[close..];
                 }
@@ -68,13 +89,35 @@ impl Allows {
         allows
     }
 
-    /// Whether `rule` is allowed on `line`.
+    /// Whether `rule` is allowed on `line`; a `true` answer marks the
+    /// covering markers used.
     #[must_use]
     pub fn covers(&self, rule: &str, line: u32) -> bool {
-        self.by_rule
-            .get(rule)
-            .is_some_and(|lines| lines.contains(&line))
+        let mut covered = false;
+        for marker in &self.markers {
+            if marker.rule == rule && (marker.first..=marker.last).contains(&line) {
+                marker.used.set(true);
+                covered = true;
+            }
+        }
+        covered
     }
+
+    /// `(line, rule)` of every marker no [`Allows::covers`] call has
+    /// needed so far.
+    pub fn unused(&self) -> impl Iterator<Item = (u32, &str)> {
+        self.markers
+            .iter()
+            .filter(|m| !m.used.get())
+            .map(|m| (m.line, m.rule.as_str()))
+    }
+}
+
+/// Whether a comment is documentation (`///`, `//!`, `/**`, `/*!`).
+fn is_doc(text: &str) -> bool {
+    ["///", "//!", "/**", "/*!"]
+        .iter()
+        .any(|prefix| text.starts_with(prefix))
 }
 
 #[cfg(test)]
@@ -126,5 +169,21 @@ other();
         assert!(allows.covers("rule-y", 4), "line after the block");
         assert!(allows.covers("rule-y", 2), "inside the block");
         assert!(!allows.covers("rule-y", 5), "past the covered span");
+    }
+
+    #[test]
+    fn unused_markers_are_listed_and_doc_comments_hold_none() {
+        let src = "\
+/// Shows the syntax: `// lint:allow(rule-d): reason`.
+// lint:allow(rule-a): needed
+a();
+// lint:allow(rule-b): stale
+b();
+";
+        let allows = Allows::collect(&lex(src).comments);
+        assert!(!allows.covers("rule-d", 2), "a doc comment is no marker");
+        assert!(allows.covers("rule-a", 3));
+        let unused: Vec<_> = allows.unused().collect();
+        assert_eq!(unused, vec![(4, "rule-b")]);
     }
 }

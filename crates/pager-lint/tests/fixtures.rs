@@ -80,3 +80,16 @@ fn unpaired_release_store_and_relaxed_read_are_reported() {
     assert!(stdout.contains("atomics-pairing"), "{stdout}");
     assert!(stdout.contains("Relaxed load of `epoch`"), "{stdout}");
 }
+
+#[test]
+fn an_allow_that_suppresses_nothing_is_reported() {
+    let (code, stdout) = run_fixture("unused_allow");
+    assert_eq!(code, 1, "{stdout}");
+    let unused: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.contains("[unused-allow]"))
+        .collect();
+    // Only the stale marker: not the live one, not the doc example.
+    assert_eq!(unused.len(), 1, "{stdout}");
+    assert!(unused[0].contains("cost.rs:10:"), "{stdout}");
+}

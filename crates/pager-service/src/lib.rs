@@ -85,7 +85,7 @@ pub use engine::{
 pub use error::ServiceError;
 pub use metrics::Metrics;
 pub use planner::{plan, Plan, Tier, TierPolicy, Variant, RETRY_AFTER_MS};
-pub use proto::{handle_frame, handle_line, parse_request, LineOutcome, Request};
+pub use proto::{handle_frame, handle_line, LineOutcome, Request};
 pub use server::serve_lines;
 pub use service::{
     DevicePlanResponse, DurabilityOptions, Observed, PagerService, PlanKey, PlanResponse, PlanSpec,

@@ -1,21 +1,25 @@
 //! Worker pool with batch coalescing and bounded admission.
 //!
-//! Planning requests flow through a *bounded* `mpsc` queue consumed by
-//! a fixed pool of std threads. Before a request is queued, the
-//! dispatcher checks an *in-flight* table: if an identical key is
-//! already being planned, the request subscribes to that computation
-//! instead of enqueueing a duplicate — under bursts of identical
-//! instances (exactly the conference-call hot path: many pages for the
-//! same popular distribution) the pool does the work once and fans the
-//! result out to every waiter.
+//! Every job is a [`Task`] on one *bounded* `mpsc` queue consumed by a
+//! fixed pool of std threads; a worker dequeues it, records how long it
+//! waited, and runs it. Before a keyed solve is queued, the dispatcher
+//! checks an *in-flight* table: if an identical key is already being
+//! planned, the request subscribes to that computation instead of
+//! enqueueing a duplicate — under bursts of identical instances
+//! (exactly the conference-call hot path: many pages for the same
+//! popular distribution) the pool does the work once and fans the
+//! result out to every subscriber.
 //!
 //! The queue bound is the backpressure valve: when `queue_depth` jobs
 //! are already waiting, new distinct work is *shed* immediately with
 //! [`ServiceError::Overloaded`] rather than queued behind a backlog it
-//! would only deepen. Coalesced subscriptions never shed — joining an
+//! would only deepen. A key's one task is handed either the go-ahead or
+//! that refusal, and delivers whichever result follows by the same
+//! fan-out, so a subscriber that coalesced onto a refused key is
+//! refused with it. Coalescing itself never sheds — joining an
 //! in-flight computation adds no load. An uncacheable solve has no key
-//! to coalesce on, so it enters as a task: queued, shed and refused at
-//! shutdown like any first request for a key.
+//! to coalesce on, so it enters as a bare task: queued, shed and
+//! refused at shutdown like the first request for a key.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -35,53 +39,17 @@ use crate::{cache::ShardedCache, metrics::Metrics};
 /// Result fanned out to every subscriber of one computation.
 pub(crate) type PlanResult = Result<Arc<Plan>, ServiceError>;
 
-/// One subscriber to a computation: a callback the worker (or the
-/// shedding submitter) invokes exactly once. Blocking callers wrap a
-/// channel send in it; the transport engine posts a completion to the
-/// shard's queue.
-pub(crate) struct Waiter {
-    pub(crate) complete: Box<dyn FnOnce(PlanResult, bool) + Send>,
-    /// Whether this subscriber joined an already in-flight
-    /// computation. Recorded at registration (under the in-flight
-    /// lock — the only place the answer is race-free) and handed back
-    /// to the callback.
-    pub(crate) coalesced: bool,
-}
+/// One subscriber to a keyed computation, called exactly once with its
+/// result. Blocking callers wrap a channel send in it; the transport
+/// engine posts a completion to the shard's queue.
+type Subscriber = Box<dyn FnOnce(PlanResult) + Send>;
 
-impl Waiter {
-    /// Delivers the result, consuming the waiter.
-    fn deliver(self, result: &PlanResult) {
-        (self.complete)(result.clone(), self.coalesced);
-    }
-}
-
-struct PlanJob {
-    key: PlanKey,
-    fingerprint: u64,
-    instance: Instance,
-    delay: Delay,
-    variant: Variant,
-    /// The *admission-time* deadline: queueing delay counts against
-    /// the budget, so a job that waited too long is already expired
-    /// when a worker picks it up and cancels at the first checkpoint.
-    deadline: CancelToken,
-}
-
-/// Work with nothing to coalesce — an uncacheable solve or a snapshot
-/// checkpoint. A worker runs it with `Ok(())`; a refused one is handed
-/// its refusal instead. Either way it is called exactly once.
+/// The one kind of job the pool runs. A worker runs it with `Ok(())`;
+/// a refused one is handed its refusal instead. Either way it is called
+/// exactly once.
 pub(crate) type Task = Box<dyn FnOnce(Result<(), ServiceError>) + Send>;
 
-/// Work the pool executes: planning requests (the hot path, coalesced
-/// and shed) or tasks, which share the same threads and the same bound
-/// so that no solve and no checkpoint runs outside the configured
-/// worker count.
-enum Job {
-    Plan(Box<PlanJob>),
-    Run(Task),
-}
-
-/// Why the bounded queue turned a job away.
+/// Why the bounded queue turned a task away.
 enum Refused {
     Full,
     Closed,
@@ -90,121 +58,102 @@ enum Refused {
 /// Owns the bounded queue, the in-flight table, and the worker
 /// threads.
 pub(crate) struct Dispatcher {
-    /// Each job travels with the instant it was offered; the dequeue
+    /// Each task travels with the instant it was offered; the dequeue
     /// records the elapsed wait into `Metrics::queue_wait`, which in
     /// turn drives shed responses' `retry_after_ms`.
-    queue: Mutex<Option<mpsc::SyncSender<(Job, Instant)>>>,
+    queue: Mutex<Option<mpsc::SyncSender<(Task, Instant)>>>,
     /// Set by [`Dispatcher::shutdown`], so callers that never queue
     /// can see the refusal without taking the queue lock.
     closed: AtomicBool,
-    inflight: Arc<Mutex<HashMap<PlanKey, Vec<Waiter>>>>,
+    /// The in-flight table: each key being planned, with its
+    /// subscribers.
+    inflight: Arc<Mutex<HashMap<PlanKey, Vec<Subscriber>>>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     metrics: Arc<Metrics>,
 }
 
 impl Dispatcher {
     /// Starts the worker pool over a queue bounded at `queue_depth`
-    /// waiting jobs. Failing to spawn a worker thread tears the
+    /// waiting tasks. Failing to spawn a worker thread tears the
     /// partial pool down cleanly (the queue sender drops, so
     /// already-started workers see a closed channel and exit).
     pub(crate) fn new(
         workers: usize,
         queue_depth: usize,
-        cache: Arc<ShardedCache<PlanKey, Plan>>,
         metrics: Arc<Metrics>,
-        policy: TierPolicy,
     ) -> std::io::Result<Dispatcher> {
-        let (tx, rx) = mpsc::sync_channel::<(Job, Instant)>(queue_depth.max(1));
+        let (tx, rx) = mpsc::sync_channel::<(Task, Instant)>(queue_depth.max(1));
         let rx = Arc::new(Mutex::new(rx));
-        let inflight: Arc<Mutex<HashMap<PlanKey, Vec<Waiter>>>> =
-            Arc::new(Mutex::new(HashMap::new()));
         let handles = (0..workers.max(1))
             .map(|i| {
                 let rx = Arc::clone(&rx);
-                let cache = Arc::clone(&cache);
                 let metrics = Arc::clone(&metrics);
-                let inflight = Arc::clone(&inflight);
                 std::thread::Builder::new()
                     .name(format!("pager-worker-{i}"))
-                    .spawn(move || worker_loop(&rx, &cache, &metrics, &inflight, policy))
+                    .spawn(move || worker_loop(&rx, &metrics))
             })
             .collect::<std::io::Result<Vec<_>>>()?;
         Ok(Dispatcher {
             queue: Mutex::new(Some(tx)),
             closed: AtomicBool::new(false),
-            inflight,
+            inflight: Arc::new(Mutex::new(HashMap::new())),
             workers: Mutex::new(handles),
             metrics,
         })
     }
 
-    /// Submits a planning job for `waiter`, coalescing onto an
-    /// identical in-flight one when possible. Returns whether the
-    /// waiter coalesced onto in-flight work.
+    /// Subscribes `subscriber` to the computation of `key`, and returns
+    /// whether it coalesced onto one already in flight. The flag is
+    /// fixed here, under the in-flight lock — the only place it is
+    /// race-free — and handed to `subscriber` with the result.
     ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Overloaded`] when the bounded queue is full
-    /// (the request is shed, never queued); [`ServiceError::Internal`]
-    /// during shutdown. On `Err` the waiter *has already been
-    /// delivered* the same error (exactly once, via `fail_waiters`),
-    /// so callers must not complete it again.
-    #[allow(clippy::too_many_arguments)]
+    /// The first subscriber of a key offers one task. Admitted, it runs
+    /// `solve`; refused, it is handed the refusal
+    /// ([`ServiceError::Overloaded`] when the queue is full,
+    /// [`ServiceError::Internal`] during shutdown) before this returns.
+    /// Either way it removes the key's subscribers and delivers the one
+    /// result to each, exactly once, after releasing the lock.
     pub(crate) fn submit(
         &self,
         key: PlanKey,
-        fingerprint: u64,
-        instance: Instance,
-        delay: Delay,
-        variant: Variant,
-        deadline: CancelToken,
-        mut waiter: Waiter,
-    ) -> Result<bool, ServiceError> {
-        let coalesced = {
+        subscriber: impl FnOnce(PlanResult, bool) + Send + 'static,
+        solve: impl FnOnce() -> PlanResult + Send + 'static,
+    ) -> bool {
+        {
             let mut inflight = self
                 .inflight
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if let Some(waiters) = inflight.get_mut(&key) {
-                waiter.coalesced = true;
-                waiters.push(waiter);
-                true
-            } else {
-                inflight.insert(key.clone(), vec![waiter]);
-                false
+            if let Some(subscribers) = inflight.get_mut(&key) {
+                subscribers.push(Box::new(move |result| subscriber(result, true)));
+                return true;
             }
-        };
-        if coalesced {
-            return Ok(true);
+            inflight.insert(
+                key.clone(),
+                vec![Box::new(move |result| subscriber(result, false))],
+            );
         }
-        let job = Job::Plan(Box::new(PlanJob {
-            key: key.clone(),
-            fingerprint,
-            instance,
-            delay,
-            variant,
-            deadline,
+        let inflight = Arc::clone(&self.inflight);
+        self.submit_task(Box::new(move |admitted| {
+            let result = admitted.and_then(|()| solve());
+            let subscribers = inflight
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .remove(&key)
+                .unwrap_or_default();
+            // Delivery happens after the in-flight lock is released:
+            // subscribers may take their own locks (`reactor` class).
+            for subscriber in subscribers {
+                subscriber(result.clone());
+            }
         }));
-        match self.offer(job) {
-            Ok(()) => Ok(false),
-            // Un-register and fail everyone who coalesced onto this key
-            // between our insert and now, so nobody waits on a
-            // computation that will never run.
-            Err((refused, _)) => {
-                let error = self.refusal(refused);
-                self.fail_waiters(&key, &error);
-                Err(error)
-            }
-        }
+        false
     }
 
-    /// Submits an uncacheable request's `task`, which nothing can
-    /// coalesce with. It is admitted, shed and refused at shutdown
-    /// exactly as a first request for a key is by
-    /// [`Dispatcher::submit`], and handed the refusal before this
-    /// returns.
+    /// Offers `task` to the bounded queue. A refused task is handed its
+    /// refusal before this returns, and a shed one is counted.
     pub(crate) fn submit_task(&self, task: Task) {
-        if let Err((refused, Job::Run(task))) = self.offer(Job::Run(task)) {
+        if let Err((refused, task)) = self.offer(task) {
             task(Err(self.refusal(refused)));
         }
     }
@@ -218,30 +167,30 @@ impl Dispatcher {
     ///
     /// Returns whether the job was accepted.
     pub(crate) fn submit_maintenance(&self, work: Box<dyn FnOnce() + Send>) -> bool {
-        self.offer(Job::Run(Box::new(move |_| work()))).is_ok()
+        self.offer(Box::new(move |_| work())).is_ok()
     }
 
-    /// Offers `job` to the bounded queue, handing it back with the
+    /// Offers `task` to the bounded queue, handing it back with the
     /// reason when the queue is full or closed.
-    fn offer(&self, job: Job) -> Result<(), (Refused, Job)> {
-        // Gauge before the offer: the moment the job lands in the
+    fn offer(&self, task: Task) -> Result<(), (Refused, Task)> {
+        // Gauge before the offer: the moment the task lands in the
         // channel a worker may dequeue it and run the matching `dec`,
         // so incrementing after `try_send` could order inc after dec
         // and leak a permanent +1 (dec saturates at zero).
         self.metrics.queue_depth.inc();
-        // The queue lock is released before the caller touches the
-        // in-flight table again (lock order: queue before inflight,
-        // never nested the other way).
+        // The queue lock is released before a refused task runs and
+        // touches the in-flight table (lock order: queue before
+        // inflight, never nested the other way).
         let sent = match self
             .queue
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .as_ref()
         {
-            None => Err((Refused::Closed, job)),
-            Some(tx) => tx.try_send((job, Instant::now())).map_err(|e| match e {
-                mpsc::TrySendError::Full((job, _)) => (Refused::Full, job),
-                mpsc::TrySendError::Disconnected((job, _)) => (Refused::Closed, job),
+            None => Err((Refused::Closed, task)),
+            Some(tx) => tx.try_send((task, Instant::now())).map_err(|e| match e {
+                mpsc::TrySendError::Full((task, _)) => (Refused::Full, task),
+                mpsc::TrySendError::Disconnected((task, _)) => (Refused::Closed, task),
             }),
         };
         if sent.is_err() {
@@ -264,21 +213,6 @@ impl Dispatcher {
                 }
             }
             Refused::Closed => ServiceError::Internal("service is shutting down".into()),
-        }
-    }
-
-    /// Removes a key's in-flight registration and sends `error` to
-    /// every subscriber it had accumulated.
-    fn fail_waiters(&self, key: &PlanKey, error: &ServiceError) {
-        let waiters = self
-            .inflight
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .remove(key)
-            .unwrap_or_default();
-        let failure: PlanResult = Err(error.clone());
-        for waiter in waiters {
-            waiter.deliver(&failure);
         }
     }
 
@@ -312,58 +246,21 @@ impl Drop for Dispatcher {
     }
 }
 
-fn worker_loop(
-    rx: &Mutex<mpsc::Receiver<(Job, Instant)>>,
-    cache: &ShardedCache<PlanKey, Plan>,
-    metrics: &Metrics,
-    inflight: &Mutex<HashMap<PlanKey, Vec<Waiter>>>,
-    policy: TierPolicy,
-) {
+fn worker_loop(rx: &Mutex<mpsc::Receiver<(Task, Instant)>>, metrics: &Metrics) {
     loop {
         // Hold the receiver lock only for the dequeue itself.
-        let (job, enqueued_at) = match rx
+        let Ok((task, enqueued_at)) = rx
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .recv()
-        {
-            Ok(queued) => queued,
-            Err(_) => return, // queue closed: shut down
+        else {
+            return; // queue closed: shut down
         };
         metrics.queue_depth.dec();
         metrics
             .queue_wait
             .record(u64::try_from(enqueued_at.elapsed().as_micros()).unwrap_or(u64::MAX));
-        let job = match job {
-            Job::Plan(job) => job,
-            Job::Run(task) => {
-                task(Ok(()));
-                continue;
-            }
-        };
-        // A coalesced burst may have already populated the cache by
-        // the time this job reaches the front of the queue.
-        let result: PlanResult = match cache.get(job.fingerprint, &job.key) {
-            Some(ready) => Ok(ready),
-            None => solve(
-                &job.instance,
-                job.delay,
-                job.variant,
-                &job.deadline,
-                &policy,
-                metrics,
-                Some((cache, job.fingerprint, job.key.clone())),
-            ),
-        };
-        let waiters = inflight
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .remove(&job.key)
-            .unwrap_or_default();
-        // Delivery happens after the in-flight lock is released:
-        // callback waiters may take their own locks (`reactor` class).
-        for waiter in waiters {
-            waiter.deliver(&result);
-        }
+        task(Ok(()));
     }
 }
 
@@ -409,5 +306,85 @@ pub(crate) fn solve(
             }
             Err(error)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    #[test]
+    fn a_refused_key_fans_its_refusal_out_to_every_subscriber() {
+        let metrics = Arc::new(Metrics::default());
+        let pool = Dispatcher::new(1, 1, Arc::clone(&metrics)).unwrap();
+        // Hold the only worker, then fill the one queue slot.
+        let (started_tx, started) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel::<()>();
+        pool.submit_task(Box::new(move |_| {
+            started_tx.send(()).unwrap();
+            let _ = release_rx.recv();
+        }));
+        started.recv().unwrap();
+        let (drained_tx, drained) = mpsc::channel();
+        pool.submit_task(Box::new(move |_| drained_tx.send(()).unwrap()));
+
+        let (answers_tx, answers) = mpsc::channel();
+        let subscriber = |name: &'static str| {
+            let tx = answers_tx.clone();
+            move |result: PlanResult, coalesced| tx.send((name, result, coalesced)).unwrap()
+        };
+        let key = PlanKey::for_delay(2);
+        std::thread::scope(|s| {
+            // With the queue lock held, the first submit registers its
+            // key and then waits to be refused; the second joins it.
+            let queue = pool.queue.lock().unwrap();
+            let first = s.spawn(|| {
+                pool.submit(key.clone(), subscriber("first"), || {
+                    unreachable!("a refused key is never solved")
+                })
+            });
+            while !pool.inflight.lock().unwrap().contains_key(&key) {
+                std::thread::yield_now();
+            }
+            let coalesced = pool.submit(key.clone(), subscriber("second"), || {
+                unreachable!("a coalesced subscriber never solves")
+            });
+            assert!(coalesced);
+            drop(queue);
+            assert!(!first.join().unwrap());
+        });
+        let mut refused: Vec<_> = answers.try_iter().collect();
+        refused.sort_by_key(|&(name, _, _)| name);
+        assert_eq!(refused.len(), 2, "each subscriber answered exactly once");
+        for ((name, result, coalesced), expected) in refused.into_iter().zip(["first", "second"]) {
+            assert_eq!(name, expected);
+            assert_eq!(coalesced, name == "second");
+            assert!(matches!(result, Err(ServiceError::Overloaded { .. })));
+        }
+        assert_eq!(metrics.requests_shed.get(), 1, "one refused key, one shed");
+        assert!(pool.inflight.lock().unwrap().is_empty());
+
+        // Once the queue drains, the same key is solved afresh.
+        release.send(()).unwrap();
+        drained.recv().unwrap();
+        let instance = Instance::from_rows(vec![vec![0.5, 0.5]]).unwrap();
+        let solve_metrics = Arc::clone(&metrics);
+        let third = pool.submit(key, subscriber("third"), move || {
+            solve(
+                &instance,
+                Delay::new(1).unwrap(),
+                Variant::Auto,
+                &CancelToken::never(),
+                &TierPolicy::default(),
+                &solve_metrics,
+                None,
+            )
+        });
+        assert!(!third);
+        let (name, result, coalesced) = answers.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!((name, coalesced), ("third", false));
+        assert_eq!(result.unwrap().strategy.rounds(), 1);
+        assert!(answers.try_recv().is_err());
     }
 }

@@ -1,9 +1,9 @@
 //! Wire protocol handling: typed requests in, typed responses out.
 //!
-//! The protocol itself — the [`Request`]/[`pager_wire::Response`]
-//! surface, the v1 JSON-lines encoding, and the v2 binary framing —
-//! lives in [`pager_wire`]; the byte-level schemas and negotiation
-//! rules are documented in `docs/wire.md`. This module is the
+//! The protocol itself — the [`Request`] and answer-body types, the
+//! v1 JSON-lines encoding, and the v2 binary framing — lives in
+//! [`pager_wire`]; the byte-level schemas and negotiation rules are
+//! documented in `docs/wire.md`. This module is the
 //! *server-side* glue: it decodes one message, runs it against a
 //! [`PagerService`], and encodes the answer in the protocol the
 //! message arrived in.
@@ -25,7 +25,7 @@
 
 use jsonio::Value;
 use pager_wire::frame::{op, Message};
-use pager_wire::{binary, json, ErrorBody, IdBuf, IdView, PlanBody, PlanFrameView, Response};
+use pager_wire::{binary, json, ErrorBody, IdBuf, IdView, PlanBody, PlanFrameView};
 
 pub use pager_wire::json::PROTOCOL_VERSION;
 pub use pager_wire::Request;
@@ -36,22 +36,11 @@ use pager_profiles::Estimator;
 use crate::error::ServiceError;
 use crate::service::{Observed, PagerService, PlanResponse};
 
-/// Parses one v1 wire line into a typed request.
-///
-/// # Errors
-///
-/// [`ServiceError::BadRequest`] for malformed JSON or invalid
-/// payloads, [`ServiceError::Unsupported`] for commands or variants
-/// this server does not know.
-pub fn parse_request(line: &str) -> Result<Request, ServiceError> {
-    json::parse_request(line).map_err(ServiceError::from)
-}
-
-/// [`parse_request`] plus the `id` the line carries (`Value::Null`
-/// when absent), so the caller can echo it on the response whatever
-/// the outcome. Every response echoes its request's id — the cluster
-/// router's request/reply correlation relies on it to reject stale
-/// duplicated replies.
+/// Parses one v1 wire line into a typed request, paired with the `id`
+/// the line carries (`Value::Null` when absent), so the caller can
+/// echo it on the response whatever the outcome. Every response
+/// echoes its request's id — the cluster router's request/reply
+/// correlation relies on it to reject stale duplicated replies.
 pub fn parse_request_with_id(line: &str) -> (Value, Result<Request, ServiceError>) {
     let (id, request) = json::parse_request_with_id(line);
     (id, request.map_err(ServiceError::from))
@@ -105,29 +94,13 @@ pub(crate) fn handle_control(service: &PagerService, request: Request, id: &Valu
     }
 }
 
-/// A control answer echoing the request's `id`. With no id this is
-/// the typed [`Response::Control`] (frozen v1 bytes); with one, the
-/// id rides right after `"v"` — the echo the cluster's reply
-/// correlation keys on.
-fn control_with_id(
-    service: &PagerService,
-    id: &Value,
-    fields: Vec<(&'static str, Value)>,
-) -> String {
-    if *id == Value::Null {
-        json::encode_response(service.node_id(), &Response::Control(fields))
-    } else {
-        json::ok_line_with_id(service.node_id(), id, fields)
-    }
-}
-
 /// Runs one typed request against the service and produces its
 /// answer. Every op's response fields are assembled here and in
 /// [`respond_control`] — in the frozen v1 order — regardless of which
 /// codec carries them. `id` is echoed on every answer, control
 /// responses included.
 fn respond(service: &PagerService, request: Request, id: &Value) -> String {
-    let control = |fields| control_with_id(service, id, fields);
+    let control = |fields| json::ok_line_with_id(service.node_id(), id, fields);
     match request {
         Request::Observe {
             cells,
@@ -215,11 +188,8 @@ fn respond(service: &PagerService, request: Request, id: &Value) -> String {
 /// The control ops' answers: in-memory reads and the epoch/shutdown
 /// flags, nothing that waits on disk or a solver.
 fn respond_control(service: &PagerService, request: Request, id: &Value) -> String {
-    let control = |fields| control_with_id(service, id, fields);
+    let control = |fields| json::ok_line_with_id(service.node_id(), id, fields);
     match request {
-        Request::Ping if *id == Value::Null => {
-            json::encode_response(service.node_id(), &Response::Pong)
-        }
         Request::Ping => control(vec![("pong", Value::Bool(true))]),
         Request::Metrics => control(vec![("metrics", service.metrics_json())]),
         Request::Shutdown => control(vec![("stopping", Value::Bool(true))]),
@@ -695,13 +665,13 @@ mod tests {
     #[test]
     fn deadline_ms_is_parsed_into_the_spec() {
         let line = r#"{"instance": [[0.5, 0.5]], "delay": 1, "deadline_ms": 250}"#;
-        match parse_request(line).unwrap() {
+        match json::parse_request(line).unwrap() {
             Request::Plan { spec, .. } => assert_eq!(spec.deadline_ms(), Some(250)),
             other => panic!("expected a plan request, got {other:?}"),
         }
         // Omitted: defer to the server default.
         let line = r#"{"instance": [[0.5, 0.5]], "delay": 1}"#;
-        match parse_request(line).unwrap() {
+        match json::parse_request(line).unwrap() {
             Request::Plan { spec, .. } => assert_eq!(spec.deadline_ms(), None),
             other => panic!("expected a plan request, got {other:?}"),
         }

@@ -18,7 +18,7 @@ use crate::cache::ShardedCache;
 use crate::error::ServiceError;
 use crate::metrics::Metrics;
 use crate::planner::{solves_inline, Plan, TierPolicy, Variant};
-use crate::pool::{self, Dispatcher, Waiter};
+use crate::pool::{self, Dispatcher};
 
 /// The full cache key: quantised probabilities plus everything else
 /// that changes the answer. Two requests with equal keys are served
@@ -300,14 +300,8 @@ impl PagerService {
         };
         let cache = Arc::new(ShardedCache::new(config.capacity, config.shards));
         let metrics = Arc::new(Metrics::default());
-        let dispatcher = Dispatcher::new(
-            config.workers,
-            config.queue_depth,
-            Arc::clone(&cache),
-            Arc::clone(&metrics),
-            config.policy,
-        )
-        .map_err(|e| ServiceError::Internal(format!("spawning worker threads: {e}")))?;
+        let dispatcher = Dispatcher::new(config.workers, config.queue_depth, Arc::clone(&metrics))
+            .map_err(|e| ServiceError::Internal(format!("spawning worker threads: {e}")))?;
         let epoch = AtomicU64::new(config.epoch);
         Ok(PagerService {
             config,
@@ -651,8 +645,8 @@ impl PagerService {
             );
         }
         let complete = later(&deadline);
+        let (instance, metrics) = (instance.clone(), Arc::clone(&self.metrics));
         let Some((key, fingerprint)) = slot else {
-            let (instance, metrics) = (instance.clone(), Arc::clone(&self.metrics));
             self.dispatcher.submit_task(Box::new(move |admitted| {
                 complete(admitted.and_then(|()| {
                     pool::solve(
@@ -663,30 +657,30 @@ impl PagerService {
             }));
             return Planned::Later;
         };
-        let waiter = Waiter {
-            complete: Box::new(move |result, coalesced| {
-                complete(result.map(|plan| PlanResponse {
-                    plan,
-                    cached: false,
-                    coalesced,
-                }));
-            }),
-            coalesced: false,
+        let (cache, solve_key) = (Arc::clone(&self.cache), key.clone());
+        let solve = move || match cache.get(fingerprint, &solve_key) {
+            // A coalesced burst may have filled the slot while this job
+            // waited in the queue.
+            Some(ready) => Ok(ready),
+            None => pool::solve(
+                &instance,
+                delay,
+                variant,
+                &deadline,
+                &policy,
+                &metrics,
+                Some((&cache, fingerprint, solve_key)),
+            ),
         };
-        match self.dispatcher.submit(
-            key,
-            fingerprint,
-            instance.clone(),
-            delay,
-            variant,
-            deadline,
-            waiter,
-        ) {
-            Ok(true) => self.metrics.coalesced.inc(),
-            Ok(false) => {}
-            // The dispatcher already delivered the error to the
-            // waiter (shed accounting included) — nothing more here.
-            Err(_) => {}
+        let subscriber = move |result: pool::PlanResult, coalesced| {
+            complete(result.map(|plan| PlanResponse {
+                plan,
+                cached: false,
+                coalesced,
+            }));
+        };
+        if self.dispatcher.submit(key, subscriber, solve) {
+            self.metrics.coalesced.inc();
         }
         Planned::Later
     }
@@ -909,6 +903,23 @@ fn wait_for<T>(
         Planned::Later => reply
             .and_then(|rx| rx.recv().ok())
             .ok_or_else(|| ServiceError::Internal("worker pool dropped the request".into()))?,
+    }
+}
+
+#[cfg(test)]
+impl PlanKey {
+    /// A matrix key told apart by `delay` alone, for the pool's tests.
+    pub(crate) fn for_delay(delay: usize) -> PlanKey {
+        PlanKey {
+            buckets: Vec::new(),
+            devices: 1,
+            cells: 1,
+            delay,
+            variant: Variant::Auto,
+            grid: 1,
+            estimator: 0,
+            profile_versions: Vec::new(),
+        }
     }
 }
 

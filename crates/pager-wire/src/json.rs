@@ -13,7 +13,7 @@ use pager_profiles::{Estimator, Sighting};
 
 use crate::error::{ErrorCode, WireError};
 use crate::request::{PlanSpec, Request, RoutedRequest, Variant};
-use crate::response::{DeviceExt, ErrorBody, PlanBody, Response};
+use crate::response::{DeviceExt, ErrorBody, PlanBody};
 use crate::textio::ParseInstanceError;
 
 /// Protocol version stamped on every v1 response line.
@@ -469,16 +469,11 @@ fn plan_fields(node: Option<&str>, body: &PlanBody<'_>) -> Vec<(&'static str, Va
     fields
 }
 
-/// A versioned `{"v": 1, "ok": true, ...}` response line.
-#[must_use]
-pub fn ok_line(node: Option<&str>, fields: Vec<(&'static str, Value)>) -> String {
-    ok_line_with_id(node, &Value::Null, fields)
-}
-
-/// [`ok_line`] echoing the request's `id` right after `"v"` — the
-/// position plan and error lines use. A null id is omitted entirely,
-/// keeping responses to id-less requests byte-identical to the frozen
-/// v1 format.
+/// A versioned `{"v": 1, "ok": true, ...}` response line — every
+/// control answer (`ping`, `metrics`, WAL ops, ...). The request's `id`
+/// rides right after `"v"`, the position plan and error lines use; a
+/// null id is omitted entirely, keeping responses to id-less requests
+/// byte-identical to the frozen v1 format.
 #[must_use]
 pub fn ok_line_with_id(
     node: Option<&str>,
@@ -535,16 +530,4 @@ pub fn error_line(node: Option<&str>, body: &ErrorBody<'_>) -> String {
         }
     }
     Value::object(fields).to_string()
-}
-
-/// Formats any typed response as its v1 line (no trailing newline).
-#[must_use]
-pub fn encode_response(node: Option<&str>, response: &Response<'_>) -> String {
-    match response {
-        Response::Plan(body) => plan_line(node, body),
-        Response::DevicePlan(body, ext) => device_plan_line(node, body, ext),
-        Response::Error(body) => error_line(node, body),
-        Response::Pong => ok_line(node, vec![("pong", Value::Bool(true))]),
-        Response::Control(fields) => ok_line(node, fields.clone()),
-    }
 }

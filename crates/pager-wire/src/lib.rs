@@ -1,8 +1,10 @@
 //! `pager-wire`: the typed wire protocol of the paging service.
 //!
 //! This crate is the single definition of *what* clients can ask the
-//! service ([`Request`]) and what it answers ([`Response`]), plus the
-//! two encodings either can travel in:
+//! service ([`Request`]) and what it answers — a plan ([`PlanBody`],
+//! plus [`DeviceExt`] for `plan_devices`), an error ([`ErrorBody`]),
+//! or a control op's ordered field list ([`json::ok_line_with_id`]) —
+//! plus the two encodings either can travel in:
 //!
 //! - **v1** — JSON lines: one object per line, `"v": 1`, stable error
 //!   codes, unknown fields ignored ([`json`]). This is the protocol
@@ -40,4 +42,4 @@ pub mod textio;
 pub use binary::{IdBuf, IdView, PlanFrameView};
 pub use error::{ErrorCode, WireError};
 pub use request::{fold_cache_key, PlanSpec, Request, RoutedRequest, Variant};
-pub use response::{DeviceExt, ErrorBody, PlanBody, Response};
+pub use response::{DeviceExt, ErrorBody, PlanBody};

@@ -1,4 +1,7 @@
-//! The typed response surface both codecs encode from.
+//! The typed answer bodies both codecs encode from: a plan, its
+//! `plan_devices` extension, and an error. Control answers have no
+//! body type; each is an ordered field list that rides the JSON
+//! encoding on both protocols ([`crate::json::ok_line_with_id`]).
 //!
 //! Bodies *borrow* the service's state (strategy, id, node name):
 //! responses are encoded immediately after the service produces a
@@ -59,21 +62,4 @@ pub struct ErrorBody<'a> {
     pub message: &'a str,
     /// Back-off hint, present exactly for [`ErrorCode::Overloaded`].
     pub retry_after_ms: Option<u64>,
-}
-
-/// One response, typed. Control answers (metrics, node info, WAL
-/// ops, ...) carry their op-specific fields as ordered pairs — they
-/// are cold-path and ride the JSON encoding on both protocols.
-#[derive(Debug)]
-pub enum Response<'a> {
-    /// A `plan` answer.
-    Plan(PlanBody<'a>),
-    /// A `plan_devices` answer.
-    DevicePlan(PlanBody<'a>, DeviceExt<'a>),
-    /// An error answer.
-    Error(ErrorBody<'a>),
-    /// A `ping` answer.
-    Pong,
-    /// Any other `{"ok": true, ...}` answer, field order preserved.
-    Control(Vec<(&'static str, Value)>),
 }
