@@ -16,9 +16,10 @@
 //!   breakers, retry-with-backoff honoring the request's
 //!   `deadline_ms`, `overloaded`/`degraded` pass-through, and
 //!   replica promotion (epoch bump) when an owner dies.
-//! - [`ship`]: **WAL shipping** — the router tails each owner's
-//!   profile WAL (reusing `pager-profiles::wal` framing over the
-//!   `wal_ship`/`wal_apply` wire ops) into the shard's replicas
+//! - [`ship`]: **WAL shipping** — the router forwards the raw
+//!   `pager-profiles::wal` frames each owner's `OBSERVE_RESP` carries
+//!   into the shard's replicas (`WAL_APPLY` frames), catching a
+//!   lagging replica up with `WAL_SHIP` reads of the owner's WAL,
 //!   *before* acking an `observe`, so failover serves every acked
 //!   sighting with the owner's exact version numbering.
 //! - [`harness`]: an **orchestration harness** that launches a real

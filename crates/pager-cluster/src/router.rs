@@ -37,10 +37,13 @@
 //! and failover.
 //!
 //! `observe` is special-cased twice: the batch is split per owning
-//! shard, and each sub-batch replicates in two hops — the owner's ack
-//! carries the WAL frames it appended, and the router forwards them to
-//! that shard's replicas (see [`crate::ship`]) *before* acking the
-//! client, so an acked sighting is always replayable from a survivor.
+//! shard, and each sub-batch replicates in two hops of native v2
+//! frames — the owner's `OBSERVE_RESP` carries the WAL frames it
+//! appended, and the router forwards them to that shard's replicas as
+//! `WAL_APPLY` (see [`crate::ship`]) *before* acking the client, so an
+//! acked sighting is always replayable from a survivor. Those hops
+//! have no v1 form: a client's `observe` is a JSON line, and the
+//! router's own answer to it is one.
 //!
 //! Lock order within the router (enforced by `pager-lint`):
 //! `membership` (class `cluster`) strictly above the `conns` pools and
@@ -193,7 +196,7 @@ jsonio::registry! {
         transport_errors: Counter,
         /// WAL records shipped to replicas.
         shipped_records: Counter,
-        /// `wal_ship` round trips: replica catch-up reads of the
+        /// `WAL_SHIP` round trips: replica catch-up reads of the
         /// owner's WAL. Steady single-writer traffic forwards each
         /// observe's frames from its ack and leaves this at 0.
         ship_catchups: Counter,
@@ -629,17 +632,12 @@ impl Router {
                     .unwrap_or_default();
                 self.forward_by_key(line, &id, &key, deadline)
             }
-            Request::Observe {
-                cells, sightings, ..
-            } => self.route_observe(&id, cells, sightings, deadline),
+            Request::Observe { cells, sightings } => {
+                self.route_observe(&id, cells, sightings, deadline)
+            }
             Request::ProfileStats => self.route_profile_stats(&id, deadline),
             Request::Epoch { epoch } => self.adopt_epoch(&id, epoch),
             Request::Shutdown => self.broadcast_shutdown(&id),
-            Request::WalShip { .. } | Request::WalApply { .. } => self.error(
-                &id,
-                ErrorCode::Unsupported,
-                "WAL ops address a node, not the router",
-            ),
             // Answered by `control` above.
             Request::Ping | Request::NodeInfo | Request::Stats | Request::Metrics => {
                 self.error(&id, ErrorCode::Internal, "control op reached routing")
@@ -789,36 +787,26 @@ impl Router {
             if group.is_empty() {
                 continue;
             }
-            let sub = json::encode_request(&Request::Observe {
+            let ask = Ask::Observe {
                 cells,
-                sightings: group,
-                ship: true,
-            });
-            let served = self
-                .call_shard(shard, Ask::Line(&sub), deadline)
-                .and_then(|(reply, owner)| Ok((reply.into_line()?, owner)));
-            let (response, applied_on) = match served {
+                sightings: &group,
+            };
+            let (reply, applied_on) = match self.call_shard(shard, ask, deadline) {
                 Ok(served) => served,
                 Err(error) => return self.error(id, ErrorCode::Unavailable, &error),
             };
-            if response.get("ok").and_then(Value::as_bool) != Some(true) {
+            let ack = match reply {
+                Reply::Observed(ack) => ack,
                 // Pass the shard's own error (degraded, overloaded
                 // after budget, bad_request) through unchanged.
-                return LineOutcome {
-                    response: self.stamp(response, shard),
-                    shutdown: false,
-                };
-            }
-            ingested += response
-                .get("ingested")
-                .and_then(Value::as_u64)
-                .unwrap_or(0);
-            if let Some(batch) = response.get("versions").and_then(Value::as_object) {
-                for (device, version) in batch {
-                    match versions.iter_mut().find(|(d, _)| d == device) {
-                        Some(entry) => entry.1 = version.clone(),
-                        None => versions.push((device.clone(), version.clone())),
-                    }
+                Reply::Frame(op::ERROR, payload) => return self.relay_error(id, &payload, shard),
+                other => return self.error(id, ErrorCode::Internal, &other.unexpected()),
+            };
+            ingested += ack.ingested;
+            for (device, version) in ack.versions {
+                match versions.iter_mut().find(|(d, _)| *d == device) {
+                    Some(entry) => entry.1 = Value::from(version),
+                    None => versions.push((device, Value::from(version))),
                 }
             }
             // Replicate before acking: a SIGKILLed owner must never
@@ -830,12 +818,8 @@ impl Router {
             // the backend that ingested the batch: if the shard fails
             // over in between, the ack must fail — the sighting lives
             // only on the deposed owner.
-            if let Err(error) = self.ship_shard(
-                shard,
-                applied_on,
-                Appended::from_ack(&response).as_ref(),
-                deadline,
-            ) {
+            let appended = ack.frames.map(Appended::from);
+            if let Err(error) = self.ship_shard(shard, applied_on, appended.as_ref(), deadline) {
                 return self.error(
                     id,
                     ErrorCode::Unavailable,
@@ -1001,19 +985,57 @@ impl Router {
     /// echoed, `null` when the request had none) with the
     /// `router_epoch` stamp last.
     fn error(&self, id: &Value, code: ErrorCode, message: &str) -> LineOutcome {
-        let line = json::error_line(
-            None,
-            &ErrorBody {
-                id,
-                code,
-                message,
-                retry_after_ms: None,
-            },
-        );
+        let body = ErrorBody {
+            id,
+            code,
+            message,
+            retry_after_ms: None,
+        };
+        self.error_line(None, &body, None)
+    }
+
+    /// A shard's `ERROR` frame relayed to the client as the error line
+    /// the shard would have answered a v1 line with — its node, code,
+    /// message and retry hint, the client's `id` — stamped like any
+    /// forwarded answer.
+    fn relay_error(&self, id: &Value, payload: &[u8], shard: usize) -> LineOutcome {
+        match binary::decode_error(payload) {
+            Ok((_, error)) => {
+                let body = ErrorBody {
+                    id,
+                    code: error.code,
+                    message: error.message,
+                    retry_after_ms: error.retry_after_ms,
+                };
+                self.error_line(error.node, &body, Some(shard))
+            }
+            // `Conn::call` decoded the frame before handing it over.
+            Err(message) => self.error(id, ErrorCode::Internal, message),
+        }
+    }
+
+    /// An error line stamped with the serving `shard` (a forwarded
+    /// answer) and the `router_epoch`, in the order [`Router::stamp`]
+    /// appends them.
+    fn error_line(
+        &self,
+        node: Option<&str>,
+        body: &ErrorBody<'_>,
+        shard: Option<usize>,
+    ) -> LineOutcome {
+        let line = json::error_line(node, body);
         // `line` is one JSON object: reopen it before its closing brace.
-        let body = line.strip_suffix('}').unwrap_or(&line);
+        let mut response = line.strip_suffix('}').unwrap_or(&line).to_string();
+        let name = shard.and_then(|shard| {
+            let membership = self.membership.lock().unwrap_or_else(|e| e.into_inner());
+            membership.map.shards.get(shard).cloned()
+        });
+        if let Some(name) = name {
+            response.push_str(&format!(",\"shard\":{}", Value::Str(name)));
+        }
+        response.push_str(&format!(",\"router_epoch\":{}}}", self.epoch()));
         LineOutcome {
-            response: format!("{body},\"router_epoch\":{}}}", self.epoch()),
+            response,
             shutdown: false,
         }
     }
@@ -1205,6 +1227,62 @@ mod tests {
             }
         });
         addr
+    }
+
+    /// A backend answering every native request, `delay` after it
+    /// arrives, with the sealed frame `answer` encodes for the request's
+    /// op and id.
+    fn native_backend<F>(delay: Duration, answer: F) -> String
+    where
+        F: Fn(&mut Vec<u8>, u8, IdView<'_>) + Clone + Send + 'static,
+    {
+        backend(
+            move |request_op, payload| {
+                std::thread::sleep(delay);
+                let mut out = Vec::new();
+                answer(
+                    &mut out,
+                    request_op,
+                    binary::id_of(payload).unwrap_or(IdView::Null),
+                );
+                out
+            },
+            None,
+        )
+    }
+
+    /// An owner whose WAL tail is empty: every `WAL_SHIP` reads nothing.
+    fn empty_owner() -> String {
+        native_backend(Duration::ZERO, |out, _, id| {
+            let tail = pager_profiles::WalSegment {
+                generation: 0,
+                offset: 0,
+                bytes: Vec::new(),
+                latest_generation: 0,
+                end_of_generation: false,
+            };
+            binary::encode_wal_segment(out, id, &tail);
+        })
+    }
+
+    /// A replica that applies every `WAL_APPLY` as 2 records in 8
+    /// bytes, answering `delay` after it arrives.
+    fn applying_replica(delay: Duration) -> String {
+        native_backend(delay, |out, _, id| {
+            let applied = binary::WalApplied {
+                applied: 2,
+                consumed: 8,
+                profile_version: 2,
+            };
+            binary::encode_wal_applied(out, id, &applied);
+        })
+    }
+
+    /// An owner refusing every request with this `ERROR`.
+    fn refusing_owner(code: ErrorCode, message: &'static str, retry: Option<u64>) -> String {
+        native_backend(Duration::ZERO, move |out, _, id| {
+            binary::encode_error_response(out, id, Some("n0"), code, message, retry);
+        })
     }
 
     /// A sealed (or, with `sealed` false, unsealed) `PLAN_RESP` echoing
@@ -1471,7 +1549,7 @@ mod tests {
     #[test]
     fn ship_forwards_appended_frames_once_and_catches_up_gaps() {
         use crate::ship::{Appended, Cursor};
-        // The owner answers every `wal_ship` with an empty tail; the
+        // The owner answers every `WAL_SHIP` with an empty tail; the
         // replica applies every chunk as 2 records in 8 bytes.
         let router = Router::new(
             vec![ShardSpec {
@@ -1479,11 +1557,11 @@ mod tests {
                 backends: vec![
                     BackendSpec {
                         node: "n0".to_string(),
-                        addr: scripted_backend("{\"ok\":true}"),
+                        addr: empty_owner(),
                     },
                     BackendSpec {
                         node: "n1".to_string(),
-                        addr: scripted_backend("{\"ok\":true,\"applied\":2,\"consumed\":8}"),
+                        addr: applying_replica(Duration::ZERO),
                     },
                 ],
             }],
@@ -1526,20 +1604,22 @@ mod tests {
     fn ship_catches_up_when_the_owner_reopened_under_the_cursor() {
         use crate::ship::{Appended, Cursor};
         // The owner reopened and recovered a WAL shorter than the
-        // replica's cursor: every `wal_ship` from the cursor fails.
+        // replica's cursor: every `WAL_SHIP` from the cursor fails.
         let router = Router::new(
             vec![ShardSpec {
                 shard: "s0".to_string(),
                 backends: vec![
                     BackendSpec {
                         node: "n0".to_string(),
-                        addr: scripted_backend(
-                            "{\"ok\":false,\"error\":\"offset 8 beyond WAL length 0 for generation 0\"}",
+                        addr: refusing_owner(
+                            ErrorCode::BadRequest,
+                            "offset 8 beyond WAL length 0 for generation 0",
+                            None,
                         ),
                     },
                     BackendSpec {
                         node: "n1".to_string(),
-                        addr: scripted_backend("{\"ok\":true,\"applied\":2,\"consumed\":8}"),
+                        addr: applying_replica(Duration::ZERO),
                     },
                 ],
             }],
@@ -1594,7 +1674,7 @@ mod tests {
     #[test]
     fn a_replica_answering_after_the_deadline_is_kept() {
         use crate::ship::{Appended, Cursor};
-        // The replica is healthy but slow: its `wal_apply` answer
+        // The replica is healthy but slow: its `WAL_APPLY` answer
         // arrives after the observe's replication budget is spent.
         let router = Router::new(
             vec![ShardSpec {
@@ -1602,14 +1682,11 @@ mod tests {
                 backends: vec![
                     BackendSpec {
                         node: "n0".to_string(),
-                        addr: scripted_backend("{\"ok\":true}"),
+                        addr: empty_owner(),
                     },
                     BackendSpec {
                         node: "n1".to_string(),
-                        addr: scripted_backend_after(
-                            "{\"ok\":true,\"applied\":2,\"consumed\":8}",
-                            Duration::from_millis(400),
-                        ),
+                        addr: applying_replica(Duration::from_millis(400)),
                     },
                 ],
             }],
@@ -1646,7 +1723,7 @@ mod tests {
                 backends: vec![
                     BackendSpec {
                         node: "n0".to_string(),
-                        addr: scripted_backend("{\"ok\":true}"),
+                        addr: empty_owner(),
                     },
                     BackendSpec {
                         node: "n1".to_string(),
@@ -1687,6 +1764,46 @@ mod tests {
             router.metrics.transport_errors.get(),
             u64::from(BREAKER_THRESHOLD)
         );
+    }
+
+    #[test]
+    fn an_owners_error_reaches_the_client_as_its_error_line() {
+        // What the owner's JSON error line became after the router
+        // restored the id and stamped it: the line an `ERROR` frame must
+        // relay byte for byte.
+        let observe = r#"{"cmd":"observe","cells":4,"deadline_ms":300,"sightings":[{"device":"d","cell":1,"time":1.0}]}"#;
+        let degraded = one_backend_router(refusing_owner(
+            ErrorCode::Degraded,
+            "data disk failed; observes are refused",
+            None,
+        ));
+        assert_eq!(
+            degraded.handle_line(observe).response,
+            r#"{"v":1,"id":null,"ok":false,"code":"degraded","error":"data disk failed; observes are refused","node":"n0","shard":"s0","router_epoch":0}"#
+        );
+        // An overload whose hint outlasts the budget is relayed at once,
+        // hint and all.
+        let overloaded = one_backend_router(refusing_owner(
+            ErrorCode::Overloaded,
+            "server overloaded, retry after 5000 ms",
+            Some(5000),
+        ));
+        assert_eq!(
+            overloaded.handle_line(observe).response,
+            r#"{"v":1,"id":null,"ok":false,"code":"overloaded","error":"server overloaded, retry after 5000 ms","node":"n0","retry_after_ms":5000,"shard":"s0","router_epoch":0}"#
+        );
+        assert_eq!(overloaded.metrics.shed_passthrough.get(), 1);
+        assert_eq!(overloaded.metrics.retries.get(), 0);
+        // The relayed line echoes the client's id.
+        let named = overloaded.handle_line(&observe.replacen("{", r#"{"id":"o-1","#, 1));
+        assert!(
+            named
+                .response
+                .starts_with(r#"{"v":1,"id":"o-1","ok":false,"code":"overloaded""#),
+            "{}",
+            named.response
+        );
+        assert_eq!(overloaded.metrics.byzantine_replies.get(), 0);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! WAL shipping: keeping a shard's replicas warm.
 //!
-//! A routed `observe` replicates in two hops. The router sends the
-//! sub-batch to the owner with the router-internal `ship` flag, and
-//! the owner's ack carries the WAL frames that batch appended
-//! (`wal_incarnation`, `wal_generation`, `wal_offset`, hex
-//! `wal_bytes`; omitted for a batch over one ship window). The router then
-//! forwards those bytes to each replica (`wal_apply`) **before**
-//! acking the client. The owner stamps profile versions in WAL-apply
+//! A routed `observe` replicates in two hops, both native v2 frames.
+//! The router sends the sub-batch to the owner as an `OBSERVE`, and the
+//! owner's `OBSERVE_RESP` carries the raw WAL frames that batch
+//! appended, with the owner's incarnation and where they start
+//! (omitted for a batch over one ship window). The router then forwards
+//! those bytes to each replica (`WAL_APPLY`) **before** acking the
+//! client. The owner stamps profile versions in WAL-apply
 //! order under its WAL lock, so a replica fed only shipped frames, in
 //! order, reproduces the owner's version numbering exactly — which is
 //! what lets failover promise both "no acked sighting lost" and "no
@@ -23,7 +23,7 @@
 //! gap left by an unreplicated write, a generation rollover, a replica
 //! join, a frame the replica did not fully consume, an ack without
 //! frames, a reopened owner, or a new owner after failover — falls
-//! back to the catch-up loop: tail the owner's WAL with `wal_ship`
+//! back to the catch-up loop: tail the owner's WAL with `WAL_SHIP`
 //! from the cursor (which fails if the cursor is past the owner's
 //! WAL) and apply each window until the cursor reaches the owner's
 //! tip.
@@ -34,10 +34,11 @@
 
 use std::collections::HashMap;
 
-use jsonio::Value;
 use pager_core::cancel::CancelToken;
-use pager_profiles::wal::{decode_hex, SHIP_WINDOW_BYTES};
-use pager_wire::{json, Request};
+use pager_profiles::wal::SHIP_WINDOW_BYTES;
+use pager_profiles::WalAppend;
+use pager_wire::binary::{self, WalShip};
+use pager_wire::frame::op;
 
 use crate::router::Router;
 use crate::wire::{Ask, Reply};
@@ -90,24 +91,20 @@ pub(crate) struct Appended {
     pub(crate) bytes: Vec<u8>,
 }
 
-impl Appended {
-    /// Reads the frames off an observe ack sent with `ship` set.
-    /// `None` when the ack has none (an in-memory owner) or they do
-    /// not decode; the catch-up loop then covers the batch.
-    pub(crate) fn from_ack(ack: &Value) -> Option<Appended> {
-        let incarnation = ack.get("wal_incarnation")?.as_u64()?;
-        let at = Cursor {
-            generation: ack.get("wal_generation")?.as_u64()?,
-            offset: ack.get("wal_offset")?.as_u64()?,
-        };
-        let bytes = decode_hex(ack.get("wal_bytes")?.as_str()?).ok()?;
-        Some(Appended {
-            incarnation,
-            at,
-            bytes,
-        })
+impl From<WalAppend> for Appended {
+    fn from(append: WalAppend) -> Appended {
+        Appended {
+            incarnation: append.incarnation,
+            at: Cursor {
+                generation: append.generation,
+                offset: append.offset,
+            },
+            bytes: append.bytes,
+        }
     }
+}
 
+impl Appended {
     /// The cursor just past these frames.
     fn end(&self) -> Cursor {
         Cursor {
@@ -247,7 +244,7 @@ impl Router {
             .map(|records| applied + records)
     }
 
-    /// Sends `bytes` to `replica` as one `wal_apply`, returning the
+    /// Sends `bytes` to `replica` as one `WAL_APPLY`, returning the
     /// records it applied and the bytes it consumed.
     fn apply_to_replica(
         &self,
@@ -259,16 +256,12 @@ impl Router {
         if deadline.is_cancelled() {
             return Err(exhausted());
         }
-        let apply = json::encode_request(&Request::WalApply {
-            bytes: bytes.to_vec(),
-        });
         // A reply cut off by the deadline fails the ack: the replica
         // may be healthy, only the budget ran out. Once the failure
         // opens the replica's breaker, it has failed
         // `BREAKER_THRESHOLD` calls in a row and is dropped.
-        let outcome = self
-            .call_backend(replica, Ask::Line(&apply), deadline)
-            .and_then(Reply::into_line)
+        let reply = self
+            .call_backend(replica, Ask::WalApply(bytes), deadline)
             .map_err(|_| {
                 if deadline.is_cancelled() && !self.breaker_open(replica) {
                     exhausted()
@@ -276,14 +269,14 @@ impl Router {
                     ShipError::Replica(())
                 }
             })?;
-        if outcome.get("ok").and_then(Value::as_bool) != Some(true) {
-            return Err(ShipError::Replica(()));
+        match reply {
+            Reply::Applied(applied) => Ok((applied.applied, applied.consumed)),
+            // The replica refused the frames (an `ERROR`).
+            _ => Err(ShipError::Replica(())),
         }
-        let field = |name| outcome.get(name).and_then(Value::as_u64).unwrap_or(0);
-        Ok((field("applied"), field("consumed")))
     }
 
-    /// Tails `owner`'s WAL from `cursor` with `wal_ship` and applies
+    /// Tails `owner`'s WAL from `cursor` with `WAL_SHIP` and applies
     /// it to `replica` until the cursor reaches the owner's tip or
     /// `deadline` fires.
     fn catch_up(
@@ -303,38 +296,27 @@ impl Router {
                     "replication deadline exhausted".to_string(),
                 ));
             }
-            let request = json::encode_request(&Request::WalShip {
+            let read = WalShip {
                 generation: cursor.generation,
                 offset: cursor.offset,
-                max_bytes: SHIP_WINDOW_BYTES,
-            });
+                max_bytes: SHIP_WINDOW_BYTES as u64,
+            };
             self.metrics.ship_catchups.inc();
-            let export = self
-                .call_backend(owner, Ask::Line(&request), deadline)
-                .and_then(Reply::into_line)
-                .map_err(ShipError::Owner)?;
-            if export.get("ok").and_then(Value::as_bool) != Some(true) {
-                let error = export
-                    .get("error")
-                    .and_then(Value::as_str)
-                    .unwrap_or("wal_ship failed")
-                    .to_string();
-                return Err(ShipError::Owner(error));
-            }
-            let len = export.get("len").and_then(Value::as_u64).unwrap_or(0);
-            let end_of_generation = export
-                .get("end_of_generation")
-                .and_then(Value::as_bool)
-                .unwrap_or(false);
-            if len > 0 {
-                let bytes = decode_hex(
-                    export
-                        .get("bytes")
-                        .and_then(Value::as_str)
-                        .unwrap_or_default(),
-                )
-                .map_err(|e| ShipError::Owner(format!("wal_ship exported bad hex: {e}")))?;
-                let (records, consumed) = self.apply_to_replica(replica, &bytes, deadline)?;
+            let export = match self
+                .call_backend(owner, Ask::WalShip(read), deadline)
+                .map_err(ShipError::Owner)?
+            {
+                Reply::Segment(segment) => segment,
+                Reply::Frame(op::ERROR, payload) => {
+                    let error = binary::decode_error(&payload)
+                        .map_or("wal_ship failed", |(_, error)| error.message);
+                    return Err(ShipError::Owner(error.to_string()));
+                }
+                other => return Err(ShipError::Owner(other.unexpected())),
+            };
+            if !export.bytes.is_empty() {
+                let (records, consumed) =
+                    self.apply_to_replica(replica, &export.bytes, deadline)?;
                 applied += records;
                 if consumed == 0 {
                     // A window bigger than any frame yielded no full
@@ -345,7 +327,7 @@ impl Router {
                     ));
                 }
                 cursor.offset += consumed;
-            } else if end_of_generation {
+            } else if export.end_of_generation {
                 cursor.generation += 1;
                 cursor.offset = 0;
             } else {

@@ -3,8 +3,11 @@
 //! One TCP connection to a `pager-serve` node. The router's traffic
 //! takes one path, `Conn::call`: write one sealed v2 frame, read the
 //! sealed reply frame that answers it. The request is a v1 line
-//! (carried in a `JSON_REQ` frame, answered by a `JSON_RESP`) or a
-//! native `PLAN` payload (answered by a `PLAN_RESP` or an `ERROR`).
+//! (carried in a `JSON_REQ` frame, answered by a `JSON_RESP`), a
+//! native `PLAN` payload (answered by a `PLAN_RESP` or an `ERROR`), or
+//! one of the three replication ops the router builds itself —
+//! `OBSERVE`, `WAL_APPLY`, `WAL_SHIP` — answered by its own answer op
+//! (decoded here) or an `ERROR`.
 //! [`Conn::round_trip`] is the plain unsealed v1 line, for tools that
 //! talk to one node directly.
 //!
@@ -15,8 +18,9 @@
 //! - **correlated**: the request's id travels as a per-connection
 //!   nonce, and the reply must echo it. For a line the nonce rides the
 //!   JSON `id`; for a `PLAN` it replaces the payload's leading `id`
-//!   field ([`binary::splice_id`]). The caller's id is restored in the
-//!   reply. A reply echoing an **earlier** nonce of this connection is
+//!   field ([`binary::splice_id`]), and a replication op is encoded
+//!   with it as its `id`. The caller's id is restored in a line or
+//!   `PLAN` reply. A reply echoing an **earlier** nonce of this connection is
 //!   a stale duplicate — a duplicated TCP segment replayed a whole
 //!   response frame, which the CRC cannot catch — and is skipped; any
 //!   other id poisons the connection.
@@ -33,6 +37,8 @@ use std::time::Duration;
 use jsonio::metrics::Counter;
 use jsonio::Value;
 use pager_core::cancel::CancelToken;
+use pager_profiles::{Sighting, WalSegment};
+use pager_wire::binary::{ObserveAck, WalApplied, WalShip};
 use pager_wire::frame::{self, op, Split};
 use pager_wire::{binary, ErrorCode, IdView};
 
@@ -54,15 +60,34 @@ pub(crate) enum Ask<'a> {
     Line(&'a str),
     /// A native `PLAN` payload, as the client sent it.
     Plan(&'a [u8]),
+    /// An `OBSERVE` of one shard's sub-batch.
+    Observe {
+        /// Number of cells the sighted area has.
+        cells: usize,
+        /// The sub-batch, in batch order.
+        sightings: &'a [Sighting],
+    },
+    /// A `WAL_APPLY` of raw WAL frames.
+    WalApply(&'a [u8]),
+    /// A `WAL_SHIP` read of the owner's WAL.
+    WalShip(WalShip),
 }
 
-/// A backend's answer to an [`Ask`], with the caller's id restored.
+/// A backend's answer to an [`Ask`], with the caller's id restored in
+/// a line or `PLAN` answer.
 #[derive(Debug)]
 pub(crate) enum Reply {
     /// The JSON answer to [`Ask::Line`].
     Line(Value),
-    /// The op and payload of the answer to [`Ask::Plan`].
+    /// The op and payload of the answer to [`Ask::Plan`], and the
+    /// `ERROR` frame answering any native ask.
     Frame(u8, Vec<u8>),
+    /// The `OBSERVE_RESP` answering [`Ask::Observe`].
+    Observed(ObserveAck),
+    /// The `WAL_APPLY_RESP` answering [`Ask::WalApply`].
+    Applied(WalApplied),
+    /// The `WAL_SHIP_RESP` answering [`Ask::WalShip`].
+    Segment(WalSegment),
 }
 
 impl Reply {
@@ -71,7 +96,7 @@ impl Reply {
     pub(crate) fn into_line(self) -> Result<Value, String> {
         match self {
             Reply::Line(value) => Ok(value),
-            Reply::Frame(op, _) => Err(format!("backend answered a line with op {op:#04x}")),
+            other => Err(other.unexpected()),
         }
     }
 
@@ -80,8 +105,22 @@ impl Reply {
     pub(crate) fn into_frame(self) -> Result<(u8, Vec<u8>), String> {
         match self {
             Reply::Frame(op, payload) => Ok((op, payload)),
-            Reply::Line(_) => Err("backend answered a frame with a line".to_string()),
+            other => Err(other.unexpected()),
         }
+    }
+
+    /// Why this reply cannot answer the caller's ask: [`Conn::call`]
+    /// answers each ask with its own answer op or an `ERROR`, so only a
+    /// router bug reaches this.
+    pub(crate) fn unexpected(&self) -> String {
+        let what = match self {
+            Reply::Line(_) => "a line",
+            Reply::Frame(op, _) => return format!("backend answered with op {op:#04x}"),
+            Reply::Observed(_) => "an observe ack",
+            Reply::Applied(_) => "a wal apply ack",
+            Reply::Segment(_) => "a wal segment",
+        };
+        format!("backend answered with {what} the ask cannot produce")
     }
 
     /// `Some(retry_after_ms)` when the backend shed the request as
@@ -89,23 +128,21 @@ impl Reply {
     /// protocol.
     #[must_use]
     pub(crate) fn overload_retry(&self) -> Option<u64> {
-        let decoded;
-        let value = match self {
-            Reply::Line(value) => value,
-            Reply::Frame(reply_op, payload) if *reply_op == op::ERROR => {
-                decoded = binary::response_to_value(*reply_op, payload).ok()?;
-                &decoded
-            }
-            Reply::Frame(..) => return None,
-        };
-        (value.get("code").and_then(Value::as_str) == Some(ErrorCode::Overloaded.as_str())).then(
-            || {
+        let (code, retry_after_ms) = match self {
+            Reply::Line(value) => (
                 value
-                    .get("retry_after_ms")
-                    .and_then(Value::as_u64)
-                    .unwrap_or(10)
-            },
-        )
+                    .get("code")
+                    .and_then(Value::as_str)
+                    .and_then(ErrorCode::parse)?,
+                value.get("retry_after_ms").and_then(Value::as_u64),
+            ),
+            Reply::Frame(reply_op, payload) if *reply_op == op::ERROR => {
+                let (_, error) = binary::decode_error(payload).ok()?;
+                (error.code, error.retry_after_ms)
+            }
+            _ => return None,
+        };
+        (code == ErrorCode::Overloaded).then(|| retry_after_ms.unwrap_or(10))
     }
 }
 
@@ -243,7 +280,66 @@ impl Conn {
                     },
                 )
             }
+            Ask::Observe { cells, sightings } => {
+                binary::encode_observe(&mut wire, IdView::U64(nonce), cells, sightings);
+                self.exchange_native(&wire, op::OBSERVE_RESP, deadline, cap, nonce, &byzantine)
+            }
+            Ask::WalApply(bytes) => {
+                binary::encode_wal_apply(&mut wire, IdView::U64(nonce), bytes);
+                self.exchange_native(&wire, op::WAL_APPLY_RESP, deadline, cap, nonce, &byzantine)
+            }
+            Ask::WalShip(ship) => {
+                binary::encode_wal_ship(&mut wire, IdView::U64(nonce), &ship);
+                self.exchange_native(&wire, op::WAL_SHIP_RESP, deadline, cap, nonce, &byzantine)
+            }
         }
+    }
+
+    /// [`Conn::exchange`] for a replication op already encoded in
+    /// `wire`: the reply must be `answer_op` (the one answer op the
+    /// request can produce) or an `ERROR`, and is decoded straight off
+    /// the read buffer; one that does not decode is byzantine.
+    fn exchange_native(
+        &mut self,
+        wire: &[u8],
+        answer_op: u8,
+        deadline: &CancelToken,
+        cap: Duration,
+        nonce: u64,
+        byzantine: &impl Fn(&str) -> String,
+    ) -> Result<Reply, String> {
+        self.exchange(
+            wire,
+            deadline,
+            cap,
+            nonce,
+            byzantine,
+            |reply_op, payload| {
+                let decoded = match reply_op {
+                    op::ERROR => binary::decode_error(payload)
+                        .map(|(id, _)| (id, Reply::Frame(reply_op, payload.to_vec()))),
+                    op::OBSERVE_RESP if answer_op == reply_op => {
+                        binary::decode_observe_ack(payload)
+                            .map(|(id, ack)| (id, Reply::Observed(ack)))
+                    }
+                    op::WAL_APPLY_RESP if answer_op == reply_op => {
+                        binary::decode_wal_applied(payload)
+                            .map(|(id, applied)| (id, Reply::Applied(applied)))
+                    }
+                    op::WAL_SHIP_RESP if answer_op == reply_op => {
+                        binary::decode_wal_segment(payload)
+                            .map(|(id, segment)| (id, Reply::Segment(segment)))
+                    }
+                    _ => {
+                        let what = format!("op {reply_op:#04x} where {answer_op:#04x} was owed");
+                        return Err(byzantine(&what));
+                    }
+                };
+                let (echoed, reply) = decoded
+                    .map_err(|e| byzantine(&format!("bad op {reply_op:#04x} payload: {e}")))?;
+                Ok((nonce_of(echoed), reply))
+            },
+        )
     }
 
     /// The one correlation loop: writes `wire`, then reads sealed reply

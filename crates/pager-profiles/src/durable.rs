@@ -157,7 +157,7 @@ impl Default for DurabilityConfig {
     }
 }
 
-/// One chunk of WAL bytes exported for shipping (the `wal_ship` wire
+/// One chunk of WAL bytes exported for shipping (the `WAL_SHIP_RESP`
 /// op's payload). `bytes` starts at `offset` within generation
 /// `generation`'s log and holds only whole bytes as they are on disk —
 /// the receiver runs [`crate::wal::scan`] and advances its cursor by

@@ -50,11 +50,10 @@ pub const RECORD_VERSION: u8 = 1;
 /// plus ~17 bytes).
 pub const MAX_RECORD_BYTES: u32 = 1 << 20;
 
-/// Most WAL bytes one shipping message carries: a `wal_ship` window,
+/// Most WAL bytes one shipping message carries: a `WAL_SHIP` window,
 /// and the frames an observe ack may forward (a larger batch leaves
-/// them to `wal_ship`). Above the largest frame, so every window makes
-/// progress; hex doubles it on the wire, well under the 16 MiB frame
-/// limit.
+/// them to `WAL_SHIP`). Above the largest frame, so every window makes
+/// progress, and well under the wire's 16 MiB frame limit.
 pub const SHIP_WINDOW_BYTES: usize = 2 * 1024 * 1024;
 const _: () = assert!(SHIP_WINDOW_BYTES > MAX_RECORD_BYTES as usize + HEADER_BYTES);
 
@@ -72,28 +71,58 @@ pub const EXTENT_BYTES: usize = 256 * 1024;
 /// truncates the log and the acked records behind it.
 pub const MAX_DEVICE_BYTES: usize = 4096;
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320).
-#[must_use]
-pub fn crc32(data: &[u8]) -> u32 {
-    // One table lookup per byte; the table is built at compile time.
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
+/// The CRC-32 lookup tables, built at compile time: `CRC_TABLES[0]` is
+/// the classic one-byte table, and `CRC_TABLES[k][i]` is the CRC of
+/// byte `i` followed by `k` zero bytes, so eight lookups advance the
+/// CRC by eight bytes at once (slicing-by-8).
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
         let mut i = 0;
         while i < 256 {
-            let mut crc = i as u32;
-            let mut bit = 0;
-            while bit < 8 {
-                crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
-                bit += 1;
-            }
-            table[i] = crc;
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
             i += 1;
         }
-        table
-    };
+        k += 1;
+    }
+    tables
+};
+
+/// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320). The one
+/// copy: every WAL record and every sealed wire frame is checked with
+/// it.
+#[must_use]
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &byte in data {
-        crc = (crc >> 8) ^ TABLE[((crc ^ u32::from(byte)) & 0xFF) as usize];
+    let mut words = data.chunks_exact(8);
+    for word in &mut words {
+        let lo = crc ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+        let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &byte in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
     !crc
 }
@@ -138,46 +167,6 @@ pub fn encode_record(sighting: &SightingRecord) -> Result<Vec<u8>, String> {
     frame.extend_from_slice(&crc32(&body).to_le_bytes());
     frame.extend_from_slice(&body);
     Ok(frame)
-}
-
-/// Lowercase-hex encoding for shipping raw WAL frames over the
-/// JSON-lines wire (the `wal_ship` op): JSON strings cannot carry
-/// arbitrary bytes, and hex keeps the framing byte-exact so the
-/// receiving side can run the same [`scan`] the recovery path runs.
-#[must_use]
-pub fn encode_hex(bytes: &[u8]) -> String {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for &b in bytes {
-        out.push(DIGITS[usize::from(b >> 4)] as char);
-        out.push(DIGITS[usize::from(b & 0xF)] as char);
-    }
-    out
-}
-
-/// Inverse of [`encode_hex`] (case-insensitive).
-///
-/// # Errors
-///
-/// A message on odd length or a non-hex character.
-pub fn decode_hex(text: &str) -> Result<Vec<u8>, String> {
-    if !text.len().is_multiple_of(2) {
-        return Err(format!("hex payload has odd length {}", text.len()));
-    }
-    fn nibble(c: u8) -> Result<u8, String> {
-        match c {
-            b'0'..=b'9' => Ok(c - b'0'),
-            b'a'..=b'f' => Ok(c - b'a' + 10),
-            b'A'..=b'F' => Ok(c - b'A' + 10),
-            other => Err(format!("non-hex byte 0x{other:02x} in payload")),
-        }
-    }
-    let raw = text.as_bytes();
-    let mut out = Vec::with_capacity(raw.len() / 2);
-    for pair in raw.chunks_exact(2) {
-        out.push((nibble(pair[0])? << 4) | nibble(pair[1])?);
-    }
-    Ok(out)
 }
 
 fn read_u32(bytes: &[u8], at: usize) -> Option<u32> {
@@ -318,6 +307,40 @@ mod tests {
         assert_eq!(crc32(&kib), 0x7C32_1B5D);
     }
 
+    /// The bytewise CRC-32 loop: one table lookup per byte.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &byte in data {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    #[test]
+    fn slicing_by_8_matches_the_bytewise_loop() {
+        // Every length to 4 KiB, from every start within a word, so each
+        // split between the 8-byte loop and the tail is covered.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let data: Vec<u8> = (0..4096 + 8)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 24) as u8
+            })
+            .collect();
+        for start in 0..8 {
+            for len in 0..=4096 {
+                let bytes = &data[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "start {start} len {len}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn record_bytes_are_pinned() {
         // The on-disk format: recovery of existing logs depends on it.
@@ -452,22 +475,6 @@ mod tests {
             scanned.frame_ends,
             vec![a.len() as u64, (a.len() + b.len()) as u64]
         );
-    }
-
-    #[test]
-    fn hex_round_trips_and_rejects_garbage() {
-        let frame = encode_record(&sighting("alice", 4, 1.0, 2)).unwrap();
-        let hex = encode_hex(&frame);
-        assert_eq!(decode_hex(&hex).unwrap(), frame);
-        // Decoded frames scan exactly like the originals.
-        let rescanned = scan(&decode_hex(&hex).unwrap());
-        assert_eq!(rescanned.records.len(), 1);
-        assert_eq!(rescanned.records[0].device, "alice");
-        // Case-insensitive.
-        assert_eq!(decode_hex(&hex.to_uppercase()).unwrap(), frame);
-        assert_eq!(decode_hex("").unwrap(), Vec::<u8>::new());
-        assert!(decode_hex("abc").is_err(), "odd length");
-        assert!(decode_hex("zz").is_err(), "non-hex");
     }
 
     #[test]

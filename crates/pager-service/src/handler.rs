@@ -17,9 +17,11 @@
 //!   with a `retry_after_ms` hint, coalesced when it has a key, and
 //!   downgraded at its deadline. The watchdog is armed at its admission
 //!   token.
-//! * **I/O pool** — `observe` (WAL append + fsync before the ack) and
-//!   WAL ship/apply never shed and may block, so they run on the
-//!   engine's I/O pool under the server's default deadline.
+//! * **I/O pool** — a v1 `observe` (WAL append + fsync before the ack)
+//!   and the native replication frames (`OBSERVE`, `WAL_APPLY`,
+//!   `WAL_SHIP`, decoded on the shard thread) never shed and may block,
+//!   so they run on the engine's I/O pool under the server's default
+//!   deadline, all through one spawn ([`PagerService::on_io_pool`]).
 //!
 //! Answers are formatted by the same `proto` builders as
 //! [`proto::handle_line`] / [`proto::handle_frame`], so a TCP client
@@ -27,13 +29,15 @@
 
 use std::sync::Arc;
 
+use jsonio::Value;
 use pager_core::cancel::CancelToken;
 use pager_core::Instance;
+use pager_wire::frame::Framing;
 use pager_wire::{IdBuf, PlanSpec};
 
 use crate::engine::{Call, Gauges, Handler, Reply};
 use crate::error::ServiceError;
-use crate::proto::{self, FrameDispatch, Request};
+use crate::proto::{self, FrameDispatch, Replication, Request};
 use crate::service::{Callback, PagerService, PlanResponse, Planned};
 
 impl Handler for PagerService {
@@ -80,19 +84,14 @@ impl Handler for PagerService {
                 });
                 reply(call, planned, &render)
             }
-            request @ (Request::Observe { .. }
-            | Request::WalShip { .. }
-            | Request::WalApply { .. }) => {
-                let done = call.later(&self.io_deadline());
-                call.spawn(move || {
-                    // lint:allow(no-blocking-in-reactor): this closure
-                    // runs on the I/O pool, not the shard thread;
-                    // blocking on disk here is the design.
-                    let outcome = proto::handle_request(&self, Ok(request), &id);
-                    done.answer_line(&outcome.response, false)
-                });
-                Reply::Later
-            }
+            request @ Request::Observe { .. } => self.on_io_pool(
+                call,
+                IoJob::Line {
+                    request,
+                    id,
+                    framing,
+                },
+            ),
             control => {
                 let outcome = proto::handle_control(&self, control, &id);
                 call.reply_line(&outcome.response, outcome.shutdown);
@@ -107,6 +106,7 @@ impl Handler for PagerService {
             FrameDispatch::Solve { id, instance, spec } => {
                 self.solve_frame(id, &instance, spec, call)
             }
+            FrameDispatch::Replicate { id, op } => self.on_io_pool(call, IoJob::Frame { id, op }),
         }
     }
 
@@ -142,10 +142,50 @@ impl PagerService {
         reply(call, planned, &render)
     }
 
-    /// The watchdog deadline of I/O-pool work (observe, WAL ship/apply,
-    /// none of which carries a budget of its own): the server default.
-    fn io_deadline(&self) -> CancelToken {
-        CancelToken::from_budget_ms(self.config().default_deadline_ms)
+    /// Runs `job` on the engine's I/O pool and sends what it writes as
+    /// the answer. The watchdog deadline is the server default: none of
+    /// this work (observe, WAL ship/apply) carries a budget of its own.
+    fn on_io_pool(self: Arc<Self>, call: &mut Call<'_>, job: IoJob) -> Reply {
+        let deadline = CancelToken::from_budget_ms(self.config().default_deadline_ms);
+        let done = call.later(&deadline);
+        call.spawn(move || {
+            let mut out = Vec::new();
+            // lint:allow(no-blocking-in-reactor): this closure
+            // runs on the I/O pool, not the shard thread;
+            // blocking on disk here is the design.
+            job.run(&self, &mut out);
+            done.answer(out)
+        });
+        Reply::Later
+    }
+}
+
+/// Work that may block on disk, for [`PagerService::on_io_pool`].
+enum IoJob {
+    /// A v1 `observe`, answered with a line in the framing it came in.
+    Line {
+        request: Request,
+        id: Value,
+        framing: Framing,
+    },
+    /// A replication frame, answered natively.
+    Frame { id: IdBuf, op: Replication },
+}
+
+impl IoJob {
+    /// Runs the job and appends its answer to `out`.
+    fn run(self, service: &PagerService, out: &mut Vec<u8>) {
+        match self {
+            IoJob::Line {
+                request,
+                id,
+                framing,
+            } => {
+                let outcome = proto::handle_request(service, Ok(request), &id);
+                framing.append_line(&outcome.response, out);
+            }
+            IoJob::Frame { id, op } => proto::replicate(service, id.view(), op, out),
+        }
     }
 }
 
@@ -190,8 +230,8 @@ mod tests {
     use crate::engine::{serve_reactor_with, ReactorConfig, ReactorHandle};
     use crate::service::ServiceConfig;
     use jsonio::Value;
-    use pager_wire::binary;
     use pager_wire::frame::{self, op, Split};
+    use pager_wire::{binary, IdView};
     use std::io::{BufRead, BufReader, Read, Write};
     use std::net::TcpStream;
     use std::time::{Duration, Instant};
@@ -273,6 +313,44 @@ mod tests {
         // The exact tier is never solved inline: the plan was queued.
         assert_eq!(svc.metrics().queue_wait.count(), 1);
         assert_eq!(svc.metrics().solved_inline.get(), 0);
+    }
+
+    #[test]
+    fn replication_frames_are_answered_natively_off_the_shard() {
+        let svc = service();
+        let handle = start(Arc::clone(&svc));
+        let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+        let sighting = pager_profiles::Sighting {
+            device: "a".to_string(),
+            cell: 1,
+            time: 1.0,
+        };
+        let mut input = Vec::new();
+        binary::encode_observe(&mut input, IdView::U64(9), 3, &[sighting]);
+        let ship = binary::WalShip {
+            generation: 0,
+            offset: 0,
+            max_bytes: 64,
+        };
+        binary::encode_wal_ship(&mut input, IdView::U64(10), &ship);
+        stream.write_all(&input).unwrap();
+        let mut buf = Vec::new();
+        let Msg::Frame(op1, p1) = read_message(&mut stream, &mut buf) else {
+            panic!("expected an observe ack frame");
+        };
+        assert_eq!(op1, op::OBSERVE_RESP);
+        let (id, ack) = binary::decode_observe_ack(&p1).unwrap();
+        assert_eq!(id, IdView::U64(9));
+        assert_eq!(ack.versions, vec![("a".to_string(), 1)]);
+        assert!(ack.frames.is_none(), "an in-memory node has no WAL frames");
+        // Without a data directory there is no WAL to ship.
+        let Msg::Frame(op2, p2) = read_message(&mut stream, &mut buf) else {
+            panic!("expected an error frame");
+        };
+        let v = binary::response_to_value(op2, &p2).unwrap();
+        assert_eq!(v.get("code").and_then(Value::as_str), Some("unsupported"));
+        assert_eq!(v.get("id").and_then(Value::as_u64), Some(10));
+        assert_eq!(svc.profiles().stats().sightings, 1);
     }
 
     #[test]

@@ -16,7 +16,11 @@
 //!   appended to the output buffer. `plan` frames first probe the
 //!   strategy cache straight from the borrowed payload
 //!   ([`PagerService::plan_cache_probe`]); a steady-state cache hit is
-//!   answered without a single heap allocation.
+//!   answered without a single heap allocation. The replication ops a
+//!   cluster router sends (`OBSERVE`, `WAL_APPLY`, `WAL_SHIP`) are
+//!   decoded here too, and answered natively from the same
+//!   [`Observed`], `WalApplyOutcome` and `WalSegment` values the service
+//!   returns.
 //!
 //! The TCP engine's [`PagerService`] handler and the stdio front
 //! ([`crate::server::serve_lines`]) both funnel through these
@@ -24,13 +28,14 @@
 //! construction.
 
 use jsonio::Value;
+use pager_wire::binary::{ObserveBatch, WalApplied, WalShip};
 use pager_wire::frame::{op, Message};
 use pager_wire::{binary, json, ErrorBody, IdBuf, IdView, PlanBody, PlanFrameView};
 
 pub use pager_wire::json::PROTOCOL_VERSION;
 pub use pager_wire::Request;
 
-use pager_profiles::wal::{encode_hex, SHIP_WINDOW_BYTES};
+use pager_profiles::wal::SHIP_WINDOW_BYTES;
 use pager_profiles::Estimator;
 
 use crate::error::ServiceError;
@@ -84,9 +89,9 @@ pub fn handle_request(
     }
 }
 
-/// [`handle_request`] for a control op — anything but `observe`, WAL
-/// ship/apply and the plans — answered without touching storage or a
-/// solver, so the engine runs it inline on a shard thread.
+/// [`handle_request`] for a control op — anything but `observe` and
+/// the plans — answered without touching storage or a solver, so the
+/// engine runs it inline on a shard thread.
 pub(crate) fn handle_control(service: &PagerService, request: Request, id: &Value) -> LineOutcome {
     LineOutcome {
         shutdown: matches!(request, Request::Shutdown),
@@ -102,69 +107,18 @@ pub(crate) fn handle_control(service: &PagerService, request: Request, id: &Valu
 fn respond(service: &PagerService, request: Request, id: &Value) -> String {
     let control = |fields| json::ok_line_with_id(service.node_id(), id, fields);
     match request {
-        Request::Observe {
-            cells,
-            sightings,
-            ship,
-        } => match service.observe(cells, &sightings) {
+        Request::Observe { cells, sightings } => match service.observe(cells, &sightings) {
             Err(error) => error_line(service, id, &error),
-            Ok(Observed { versions, appended }) => {
-                // Last version per device (a device may appear several
-                // times in one batch).
-                let mut latest: Vec<(String, Value)> = Vec::new();
-                for (device, version) in &versions {
-                    match latest.iter_mut().find(|(d, _)| d == device) {
-                        Some(entry) => entry.1 = Value::from(*version),
-                        None => latest.push((device.clone(), Value::from(*version))),
-                    }
-                }
-                let mut fields = vec![
+            Ok(Observed { versions, .. }) => {
+                let latest = latest_versions(&versions)
+                    .into_iter()
+                    .map(|(device, version)| (device.to_string(), Value::from(version)))
+                    .collect();
+                control(vec![
                     ("ingested", Value::from(versions.len())),
                     ("versions", Value::Object(latest)),
-                ];
-                // The router's two-hop replication: the appended
-                // frames ride the ack, so no `wal_ship` read-back. A
-                // batch over one ship window leaves them off, which
-                // bounds the ack; the router then catches the
-                // replicas up through `wal_ship`, window by window.
-                if let (true, Some(append)) = (ship, appended) {
-                    if append.bytes.len() <= SHIP_WINDOW_BYTES {
-                        fields.extend([
-                            ("wal_incarnation", Value::from(append.incarnation)),
-                            ("wal_generation", Value::from(append.generation)),
-                            ("wal_offset", Value::from(append.offset)),
-                            ("wal_bytes", Value::from(encode_hex(&append.bytes))),
-                        ]);
-                    }
-                }
-                control(fields)
+                ])
             }
-        },
-        Request::WalShip {
-            generation,
-            offset,
-            max_bytes,
-        } => match service.export_wal(generation, offset, max_bytes) {
-            Err(error) => error_line(service, id, &error),
-            Ok(segment) => control(vec![
-                ("generation", Value::from(segment.generation)),
-                ("offset", Value::from(segment.offset)),
-                ("len", Value::from(segment.bytes.len())),
-                ("bytes", Value::from(encode_hex(&segment.bytes))),
-                ("latest_generation", Value::from(segment.latest_generation)),
-                ("end_of_generation", Value::Bool(segment.end_of_generation)),
-            ]),
-        },
-        Request::WalApply { bytes } => match service.apply_wal(&bytes) {
-            Err(error) => error_line(service, id, &error),
-            Ok(outcome) => control(vec![
-                ("applied", Value::from(outcome.records)),
-                ("consumed", Value::from(outcome.consumed)),
-                (
-                    "profile_version",
-                    Value::from(service.profiles().latest_version()),
-                ),
-            ]),
         },
         Request::PlanDevices {
             id,
@@ -238,16 +192,26 @@ fn respond_control(service: &PagerService, request: Request, id: &Value) -> Stri
             control(vec![("epoch", Value::from(service.adopt_epoch(epoch)))])
         }
         // `respond` answers these before delegating here.
-        Request::Observe { .. }
-        | Request::WalShip { .. }
-        | Request::WalApply { .. }
-        | Request::PlanDevices { .. }
-        | Request::Plan { .. } => error_line(
+        Request::Observe { .. } | Request::PlanDevices { .. } | Request::Plan { .. } => error_line(
             service,
             id,
             &ServiceError::Internal("a blocking request reached the control path".into()),
         ),
     }
+}
+
+/// The last version of each device in an observe's `versions` (a
+/// device may appear several times in one batch), in the order devices
+/// first appear.
+fn latest_versions(versions: &[(String, u64)]) -> Vec<(&str, u64)> {
+    let mut latest: Vec<(&str, u64)> = Vec::new();
+    for (device, version) in versions {
+        match latest.iter_mut().find(|(d, _)| d == device) {
+            Some(entry) => entry.1 = *version,
+            None => latest.push((device, *version)),
+        }
+    }
+    latest
 }
 
 /// The borrowed body of a successful plan answer.
@@ -329,7 +293,9 @@ pub(crate) fn error_line(service: &PagerService, id: &Value, error: &ServiceErro
 /// cache-hit plans, pings, malformed payloads, unknown ops — directly
 /// into the output buffer. A cache miss is handed back: the engine
 /// routes it like a v1 plan (a cheap one is solved on the shard thread,
-/// a costlier one leaves it), [`handle_frame`] solves it in place.
+/// a costlier one leaves it), [`handle_frame`] solves it in place. So
+/// is a decoded replication op, which may block on disk: the engine
+/// runs it on its I/O pool, [`handle_frame`] in place.
 pub(crate) enum FrameDispatch {
     /// `out` now holds the complete response frame; nothing else to do.
     Answered,
@@ -341,6 +307,87 @@ pub(crate) enum FrameDispatch {
         instance: pager_core::Instance,
         spec: pager_wire::PlanSpec,
     },
+    /// A replication op: run it with [`replicate`], echoing `id`.
+    Replicate { id: IdBuf, op: Replication },
+}
+
+/// A decoded replication op, owned so it can leave the shard thread.
+pub(crate) enum Replication {
+    /// `OBSERVE`: ingest the batch and answer with its frames.
+    Observe(ObserveBatch),
+    /// `WAL_APPLY`: apply these raw WAL frames.
+    WalApply(Vec<u8>),
+    /// `WAL_SHIP`: export a segment of this node's WAL.
+    WalShip(WalShip),
+}
+
+/// Decodes the payload of a replication op (`OBSERVE`, `WAL_APPLY` or
+/// `WAL_SHIP`), with the decoders' bounds: a frame that fails them is
+/// refused before anything is applied or logged.
+fn decode_replication(
+    frame_op: u8,
+    payload: &[u8],
+) -> Result<(IdView<'_>, Replication), &'static str> {
+    match frame_op {
+        op::OBSERVE => {
+            binary::decode_observe(payload).map(|(id, batch)| (id, Replication::Observe(batch)))
+        }
+        op::WAL_APPLY => binary::decode_wal_apply(payload)
+            .map(|(id, bytes)| (id, Replication::WalApply(bytes.to_vec()))),
+        _ => binary::decode_wal_ship(payload).map(|(id, ship)| (id, Replication::WalShip(ship))),
+    }
+}
+
+/// Runs one replication op against the service and appends its native
+/// answer (or an `ERROR`) to `out`, echoing `id`. It may block on disk.
+pub(crate) fn replicate(
+    service: &PagerService,
+    id: IdView<'_>,
+    op: Replication,
+    out: &mut Vec<u8>,
+) {
+    let result = match op {
+        Replication::Observe(ObserveBatch { cells, sightings }) => {
+            service
+                .observe(cells, &sightings)
+                .map(|Observed { versions, appended }| {
+                    // Ship-before-ack's first hop: the frames the batch
+                    // appended ride the ack to the router, which forwards
+                    // them to the replicas. A batch over one ship window
+                    // leaves them off, which bounds the ack; the router then
+                    // catches the replicas up through `WAL_SHIP`, window by
+                    // window.
+                    let frames = appended.filter(|append| append.bytes.len() <= SHIP_WINDOW_BYTES);
+                    binary::encode_observe_ack(
+                        out,
+                        id,
+                        service.node_id(),
+                        versions.len() as u64,
+                        &latest_versions(&versions),
+                        frames.as_ref(),
+                    );
+                })
+        }
+        Replication::WalApply(bytes) => service.apply_wal(&bytes).map(|outcome| {
+            let applied = WalApplied {
+                applied: outcome.records,
+                consumed: outcome.consumed,
+                profile_version: service.profiles().latest_version(),
+            };
+            binary::encode_wal_applied(out, id, &applied);
+        }),
+        Replication::WalShip(ship) => {
+            // At most one window, so the answer fits one frame.
+            let max_bytes = usize::try_from(ship.max_bytes)
+                .map_or(SHIP_WINDOW_BYTES, |n| n.min(SHIP_WINDOW_BYTES));
+            service
+                .export_wal(ship.generation, ship.offset, max_bytes)
+                .map(|segment| binary::encode_wal_segment(out, id, &segment))
+        }
+    };
+    if let Err(error) = result {
+        error_frame(service, id, &error, out);
+    }
 }
 
 /// Runs the non-blocking part of native v2 frame handling (every op
@@ -402,6 +449,23 @@ pub(crate) fn dispatch_frame(
             binary::encode_pong(out, service.node_id());
             FrameDispatch::Answered
         }
+        op::OBSERVE | op::WAL_APPLY | op::WAL_SHIP => match decode_replication(frame_op, payload) {
+            Ok((id, op)) => FrameDispatch::Replicate {
+                id: IdBuf::from(id),
+                op,
+            },
+            Err(message) => {
+                binary::encode_error_response(
+                    out,
+                    binary::id_of(payload).unwrap_or(IdView::Null),
+                    service.node_id(),
+                    pager_wire::ErrorCode::BadRequest,
+                    message,
+                    None,
+                );
+                FrameDispatch::Answered
+            }
+        },
         other => {
             let message = format!("unknown request op 0x{other:02X}");
             binary::encode_error_response(
@@ -423,9 +487,9 @@ pub(crate) fn dispatch_frame(
 ///
 /// `plan` frames first probe the strategy cache straight from the
 /// borrowed payload; a hit is encoded without touching the heap. A
-/// miss falls back to the typed decode + [`PagerService::plan`]. All
-/// cold ops arrive JSON-wrapped (op `0x7E`) and are answered
-/// JSON-wrapped (op `0x7F`).
+/// miss falls back to the typed decode + [`PagerService::plan`]. The
+/// replication ops run in place. All cold ops arrive JSON-wrapped (op
+/// `0x7E`) and are answered JSON-wrapped (op `0x7F`).
 #[must_use]
 pub fn handle_frame(
     service: &PagerService,
@@ -453,13 +517,15 @@ pub(crate) fn handle_message(
             outcome.shutdown
         }
         Message::Frame { op, payload } => {
-            if let FrameDispatch::Solve { id, instance, spec } =
-                dispatch_frame(service, op, payload, out)
-            {
-                match service.plan(&instance, spec) {
-                    Ok(response) => plan_response_frame(service, id.view(), &response, out),
-                    Err(error) => error_frame(service, id.view(), &error, out),
+            match dispatch_frame(service, op, payload, out) {
+                FrameDispatch::Answered => {}
+                FrameDispatch::Solve { id, instance, spec } => {
+                    match service.plan(&instance, spec) {
+                        Ok(response) => plan_response_frame(service, id.view(), &response, out),
+                        Err(error) => error_frame(service, id.view(), &error, out),
+                    }
                 }
+                FrameDispatch::Replicate { id, op } => replicate(service, id.view(), op, out),
             }
             false
         }
@@ -781,11 +847,69 @@ mod tests {
         let plain = service();
         let v = jsonio::parse(&handle_line(&plain, r#"{"cmd": "node_info"}"#).response).unwrap();
         assert!(v.get("node").is_none());
-        let v =
-            jsonio::parse(&handle_line(&plain, r#"{"cmd": "wal_ship", "generation": 0}"#).response)
-                .unwrap();
+        let v = native_error(&plain, |out| {
+            binary::encode_wal_ship(out, IdView::Null, &ship_from(0, 0))
+        });
         assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false));
         assert_eq!(v.get("code").and_then(Value::as_str), Some("unsupported"));
+    }
+
+    /// Runs the one native frame `encode` writes against `service` and
+    /// returns the answer's op and payload.
+    fn native(service: &PagerService, encode: impl FnOnce(&mut Vec<u8>)) -> (u8, Vec<u8>) {
+        let mut wire = Vec::new();
+        encode(&mut wire);
+        let (op_in, payload) = split_one(&wire);
+        let mut out = Vec::new();
+        assert!(!handle_frame(service, op_in, &payload, &mut out));
+        split_one(&out)
+    }
+
+    /// [`native`] for a request answered with an `ERROR`, decoded to its
+    /// JSON shape.
+    fn native_error(service: &PagerService, encode: impl FnOnce(&mut Vec<u8>)) -> Value {
+        let (op_out, body) = native(service, encode);
+        assert_eq!(op_out, op::ERROR, "expected an error frame");
+        binary::response_to_value(op_out, &body).unwrap()
+    }
+
+    fn ship_from(generation: u64, offset: u64) -> WalShip {
+        WalShip {
+            generation,
+            offset,
+            max_bytes: SHIP_WINDOW_BYTES as u64,
+        }
+    }
+
+    fn sighting(device: &str, cell: usize, time: f64) -> pager_profiles::Sighting {
+        pager_profiles::Sighting {
+            device: device.to_string(),
+            cell,
+            time,
+        }
+    }
+
+    /// An `OBSERVE` of `sightings` over four cells, and its decoded ack.
+    fn observe_frame(
+        service: &PagerService,
+        sightings: &[pager_profiles::Sighting],
+    ) -> binary::ObserveAck {
+        let (op_out, body) = native(service, |out| {
+            binary::encode_observe(out, IdView::U64(5), 4, sightings);
+        });
+        assert_eq!(op_out, op::OBSERVE_RESP);
+        let (id, ack) = binary::decode_observe_ack(&body).unwrap();
+        assert_eq!(id, IdView::U64(5));
+        ack
+    }
+
+    /// A `WAL_APPLY` of `bytes`, and its decoded answer.
+    fn apply_frame(service: &PagerService, bytes: &[u8]) -> WalApplied {
+        let (op_out, body) = native(service, |out| {
+            binary::encode_wal_apply(out, IdView::U64(6), bytes)
+        });
+        assert_eq!(op_out, op::WAL_APPLY_RESP);
+        binary::decode_wal_applied(&body).unwrap().1
     }
 
     /// A node on an in-memory disk, fsyncing every ack.
@@ -829,55 +953,83 @@ mod tests {
         .response;
         assert_eq!(
             plain, r#"{"v":1,"ok":true,"node":"owner","ingested":1,"versions":{"a":1}}"#,
-            "an observe without the ship flag acks as it always has"
+            "a v1 observe acks as it always has"
         );
-        let shipped = jsonio::parse(
-            &handle_line(
-                &owner,
-                r#"{"cmd": "observe", "cells": 4, "ship": true, "sightings": [
-                    {"device": "b", "cell": 2, "time": 1.5}, {"device": "a", "cell": 3, "time": 2.0}]}"#,
-            )
-            .response,
-        )
-        .unwrap();
-        let field = |name| shipped.get(name).and_then(Value::as_u64).unwrap();
+        let shipped = observe_frame(&owner, &[sighting("b", 2, 1.5), sighting("a", 3, 2.0)]);
+        assert_eq!(shipped.node.as_deref(), Some("owner"));
+        assert_eq!(shipped.ingested, 2);
+        assert_eq!(
+            shipped.versions,
+            vec![("b".to_string(), 2), ("a".to_string(), 3)]
+        );
+        let frames = shipped.frames.expect("a durable owner ships its frames");
         assert_eq!(
             owner
                 .observe(4, &[])
                 .unwrap()
                 .appended
                 .map(|append| append.incarnation),
-            Some(field("wal_incarnation"))
+            Some(frames.incarnation)
         );
         // The frames start where the first observe's ended and are
-        // exactly what `wal_ship` would read back from there.
-        assert_eq!(field("wal_generation"), 0);
-        let offset = field("wal_offset");
-        assert!(offset > 0, "{shipped}");
-        let hex = shipped.get("wal_bytes").and_then(Value::as_str).unwrap();
+        // exactly what `WAL_SHIP` would read back from there.
+        assert_eq!(frames.generation, 0);
+        let offset = frames.offset;
+        assert!(offset > 0, "{frames:?}");
         let export = owner.export_wal(0, offset, 1 << 20).unwrap();
-        assert_eq!(hex, encode_hex(&export.bytes));
+        assert_eq!(frames.bytes, export.bytes);
         // Forwarded after the first batch's frames, they reproduce the
         // owner's versions on the replica.
         let head = owner.export_wal(0, 0, offset as usize).unwrap();
         replica.apply_wal(&head.bytes).unwrap();
-        let apply_line = format!(r#"{{"cmd": "wal_apply", "bytes": "{hex}"}}"#);
-        let applied = jsonio::parse(&handle_line(&replica, &apply_line).response).unwrap();
-        assert_eq!(applied.get("applied").and_then(Value::as_u64), Some(2));
-        assert_eq!(
-            applied.get("consumed").and_then(Value::as_u64),
-            Some(hex.len() as u64 / 2)
-        );
-        assert_eq!(
-            applied.get("profile_version").and_then(Value::as_u64),
-            Some(3)
-        );
+        let applied = apply_frame(&replica, &frames.bytes);
+        assert_eq!(applied.applied, 2);
+        assert_eq!(applied.consumed, frames.bytes.len() as u64);
+        assert_eq!(applied.profile_version, 3);
         for device in ["a", "b"] {
             assert_eq!(
                 replica.profiles().version(device),
                 owner.profiles().version(device)
             );
         }
+    }
+
+    #[test]
+    fn observe_frames_over_the_bounds_are_refused_before_anything_is_logged() {
+        let owner = durable_node("owner");
+        let giant = "d".repeat(MAX_DEVICE_BYTES + 1);
+        for (what, batch) in [
+            (
+                "oversize device",
+                vec![sighting("ok", 0, 1.0), sighting(&giant, 1, 2.0)],
+            ),
+            (
+                "non-finite time",
+                vec![sighting("ok", 0, 1.0), sighting("b", 1, f64::NAN)],
+            ),
+            ("infinite time", vec![sighting("ok", 0, f64::INFINITY)]),
+        ] {
+            let v = native_error(&owner, |out| {
+                binary::encode_observe(out, IdView::U64(41), 4, &batch);
+            });
+            assert_eq!(
+                v.get("code").and_then(Value::as_str),
+                Some("bad_request"),
+                "{what}"
+            );
+            assert_eq!(v.get("id").and_then(Value::as_u64), Some(41), "{what}: {v}");
+            assert_eq!(
+                owner.profiles().stats().devices,
+                0,
+                "{what}: nothing applied"
+            );
+            assert_eq!(dumped(&owner, "wal_appends"), 0, "{what}: nothing logged");
+        }
+        // At the limit is accepted.
+        let at_limit = "d".repeat(MAX_DEVICE_BYTES);
+        let ack = observe_frame(&owner, &[sighting(&at_limit, 0, 1.0)]);
+        assert_eq!(ack.ingested, 1);
+        assert_eq!(dumped(&owner, "wal_appends"), 1);
     }
 
     #[test]
@@ -914,39 +1066,30 @@ mod tests {
         let replica = durable_node("replica");
         // 600 frames of ~4 KiB each: more than one ship window.
         let device = |i: u32| format!("{}{}", "d".repeat(4000), i % 4);
-        let sightings: Vec<String> = (0..600u32)
-            .map(|i| {
-                format!(
-                    r#"{{"device": "{}", "cell": {}, "time": {i}}}"#,
-                    device(i),
-                    i % 4
-                )
-            })
+        let sightings: Vec<pager_profiles::Sighting> = (0..600u32)
+            .map(|i| sighting(&device(i), (i % 4) as usize, f64::from(i)))
             .collect();
-        let line = format!(
-            r#"{{"cmd": "observe", "cells": 4, "ship": true, "sightings": [{}]}}"#,
-            sightings.join(",")
-        );
-        let response = handle_line(&owner, &line).response;
-        let ack = jsonio::parse(&response).unwrap();
-        assert_eq!(ack.get("ingested").and_then(Value::as_u64), Some(600));
-        for field in [
-            "wal_incarnation",
-            "wal_generation",
-            "wal_offset",
-            "wal_bytes",
-        ] {
-            assert!(ack.get(field).is_none(), "{field} on an oversize ack");
-        }
-        assert!(response.len() < line.len());
-        // The replica converges through window-sized `wal_ship` reads.
+        let mut request = Vec::new();
+        binary::encode_observe(&mut request, IdView::U64(5), 4, &sightings);
+        let (op_out, response) = native(&owner, |out| out.extend_from_slice(&request));
+        assert_eq!(op_out, op::OBSERVE_RESP);
+        let (_, ack) = binary::decode_observe_ack(&response).unwrap();
+        assert_eq!(ack.ingested, 600);
+        assert!(ack.frames.is_none(), "frames on an oversize ack");
+        assert!(response.len() < request.len());
+        // The replica converges through window-sized `WAL_SHIP` reads.
         let mut offset = 0;
         loop {
-            let export = owner.export_wal(0, offset, SHIP_WINDOW_BYTES).unwrap();
+            let (op_out, body) = native(&owner, |out| {
+                binary::encode_wal_ship(out, IdView::U64(7), &ship_from(0, offset));
+            });
+            assert_eq!(op_out, op::WAL_SHIP_RESP);
+            let (_, export) = binary::decode_wal_segment(&body).unwrap();
             if export.bytes.is_empty() {
                 break;
             }
-            offset += replica.apply_wal(&export.bytes).unwrap().consumed;
+            assert!(export.bytes.len() <= SHIP_WINDOW_BYTES);
+            offset += apply_frame(&replica, &export.bytes).consumed;
         }
         assert!(offset > SHIP_WINDOW_BYTES as u64);
         for i in 0..4 {
@@ -971,33 +1114,23 @@ mod tests {
             "{acked}"
         );
         // Ship the owner's WAL and apply it to the replica.
-        let ship = jsonio::parse(
-            &handle_line(
-                &owner,
-                r#"{"cmd": "wal_ship", "generation": 0, "offset": 0}"#,
-            )
-            .response,
-        )
-        .unwrap();
-        assert_eq!(
-            ship.get("ok").and_then(Value::as_bool),
-            Some(true),
-            "{ship}"
-        );
-        let hex = ship.get("bytes").and_then(Value::as_str).unwrap();
-        let len = ship.get("len").and_then(Value::as_u64).unwrap();
-        assert_eq!(hex.len() as u64, 2 * len);
-        let apply_line = format!(r#"{{"cmd": "wal_apply", "bytes": "{hex}"}}"#);
-        let applied = jsonio::parse(&handle_line(&replica, &apply_line).response).unwrap();
-        assert_eq!(applied.get("applied").and_then(Value::as_u64), Some(2));
-        assert_eq!(applied.get("consumed").and_then(Value::as_u64), Some(len));
+        let (op_out, body) = native(&owner, |out| {
+            binary::encode_wal_ship(out, IdView::Str("ship"), &ship_from(0, 0));
+        });
+        assert_eq!(op_out, op::WAL_SHIP_RESP);
+        let (id, ship) = binary::decode_wal_segment(&body).unwrap();
+        assert_eq!(id, IdView::Str("ship"));
+        assert_eq!((ship.generation, ship.offset), (0, 0));
+        assert!(!ship.end_of_generation);
+        let len = ship.bytes.len() as u64;
+        assert!(len > 0);
+        let applied = apply_frame(&replica, &ship.bytes);
+        assert_eq!(applied.applied, 2);
+        assert_eq!(applied.consumed, len);
         // The replica reproduced the owner's version numbering exactly.
         let versions = acked.get("versions").and_then(Value::as_object).unwrap();
         let owner_max = versions.iter().map(|(_, v)| v.as_u64().unwrap()).max();
-        assert_eq!(
-            applied.get("profile_version").and_then(Value::as_u64),
-            owner_max
-        );
+        assert_eq!(Some(applied.profile_version), owner_max);
         // And it plans from the replicated profiles.
         let plan = jsonio::parse(
             &handle_line(
@@ -1013,12 +1146,33 @@ mod tests {
             "{plan}"
         );
         assert_eq!(plan.get("node").and_then(Value::as_str), Some("replica"));
-        // Garbage hex is rejected at parse.
-        let bad = jsonio::parse(
-            &handle_line(&replica, r#"{"cmd": "wal_apply", "bytes": "zz"}"#).response,
-        )
-        .unwrap();
+        // A truncated apply is rejected at decode, echoing its id.
+        let mut wire = Vec::new();
+        binary::encode_wal_apply(&mut wire, IdView::U64(11), &ship.bytes);
+        let (op_in, payload) = split_one(&wire);
+        let mut out = Vec::new();
+        assert!(!handle_frame(
+            &replica,
+            op_in,
+            &payload[..payload.len() - 1],
+            &mut out
+        ));
+        let (op_out, body) = split_one(&out);
+        let bad = binary::response_to_value(op_out, &body).unwrap();
         assert_eq!(bad.get("code").and_then(Value::as_str), Some("bad_request"));
+        assert_eq!(bad.get("id").and_then(Value::as_u64), Some(11));
+        // The v1 JSON forms of the WAL ops are gone.
+        for line in [
+            r#"{"cmd": "wal_ship", "generation": 0}"#,
+            r#"{"cmd": "wal_apply", "bytes": ""}"#,
+        ] {
+            let v = jsonio::parse(&handle_line(&replica, line).response).unwrap();
+            assert_eq!(
+                v.get("code").and_then(Value::as_str),
+                Some("unsupported"),
+                "{line}"
+            );
+        }
     }
 
     #[test]
@@ -1095,7 +1249,7 @@ mod tests {
         assert_eq!(observe.get("id").and_then(Value::as_i64), Some(9));
         // Errors echo too (a failed internal call must still correlate).
         let bad = jsonio::parse(
-            &handle_line(&svc, r#"{"cmd": "wal_apply", "id": 11, "bytes": "zz"}"#).response,
+            &handle_line(&svc, r#"{"cmd": "epoch", "id": 11, "epoch": "soon"}"#).response,
         )
         .unwrap();
         assert_eq!(bad.get("id").and_then(Value::as_i64), Some(11));

@@ -400,7 +400,7 @@ impl PagerService {
         self.durable.as_ref().map(|d| d.current_generation())
     }
 
-    /// Exports raw WAL bytes for a follower (the `wal_ship` wire op);
+    /// Exports raw WAL bytes for a follower (the `WAL_SHIP` frame);
     /// see [`DurableStore::export_wal`] for the tailing contract.
     ///
     /// # Errors
@@ -423,7 +423,7 @@ impl PagerService {
     }
 
     /// Applies a chunk of an owner's WAL to this store (the
-    /// `wal_apply` wire op) in frame order. Each run of consecutive
+    /// `WAL_APPLY` frame) in frame order. Each run of consecutive
     /// records with the same `cells` is one [`PagerService::observe`]
     /// call, so a shipped batch costs the replica one WAL fsync, as it
     /// cost the owner.

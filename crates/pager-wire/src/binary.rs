@@ -2,13 +2,16 @@
 //! length-prefixed frames.
 //!
 //! Only the hot ops get native encodings — `plan` requests (op 0x01),
-//! plan responses (0x02), errors (0x03) and ping/pong (0x04/0x05).
-//! Every other request rides op 0x7E with its v1 JSON line as the
-//! payload, and is answered with op 0x7F the same way, so the full
-//! command surface works over v2 framing without a second encoding of
-//! every cold op. The response encoders seal what they write
-//! ([`frame::seal_frame`]), as a server must; the request encoder
-//! leaves its frame unsealed, as a client may.
+//! plan responses (0x02), errors (0x03), ping/pong (0x04/0x05), and the
+//! three replication hops a cluster router makes for every routed
+//! `observe` (0x06–0x0B, from [`encode_observe`] on). Every other
+//! request rides op 0x7E with its v1 JSON line as the payload, and is
+//! answered with op 0x7F the same way, so the full command surface
+//! works over v2 framing without a second encoding of every cold op. The response
+//! encoders seal what they write ([`frame::seal_frame`]), as a server
+//! must; the plan-request encoder leaves its frame unsealed, as a
+//! client may. The replication requests are sealed: only the router
+//! sends them, and it seals every request it sends a backend.
 //!
 //! The plan-request payload is designed for *zero-copy* serving:
 //! [`PlanFrameView`] borrows the payload, exposes the fields and the
@@ -33,12 +36,39 @@
 //!
 //! `ERROR` (0x03): `id`, `code: u8` ([`ErrorCode::tag`]),
 //! `retry_after_ms: u64` (`u64::MAX` = none), `message`
-//! (length-prefixed string), `node` (length-prefixed string).
+//! (length-prefixed string), `node` (length-prefixed string). It
+//! answers a failed request of any native op.
 //!
 //! `PONG` (0x05): `node` (length-prefixed string).
 //!
+//! `OBSERVE` (0x06): `id`, `cells: u64` (positive), `count: u32`, then
+//! per sighting `device` (length-prefixed string, at most
+//! `MAX_DEVICE_BYTES`), `cell: u64` and `time: f64` (finite). An
+//! `OBSERVE` always ships: its answer carries the WAL frames the batch
+//! appended.
+//!
+//! `OBSERVE_RESP` (0x07): `id`, `node` (length-prefixed string, empty =
+//! absent), `ingested: u64`, `count: u32`, then the latest version of
+//! each device in batch order, as `device` (length-prefixed string) and
+//! `version: u64`; then `frames: u8` (0 or 1) and, when it is 1,
+//! `incarnation: u64`, `generation: u64`, `offset: u64` and the raw WAL
+//! frames (`len: u32` + `len` bytes). A durable owner leaves the frames
+//! off only when they pass one ship window.
+//!
+//! `WAL_APPLY` (0x08): `id`, then raw WAL frames (`len: u32` + `len`
+//! bytes). `WAL_APPLY_RESP` (0x09): `id`, `applied: u64`,
+//! `consumed: u64`, `profile_version: u64`.
+//!
+//! `WAL_SHIP` (0x0A): `id`, `generation: u64`, `offset: u64`,
+//! `max_bytes: u64` (positive). `WAL_SHIP_RESP` (0x0B): `id`,
+//! `generation: u64`, `offset: u64`, `latest_generation: u64`,
+//! `end_of_generation: u8` (0 or 1), then the raw WAL bytes (`len: u32`
+//! + `len` bytes).
+//!
 //! An `id` is a tag byte — 0 null, 1 `u64`, 2 `i64`, 3 string — then
-//! the 8-byte value or a length-prefixed string. Decoders tolerate
+//! the 8-byte value or a length-prefixed string. Every request and
+//! answer payload but `PONG` starts with one, so a correlating hop
+//! finds it in the same place for every op. Decoders tolerate
 //! trailing payload bytes (the binary analogue of ignoring unknown
 //! JSON fields).
 
@@ -49,6 +79,14 @@ use pager_core::{Delay, Instance};
 use crate::error::{ErrorCode, WireError};
 use crate::frame::{self, op};
 use crate::request::{fold_cache_key, PlanSpec, Request, Variant};
+
+mod replicate;
+
+pub use replicate::{
+    decode_observe, decode_observe_ack, decode_wal_applied, decode_wal_apply, decode_wal_segment,
+    decode_wal_ship, encode_observe, encode_observe_ack, encode_wal_applied, encode_wal_apply,
+    encode_wal_segment, encode_wal_ship, id_of, ObserveAck, ObserveBatch, WalApplied, WalShip,
+};
 
 /// Variant tag bytes in plan-request payloads.
 const VARIANT_AUTO: u8 = 0;
@@ -163,8 +201,8 @@ impl From<IdView<'_>> for IdBuf {
     }
 }
 
-/// Appends `payload`, a native payload (`PLAN`, `PLAN_RESP` and
-/// `ERROR` all start with their `id`), with its leading id replaced by
+/// Appends `payload`, a native payload (every request and answer but
+/// `PONG` starts with its `id`), with its leading id replaced by
 /// `id`, and returns the id it replaced. The rest is copied verbatim.
 /// This is all a correlating hop needs: the router forwards a `PLAN`
 /// with its own nonce in the client's id's place and splices the
@@ -592,6 +630,42 @@ pub fn encode_error_response(
     frame::seal_frame(out, start);
 }
 
+/// An `ERROR` payload, borrowed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ErrorView<'a> {
+    /// The stable error code.
+    pub code: ErrorCode,
+    /// The retry hint of an `overloaded` answer.
+    pub retry_after_ms: Option<u64>,
+    /// The human-readable message.
+    pub message: &'a str,
+    /// The answering node's name.
+    pub node: Option<&'a str>,
+}
+
+/// Decodes an `ERROR` payload.
+///
+/// # Errors
+///
+/// Truncation or an unknown error code tag.
+pub fn decode_error(payload: &[u8]) -> Result<(IdView<'_>, ErrorView<'_>), &'static str> {
+    let mut r = Reader::new(payload);
+    let id = r.id()?;
+    let code = ErrorCode::from_tag(r.u8()?).ok_or("unknown error code tag")?;
+    let retry = r.u64()?;
+    let message = r.str()?;
+    let node = r.str()?;
+    Ok((
+        id,
+        ErrorView {
+            code,
+            retry_after_ms: (retry != u64::MAX).then_some(retry),
+            message,
+            node: (!node.is_empty()).then_some(node),
+        },
+    ))
+}
+
 /// Encodes a pong answer as a complete, sealed 0x05 frame.
 pub fn encode_pong(out: &mut Vec<u8>, node: Option<&str>) {
     let start = frame::begin_frame(out, op::PONG);
@@ -666,26 +740,20 @@ pub fn response_to_value(resp_op: u8, payload: &[u8]) -> Result<Value, WireError
             Ok(Value::object(fields))
         }
         op::ERROR => {
-            let mut r = Reader::new(payload);
-            let id = r.id().map_err(bad)?;
-            let code = ErrorCode::from_tag(r.u8().map_err(bad)?)
-                .ok_or_else(|| bad("unknown error code tag"))?;
-            let retry = r.u64().map_err(bad)?;
-            let message = r.str().map_err(bad)?.to_string();
-            let node = r.str().map_err(bad)?.to_string();
+            let (id, error) = decode_error(payload).map_err(bad)?;
             let mut fields = vec![
                 ("v", Value::from(2u64)),
                 ("id", id.to_value()),
                 ("ok", Value::Bool(false)),
-                ("code", Value::from(code.as_str())),
-                ("error", Value::from(message)),
+                ("code", Value::from(error.code.as_str())),
+                ("error", Value::from(error.message)),
             ];
-            if !node.is_empty() {
-                fields.push(("node", Value::from(node)));
-            }
-            if retry != u64::MAX {
-                fields.push(("retry_after_ms", Value::from(retry)));
-            }
+            fields.extend(error.node.map(|node| ("node", Value::from(node))));
+            fields.extend(
+                error
+                    .retry_after_ms
+                    .map(|ms| ("retry_after_ms", Value::from(ms))),
+            );
             Ok(Value::object(fields))
         }
         other => Err(WireError::BadRequest(format!(

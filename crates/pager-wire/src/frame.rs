@@ -71,6 +71,18 @@ pub mod op {
     pub const PING: u8 = 0x04;
     /// Liveness answer.
     pub const PONG: u8 = 0x05;
+    /// A router's sub-batch of sightings for the owner to ingest.
+    pub const OBSERVE: u8 = 0x06;
+    /// Answer to [`OBSERVE`]: the versions, and the WAL frames to ship.
+    pub const OBSERVE_RESP: u8 = 0x07;
+    /// Raw WAL frames for a replica to apply.
+    pub const WAL_APPLY: u8 = 0x08;
+    /// Answer to [`WAL_APPLY`].
+    pub const WAL_APPLY_RESP: u8 = 0x09;
+    /// A read of an owner's WAL from a replica's cursor.
+    pub const WAL_SHIP: u8 = 0x0A;
+    /// Answer to [`WAL_SHIP`]: one segment of raw WAL bytes.
+    pub const WAL_SHIP_RESP: u8 = 0x0B;
     /// Any other request, as v1 JSON line bytes in the payload.
     pub const JSON_REQ: u8 = 0x7E;
     /// Response to [`JSON_REQ`], as v1 JSON line bytes.
@@ -340,10 +352,10 @@ pub fn begin_frame(out: &mut Vec<u8>, op: u8) -> usize {
 /// Patches the length field of the frame started at `start` to cover
 /// everything appended since. Frames over [`MAX_FRAME_LEN`] cannot be
 /// produced by this crate's encoders: their payloads are bounded by
-/// request sizes the decoders already capped, except an `observe` ack
-/// sent with `ship` set, whose WAL frames the service attaches only
-/// when they fit one ship window (2 MiB, 4 MiB as hex). The cast
-/// therefore saturates defensively rather than panicking.
+/// request sizes the decoders already capped, and the WAL bytes an
+/// `OBSERVE_RESP` or `WAL_SHIP_RESP` carries are at most one ship
+/// window (2 MiB). The cast therefore saturates defensively rather than
+/// panicking.
 pub fn finish_frame(out: &mut [u8], start: usize) {
     let len = out.len() - start - HEADER_LEN;
     let len = u32::try_from(len).unwrap_or(u32::MAX);

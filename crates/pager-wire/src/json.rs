@@ -8,7 +8,7 @@
 
 use jsonio::Value;
 use pager_core::{Delay, Instance};
-use pager_profiles::wal::{decode_hex, MAX_DEVICE_BYTES};
+use pager_profiles::wal::MAX_DEVICE_BYTES;
 use pager_profiles::{Estimator, Sighting};
 
 use crate::error::{ErrorCode, WireError};
@@ -105,8 +105,6 @@ fn parse_value(value: &Value) -> Result<Request, WireError> {
             Some("node_info") => Ok(Request::NodeInfo),
             Some("stats") => Ok(Request::Stats),
             Some("epoch") => parse_epoch(value).map_err(WireError::BadRequest),
-            Some("wal_ship") => parse_wal_ship(value).map_err(WireError::BadRequest),
-            Some("wal_apply") => parse_wal_apply(value).map_err(WireError::BadRequest),
             _ => Err(WireError::Unsupported(format!("unknown cmd {cmd}"))),
         };
     }
@@ -188,17 +186,7 @@ fn parse_observe(value: &Value) -> Result<Request, String> {
             time,
         });
     }
-    let ship = match value.get("ship") {
-        None | Some(Value::Null) => false,
-        Some(flag) => flag
-            .as_bool()
-            .ok_or_else(|| "\"ship\" must be a boolean".to_string())?,
-    };
-    Ok(Request::Observe {
-        cells,
-        sightings,
-        ship,
-    })
+    Ok(Request::Observe { cells, sightings })
 }
 
 fn parse_epoch(value: &Value) -> Result<Request, String> {
@@ -207,40 +195,6 @@ fn parse_epoch(value: &Value) -> Result<Request, String> {
         .and_then(Value::as_u64)
         .ok_or_else(|| "\"epoch\" needs a non-negative integer \"epoch\"".to_string())?;
     Ok(Request::Epoch { epoch })
-}
-
-fn parse_wal_ship(value: &Value) -> Result<Request, String> {
-    let generation = value
-        .get("generation")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| "\"wal_ship\" needs a non-negative integer \"generation\"".to_string())?;
-    let offset = match value.get("offset") {
-        None | Some(Value::Null) => 0,
-        Some(o) => o
-            .as_u64()
-            .ok_or_else(|| "\"offset\" must be a non-negative integer".to_string())?,
-    };
-    let max_bytes = match value.get("max_bytes") {
-        None | Some(Value::Null) => 256 * 1024,
-        Some(m) => m
-            .as_usize()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| "\"max_bytes\" must be a positive integer".to_string())?,
-    };
-    Ok(Request::WalShip {
-        generation,
-        offset,
-        max_bytes,
-    })
-}
-
-fn parse_wal_apply(value: &Value) -> Result<Request, String> {
-    let text = value
-        .get("bytes")
-        .and_then(Value::as_str)
-        .ok_or_else(|| "\"wal_apply\" needs a hex string \"bytes\"".to_string())?;
-    let bytes = decode_hex(text).map_err(|e| format!("\"bytes\": {e}"))?;
-    Ok(Request::WalApply { bytes })
 }
 
 fn parse_plan_devices(value: &Value) -> Result<Request, WireError> {
@@ -331,9 +285,9 @@ fn parse_variant(value: &Value) -> Result<Variant, WireError> {
 }
 
 /// Encodes a request back into its v1 line form (no trailing
-/// newline). Round-trips with [`parse_request`]; the router uses it to
-/// build per-shard sub-batches, and test clients use it to speak the
-/// protocol without hand-rolled JSON.
+/// newline). Round-trips with [`parse_request`]; the router uses it for
+/// the lines it fans out (`epoch`, `shutdown`, `profile_stats`), and
+/// test clients use it to speak the protocol without hand-rolled JSON.
 #[must_use]
 pub fn encode_request(request: &Request) -> String {
     let value = match request {
@@ -342,35 +296,25 @@ pub fn encode_request(request: &Request) -> String {
             fields.extend(spec_fields(spec));
             Value::object(fields)
         }
-        Request::Observe {
-            cells,
-            sightings,
-            ship,
-        } => {
-            let mut fields = vec![
-                ("cmd", Value::from("observe")),
-                ("cells", Value::from(*cells)),
-                (
-                    "sightings",
-                    Value::Array(
-                        sightings
-                            .iter()
-                            .map(|s| {
-                                Value::object(vec![
-                                    ("device", Value::from(s.device.as_str())),
-                                    ("cell", Value::from(s.cell)),
-                                    ("time", Value::Float(s.time)),
-                                ])
-                            })
-                            .collect(),
-                    ),
+        Request::Observe { cells, sightings } => Value::object(vec![
+            ("cmd", Value::from("observe")),
+            ("cells", Value::from(*cells)),
+            (
+                "sightings",
+                Value::Array(
+                    sightings
+                        .iter()
+                        .map(|s| {
+                            Value::object(vec![
+                                ("device", Value::from(s.device.as_str())),
+                                ("cell", Value::from(s.cell)),
+                                ("time", Value::Float(s.time)),
+                            ])
+                        })
+                        .collect(),
                 ),
-            ];
-            if *ship {
-                fields.push(("ship", Value::Bool(true)));
-            }
-            Value::object(fields)
-        }
+            ),
+        ]),
         Request::PlanDevices {
             id,
             devices,
@@ -399,20 +343,6 @@ pub fn encode_request(request: &Request) -> String {
         Request::Epoch { epoch } => Value::object(vec![
             ("cmd", Value::from("epoch")),
             ("epoch", Value::from(*epoch)),
-        ]),
-        Request::WalShip {
-            generation,
-            offset,
-            max_bytes,
-        } => Value::object(vec![
-            ("cmd", Value::from("wal_ship")),
-            ("generation", Value::from(*generation)),
-            ("offset", Value::from(*offset)),
-            ("max_bytes", Value::from(*max_bytes)),
-        ]),
-        Request::WalApply { bytes } => Value::object(vec![
-            ("cmd", Value::from("wal_apply")),
-            ("bytes", Value::from(pager_profiles::wal::encode_hex(bytes))),
         ]),
         Request::Metrics => command("metrics"),
         Request::Ping => command("ping"),
@@ -470,7 +400,7 @@ fn plan_fields(node: Option<&str>, body: &PlanBody<'_>) -> Vec<(&'static str, Va
 }
 
 /// A versioned `{"v": 1, "ok": true, ...}` response line — every
-/// control answer (`ping`, `metrics`, WAL ops, ...). The request's `id`
+/// control answer (`ping`, `metrics`, `observe`, ...). The request's `id`
 /// rides right after `"v"`, the position plan and error lines use; a
 /// null id is omitted entirely, keeping responses to id-less requests
 /// byte-identical to the frozen v1 format.

@@ -12,8 +12,10 @@
 //!   frozen here byte-for-byte.
 //! - **v2** — binary frames: an 8-byte header (magic, version, op,
 //!   length) and flat little-endian payloads ([`binary`], [`frame`]).
-//!   Hot ops (`plan`, `ping`) get native layouts; every other op rides
-//!   a frame that carries its v1 line as the payload.
+//!   Hot ops (`plan`, `ping`) get native layouts, and so do the three
+//!   replication hops a cluster router makes (`OBSERVE`, `WAL_APPLY`,
+//!   `WAL_SHIP`), which have no v1 form; every other op rides a frame
+//!   that carries its v1 line as the payload.
 //!
 //! Protocol selection is *per message*, not per connection: the first
 //! byte of a message is either the frame magic `0xB7` (v2) or the

@@ -179,13 +179,6 @@ pub enum Request {
         cells: usize,
         /// The sightings, in order.
         sightings: Vec<Sighting>,
-        /// Router-internal (`"ship": true`): the ack also carries the
-        /// WAL frames this batch appended (`wal_incarnation`,
-        /// `wal_generation`, `wal_offset`, hex `wal_bytes`), which the
-        /// router forwards to the shard's replicas. A batch whose
-        /// frames exceed one ship window acks without them. Clients
-        /// never need it.
-        ship: bool,
     },
     /// Plan a strategy for named devices out of the profile store.
     PlanDevices {
@@ -212,20 +205,6 @@ pub enum Request {
     Epoch {
         /// The epoch to adopt.
         epoch: u64,
-    },
-    /// Export raw WAL bytes for a follower.
-    WalShip {
-        /// WAL generation to read from.
-        generation: u64,
-        /// Byte offset within that generation.
-        offset: u64,
-        /// Upper bound on the bytes returned.
-        max_bytes: usize,
-    },
-    /// Apply shipped WAL frames to this (replica) store.
-    WalApply {
-        /// Raw WAL frame bytes, already hex-decoded.
-        bytes: Vec<u8>,
     },
     /// Dump the metrics registry.
     Metrics,

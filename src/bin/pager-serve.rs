@@ -49,7 +49,8 @@
 //! membership epoch (bumped at runtime by the monotone `epoch` wire
 //! op), and `--wal-retain N` keeps the last `N` closed WAL
 //! generations on disk through checkpoints so a follower tailing the
-//! log via `wal_ship` can finish a generation after it rotates.
+//! log with `WAL_SHIP` frames (the cluster router's catch-up reads)
+//! can finish a generation after it rotates.
 
 use std::process::ExitCode;
 use std::sync::Arc;
