@@ -2,12 +2,12 @@
 //! blanket and greedy planners, and estimator cost.
 
 use cellnet::area::LocationAreaPlan;
-use cellnet::estimator;
 use cellnet::mobility::RandomWalk;
 use cellnet::system::{BlanketPlanner, PagingPlanner, System, SystemConfig};
 use cellnet::topology::Topology;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pager_core::{greedy_strategy, Delay, Instance};
+use pager_profiles::estimators;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -62,10 +62,10 @@ fn bench_estimators(crit: &mut Criterion) {
     for len in [1_000usize, 10_000, 100_000] {
         let history: Vec<usize> = (0..len).map(|_| rng.gen_range(0..64)).collect();
         group.bench_with_input(BenchmarkId::new("empirical", len), &history, |b, h| {
-            b.iter(|| estimator::empirical(h, 64, 0.5));
+            b.iter(|| estimators::empirical(h, 64, 0.5));
         });
         group.bench_with_input(BenchmarkId::new("recency", len), &history, |b, h| {
-            b.iter(|| estimator::recency_weighted(h, 64, 0.999, 0.5));
+            b.iter(|| estimators::recency_weighted(h, 64, 0.999, 0.5));
         });
     }
     group.finish();

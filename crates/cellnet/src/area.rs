@@ -10,7 +10,7 @@
 use crate::topology::{CellId, Topology};
 
 /// An area identifier.
-pub type AreaId = usize;
+pub(crate) type AreaId = usize;
 
 /// A partition of a topology's cells into location areas.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,7 +27,7 @@ impl LocationAreaPlan {
     /// Panics if the assignment is empty or the area ids are not
     /// contiguous from zero.
     #[must_use]
-    pub fn from_assignment(area_of: Vec<AreaId>) -> LocationAreaPlan {
+    pub(crate) fn from_assignment(area_of: Vec<AreaId>) -> LocationAreaPlan {
         assert!(!area_of.is_empty(), "assignment must cover the cells");
         let num_areas = area_of.iter().max().expect("non-empty") + 1;
         let mut cells = vec![Vec::new(); num_areas];
@@ -43,14 +43,9 @@ impl LocationAreaPlan {
 
     /// One area containing every cell (pure paging, no reports).
     #[must_use]
-    pub fn single(topology: &Topology) -> LocationAreaPlan {
+    #[cfg(test)]
+    pub(crate) fn single(topology: &Topology) -> LocationAreaPlan {
         LocationAreaPlan::from_assignment(vec![0; topology.num_cells()])
-    }
-
-    /// Every cell its own area (pure reporting: always-known location).
-    #[must_use]
-    pub fn per_cell(topology: &Topology) -> LocationAreaPlan {
-        LocationAreaPlan::from_assignment((0..topology.num_cells()).collect())
     }
 
     /// Splits the cells into consecutive blocks of (at most)
@@ -61,7 +56,8 @@ impl LocationAreaPlan {
     ///
     /// Panics if `cells_per_area == 0`.
     #[must_use]
-    pub fn blocks(topology: &Topology, cells_per_area: usize) -> LocationAreaPlan {
+    #[cfg(test)]
+    pub(crate) fn blocks(topology: &Topology, cells_per_area: usize) -> LocationAreaPlan {
         assert!(cells_per_area > 0, "areas must contain at least one cell");
         let assignment: Vec<AreaId> = (0..topology.num_cells())
             .map(|c| c / cells_per_area)
@@ -130,7 +126,7 @@ impl LocationAreaPlan {
     ///
     /// Panics if either cell is out of range.
     #[must_use]
-    pub fn crosses_boundary(&self, from: CellId, to: CellId) -> bool {
+    pub(crate) fn crosses_boundary(&self, from: CellId, to: CellId) -> bool {
         self.area_of[from] != self.area_of[to]
     }
 }
@@ -151,14 +147,11 @@ mod tests {
     }
 
     #[test]
-    fn single_and_per_cell() {
+    fn single_area_holds_every_cell() {
         let t = Topology::grid(3, 2);
         let one = LocationAreaPlan::single(&t);
         assert_eq!(one.num_areas(), 1);
         assert_eq!(one.cells_in(0).len(), 6);
-        let each = LocationAreaPlan::per_cell(&t);
-        assert_eq!(each.num_areas(), 6);
-        assert!(each.crosses_boundary(0, 1));
     }
 
     #[test]

@@ -22,16 +22,8 @@ pub struct LinkUsage {
 impl LinkUsage {
     /// A zeroed tally.
     #[must_use]
-    pub fn new() -> LinkUsage {
+    pub(crate) fn new() -> LinkUsage {
         LinkUsage::default()
-    }
-
-    /// Adds another tally into this one.
-    pub fn absorb(&mut self, other: LinkUsage) {
-        self.reports += other.reports;
-        self.pages += other.pages;
-        self.searches += other.searches;
-        self.paging_rounds += other.paging_rounds;
     }
 
     /// Mean cells paged per search (`NaN` when no search happened).
@@ -73,23 +65,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn absorb_accumulates() {
-        let mut a = LinkUsage {
-            reports: 3,
-            pages: 10,
-            searches: 2,
-            paging_rounds: 4,
+    fn pages_per_search_averages() {
+        let a = LinkUsage {
+            reports: 4,
+            pages: 15,
+            searches: 3,
+            paging_rounds: 6,
         };
-        a.absorb(LinkUsage {
-            reports: 1,
-            pages: 5,
-            searches: 1,
-            paging_rounds: 2,
-        });
-        assert_eq!(a.reports, 4);
-        assert_eq!(a.pages, 15);
-        assert_eq!(a.searches, 3);
-        assert_eq!(a.paging_rounds, 6);
         assert!((a.pages_per_search() - 5.0).abs() < 1e-12);
     }
 

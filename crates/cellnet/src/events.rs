@@ -9,11 +9,11 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// A simulated timestamp (arbitrary time units).
-pub type Time = f64;
+pub(crate) type Time = f64;
 
 /// Events the system simulator schedules.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Event {
+pub(crate) enum Event {
     /// A terminal considers moving to a neighbouring cell.
     Move {
         /// The terminal that moves.
@@ -67,7 +67,7 @@ impl Ord for Scheduled {
 
 /// A deterministic, time-ordered event queue.
 #[derive(Debug, Default)]
-pub struct EventQueue {
+pub(crate) struct EventQueue {
     heap: BinaryHeap<Scheduled>,
     next_seq: u64,
     now: Time,
@@ -76,26 +76,8 @@ pub struct EventQueue {
 impl EventQueue {
     /// An empty queue at time zero.
     #[must_use]
-    pub fn new() -> EventQueue {
+    pub(crate) fn new() -> EventQueue {
         EventQueue::default()
-    }
-
-    /// The current simulation time (the time of the last popped event).
-    #[must_use]
-    pub fn now(&self) -> Time {
-        self.now
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 
     /// Schedules an event at absolute time `at`.
@@ -103,7 +85,7 @@ impl EventQueue {
     /// # Panics
     ///
     /// Panics if `at` is NaN or earlier than the current time.
-    pub fn schedule(&mut self, at: Time, event: Event) {
+    pub(crate) fn schedule(&mut self, at: Time, event: Event) {
         assert!(!at.is_nan(), "event time must not be NaN");
         assert!(at >= self.now, "cannot schedule into the past");
         let seq = self.next_seq;
@@ -120,13 +102,13 @@ impl EventQueue {
     /// # Panics
     ///
     /// Panics if `delay` is negative or NaN.
-    pub fn schedule_in(&mut self, delay: Time, event: Event) {
+    pub(crate) fn schedule_in(&mut self, delay: Time, event: Event) {
         assert!(delay >= 0.0, "delay must be non-negative");
         self.schedule(self.now + delay, event);
     }
 
     /// Pops the earliest event, advancing the clock.
-    pub fn pop(&mut self) -> Option<(Time, Event)> {
+    pub(crate) fn pop(&mut self) -> Option<(Time, Event)> {
         let s = self.heap.pop()?;
         self.now = s.time;
         Some((s.time, s.event))
@@ -177,13 +159,12 @@ mod tests {
                 on: true,
             },
         );
-        assert_eq!(q.now(), 0.0);
         let (t, _) = q.pop().unwrap();
         assert_eq!(t, 2.5);
-        assert_eq!(q.now(), 2.5);
         q.schedule_in(1.0, Event::Move { terminal: 0 });
         let (t2, _) = q.pop().unwrap();
         assert_eq!(t2, 3.5);
+        assert!(q.pop().is_none());
     }
 
     #[test]
@@ -193,21 +174,5 @@ mod tests {
         q.schedule(5.0, Event::Move { terminal: 0 });
         q.pop();
         q.schedule(1.0, Event::Move { terminal: 0 });
-    }
-
-    #[test]
-    fn len_and_empty() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        q.schedule(
-            1.0,
-            Event::Call {
-                participants: vec![0, 1],
-            },
-        );
-        assert_eq!(q.len(), 1);
-        q.pop();
-        assert!(q.is_empty());
-        assert!(q.pop().is_none());
     }
 }

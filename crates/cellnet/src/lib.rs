@@ -6,10 +6,11 @@
 //! crate produces those inputs the way a real system would (Section 1.1
 //! of the paper): terminals roam a cell [`topology::Topology`] under
 //! [`mobility`] models, report crossings of [`area::LocationAreaPlan`]
-//! boundaries, and the [`estimator`] recovers per-terminal cell
-//! distributions from observed movement histories. The
+//! boundaries, and each terminal's cell distribution is estimated
+//! from its movement history with the Laplace rule of
+//! `pager_profiles::estimators`. The
 //! [`system::System`] discrete-event simulator ties it together and
-//! accounts wireless-link [`cost`] for both reporting and paging, so
+//! accounts wireless-link cost ([`CostModel`]) for both reporting and paging, so
 //! the classic reporting-vs-paging trade-off can be measured against
 //! any paging planner (the root crate plugs in the paper's
 //! `e/(e−1)`-approximation).
@@ -36,19 +37,16 @@
 #![warn(missing_docs)]
 
 pub mod area;
-pub mod cost;
-pub mod estimator;
-pub mod events;
+mod cost;
+mod events;
 pub mod mobility;
 pub mod stats;
 pub mod system;
-pub mod terminal;
+mod terminal;
 pub mod topology;
-pub mod trace;
 
 pub use area::LocationAreaPlan;
 pub use cost::{CostModel, LinkUsage};
 pub use stats::Accumulator;
 pub use system::{BlanketPlanner, PagingPlanner, SimulationOutcome, System, SystemConfig};
-pub use terminal::Terminal;
 pub use topology::Topology;

@@ -44,81 +44,6 @@ impl MobilityModel for RandomWalk {
     }
 }
 
-/// Random-waypoint mobility: pick a random destination, walk toward it
-/// one hop at a time (choosing among distance-reducing neighbours
-/// uniformly), pause a geometric number of steps on arrival, repeat.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RandomWaypoint {
-    destination: Option<CellId>,
-    pause: f64,
-    paused_remaining: usize,
-    max_pause: usize,
-}
-
-impl RandomWaypoint {
-    /// Creates the model; `pause` is the per-step probability of
-    /// remaining paused once at the destination, truncated at
-    /// `max_pause` steps.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 <= pause < 1`.
-    #[must_use]
-    pub fn new(pause: f64, max_pause: usize) -> RandomWaypoint {
-        assert!((0.0..1.0).contains(&pause), "pause must be in [0, 1)");
-        RandomWaypoint {
-            destination: None,
-            pause,
-            paused_remaining: 0,
-            max_pause,
-        }
-    }
-}
-
-impl MobilityModel for RandomWaypoint {
-    fn next_cell<R: Rng>(&mut self, current: CellId, topology: &Topology, rng: &mut R) -> CellId {
-        if self.paused_remaining > 0 {
-            self.paused_remaining -= 1;
-            return current;
-        }
-        let dest = match self.destination {
-            Some(d) if d != current => d,
-            _ => {
-                // Arrived (or no destination): maybe pause, then repick.
-                if self.destination == Some(current) {
-                    let mut pause_len = 0usize;
-                    while pause_len < self.max_pause && rng.gen::<f64>() < self.pause {
-                        pause_len += 1;
-                    }
-                    if pause_len > 0 {
-                        self.paused_remaining = pause_len - 1;
-                        self.destination = None;
-                        return current;
-                    }
-                }
-                let d = rng.gen_range(0..topology.num_cells());
-                self.destination = Some(d);
-                if d == current {
-                    return current;
-                }
-                d
-            }
-        };
-        // One hop toward `dest`.
-        let cur_dist = topology.distance(current, dest);
-        let closer: Vec<CellId> = topology
-            .neighbors(current)
-            .into_iter()
-            .filter(|&n| topology.distance(n, dest) < cur_dist)
-            .collect();
-        if closer.is_empty() {
-            current
-        } else {
-            closer[rng.gen_range(0..closer.len())]
-        }
-    }
-}
-
 /// A biased walk that prefers a "home" cell: moves toward home with
 /// probability `homing`, otherwise behaves as a uniform random walk.
 /// Produces the hotspot-shaped stationary distributions the paper's
@@ -212,21 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn waypoint_reaches_destinations() {
-        let t = Topology::grid(5, 5);
-        let mut m = RandomWaypoint::new(0.5, 3);
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut cell = 0;
-        let mut visited = std::collections::HashSet::new();
-        for _ in 0..2000 {
-            cell = m.next_cell(cell, &t, &mut rng);
-            visited.insert(cell);
-        }
-        // The walk should cover most of the grid.
-        assert!(visited.len() > 20, "visited only {}", visited.len());
-    }
-
-    #[test]
     fn homing_walk_concentrates_near_home() {
         let t = Topology::grid(5, 5);
         let home = t.cell_at(2, 2);
@@ -248,6 +158,5 @@ mod tests {
     fn model_guards() {
         assert!(std::panic::catch_unwind(|| RandomWalk::new(1.0)).is_err());
         assert!(std::panic::catch_unwind(|| HomingWalk::new(0, 1.5)).is_err());
-        assert!(std::panic::catch_unwind(|| RandomWaypoint::new(-0.1, 2)).is_err());
     }
 }

@@ -25,8 +25,12 @@ use crate::events::{Event, EventQueue, Time};
 use crate::mobility::MobilityModel;
 use crate::terminal::Terminal;
 use crate::topology::Topology;
+use pager_profiles::estimators::empirical_from_counts;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Laplace smoothing mass per cell in the location estimate.
+const SMOOTHING: f64 = 0.5;
 
 /// Plans a paging strategy for one location area.
 ///
@@ -69,8 +73,6 @@ pub struct SystemConfig {
     pub call_size: usize,
     /// Paging delay bound `d` passed to the planner.
     pub paging_delay: usize,
-    /// Laplace smoothing for the location estimator.
-    pub smoothing: f64,
     /// Simulation end time.
     pub horizon: Time,
     /// Mean time between power toggles per terminal (`None` = always
@@ -93,7 +95,6 @@ impl SystemConfig {
             mean_call_interval: 5.0,
             call_size: 2,
             paging_delay: 2,
-            smoothing: 0.5,
             horizon: 1000.0,
             mean_power_toggle: None,
         }
@@ -162,7 +163,7 @@ impl<M: MobilityModel> System<M> {
         let mut rng = StdRng::seed_from_u64(seed);
         let c = config.topology.num_cells();
         let terminals: Vec<Terminal> = (0..config.num_terminals)
-            .map(|id| Terminal::new(id, rng.gen_range(0..c), config.history_cap))
+            .map(|_| Terminal::new(rng.gen_range(0..c), config.history_cap))
             .collect();
         let known_area = terminals
             .iter()
@@ -177,12 +178,6 @@ impl<M: MobilityModel> System<M> {
         }
     }
 
-    /// Immutable access to the terminals.
-    #[must_use]
-    pub fn terminals(&self) -> &[Terminal] {
-        &self.terminals
-    }
-
     fn exp_interval(rng: &mut StdRng, mean: Time) -> Time {
         let u: f64 = rng.gen::<f64>().max(1e-12);
         -mean * u.ln()
@@ -192,18 +187,16 @@ impl<M: MobilityModel> System<M> {
     /// of its known area (local indices).
     fn estimate_in_area(&self, terminal: usize) -> Vec<f64> {
         let area = self.known_area[terminal];
-        let cells = self.config.areas.cells_in(area);
         let history = self.terminals[terminal].history();
         // Count sightings per area cell.
-        let counts: Vec<f64> = cells
+        let counts: Vec<f64> = self
+            .config
+            .areas
+            .cells_in(area)
             .iter()
             .map(|&cell| history.iter().filter(|&&h| h == cell).count() as f64)
             .collect();
-        let total: f64 = counts.iter().sum::<f64>() + self.config.smoothing * cells.len() as f64;
-        counts
-            .into_iter()
-            .map(|n| (n + self.config.smoothing) / total)
-            .collect()
+        empirical_from_counts(&counts, SMOOTHING)
     }
 
     /// Establishes one conference call, returning the record.

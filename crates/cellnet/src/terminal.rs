@@ -4,8 +4,7 @@ use crate::topology::CellId;
 
 /// A mobile terminal roaming the system.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Terminal {
-    id: usize,
+pub(crate) struct Terminal {
     cell: CellId,
     powered: bool,
     history: Vec<CellId>,
@@ -20,10 +19,9 @@ impl Terminal {
     ///
     /// Panics if `history_cap == 0`.
     #[must_use]
-    pub fn new(id: usize, cell: CellId, history_cap: usize) -> Terminal {
+    pub(crate) fn new(cell: CellId, history_cap: usize) -> Terminal {
         assert!(history_cap > 0, "history capacity must be positive");
         Terminal {
-            id,
             cell,
             powered: true,
             history: vec![cell],
@@ -31,15 +29,9 @@ impl Terminal {
         }
     }
 
-    /// The terminal's identifier.
-    #[must_use]
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
     /// The cell the terminal currently occupies.
     #[must_use]
-    pub fn cell(&self) -> CellId {
+    pub(crate) fn cell(&self) -> CellId {
         self.cell
     }
 
@@ -47,17 +39,17 @@ impl Terminal {
     /// report, which is why the system loses track of them — the
     /// paper's motivation for probabilistic search).
     #[must_use]
-    pub fn is_powered(&self) -> bool {
+    pub(crate) fn is_powered(&self) -> bool {
         self.powered
     }
 
     /// Powers the terminal on or off.
-    pub fn set_powered(&mut self, on: bool) {
+    pub(crate) fn set_powered(&mut self, on: bool) {
         self.powered = on;
     }
 
     /// Moves the terminal, recording the new cell in its history.
-    pub fn move_to(&mut self, cell: CellId) {
+    pub(crate) fn move_to(&mut self, cell: CellId) {
         self.cell = cell;
         if self.history.len() == self.history_cap {
             self.history.remove(0);
@@ -67,7 +59,7 @@ impl Terminal {
 
     /// The movement history, oldest first (bounded by the capacity).
     #[must_use]
-    pub fn history(&self) -> &[CellId] {
+    pub(crate) fn history(&self) -> &[CellId] {
         &self.history
     }
 }
@@ -78,8 +70,7 @@ mod tests {
 
     #[test]
     fn movement_recorded() {
-        let mut t = Terminal::new(7, 3, 4);
-        assert_eq!(t.id(), 7);
+        let mut t = Terminal::new(3, 4);
         assert_eq!(t.cell(), 3);
         t.move_to(4);
         t.move_to(5);
@@ -89,7 +80,7 @@ mod tests {
 
     #[test]
     fn history_bounded() {
-        let mut t = Terminal::new(0, 0, 3);
+        let mut t = Terminal::new(0, 3);
         for c in 1..=5 {
             t.move_to(c);
         }
@@ -98,7 +89,7 @@ mod tests {
 
     #[test]
     fn power_toggles() {
-        let mut t = Terminal::new(0, 0, 2);
+        let mut t = Terminal::new(0, 2);
         assert!(t.is_powered());
         t.set_powered(false);
         assert!(!t.is_powered());

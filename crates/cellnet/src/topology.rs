@@ -8,11 +8,11 @@
 //! offset-coordinate hexagonal grid (the classical cellular layout).
 
 /// A cell identifier (index into the topology).
-pub type CellId = usize;
+pub(crate) type CellId = usize;
 
 /// The shape of a cellular layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Layout {
+pub(crate) enum Layout {
     /// `c` cells in a row; cell `i` neighbours `i − 1` and `i + 1`.
     Line,
     /// `c` cells in a cycle (a ring road); like a line but with the
@@ -105,22 +105,10 @@ impl Topology {
         }
     }
 
-    /// The layout kind.
-    #[must_use]
-    pub fn layout(&self) -> Layout {
-        self.layout
-    }
-
     /// Grid width (the line length for [`Layout::Line`]).
     #[must_use]
-    pub fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         self.width
-    }
-
-    /// Grid height (1 for lines).
-    #[must_use]
-    pub fn height(&self) -> usize {
-        self.height
     }
 
     /// Total number of cells.
@@ -135,7 +123,7 @@ impl Topology {
     ///
     /// Panics if `cell` is out of range.
     #[must_use]
-    pub fn position(&self, cell: CellId) -> (usize, usize) {
+    pub(crate) fn position(&self, cell: CellId) -> (usize, usize) {
         assert!(cell < self.num_cells(), "cell {cell} out of range");
         (cell % self.width, cell / self.width)
     }

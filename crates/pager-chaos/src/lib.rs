@@ -37,7 +37,7 @@
 //! and the cluster router's byzantine-reply detection rather than a
 //! mock of them.
 //!
-//! `pager-cluster`'s orchestration harness wires one [`proxy::ChaosProxy`]
+//! `pager-cluster`'s orchestration harness wires one chaos proxy
 //! in front of every launched `pager-serve` process (covering both the
 //! router→shard request path and the owner→replica WAL-shipping path,
 //! which the router drives over the same links) and drives schedules
@@ -47,10 +47,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod net;
-pub mod proxy;
-pub mod schedule;
+mod net;
+mod proxy;
+mod schedule;
 
 pub use net::ChaosNet;
-pub use proxy::ChaosProxy;
 pub use schedule::{Fault, Schedule, Step};

@@ -35,18 +35,6 @@ impl ChaosNet {
         Ok(addr)
     }
 
-    /// The proxy for an exact link name, if registered.
-    #[must_use]
-    pub fn proxy(&self, link: &str) -> Option<&ChaosProxy> {
-        self.proxies.iter().find(|p| p.link() == link)
-    }
-
-    /// All registered link names, in wiring order.
-    #[must_use]
-    pub fn links(&self) -> Vec<String> {
-        self.proxies.iter().map(|p| p.link().to_string()).collect()
-    }
-
     /// Applies `fault` to every link matching `pattern` (literal or
     /// single-`*` glob). Returns how many links matched.
     pub fn apply(&self, pattern: &str, fault: &Fault) -> usize {

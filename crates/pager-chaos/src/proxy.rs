@@ -77,7 +77,7 @@ struct PolicySnapshot {
 
 jsonio::registry! {
     /// Monotone per-link counters.
-    pub struct LinkStats {
+    pub(crate) struct LinkStats {
         /// Connections accepted and wired through to upstream.
         conns_opened: Counter,
         /// Connections refused (partition) or failed upstream dials.
@@ -125,9 +125,8 @@ impl Shared {
 
 /// One fault-injecting TCP proxy on one cluster link.
 #[derive(Debug)]
-pub struct ChaosProxy {
+pub(crate) struct ChaosProxy {
     link: String,
-    upstream: String,
     addr: SocketAddr,
     shared: Arc<Shared>,
 }
@@ -137,7 +136,7 @@ impl ChaosProxy {
     /// on an ephemeral `127.0.0.1` port and forwarding to `upstream`.
     /// All seeded decisions on this link derive from `seed` and the
     /// link name.
-    pub fn spawn(link: &str, upstream: &str, seed: u64) -> Result<ChaosProxy, String> {
+    pub(crate) fn spawn(link: &str, upstream: &str, seed: u64) -> Result<ChaosProxy, String> {
         // Resolve the upstream once so a bad address fails loudly at
         // wiring time, not on the first forwarded connection.
         upstream
@@ -165,7 +164,6 @@ impl ChaosProxy {
         std::thread::spawn(move || accept_loop(&listener, &accept_shared, &accept_upstream));
         Ok(ChaosProxy {
             link: link.to_string(),
-            upstream: upstream.to_string(),
             addr,
             shared,
         })
@@ -173,25 +171,19 @@ impl ChaosProxy {
 
     /// The link name this proxy interposes on.
     #[must_use]
-    pub fn link(&self) -> &str {
+    pub(crate) fn link(&self) -> &str {
         &self.link
     }
 
     /// The address clients should dial instead of the upstream.
     #[must_use]
-    pub fn addr(&self) -> String {
+    pub(crate) fn addr(&self) -> String {
         self.addr.to_string()
-    }
-
-    /// The real backend address behind the proxy.
-    #[must_use]
-    pub fn upstream(&self) -> &str {
-        &self.upstream
     }
 
     /// Applies one fault to the link, effective for pumps within one
     /// poll tick.
-    pub fn apply(&self, fault: &Fault) {
+    pub(crate) fn apply(&self, fault: &Fault) {
         let mut policy = self
             .shared
             .link_policy
@@ -225,13 +217,13 @@ impl ChaosProxy {
     }
 
     /// Restores transparent forwarding.
-    pub fn heal(&self) {
+    pub(crate) fn heal(&self) {
         self.apply(&Fault::Heal);
     }
 
     /// The link's live counters (read one with [`Counter::get`]).
-    #[must_use]
-    pub fn stats(&self) -> &LinkStats {
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> &LinkStats {
         &self.shared.stats
     }
 }

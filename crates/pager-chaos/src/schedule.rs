@@ -75,7 +75,7 @@ pub enum Fault {
 impl Fault {
     /// The JSON `kind` tag.
     #[must_use]
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             Fault::Delay { .. } => "delay",
             Fault::Jitter { .. } => "jitter",
@@ -91,7 +91,7 @@ impl Fault {
 
     /// Serializes to a JSON object (`{"kind": ..., ...params}`).
     #[must_use]
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(&self) -> Value {
         let mut fields = vec![("kind", Value::from(self.kind()))];
         match self {
             Fault::Delay { ms } | Fault::Jitter { ms } => fields.push(("ms", Value::from(*ms))),
@@ -112,7 +112,7 @@ impl Fault {
     }
 
     /// Parses a fault from its JSON object form.
-    pub fn from_json(value: &Value) -> Result<Fault, String> {
+    pub(crate) fn from_json(value: &Value) -> Result<Fault, String> {
         let kind = value
             .get("kind")
             .and_then(Value::as_str)
@@ -182,7 +182,7 @@ pub struct Step {
 impl Step {
     /// Serializes to a JSON object.
     #[must_use]
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(&self) -> Value {
         Value::object(vec![
             ("at_ms", Value::from(self.at_ms)),
             ("link", Value::from(self.link.as_str())),
@@ -191,7 +191,7 @@ impl Step {
     }
 
     /// Parses a step from its JSON object form.
-    pub fn from_json(value: &Value) -> Result<Step, String> {
+    pub(crate) fn from_json(value: &Value) -> Result<Step, String> {
         let at_ms = value
             .get("at_ms")
             .and_then(Value::as_u64)
@@ -227,7 +227,7 @@ impl Schedule {
 
     /// The steps, in execution order.
     #[must_use]
-    pub fn steps(&self) -> &[Step] {
+    pub(crate) fn steps(&self) -> &[Step] {
         &self.steps
     }
 
@@ -236,16 +236,6 @@ impl Schedule {
     #[must_use]
     pub fn duration_ms(&self) -> u64 {
         self.steps.last().map_or(0, |s| s.at_ms)
-    }
-
-    /// Whether the schedule's final effect on every link is healed
-    /// (its last matching step for pattern `"*"` is a heal). Purely
-    /// advisory — the invariant checker heals explicitly regardless.
-    #[must_use]
-    pub fn ends_healed(&self) -> bool {
-        self.steps
-            .last()
-            .is_some_and(|s| s.fault == Fault::Heal && s.link == "*")
     }
 
     /// Serializes to `{"steps": [...]}`.
@@ -280,7 +270,7 @@ impl Schedule {
 /// Whether `link` matches `pattern`: equality, or — when the pattern
 /// contains one `*` — prefix/suffix match around it.
 #[must_use]
-pub fn link_matches(pattern: &str, link: &str) -> bool {
+pub(crate) fn link_matches(pattern: &str, link: &str) -> bool {
     match pattern.find('*') {
         None => pattern == link,
         Some(star) => {
@@ -335,7 +325,6 @@ mod tests {
         ]);
         assert_eq!(schedule.steps()[0].at_ms, 100, "sorted by at_ms");
         assert_eq!(schedule.duration_ms(), 900);
-        assert!(schedule.ends_healed());
         let text = schedule.to_json().to_string();
         let back = Schedule::parse(&text).expect("parse");
         assert_eq!(back, schedule);

@@ -110,7 +110,7 @@ impl NodeProc {
     }
 
     /// SIGKILL: no drain, no flush — the failure mode under test.
-    pub fn kill_hard(&mut self) -> Result<(), String> {
+    pub(crate) fn kill_hard(&mut self) -> Result<(), String> {
         let mut child = self
             .child
             .take()

@@ -16,20 +16,20 @@
 //!   breakers, retry-with-backoff honoring the request's
 //!   `deadline_ms`, `overloaded`/`degraded` pass-through, and
 //!   replica promotion (epoch bump) when an owner dies.
-//! - [`ship`]: **WAL shipping** — the router forwards the raw
+//! - `ship`: **WAL shipping** — the router forwards the raw
 //!   `pager-profiles::wal` frames each owner's `OBSERVE_RESP` carries
 //!   into the shard's replicas (`WAL_APPLY` frames), catching a
 //!   lagging replica up with `WAL_SHIP` reads of the owner's WAL,
 //!   *before* acking an `observe`, so failover serves every acked
 //!   sighting with the owner's exact version numbering.
-//! - [`harness`]: an **orchestration harness** that launches a real
+//! - `harness`: an **orchestration harness** that launches a real
 //!   N-process cluster from a [`topology::Topology`] spec, routes
 //!   requests through it, polls `node_info` on every shard, and
 //!   asserts the cluster invariants (no acked observation lost after SIGKILL,
 //!   version monotonicity across failover). A topology with a
 //!   [`topology::ChaosSpec`] gets a seeded `pager-chaos` fault proxy
 //!   on every router→node link.
-//! - [`invariants`]: the **chaos invariant checker** — drives mixed
+//! - `invariants`: the **chaos invariant checker** — drives mixed
 //!   traffic through a declarative fault schedule and audits the
 //!   safety properties afterwards (no acked sighting lost, no
 //!   profile-version regression on served plans, epoch convergence
@@ -47,15 +47,15 @@
 
 #[cfg(target_os = "linux")]
 mod front;
-pub mod harness;
-pub mod invariants;
+mod harness;
+mod invariants;
 pub mod ring;
 pub mod router;
-pub mod ship;
-pub mod topology;
-pub mod wire;
+mod ship;
+mod topology;
+mod wire;
 
-pub use harness::{Cluster, HarnessConfig};
+pub use harness::{Cluster, HarnessConfig, NodeProc};
 pub use invariants::{check_under_schedule, CheckConfig, InvariantReport};
 pub use ring::ShardMap;
 pub use router::{BackendSpec, Router, RouterConfig, ShardSpec};

@@ -19,7 +19,7 @@ use pager_core::fingerprint;
 /// ring — so the finalizer mixes every input bit into the ordering
 /// bits the ring actually compares.
 #[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = fingerprint::fnv1a64(fingerprint::FNV1A64_OFFSET, bytes);
     hash ^= hash >> 33;
     hash = hash.wrapping_mul(0xff51_afd7_ed55_8ccd);
@@ -72,18 +72,6 @@ impl ShardMap {
             shards: unique,
             ring,
         }
-    }
-
-    /// Number of member shards.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Whether the map has no members.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
     }
 
     /// The shard owning `key`, or `None` on an empty map.

@@ -32,7 +32,7 @@
 //! sealed request frame carrying a per-connection nonce in place of the
 //! client's id, and a sealed, nonce-correlated reply of an op the
 //! request can produce, with the client's id restored
-//! ([`crate::wire`]). `Router::call_backend` adds the pool, the
+//! (`crate::wire`). `Router::call_backend` adds the pool, the
 //! breaker and the byzantine count; `call_shard` adds overload retry
 //! and failover.
 //!
@@ -40,7 +40,7 @@
 //! shard, and each sub-batch replicates in two hops of native v2
 //! frames — the owner's `OBSERVE_RESP` carries the WAL frames it
 //! appended, and the router forwards them to that shard's replicas as
-//! `WAL_APPLY` (see [`crate::ship`]) *before* acking the client, so an
+//! `WAL_APPLY` (see `crate::ship`) *before* acking the client, so an
 //! acked sighting is always replayable from a survivor. Those hops
 //! have no v1 form: a client's `observe` is a JSON line, and the
 //! router's own answer to it is one.
@@ -290,7 +290,7 @@ impl Router {
 
     /// Current membership epoch.
     #[must_use]
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         let membership = self.membership.lock().unwrap_or_else(|e| e.into_inner());
         membership.map.epoch
     }

@@ -45,7 +45,7 @@ use crate::wire::{Ask, Reply};
 
 /// A replica's position in its owner's WAL.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Cursor {
+pub(crate) struct Cursor {
     /// WAL generation being tailed.
     pub generation: u64,
     /// Bytes of that generation already applied to the replica.
@@ -54,7 +54,7 @@ pub struct Cursor {
 
 /// Ship cursors for one shard, keyed by replica backend index.
 #[derive(Debug)]
-pub struct ShipCursors {
+pub(crate) struct ShipCursors {
     /// The backend whose WAL the cursors index. Until a catch-up pass
     /// against a new owner succeeds, appended frames are not trusted
     /// to line up with the cursors.

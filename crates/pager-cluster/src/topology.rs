@@ -51,7 +51,8 @@ pub struct ChaosSpec {
 impl ChaosSpec {
     /// Serializes to a JSON object.
     #[must_use]
-    pub fn to_json(&self) -> Value {
+    #[cfg(test)]
+    pub(crate) fn to_json(&self) -> Value {
         Value::object(vec![
             ("seed", Value::from(self.seed)),
             ("schedule", self.schedule.to_json()),
@@ -59,7 +60,7 @@ impl ChaosSpec {
     }
 
     /// Parses a chaos spec from its JSON object form.
-    pub fn from_json(value: &Value) -> Result<ChaosSpec, String> {
+    pub(crate) fn from_json(value: &Value) -> Result<ChaosSpec, String> {
         let seed = value
             .get("seed")
             .and_then(Value::as_u64)
@@ -100,7 +101,7 @@ impl Topology {
     /// Node id for replica `r` of shard `s`: the owner is
     /// `shard-{s}.r0`, warm replicas `shard-{s}.r1..`.
     #[must_use]
-    pub fn node_id(&self, shard: usize, replica: usize) -> String {
+    pub(crate) fn node_id(&self, shard: usize, replica: usize) -> String {
         format!("shard-{shard}.r{replica}")
     }
 
@@ -112,7 +113,8 @@ impl Topology {
 
     /// Serializes to a JSON object.
     #[must_use]
-    pub fn to_json(&self) -> Value {
+    #[cfg(test)]
+    pub(crate) fn to_json(&self) -> Value {
         let mut fields = vec![
             ("shards", Value::Int(self.shards as i64)),
             ("replicas", Value::Int(self.replicas as i64)),
@@ -130,7 +132,7 @@ impl Topology {
 
     /// Builds a topology from a JSON object; absent fields keep their
     /// defaults, present fields must parse.
-    pub fn from_json(value: &Value) -> Result<Topology, String> {
+    pub(crate) fn from_json(value: &Value) -> Result<Topology, String> {
         let mut t = Topology::default();
         let fields = value
             .as_object()

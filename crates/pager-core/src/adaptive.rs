@@ -19,9 +19,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Maximum cells supported by the exact adaptive evaluator.
-pub const ADAPTIVE_EXACT_MAX_CELLS: usize = 20;
+pub(crate) const ADAPTIVE_EXACT_MAX_CELLS: usize = 20;
 /// Maximum devices supported by the exact adaptive evaluator.
-pub const ADAPTIVE_EXACT_MAX_DEVICES: usize = 12;
+pub(crate) const ADAPTIVE_EXACT_MAX_DEVICES: usize = 12;
 
 /// Plans the next paging group adaptively.
 ///
@@ -87,7 +87,7 @@ fn plan_next_group(
 /// clamping (never fails for valid instances) and
 /// [`Error::InvalidSignatureThreshold`]-free errors; concretely it
 /// returns `Err` only when the instance exceeds
-/// [`ADAPTIVE_EXACT_MAX_CELLS`] or [`ADAPTIVE_EXACT_MAX_DEVICES`]
+/// 20 cells or 12 devices
 /// (reported as [`Error::DelayExceedsCells`] with the offending sizes —
 /// see the fields).
 pub fn adaptive_expected_paging(instance: &Instance, delay: Delay) -> Result<f64> {
@@ -164,9 +164,9 @@ fn recurse(instance: &Instance, unfound: &[usize], unpaged: &[usize], rounds_lef
 }
 
 /// Maximum cells supported by the optimal-adaptive solver.
-pub const OPTIMAL_ADAPTIVE_MAX_CELLS: usize = 12;
+pub(crate) const OPTIMAL_ADAPTIVE_MAX_CELLS: usize = 12;
 /// Maximum devices supported by the optimal-adaptive solver.
-pub const OPTIMAL_ADAPTIVE_MAX_DEVICES: usize = 6;
+pub(crate) const OPTIMAL_ADAPTIVE_MAX_DEVICES: usize = 6;
 
 /// Exact expected paging of the **optimal adaptive strategy**, by full
 /// dynamic programming over `(unfound devices, unpaged cells, rounds
@@ -179,7 +179,7 @@ pub const OPTIMAL_ADAPTIVE_MAX_DEVICES: usize = 6;
 /// # Errors
 ///
 /// Returns an error when the instance exceeds
-/// [`OPTIMAL_ADAPTIVE_MAX_CELLS`] or [`OPTIMAL_ADAPTIVE_MAX_DEVICES`].
+/// 12 cells or 6 devices.
 pub fn optimal_adaptive_expected_paging(instance: &Instance, delay: Delay) -> Result<f64> {
     let c = instance.num_cells();
     let m = instance.num_devices();

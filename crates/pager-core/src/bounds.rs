@@ -48,7 +48,7 @@ pub fn lemma31_max(c: f64) -> (f64, f64, f64) {
 
 /// Exact maximum value of `f`: `4c³/27 − 2c²/9 + c/12`.
 #[must_use]
-pub fn lemma31_max_exact(c: &Ratio) -> Ratio {
+pub(crate) fn lemma31_max_exact(c: &Ratio) -> Ratio {
     let c2 = c.pow(2);
     let c3 = c.pow(3);
     &(&(&Ratio::from_fraction(4, 27) * &c3) - &(&Ratio::from_fraction(2, 9) * &c2))

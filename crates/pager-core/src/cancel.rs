@@ -5,7 +5,7 @@
 //! whose budget expired mid-solve is worthless, so the solver should
 //! stop burning CPU and let the caller downgrade to the greedy tier.
 //! [`CancelToken`] carries that intent as an optional deadline. Solvers
-//! poll it at coarse checkpoints (every [`CHECKPOINT_STRIDE`] inner-loop
+//! poll it at coarse checkpoints (every 4,096 inner-loop
 //! iterations) and return [`crate::Error::Cancelled`] once it fires —
 //! cooperative, so a token can never tear a solver down mid-write.
 
@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 /// checkpoint polls. Polling costs an `Instant::now()` call; at this
 /// stride the overhead is far below 1% while cancellation latency
 /// stays in the tens of microseconds.
-pub const CHECKPOINT_STRIDE: u32 = 4096;
+pub(crate) const CHECKPOINT_STRIDE: u32 = 4096;
 
 /// A cooperative cancellation token.
 ///
@@ -96,7 +96,7 @@ impl CancelToken {
     /// [`crate::Error::Cancelled`] when the token has fired at a
     /// polled tick.
     #[inline]
-    pub fn checkpoint(&self, ticks: &mut u32) -> crate::Result<()> {
+    pub(crate) fn checkpoint(&self, ticks: &mut u32) -> crate::Result<()> {
         *ticks = ticks.wrapping_add(1);
         if (*ticks).is_multiple_of(CHECKPOINT_STRIDE) && self.is_cancelled() {
             return Err(crate::Error::Cancelled);
@@ -111,7 +111,7 @@ impl CancelToken {
     ///
     /// [`crate::Error::Cancelled`] when the token has fired.
     #[inline]
-    pub fn check(&self) -> crate::Result<()> {
+    pub(crate) fn check(&self) -> crate::Result<()> {
         if self.is_cancelled() {
             return Err(crate::Error::Cancelled);
         }

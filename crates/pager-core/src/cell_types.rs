@@ -42,7 +42,7 @@ impl CellTypes {
     /// (`tol = 0` means exact equality). Greedy clustering: each cell
     /// joins the first existing type within tolerance.
     #[must_use]
-    pub fn of_with_tolerance(instance: &Instance, tol: f64) -> CellTypes {
+    pub(crate) fn of_with_tolerance(instance: &Instance, tol: f64) -> CellTypes {
         let m = instance.num_devices();
         let mut columns: Vec<Vec<f64>> = Vec::new();
         let mut members: Vec<Vec<usize>> = Vec::new();
@@ -70,7 +70,7 @@ impl CellTypes {
 
     /// Multiplicities `n_1, …, n_T`.
     #[must_use]
-    pub fn multiplicities(&self) -> Vec<usize> {
+    pub(crate) fn multiplicities(&self) -> Vec<usize> {
         self.members.iter().map(Vec::len).collect()
     }
 }
@@ -79,7 +79,7 @@ impl CellTypes {
 /// `(n_t + 1)`). The transition count is bounded by
 /// `Π_t (n_t+1)(n_t+2)/2`, i.e. roughly the square of the state count
 /// per round, so the cap is deliberately conservative.
-pub const TYPE_DP_MAX_STATES: usize = 50_000;
+pub(crate) const TYPE_DP_MAX_STATES: usize = 50_000;
 
 /// Exact optimal strategy by dynamic programming over type-count
 /// prefixes.
@@ -93,7 +93,7 @@ pub const TYPE_DP_MAX_STATES: usize = 50_000;
 ///
 /// * [`Error::DelayExceedsCells`] when `d > c`;
 /// * [`Error::InvalidSignatureThreshold`] (reused with `k` = number of
-///   states) when the state space exceeds [`TYPE_DP_MAX_STATES`] —
+///   states) when the state space exceeds 50,000 —
 ///   cluster with a coarser tolerance or use the heuristic.
 pub fn optimal_by_types(instance: &Instance, delay: Delay) -> Result<PlannedStrategy> {
     let types = CellTypes::of(instance);

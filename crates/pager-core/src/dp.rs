@@ -66,7 +66,7 @@ pub fn optimal_split<T: Scalar>(g: &[T], d: usize, max_group: Option<usize>) -> 
 /// [`crate::Error::Cancelled`] when `cancel` fires mid-solve. The
 /// `Ok(None)` cases are the same infeasibility conditions as
 /// [`optimal_split`].
-pub fn optimal_split_cancel<T: Scalar>(
+pub(crate) fn optimal_split_cancel<T: Scalar>(
     g: &[T],
     d: usize,
     max_group: Option<usize>,

@@ -6,8 +6,10 @@
 //! * [`two_device_two_round`] — the Section 4.1 special case (`m = 2`,
 //!   `d = 2`), a `4/3`-approximation computed by a linear scan over the
 //!   split point.
-//! * ratio constants: [`approx_ratio_upper_bound`] (`e/(e−1)`) and
-//!   [`heuristic_ratio_lower_bound`] (`320/317`, Section 4.3).
+//! * [`two_round_ratio_upper_bound`] — that special case's `4/3`
+//!   (Lemma 4.3). The `e/(e−1)` factor is
+//!   [`crate::bounds::e_over_e_minus_1`], and the Section 4.3 ratio
+//!   `320/317` is [`crate::lower_bound_instance::ratio`].
 
 use crate::cancel::CancelToken;
 use crate::dp::{conference_stop_probs, optimal_split_cancel};
@@ -159,20 +161,6 @@ pub fn two_device_two_round(instance: &Instance) -> Result<PlannedStrategy> {
     })
 }
 
-/// The proven approximation-factor upper bound `e/(e−1) ≈ 1.5819…`
-/// (Theorem 4.8).
-#[must_use]
-pub fn approx_ratio_upper_bound() -> f64 {
-    core::f64::consts::E / (core::f64::consts::E - 1.0)
-}
-
-/// The performance-ratio lower bound `320/317 ≈ 1.00947` established by
-/// the Section 4.3 instance.
-#[must_use]
-pub fn heuristic_ratio_lower_bound() -> Ratio {
-    Ratio::from_fraction(320, 317)
-}
-
 /// The Section 4.1 special-case bound `4/3` for `m = 2`, `d = 2`
 /// (Lemma 4.3).
 #[must_use]
@@ -294,10 +282,11 @@ mod tests {
 
     #[test]
     fn ratio_constants() {
-        let e_ratio = approx_ratio_upper_bound();
+        let e_ratio = crate::bounds::e_over_e_minus_1();
         assert!((e_ratio - 1.581_976_7).abs() < 1e-6);
-        assert!(heuristic_ratio_lower_bound().to_f64() > 1.0);
-        assert!(heuristic_ratio_lower_bound() < Ratio::from_fraction(4, 3));
+        let lower = crate::lower_bound_instance::ratio();
+        assert!(lower.to_f64() > 1.0);
+        assert!(lower < Ratio::from_fraction(4, 3));
         assert_eq!(two_round_ratio_upper_bound(), Ratio::from_fraction(4, 3));
     }
 }

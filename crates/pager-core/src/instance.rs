@@ -194,7 +194,7 @@ impl Instance {
     /// # Errors
     ///
     /// Same as [`Instance::from_rows`].
-    pub fn single_device(probs: Vec<f64>) -> Result<Instance> {
+    pub(crate) fn single_device(probs: Vec<f64>) -> Result<Instance> {
         Instance::from_rows(vec![probs])
     }
 

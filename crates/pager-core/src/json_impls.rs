@@ -14,7 +14,8 @@ use jsonio::Value;
 impl Delay {
     /// Renders as a JSON integer.
     #[must_use]
-    pub fn to_json(self) -> Value {
+    #[cfg(test)]
+    pub(crate) fn to_json(self) -> Value {
         Value::from(self.get())
     }
 
@@ -49,7 +50,8 @@ impl Strategy {
     /// # Errors
     ///
     /// A message on malformed JSON shape or an invalid strategy.
-    pub fn from_json(value: &Value) -> Result<Strategy, String> {
+    #[cfg(test)]
+    pub(crate) fn from_json(value: &Value) -> Result<Strategy, String> {
         let outer = value
             .as_array()
             .ok_or_else(|| "strategy must be an array of arrays".to_string())?;

@@ -55,7 +55,7 @@ impl DetectionModel {
     ///
     /// Panics if `n == 0` or the model parameters are out of `(0, 1]`.
     #[must_use]
-    pub fn detect_prob(&self, n: usize) -> f64 {
+    pub(crate) fn detect_prob(&self, n: usize) -> f64 {
         assert!(n >= 1, "a detected device occupies its cell");
         match *self {
             DetectionModel::Perfect => 1.0,
@@ -88,7 +88,7 @@ pub struct LossyReport {
 /// Simulates the strategy under a detection model.
 ///
 /// Each round pages its group; every not-yet-found device whose cell
-/// is in the group is detected with [`DetectionModel::detect_prob`]
+/// is in the group is detected with `DetectionModel::detect_prob`
 /// (occupancy counts *undetected* devices only — detected devices stop
 /// transmitting). If devices remain after the last round, the whole
 /// cell set is re-paged in the same group order until all are found.

@@ -17,11 +17,14 @@ use crate::instance::Instance;
 use rational::Ratio;
 
 /// Number of devices in the instance.
-pub const M: usize = 2;
+#[cfg(test)]
+const M: usize = 2;
 /// Number of cells in the instance.
-pub const C: usize = 8;
+#[cfg(test)]
+const C: usize = 8;
 /// Delay bound of the instance.
-pub const D: usize = 2;
+#[cfg(test)]
+const D: usize = 2;
 
 /// The instance over exact rationals.
 ///

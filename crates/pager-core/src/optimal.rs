@@ -27,7 +27,7 @@ use crate::strategy::Strategy;
 use rational::Ratio;
 
 /// Hard cap for [`optimal_exhaustive`] so `d^c` stays tractable.
-pub const EXHAUSTIVE_MAX_CELLS: usize = 12;
+pub(crate) const EXHAUSTIVE_MAX_CELLS: usize = 12;
 /// Hard cap for [`optimal_subset_dp`] so `3^c` stays tractable.
 pub const SUBSET_DP_MAX_CELLS: usize = 18;
 
@@ -40,7 +40,7 @@ pub const SUBSET_DP_MAX_CELLS: usize = 18;
 ///
 /// # Panics
 ///
-/// Panics if `c >` [`EXHAUSTIVE_MAX_CELLS`] — use
+/// Panics if `c > 12` — use
 /// [`optimal_subset_dp`] or the heuristic instead.
 pub fn optimal_exhaustive<S: Scalar>(
     instance: &Instance<S>,
@@ -288,7 +288,8 @@ pub fn optimal_two_round_exact(instance: &Instance<Ratio>) -> Result<PlannedStra
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::greedy::{approx_ratio_upper_bound, greedy_strategy_planned};
+    use crate::bounds::e_over_e_minus_1;
+    use crate::greedy::greedy_strategy_planned;
 
     fn demo_instance() -> Instance {
         Instance::from_rows(vec![
@@ -329,10 +330,7 @@ mod tests {
             let opt = optimal_subset_dp(&inst, Delay::new(d).unwrap()).unwrap();
             let heur = greedy_strategy_planned(&inst, Delay::new(d).unwrap());
             let ratio = heur.expected_paging / opt.expected_paging;
-            assert!(
-                ratio <= approx_ratio_upper_bound() + 1e-9,
-                "d={d}: ratio {ratio}"
-            );
+            assert!(ratio <= e_over_e_minus_1() + 1e-9, "d={d}: ratio {ratio}");
             assert!(ratio >= 1.0 - 1e-9, "heuristic cannot beat the optimum");
         }
     }

@@ -124,7 +124,7 @@ pub fn greedy_signature_cancel(
 ///
 /// # Panics
 ///
-/// Panics if `c >` [`crate::optimal::EXHAUSTIVE_MAX_CELLS`].
+/// Panics if `c > 12`, the cap of [`crate::optimal::optimal_exhaustive`].
 pub fn optimal_signature_exhaustive(
     instance: &Instance,
     delay: Delay,

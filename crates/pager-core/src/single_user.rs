@@ -126,7 +126,7 @@ mod tests {
         let inst = Instance::single_device(vec![0.4, 0.3, 0.15, 0.1, 0.05]).unwrap();
         let plan = single_user_optimal(&inst, Delay::new(5).unwrap()).unwrap();
         assert_eq!(plan.strategy.group_sizes(), vec![1, 1, 1, 1, 1]);
-        assert_eq!(plan.strategy.paging_order(), vec![0, 1, 2, 3, 4]);
+        assert_eq!(plan.strategy.groups().concat(), vec![0, 1, 2, 3, 4]);
         // EP = Σ_r r·p_(r) = 1·0.4 + 2·0.3 + 3·0.15 + 4·0.1 + 5·0.05.
         let expect = 0.4 + 0.6 + 0.45 + 0.4 + 0.25;
         assert!((plan.expected_paging - expect).abs() < 1e-12);

@@ -182,12 +182,6 @@ impl Strategy {
         self.groups.iter().map(Vec::len).collect()
     }
 
-    /// The concatenation `S_1 ++ S_2 ++ …` — the paging order.
-    #[must_use]
-    pub fn paging_order(&self) -> Vec<usize> {
-        self.groups.iter().flatten().copied().collect()
-    }
-
     /// [`Error::StrategyInstanceMismatch`] unless the strategy covers
     /// exactly `cells` cells.
     pub(crate) fn check_cells(&self, cells: usize) -> Result<()> {
@@ -359,7 +353,7 @@ impl Instance {
     ///
     /// Returns [`Error::StrategyInstanceMismatch`] when the strategy
     /// covers a different number of cells.
-    pub fn found_by_round(&self, strategy: &Strategy, round: usize) -> Result<f64> {
+    pub(crate) fn found_by_round(&self, strategy: &Strategy, round: usize) -> Result<f64> {
         strategy.check_cells(self.num_cells())?;
         let m = self.num_devices();
         let mut prefix = vec![0.0f64; m];
@@ -412,7 +406,7 @@ mod tests {
         assert_eq!(s.num_cells(), 4);
         assert_eq!(s.group(0), &[2, 0]);
         assert_eq!(s.group_sizes(), vec![2, 2]);
-        assert_eq!(s.paging_order(), vec![2, 0, 1, 3]);
+        assert_eq!(s.groups().concat(), vec![2, 0, 1, 3]);
         assert_eq!(s.round_of_cell(), vec![0, 1, 0, 1]);
         assert_eq!(s.to_string(), "2,0 | 1,3");
     }

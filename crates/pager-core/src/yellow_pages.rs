@@ -77,7 +77,7 @@ pub fn best_single_device(instance: &Instance, delay: Delay) -> Result<PlannedSt
 ///
 /// # Panics
 ///
-/// Panics if `c >` [`crate::optimal::EXHAUSTIVE_MAX_CELLS`].
+/// Panics if `c > 12`, the cap of [`crate::optimal::optimal_exhaustive`].
 pub fn optimal_yellow_exhaustive(instance: &Instance, delay: Delay) -> Result<PlannedStrategy> {
     optimal_signature_exhaustive(instance, delay, 1)
 }

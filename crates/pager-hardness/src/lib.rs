@@ -32,10 +32,7 @@ pub mod qap;
 pub mod quasipartition;
 pub mod reduction;
 
-pub use multipartition::{MultipartitionInstance, MultipartitionParams};
-pub use partition::{PartitionError, PartitionInstance};
-pub use quasipartition::{Qp1Instance, Qp2Instance, Qp2Params};
-pub use reduction::{
-    quasipartition1_to_conference_call, verify_reduction, ConferenceCallReduction, ReductionError,
-    ReductionVerdict,
-};
+pub use multipartition::MultipartitionParams;
+pub use partition::PartitionInstance;
+pub use quasipartition::{Qp1Instance, Qp2Params};
+pub use reduction::{quasipartition1_to_conference_call, verify_reduction};

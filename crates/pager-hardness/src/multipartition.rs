@@ -92,7 +92,7 @@ impl MultipartitionParams {
     /// Panics if some `r_j·c` is not integral (i.e. `c` is not a
     /// multiple of `M`).
     #[must_use]
-    pub fn cardinalities(&self, c: usize) -> Vec<usize> {
+    pub(crate) fn cardinalities(&self, c: usize) -> Vec<usize> {
         self.r
             .iter()
             .map(|rj| {
@@ -121,7 +121,7 @@ impl MultipartitionInstance {
     /// Panics if `sizes.len()` is not a positive multiple of `M` or a
     /// size is negative.
     #[must_use]
-    pub fn new(params: MultipartitionParams, sizes: Vec<Ratio>) -> MultipartitionInstance {
+    pub(crate) fn new(params: MultipartitionParams, sizes: Vec<Ratio>) -> MultipartitionInstance {
         assert!(
             !sizes.is_empty() && (sizes.len() as u64).is_multiple_of(params.m_const),
             "size count must be a positive multiple of M"
@@ -135,19 +135,14 @@ impl MultipartitionInstance {
 
     /// Number of sizes `c`.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.sizes.len()
-    }
-
-    /// Never true.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.sizes.is_empty()
     }
 
     /// Checks a claimed multipartition (one group of indices per round).
     #[must_use]
-    pub fn verify(&self, groups: &[Vec<usize>]) -> bool {
+    #[cfg(test)]
+    pub(crate) fn verify(&self, groups: &[Vec<usize>]) -> bool {
         let c = self.len();
         let d = self.params.d;
         if groups.len() != d {

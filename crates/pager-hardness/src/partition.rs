@@ -74,19 +74,13 @@ impl PartitionInstance {
 
     /// Number of items `g`.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.sizes.len()
-    }
-
-    /// Never true: construction rejects empty instances.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.sizes.is_empty()
     }
 
     /// Total of all sizes.
     #[must_use]
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.sizes.iter().sum()
     }
 

@@ -22,7 +22,7 @@ use pager_core::{Instance, Strategy};
 /// A Quadratic Assignment Problem instance with symmetric matrices:
 /// maximise `Σ_{i,j} a[i][j] · b[π(i)][π(j)]` over permutations `π`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct QapInstance {
+pub(crate) struct QapInstance {
     /// The first (location) matrix.
     pub a: Vec<Vec<f64>>,
     /// The second (flow) matrix.
@@ -36,7 +36,7 @@ impl QapInstance {
     ///
     /// Panics if the matrices are not square of equal size, or size 0.
     #[must_use]
-    pub fn new(a: Vec<Vec<f64>>, b: Vec<Vec<f64>>) -> QapInstance {
+    pub(crate) fn new(a: Vec<Vec<f64>>, b: Vec<Vec<f64>>) -> QapInstance {
         let n = a.len();
         assert!(n > 0, "QAP needs at least one facility");
         assert!(
@@ -48,7 +48,7 @@ impl QapInstance {
 
     /// Problem size `n`.
     #[must_use]
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.a.len()
     }
 
@@ -59,7 +59,7 @@ impl QapInstance {
     ///
     /// Panics if `perm` is not a permutation of `0..n`.
     #[must_use]
-    pub fn objective(&self, perm: &[usize]) -> f64 {
+    pub(crate) fn objective(&self, perm: &[usize]) -> f64 {
         let n = self.size();
         assert_eq!(perm.len(), n, "permutation size mismatch");
         let mut value = 0.0;
@@ -77,7 +77,7 @@ impl QapInstance {
     ///
     /// Panics if `n > 10`.
     #[must_use]
-    pub fn solve_brute(&self) -> (Vec<usize>, f64) {
+    pub(crate) fn solve_brute(&self) -> (Vec<usize>, f64) {
         let n = self.size();
         assert!(n <= 10, "solve_brute supports at most 10 facilities");
         let mut perm: Vec<usize> = (0..n).collect();
@@ -116,7 +116,7 @@ impl QapInstance {
 ///
 /// Panics if the instance does not have exactly two devices.
 #[must_use]
-pub fn conference_call_to_qap(instance: &Instance) -> QapInstance {
+pub(crate) fn conference_call_to_qap(instance: &Instance) -> QapInstance {
     assert_eq!(
         instance.num_devices(),
         2,
@@ -146,7 +146,7 @@ pub fn conference_call_to_qap(instance: &Instance) -> QapInstance {
 ///
 /// Panics if `perm` is not a permutation.
 #[must_use]
-pub fn permutation_to_strategy(perm: &[usize]) -> Strategy {
+pub(crate) fn permutation_to_strategy(perm: &[usize]) -> Strategy {
     let c = perm.len();
     let mut order = vec![0usize; c];
     for (cell, &round) in perm.iter().enumerate() {

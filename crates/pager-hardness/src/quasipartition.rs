@@ -51,7 +51,7 @@ impl Qp2Params {
     /// The subset-sum target as a fraction of the total:
     /// `x_v / (x_u + x_v)`.
     #[must_use]
-    pub fn sum_fraction(&self) -> Ratio {
+    pub(crate) fn sum_fraction(&self) -> Ratio {
         &self.x_v / &(&self.x_u + &self.x_v)
     }
 
@@ -61,7 +61,7 @@ impl Qp2Params {
     ///
     /// Panics if `M·r_v·h` is not an integer or does not fit `usize`.
     #[must_use]
-    pub fn subset_cardinality(&self, h: u64) -> usize {
+    pub(crate) fn subset_cardinality(&self, h: u64) -> usize {
         let card = &(&Ratio::from(self.m_const) * &self.r_v) * &Ratio::from(h);
         assert!(card.is_integer(), "M*r_v*h must be integral");
         usize::try_from(card.numer()).expect("cardinality fits usize")
@@ -73,7 +73,7 @@ impl Qp2Params {
     ///
     /// Panics if the value is not an integer or does not fit `usize`.
     #[must_use]
-    pub fn instance_len(&self, h: u64) -> usize {
+    pub(crate) fn instance_len(&self, h: u64) -> usize {
         let n = &(&Ratio::from(self.m_const) * &(&self.r_u + &self.r_v)) * &Ratio::from(h);
         assert!(n.is_integer(), "M(r_u+r_v)h must be integral");
         usize::try_from(n.numer()).expect("length fits usize")
@@ -99,7 +99,7 @@ impl Qp2Instance {
     /// Panics if `sizes.len() != params.instance_len(h)` or a size is
     /// negative.
     #[must_use]
-    pub fn new(params: Qp2Params, h: u64, sizes: Vec<Ratio>) -> Qp2Instance {
+    pub(crate) fn new(params: Qp2Params, h: u64, sizes: Vec<Ratio>) -> Qp2Instance {
         assert_eq!(
             sizes.len(),
             params.instance_len(h),
@@ -126,7 +126,8 @@ impl Qp2Instance {
 
     /// Checks a claimed witness (indices, exact cardinality and sum).
     #[must_use]
-    pub fn verify(&self, subset: &[usize]) -> bool {
+    #[cfg(test)]
+    pub(crate) fn verify(&self, subset: &[usize]) -> bool {
         if subset.len() != self.params.subset_cardinality(self.h) {
             return false;
         }
@@ -211,19 +212,13 @@ impl Qp1Instance {
 
     /// Number of sizes `c`.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.sizes.len()
-    }
-
-    /// Never true.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.sizes.is_empty()
     }
 
     /// Total of the sizes.
     #[must_use]
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.sizes.iter().sum()
     }
 
@@ -237,7 +232,7 @@ impl Qp1Instance {
     ///
     /// Panics if `c > 63`.
     #[must_use]
-    pub fn solve(&self) -> Option<Vec<usize>> {
+    pub(crate) fn solve(&self) -> Option<Vec<usize>> {
         let c = self.len();
         assert!(c <= 63, "solve supports at most 63 sizes");
         let total = self.total();
@@ -306,7 +301,8 @@ impl Qp1Instance {
 
     /// Checks a claimed witness.
     #[must_use]
-    pub fn verify(&self, subset: &[usize]) -> bool {
+    #[cfg(test)]
+    pub(crate) fn verify(&self, subset: &[usize]) -> bool {
         let c = self.len();
         if subset.len() != 2 * c / 3 {
             return false;

@@ -2,9 +2,9 @@
 //!
 //! The paper's model takes per-device probability vectors as input,
 //! citing [15, 16] for how systems approximate them from movement
-//! histories. The math lives here once; `cellnet::estimator` re-exports
-//! these functions so trace-based offline estimation and the online
-//! [`crate::ProfileStore`] cannot drift apart.
+//! histories. The math lives here once; `cellnet`'s simulator estimates
+//! through [`empirical_from_counts`] too, so its offline estimates and
+//! the online [`crate::ProfileStore`] cannot drift apart.
 
 /// Laplace-smoothed empirical distribution of a history over `c` cells:
 /// `p_j = (count_j + α) / (len + c·α)`.
@@ -114,7 +114,7 @@ pub fn uniform(c: usize) -> Vec<f64> {
 ///
 /// Panics if `p` is empty or `lambda` is outside `[0, 1]`.
 #[must_use]
-pub fn blend_toward_uniform(p: &[f64], lambda: f64) -> Vec<f64> {
+pub(crate) fn blend_toward_uniform(p: &[f64], lambda: f64) -> Vec<f64> {
     assert!(!p.is_empty(), "need at least one cell");
     assert!((0.0..=1.0).contains(&lambda), "lambda must be in [0, 1]");
     let u = 1.0 / p.len() as f64;
@@ -131,6 +131,24 @@ mod tests {
         assert_eq!(p, vec![0.5, 0.25, 0.25, 0.0]);
         let sum: f64 = p.iter().sum();
         assert!((sum - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn smoothing_makes_everything_positive() {
+        let p = empirical(&[0, 0, 0], 5, 0.5);
+        assert!(p.iter().all(|&x| x > 0.0));
+        let sum: f64 = p.iter().sum();
+        assert!((sum - 1.0).abs() < 1e-12);
+        // Cell 0 still dominates.
+        assert!(p[0] > p[1]);
+    }
+
+    #[test]
+    fn empty_history_uniform_under_smoothing() {
+        let p = empirical(&[], 4, 1.0);
+        for &x in &p {
+            assert!((x - 0.25).abs() < 1e-12);
+        }
     }
 
     #[test]
@@ -152,6 +170,22 @@ mod tests {
         assert!(p[1] > p[0], "{p:?}");
         let sum: f64 = p.iter().sum();
         assert!((sum - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn decay_one_matches_empirical_shape() {
+        let history = vec![0, 1, 1, 2];
+        let a = recency_weighted(&history, 3, 1.0, 0.0);
+        let b = empirical(&history, 3, 0.0);
+        assert!(total_variation(&a, &b) < 1e-12);
+    }
+
+    #[test]
+    fn tv_distance_properties() {
+        let a = vec![1.0, 0.0];
+        let b = vec![0.0, 1.0];
+        assert!((total_variation(&a, &b) - 1.0).abs() < 1e-12);
+        assert_eq!(total_variation(&a, &a), 0.0);
     }
 
     #[test]

@@ -143,7 +143,7 @@ pub trait StorageIo: Send + Sync {
 /// Propagates I/O errors from any step; on error the target file is
 /// untouched (a stale `.tmp` sibling may remain and is ignored by
 /// recovery).
-pub fn write_atomic(io: &dyn StorageIo, path: &Path, data: &[u8]) -> io::Result<()> {
+pub(crate) fn write_atomic(io: &dyn StorageIo, path: &Path, data: &[u8]) -> io::Result<()> {
     // A bare file name has the empty parent, which cannot be opened
     // for a directory sync.
     let dir = match path.parent() {
@@ -628,7 +628,8 @@ impl FaultyIo {
     /// Whether the simulated disk has died (a [`FaultKind::Crash`]
     /// fired).
     #[must_use]
-    pub fn dead(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn dead(&self) -> bool {
         self.dead.load(Ordering::Acquire)
     }
 

@@ -10,9 +10,9 @@
 //!
 //! - [`estimators`] — the canonical distribution math (Laplace
 //!   empirical, exponential recency, staleness blends);
-//!   `cellnet::estimator` re-exports these so offline trace analysis
-//!   and this online store cannot drift apart.
-//! - [`MarkovModel`] — first-order cell→cell mobility model predicting
+//!   `cellnet`'s simulator estimates through them too, so its offline
+//!   estimates and this online store cannot drift apart.
+//! - `MarkovModel` — first-order cell→cell mobility model predicting
 //!   the current distribution from the last sighting and the elapsed
 //!   time.
 //! - [`DeviceProfile`] / [`ProfileConfig`] — one device's versioned
@@ -42,7 +42,6 @@ pub use durable::{
     DurabilityConfig, DurableError, DurableStore, FsyncPolicy, RecoveryReport, WalAppend,
     WalMetrics, WalSegment,
 };
-pub use markov::MarkovModel;
 pub use profile::{DeviceProfile, Estimator, ProfileConfig, Time};
 pub use replay::{replay, CallRecord, ReplayConfig, ReplayReport, Step};
 pub use store::{ProfileStore, Sighting, StoreConfig, StoreMetrics, StoreStats};

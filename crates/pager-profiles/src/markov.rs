@@ -12,7 +12,7 @@ use crate::estimators;
 
 /// Transition-count model over `c` cells.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MarkovModel {
+pub(crate) struct MarkovModel {
     cells: usize,
     /// The nonzero counts as `(from, to, count)`, sorted by
     /// `(from, to)`. One form per count matrix, so the derived
@@ -27,7 +27,7 @@ impl MarkovModel {
     ///
     /// Panics if `c == 0`.
     #[must_use]
-    pub fn new(cells: usize) -> MarkovModel {
+    pub(crate) fn new(cells: usize) -> MarkovModel {
         assert!(cells > 0, "need at least one cell");
         MarkovModel {
             cells,
@@ -37,7 +37,7 @@ impl MarkovModel {
 
     /// Number of cells.
     #[must_use]
-    pub fn num_cells(&self) -> usize {
+    pub(crate) fn num_cells(&self) -> usize {
         self.cells
     }
 
@@ -46,7 +46,7 @@ impl MarkovModel {
     /// # Panics
     ///
     /// Panics on out-of-range cells.
-    pub fn observe(&mut self, from: usize, to: usize) {
+    pub(crate) fn observe(&mut self, from: usize, to: usize) {
         assert!(from < self.cells, "from-cell {from} out of range");
         assert!(to < self.cells, "to-cell {to} out of range");
         match self
@@ -73,7 +73,7 @@ impl MarkovModel {
     ///
     /// Panics if `from` is out of range or `alpha < 0`.
     #[must_use]
-    pub fn predict(&self, from: usize, steps: usize, alpha: f64) -> Vec<f64> {
+    pub(crate) fn predict(&self, from: usize, steps: usize, alpha: f64) -> Vec<f64> {
         assert!(from < self.cells, "from-cell {from} out of range");
         assert!(alpha >= 0.0, "smoothing must be non-negative");
         if steps == 0 {
@@ -169,7 +169,7 @@ impl MarkovModel {
 impl MarkovModel {
     /// Renders counts as a JSON array of dense rows, zeros included.
     #[must_use]
-    pub fn to_json(&self) -> jsonio::Value {
+    pub(crate) fn to_json(&self) -> jsonio::Value {
         let mut transitions = self.transitions.iter().peekable();
         jsonio::Value::Array(
             (0..self.cells)
@@ -189,7 +189,7 @@ impl MarkovModel {
     /// # Errors
     ///
     /// A message on a malformed or non-square payload.
-    pub fn from_json(value: &jsonio::Value) -> Result<MarkovModel, String> {
+    pub(crate) fn from_json(value: &jsonio::Value) -> Result<MarkovModel, String> {
         let rows = value
             .as_array()
             .ok_or_else(|| "markov counts must be an array of rows".to_string())?;

@@ -97,7 +97,7 @@ impl ProfileConfig {
     /// # Errors
     ///
     /// A message naming the offending knob.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !(self.alpha > 0.0 && self.alpha.is_finite()) {
             return Err("alpha must be positive and finite".to_string());
         }
@@ -115,7 +115,7 @@ impl ProfileConfig {
     /// trusted; `λ → 0` means forgotten. Monotone non-increasing in
     /// `elapsed`.
     #[must_use]
-    pub fn staleness_weight(&self, elapsed: f64) -> f64 {
+    pub(crate) fn staleness_weight(&self, elapsed: f64) -> f64 {
         if elapsed <= 0.0 || self.staleness_half_life.is_infinite() {
             return 1.0;
         }
@@ -161,25 +161,19 @@ impl DeviceProfile {
 
     /// Number of cells this profile is defined over.
     #[must_use]
-    pub fn num_cells(&self) -> usize {
+    pub(crate) fn num_cells(&self) -> usize {
         self.cells
     }
 
     /// Monotonically increasing profile version (bumped per sighting).
     #[must_use]
-    pub fn version(&self) -> u64 {
+    pub(crate) fn version(&self) -> u64 {
         self.version
-    }
-
-    /// Total sightings ingested.
-    #[must_use]
-    pub fn num_sightings(&self) -> u64 {
-        self.sightings
     }
 
     /// The most recent sighting, if any.
     #[must_use]
-    pub fn last_sighting(&self) -> Option<(Time, usize)> {
+    pub(crate) fn last_sighting(&self) -> Option<(Time, usize)> {
         self.last
     }
 
@@ -235,7 +229,7 @@ impl DeviceProfile {
 
     /// The staleness blend weight of this profile at `now`.
     #[must_use]
-    pub fn staleness_weight(&self, now: Time, config: &ProfileConfig) -> f64 {
+    pub(crate) fn staleness_weight(&self, now: Time, config: &ProfileConfig) -> f64 {
         match self.last {
             None => 0.0, // never sighted: fully uniform
             Some((time, _)) => config.staleness_weight(now - time),
@@ -273,7 +267,7 @@ impl DeviceProfile {
 
     /// Snapshot as a JSON object.
     #[must_use]
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(&self) -> Value {
         let (last_time, last_cell) = match self.last {
             Some((t, c)) => (Value::Float(t), Value::from(c)),
             None => (Value::Null, Value::Null),
@@ -301,7 +295,7 @@ impl DeviceProfile {
     /// # Errors
     ///
     /// A message on malformed or inconsistent payloads.
-    pub fn from_json(value: &Value) -> Result<DeviceProfile, String> {
+    pub(crate) fn from_json(value: &Value) -> Result<DeviceProfile, String> {
         let cells = value
             .get("cells")
             .and_then(Value::as_usize)
@@ -412,7 +406,7 @@ mod tests {
             p.observe(t, 2, v, &cfg()).unwrap();
         }
         assert_eq!(p.version(), 6);
-        assert_eq!(p.num_sightings(), 6);
+        assert_eq!(p.sightings, 6);
         assert_eq!(p.last_sighting(), Some((5.0, 2)));
         for est in [Estimator::Empirical, Estimator::Recency, Estimator::Markov] {
             let d = p.distribution(est, 5.0, &cfg());

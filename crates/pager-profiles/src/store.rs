@@ -137,17 +137,11 @@ impl ProfileStore {
 
     /// Number of devices currently tracked.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.shards
             .iter()
             .map(|s| s.lock().expect("profile shard poisoned").map.len())
             .sum()
-    }
-
-    /// Whether no devices are tracked.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Size, counter and version snapshot.
@@ -368,7 +362,7 @@ impl ProfileStore {
     /// Snapshot of the whole store as one JSON object (profiles plus
     /// counters), suitable for [`ProfileStore::from_json`].
     #[must_use]
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(&self) -> Value {
         let mut profiles: Vec<(String, Value)> = Vec::new();
         for shard in &self.shards {
             let shard = shard.lock().expect("profile shard poisoned");
@@ -397,7 +391,7 @@ impl ProfileStore {
     /// # Errors
     ///
     /// A message on malformed payloads or invalid config.
-    pub fn from_json(value: &Value, config: StoreConfig) -> Result<ProfileStore, String> {
+    pub(crate) fn from_json(value: &Value, config: StoreConfig) -> Result<ProfileStore, String> {
         match value.get("format").and_then(Value::as_str) {
             Some("pager-profiles/v1") => {}
             other => return Err(format!("unknown snapshot format {other:?}")),
@@ -445,7 +439,7 @@ impl ProfileStore {
     /// it, so a truncated file can never load as a smaller
     /// "valid"-looking store.
     #[must_use]
-    pub fn snapshot_bytes(&self) -> Vec<u8> {
+    pub(crate) fn snapshot_bytes(&self) -> Vec<u8> {
         format!("{}\n", self.to_json()).into_bytes()
     }
 
@@ -456,7 +450,10 @@ impl ProfileStore {
     ///
     /// A message on bad UTF-8, a missing end-of-snapshot marker
     /// (truncated file), or a malformed payload.
-    pub fn from_snapshot_bytes(bytes: &[u8], config: StoreConfig) -> Result<ProfileStore, String> {
+    pub(crate) fn from_snapshot_bytes(
+        bytes: &[u8],
+        config: StoreConfig,
+    ) -> Result<ProfileStore, String> {
         let text = std::str::from_utf8(bytes).map_err(|e| format!("snapshot is not UTF-8: {e}"))?;
         let line = text
             .strip_suffix('\n')

@@ -40,15 +40,15 @@ pub struct SightingRecord {
 }
 
 /// Frame header size: `len` + `crc`.
-pub const HEADER_BYTES: usize = 8;
+pub(crate) const HEADER_BYTES: usize = 8;
 
 /// Current record version.
-pub const RECORD_VERSION: u8 = 1;
+pub(crate) const RECORD_VERSION: u8 = 1;
 
 /// Upper bound on `len` — a corrupt length field must not cause a
 /// gigabyte allocation. Generous next to a real sighting (device name
 /// plus ~17 bytes).
-pub const MAX_RECORD_BYTES: u32 = 1 << 20;
+pub(crate) const MAX_RECORD_BYTES: u32 = 1 << 20;
 
 /// Most WAL bytes one shipping message carries: a `WAL_SHIP` window,
 /// and the frames an observe ack may forward (a larger batch leaves
@@ -62,11 +62,11 @@ const _: () = assert!(SHIP_WINDOW_BYTES > MAX_RECORD_BYTES as usize + HEADER_BYT
 /// sync commits no new file size. 256 KiB takes well under a
 /// millisecond to write and sync on ext4, and a 60-byte record stream
 /// fills it about once per 4,000 acks.
-pub const EXTENT_BYTES: usize = 256 * 1024;
+pub(crate) const EXTENT_BYTES: usize = 256 * 1024;
 
 /// Upper bound on a device identifier, in bytes. Enforced at encode
 /// time (and again by the scanner) so every encodable record frames
-/// well under [`MAX_RECORD_BYTES`]: a record the ingest path acks is
+/// well under the 1 MiB record cap: a record the ingest path acks is
 /// always one the recovery scan will accept, never a poison frame that
 /// truncates the log and the acked records behind it.
 pub const MAX_DEVICE_BYTES: usize = 4096;
@@ -135,7 +135,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// device name over [`MAX_DEVICE_BYTES`], or a `cells`/`cell` value
 /// that does not fit the wire's `u32`. Rejecting here (rather than
 /// saturating) keeps the round-trip exact and keeps every encoded
-/// frame within [`MAX_RECORD_BYTES`], which the recovery scanner
+/// frame within the 1 MiB record cap, which the recovery scanner
 /// relies on.
 pub fn encode_record(sighting: &SightingRecord) -> Result<Vec<u8>, String> {
     let device = sighting.device.as_bytes();

@@ -8,18 +8,18 @@
 //! * `sys` — a minimal in-tree FFI shim over the handful of Linux
 //!   syscalls we need (`epoll_create1`, `epoll_ctl`, `epoll_wait`,
 //!   `eventfd`). No external crates, honouring the offline build.
-//! * [`poller`] — safe wrapper: register/modify/deregister fds with an
+//! * `poller` — safe wrapper: register/modify/deregister fds with an
 //!   [`Interest`] (edge- or level-triggered, and
 //!   `EPOLLEXCLUSIVE` so one listener can be shared by every shard
 //!   without thundering herds).
-//! * [`waker`] — an `eventfd`-backed cross-thread wakeup handle, so
+//! * `waker` — an `eventfd`-backed cross-thread wakeup handle, so
 //!   solver workers can interrupt a shard blocked in `epoll_wait`.
-//! * [`timer`] — deadline-ordered timers for deadlines, accept
+//! * `timer` — deadline-ordered timers for deadlines, accept
 //!   backoff and drain grace periods; expiry is driven by the poll
 //!   timeout, not by parked threads.
-//! * [`queue`] — a completion queue ([`queue::Remote`] posts a value
+//! * `queue` — a completion queue ([`queue::Remote`] posts a value
 //!   from any thread and wakes the owning reactor).
-//! * [`reactor`] — ties the above together: one [`reactor::Reactor`]
+//! * `reactor` — ties the above together: one [`reactor::Reactor`]
 //!   per shard thread, with a single [`reactor::Reactor::turn`] call
 //!   yielding readiness events, fired timers and drained completions.
 //!
@@ -28,25 +28,25 @@
 //! `--stdio` only.
 
 #[cfg(target_os = "linux")]
-pub mod poller;
+mod poller;
 #[cfg(target_os = "linux")]
-pub mod queue;
+mod queue;
 #[cfg(target_os = "linux")]
-pub mod reactor;
+mod reactor;
 #[cfg(target_os = "linux")]
 mod sys;
 #[cfg(target_os = "linux")]
-pub mod timer;
+mod timer;
 #[cfg(target_os = "linux")]
-pub mod waker;
+mod waker;
 
 #[cfg(target_os = "linux")]
 pub use poller::{Event, Interest, Poller};
 #[cfg(target_os = "linux")]
-pub use queue::{CompletionQueue, Remote};
+pub use queue::Remote;
 #[cfg(target_os = "linux")]
-pub use reactor::{Reactor, Turn, WAKER_TOKEN};
+pub use reactor::{Reactor, Turn};
 #[cfg(target_os = "linux")]
-pub use timer::{TimerId, TimerWheel};
+pub use timer::TimerId;
 #[cfg(target_os = "linux")]
 pub use waker::Waker;

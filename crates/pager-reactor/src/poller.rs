@@ -27,7 +27,7 @@ pub struct Interest {
 
 impl Interest {
     /// Level-triggered read interest.
-    pub const READ: Interest = Interest {
+    pub(crate) const READ: Interest = Interest {
         readable: true,
         writable: false,
         edge: false,
@@ -80,7 +80,7 @@ pub struct Poller {
 const WAIT_BATCH: usize = 1024;
 
 impl Poller {
-    pub fn new() -> io::Result<Poller> {
+    pub(crate) fn new() -> io::Result<Poller> {
         Ok(Poller {
             epfd: sys::epoll_create()?,
             buffer: vec![sys::EpollEvent::default(); WAIT_BATCH],
@@ -88,18 +88,18 @@ impl Poller {
     }
 
     /// Registers `fd` under `token`.
-    pub fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+    pub(crate) fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         sys::epoll_add(&self.epfd, fd, interest.events(), token)
     }
 
     /// Re-arms an existing registration with a new interest set.
-    pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+    pub(crate) fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         sys::epoll_mod(&self.epfd, fd, interest.events(), token)
     }
 
     /// Removes a registration. Safe to call for already-closed fds;
     /// the caller decides whether the error matters.
-    pub fn delete(&self, fd: RawFd) -> io::Result<()> {
+    pub(crate) fn delete(&self, fd: RawFd) -> io::Result<()> {
         sys::epoll_del(&self.epfd, fd)
     }
 
@@ -108,7 +108,11 @@ impl Poller {
     /// Signal interruptions are retried inside `sys::epoll_wait_events`
     /// with the same timeout, so `Ok(0)` always means the timeout (or a
     /// spurious wakeup), never a swallowed `EINTR`.
-    pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
+    pub(crate) fn wait(
+        &mut self,
+        out: &mut Vec<Event>,
+        timeout: Option<Duration>,
+    ) -> io::Result<usize> {
         let timeout_ms = match timeout {
             None => -1,
             // Round up so a 0.4 ms deadline does not busy-spin at

@@ -16,7 +16,7 @@ struct Inner<T> {
 }
 
 /// The reactor-side receiving end.
-pub struct CompletionQueue<T> {
+pub(crate) struct CompletionQueue<T> {
     inner: Arc<Inner<T>>,
 }
 
@@ -34,7 +34,7 @@ impl<T> Clone for Remote<T> {
 }
 
 impl<T> CompletionQueue<T> {
-    pub fn new(waker: Waker) -> CompletionQueue<T> {
+    pub(crate) fn new(waker: Waker) -> CompletionQueue<T> {
         CompletionQueue {
             inner: Arc::new(Inner {
                 completions: Mutex::new(VecDeque::new()),
@@ -43,14 +43,14 @@ impl<T> CompletionQueue<T> {
         }
     }
 
-    pub fn remote(&self) -> Remote<T> {
+    pub(crate) fn remote(&self) -> Remote<T> {
         Remote {
             inner: Arc::clone(&self.inner),
         }
     }
 
     /// Moves every queued completion into `out`.
-    pub fn drain(&self, out: &mut Vec<T>) {
+    pub(crate) fn drain(&self, out: &mut Vec<T>) {
         let mut completions = self
             .inner
             .completions

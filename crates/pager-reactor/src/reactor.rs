@@ -12,7 +12,7 @@ use crate::waker::Waker;
 
 /// Registration token reserved for the reactor's own waker fd; never
 /// use it for connections.
-pub const WAKER_TOKEN: u64 = u64::MAX;
+pub(crate) const WAKER_TOKEN: u64 = u64::MAX;
 
 /// Everything one [`Reactor::turn`] produced.
 #[derive(Default)]

@@ -18,7 +18,7 @@ pub struct TimerId {
     id: u64,
 }
 
-pub struct TimerWheel {
+pub(crate) struct TimerWheel {
     /// Armed timers: `(deadline offset, id)` to token.
     timers: BTreeMap<(Duration, u64), u64>,
     /// Deadlines are kept as offsets from here.
@@ -27,7 +27,7 @@ pub struct TimerWheel {
 }
 
 impl TimerWheel {
-    pub fn new(start: Instant) -> TimerWheel {
+    pub(crate) fn new(start: Instant) -> TimerWheel {
         TimerWheel {
             timers: BTreeMap::new(),
             start,
@@ -39,7 +39,7 @@ impl TimerWheel {
     /// next [`expire`] call.
     ///
     /// [`expire`]: TimerWheel::expire
-    pub fn schedule_at(&mut self, at: Instant, token: u64) -> TimerId {
+    pub(crate) fn schedule_at(&mut self, at: Instant, token: u64) -> TimerId {
         let timer = TimerId {
             at: at.saturating_duration_since(self.start),
             id: self.next_id,
@@ -50,20 +50,20 @@ impl TimerWheel {
     }
 
     /// Cancels a timer; a no-op if it already fired.
-    pub fn cancel(&mut self, timer: TimerId) {
+    pub(crate) fn cancel(&mut self, timer: TimerId) {
         self.timers.remove(&(timer.at, timer.id));
     }
 
     /// How long until the earliest timer fires (`None` when empty;
     /// zero when one is already due).
-    pub fn next_timeout(&self, now: Instant) -> Option<Duration> {
+    pub(crate) fn next_timeout(&self, now: Instant) -> Option<Duration> {
         let (&(at, _), _) = self.timers.first_key_value()?;
         Some((self.start + at).saturating_duration_since(now))
     }
 
     /// Fires every timer due at `now`, in deadline order, appending
     /// their tokens to `fired`. Returns how many fired.
-    pub fn expire(&mut self, now: Instant, fired: &mut Vec<u64>) -> usize {
+    pub(crate) fn expire(&mut self, now: Instant, fired: &mut Vec<u64>) -> usize {
         let now = now.saturating_duration_since(self.start);
         let before = fired.len();
         while let Some(entry) = self.timers.first_entry() {
@@ -75,12 +75,8 @@ impl TimerWheel {
         fired.len() - before
     }
 
-    /// Number of armed timers.
-    pub fn len(&self) -> usize {
-        self.timers.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.timers.is_empty()
     }
 }

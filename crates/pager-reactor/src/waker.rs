@@ -8,7 +8,7 @@ use crate::sys;
 
 /// An `eventfd`-backed wakeup handle. Cloning is cheap; any clone may
 /// [`wake`](Waker::wake) from any thread. The owning reactor registers
-/// the fd read-side in its poller and [`drain`](Waker::drain)s it when
+/// the fd read-side in its poller and `drain`s it when
 /// the wakeup fires.
 #[derive(Clone)]
 pub struct Waker {
@@ -16,14 +16,14 @@ pub struct Waker {
 }
 
 impl Waker {
-    pub fn new() -> io::Result<Waker> {
+    pub(crate) fn new() -> io::Result<Waker> {
         Ok(Waker {
             fd: Arc::new(sys::eventfd_create()?),
         })
     }
 
     /// The fd to register for read interest.
-    pub fn as_raw_fd(&self) -> RawFd {
+    pub(crate) fn as_raw_fd(&self) -> RawFd {
         self.fd.as_raw_fd()
     }
 
@@ -34,7 +34,7 @@ impl Waker {
     }
 
     /// Resets the counter after a wakeup was observed.
-    pub fn drain(&self) {
+    pub(crate) fn drain(&self) {
         let _ = sys::eventfd_drain(&self.fd);
     }
 }

@@ -29,7 +29,7 @@ use jsonio::metrics::Counter;
 
 /// A sharded LRU map from plan keys to cached plans.
 #[derive(Debug)]
-pub struct ShardedCache<K, V> {
+pub(crate) struct ShardedCache<K, V> {
     shards: Vec<Mutex<Shard<K, V>>>,
     per_shard_capacity: usize,
     evictions: Counter,
@@ -56,7 +56,7 @@ impl<K: Eq + Hash + Clone, V> ShardedCache<K, V> {
     /// Creates a cache of at most `capacity` entries spread over
     /// `shards` shards (both forced to at least 1).
     #[must_use]
-    pub fn new(capacity: usize, shards: usize) -> ShardedCache<K, V> {
+    pub(crate) fn new(capacity: usize, shards: usize) -> ShardedCache<K, V> {
         let shards = shards.max(1);
         let per_shard_capacity = capacity.div_ceil(shards).max(1);
         ShardedCache {
@@ -76,14 +76,14 @@ impl<K: Eq + Hash + Clone, V> ShardedCache<K, V> {
 
     /// Total entries evicted since creation.
     #[must_use]
-    pub fn evictions(&self) -> u64 {
+    pub(crate) fn evictions(&self) -> u64 {
         self.evictions.get()
     }
 
     /// Current total entry count (sums shard sizes; racy but accurate
     /// at rest).
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.shards
             .iter()
             .map(|s| {
@@ -92,12 +92,6 @@ impl<K: Eq + Hash + Clone, V> ShardedCache<K, V> {
                     .len
             })
             .sum()
-    }
-
-    /// Whether the cache holds no entries.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     fn shard_for(&self, fingerprint: u64) -> &Mutex<Shard<K, V>> {
@@ -110,7 +104,7 @@ impl<K: Eq + Hash + Clone, V> ShardedCache<K, V> {
     /// Looks up `key` (routed by `fingerprint`), refreshing its LRU
     /// position on a hit.
     #[must_use]
-    pub fn get(&self, fingerprint: u64, key: &K) -> Option<Arc<V>> {
+    pub(crate) fn get(&self, fingerprint: u64, key: &K) -> Option<Arc<V>> {
         self.get_with(fingerprint, |candidate| candidate == key)
     }
 
@@ -124,7 +118,7 @@ impl<K: Eq + Hash + Clone, V> ShardedCache<K, V> {
     /// predicate sees only keys whose fingerprint matched, which is
     /// almost always exactly one candidate.
     #[must_use]
-    pub fn get_with(
+    pub(crate) fn get_with(
         &self,
         fingerprint: u64,
         mut matches: impl FnMut(&K) -> bool,
@@ -143,7 +137,7 @@ impl<K: Eq + Hash + Clone, V> ShardedCache<K, V> {
 
     /// Inserts `key → value`, evicting the least-recently-used entry
     /// of the target shard if it is full. Returns the stored handle.
-    pub fn insert(&self, fingerprint: u64, key: K, value: Arc<V>) -> Arc<V> {
+    pub(crate) fn insert(&self, fingerprint: u64, key: K, value: Arc<V>) -> Arc<V> {
         let mut shard = self
             .shard_for(fingerprint)
             .lock()

@@ -29,7 +29,7 @@
 //! * **Isolation** — the I/O pool grows a worker whenever a job
 //!   arrives and none is idle, so a job blocked on a dead backend never
 //!   holds up another connection's request. Workers beyond
-//!   [`ReactorConfig::io_threads`] exit after [`IO_IDLE_EXIT`] idle.
+//!   [`ReactorConfig::io_threads`] exit after 10 s idle.
 //! * **Drain** — a stop closes idle connections at once and stops
 //!   dispatching buffered messages, but every dispatched request is
 //!   answered and flushed before its connection closes.
@@ -69,7 +69,7 @@ const FLUSH_GRACE: Duration = Duration::from_secs(30);
 const DRAIN_POLL: Duration = Duration::from_millis(5);
 /// How long an I/O pool worker beyond [`ReactorConfig::io_threads`]
 /// may sit idle before it exits.
-pub const IO_IDLE_EXIT: Duration = Duration::from_secs(10);
+pub(crate) const IO_IDLE_EXIT: Duration = Duration::from_secs(10);
 
 /// Tuning knobs for [`serve_reactor_with`]; the default suits both
 /// `pager-serve` and the router.
@@ -163,7 +163,7 @@ impl Call<'_> {
 
     /// How the request arrived, for answers encoded in place with
     /// [`Framing::append_line`].
-    pub fn framing(&self) -> Framing {
+    pub(crate) fn framing(&self) -> Framing {
         self.framing
     }
 
@@ -244,7 +244,7 @@ impl Answer {
     /// this answer alone, so order holds and the client skips a hop
     /// through the shard — and the shard gets the unwritten rest (if
     /// any) plus the bookkeeping.
-    pub fn send(mut self) {
+    pub(crate) fn send(mut self) {
         let mut written = 0;
         if let Some(stream) = &self.to.direct {
             while written < self.bytes.len() {
@@ -984,13 +984,14 @@ impl ReactorHandle {
 
     /// Whether a stop has been requested.
     #[must_use]
-    pub fn stopping(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn stopping(&self) -> bool {
         self.shared.stop.load(Ordering::SeqCst)
     }
 
     /// Requests dispatched but not yet answered and flushed.
     #[must_use]
-    pub fn inflight(&self) -> u64 {
+    pub(crate) fn inflight(&self) -> u64 {
         self.shared.inflight.load(Ordering::SeqCst)
     }
 

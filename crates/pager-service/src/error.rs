@@ -41,7 +41,7 @@ pub enum ServiceError {
 impl ServiceError {
     /// The typed wire code.
     #[must_use]
-    pub fn wire_code(&self) -> ErrorCode {
+    pub(crate) fn wire_code(&self) -> ErrorCode {
         match self {
             ServiceError::BadRequest(_) => ErrorCode::BadRequest,
             ServiceError::Unsupported(_) => ErrorCode::Unsupported,
@@ -53,14 +53,14 @@ impl ServiceError {
 
     /// The stable wire code (`"code"` field of error responses).
     #[must_use]
-    pub fn code(&self) -> &'static str {
+    pub(crate) fn code(&self) -> &'static str {
         self.wire_code().as_str()
     }
 
     /// The human-readable message (`"error"` field of error
     /// responses).
     #[must_use]
-    pub fn message(&self) -> String {
+    pub(crate) fn message(&self) -> String {
         match self {
             ServiceError::BadRequest(m)
             | ServiceError::Unsupported(m)

@@ -13,7 +13,7 @@
 //! * **Tiered planning** ([`planner`]) — exact subset-DP for small
 //!   instances, the paper's Fig. 1 greedy otherwise, plus the
 //!   bandwidth-bounded and signature variants on request.
-//! * **Sharded LRU cache** ([`cache`]) — strategies are cached under a
+//! * **Sharded LRU cache** — strategies are cached under a
 //!   *quantised* fingerprint of the instance
 //!   ([`pager_core::fingerprint`]), so measurements that differ only
 //!   by noise below the grid resolution share one planned strategy.
@@ -21,14 +21,14 @@
 //!   misses are planned by a fixed thread pool, and concurrent
 //!   requests for the same fingerprint are coalesced into a single
 //!   computation whose result fans out to every waiter.
-//! * **Deadline-aware lifecycle** ([`PlanSpec`], [`error`]) — every
+//! * **Deadline-aware lifecycle** ([`PlanSpec`], [`ServiceError`]) — every
 //!   request carries a deadline budget, fixed at admission as one
 //!   [`pager_core::cancel::CancelToken`]; admission goes through a
 //!   *bounded* queue that sheds excess load with `"code": "overloaded"`,
 //!   and solvers poll that token so an exact plan whose deadline
 //!   expires mid-solve is abandoned and downgraded to the greedy tier
 //!   instead of hogging a worker.
-//! * **Metrics** ([`metrics`]) — the service's registry, declared with
+//! * **Metrics** ([`Metrics`]) — the service's registry, declared with
 //!   the workspace's one metrics vocabulary in [`jsonio::metrics`]
 //!   (counters, log-bucketed latency histograms, and the
 //!   [`jsonio::registry!`] macro that declares each metric once and
@@ -41,7 +41,7 @@
 //!   *name*; profile versions join the cache key so an update can
 //!   never be answered with a strategy planned from older data, and a
 //!   plan cheap enough to solve inline is not stored at all.
-//! * **Wire protocol** ([`proto`], [`server`]) — the typed
+//! * **Wire protocol** ([`handle_line`], [`handle_frame`]) — the typed
 //!   [`pager_wire`] request/response surface in both its encodings,
 //!   v1 JSON lines and v2 binary frames (detected per message; see
 //!   `docs/wire.md`), served over stdio by [`serve_lines`].
@@ -63,24 +63,22 @@
 //! assert!(response.plan.expected_paging >= 1.0);
 //! ```
 
-pub mod cache;
+mod cache;
 #[cfg(target_os = "linux")]
 pub mod engine;
-pub mod error;
+mod error;
 #[cfg(target_os = "linux")]
 mod handler;
-pub mod metrics;
+mod metrics;
 pub mod planner;
 mod pool;
-pub mod proto;
-pub mod server;
+mod proto;
+mod server;
 mod service;
 
-pub use cache::ShardedCache;
 #[cfg(target_os = "linux")]
 pub use engine::{
-    serve_reactor_with, Answer, Call, Completion, Gauges, Handler, ReactorConfig, ReactorHandle,
-    Reply,
+    serve_reactor_with, Answer, Call, Gauges, Handler, ReactorConfig, ReactorHandle, Reply,
 };
 pub use error::ServiceError;
 pub use metrics::Metrics;
@@ -88,6 +86,6 @@ pub use planner::{plan, Plan, Tier, TierPolicy, Variant, RETRY_AFTER_MS};
 pub use proto::{handle_frame, handle_line, LineOutcome, Request};
 pub use server::serve_lines;
 pub use service::{
-    DevicePlanResponse, DurabilityOptions, Observed, PagerService, PlanKey, PlanResponse, PlanSpec,
-    ServiceConfig, WalApplyOutcome,
+    DevicePlanResponse, DurabilityOptions, Observed, PagerService, PlanResponse, PlanSpec,
+    ServiceConfig,
 };

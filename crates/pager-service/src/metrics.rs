@@ -15,7 +15,7 @@ use crate::planner::Tier;
 /// One latency histogram per solver [`Tier`], indexed by
 /// `tier as usize`.
 #[derive(Debug, Default)]
-pub struct TierLatency([LatencyHistogram; Tier::ALL.len()]);
+pub(crate) struct TierLatency([LatencyHistogram; Tier::ALL.len()]);
 
 impl Metric for TierLatency {
     /// An object keyed by [`Tier::name`].
@@ -99,7 +99,7 @@ impl Metrics {
     /// been timed, and is clamped to `[10, 2000]` ms so a pathological
     /// tail can neither tell clients to hammer nor to stay away for
     /// minutes.
-    pub fn retry_hint_ms(&self) -> u64 {
+    pub(crate) fn retry_hint_ms(&self) -> u64 {
         if self.queue_wait.count() == 0 {
             return crate::planner::RETRY_AFTER_MS;
         }
@@ -110,7 +110,7 @@ impl Metrics {
     }
 
     /// The latency histogram for one solver tier.
-    pub fn tier_latency(&self, tier: Tier) -> &LatencyHistogram {
+    pub(crate) fn tier_latency(&self, tier: Tier) -> &LatencyHistogram {
         &self.tier_latency.0[tier as usize]
     }
 }

@@ -45,7 +45,7 @@ pub enum Tier {
 
 impl Tier {
     /// Every tier, in declaration order (`Tier::ALL[t as usize] == t`).
-    pub const ALL: [Tier; 4] = [Tier::Exact, Tier::Greedy, Tier::Bandwidth, Tier::Signature];
+    pub(crate) const ALL: [Tier; 4] = [Tier::Exact, Tier::Greedy, Tier::Bandwidth, Tier::Signature];
 
     /// Stable name for metrics and the wire protocol.
     #[must_use]
@@ -108,7 +108,7 @@ pub const RETRY_AFTER_MS: u64 = 50;
 /// and waking the shard with its answer. Cheaper greedy misses skip
 /// the admission queue, so they are never shed or coalesced;
 /// deliberately not configurable.
-pub const INLINE_SOLVE_OPS: u64 = 4096;
+pub(crate) const INLINE_SOLVE_OPS: u64 = 4096;
 
 /// Plans `instance` under `delay` with the solver tier selected by
 /// `variant` and `policy`, polling `cancel` at solver checkpoints.
@@ -200,7 +200,7 @@ fn requested_tier(instance: &Instance, variant: Variant, policy: &TierPolicy) ->
 /// both solvers do. `None` for the bandwidth and signature tiers,
 /// which the model does not cover. Saturates instead of overflowing.
 #[must_use]
-pub fn solve_cost(
+pub(crate) fn solve_cost(
     instance: &Instance,
     delay: Delay,
     variant: Variant,

@@ -32,7 +32,6 @@ use pager_wire::binary::{ObserveBatch, WalApplied, WalShip};
 use pager_wire::frame::{op, Message};
 use pager_wire::{binary, json, ErrorBody, IdBuf, IdView, PlanBody, PlanFrameView};
 
-pub use pager_wire::json::PROTOCOL_VERSION;
 pub use pager_wire::Request;
 
 use pager_profiles::wal::SHIP_WINDOW_BYTES;
@@ -46,7 +45,7 @@ use crate::service::{Observed, PagerService, PlanResponse};
 /// echo it on the response whatever the outcome. Every response
 /// echoes its request's id — the cluster router's request/reply
 /// correlation relies on it to reject stale duplicated replies.
-pub fn parse_request_with_id(line: &str) -> (Value, Result<Request, ServiceError>) {
+pub(crate) fn parse_request_with_id(line: &str) -> (Value, Result<Request, ServiceError>) {
     let (id, request) = json::parse_request_with_id(line);
     (id, request.map_err(ServiceError::from))
 }
@@ -72,7 +71,7 @@ pub fn handle_line(service: &PagerService, line: &str) -> LineOutcome {
 /// line's `id` (from [`parse_request_with_id`]); it is echoed on the
 /// response whatever the outcome.
 #[must_use]
-pub fn handle_request(
+pub(crate) fn handle_request(
     service: &PagerService,
     request: Result<Request, ServiceError>,
     id: &Value,

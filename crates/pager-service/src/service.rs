@@ -30,7 +30,7 @@ use crate::pool::{self, Dispatcher};
 /// from its older profile, even when the quantised probabilities
 /// happen to coincide.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct PlanKey {
+pub(crate) struct PlanKey {
     buckets: Vec<u32>,
     devices: usize,
     cells: usize,
@@ -129,7 +129,7 @@ pub struct ServiceConfig {
     pub node_id: Option<String>,
     /// The cluster membership epoch this node starts in. Routers bump
     /// it through the `epoch` wire op on failover; see
-    /// [`PagerService::adopt_epoch`].
+    /// `PagerService::adopt_epoch`.
     pub epoch: u64,
 }
 
@@ -181,7 +181,7 @@ pub struct Observed {
 
 /// What applying a shipped WAL chunk did ([`PagerService::apply_wal`]).
 #[derive(Debug, Clone, Copy)]
-pub struct WalApplyOutcome {
+pub(crate) struct WalApplyOutcome {
     /// Records decoded from the chunk and applied, in order.
     pub records: u64,
     /// Bytes of the chunk consumed (its valid frame prefix). A chunk
@@ -317,7 +317,7 @@ impl PagerService {
 
     /// The configuration the service was built with.
     #[must_use]
-    pub fn config(&self) -> &ServiceConfig {
+    pub(crate) fn config(&self) -> &ServiceConfig {
         &self.config
     }
 
@@ -368,20 +368,20 @@ impl PagerService {
     /// refused with `"code": "degraded"`. Always `false` without
     /// durability.
     #[must_use]
-    pub fn degraded(&self) -> bool {
+    pub(crate) fn degraded(&self) -> bool {
         self.durable.as_ref().is_some_and(|d| d.degraded())
     }
 
     /// The shard identity this service stamps on wire responses
     /// (`None` for a standalone server).
     #[must_use]
-    pub fn node_id(&self) -> Option<&str> {
+    pub(crate) fn node_id(&self) -> Option<&str> {
         self.config.node_id.as_deref()
     }
 
     /// The cluster membership epoch this node currently believes in.
     #[must_use]
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
 
@@ -389,14 +389,14 @@ impl PagerService {
     /// the epoch in force afterwards. Epochs are monotone: a stale
     /// router replaying an old announcement can never roll a node
     /// backwards.
-    pub fn adopt_epoch(&self, epoch: u64) -> u64 {
+    pub(crate) fn adopt_epoch(&self, epoch: u64) -> u64 {
         self.epoch.fetch_max(epoch, Ordering::AcqRel).max(epoch)
     }
 
     /// The WAL generation currently receiving appends, or `None`
     /// without durability.
     #[must_use]
-    pub fn wal_generation(&self) -> Option<u64> {
+    pub(crate) fn wal_generation(&self) -> Option<u64> {
         self.durable.as_ref().map(|d| d.current_generation())
     }
 
@@ -408,7 +408,7 @@ impl PagerService {
     /// [`ServiceError::Unsupported`] without durability;
     /// [`ServiceError::BadRequest`] for coordinates the store rejects
     /// (ahead of the log, compacted away, past the end).
-    pub fn export_wal(
+    pub(crate) fn export_wal(
         &self,
         generation: u64,
         offset: u64,
@@ -438,7 +438,7 @@ impl PagerService {
     ///
     /// The first record the store refuses (earlier records in the
     /// chunk stay applied — same append-only contract as `observe`).
-    pub fn apply_wal(&self, bytes: &[u8]) -> Result<WalApplyOutcome, ServiceError> {
+    pub(crate) fn apply_wal(&self, bytes: &[u8]) -> Result<WalApplyOutcome, ServiceError> {
         let scan = pager_profiles::wal::scan(bytes);
         for run in scan.records.chunk_by(|a, b| a.cells == b.cells) {
             let sightings: Vec<Sighting> = run
@@ -517,7 +517,7 @@ impl PagerService {
     }
 
     /// Probes the strategy cache straight from a borrowed v2 plan
-    /// frame, without materialising an [`Instance`], a [`PlanKey`], or
+    /// frame, without materialising an [`Instance`], a `PlanKey`, or
     /// anything else on the heap.
     ///
     /// Returns the cached response on a hit (counting the request and

@@ -34,7 +34,7 @@
 //! absent), `groups: u32`, then per group `len: u32` + `len × u32`
 //! cell indices.
 //!
-//! `ERROR` (0x03): `id`, `code: u8` ([`ErrorCode::tag`]),
+//! `ERROR` (0x03): `id`, `code: u8` (`ErrorCode::tag`),
 //! `retry_after_ms: u64` (`u64::MAX` = none), `message`
 //! (length-prefixed string), `node` (length-prefixed string). It
 //! answers a failed request of any native op.
@@ -152,7 +152,7 @@ impl IdView<'_> {
     /// Materialises the id as a JSON value (allocates for strings —
     /// slow path only).
     #[must_use]
-    pub fn to_value(self) -> Value {
+    pub(crate) fn to_value(self) -> Value {
         match self {
             IdView::Null => Value::Null,
             IdView::U64(u) => Value::from(u),
@@ -440,7 +440,7 @@ impl<'a> PlanFrameView<'a> {
 
     /// The probability at flat index `i` (row-major).
     #[must_use]
-    pub fn prob(&self, i: usize) -> f64 {
+    pub(crate) fn prob(&self, i: usize) -> f64 {
         f64_at(self.probs, i * 8)
     }
 
@@ -469,7 +469,7 @@ impl<'a> PlanFrameView<'a> {
     /// The quantisation bucket of the probability at flat index `i` —
     /// must stay in lock-step with `pager_core`'s `quantize_row`.
     #[must_use]
-    pub fn bucket(&self, i: usize, grid: u32) -> u32 {
+    pub(crate) fn bucket(&self, i: usize, grid: u32) -> u32 {
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let bucket = (self.prob(i) * f64::from(grid.max(1))).round() as u32;
         bucket

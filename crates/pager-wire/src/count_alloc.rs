@@ -18,18 +18,16 @@ use std::cell::Cell;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// A [`System`]-backed allocator that counts this thread's
 /// allocations.
 pub struct CountingAlloc;
 
-fn bump(bytes: usize) {
+fn bump() {
     // try_with: the allocator runs during TLS setup/teardown too;
     // those allocations are simply not counted.
     let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
-    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
 // SAFETY: delegates every operation to `System`; the counter updates
@@ -37,14 +35,14 @@ fn bump(bytes: usize) {
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: caller upholds the GlobalAlloc contract (valid layout).
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump(layout.size());
+        bump();
         // SAFETY: same layout the caller validated, handed to System.
         unsafe { System.alloc(layout) }
     }
 
     // SAFETY: caller upholds the GlobalAlloc contract (valid layout).
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump(layout.size());
+        bump();
         // SAFETY: same layout the caller validated, handed to System.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -52,7 +50,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: caller upholds the GlobalAlloc contract (ptr was
     // allocated here with `layout`, `new_size` is valid).
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump(new_size);
+        bump();
         // SAFETY: every allocation delegates to System, so ptr/layout
         // are a valid System allocation; arguments pass unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -67,10 +65,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 }
 
-/// Zeroes this thread's counters.
+/// Zeroes this thread's counter.
 pub fn reset() {
     let _ = ALLOCATIONS.try_with(|c| c.set(0));
-    let _ = BYTES.try_with(|c| c.set(0));
 }
 
 /// Heap allocations (including reallocations) on this thread since
@@ -78,11 +75,4 @@ pub fn reset() {
 #[must_use]
 pub fn allocations() -> u64 {
     ALLOCATIONS.try_with(Cell::get).unwrap_or(0)
-}
-
-/// Bytes requested from the allocator on this thread since the last
-/// [`reset`].
-#[must_use]
-pub fn bytes() -> u64 {
-    BYTES.try_with(Cell::get).unwrap_or(0)
 }

@@ -34,7 +34,7 @@ pub enum ErrorCode {
 
 impl ErrorCode {
     /// Every code, for exhaustive round-trip tests and tables.
-    pub const ALL: [ErrorCode; 6] = [
+    pub(crate) const ALL: [ErrorCode; 6] = [
         ErrorCode::BadRequest,
         ErrorCode::Unsupported,
         ErrorCode::Overloaded,
@@ -64,7 +64,7 @@ impl ErrorCode {
 
     /// The one-byte tag carried in v2 error frames.
     #[must_use]
-    pub fn tag(self) -> u8 {
+    pub(crate) fn tag(self) -> u8 {
         match self {
             ErrorCode::BadRequest => 1,
             ErrorCode::Unsupported => 2,
@@ -77,7 +77,7 @@ impl ErrorCode {
 
     /// Decodes a v2 error-frame tag.
     #[must_use]
-    pub fn from_tag(tag: u8) -> Option<ErrorCode> {
+    pub(crate) fn from_tag(tag: u8) -> Option<ErrorCode> {
         ErrorCode::ALL.into_iter().find(|c| c.tag() == tag)
     }
 }
@@ -104,7 +104,7 @@ pub enum WireError {
 impl WireError {
     /// The code this decode failure maps to on the wire.
     #[must_use]
-    pub fn code(&self) -> ErrorCode {
+    pub(crate) fn code(&self) -> ErrorCode {
         match self {
             WireError::BadRequest(_) => ErrorCode::BadRequest,
             WireError::Unsupported(_) => ErrorCode::Unsupported,
@@ -113,7 +113,7 @@ impl WireError {
 
     /// The human-readable message.
     #[must_use]
-    pub fn message(&self) -> &str {
+    pub(crate) fn message(&self) -> &str {
         match self {
             WireError::BadRequest(m) | WireError::Unsupported(m) => m,
         }

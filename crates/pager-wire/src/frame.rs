@@ -13,7 +13,7 @@
 //! 8+len   4     CRC-32 of header + payload (checked frames only)
 //! ```
 //!
-//! A **checked** frame ([`FLAG_CHECKED`]) carries a CRC-32 trailer
+//! A **checked** frame (`FLAG_CHECKED`) carries a CRC-32 trailer
 //! over everything before it, so a flipped byte anywhere in the
 //! header or payload surfaces as [`Split::Malformed`] instead of
 //! silently corrupt data. TCP's own checksum is too weak to rely on
@@ -53,7 +53,7 @@ pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 /// Flags bit 0: the frame ends in a 4-byte little-endian CRC-32 of
 /// the header and payload. [`split`] verifies and strips the trailer;
 /// a mismatch is [`Split::Malformed`], never delivered data.
-pub const FLAG_CHECKED: u8 = 0x01;
+pub(crate) const FLAG_CHECKED: u8 = 0x01;
 
 /// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320): the
 /// profile WAL's record checksum, reused for checked frames.
@@ -341,7 +341,7 @@ pub fn next_message(buf: &[u8], eof: bool) -> Option<(Message<'_>, usize)> {
 }
 
 /// Appends a v2 frame header for `op` with a zero length to `out`,
-/// returning the header's offset. Pair with [`finish_frame`] after the
+/// returning the header's offset. Pair with `finish_frame` after the
 /// payload is written.
 pub fn begin_frame(out: &mut Vec<u8>, op: u8) -> usize {
     let start = out.len();
@@ -356,7 +356,7 @@ pub fn begin_frame(out: &mut Vec<u8>, op: u8) -> usize {
 /// `OBSERVE_RESP` or `WAL_SHIP_RESP` carries are at most one ship
 /// window (2 MiB). The cast therefore saturates defensively rather than
 /// panicking.
-pub fn finish_frame(out: &mut [u8], start: usize) {
+pub(crate) fn finish_frame(out: &mut [u8], start: usize) {
     let len = out.len() - start - HEADER_LEN;
     let len = u32::try_from(len).unwrap_or(u32::MAX);
     out[start + 4..start + 8].copy_from_slice(&len.to_le_bytes());
@@ -372,7 +372,7 @@ pub fn write_frame(out: &mut Vec<u8>, op: u8, payload: &[u8]) {
 }
 
 /// Finishes the frame started at `start` as a **checked** frame:
-/// patches its length ([`finish_frame`]), sets [`FLAG_CHECKED`] and
+/// patches its length (`finish_frame`), sets `FLAG_CHECKED` and
 /// appends the CRC-32 trailer. Every frame a server writes ends here —
 /// the native response encoders, a `JSON_RESP`
 /// ([`Framing::append_line`]) and the router's requests to its

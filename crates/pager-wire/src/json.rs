@@ -17,7 +17,7 @@ use crate::response::{DeviceExt, ErrorBody, PlanBody};
 use crate::textio::ParseInstanceError;
 
 /// Protocol version stamped on every v1 response line.
-pub const PROTOCOL_VERSION: u64 = 1;
+pub(crate) const PROTOCOL_VERSION: u64 = 1;
 
 /// Parses one v1 wire line. Unknown fields are ignored for forward
 /// compatibility; unknown commands and variants are rejected with

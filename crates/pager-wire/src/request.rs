@@ -25,7 +25,7 @@ pub enum Variant {
 impl Variant {
     /// Stable name for keys/metrics/wire.
     #[must_use]
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Variant::Auto => "auto",
             Variant::Exact => "exact",
@@ -40,7 +40,7 @@ impl Variant {
     /// Frozen — both the service's key derivation and the binary
     /// codec's frame-side fingerprint fold this in.
     #[must_use]
-    pub fn cache_tag(self) -> u64 {
+    pub(crate) fn cache_tag(self) -> u64 {
         match self {
             Variant::Auto => 0,
             Variant::Exact => 1 << 32,
@@ -52,7 +52,7 @@ impl Variant {
 }
 
 /// Folds the non-instance parts of a plan-cache key into an instance
-/// fingerprint: the delay, the variant's [`Variant::cache_tag`], the
+/// fingerprint: the delay, the variant's `Variant::cache_tag`, the
 /// estimator tag (0 for matrix requests) and any profile versions.
 /// Frozen: the service keys its cache with this, and a v2 plan frame
 /// reaches the same value without materialising a request.

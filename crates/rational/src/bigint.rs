@@ -10,7 +10,7 @@ use core::cmp::Ordering;
 
 /// Sign of a [`BigInt`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Sign {
+pub(crate) enum Sign {
     /// Strictly negative.
     Minus,
     /// Exactly zero (the magnitude is empty).
@@ -22,7 +22,7 @@ pub enum Sign {
 impl Sign {
     /// Returns the opposite sign (`Zero` stays `Zero`).
     #[must_use]
-    pub fn negate(self) -> Sign {
+    pub(crate) fn negate(self) -> Sign {
         match self {
             Sign::Minus => Sign::Plus,
             Sign::Zero => Sign::Zero,
@@ -32,7 +32,7 @@ impl Sign {
 
     /// Sign of the product of two signs.
     #[must_use]
-    pub fn combine(self, other: Sign) -> Sign {
+    pub(crate) fn combine(self, other: Sign) -> Sign {
         match (self, other) {
             (Sign::Zero, _) | (_, Sign::Zero) => Sign::Zero,
             (Sign::Plus, Sign::Plus) | (Sign::Minus, Sign::Minus) => Sign::Plus,
@@ -102,7 +102,7 @@ impl BigInt {
 
     /// Returns `true` iff the value is one.
     #[must_use]
-    pub fn is_one(&self) -> bool {
+    pub(crate) fn is_one(&self) -> bool {
         self.sign == Sign::Plus && self.mag == [1]
     }
 
@@ -114,14 +114,8 @@ impl BigInt {
 
     /// Returns `true` iff the value is strictly positive.
     #[must_use]
-    pub fn is_positive(&self) -> bool {
+    pub(crate) fn is_positive(&self) -> bool {
         self.sign == Sign::Plus
-    }
-
-    /// The sign of this integer.
-    #[must_use]
-    pub fn sign(&self) -> Sign {
-        self.sign
     }
 
     /// Absolute value.
@@ -139,7 +133,7 @@ impl BigInt {
 
     /// Number of bits in the magnitude (`0` for zero).
     #[must_use]
-    pub fn bits(&self) -> u64 {
+    pub(crate) fn bits(&self) -> u64 {
         match self.mag.last() {
             None => 0,
             Some(&top) => (self.mag.len() as u64 - 1) * 32 + u64::from(32 - top.leading_zeros()),

@@ -21,7 +21,7 @@ impl BigInt {
     /// Converts to `f64`, rounding to nearest. Values whose magnitude
     /// exceeds `f64::MAX` become `±inf`.
     #[must_use]
-    pub fn to_f64(&self) -> f64 {
+    pub(crate) fn to_f64(&self) -> f64 {
         if self.is_zero() {
             return 0.0;
         }
@@ -41,44 +41,6 @@ impl BigInt {
             val = -val;
         }
         val
-    }
-
-    /// Builds a `BigInt` from a finite `f64` that is an exact integer.
-    ///
-    /// Returns `None` if the input is NaN, infinite, or has a fractional
-    /// part.
-    ///
-    /// ```
-    /// use rational::BigInt;
-    /// assert_eq!(BigInt::from_f64_exact(1e15), Some(BigInt::from(10u64.pow(15))));
-    /// assert_eq!(BigInt::from_f64_exact(0.5), None);
-    /// ```
-    #[must_use]
-    pub fn from_f64_exact(v: f64) -> Option<BigInt> {
-        // lint:allow(no-float-eq): exact integrality test on IEEE semantics
-        if !v.is_finite() || v.fract() != 0.0 {
-            return None;
-        }
-        // lint:allow(no-float-eq): exact zero test, ±0.0 both map to zero
-        if v == 0.0 {
-            return Some(BigInt::zero());
-        }
-        let neg = v < 0.0;
-        let bits = v.abs().to_bits();
-        let exponent = ((bits >> 52) & 0x7FF) as i64 - 1023 - 52;
-        let mantissa = if (bits >> 52) & 0x7FF == 0 {
-            bits & ((1u64 << 52) - 1)
-        } else {
-            (bits & ((1u64 << 52) - 1)) | (1u64 << 52)
-        };
-        let m = BigInt::from(mantissa);
-        let out = if exponent >= 0 {
-            m.shl_bits(exponent as u64)
-        } else {
-            // fract() == 0 guarantees the low bits are zero.
-            m.shr_bits((-exponent) as u64)
-        };
-        Some(if neg { -out } else { out })
     }
 
     /// Converts to `u64` if it fits and is non-negative.
@@ -174,17 +136,6 @@ mod tests {
         let f = x.to_f64();
         assert!((f - 1e100).abs() / 1e100 < 1e-12);
         assert_eq!((-x).to_f64(), -f);
-    }
-
-    #[test]
-    fn from_f64_exact_round_trip() {
-        for v in [0.0, 1.0, -1.0, 2f64.powi(60), -(2f64.powi(80)), 1e15] {
-            let b = BigInt::from_f64_exact(v).unwrap();
-            assert_eq!(b.to_f64(), v, "{v}");
-        }
-        assert_eq!(BigInt::from_f64_exact(f64::NAN), None);
-        assert_eq!(BigInt::from_f64_exact(f64::INFINITY), None);
-        assert_eq!(BigInt::from_f64_exact(1.25), None);
     }
 
     #[test]

@@ -1,32 +1,11 @@
 //! JSON conversions (via the workspace's [`jsonio`] crate).
 //!
-//! [`BigInt`] serialises as its decimal string; [`Ratio`] as the
-//! `"num/den"` (or plain integer) string accepted by its `FromStr`.
+//! [`Ratio`] serialises as the `"num/den"` (or plain integer) string
+//! accepted by its `FromStr`.
 //! String forms keep arbitrary precision intact across any format.
 
-use crate::{BigInt, Ratio};
+use crate::Ratio;
 use jsonio::Value;
-
-impl BigInt {
-    /// Renders as a JSON string of the decimal value.
-    #[must_use]
-    pub fn to_json(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-
-    /// Parses from a JSON string of a decimal value.
-    ///
-    /// # Errors
-    ///
-    /// A message when the value is not a string or fails to parse.
-    pub fn from_json(value: &Value) -> Result<BigInt, String> {
-        let text = value
-            .as_str()
-            .ok_or_else(|| format!("BigInt must be a JSON string, got {value}"))?;
-        text.parse()
-            .map_err(|e| format!("invalid BigInt {text:?}: {e:?}"))
-    }
-}
 
 impl Ratio {
     /// Renders as a JSON string (`"num/den"` or a plain integer).
@@ -54,17 +33,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bigint_json_round_trip() {
-        let x: BigInt = "123456789012345678901234567890".parse().unwrap();
-        let json = x.to_json().to_string();
-        assert_eq!(json, "\"123456789012345678901234567890\"");
-        let back = BigInt::from_json(&jsonio::parse(&json).unwrap()).unwrap();
-        assert_eq!(back, x);
-        let neg = BigInt::from_json(&jsonio::parse("\"-42\"").unwrap()).unwrap();
-        assert_eq!(neg, BigInt::from(-42));
-    }
-
-    #[test]
     fn ratio_json_round_trip() {
         for q in [
             Ratio::from_fraction(320, 317),
@@ -80,7 +48,6 @@ mod tests {
 
     #[test]
     fn bad_payloads_rejected() {
-        assert!(BigInt::from_json(&jsonio::parse("\"12a\"").unwrap()).is_err());
         assert!(Ratio::from_json(&jsonio::parse("\"1/0\"").unwrap()).is_err());
         // Must be a string, not a bare number.
         assert!(Ratio::from_json(&jsonio::parse("3.5").unwrap()).is_err());

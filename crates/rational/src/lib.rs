@@ -43,75 +43,6 @@ mod json_impls;
 mod parse;
 mod ratio;
 
-pub use bigint::{BigInt, Sign};
+pub use bigint::BigInt;
 pub use parse::ParseBigIntError;
 pub use ratio::{ParseRatioError, Ratio};
-
-/// Computes the greatest common divisor of two non-negative `u64` values.
-///
-/// Used internally for limb-level fast paths; exposed because the workload
-/// and hardness crates need small-integer gcds too.
-///
-/// ```
-/// assert_eq!(rational::gcd_u64(12, 18), 6);
-/// assert_eq!(rational::gcd_u64(0, 7), 7);
-/// ```
-#[must_use]
-pub fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
-    if a == 0 {
-        return b;
-    }
-    if b == 0 {
-        return a;
-    }
-    let shift = (a | b).trailing_zeros();
-    a >>= a.trailing_zeros();
-    loop {
-        b >>= b.trailing_zeros();
-        if a > b {
-            core::mem::swap(&mut a, &mut b);
-        }
-        b -= a;
-        if b == 0 {
-            return a << shift;
-        }
-    }
-}
-
-/// Computes the least common multiple of two `u64` values.
-///
-/// # Panics
-///
-/// Panics if the result overflows `u64`.
-///
-/// ```
-/// assert_eq!(rational::lcm_u64(4, 6), 12);
-/// ```
-#[must_use]
-pub fn lcm_u64(a: u64, b: u64) -> u64 {
-    if a == 0 || b == 0 {
-        return 0;
-    }
-    a / gcd_u64(a, b) * b
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn gcd_basics() {
-        assert_eq!(gcd_u64(0, 0), 0);
-        assert_eq!(gcd_u64(1, 1), 1);
-        assert_eq!(gcd_u64(48, 36), 12);
-        assert_eq!(gcd_u64(17, 13), 1);
-        assert_eq!(gcd_u64(u64::MAX, u64::MAX), u64::MAX);
-    }
-
-    #[test]
-    fn lcm_basics() {
-        assert_eq!(lcm_u64(0, 5), 0);
-        assert_eq!(lcm_u64(21, 6), 42);
-        assert_eq!(lcm_u64(7, 7), 7);
-    }
-}

@@ -204,15 +204,6 @@ impl Ratio {
         self.den.is_one()
     }
 
-    /// Absolute value.
-    #[must_use]
-    pub fn abs(&self) -> Ratio {
-        Ratio {
-            num: self.num.abs(),
-            den: self.den.clone(),
-        }
-    }
-
     /// Multiplicative inverse.
     ///
     /// # Panics
@@ -241,46 +232,12 @@ impl Ratio {
         }
     }
 
-    /// Formats the value as a decimal string with exactly `digits`
-    /// fractional digits, rounding half away from zero.
-    ///
-    /// ```
-    /// use rational::Ratio;
-    /// assert_eq!(Ratio::from_fraction(1, 3).to_decimal_string(4), "0.3333");
-    /// assert_eq!(Ratio::from_fraction(-1, 8).to_decimal_string(2), "-0.13");
-    /// assert_eq!(Ratio::from_fraction(5, 2).to_decimal_string(0), "3");
-    /// ```
-    #[must_use]
-    pub fn to_decimal_string(&self, digits: usize) -> String {
-        let negative = self.is_negative();
-        let scale = BigInt::from(10u8).pow(digits as u32);
-        // round(|num|·10^d / den) with half-away-from-zero.
-        let scaled = &self.num.abs() * &scale;
-        let (q, r) = scaled.div_rem(&self.den);
-        let double_r = &r + &r;
-        let rounded = if double_r >= self.den {
-            q + BigInt::one()
-        } else {
-            q
-        };
-        let digits_str = rounded.to_string();
-        let (int_part, frac_part) = if digits == 0 {
-            (digits_str.clone(), String::new())
-        } else if digits_str.len() <= digits {
-            ("0".to_string(), format!("{digits_str:0>digits$}"))
-        } else {
-            let cut = digits_str.len() - digits;
-            (digits_str[..cut].to_string(), digits_str[cut..].to_string())
-        };
-        let sign = if negative && (int_part != "0" || frac_part.bytes().any(|b| b != b'0')) {
-            "-"
-        } else {
-            ""
-        };
-        if frac_part.is_empty() {
-            format!("{sign}{int_part}")
-        } else {
-            format!("{sign}{int_part}.{frac_part}")
+    /// Absolute value.
+    #[cfg(test)]
+    fn abs(&self) -> Ratio {
+        Ratio {
+            num: self.num.abs(),
+            den: self.den.clone(),
         }
     }
 
@@ -629,20 +586,6 @@ mod tests {
         assert_eq!(s, Ratio::one());
         let p: Ratio = xs.iter().product();
         assert_eq!(p, r(1, 36));
-    }
-
-    #[test]
-    fn decimal_string_rendering() {
-        assert_eq!(r(1, 2).to_decimal_string(3), "0.500");
-        assert_eq!(r(2, 3).to_decimal_string(4), "0.6667");
-        assert_eq!(r(-2, 3).to_decimal_string(4), "-0.6667");
-        assert_eq!(r(22, 7).to_decimal_string(2), "3.14");
-        assert_eq!(r(317, 49).to_decimal_string(6), "6.469388");
-        assert_eq!(Ratio::zero().to_decimal_string(2), "0.00");
-        assert_eq!(r(1, 2).to_decimal_string(0), "1"); // half away from zero
-        assert_eq!(r(-1, 2).to_decimal_string(0), "-1");
-        assert_eq!(r(1, 1000).to_decimal_string(2), "0.00");
-        assert_eq!(r(-1, 1000).to_decimal_string(2), "0.00"); // rounds to zero: no sign
     }
 
     #[test]

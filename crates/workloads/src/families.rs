@@ -66,12 +66,6 @@ impl InstanceGenerator {
         InstanceGenerator { family }
     }
 
-    /// The family.
-    #[must_use]
-    pub fn family(&self) -> DistributionFamily {
-        self.family
-    }
-
     /// Generates one `m × c` instance.
     ///
     /// # Panics
@@ -84,7 +78,7 @@ impl InstanceGenerator {
     }
 
     /// Generates one device row.
-    pub fn generate_row<R: Rng>(&self, c: usize, rng: &mut R) -> Vec<f64> {
+    pub(crate) fn generate_row<R: Rng>(&self, c: usize, rng: &mut R) -> Vec<f64> {
         let mut weights: Vec<f64> = match self.family {
             DistributionFamily::Uniform => vec![1.0; c],
             DistributionFamily::Zipf => {

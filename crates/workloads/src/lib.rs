@@ -13,7 +13,7 @@
 
 pub mod adversarial;
 pub mod correlated;
-pub mod families;
+mod families;
 pub mod mixer;
 
 pub use families::{DistributionFamily, InstanceGenerator};

@@ -15,7 +15,11 @@ use rand::Rng;
 /// # Panics
 ///
 /// Panics if `families` is empty or `c == 0`.
-pub fn mixed_instance<R: Rng>(families: &[DistributionFamily], c: usize, rng: &mut R) -> Instance {
+pub(crate) fn mixed_instance<R: Rng>(
+    families: &[DistributionFamily],
+    c: usize,
+    rng: &mut R,
+) -> Instance {
     assert!(!families.is_empty(), "need at least one device family");
     assert!(c > 0, "need at least one cell");
     let rows: Vec<Vec<f64>> = families

@@ -8,14 +8,14 @@
 //! The [`cellnet::PagingPlanner`] trait cannot report failure, so its
 //! `plan` must produce *some* partition even for degenerate input
 //! (rows that are not distributions, a zero delay budget). Rather
-//! than hiding that, [`GreedyPlanner::plan_checked`] surfaces the
-//! exact problem as a [`DegenerateInput`], and the infallible trait
+//! than hiding that, `GreedyPlanner::plan_checked` surfaces the
+//! exact problem as a `DegenerateInput`, and the infallible trait
 //! path logs the event to stderr and counts it in
 //! [`GreedyPlanner::degenerate_inputs`] before falling back to
 //! blanket paging.
 //!
 //! There is exactly one tier-dispatch surface in the workspace:
-//! [`pager_service::planner`], re-exported here. The simulator bridge
+//! [`pager_service::planner`]. The simulator bridge
 //! below routes through it (greedy tier, no deadline) rather than
 //! calling the solvers directly, so policy changes in the service
 //! planner apply everywhere.
@@ -23,12 +23,11 @@
 use cellnet::PagingPlanner;
 use jsonio::metrics::Counter;
 use pager_core::{CancelToken, Delay, Instance};
-
-pub use pager_service::planner::{plan, Plan, Tier, TierPolicy, Variant, RETRY_AFTER_MS};
+use pager_service::planner::{plan, TierPolicy, Variant};
 
 /// Why a planning request could not be served as asked.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DegenerateInput {
+pub(crate) enum DegenerateInput {
     /// No rows, or rows with no cells: there is nothing to page.
     NoCells,
     /// The rows are not probability distributions (the message is the
@@ -81,7 +80,7 @@ impl GreedyPlanner {
     ///
     /// [`DegenerateInput`] when the rows are empty or invalid, or the
     /// delay budget is zero.
-    pub fn plan_checked(
+    pub(crate) fn plan_checked(
         &self,
         rows: &[Vec<f64>],
         delay: usize,

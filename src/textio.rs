@@ -5,8 +5,9 @@
 //! probabilities; blank lines and `#` comments are ignored. Entries
 //! may be decimals (`0.25`) or exact fractions (`2/7`); a file whose
 //! entries are all fractions round-trips exactly through
-//! [`parse_exact_instance`]. The parser is [`pager_wire::textio`], the
-//! one the v1 wire's string instances go through.
+//! [`pager_wire::textio::parse_exact_instance`]. The parser is
+//! [`pager_wire::textio`], the one the v1 wire's string instances go
+//! through.
 //!
 //! ```text
 //! # three devices over four cells
@@ -15,26 +16,25 @@
 //! 0.7 0.1 0.1 0.1
 //! ```
 
-use pager_core::Instance;
-
-pub use pager_wire::textio::{parse_exact_instance, parse_instance, ParseInstanceError};
-
-/// Renders an instance back to the text format (decimal probabilities,
-/// full `f64` precision).
-#[must_use]
-pub fn format_instance(instance: &Instance) -> String {
-    let mut out = String::new();
-    for row in instance.rows() {
-        let cells: Vec<String> = row.iter().map(|p| format!("{p}")).collect();
-        out.push_str(&cells.join(" "));
-        out.push('\n');
-    }
-    out
-}
+pub use pager_wire::textio::{parse_instance, ParseInstanceError};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pager_core::Instance;
+    use pager_wire::textio::parse_exact_instance;
+
+    /// Renders an instance back to the text format (decimal probabilities,
+    /// full `f64` precision).
+    fn format_instance(instance: &Instance) -> String {
+        let mut out = String::new();
+        for row in instance.rows() {
+            let cells: Vec<String> = row.iter().map(|p| format!("{p}")).collect();
+            out.push_str(&cells.join(" "));
+            out.push('\n');
+        }
+        out
+    }
 
     #[test]
     fn parses_decimals_and_fractions() {

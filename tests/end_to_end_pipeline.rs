@@ -3,12 +3,12 @@
 //! bridge.
 
 use cellnet::area::LocationAreaPlan;
-use cellnet::estimator;
 use cellnet::mobility::{empirical_distribution, HomingWalk, MobilityModel, RandomWalk};
 use cellnet::system::{BlanketPlanner, System, SystemConfig};
 use cellnet::topology::Topology;
 use conference_call::planner::GreedyPlanner;
 use conference_call::prelude::*;
+use conference_call::profiles::estimators;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -31,8 +31,8 @@ fn estimation_supports_planning() {
         cell = short.next_cell(cell, &topology, &mut rng);
         history.push(cell);
     }
-    let estimate = estimator::empirical(&history, topology.num_cells(), 0.5);
-    let tv = estimator::total_variation(&truth, &estimate);
+    let estimate = estimators::empirical(&history, topology.num_cells(), 0.5);
+    let tv = estimators::total_variation(&truth, &estimate);
     assert!(tv < 0.15, "estimate too far from truth: tv = {tv}");
 
     // Plan on the estimate, evaluate on the truth: still beats blanket.
@@ -100,7 +100,7 @@ fn planner_bridge_consistent_with_simulation() {
     }
     let rows: Vec<Vec<f64>> = histories
         .iter()
-        .map(|h| estimator::recency_weighted(h, 12, 0.999, 0.25))
+        .map(|h| estimators::recency_weighted(h, 12, 0.999, 0.25))
         .collect();
     let inst = Instance::from_rows(rows).unwrap();
     let plan = conference_call::pager::greedy_strategy_planned(&inst, Delay::new(3).unwrap());

@@ -1,11 +1,18 @@
 //! Cross-crate verification of the paper's headline claims.
 
 use conference_call::gen::{DistributionFamily, InstanceGenerator};
+use conference_call::hardness::device_lift::{
+    canonical_a, lift_instance, project_strategy, verify_lift,
+};
 use conference_call::hardness::partition::{planted_no, planted_yes};
 use conference_call::hardness::quasipartition::Qp1Instance;
 use conference_call::hardness::reduction::verify_reduction;
-use conference_call::pager::bounds::e_over_e_minus_1;
-use conference_call::pager::optimal::optimal_subset_dp;
+use conference_call::pager::bounds::{
+    e_over_e_minus_1, lemma31_f, lemma31_f_exact, lemma31_max, lemma44_premises, lemma44_sides,
+    lemma45_sides,
+};
+use conference_call::pager::greedy::two_round_ratio_upper_bound;
+use conference_call::pager::optimal::{optimal_exhaustive, optimal_subset_dp};
 use conference_call::pager::{greedy_strategy_planned, lower_bound_instance};
 use conference_call::prelude::*;
 use rand::rngs::StdRng;
@@ -143,6 +150,8 @@ fn lemma_2_1_three_ways() {
 /// 4/3-approximation (checked against the exhaustive optimum).
 #[test]
 fn two_device_two_round_within_4_3() {
+    let bound = two_round_ratio_upper_bound();
+    assert_eq!(bound, Ratio::from_fraction(4, 3));
     let mut rng = StdRng::seed_from_u64(55);
     for family in DistributionFamily::ALL {
         let gen = InstanceGenerator::new(*family);
@@ -152,7 +161,80 @@ fn two_device_two_round_within_4_3() {
             let scan = conference_call::pager::two_device_two_round(&inst).unwrap();
             let opt = optimal_subset_dp(&inst, Delay::new(2).unwrap()).unwrap();
             let ratio = scan.expected_paging / opt.expected_paging;
-            assert!(ratio <= 4.0 / 3.0 + 1e-9, "{family:?} c={c}: {ratio}");
+            assert!(ratio <= bound.to_f64() + 1e-9, "{family:?} c={c}: {ratio}");
         }
     }
+}
+
+/// Lemma 3.1: the potential `f` attains `4c³/27 − 2c²/9 + c/12` at
+/// `(x, y) = (1/2, 2c/3)`, in floats and exactly.
+#[test]
+fn lemma_3_1_maximum() {
+    for c in [3u64, 6, 9, 30] {
+        let cf = c as f64;
+        let (x, y, value) = lemma31_max(cf);
+        assert_eq!((x, y), (0.5, 2.0 * cf / 3.0));
+        assert!((lemma31_f(cf, x, y) - value).abs() < 1e-9 * value, "c={c}");
+        let ci = c as i64;
+        let exact = lemma31_f_exact(
+            &Ratio::from(c),
+            &Ratio::from_fraction(1, 2),
+            &Ratio::from_fraction(2 * ci, 3),
+        );
+        let expect = &(&Ratio::from_fraction(4 * ci.pow(3), 27)
+            - &Ratio::from_fraction(2 * ci.pow(2), 9))
+            + &Ratio::from_fraction(ci, 12);
+        assert_eq!(exact, expect, "c={c}");
+    }
+}
+
+/// Lemma 4.4: under its premises, `Π (a_i + b_i) ≥ x − m + 1`.
+#[test]
+fn lemma_4_4_on_an_admissible_input() {
+    let (a, b, x) = ([0.6, 0.7], [0.3, 0.2], 1.5);
+    assert!(lemma44_premises(&a, &b, x));
+    let (product, bound) = lemma44_sides(&a, &b, x);
+    assert!((product - 0.81).abs() < 1e-12 && (bound - 0.5).abs() < 1e-12);
+    assert!(product >= bound);
+    // x outside [m − 1, m] is not admissible.
+    assert!(!lemma44_premises(&a, &b, 2.5));
+}
+
+/// Lemma 4.5: the left side never exceeds the `e/(e−1)`-scaled right
+/// side.
+#[test]
+fn lemma_4_5_holds() {
+    let (m, c, s) = (2, 10.0, [3.0, 2.0, 1.0]);
+    for x in [1.0, 1.5, 2.0] {
+        let (lhs, rhs) = lemma45_sides(m, c, &[x], &s);
+        assert!((lhs - (c - 3.0 * (x - 1.0))).abs() < 1e-12, "x={x}");
+        assert!(lhs <= rhs + 1e-9, "x={x}: {lhs} > {rhs}");
+    }
+}
+
+/// Section 5 (R11): the optimum of the lifted `(c + 1, m, d + 1)`
+/// instance pages the extra cell alone first, and its projection is
+/// optimal for the original `(c, 2, d)` instance.
+#[test]
+fn device_lift_projects_to_an_optimum() {
+    let q = Ratio::from_fraction;
+    let original = Instance::from_rows(vec![
+        vec![q(1, 2), q(1, 4), q(1, 8), q(1, 8)],
+        vec![q(1, 8), q(1, 8), q(1, 4), q(1, 2)],
+    ])
+    .unwrap();
+    let (m, d, c) = (3, 2, original.num_cells());
+    let lifted = lift_instance(&original, m, &canonical_a(c));
+    assert_eq!((lifted.num_devices(), lifted.num_cells()), (m, c + 1));
+    let lifted_opt = optimal_exhaustive(&lifted, Delay::new(d + 1).unwrap()).unwrap();
+    let projected = project_strategy(&lifted_opt.strategy, c).expect("extra cell first");
+    let original_opt = optimal_exhaustive(&original, Delay::new(d).unwrap()).unwrap();
+    assert_eq!(
+        original.expected_paging(&projected).unwrap(),
+        original_opt.expected_paging
+    );
+    let (lifted_ep, projected_ep, original_ep) = verify_lift(&original, m, d);
+    assert_eq!(lifted_ep, lifted_opt.expected_paging);
+    assert_eq!(projected_ep, original_ep);
+    assert_eq!(original_ep, original_opt.expected_paging);
 }
